@@ -1,5 +1,5 @@
 //! Runs the pinned batched-vs-per-column ML inference benchmark and writes
-//! the `BENCH_0004.json` document (see `grist_bench::ml` for what runs).
+//! the `BENCH_ml.json` document (see `grist_bench::ml` for what runs).
 //!
 //! Usage:
 //!   cargo run --release -p grist-bench --bin bench_ml -- \
@@ -11,8 +11,6 @@
 //! microkernel is slower than `--min-simd-speedup` × the scalar oracle on
 //! the pinned macro-tile shape (floor 1.5×, best-of-N minima). Pass 0 to
 //! either flag to disable that gate when exploring.
-
-use std::io::Write;
 
 fn main() {
     let mut out_path: Option<String> = None;
@@ -42,21 +40,7 @@ fn main() {
         bench.serial_speedup, bench.cpe_speedup, bench.gemm_simd_speedup
     );
 
-    let text = bench.doc.pretty();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("bench_ml: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("bench_ml: wrote {path} ({} bytes)", text.len());
-        }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
-    }
+    grist_bench::emit_doc("bench_ml", out_path.as_deref(), &bench.doc.pretty());
 
     if bench.serial_speedup < min_speedup {
         eprintln!(

@@ -8,7 +8,6 @@
 
 use grist_bench::partition::run_partition;
 use grist_bench::Table;
-use std::io::Write;
 
 fn main() {
     let bench = run_partition();
@@ -35,19 +34,9 @@ fn main() {
     }
     table.print();
 
-    let text = bench.doc.pretty();
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("bench_partition: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("bench_partition: wrote {path} ({} bytes)", text.len());
-        }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
-    }
+    grist_bench::emit_doc(
+        "bench_partition",
+        std::env::args().nth(1).as_deref(),
+        &bench.doc.pretty(),
+    );
 }

@@ -26,7 +26,6 @@ use grist_runtime::scaling::{
     grid_by_label, weak_scaling_efficiencies, weak_scaling_ladder, MeasuredCosts, Scheme,
     SdpdModel, SdpdModelConfig,
 };
-use std::io::Write;
 use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate, SunwaySpec};
 
 const RANKS: usize = 4;
@@ -256,21 +255,11 @@ fn main() {
         ),
     ]);
 
-    let text = doc.pretty();
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("bench_scaling: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("bench_scaling: wrote {path} ({} bytes)", text.len());
-        }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
-    }
+    grist_bench::emit_doc(
+        "bench_scaling",
+        std::env::args().nth(1).as_deref(),
+        &doc.pretty(),
+    );
     eprintln!(
         "bench_scaling: OK — bitwise-equal modes, counters identical, \
          {reduction_pct:.1}% wait reduction (gate {:.0}%)",

@@ -13,8 +13,6 @@
 //! checkpoint by a single bit panics inside the run. Pass 0 to the flag to
 //! disable the speedup gate when exploring.
 
-use std::io::Write;
-
 fn main() {
     let mut out_path: Option<String> = None;
     let mut min_speedup = 2.0f64;
@@ -42,21 +40,7 @@ fn main() {
         bench.speedup, bench.verified_products, bench.p50_ms, bench.p99_ms, bench.qps
     );
 
-    let text = bench.doc.pretty();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("bench_serve: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("bench_serve: wrote {path} ({} bytes)", text.len());
-        }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
-    }
+    grist_bench::emit_doc("bench_serve", out_path.as_deref(), &bench.doc.pretty());
 
     if bench.verified_products == 0 {
         eprintln!("bench_serve: FAIL — the bitwise verification covered no products");

@@ -8,7 +8,6 @@
 //! Usage: `cargo run --release -p grist-bench --bin bench_smoke -- [OUT.json]`
 //! (defaults to stdout when no path is given).
 
-use std::io::Write;
 use sunway_sim::Json;
 
 fn main() {
@@ -23,21 +22,11 @@ fn main() {
     };
     fields.push(("trace".into(), trace));
 
-    let text = doc.pretty();
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("bench_smoke: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("bench_smoke: wrote {path} ({} bytes)", text.len());
-        }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
-    }
+    grist_bench::emit_doc(
+        "bench_smoke",
+        std::env::args().nth(1).as_deref(),
+        &doc.pretty(),
+    );
 
     eprintln!("bench_smoke: tracing-disabled overhead {off_pct:.4}% (budget 1%)");
     if off_pct.is_nan() || off_pct >= 1.0 {

@@ -12,7 +12,7 @@
 //!   [DASHBOARD.json [REPORT.md]]` — with no arguments the JSON goes to
 //! stdout and the Markdown to stderr. Exit codes: 0 = all gates pass,
 //! 1 = a gate failed (the report is still written first, so CI uploads the
-//! evidence of the failure).
+//! evidence of the failure), 2 = an output path could not be written.
 
 use grist_bench::obs::{run_obs, MAX_OVERHEAD_PCT};
 use std::io::Write;
@@ -21,22 +21,16 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let b = run_obs();
 
-    let json = b.dashboard.pretty();
-    match args.first() {
-        Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("obs_report: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("obs_report: dashboard -> {path}");
-        }
-        None => println!("{json}"),
-    }
+    grist_bench::emit_doc(
+        "obs_report",
+        args.first().map(String::as_str),
+        &b.dashboard.pretty(),
+    );
     match args.get(1) {
         Some(path) => {
             std::fs::write(path, &b.markdown).unwrap_or_else(|e| {
                 eprintln!("obs_report: cannot write {path}: {e}");
-                std::process::exit(1);
+                std::process::exit(2);
             });
             eprintln!("obs_report: markdown -> {path}");
         }

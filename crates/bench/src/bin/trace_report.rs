@@ -25,7 +25,7 @@
 
 use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::{exchange_gathered_chaos, halo_fault_key, run_world, VarList};
+use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use sunway_sim::{
     analyze, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Metrics, RooflineInputs,
     Substrate, SunwaySpec,
@@ -106,8 +106,11 @@ fn main() {
         let mut h = vec![0.0f64; n * NLEV];
         let mut list = VarList::new();
         list.push("h", NLEV, &mut h);
-        let r =
-            exchange_gathered_chaos(&mut ctx, locale, &mut list, HALO_TAG, &metrics, &halo_plan);
+        let xctx = ExchangeCtx {
+            metrics: Some(&metrics),
+            plan: Some(&halo_plan),
+        };
+        let r = xctx.exchange(&mut ctx, locale, &mut list, HALO_TAG);
         if ctx.rank == vrank {
             if r.is_ok() {
                 fail("pinned halo truncation did not surface on the victim rank");
@@ -158,11 +161,7 @@ fn main() {
         if let Some(dir) = std::path::Path::new(path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        std::fs::write(path, &text).unwrap_or_else(|e| {
-            eprintln!("trace_report: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("trace_report: wrote {path} ({} bytes)", text.len());
+        grist_bench::emit_doc("trace_report", Some(path), &text);
     }
 
     if json_mode {

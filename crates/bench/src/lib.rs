@@ -75,6 +75,26 @@ impl Table {
     }
 }
 
+/// The shared epilogue of the document-emitting bins: write `text` to
+/// `path`, or to stdout when no path was given. An unwritable path is
+/// reported under `bin`'s name and exits 2 (gate failures exit 1).
+pub fn emit_doc(bin: &str, path: Option<&str>, text: &str) {
+    match path {
+        Some(path) => {
+            fs::write(path, text).unwrap_or_else(|e| {
+                eprintln!("{bin}: cannot write {path}: {e}");
+                std::process::exit(2);
+            });
+            eprintln!("{bin}: wrote {path} ({} bytes)", text.len());
+        }
+        None => {
+            std::io::stdout()
+                .write_all(text.as_bytes())
+                .expect("stdout");
+        }
+    }
+}
+
 /// Minimal self-timed benchmark harness for the `harness = false` bench
 /// targets: the workspace builds fully offline (see README "Offline
 /// builds"), so criterion is not available. Each benchmark warms up once,

@@ -1,4 +1,4 @@
-//! The pinned ML-inference benchmark behind `BENCH_0004.json`: the batched
+//! The pinned ML-inference benchmark behind `BENCH_ml.json`: the batched
 //! GEMM engine ([`grist_core::MlSuite::step_columns`]) against the
 //! per-column matrix–vector reference
 //! ([`grist_core::MlSuite::step_columns_per_column`]) on both execution
@@ -25,7 +25,7 @@ use crate::smoke::{merge_snapshots, SCHEMA};
 
 /// Pinned configuration — the production-like suite shape from the issue:
 /// 16 levels, 64 CNN channels. Changing any of these invalidates the
-/// committed `BENCH_0004.json`; regenerate it when you do.
+/// committed `BENCH_ml.json`; regenerate it when you do.
 pub const ML_NLEV: usize = 16;
 pub const ML_CHANNELS: usize = 64;
 /// Columns per `step_columns` call: 8 blocks of the default 32-column
@@ -199,7 +199,7 @@ fn bench_target(
     }
 }
 
-/// Run the pinned ML benchmark and assemble the `BENCH_0004.json` document.
+/// Run the pinned ML benchmark and assemble the `BENCH_ml.json` document.
 pub fn run_ml() -> MlBench {
     run_ml_with(MlBenchConfig::default())
 }

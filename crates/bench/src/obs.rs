@@ -1,7 +1,8 @@
 //! The telemetry-plane scenario behind the `obs_report` binary and the CI
 //! `obs` job: drive the full observed stack — an ensemble advancing under
-//! [`grist_serve::run_ensemble_observed`], threaded clients hammering a
-//! [`grist_serve::ForecastServer`] started with an [`ObsPlane`], and a
+//! an [`EnsembleConfig`] that carries the [`ObsPlane`], threaded clients
+//! hammering a [`grist_serve::ForecastServer`] started on an engine with
+//! the same plane attached, and a
 //! 2-rank overlapped shallow-water step feeding halo-wait stalls through
 //! [`ObsPlane::absorb_trace`] — then hold the plane to the issue's two
 //! quantitative gates:
@@ -29,8 +30,8 @@ use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_obs::{HistSnapshot, ObsPlane};
 use grist_runtime::run_world;
 use grist_serve::{
-    default_suite, spawn_ensemble_observed, EnsembleConfig, ForecastServer, PoolTarget, Product,
-    Query, QueryEngine, ServeConfig, SnapshotStore,
+    default_suite, spawn_ensemble, EnsembleConfig, ForecastServer, PoolTarget, Product, Query,
+    QueryEngine, ServeConfig, SnapshotStore,
 };
 use sunway_sim::{trace, Json, Metrics, Substrate};
 
@@ -200,7 +201,7 @@ pub fn run_obs_with(cfg: ObsBenchConfig) -> ObsBench {
 
     // ---- Observed ensemble + observed traffic, concurrently. ----
     let store = Arc::new(SnapshotStore::new(cfg.members, cfg.epochs + 1));
-    let ensemble = spawn_ensemble_observed::<f64>(
+    let ensemble = spawn_ensemble::<f64>(
         EnsembleConfig {
             members: cfg.members,
             rank_pools: cfg.rank_pools,
@@ -209,27 +210,29 @@ pub fn run_obs_with(cfg: ObsBenchConfig) -> ObsBench {
             run: run.clone(),
             perturb_scale: cfg.perturb_scale,
             target: PoolTarget::Serial,
+            obs: Some(Arc::clone(&plane)),
         },
         Arc::clone(&store),
-        Arc::clone(&plane),
     );
     while (0..cfg.members).any(|m| store.latest(m).is_none()) {
         std::thread::yield_now();
     }
-    let engine = Arc::new(QueryEngine::<f64>::new(
-        Arc::clone(&store),
-        run.clone(),
-        Substrate::serial(),
-        default_suite(run.nlev),
-    ));
+    let engine = Arc::new(
+        QueryEngine::<f64>::new(
+            Arc::clone(&store),
+            run.clone(),
+            Substrate::serial(),
+            default_suite(run.nlev),
+        )
+        .with_obs(Arc::clone(&plane)),
+    );
     let ncells = engine.n_cells();
-    let server = Arc::new(ForecastServer::start_with_obs(
+    let server = Arc::new(ForecastServer::start(
         Arc::clone(&engine),
         ServeConfig {
             workers: cfg.workers,
             max_batch: cfg.max_batch,
         },
-        Some(Arc::clone(&plane)),
     ));
     let clients: Vec<std::thread::JoinHandle<()>> = (0..cfg.clients)
         .map(|client| {

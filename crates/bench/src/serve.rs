@@ -129,6 +129,7 @@ fn ensemble_config(cfg: &ServeBenchConfig, run: &RunConfig) -> EnsembleConfig {
         run: run.clone(),
         perturb_scale: cfg.perturb_scale,
         target: PoolTarget::Serial,
+        obs: None,
     }
 }
 

@@ -13,16 +13,16 @@
 use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
-use grist_runtime::{exchange_gathered_metered, run_world, VarList};
-use sunway_sim::dma::{simulate_dma_batch_metered, DmaRequest};
-use sunway_sim::perf::{fig9_kernels, kernel_time_metered, ExecTarget, PerfModel};
+use grist_runtime::{run_world, ExchangeCtx, VarList};
+use sunway_sim::dma::{simulate_dma_batch, DmaRequest};
+use sunway_sim::perf::{fig9_kernels, kernel_time, ExecTarget, PerfModel};
 use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate, SunwaySpec};
 
 /// Document schema tag checked by [`crate::compare::compare_docs`].
 pub const SCHEMA: &str = "grist-bench-v1";
 
 /// Pinned smoke configuration — changing any of these invalidates committed
-/// baselines, so bump the `BENCH_*.json` sequence number when you do.
+/// baselines, so regenerate them (`scripts/bench.sh`) when you do.
 pub const SMOKE_LEVEL: u32 = 2;
 pub const SMOKE_NLEV: usize = 10;
 pub const SMOKE_CPES: usize = 16;
@@ -55,7 +55,7 @@ pub fn run_smoke() -> Json {
     let mut projections: Vec<(String, f64)> = Vec::new();
     for k in &fig9_kernels(FIG9_CELLS, FIG9_EDGES, FIG9_NLEV) {
         for target in ExecTarget::fig9_all() {
-            let t = kernel_time_metered(k, target, &spec, &perf, &extra);
+            let t = kernel_time(k, target, &spec, &perf, Some(&extra));
             projections.push((format!("fig9.{}.{}_s", k.name, target.label()), t));
         }
     }
@@ -68,7 +68,7 @@ pub fn run_smoke() -> Json {
             issue_t: 0.0,
         })
         .collect();
-    simulate_dma_batch_metered(&spec, &reqs, &extra);
+    simulate_dma_batch(&spec, &reqs, Some(&extra));
 
     // Halo exchange: a 4-rank world swapping a two-variable gather list,
     // metered into `halo.*` (the registry is shared across rank threads).
@@ -85,7 +85,11 @@ pub fn run_smoke() -> Json {
             let mut list = VarList::new();
             list.push("h", SMOKE_NLEV, &mut h);
             list.push("u", SMOKE_NLEV, &mut u);
-            exchange_gathered_metered(&mut ctx, locale, &mut list, 1, metrics)
+            let xctx = ExchangeCtx {
+                metrics: Some(metrics),
+                plan: None,
+            };
+            xctx.exchange(&mut ctx, locale, &mut list, 1)
                 .expect("uniform smoke lists")
         });
     }

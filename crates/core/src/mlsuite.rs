@@ -348,11 +348,9 @@ impl MlSuite {
             KernelMode::Simd => GemmVariant::Simd,
         };
         let ys_cnn = &mut s.ys_cnn[..b * CNN_OUTPUT_CHANNELS * nlev];
-        self.cnn
-            .infer_batch_with(variant, b, xs_cnn, ys_cnn, &mut s.cnn);
+        self.cnn.infer_batch(variant, b, xs_cnn, ys_cnn, &mut s.cnn);
         let ys_mlp = &mut s.ys_mlp[..b * n_out];
-        self.mlp
-            .infer_batch_with(variant, b, xs_mlp, ys_mlp, &mut s.mlp);
+        self.mlp.infer_batch(variant, b, xs_mlp, ys_mlp, &mut s.mlp);
 
         // Denormalize and assemble per column.
         for (i, col) in block.iter().enumerate() {
@@ -403,8 +401,11 @@ impl MlSuite {
     }
 
     /// The pre-batching reference: one dispatch item per column, each a
-    /// matrix–vector inference. Kept for equivalence tests and as the
-    /// "before" side of the `bench_ml` speedup measurement.
+    /// matrix–vector inference. Kept because gates consume it: `bench_ml`
+    /// requires [`Self::step_columns`] to be ≥3× faster than this path, the
+    /// equivalence tests require bitwise-equal output, and
+    /// `QueryEngine::serve_one_percol` (the `bench_serve` reference) runs on
+    /// it.
     pub fn step_columns_per_column(&self, cols: &[Column]) -> Vec<MlOutput> {
         let _span = self.sub.span("ml");
         let n = cols.len();

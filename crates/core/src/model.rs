@@ -418,15 +418,25 @@ impl<R: Real> GristModel<R> {
         self.last_diag = diags;
     }
 
+    /// One dyn step, then physics when the step count lands on its cadence.
+    fn step_coupled(&mut self) {
+        self.step_dyn();
+        let dyn_per_phy = self.config.dyn_per_phy().max(1);
+        if self.dyn_steps_taken.is_multiple_of(dyn_per_phy) {
+            self.step_physics();
+        }
+    }
+
+    /// Dyn steps in a window of `seconds`: the nearest whole number of
+    /// `dt_dyn`, for [`Self::advance`] and [`Self::advance_resilient`] alike.
+    fn window_steps(&self, seconds: f64) -> usize {
+        (seconds / self.config.dt_dyn).round() as usize
+    }
+
     /// Advance the coupled model by `seconds`, firing physics on its cadence.
     pub fn advance(&mut self, seconds: f64) {
-        let n_dyn = (seconds / self.config.dt_dyn).round() as usize;
-        let dyn_per_phy = self.config.dyn_per_phy().max(1);
-        for _ in 0..n_dyn {
-            self.step_dyn();
-            if self.dyn_steps_taken.is_multiple_of(dyn_per_phy) {
-                self.step_physics();
-            }
+        for _ in 0..self.window_steps(seconds) {
+            self.step_coupled();
         }
     }
 
@@ -483,13 +493,11 @@ impl<R: Real> GristModel<R> {
             self.last_checkpoint = Some(self.checkpoint());
             checkpoints += 1;
         }
-        let t_end = self.time_s + seconds;
-        let dyn_per_phy = self.config.dyn_per_phy().max(1);
-        while self.time_s < t_end - 1e-6 {
-            self.step_dyn();
-            if self.dyn_steps_taken.is_multiple_of(dyn_per_phy) {
-                self.step_physics();
-            }
+        // A restore rewinds the step count, so the window ends at a step
+        // number, however many times it is re-run.
+        let end_step = self.dyn_steps_taken + self.window_steps(seconds);
+        while self.dyn_steps_taken < end_step {
+            self.step_coupled();
             let steps = self.dyn_steps_taken;
             let scan_due =
                 policy.health_interval > 0 && steps.is_multiple_of(policy.health_interval);
@@ -715,6 +723,25 @@ mod tests {
         assert!(!out.completed);
         assert_eq!(out.final_health.state, crate::health::RunState::Corrupt);
         assert_eq!(out.restores, 0);
+    }
+
+    #[test]
+    fn advance_and_advance_resilient_agree_on_window_length() {
+        let cfg = small_config();
+        for w in [cfg.dt_phy, 1.4 * cfg.dt_dyn, 2.6 * cfg.dt_dyn] {
+            let mut plain = GristModel::<f64>::new(cfg.clone());
+            let mut resilient = GristModel::<f64>::new(cfg.clone());
+            plain.advance(w);
+            let out = resilient.advance_resilient(w);
+            assert!(out.completed && out.restores == 0, "fault-free window");
+            assert_eq!(
+                plain.dyn_steps(),
+                (w / cfg.dt_dyn).round() as usize,
+                "window {w} s"
+            );
+            assert_eq!(resilient.dyn_steps(), plain.dyn_steps(), "window {w} s");
+            assert_eq!(resilient.state_hash(), plain.state_hash(), "window {w} s");
+        }
     }
 
     #[test]

@@ -13,12 +13,7 @@
 use grist_dycore::swe::{SwePhases, SweSolver, SweState};
 use grist_mesh::RankLocale;
 use grist_runtime::comm::RankCtx;
-use grist_runtime::exchange::{
-    exchange_gathered, exchange_gathered_begin, exchange_gathered_begin_metered,
-    exchange_gathered_chaos, exchange_gathered_complete, exchange_gathered_complete_chaos,
-    exchange_gathered_complete_metered, exchange_gathered_metered, ExchangeError, ExchangeReceipt,
-    VarList,
-};
+use grist_runtime::exchange::{ExchangeCtx, ExchangeError, ExchangeReceipt, VarList};
 use sunway_sim::fault::FaultPlan;
 use sunway_sim::Metrics;
 
@@ -59,70 +54,31 @@ pub fn swe_dyn_step(
     metrics: Option<&Metrics>,
     plan: Option<&FaultPlan>,
 ) -> Result<ExchangeReceipt, ExchangeError> {
-    let mut xerr: Option<ExchangeError> = None;
-    let mut receipt = ExchangeReceipt::default();
-    match mode {
-        DynStepMode::Synchronous => {
-            solver.step_rk3_with_stage1(state, dt, |sv, st, th, tu| {
-                sv.tendencies_subset(st, th, tu, &phases.interior);
-                let mut list = VarList::new();
-                list.push("h", st.h.nlev(), st.h.as_mut_slice());
-                let res = match (metrics, plan) {
-                    (Some(m), Some(p)) => {
-                        exchange_gathered_chaos(ctx, locale, &mut list, tag, m, p)
-                    }
-                    (Some(m), None) => exchange_gathered_metered(ctx, locale, &mut list, tag, m),
-                    _ => exchange_gathered(ctx, locale, &mut list, tag),
-                };
-                match res {
-                    Ok(r) => receipt = r,
-                    Err(e) => {
-                        xerr = Some(e);
-                        return;
-                    }
-                }
-                sv.tendencies_subset(st, th, tu, &phases.remainder);
-            });
-        }
+    let xctx = ExchangeCtx { metrics, plan };
+    // Overlapped: pack and send before the step. The interior phase reads
+    // only owned data (pad-1 phase split), so it runs concurrently with the
+    // in-flight messages. Stage 1 does not modify `h`, so the packed bytes
+    // are identical to the synchronous mode's.
+    let pending = match mode {
+        DynStepMode::Synchronous => None,
         DynStepMode::Overlapped => {
-            // Pack and send before the step: the interior phase reads only
-            // owned data (pad-1 phase split), so it runs concurrently with
-            // the in-flight messages. Stage 1 does not modify `h`, so the
-            // packed bytes are identical to the synchronous mode's.
-            let pending = {
-                let mut list = VarList::new();
-                list.push("h", state.h.nlev(), state.h.as_mut_slice());
-                match metrics {
-                    Some(m) => exchange_gathered_begin_metered(ctx, locale, &list, tag, m),
-                    None => exchange_gathered_begin(ctx, locale, &list, tag),
-                }
-            };
-            solver.step_rk3_with_stage1(state, dt, |sv, st, th, tu| {
-                sv.tendencies_subset(st, th, tu, &phases.interior);
-                let mut list = VarList::new();
-                list.push("h", st.h.nlev(), st.h.as_mut_slice());
-                let res = match (metrics, plan) {
-                    (Some(m), Some(p)) => {
-                        exchange_gathered_complete_chaos(pending, ctx, locale, &mut list, m, p)
-                    }
-                    (Some(m), None) => {
-                        exchange_gathered_complete_metered(pending, ctx, locale, &mut list, m)
-                    }
-                    _ => exchange_gathered_complete(pending, ctx, locale, &mut list),
-                };
-                match res {
-                    Ok(r) => receipt = r,
-                    Err(e) => {
-                        xerr = Some(e);
-                        return;
-                    }
-                }
-                sv.tendencies_subset(st, th, tu, &phases.remainder);
-            });
+            let mut list = VarList::new();
+            list.push("h", state.h.nlev(), state.h.as_mut_slice());
+            Some(xctx.begin(ctx, locale, &list, tag))
         }
-    }
-    match xerr {
-        Some(e) => Err(e),
-        None => Ok(receipt),
-    }
+    };
+    let mut result = Ok(ExchangeReceipt::default());
+    solver.step_rk3_with_stage1(state, dt, |sv, st, th, tu| {
+        sv.tendencies_subset(st, th, tu, &phases.interior);
+        let mut list = VarList::new();
+        list.push("h", st.h.nlev(), st.h.as_mut_slice());
+        result = match pending {
+            Some(pending) => xctx.complete(pending, ctx, locale, &mut list),
+            None => xctx.exchange(ctx, locale, &mut list, tag),
+        };
+        if result.is_ok() {
+            sv.tendencies_subset(st, th, tu, &phases.remainder);
+        }
+    });
+    result
 }

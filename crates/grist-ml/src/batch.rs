@@ -275,15 +275,11 @@ impl TendencyCnn {
     ///
     /// `xs` is the packed stage matrix `[b × 5·nlev]` (row-major per
     /// sample), `ys` receives `[b × 2·nlev]` normalized outputs. Bitwise
-    /// identical to calling [`TendencyCnn::infer`] per sample.
-    pub fn infer_batch(&self, b: usize, xs: &[f32], ys: &mut [f32], s: &mut CnnScratch) {
-        self.infer_batch_with(GemmVariant::default(), b, xs, ys, s);
-    }
-
-    /// [`Self::infer_batch`] with an explicit [`GemmVariant`] — both
-    /// variants produce identical bits; the caller (usually `grist-core`
-    /// mapping the substrate's `KernelMode`) picks the microkernel.
-    pub fn infer_batch_with(
+    /// identical to calling [`TendencyCnn::infer`] per sample. Both
+    /// [`GemmVariant`]s produce identical bits; the caller (usually
+    /// `grist-core` mapping the substrate's `KernelMode`) picks the
+    /// microkernel.
+    pub fn infer_batch(
         &self,
         variant: GemmVariant,
         b: usize,
@@ -340,14 +336,9 @@ impl TendencyCnn {
 impl RadiationMlp {
     /// Batched inference on `b` *normalized* samples: `xs` is `[b × n_in]`
     /// row-major, `ys` receives `[b × n_out]` normalized outputs. Bitwise
-    /// identical to calling [`RadiationMlp::infer`] per sample.
-    pub fn infer_batch(&self, b: usize, xs: &[f32], ys: &mut [f32], s: &mut MlpScratch) {
-        self.infer_batch_with(GemmVariant::default(), b, xs, ys, s);
-    }
-
-    /// [`Self::infer_batch`] with an explicit [`GemmVariant`]; see
-    /// [`TendencyCnn::infer_batch_with`].
-    pub fn infer_batch_with(
+    /// identical to calling [`RadiationMlp::infer`] per sample, under
+    /// either [`GemmVariant`] (see [`TendencyCnn::infer_batch`]).
+    pub fn infer_batch(
         &self,
         variant: GemmVariant,
         b: usize,
@@ -429,7 +420,7 @@ mod tests {
             let xs: Vec<f32> = (0..b).flat_map(|s| sample(5 * 10, s)).collect();
             let mut ys = vec![0.0f32; b * 2 * 10];
             let mut scratch = CnnScratch::new();
-            net.infer_batch(b, &xs, &mut ys, &mut scratch);
+            net.infer_batch(GemmVariant::default(), b, &xs, &mut ys, &mut scratch);
             for s in 0..b {
                 let mut y1 = vec![0.0f32; 2 * 10];
                 net.infer(&xs[s * 50..(s + 1) * 50], &mut y1);
@@ -445,7 +436,7 @@ mod tests {
             let xs: Vec<f32> = (0..b).flat_map(|s| sample(12, s)).collect();
             let mut ys = vec![0.0f32; b * 3];
             let mut scratch = MlpScratch::new();
-            net.infer_batch(b, &xs, &mut ys, &mut scratch);
+            net.infer_batch(GemmVariant::default(), b, &xs, &mut ys, &mut scratch);
             for s in 0..b {
                 let y1 = net.infer(&xs[s * 12..(s + 1) * 12]);
                 assert_eq!(&ys[s * 3..(s + 1) * 3], &y1[..], "b={b} sample {s}");
@@ -462,16 +453,16 @@ mod tests {
             let mut y_sc = vec![0.0f32; b * 2 * 12];
             let mut y_simd = y_sc.clone();
             let mut cs = CnnScratch::new();
-            net.infer_batch_with(GemmVariant::Scalar, b, &xs, &mut y_sc, &mut cs);
-            net.infer_batch_with(GemmVariant::Simd, b, &xs, &mut y_simd, &mut cs);
+            net.infer_batch(GemmVariant::Scalar, b, &xs, &mut y_sc, &mut cs);
+            net.infer_batch(GemmVariant::Simd, b, &xs, &mut y_simd, &mut cs);
             assert_eq!(y_sc, y_simd, "CNN variant mismatch at b={b}");
 
             let xm: Vec<f32> = (0..b).flat_map(|s| sample(14, s + 9)).collect();
             let mut z_sc = vec![0.0f32; b * 3];
             let mut z_simd = z_sc.clone();
             let mut ms = MlpScratch::new();
-            mlp.infer_batch_with(GemmVariant::Scalar, b, &xm, &mut z_sc, &mut ms);
-            mlp.infer_batch_with(GemmVariant::Simd, b, &xm, &mut z_simd, &mut ms);
+            mlp.infer_batch(GemmVariant::Scalar, b, &xm, &mut z_sc, &mut ms);
+            mlp.infer_batch(GemmVariant::Simd, b, &xm, &mut z_simd, &mut ms);
             assert_eq!(z_sc, z_simd, "MLP variant mismatch at b={b}");
         }
     }
@@ -486,16 +477,17 @@ mod tests {
         let mut ys = vec![0.0f32; 4 * 2 * 8];
         let xm = sample(4 * 6, 1);
         let mut ym = vec![0.0f32; 4 * 2];
-        net.infer_batch(4, &xs, &mut ys, &mut cs);
-        mlp.infer_batch(4, &xm, &mut ym, &mut ms);
+        let v = GemmVariant::default();
+        net.infer_batch(v, 4, &xs, &mut ys, &mut cs);
+        mlp.infer_batch(v, 4, &xm, &mut ym, &mut ms);
         let (g1, g2) = (cs.grows(), ms.grows());
         assert!(g1 >= 1 && g2 >= 1);
         for _ in 0..5 {
-            net.infer_batch(4, &xs, &mut ys, &mut cs);
-            mlp.infer_batch(4, &xm, &mut ym, &mut ms);
+            net.infer_batch(v, 4, &xs, &mut ys, &mut cs);
+            mlp.infer_batch(v, 4, &xm, &mut ym, &mut ms);
             // A smaller batch must reuse the large-batch buffers too.
-            net.infer_batch(2, &xs[..2 * 5 * 8], &mut ys[..2 * 2 * 8], &mut cs);
-            mlp.infer_batch(2, &xm[..2 * 6], &mut ym[..2 * 2], &mut ms);
+            net.infer_batch(v, 2, &xs[..2 * 5 * 8], &mut ys[..2 * 2 * 8], &mut cs);
+            mlp.infer_batch(v, 2, &xm[..2 * 6], &mut ym[..2 * 2], &mut ms);
         }
         assert_eq!(cs.grows(), g1, "CNN scratch reallocated in steady state");
         assert_eq!(ms.grows(), g2, "MLP scratch reallocated in steady state");
@@ -527,7 +519,7 @@ mod tests {
     fn batch_of_zero_columns_is_a_noop() {
         let net = TendencyCnn::new(4, 4, 1);
         let mut scratch = CnnScratch::new();
-        net.infer_batch(0, &[], &mut [], &mut scratch);
+        net.infer_batch(GemmVariant::default(), 0, &[], &mut [], &mut scratch);
         assert_eq!(scratch.grows(), 0);
     }
 }

@@ -33,7 +33,7 @@ pub use hist::{
 };
 pub use plane::{ObsPlane, DASHBOARD_VERSION};
 pub use slo::{SloPolicy, SloStatus, SloTerm};
-pub use watch::{Alert, AlertKind, HealthSample, HealthWatch, WatchThresholds};
+pub use watch::{Alert, AlertKind, HealthSample, HealthThresholds, HealthWatch, WatchThresholds};
 
 #[cfg(test)]
 mod concurrency_tests {

@@ -15,7 +15,7 @@ use crate::watch::{Alert, HealthSample, HealthWatch, WatchThresholds};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use sunway_sim::{EventKind, Json, Metrics, TraceSnapshot};
+use sunway_sim::{EventKind, Json, TraceSnapshot};
 
 /// Dashboard schema tag emitted by [`ObsPlane::dashboard`].
 pub const DASHBOARD_VERSION: &str = "grist-obs-v1";
@@ -206,41 +206,6 @@ impl ObsPlane {
         self.last_status.lock().expect("obs plane poisoned").clone()
     }
 
-    /// Mirror the plane's state into a [`Metrics`] registry so alerts and
-    /// SLO results ride along in `metrics_json()` next to kernels and
-    /// counters. Counters are brought up to the plane's totals (monotone
-    /// delta), gauges overwritten.
-    pub fn export_metrics(&self, metrics: &Metrics) {
-        let raise = |name: &str, target: u64| {
-            let cur = metrics.counter(name);
-            if target > cur {
-                metrics.counter_add(name, target - cur);
-            }
-        };
-        raise("obs.health.alerts", self.watch.alert_count());
-        raise("obs.slo.evals", self.slo_evals());
-        raise("obs.slo.breaches", self.slo_breaches());
-        for alert in self.watch.alerts() {
-            raise(&format!("obs.alert.{}", alert.kind.name()), {
-                // per-kind count: recompute from the alert list
-                self.watch
-                    .alerts()
-                    .iter()
-                    .filter(|a| a.kind == alert.kind)
-                    .count() as u64
-            });
-        }
-        let lat = self.serve_latency.snapshot();
-        if !lat.is_empty() {
-            metrics.gauge_set("obs.serve.p50_ms", lat.percentile_ms(0.50));
-            metrics.gauge_set("obs.serve.p99_ms", lat.percentile_ms(0.99));
-            metrics.gauge_set("obs.serve.max_ms", lat.max as f64 / 1e6);
-        }
-        if let Some(status) = self.last_slo_status() {
-            metrics.gauge_set("obs.slo.qps", status.qps);
-        }
-    }
-
     fn hist_json(snap: &HistSnapshot) -> Json {
         // Percentiles are included for human readers; the contract is that
         // each one is recomputable bitwise from `buckets` alone (checked by
@@ -411,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_evaluation_tallies_and_exports_to_metrics() {
+    fn slo_evaluation_tallies_evals_and_breaches() {
         let p = ObsPlane::new(
             SloPolicy {
                 p99_latency_ms: 1.0,
@@ -427,15 +392,8 @@ mod tests {
         assert!(!p.evaluate_slo().ok());
         assert_eq!(p.slo_evals(), 2);
         assert_eq!(p.slo_breaches(), 1);
-
-        let m = Metrics::default();
-        p.export_metrics(&m);
-        assert_eq!(m.counter("obs.slo.evals"), 2);
-        assert_eq!(m.counter("obs.slo.breaches"), 1);
-        assert!(m.gauge("obs.serve.p99_ms").unwrap() > 1.0);
-        // Re-export is idempotent: counters mirror totals, not re-add.
-        p.export_metrics(&m);
-        assert_eq!(m.counter("obs.slo.evals"), 2);
+        let last = p.last_slo_status().expect("evaluated twice");
+        assert!(last.p99_ms > 1.0);
     }
 
     #[test]

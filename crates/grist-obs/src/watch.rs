@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use sunway_sim::Json;
 
 /// One epoch's worth of streaming diagnostics, as sampled by
-/// `GristModel::advance_observed` (or synthesized by tests).
+/// `GristModel::sample_health` (or synthesized by tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthSample {
     /// Model epoch (dyn-step count) at sampling time.
@@ -89,19 +89,37 @@ impl Alert {
     }
 }
 
+/// The wind/CFL trust region — the one definition of "unstable" shared by
+/// the per-call scan (`GristModel::health_with`, which `grist_core::health`
+/// re-exports this type for) and the streaming [`HealthWatch`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HealthThresholds {
+    /// Maximum plausible |u| \[m/s\] before the run is declared unstable.
+    pub max_wind: f64,
+    /// Maximum advective CFL number `max|u|·dt_dyn / min Δx`.
+    pub max_cfl: f64,
+}
+
+impl Default for HealthThresholds {
+    fn default() -> Self {
+        HealthThresholds {
+            max_wind: 350.0,
+            max_cfl: 2.0,
+        }
+    }
+}
+
 /// Crossing thresholds. Defaults are deliberately loose physical-sanity
-/// bounds (matching `health.rs` where a counterpart exists) so a healthy CI
-/// run never trips them; tighten per-deployment as baselines accumulate.
+/// bounds so a healthy CI run never trips them; tighten per-deployment as
+/// baselines accumulate.
 #[derive(Debug, Clone, Copy)]
 pub struct WatchThresholds {
     /// Relative mass drift |m/m₀ − 1| bound.
     pub max_mass_drift: f64,
     /// Relative energy drift |E/E₀ − 1| bound.
     pub max_energy_drift: f64,
-    /// CFL stability margin (mirrors `HealthThresholds::max_cfl`).
-    pub max_cfl: f64,
-    /// Physical wind bound in m/s (mirrors `HealthThresholds::max_wind`).
-    pub max_wind: f64,
+    /// Wind and CFL bounds, as the health scan applies them.
+    pub stability: HealthThresholds,
 }
 
 impl Default for WatchThresholds {
@@ -109,8 +127,7 @@ impl Default for WatchThresholds {
         WatchThresholds {
             max_mass_drift: 1e-6,
             max_energy_drift: 5e-2,
-            max_cfl: 2.0,
-            max_wind: 350.0,
+            stability: HealthThresholds::default(),
         }
     }
 }
@@ -183,12 +200,17 @@ impl HealthWatch {
                 energy_drift,
                 t.max_energy_drift,
             ),
-            (AlertKind::CflMargin, s.cfl > t.max_cfl, s.cfl, t.max_cfl),
+            (
+                AlertKind::CflMargin,
+                s.cfl > t.stability.max_cfl,
+                s.cfl,
+                t.stability.max_cfl,
+            ),
             (
                 AlertKind::Wind,
-                s.max_abs_u > t.max_wind,
+                s.max_abs_u > t.stability.max_wind,
                 s.max_abs_u,
-                t.max_wind,
+                t.stability.max_wind,
             ),
             (
                 AlertKind::Corrupt,

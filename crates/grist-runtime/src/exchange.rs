@@ -137,9 +137,9 @@ fn check_buffer(
 }
 
 /// Pack one message per destination rank and send it. The send half of
-/// every exchange — synchronous rounds call it back-to-back with
-/// [`recv_and_unpack`]; the async begin/complete API splits the two around
-/// interior compute.
+/// every exchange — synchronous rounds follow it at once with the receive
+/// half; the async begin/complete pair splits the two around interior
+/// compute.
 fn pack_and_send(
     ctx: &mut RankCtx,
     locale: &RankLocale,
@@ -163,289 +163,16 @@ fn pack_and_send(
     receipt
 }
 
-/// Receive one message per source rank (in the locale's mirrored order) and
-/// unpack it into the gather list's halo cells. Each blocking receive is
-/// traced as an [`EventKind::HaloWait`]; `plan` arms the chaos truncation
-/// schedule.
-fn recv_and_unpack(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    tracer: Option<&trace::Tracer>,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
-) -> Result<(), ExchangeError> {
-    let per_cell = list.values_per_cell();
-    for (src, cells) in &locale.recv {
-        let t_wait = tracer.and_then(|t| t.begin());
-        let mut buf = ctx.recv(*src, tag);
-        if let (Some(t), Some(t0)) = (tracer, t_wait) {
-            t.record_complete(
-                EventKind::HaloWait,
-                &format!("halo_wait<-{src}"),
-                t0,
-                1,
-                (buf.len() * std::mem::size_of::<f64>()) as u64,
-            );
-        }
-        if let Some(plan) = plan {
-            let key = halo_fault_key(ctx.rank, *src, tag);
-            if plan.should_fail(FaultSite::HaloExchange, key, 0) && !buf.is_empty() {
-                if let Some(m) = metrics {
-                    m.counter_add("fault.injected", 1);
-                }
-                buf.pop();
-            }
-        }
-        check_buffer(ctx, *src, tag, buf.len(), cells.len(), per_cell)?;
-        let mut pos = 0;
-        for &c in cells {
-            for var in &mut list.vars {
-                let base = c as usize * var.nlev;
-                var.data[base..base + var.nlev].copy_from_slice(&buf[pos..pos + var.nlev]);
-                pos += var.nlev;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The shared pack/send/recv/unpack core behind every gathered-exchange
-/// entry point. `metrics` turns on counter recording *and* event tracing
-/// (the round as an [`EventKind::HaloExchange`] duration event, each
-/// blocking receive as an [`EventKind::HaloWait`]); `plan` arms the chaos
-/// truncation schedule.
-fn exchange_gathered_inner(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        // Rank threads are dedicated: declare once so every event this
-        // thread records (including model kernels) files under its lane.
-        trace::set_thread_rank(ctx.rank as u32);
-    }
-    let t_round = tracer.and_then(|t| t.begin());
-    let receipt = pack_and_send(ctx, locale, list, tag);
-    let recv_result = recv_and_unpack(ctx, locale, list, tag, tracer, metrics, plan);
-    // The round event is recorded on the error path too: a truncated round
-    // still spent real wall time, and its waits are already on the
-    // timeline, so omitting it would leave the analyzer's halo wait total
-    // exceeding its round total. The `halo.*` success counters below keep
-    // their error-free semantics.
-    if let (Some(t), Some(t0)) = (tracer, t_round) {
-        t.record_complete(
-            EventKind::HaloExchange,
-            "halo_exchange",
-            t0,
-            receipt.messages_sent,
-            receipt.bytes_sent,
-        );
-    }
-    recv_result?;
-    if let Some(m) = metrics {
-        m.counter_add("halo.exchanges", 1);
-        m.counter_add("halo.messages", receipt.messages_sent);
-        m.counter_add("halo.bytes", receipt.bytes_sent);
-    }
-    Ok(receipt)
-}
-
-/// An in-flight async exchange: [`exchange_gathered_begin`] has packed and
-/// sent this rank's halo messages, and the matching
-/// [`exchange_gathered_complete`] call has not yet received the neighbours'
-/// replies. Holds the begin-time gather-list signature so the completion
-/// can refuse to unpack into a different list.
+/// An in-flight async exchange: [`ExchangeCtx::begin`] has packed and sent
+/// this rank's halo messages, and the matching [`ExchangeCtx::complete`]
+/// call has not yet received the neighbours' replies. Holds the begin-time
+/// gather-list signature so the completion can refuse to unpack into a
+/// different list.
 #[must_use = "an async exchange that is begun must be completed, or peers' messages leak into the parked queue"]
 pub struct PendingExchange {
     tag: u32,
     receipt: ExchangeReceipt,
     signature: Vec<(&'static str, usize)>,
-}
-
-impl PendingExchange {
-    /// Tag of the in-flight round.
-    pub fn tag(&self) -> u32 {
-        self.tag
-    }
-
-    /// Send-side totals of the begin half.
-    pub fn receipt(&self) -> ExchangeReceipt {
-        self.receipt
-    }
-}
-
-fn exchange_gathered_begin_inner(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-    metrics: Option<&Metrics>,
-) -> PendingExchange {
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        trace::set_thread_rank(ctx.rank as u32);
-    }
-    let t0 = tracer.and_then(|t| t.begin());
-    let receipt = pack_and_send(ctx, locale, list, tag);
-    // The pack+send half carries the round's message/byte counts; the
-    // completion half records a zero-count HaloExchange event, so an async
-    // round's *transfer* time (total minus wait) stays comparable with a
-    // synchronous round's even though it spans two events.
-    if let (Some(t), Some(t0)) = (tracer, t0) {
-        t.record_complete(
-            EventKind::HaloExchange,
-            "halo_pack_send",
-            t0,
-            receipt.messages_sent,
-            receipt.bytes_sent,
-        );
-    }
-    PendingExchange {
-        tag,
-        receipt,
-        signature: list.signature(),
-    }
-}
-
-/// Begin an asynchronous gathered halo exchange: pack and send this rank's
-/// halo messages, then return immediately so the caller can run
-/// halo-independent interior kernels while neighbours' messages are in
-/// flight. Pair with [`exchange_gathered_complete`] on the same gather
-/// list. The overlapped pair is bitwise-equal to one [`exchange_gathered`]
-/// call: identical messages, identical unpack order.
-pub fn exchange_gathered_begin(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-) -> PendingExchange {
-    exchange_gathered_begin_inner(ctx, locale, list, tag, None)
-}
-
-/// [`exchange_gathered_begin`] with counter/trace recording (the pack+send
-/// half lands as a `halo_pack_send` event; `halo.*` counters tick at
-/// completion so sync and async rounds count identically).
-pub fn exchange_gathered_begin_metered(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-) -> PendingExchange {
-    exchange_gathered_begin_inner(ctx, locale, list, tag, Some(metrics))
-}
-
-fn exchange_gathered_complete_inner(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    assert_eq!(
-        pending.signature,
-        list.signature(),
-        "async exchange (tag {}) completed with a different gather list than it began with \
-         — pack read from one set of fields, unpack would land in another",
-        pending.tag
-    );
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        trace::set_thread_rank(ctx.rank as u32);
-    }
-    let t0 = tracer.and_then(|t| t.begin());
-    let recv_result = recv_and_unpack(ctx, locale, list, pending.tag, tracer, metrics, plan);
-    if let (Some(t), Some(t0)) = (tracer, t0) {
-        // Zero counts: the round's messages/bytes were recorded by the
-        // begin half (see `exchange_gathered_begin_inner`).
-        t.record_complete(EventKind::HaloExchange, "halo_recv_unpack", t0, 0, 0);
-    }
-    recv_result?;
-    if let Some(m) = metrics {
-        m.counter_add("halo.exchanges", 1);
-        m.counter_add("halo.messages", pending.receipt.messages_sent);
-        m.counter_add("halo.bytes", pending.receipt.bytes_sent);
-    }
-    Ok(pending.receipt)
-}
-
-/// Complete an asynchronous gathered halo exchange begun with
-/// [`exchange_gathered_begin`]: receive one message per neighbour (in the
-/// locale's mirrored order) and unpack the halos into `list`. Panics with a
-/// descriptive message if `list`'s shape differs from the one the exchange
-/// began with.
-pub fn exchange_gathered_complete(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, None, None)
-}
-
-/// [`exchange_gathered_complete`] with counter/trace recording: each
-/// blocking receive lands as a `halo_wait` event and the `halo.*` counters
-/// tick exactly as one synchronous metered round would.
-pub fn exchange_gathered_complete_metered(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    metrics: &Metrics,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, Some(metrics), None)
-}
-
-/// [`exchange_gathered_complete_metered`] under an armed [`FaultPlan`]: the
-/// same [`halo_fault_key`]-addressed truncation schedule as
-/// [`exchange_gathered_chaos`], applied at the receive side, so injected
-/// halo faults surface through the async API as the same typed
-/// [`ExchangeError`] the synchronous path reports.
-pub fn exchange_gathered_complete_chaos(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    metrics: &Metrics,
-    plan: &FaultPlan,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, Some(metrics), Some(plan))
-}
-
-/// One gathered halo exchange: a single send per neighbour carrying every
-/// listed variable, and a matching unpack of the received halos. A received
-/// buffer whose size disagrees with the local gather list is a descriptive
-/// [`ExchangeError`] rather than a slice-index panic.
-pub fn exchange_gathered(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, None, None)
-}
-
-/// [`exchange_gathered`] plus counter recording: the round's message/byte
-/// totals land in the registry's `halo.exchanges` / `halo.messages` /
-/// `halo.bytes` counters (per-rank sends, so world totals match
-/// [`crate::comm::CommStats`] for exchange-only traffic). With the
-/// registry's tracer enabled, the round and each blocking receive also land
-/// on the rank's trace lane as `halo` / `halo_wait` events.
-pub fn exchange_gathered_metered(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, Some(metrics), None)
 }
 
 /// Deterministic event key for the halo-exchange fault site: derived from
@@ -457,63 +184,214 @@ pub fn halo_fault_key(rank: usize, src: usize, tag: u32) -> u64 {
     ((rank as u64) << 40) ^ ((src as u64) << 20) ^ tag as u64
 }
 
-/// [`exchange_gathered_metered`] under an armed [`FaultPlan`]: before each
-/// received message is unpacked, the plan decides (keyed on
-/// [`halo_fault_key`]) whether the message was truncated in flight. An
-/// injected truncation drops the buffer's trailing value and ticks the
-/// `fault.injected` counter; the damage then surfaces through the normal
-/// malformed-buffer detection as a typed [`ExchangeError`] — the same error
-/// path a real size mismatch takes, so recovery code handles both alike.
+/// The optional instrumentation of a gathered exchange. The default context
+/// records nothing and injects nothing.
 ///
-/// On error the remaining messages of the round are left un-received; a
-/// retry after checkpoint restore must use a fresh `tag` so stale parked
-/// messages cannot satisfy it.
-pub fn exchange_gathered_chaos(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-    plan: &FaultPlan,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, Some(metrics), Some(plan))
+/// `metrics` turns on counter recording — a completed round adds its
+/// message/byte totals to `halo.exchanges` / `halo.messages` / `halo.bytes`
+/// (per-rank sends, so world totals match [`crate::comm::CommStats`] for
+/// exchange-only traffic) — and, with the registry's tracer enabled, event
+/// tracing: the round as an [`EventKind::HaloExchange`] duration event and
+/// each blocking receive as an [`EventKind::HaloWait`] on the rank's lane.
+///
+/// `plan` arms the chaos truncation schedule: before each received message
+/// is unpacked, the plan decides (keyed on [`halo_fault_key`]) whether it
+/// was truncated in flight. An injected truncation drops the buffer's
+/// trailing value and ticks `fault.injected`; the damage then surfaces
+/// through the normal malformed-buffer detection as a typed
+/// [`ExchangeError`] — the same error path a real size mismatch takes, so
+/// recovery code handles both alike. On error the remaining messages of the
+/// round are left un-received; a retry after checkpoint restore must use a
+/// fresh `tag` so stale parked messages cannot satisfy it.
+#[derive(Clone, Copy, Default)]
+pub struct ExchangeCtx<'a> {
+    pub metrics: Option<&'a Metrics>,
+    pub plan: Option<&'a FaultPlan>,
 }
 
-/// The naive alternative (one message per variable per neighbour) for the
-/// gathered-exchange ablation bench.
-pub fn exchange_per_variable(
+impl ExchangeCtx<'_> {
+    /// The registry's tracer when one is attached and recording. Rank
+    /// threads are dedicated, so the first traced call also declares the
+    /// thread's rank: every event it records (including model kernels) then
+    /// files under its lane.
+    fn tracer(&self, ctx: &RankCtx) -> Option<&trace::Tracer> {
+        let tracer = self.metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
+        if tracer.is_some() {
+            trace::set_thread_rank(ctx.rank as u32);
+        }
+        tracer
+    }
+
+    /// A round counts once, when its receives have all unpacked cleanly.
+    fn count_round(&self, receipt: ExchangeReceipt) {
+        if let Some(m) = self.metrics {
+            m.counter_add("halo.exchanges", 1);
+            m.counter_add("halo.messages", receipt.messages_sent);
+            m.counter_add("halo.bytes", receipt.bytes_sent);
+        }
+    }
+
+    /// Receive one message per source rank (in the locale's mirrored order)
+    /// and unpack it into the gather list's halo cells.
+    fn recv_and_unpack(
+        &self,
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &mut VarList<'_>,
+        tag: u32,
+        tracer: Option<&trace::Tracer>,
+    ) -> Result<(), ExchangeError> {
+        let per_cell = list.values_per_cell();
+        for (src, cells) in &locale.recv {
+            let t_wait = tracer.and_then(|t| t.begin());
+            let mut buf = ctx.recv(*src, tag);
+            if let (Some(t), Some(t0)) = (tracer, t_wait) {
+                t.record_complete(
+                    EventKind::HaloWait,
+                    &format!("halo_wait<-{src}"),
+                    t0,
+                    1,
+                    (buf.len() * std::mem::size_of::<f64>()) as u64,
+                );
+            }
+            if let Some(plan) = self.plan {
+                let key = halo_fault_key(ctx.rank, *src, tag);
+                if plan.should_fail(FaultSite::HaloExchange, key, 0) && !buf.is_empty() {
+                    if let Some(m) = self.metrics {
+                        m.counter_add("fault.injected", 1);
+                    }
+                    buf.pop();
+                }
+            }
+            check_buffer(ctx, *src, tag, buf.len(), cells.len(), per_cell)?;
+            let mut pos = 0;
+            for &c in cells {
+                for var in &mut list.vars {
+                    let base = c as usize * var.nlev;
+                    var.data[base..base + var.nlev].copy_from_slice(&buf[pos..pos + var.nlev]);
+                    pos += var.nlev;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One gathered halo exchange: a single send per neighbour carrying
+    /// every listed variable, and a matching unpack of the received halos.
+    /// A received buffer whose size disagrees with the local gather list is
+    /// a descriptive [`ExchangeError`] rather than a slice-index panic.
+    pub fn exchange(
+        &self,
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &mut VarList<'_>,
+        tag: u32,
+    ) -> Result<ExchangeReceipt, ExchangeError> {
+        let tracer = self.tracer(ctx);
+        let t_round = tracer.and_then(|t| t.begin());
+        let receipt = pack_and_send(ctx, locale, list, tag);
+        let recv_result = self.recv_and_unpack(ctx, locale, list, tag, tracer);
+        // The round event is recorded on the error path too: a truncated round
+        // still spent real wall time, and its waits are already on the
+        // timeline, so omitting it would leave the analyzer's halo wait total
+        // exceeding its round total. The `halo.*` success counters keep
+        // their error-free semantics.
+        if let (Some(t), Some(t0)) = (tracer, t_round) {
+            t.record_complete(
+                EventKind::HaloExchange,
+                "halo_exchange",
+                t0,
+                receipt.messages_sent,
+                receipt.bytes_sent,
+            );
+        }
+        recv_result?;
+        self.count_round(receipt);
+        Ok(receipt)
+    }
+
+    /// Begin an asynchronous gathered halo exchange: pack and send this
+    /// rank's halo messages, then return immediately so the caller can run
+    /// halo-independent interior kernels while neighbours' messages are in
+    /// flight. Pair with [`Self::complete`] on the same gather list. The
+    /// overlapped pair is bitwise-equal to one [`Self::exchange`] call:
+    /// identical messages, identical unpack order. The pack+send half lands
+    /// as a `halo_pack_send` event; `halo.*` counters tick at completion so
+    /// sync and async rounds count identically.
+    pub fn begin(
+        &self,
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &VarList<'_>,
+        tag: u32,
+    ) -> PendingExchange {
+        let tracer = self.tracer(ctx);
+        let t0 = tracer.and_then(|t| t.begin());
+        let receipt = pack_and_send(ctx, locale, list, tag);
+        // The pack+send half carries the round's message/byte counts; the
+        // completion half records a zero-count HaloExchange event, so an async
+        // round's *transfer* time (total minus wait) stays comparable with a
+        // synchronous round's even though it spans two events.
+        if let (Some(t), Some(t0)) = (tracer, t0) {
+            t.record_complete(
+                EventKind::HaloExchange,
+                "halo_pack_send",
+                t0,
+                receipt.messages_sent,
+                receipt.bytes_sent,
+            );
+        }
+        PendingExchange {
+            tag,
+            receipt,
+            signature: list.signature(),
+        }
+    }
+
+    /// Complete an asynchronous exchange begun with [`Self::begin`]: receive
+    /// one message per neighbour (in the locale's mirrored order) and unpack
+    /// the halos into `list`. Each blocking receive lands as a `halo_wait`
+    /// event, and an armed plan applies the same truncation schedule as
+    /// [`Self::exchange`], so injected halo faults surface as the same typed
+    /// [`ExchangeError`]. Panics with a descriptive message if `list`'s
+    /// shape differs from the one the exchange began with.
+    pub fn complete(
+        &self,
+        pending: PendingExchange,
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &mut VarList<'_>,
+    ) -> Result<ExchangeReceipt, ExchangeError> {
+        assert_eq!(
+            pending.signature,
+            list.signature(),
+            "async exchange (tag {}) completed with a different gather list than it began with \
+             — pack read from one set of fields, unpack would land in another",
+            pending.tag
+        );
+        let tracer = self.tracer(ctx);
+        let t0 = tracer.and_then(|t| t.begin());
+        let recv_result = self.recv_and_unpack(ctx, locale, list, pending.tag, tracer);
+        if let (Some(t), Some(t0)) = (tracer, t0) {
+            // Zero counts: the round's messages/bytes were recorded by the
+            // begin half.
+            t.record_complete(EventKind::HaloExchange, "halo_recv_unpack", t0, 0, 0);
+        }
+        recv_result?;
+        self.count_round(pending.receipt);
+        Ok(pending.receipt)
+    }
+}
+
+/// One uninstrumented gathered halo exchange: [`ExchangeCtx::exchange`] on
+/// the default context.
+pub fn exchange_gathered(
     ctx: &mut RankCtx,
     locale: &RankLocale,
     list: &mut VarList<'_>,
     tag: u32,
 ) -> Result<ExchangeReceipt, ExchangeError> {
-    let mut receipt = ExchangeReceipt::default();
-    for vi in 0..list.vars.len() {
-        let t = tag + vi as u32;
-        for (dest, cells) in &locale.send {
-            let var = &list.vars[vi];
-            let mut buf = Vec::with_capacity(cells.len() * var.nlev);
-            for &c in cells {
-                let base = c as usize * var.nlev;
-                buf.extend_from_slice(&var.data[base..base + var.nlev]);
-            }
-            receipt.messages_sent += 1;
-            receipt.bytes_sent += (buf.len() * std::mem::size_of::<f64>()) as u64;
-            ctx.send(*dest, t, buf);
-        }
-        for (src, cells) in &locale.recv {
-            let buf = ctx.recv(*src, t);
-            let var = &mut list.vars[vi];
-            check_buffer(ctx, *src, t, buf.len(), cells.len(), var.nlev)?;
-            let mut pos = 0;
-            for &c in cells {
-                let base = c as usize * var.nlev;
-                var.data[base..base + var.nlev].copy_from_slice(&buf[pos..pos + var.nlev]);
-                pos += var.nlev;
-            }
-        }
-    }
-    Ok(receipt)
+    ExchangeCtx::default().exchange(ctx, locale, list, tag)
 }
 
 #[cfg(test)]
@@ -522,6 +400,43 @@ mod tests {
     use crate::comm::run_world;
     use grist_mesh::{HaloLayout, HexMesh, Partition};
     use std::sync::atomic::Ordering;
+
+    /// The naive alternative (one message per variable per neighbour): the
+    /// reference `gathering_cuts_message_count_not_bytes` compares against.
+    fn exchange_per_variable(
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &mut VarList<'_>,
+        tag: u32,
+    ) -> Result<ExchangeReceipt, ExchangeError> {
+        let mut receipt = ExchangeReceipt::default();
+        for vi in 0..list.vars.len() {
+            let t = tag + vi as u32;
+            for (dest, cells) in &locale.send {
+                let var = &list.vars[vi];
+                let mut buf = Vec::with_capacity(cells.len() * var.nlev);
+                for &c in cells {
+                    let base = c as usize * var.nlev;
+                    buf.extend_from_slice(&var.data[base..base + var.nlev]);
+                }
+                receipt.messages_sent += 1;
+                receipt.bytes_sent += (buf.len() * std::mem::size_of::<f64>()) as u64;
+                ctx.send(*dest, t, buf);
+            }
+            for (src, cells) in &locale.recv {
+                let buf = ctx.recv(*src, t);
+                let var = &mut list.vars[vi];
+                check_buffer(ctx, *src, t, buf.len(), cells.len(), var.nlev)?;
+                let mut pos = 0;
+                for &c in cells {
+                    let base = c as usize * var.nlev;
+                    var.data[base..base + var.nlev].copy_from_slice(&buf[pos..pos + var.nlev]);
+                    pos += var.nlev;
+                }
+            }
+        }
+        Ok(receipt)
+    }
 
     /// Each rank fills its owned cells with `f(cell, lev, var)`; after the
     /// exchange every halo cell must match the owner's values.
@@ -637,34 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn metered_exchange_records_halo_counters() {
-        let mesh = HexMesh::build(3);
-        let parts = 4;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        let (results, stats) = run_world(parts, move |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![0.0f64; n * 2];
-            let mut list = VarList::new();
-            list.push("a", 2, &mut f0);
-            let r = exchange_gathered_metered(&mut ctx, locale, &mut list, 3, &metrics)
-                .expect("uniform lists exchange cleanly");
-            assert_eq!(metrics.counter("halo.exchanges"), 1);
-            assert_eq!(metrics.counter("halo.messages"), r.messages_sent);
-            assert_eq!(metrics.counter("halo.bytes"), r.bytes_sent);
-            (r.messages_sent, r.bytes_sent)
-        });
-        // Per-rank send-side receipts must sum to the world's comm totals.
-        let total_msgs: u64 = results.iter().map(|r| r.0).sum();
-        let total_bytes: u64 = results.iter().map(|r| r.1).sum();
-        assert_eq!(total_msgs, stats.messages.load(Ordering::Relaxed));
-        assert_eq!(total_bytes, stats.bytes.load(Ordering::Relaxed));
-        assert!(total_msgs > 0, "level-3 mesh over 4 ranks must have halos");
-    }
-
-    #[test]
     fn gathering_cuts_message_count_not_bytes() {
         // Allreduce-free comparison: 3 variables gathered into 1 message per
         // neighbour must send 3x fewer messages but identical payload bytes.
@@ -674,56 +561,152 @@ mod tests {
         assert_eq!(m_naive, 3 * m_gather, "3 vars should gather 3:1");
     }
 
-    #[test]
-    fn chaos_exchange_without_halo_faults_matches_the_metered_path() {
-        let mesh = HexMesh::build(2);
-        let parts = 3;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        // Dispatch-only faults armed: the halo site stays quiet.
-        let plan = FaultPlan::new(4).with_rate(FaultSite::Dispatch, 1.0);
-        let (results, _) = run_world(parts, |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
+    /// What one rank saw of one exchange round.
+    struct RankOutcome {
+        /// Raw bits of the whole field after the round (halos started NaN).
+        bits: Vec<u64>,
+        result: Result<ExchangeReceipt, ExchangeError>,
+        /// `halo.exchanges`, `halo.messages`, `halo.bytes`, `fault.injected`.
+        counters: [u64; 4],
+        /// `halo.exchanges` between begin and complete (async only).
+        exchanges_after_begin: Option<u64>,
+    }
+
+    /// One round on `layout`'s world through [`ExchangeCtx`], synchronously
+    /// or as a begin/complete pair. Every rank keeps a registry of its own;
+    /// the context sees it only when `metered`. Also returns the world's
+    /// message and byte totals.
+    fn run_round(
+        layout: &HaloLayout,
+        n: usize,
+        metered: bool,
+        plan: Option<&FaultPlan>,
+        asynchronous: bool,
+        tag: u32,
+    ) -> (Vec<RankOutcome>, u64, u64) {
+        const NLEV: usize = 3;
+        let (results, stats) = run_world(layout.locales.len(), |mut ctx| {
+            let metrics = Metrics::default();
+            let xctx = ExchangeCtx {
+                metrics: metered.then_some(&metrics),
+                plan,
+            };
             let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![1.5f64; n * 2];
-            let mut list = VarList::new();
-            list.push("a", 2, &mut f0);
-            let r = exchange_gathered_chaos(&mut ctx, locale, &mut list, 2, &metrics, &plan)
-                .expect("no halo faults armed");
-            assert_eq!(metrics.counter("fault.injected"), 0);
-            assert_eq!(metrics.counter("halo.exchanges"), 1);
-            r.messages_sent
+            let mut field = vec![f64::NAN; n * NLEV];
+            for &c in &locale.owned_cells {
+                for k in 0..NLEV {
+                    field[c as usize * NLEV + k] = ((c as usize) * 10 + k) as f64 / 3.0;
+                }
+            }
+            let mut exchanges_after_begin = None;
+            let result = {
+                let mut list = VarList::new();
+                list.push("h", NLEV, &mut field);
+                if asynchronous {
+                    let pending = xctx.begin(&mut ctx, locale, &list, tag);
+                    // Interior compute would run here, overlapped with the
+                    // in-flight messages.
+                    exchanges_after_begin = Some(metrics.counter("halo.exchanges"));
+                    xctx.complete(pending, &mut ctx, locale, &mut list)
+                } else {
+                    xctx.exchange(&mut ctx, locale, &mut list, tag)
+                }
+            };
+            RankOutcome {
+                bits: field.iter().map(|v| v.to_bits()).collect(),
+                result,
+                counters: [
+                    metrics.counter("halo.exchanges"),
+                    metrics.counter("halo.messages"),
+                    metrics.counter("halo.bytes"),
+                    metrics.counter("fault.injected"),
+                ],
+                exchanges_after_begin,
+            }
         });
-        assert!(results.iter().sum::<u64>() > 0);
+        (
+            results,
+            stats.messages.load(Ordering::Relaxed),
+            stats.bytes.load(Ordering::Relaxed),
+        )
     }
 
     #[test]
-    fn pinned_halo_fault_truncates_exactly_the_named_message() {
-        let mesh = HexMesh::build(2);
-        let parts = 3;
-        let partition = Partition::build(&mesh, parts, 2);
+    fn exchange_context_table_sync_and_async_agree_under_every_instrumentation() {
+        let mesh = HexMesh::build(3);
+        let partition = Partition::build(&mesh, 4, 2);
         let layout = HaloLayout::build(&mesh, &partition, 1);
         let n = mesh.n_cells();
+        let tag = 31u32;
+        // Dispatch-only faults armed: the halo site stays quiet.
+        let quiet = FaultPlan::new(4).with_rate(FaultSite::Dispatch, 1.0);
         // Pick a (receiver, sender) pair that actually exchanges.
         let victim = layout
             .locales
             .iter()
             .find(|l| !l.recv.is_empty())
             .expect("some rank has halos");
-        let (rank, src, tag) = (victim.rank, victim.recv[0].0, 31u32);
-        let plan = FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
-        let (results, _) = run_world(parts, |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![2.0f64; n * 3];
-            let mut list = VarList::new();
-            list.push("a", 3, &mut f0);
-            exchange_gathered_chaos(&mut ctx, locale, &mut list, tag, &metrics, &plan).err()
-        });
-        for (r, err) in results.iter().enumerate() {
+        let (rank, src) = (victim.rank, victim.recv[0].0);
+        let pinned = FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
+
+        let (reference, world_msgs, world_bytes) = run_round(&layout, n, false, None, false, tag);
+        let receipts: Vec<ExchangeReceipt> = reference
+            .iter()
+            .map(|o| o.result.clone().expect("uniform lists exchange cleanly"))
+            .collect();
+        // Per-rank send-side receipts must sum to the world's comm totals.
+        assert!(world_msgs > 0, "level-3 mesh over 4 ranks must have halos");
+        assert_eq!(
+            receipts.iter().map(|r| r.messages_sent).sum::<u64>(),
+            world_msgs
+        );
+        assert_eq!(
+            receipts.iter().map(|r| r.bytes_sent).sum::<u64>(),
+            world_bytes
+        );
+
+        let clean_rows = [
+            ("none", false, None),
+            ("metrics", true, None),
+            ("metrics+quiet plan", true, Some(&quiet)),
+        ];
+        for (label, metered, plan) in clean_rows {
+            let (sync, ..) = run_round(&layout, n, metered, plan, false, tag);
+            let (asyn, ..) = run_round(&layout, n, metered, plan, true, tag);
+            for (r, (s, a)) in sync.iter().zip(&asyn).enumerate() {
+                let at = format!("{label}, rank {r}");
+                // Bitwise-equal unpacked halos and equal receipts across
+                // every instrumentation and both protocols.
+                assert_eq!(s.bits, reference[r].bits, "{at}: sync halos");
+                assert_eq!(a.bits, reference[r].bits, "{at}: async halos");
+                assert_eq!(s.result, reference[r].result, "{at}: sync receipt");
+                assert_eq!(a.result, reference[r].result, "{at}: async receipt");
+                // One round, counted once; nothing injected; nothing
+                // recorded without a registry.
+                let want = if metered {
+                    [1, receipts[r].messages_sent, receipts[r].bytes_sent, 0]
+                } else {
+                    [0; 4]
+                };
+                assert_eq!(s.counters, want, "{at}: sync counters");
+                assert_eq!(a.counters, want, "{at}: async counters");
+                assert_eq!(
+                    a.exchanges_after_begin,
+                    Some(0),
+                    "{at}: the round counts once, at completion"
+                );
+            }
+        }
+
+        // The pinned truncation surfaces as the same typed error through
+        // both protocols, on exactly the named message.
+        let (sync, ..) = run_round(&layout, n, true, Some(&pinned), false, tag);
+        let (asyn, ..) = run_round(&layout, n, true, Some(&pinned), true, tag);
+        for (r, (s, a)) in sync.iter().zip(&asyn).enumerate() {
+            assert_eq!(s.result, a.result, "rank {r}: sync and async results");
+            assert_eq!(s.counters, a.counters, "rank {r}: sync and async counters");
             if r == rank {
-                let e = err.clone().expect("the pinned message must fail");
+                let e = s.result.clone().expect_err("the pinned message must fail");
                 assert_eq!(e.src, src);
                 assert_eq!(e.tag, tag);
                 assert_eq!(
@@ -731,84 +714,12 @@ mod tests {
                     e.expected_values - 1,
                     "truncation drops exactly the trailing value"
                 );
+                assert_eq!(s.counters, [0, 0, 0, 1], "one injection, no counted round");
             } else {
-                assert!(err.is_none(), "rank {r} was not targeted: {err:?}");
+                assert_eq!(s.result, reference[r].result, "rank {r} was not targeted");
+                assert_eq!(s.counters[3], 0, "rank {r} was not targeted");
             }
         }
-    }
-
-    /// Poison halos, exchange (sync or begin/complete), return every rank's
-    /// raw field bits so the two modes can be compared for exact equality.
-    fn exchange_mode_bits(asynchronous: bool) -> Vec<Vec<u64>> {
-        let mesh = HexMesh::build(3);
-        let parts = 5;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        let nlev = 3usize;
-        let (results, _) = run_world(parts, |mut ctx| {
-            let locale = &layout.locales[ctx.rank];
-            let mut field = vec![f64::NAN; n * nlev];
-            for &c in &locale.owned_cells {
-                for k in 0..nlev {
-                    field[c as usize * nlev + k] = ((c as usize) * 10 + k) as f64 / 3.0;
-                }
-            }
-            {
-                let mut list = VarList::new();
-                list.push("h", nlev, &mut field);
-                if asynchronous {
-                    let pending = exchange_gathered_begin(&mut ctx, locale, &list, 17);
-                    // Interior compute would run here, overlapped with the
-                    // in-flight messages.
-                    exchange_gathered_complete(pending, &mut ctx, locale, &mut list)
-                } else {
-                    exchange_gathered(&mut ctx, locale, &mut list, 17)
-                }
-                .expect("uniform lists exchange cleanly");
-            }
-            field.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-        });
-        results
-    }
-
-    #[test]
-    fn async_begin_complete_is_bitwise_equal_to_synchronous() {
-        assert_eq!(
-            exchange_mode_bits(true),
-            exchange_mode_bits(false),
-            "overlapped exchange must transport exactly the synchronous bytes"
-        );
-    }
-
-    #[test]
-    fn async_metered_counters_match_one_synchronous_round() {
-        let mesh = HexMesh::build(3);
-        let parts = 4;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        let (results, _) = run_world(parts, move |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![0.25f64; n * 2];
-            let mut list = VarList::new();
-            list.push("a", 2, &mut f0);
-            let pending = exchange_gathered_begin_metered(&mut ctx, locale, &list, 3, &metrics);
-            assert_eq!(
-                metrics.counter("halo.exchanges"),
-                0,
-                "the round counts once, at completion"
-            );
-            let r =
-                exchange_gathered_complete_metered(pending, &mut ctx, locale, &mut list, &metrics)
-                    .expect("uniform lists exchange cleanly");
-            assert_eq!(metrics.counter("halo.exchanges"), 1);
-            assert_eq!(metrics.counter("halo.messages"), r.messages_sent);
-            assert_eq!(metrics.counter("halo.bytes"), r.bytes_sent);
-            r.messages_sent
-        });
-        assert!(results.iter().sum::<u64>() > 0);
     }
 
     #[test]
@@ -826,11 +737,12 @@ mod tests {
                 let mut f1 = vec![0.0f64; n * 3];
                 let mut list = VarList::new();
                 list.push("a", 2, &mut f0);
-                let pending = exchange_gathered_begin(&mut ctx, locale, &list, 4);
+                let xctx = ExchangeCtx::default();
+                let pending = xctx.begin(&mut ctx, locale, &list, 4);
                 // Complete with a *different* gather list: must refuse.
                 let mut other = VarList::new();
                 other.push("b", 3, &mut f1);
-                let _ = exchange_gathered_complete(pending, &mut ctx, locale, &mut other);
+                let _ = xctx.complete(pending, &mut ctx, locale, &mut other);
             })
         }))
         .expect_err("signature mismatch must panic, not corrupt fields");
@@ -839,45 +751,6 @@ mod tests {
             msg.contains("different gather list"),
             "panic must explain the misuse: {msg}"
         );
-    }
-
-    #[test]
-    fn pinned_halo_fault_surfaces_through_the_async_api() {
-        let mesh = HexMesh::build(2);
-        let parts = 3;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        let victim = layout
-            .locales
-            .iter()
-            .find(|l| !l.recv.is_empty())
-            .expect("some rank has halos");
-        let (rank, src, tag) = (victim.rank, victim.recv[0].0, 41u32);
-        let plan = FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
-        let (results, _) = run_world(parts, |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![2.0f64; n * 3];
-            let mut list = VarList::new();
-            list.push("a", 3, &mut f0);
-            let pending = exchange_gathered_begin_metered(&mut ctx, locale, &list, tag, &metrics);
-            let res = exchange_gathered_complete_chaos(
-                pending, &mut ctx, locale, &mut list, &metrics, &plan,
-            );
-            (res.err(), metrics.counter("fault.injected"))
-        });
-        for (r, (err, injected)) in results.iter().enumerate() {
-            if r == rank {
-                let e = err.clone().expect("the pinned message must fail");
-                assert_eq!(e.src, src);
-                assert_eq!(e.tag, tag);
-                assert_eq!(e.got_values, e.expected_values - 1);
-                assert_eq!(*injected, 1, "exactly one injected truncation");
-            } else {
-                assert!(err.is_none(), "rank {r} was not targeted: {err:?}");
-            }
-        }
     }
 
     #[test]
@@ -975,8 +848,11 @@ mod tests {
                     let mut f0 = vec![1.0f64; n * 2];
                     let mut list = VarList::new();
                     list.push("a", 2, &mut f0);
-                    let res =
-                        exchange_gathered_chaos(&mut ctx, locale, &mut list, 5, &metrics, plan);
+                    let xctx = ExchangeCtx {
+                        metrics: Some(&metrics),
+                        plan: Some(plan),
+                    };
+                    let res = xctx.exchange(&mut ctx, locale, &mut list, 5);
                     (res.err(), metrics.counter("fault.injected"))
                 });
                 results

@@ -19,10 +19,8 @@ pub mod scaling;
 pub use collectives::{allgather, allreduce_vec, broadcast, reduce};
 pub use comm::{run_world, CommStats, RankCtx};
 pub use exchange::{
-    exchange_gathered, exchange_gathered_begin, exchange_gathered_begin_metered,
-    exchange_gathered_chaos, exchange_gathered_complete, exchange_gathered_complete_chaos,
-    exchange_gathered_complete_metered, exchange_gathered_metered, exchange_per_variable,
-    halo_fault_key, ExchangeError, ExchangeReceipt, PendingExchange, VarList,
+    exchange_gathered, halo_fault_key, ExchangeCtx, ExchangeError, ExchangeReceipt,
+    PendingExchange, VarList,
 };
 pub use fattree::{boundary_fraction, exchange_time, ExchangeProfile, ExchangeTime};
 pub use pio::{grouped_write, io_group, n_writers, IoGroup};

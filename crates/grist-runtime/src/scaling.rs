@@ -40,7 +40,7 @@ impl std::fmt::Display for ScalingError {
             ScalingError::MissingCounter { name } => write!(
                 f,
                 "metrics registry has no {name:?} counter: calibration needs a metered \
-                 multi-rank run (Substrate::*_with_metrics + exchange_gathered_metered)"
+                 multi-rank run (Substrate::*_with_metrics + an ExchangeCtx carrying the same registry)"
             ),
         }
     }
@@ -338,7 +338,7 @@ impl SdpdModel {
         let kernels = self.dyn_kernels(local_cells, local_edges, nlev);
         let mut t_group: f64 = kernels
             .iter()
-            .map(|k| kernel_time(k, target, &self.spec, &self.perf))
+            .map(|k| kernel_time(k, target, &self.spec, &self.perf, None))
             .sum();
         // LDCache residency of the local state trims the memory-bound part.
         let res = self.residency(local_edges * nlev, 7.0, elem);
@@ -363,7 +363,7 @@ impl SdpdModel {
             arrays: 6,
             has_mixed_variant: true,
         };
-        let tracer_per_step = kernel_time(&tracer_kernel, target, &self.spec, &self.perf)
+        let tracer_per_step = kernel_time(&tracer_kernel, target, &self.spec, &self.perf, None)
             * self.cfg.n_tracers
             * (1.0 - self.cfg.residency_saving * res);
 

@@ -20,10 +20,11 @@
 use crate::store::SnapshotStore;
 use grist_core::{extract_columns, GristModel, MlOutput, MlSuite, RunConfig};
 use grist_dycore::Real;
+use grist_obs::ObsPlane;
 use grist_physics::Column;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-use sunway_sim::{flow_scope, EventKind, Substrate};
+use sunway_sim::Substrate;
 
 /// What a query asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,6 +243,7 @@ pub struct QueryEngine<R: Real> {
     lons: Vec<f64>,
     sub: Substrate,
     cache_enabled: bool,
+    obs: Option<Arc<ObsPlane>>,
 }
 
 impl<R: Real> QueryEngine<R> {
@@ -279,6 +281,7 @@ impl<R: Real> QueryEngine<R> {
             lons,
             sub,
             cache_enabled: true,
+            obs: None,
         }
     }
 
@@ -287,6 +290,21 @@ impl<R: Real> QueryEngine<R> {
     pub fn with_cache(mut self, enabled: bool) -> Self {
         self.cache_enabled = enabled;
         self
+    }
+
+    /// Attach a telemetry plane. A [`ForecastServer`](crate::ForecastServer)
+    /// started on this engine mints a trace ID per submitted query
+    /// (flow-joined to its kernels in the Perfetto export), records each
+    /// served batch's size and every member's queue-to-answer latency, and
+    /// re-evaluates the SLO policy after each batch.
+    pub fn with_obs(mut self, plane: Arc<ObsPlane>) -> Self {
+        self.obs = Some(plane);
+        self
+    }
+
+    /// The telemetry plane attached with [`Self::with_obs`], if any.
+    pub fn obs(&self) -> Option<&Arc<ObsPlane>> {
+        self.obs.as_ref()
     }
 
     /// The engine's substrate (counters: `serve.queries`, `serve.batches`,
@@ -406,29 +424,18 @@ impl<R: Real> QueryEngine<R> {
     /// Answer a batch of queries with **one** block-batched ML dispatch for
     /// every uncached derived cell across the whole batch. Results align
     /// with `queries`.
+    ///
+    /// Request-scoped flow IDs arrive through the caller's
+    /// [`flow_scope`](sunway_sim::flow_scope) (the server installs one per
+    /// batch; see `ObsPlane::mint_trace_id` in `grist-obs`): each live ID
+    /// gets a `FlowStep` on this worker's lane as the batch opens, and the
+    /// same scope rides into every substrate dispatch under the batch,
+    /// joining the served answer to its kernel spans in the Perfetto export.
+    /// With tracing disabled or no scope installed nothing is recorded.
     pub fn serve_batch(&self, queries: &[Query]) -> Vec<Result<Response, ServeError>> {
-        self.serve_batch_traced(queries, &[])
-    }
-
-    /// [`Self::serve_batch`] carrying request-scoped flow IDs (one per
-    /// query, 0 = untraced; see `ObsPlane::mint_trace_id` in `grist-obs`).
-    /// Each live ID gets a `FlowStep` on this worker's lane as the batch
-    /// opens, and rides the thread-local flow scope into every substrate
-    /// dispatch under the batch, joining the served answer to its kernel
-    /// spans in the Perfetto export. With tracing disabled or no IDs this
-    /// is byte-for-byte `serve_batch`.
-    pub fn serve_batch_traced(
-        &self,
-        queries: &[Query],
-        trace_ids: &[u64],
-    ) -> Vec<Result<Response, ServeError>> {
         let _span = self.sub.span("serve");
         let m = self.sub.metrics();
-        let tracer = m.tracer();
-        for &id in trace_ids {
-            tracer.record_flow(EventKind::FlowStep, "request", id);
-        }
-        let _flow = flow_scope(trace_ids);
+        m.tracer().record_scoped_flows("request");
         m.counter_add("serve.batches", 1);
         m.counter_add("serve.queries", queries.len() as u64);
 
@@ -538,8 +545,9 @@ impl<R: Real> QueryEngine<R> {
     }
 
     /// The per-query reference path: same answers, one ML dispatch *per
-    /// column* and no cross-query batching or caching. `bench_serve`
-    /// measures [`Self::serve_batch`] against this.
+    /// column* and no cross-query batching or caching. Kept because a gate
+    /// consumes it: `bench_serve` requires [`Self::serve_batch`] to be ≥2×
+    /// faster than this path and bitwise equal to it.
     pub fn serve_one_percol(&self, q: &Query) -> Result<Response, ServeError> {
         let _span = self.sub.span("serve_percol");
         let m = self.sub.metrics();
@@ -638,6 +646,38 @@ mod tests {
         let m = eng.substrate().metrics();
         assert_eq!(m.counter("serve.queries"), 12);
         assert_eq!(m.counter("serve.batches"), 1);
+    }
+
+    #[test]
+    fn serve_batch_stamps_one_request_step_per_scoped_id_and_none_unscoped() {
+        use sunway_sim::{flow_scope, EventKind};
+        let cfg = RunConfig::for_level(2, 6);
+        let (store, _models) = seeded_store(&cfg, 1);
+        let eng = engine(&cfg, store);
+        eng.substrate().metrics().tracer().enable();
+        let queries = [
+            Query::cell(0, 0, Product::ColumnState),
+            Query::cell(0, 1, Product::ColumnState),
+            Query::cell(0, 2, Product::ColumnState),
+        ];
+        let request_steps = || -> Vec<u64> {
+            let snap = eng.substrate().metrics().tracer().snapshot();
+            snap.lanes
+                .iter()
+                .flat_map(|l| &l.events)
+                .filter(|e| e.kind == EventKind::FlowStep && e.name == "request")
+                .map(|e| e.items)
+                .collect()
+        };
+        eng.serve_batch(&queries);
+        assert_eq!(request_steps(), [0u64; 0], "no scope, no flow step");
+        {
+            let _flow = flow_scope(&[7, 0, 9]); // 0 = untraced
+            eng.serve_batch(&queries);
+        }
+        assert_eq!(request_steps(), [7, 9], "one step per non-zero ID");
+        eng.serve_batch(&queries);
+        assert_eq!(request_steps(), [7, 9], "the scope ended with its guard");
     }
 
     #[test]

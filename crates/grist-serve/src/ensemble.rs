@@ -14,6 +14,7 @@ use grist_dycore::Real;
 use grist_obs::ObsPlane;
 use grist_runtime::run_world;
 use std::sync::Arc;
+use std::time::Instant;
 use sunway_sim::Substrate;
 
 /// Which execution target each rank pool builds for its members. Each pool
@@ -52,6 +53,11 @@ pub struct EnsembleConfig {
     pub perturb_scale: f64,
     /// Execution target each pool builds.
     pub target: PoolTarget,
+    /// Telemetry plane to report into: every member advance records an
+    /// epoch-advance duration, and each member samples its physics health
+    /// (mass/energy drift, CFL, NaN census) into the plane's `HealthWatch`
+    /// after every epoch. The integration itself is bitwise unchanged.
+    pub obs: Option<Arc<ObsPlane>>,
 }
 
 /// What one rank pool did.
@@ -102,27 +108,6 @@ fn publish_member<R: Real>(store: &SnapshotStore, member: usize, model: &GristMo
 /// Run the ensemble to completion on the calling thread (blocks until every
 /// pool finishes). Returns one report per rank pool.
 pub fn run_ensemble<R: Real>(cfg: &EnsembleConfig, store: &Arc<SnapshotStore>) -> Vec<RankReport> {
-    run_ensemble_inner::<R>(cfg, store, None)
-}
-
-/// [`run_ensemble`] reporting into a telemetry plane: every member advance
-/// records an epoch-advance duration, and each member samples its physics
-/// health (mass/energy drift, CFL, NaN census) into the plane's
-/// `HealthWatch` after every epoch. The integration itself is bitwise
-/// unchanged.
-pub fn run_ensemble_observed<R: Real>(
-    cfg: &EnsembleConfig,
-    store: &Arc<SnapshotStore>,
-    plane: &Arc<ObsPlane>,
-) -> Vec<RankReport> {
-    run_ensemble_inner::<R>(cfg, store, Some(plane))
-}
-
-fn run_ensemble_inner<R: Real>(
-    cfg: &EnsembleConfig,
-    store: &Arc<SnapshotStore>,
-    plane: Option<&Arc<ObsPlane>>,
-) -> Vec<RankReport> {
     assert_eq!(
         cfg.members,
         store.n_members(),
@@ -154,11 +139,11 @@ fn run_ensemble_inner<R: Real>(
         let advance_s = cfg.dyn_steps_per_epoch as f64 * cfg.run.dt_dyn;
         for e in 0..cfg.epochs {
             for (model, &m) in models.iter_mut().zip(&mine) {
-                match plane {
-                    Some(p) => {
-                        model.advance_observed(advance_s, p);
-                    }
-                    None => model.advance(advance_s),
+                let t0 = Instant::now();
+                model.advance(advance_s);
+                if let Some(plane) = &cfg.obs {
+                    plane.record_epoch_advance_ns(t0.elapsed().as_nanos() as u64);
+                    model.sample_health(plane);
                 }
                 publish_member(store, m, model);
                 publishes += 1;
@@ -196,18 +181,6 @@ pub fn spawn_ensemble<R: Real>(cfg: EnsembleConfig, store: Arc<SnapshotStore>) -
     }
 }
 
-/// [`spawn_ensemble`] reporting into a telemetry plane (see
-/// [`run_ensemble_observed`]).
-pub fn spawn_ensemble_observed<R: Real>(
-    cfg: EnsembleConfig,
-    store: Arc<SnapshotStore>,
-    plane: Arc<ObsPlane>,
-) -> EnsembleHandle {
-    EnsembleHandle {
-        thread: std::thread::spawn(move || run_ensemble_observed::<R>(&cfg, &store, &plane)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +194,7 @@ mod tests {
             run: RunConfig::for_level(2, 6),
             perturb_scale: 1e-6,
             target: PoolTarget::Serial,
+            obs: None,
         }
     }
 
@@ -252,7 +226,11 @@ mod tests {
         let cfg = small_cfg(2, 2);
         let plane = Arc::new(ObsPlane::default());
         run_ensemble::<f64>(&cfg, &store_plain);
-        run_ensemble_observed::<f64>(&cfg, &store_obs, &plane);
+        let observed = EnsembleConfig {
+            obs: Some(Arc::clone(&plane)),
+            ..cfg
+        };
+        run_ensemble::<f64>(&observed, &store_obs);
         for member in 0..2 {
             assert_eq!(
                 store_plain.latest(member).unwrap().state_hash,
@@ -261,7 +239,9 @@ mod tests {
             );
         }
         // 2 members × 2 epochs of observed advances, all sampled.
-        assert_eq!(plane.epoch_advance_snapshot().count, 4);
+        let epochs = plane.epoch_advance_snapshot();
+        assert_eq!(epochs.count, 4);
+        assert!(epochs.min > 0, "epoch advance took measurable time");
         assert_eq!(plane.watch().ingested(), 4);
         assert_eq!(
             plane.watch().alert_count(),

@@ -26,11 +26,12 @@
 //!   per member per epoch.
 //!
 //! The stack is instrumented for the live telemetry plane (DESIGN.md §13):
-//! [`ForecastServer::start_with_obs`] mints request-scoped trace IDs and
-//! records per-query latency / per-batch size into a shared
+//! a [`ForecastServer`] started on an engine with a plane attached
+//! ([`QueryEngine::with_obs`]) mints request-scoped trace IDs and records
+//! per-query latency / per-batch size into the shared
 //! [`ObsPlane`](grist_obs::ObsPlane), re-evaluating its SLO policy after
-//! every batch, and [`run_ensemble_observed`] streams per-epoch physics
-//! health into the same plane.
+//! every batch, and [`run_ensemble`] under an [`EnsembleConfig`] carrying
+//! the same plane streams per-epoch physics health into it.
 
 pub mod engine;
 pub mod ensemble;
@@ -42,8 +43,7 @@ pub use engine::{
     Response, Select, ServeError,
 };
 pub use ensemble::{
-    run_ensemble, run_ensemble_observed, spawn_ensemble, spawn_ensemble_observed, EnsembleConfig,
-    EnsembleHandle, PoolTarget, RankReport,
+    run_ensemble, spawn_ensemble, EnsembleConfig, EnsembleHandle, PoolTarget, RankReport,
 };
 pub use server::{ForecastServer, PendingResponse, ServeConfig};
 pub use store::{EpochView, SnapshotStore};

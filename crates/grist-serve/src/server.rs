@@ -15,7 +15,7 @@ use grist_obs::ObsPlane;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use sunway_sim::{EventKind, Metrics};
+use sunway_sim::{flow_scope, EventKind, Metrics};
 
 /// Front-end sizing.
 #[derive(Debug, Clone, Copy)]
@@ -69,21 +69,12 @@ pub struct ForecastServer {
 }
 
 impl ForecastServer {
-    /// Start `cfg.workers` threads serving queries against `engine`.
+    /// Start `cfg.workers` threads serving queries against `engine`,
+    /// reporting into the telemetry plane attached to the engine
+    /// ([`QueryEngine::with_obs`]), if any.
     pub fn start<R: Real>(engine: Arc<QueryEngine<R>>, cfg: ServeConfig) -> Self {
-        Self::start_with_obs(engine, cfg, None)
-    }
-
-    /// [`Self::start`] wired into a telemetry plane. Each submitted query
-    /// gets a minted trace ID (flow-joined to its kernels in the Perfetto
-    /// export); each served batch records its size and every member's
-    /// queue-to-answer latency, then re-evaluates the SLO policy.
-    pub fn start_with_obs<R: Real>(
-        engine: Arc<QueryEngine<R>>,
-        cfg: ServeConfig,
-        obs: Option<Arc<ObsPlane>>,
-    ) -> Self {
         assert!(cfg.workers >= 1 && cfg.max_batch >= 1);
+        let obs = engine.obs().cloned();
         let metrics = engine.substrate().metrics().clone();
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -114,7 +105,10 @@ impl ForecastServer {
                         }
                         let queries: Vec<Query> = batch.iter().map(|j| j.query.clone()).collect();
                         let ids: Vec<u64> = batch.iter().map(|j| j.trace_id).collect();
-                        let results = engine.serve_batch_traced(&queries, &ids);
+                        let results = {
+                            let _flow = flow_scope(&ids);
+                            engine.serve_batch(&queries)
+                        };
                         served += batch.len() as u64;
                         let tracer = engine.substrate().metrics().tracer();
                         for (job, result) in batch.into_iter().zip(results) {
@@ -143,11 +137,6 @@ impl ForecastServer {
             obs,
             metrics,
         }
-    }
-
-    /// The telemetry plane this server reports into, if any.
-    pub fn obs(&self) -> Option<&Arc<ObsPlane>> {
-        self.obs.as_ref()
     }
 
     /// Enqueue a query; returns immediately.
@@ -206,7 +195,7 @@ mod tests {
     use grist_core::{GristModel, RunConfig};
     use sunway_sim::Substrate;
 
-    fn served_engine(cfg: &RunConfig) -> Arc<QueryEngine<f64>> {
+    fn served_engine(cfg: &RunConfig, obs: Option<Arc<ObsPlane>>) -> Arc<QueryEngine<f64>> {
         let store = Arc::new(SnapshotStore::new(1, 2));
         let model = GristModel::<f64>::new(cfg.clone());
         store.publish(EpochView {
@@ -215,18 +204,22 @@ mod tests {
             state_hash: model.state_hash(),
             checkpoint: model.checkpoint(),
         });
-        Arc::new(QueryEngine::new(
+        let engine = QueryEngine::new(
             store,
             cfg.clone(),
             Substrate::serial(),
             default_suite(cfg.nlev),
-        ))
+        );
+        Arc::new(match obs {
+            Some(plane) => engine.with_obs(plane),
+            None => engine,
+        })
     }
 
     #[test]
     fn concurrent_submits_all_answer_and_match_direct_serving() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
+        let engine = served_engine(&cfg, None);
         let server = ForecastServer::start(
             Arc::clone(&engine),
             ServeConfig {
@@ -262,16 +255,15 @@ mod tests {
     fn observed_server_records_latency_batches_and_joined_flows() {
         use sunway_sim::EventKind;
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
-        engine.substrate().metrics().tracer().enable();
         let plane = Arc::new(ObsPlane::default());
-        let server = ForecastServer::start_with_obs(
+        let engine = served_engine(&cfg, Some(Arc::clone(&plane)));
+        engine.substrate().metrics().tracer().enable();
+        let server = ForecastServer::start(
             Arc::clone(&engine),
             ServeConfig {
                 workers: 2,
                 max_batch: 8,
             },
-            Some(Arc::clone(&plane)),
         );
         const N: usize = 24;
         let pending: Vec<PendingResponse> = (0..N)
@@ -286,7 +278,9 @@ mod tests {
         }
         server.shutdown();
 
-        // Every query got a latency record; batch sizes sum to the total.
+        // Every query got an ID and a latency record; batch sizes sum to
+        // the total.
+        assert_eq!(plane.mint_trace_id(), N as u64 + 1, "one ID per query");
         let lat = plane.serve_latency_snapshot();
         assert_eq!(lat.count, N as u64);
         assert!(lat.min > 0, "queue-to-answer latency is nonzero");
@@ -324,19 +318,24 @@ mod tests {
     #[test]
     fn unobserved_server_mints_no_ids_and_stays_bit_identical() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
+        let engine = served_engine(&cfg, None);
+        engine.substrate().metrics().tracer().enable();
         let server = ForecastServer::start(Arc::clone(&engine), ServeConfig::default());
         let q = Query::cell(0, 3, Product::T2m);
         let served = server.query_blocking(q.clone()).unwrap();
         assert_eq!(served, engine.serve_one_percol(&q).unwrap());
-        assert!(server.obs().is_none());
+        assert!(engine.obs().is_none());
         server.shutdown();
+        // No plane, no IDs: the traced run carries no flow event at all.
+        let snap = engine.substrate().metrics().tracer().snapshot();
+        let stats = sunway_sim::validate_chrome(&snap.to_chrome_json()).unwrap();
+        assert_eq!(stats.flows, 0, "an unobserved server must not record flows");
     }
 
     #[test]
     fn shutdown_disconnects_cleanly() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
+        let engine = served_engine(&cfg, None);
         let server = ForecastServer::start(engine, ServeConfig::default());
         let p = server.submit(Query::cell(0, 0, Product::T2m)).unwrap();
         assert!(p.wait().is_ok());

@@ -31,7 +31,20 @@ pub struct DmaCompletion {
 /// Simple fluid model of the CG DMA engine: requests are served in issue
 /// order; each pays `dma_latency` startup, then streams at the DDR bandwidth
 /// shared equally among all in-flight transfers. Served with an event sweep.
-pub fn simulate_dma_batch(spec: &SunwaySpec, requests: &[DmaRequest]) -> Vec<DmaCompletion> {
+/// With a registry, the batch's transaction and payload-byte totals land in
+/// its `dma.transactions` / `dma.bytes` counters before the sweep runs.
+pub fn simulate_dma_batch(
+    spec: &SunwaySpec,
+    requests: &[DmaRequest],
+    metrics: Option<&crate::metrics::Metrics>,
+) -> Vec<DmaCompletion> {
+    if let Some(m) = metrics {
+        m.counter_add("dma.transactions", requests.len() as u64);
+        m.counter_add(
+            "dma.bytes",
+            requests.iter().map(|r| r.bytes as u64).sum::<u64>(),
+        );
+    }
     // Descriptor processing is serialized on the CG's DMA engine: each
     // request becomes active only after the engine has chewed through the
     // descriptors ahead of it (this is what makes many small transfers
@@ -98,22 +111,6 @@ pub fn simulate_dma_batch(spec: &SunwaySpec, requests: &[DmaRequest]) -> Vec<Dma
         .zip(&finish)
         .map(|(&(cpe, _, _), &finish_t)| DmaCompletion { cpe, finish_t })
         .collect()
-}
-
-/// [`simulate_dma_batch`] plus counter recording: the batch's transaction
-/// and payload-byte totals land in the registry's `dma.transactions` /
-/// `dma.bytes` counters before the fluid simulation runs.
-pub fn simulate_dma_batch_metered(
-    spec: &SunwaySpec,
-    requests: &[DmaRequest],
-    metrics: &crate::metrics::Metrics,
-) -> Vec<DmaCompletion> {
-    metrics.counter_add("dma.transactions", requests.len() as u64);
-    metrics.counter_add(
-        "dma.bytes",
-        requests.iter().map(|r| r.bytes as u64).sum::<u64>(),
-    );
-    simulate_dma_batch(spec, requests)
 }
 
 /// Modeled wall time of one get→compute→put staging loop over `n_chunks`
@@ -192,7 +189,7 @@ mod tests {
             bytes: 1_000_000,
             issue_t: 0.0,
         }];
-        let done = simulate_dma_batch(&s, &reqs);
+        let done = simulate_dma_batch(&s, &reqs, None);
         let expected = s.dma_latency + 1_000_000.0 / s.ddr_bandwidth;
         assert!((done[0].finish_t - expected).abs() < 1e-12);
     }
@@ -207,7 +204,7 @@ mod tests {
                 issue_t: 0.0,
             })
             .collect();
-        let done = simulate_dma_batch(&s, &reqs);
+        let done = simulate_dma_batch(&s, &reqs, None);
         // All four finish at ~4x the solo streaming time (plus a few
         // serialized descriptor latencies).
         let solo = 1_000_000.0 / s.ddr_bandwidth;
@@ -237,7 +234,7 @@ mod tests {
                 issue_t: 0.0,
             },
         ];
-        let done = simulate_dma_batch(&s, &reqs);
+        let done = simulate_dma_batch(&s, &reqs, None);
         let t_small = done.iter().find(|d| d.cpe == 1).unwrap().finish_t;
         let t_big = done.iter().find(|d| d.cpe == 0).unwrap().finish_t;
         assert!(t_small < t_big);
@@ -254,7 +251,7 @@ mod tests {
             })
             .collect();
         let m = crate::metrics::Metrics::default();
-        let done = simulate_dma_batch_metered(&s, &reqs, &m);
+        let done = simulate_dma_batch(&s, &reqs, Some(&m));
         assert_eq!(done.len(), 8);
         assert_eq!(m.counter("dma.transactions"), 8);
         assert_eq!(m.counter("dma.bytes"), 8 * 1024);
@@ -353,7 +350,7 @@ mod tests {
                 issue_t: 0.0,
             })
             .collect();
-        let t_small = simulate_dma_batch(&s, &small)
+        let t_small = simulate_dma_batch(&s, &small, None)
             .iter()
             .map(|d| d.finish_t)
             .fold(0.0, f64::max);
@@ -365,7 +362,7 @@ mod tests {
                 issue_t: 0.0,
             })
             .collect();
-        let t_big = simulate_dma_batch(&s, &big)
+        let t_big = simulate_dma_batch(&s, &big, None)
             .iter()
             .map(|d| d.finish_t)
             .fold(0.0, f64::max);

@@ -43,8 +43,8 @@ pub mod trace;
 pub use arch::SunwaySpec;
 pub use distributor::{AllocPolicy, PoolAllocator};
 pub use dma::{
-    amortization_threshold, effective_bandwidth, simulate_dma_batch, simulate_dma_batch_metered,
-    staged_loop_time, DmaCompletion, DmaRequest,
+    amortization_threshold, effective_bandwidth, simulate_dma_batch, staged_loop_time,
+    DmaCompletion, DmaRequest,
 };
 pub use fault::{FaultError, FaultPlan, FaultSite};
 pub use json::{Json, JsonError};
@@ -54,8 +54,7 @@ pub use omnicopy::{
     omnicopy, stage_chunks, CopyStats, LdmArena, LdmOverflow, PipelineReport, Space,
 };
 pub use perf::{
-    fig9_kernels, fig9_table, kernel_time, kernel_time_metered, stream_hit_ratio,
-    stream_hit_ratio_metered, ExecTarget, KernelSpec, PerfModel,
+    fig9_kernels, fig9_table, kernel_time, stream_hit_ratio, ExecTarget, KernelSpec, PerfModel,
 };
 pub use substrate::{
     format_kernel_report, kernel_report_rows, ColumnsMut, DmaMode, ExecTargetKind, KernelMode,

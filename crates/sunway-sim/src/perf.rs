@@ -130,30 +130,10 @@ impl Default for PerfModel {
 }
 
 /// Measure the LDCache hit ratio of a kernel's stream pattern under an
-/// allocation policy, using the cache and allocator simulators.
+/// allocation policy, using the cache and allocator simulators. With a
+/// registry, the simulated cache's hit/miss/conflict-eviction totals and the
+/// allocator's lane-conflict count land in it (`ldcache.*`, `alloc.*`).
 pub fn stream_hit_ratio(
-    spec: &SunwaySpec,
-    arrays: usize,
-    elem_bytes: usize,
-    policy: AllocPolicy,
-) -> f64 {
-    stream_hit_ratio_inner(spec, arrays, elem_bytes, policy, None)
-}
-
-/// [`stream_hit_ratio`] with counter recording: the simulated cache's
-/// hit/miss/conflict-eviction totals and the allocator's lane-conflict
-/// count land in the metrics registry (`ldcache.*`, `alloc.*`).
-pub fn stream_hit_ratio_metered(
-    spec: &SunwaySpec,
-    arrays: usize,
-    elem_bytes: usize,
-    policy: AllocPolicy,
-    metrics: &crate::metrics::Metrics,
-) -> f64 {
-    stream_hit_ratio_inner(spec, arrays, elem_bytes, policy, Some(metrics))
-}
-
-fn stream_hit_ratio_inner(
     spec: &SunwaySpec,
     arrays: usize,
     elem_bytes: usize,
@@ -172,31 +152,11 @@ fn stream_hit_ratio_inner(
     ratio
 }
 
-/// Modeled execution time of `kernel` on `target` \[seconds\].
+/// Modeled execution time of `kernel` on `target` \[seconds\]. With a
+/// registry, CPE targets fold the LDCache and allocator simulators'
+/// hit/miss/conflict totals into it (the MPE path touches no simulated
+/// cache, so it records nothing).
 pub fn kernel_time(
-    kernel: &KernelSpec,
-    target: ExecTarget,
-    spec: &SunwaySpec,
-    model: &PerfModel,
-) -> f64 {
-    kernel_time_inner(kernel, target, spec, model, None)
-}
-
-/// [`kernel_time`] with counter recording: CPE targets run the LDCache and
-/// allocator simulators, whose hit/miss/conflict totals are folded into the
-/// registry (the MPE path touches no simulated cache, so it records
-/// nothing).
-pub fn kernel_time_metered(
-    kernel: &KernelSpec,
-    target: ExecTarget,
-    spec: &SunwaySpec,
-    model: &PerfModel,
-    metrics: &crate::metrics::Metrics,
-) -> f64 {
-    kernel_time_inner(kernel, target, spec, model, Some(metrics))
-}
-
-fn kernel_time_inner(
     kernel: &KernelSpec,
     target: ExecTarget,
     spec: &SunwaySpec,
@@ -223,7 +183,7 @@ fn kernel_time_inner(
         }
         _ => {
             let compute = pts * slots_per_point / (spec.cpes_per_cg as f64 * model.cpe_sustained);
-            let hit = stream_hit_ratio_inner(spec, kernel.arrays, elem, target.policy(), metrics);
+            let hit = stream_hit_ratio(spec, kernel.arrays, elem, target.policy(), metrics);
             // A miss fetches a whole cache line; traffic per access is
             // line·(1−hit) (the streaming ideal 1−hit = elem/line recovers
             // exactly elem bytes per access).
@@ -249,10 +209,10 @@ pub fn fig9_table(kernels: &[KernelSpec], spec: &SunwaySpec, model: &PerfModel) 
     kernels
         .iter()
         .map(|k| {
-            let base = kernel_time(k, ExecTarget::MpeDp, spec, model);
+            let base = kernel_time(k, ExecTarget::MpeDp, spec, model, None);
             let speedup = ExecTarget::fig9_all()[1..]
                 .iter()
-                .map(|&t| (t, base / kernel_time(k, t, spec, model)))
+                .map(|&t| (t, base / kernel_time(k, t, spec, model, None)))
                 .collect();
             Fig9Row {
                 name: k.name,
@@ -322,7 +282,7 @@ mod tests {
     }
 
     fn speedup(k: &KernelSpec, t: ExecTarget, spec: &SunwaySpec, model: &PerfModel) -> f64 {
-        kernel_time(k, ExecTarget::MpeDp, spec, model) / kernel_time(k, t, spec, model)
+        kernel_time(k, ExecTarget::MpeDp, spec, model, None) / kernel_time(k, t, spec, model, None)
     }
 
     #[test]
@@ -400,7 +360,7 @@ mod tests {
             .iter()
             .find(|k| k.name == "grad_kinetic_energy")
             .unwrap();
-        let t64 = kernel_time(ke, ExecTarget::MpeDp, &spec, &model);
+        let t64 = kernel_time(ke, ExecTarget::MpeDp, &spec, &model, None);
         // An MPE-MIX variant would differ only in expensive-op latency; ke
         // has none, so time is identical.
         assert_eq!(ke.expensive_per_point, 0.0);
@@ -414,8 +374,8 @@ mod tests {
             .iter()
             .find(|k| k.name == "grad_kinetic_energy")
             .unwrap();
-        let t_dp = kernel_time(ke, ExecTarget::CpeDpDst, &spec, &model);
-        let t_mix = kernel_time(ke, ExecTarget::CpeMixDst, &spec, &model);
+        let t_dp = kernel_time(ke, ExecTarget::CpeDpDst, &spec, &model, None);
+        let t_mix = kernel_time(ke, ExecTarget::CpeMixDst, &spec, &model, None);
         let ratio = t_dp / t_mix;
         assert!(
             (1.5..2.5).contains(&ratio),
@@ -429,12 +389,18 @@ mod tests {
         let m = crate::metrics::Metrics::default();
         let rrr = kernels.iter().find(|k| k.name == "compute_rrr").unwrap();
         // MPE path: no simulated cache, no counters.
-        let t_mpe = kernel_time_metered(rrr, ExecTarget::MpeDp, &spec, &model, &m);
-        assert_eq!(t_mpe, kernel_time(rrr, ExecTarget::MpeDp, &spec, &model));
+        let t_mpe = kernel_time(rrr, ExecTarget::MpeDp, &spec, &model, Some(&m));
+        assert_eq!(
+            t_mpe,
+            kernel_time(rrr, ExecTarget::MpeDp, &spec, &model, None)
+        );
         assert_eq!(m.counter("ldcache.misses"), 0);
         // CPE path: identical time, counters populated.
-        let t_cpe = kernel_time_metered(rrr, ExecTarget::CpeMix, &spec, &model, &m);
-        assert_eq!(t_cpe, kernel_time(rrr, ExecTarget::CpeMix, &spec, &model));
+        let t_cpe = kernel_time(rrr, ExecTarget::CpeMix, &spec, &model, Some(&m));
+        assert_eq!(
+            t_cpe,
+            kernel_time(rrr, ExecTarget::CpeMix, &spec, &model, None)
+        );
         assert!(m.counter("ldcache.hits") + m.counter("ldcache.misses") > 0);
         assert_eq!(m.counter("alloc.allocations"), rrr.arrays as u64);
         // The un-distributed CpeMix target thrashes 7 aligned arrays.

@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# API-surface gate: instrumentation is a context, not a suffix (DESIGN.md
+# "Instrumentation is a context, not a suffix"). Fails if any public
+# function under crates/ is named for the instrumentation it adds, then
+# prints the two size numbers PR descriptions quote.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if grep -rnE "pub fn \w+_(metered|chaos|observed|traced|with_obs)\b" crates; then
+    echo "api_surface: FAIL — fold the variant(s) above into the layer's context" >&2
+    exit 1
+fi
+
+pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
+# crates/rand is the vendored offline shim, not this repo's code.
+crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
+tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
+echo "api_surface: OK — no suffix-named public functions"
+echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
+echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}"

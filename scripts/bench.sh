@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate the committed benchmark baselines:
-#   BENCH_0002.json    — pinned smoke suite (Fig. 9 kernel model, Fig. 10/11
+#   BENCH_smoke.json   — pinned smoke suite (Fig. 9 kernel model, Fig. 10/11
 #                        scaling projections, live coupled model on the
 #                        CPE-teams substrate; override the path with $1)
 #   BENCH_scaling.json — halo-overlap gate + counter-calibrated SDPD
@@ -16,12 +16,12 @@
 # identical to the synchronous one and cuts >= 30% of the traced halo wait
 # time. Compare against a committed baseline with:
 #   cargo run --release -p grist-bench --bin bench_compare -- \
-#       BENCH_0002.json new.json --tolerance 10
+#       BENCH_smoke.json new.json --tolerance 10
 # Everything runs offline (see README "Offline builds").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_0002.json}"
+out="${1:-BENCH_smoke.json}"
 
 echo "== bench smoke -> ${out} =="
 cargo run --release -p grist-bench --bin bench_smoke -- "${out}"

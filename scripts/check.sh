@@ -19,6 +19,12 @@ cargo fmt --check
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "== API surface (no suffix-named variants) + size numbers =="
+scripts/api_surface.sh
+
+echo "== repo benchmark builds and self-tests against the current API =="
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== chaos suite (3 fixed fault seeds) =="
 for seed in 42 7 1234; do
     echo "-- CHAOS_SEED=$seed"
@@ -46,12 +52,12 @@ cargo test --release -q --test integration_scenarios
 echo "== bench smoke vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_smoke -- target/bench_smoke.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_0002.json target/bench_smoke.json --tolerance 10
+    BENCH_smoke.json target/bench_smoke.json --tolerance 10
 
 echo "== bench ml (batched >= 3x per-column, simd gemm >= 1.5x scalar) vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_ml -- target/bench_ml.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_0004.json target/bench_ml.json --tolerance 10
+    BENCH_ml.json target/bench_ml.json --tolerance 10
 
 echo "== bench partition (edge-cut / halo-surface quality) vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_partition -- target/bench_partition.json

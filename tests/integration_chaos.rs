@@ -10,7 +10,7 @@
 
 use grist_core::{Checkpoint, GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::{exchange_gathered_chaos, halo_fault_key, run_world, VarList};
+use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use sunway_sim::{FaultPlan, FaultSite, Substrate};
 
 /// Seed for the storms below; override with `CHAOS_SEED=<n>`.
@@ -232,8 +232,11 @@ fn run_halo_storm(plan: &FaultPlan, sub: &Substrate) -> (Vec<Vec<f64>>, Vec<u32>
                 let failed_here = {
                     let mut list = VarList::new();
                     list.push("phi", HALO_NLEV, &mut field);
-                    exchange_gathered_chaos(&mut ctx, locale, &mut list, tag, sub.metrics(), plan)
-                        .is_err()
+                    let xctx = ExchangeCtx {
+                        metrics: Some(sub.metrics()),
+                        plan: Some(plan),
+                    };
+                    xctx.exchange(&mut ctx, locale, &mut list, tag).is_err()
                 };
                 // Every rank agrees on whether the round survived before
                 // anyone commits to the result.

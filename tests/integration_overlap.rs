@@ -8,10 +8,7 @@
 use grist_core::{DynStepMode, GristModel, HaloPhase, RunConfig};
 use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::{
-    exchange_gathered, exchange_gathered_begin, exchange_gathered_complete, halo_fault_key,
-    run_world, VarList,
-};
+use grist_runtime::{exchange_gathered, halo_fault_key, run_world, ExchangeCtx, VarList};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use sunway_sim::{FaultPlan, FaultSite, Substrate};
@@ -287,25 +284,21 @@ fn model_halo_hook_brackets_every_dyn_step() {
                 b.fetch_add(1, Ordering::Relaxed);
                 let mut list = VarList::new();
                 list.push("dpi", state.dpi.nlev(), state.dpi.as_mut_slice());
-                pending = Some(exchange_gathered_begin(
-                    &mut ctx,
-                    &locale,
-                    &list,
-                    500 + step,
-                ));
+                pending = Some(ExchangeCtx::default().begin(&mut ctx, &locale, &list, 500 + step));
                 step += 1;
             }
             HaloPhase::Complete => {
                 c.fetch_add(1, Ordering::Relaxed);
                 let mut list = VarList::new();
                 list.push("dpi", state.dpi.nlev(), state.dpi.as_mut_slice());
-                let receipt = exchange_gathered_complete(
-                    pending.take().expect("Complete without a pending Begin"),
-                    &mut ctx,
-                    &locale,
-                    &mut list,
-                )
-                .expect("fault-free exchange");
+                let receipt = ExchangeCtx::default()
+                    .complete(
+                        pending.take().expect("Complete without a pending Begin"),
+                        &mut ctx,
+                        &locale,
+                        &mut list,
+                    )
+                    .expect("fault-free exchange");
                 m.fetch_add(receipt.messages_sent, Ordering::Relaxed);
             }
         }));

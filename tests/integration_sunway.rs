@@ -45,8 +45,8 @@ fn dycore_cost_descriptors_drive_the_fig9_model() {
         ),
     ];
     for k in &kernels {
-        let base = kernel_time(k, ExecTarget::MpeDp, &spec, &model);
-        let best = kernel_time(k, ExecTarget::CpeMixDst, &spec, &model);
+        let base = kernel_time(k, ExecTarget::MpeDp, &spec, &model, None);
+        let best = kernel_time(k, ExecTarget::CpeMixDst, &spec, &model, None);
         let speedup = base / best;
         assert!(
             (5.0..150.0).contains(&speedup),
@@ -57,7 +57,8 @@ fn dycore_cost_descriptors_drive_the_fig9_model() {
     // The paper's ordering claims.
     let s = |name: &str, t: ExecTarget| {
         let k = kernels.iter().find(|k| k.name == name).unwrap();
-        kernel_time(k, ExecTarget::MpeDp, &spec, &model) / kernel_time(k, t, &spec, &model)
+        kernel_time(k, ExecTarget::MpeDp, &spec, &model, None)
+            / kernel_time(k, t, &spec, &model, None)
     };
     assert!(
         s("primal_normal_flux_edge", ExecTarget::CpeMixDst)
@@ -162,7 +163,7 @@ fn mixed_precision_halves_modeled_memory_time_workspace_wide() {
     let k32 = to_spec("grad_ke", grad_kinetic_energy_cost::<f32>(122_880, 30));
     // Same flops, half the bytes.
     assert_eq!(k64.flops_per_point, k32.flops_per_point);
-    let t64 = kernel_time(&k64, ExecTarget::CpeDpDst, &spec, &model);
-    let t32 = kernel_time(&k32, ExecTarget::CpeMixDst, &spec, &model);
+    let t64 = kernel_time(&k64, ExecTarget::CpeDpDst, &spec, &model, None);
+    let t32 = kernel_time(&k32, ExecTarget::CpeMixDst, &spec, &model, None);
     assert!((1.4..2.3).contains(&(t64 / t32)), "MIX ratio {}", t64 / t32);
 }

@@ -8,7 +8,7 @@
 use grist_core::{GristModel, MlSuite, RunConfig, DEFAULT_ML_BLOCK};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_physics::Column;
-use grist_runtime::{exchange_gathered_chaos, halo_fault_key, run_world, VarList};
+use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use sunway_sim::{
     analyze, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Json, Metrics,
     RooflineInputs, Substrate, SunwaySpec,
@@ -56,7 +56,11 @@ fn run_traced_world() -> Metrics {
         let mut h = vec![0.0f64; n * NLEV];
         let mut list = VarList::new();
         list.push("h", NLEV, &mut h);
-        let r = exchange_gathered_chaos(&mut ctx, locale, &mut list, 7, metrics_ref, &halo_plan);
+        let xctx = ExchangeCtx {
+            metrics: Some(metrics_ref),
+            plan: Some(&halo_plan),
+        };
+        let r = xctx.exchange(&mut ctx, locale, &mut list, 7);
         assert_eq!(r.is_err(), ctx.rank == vrank, "only the victim rank fails");
     });
     metrics.tracer().disable();
