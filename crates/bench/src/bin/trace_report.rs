@@ -161,7 +161,11 @@ fn main() {
         if let Some(dir) = std::path::Path::new(path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        grist_bench::emit_doc("trace_report", Some(path), &text);
+        std::fs::write(path, &text).unwrap_or_else(|e| {
+            eprintln!("trace_report: cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("trace_report: wrote {path} ({} bytes)", text.len());
     }
 
     if json_mode {

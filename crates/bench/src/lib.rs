@@ -87,11 +87,7 @@ pub fn emit_doc(bin: &str, path: Option<&str>, text: &str) {
             });
             eprintln!("{bin}: wrote {path} ({} bytes)", text.len());
         }
-        None => {
-            std::io::stdout()
-                .write_all(text.as_bytes())
-                .expect("stdout");
-        }
+        None => print!("{text}"),
     }
 }
 

@@ -37,7 +37,9 @@ pub enum DynStepMode {
 /// emulation of the multi-rank drivers: every rank computes the full grid,
 /// and the exchange keeps the halo cells consistent with their owners).
 /// `metrics` turns on counter/trace recording; `plan` arms the chaos
-/// truncation schedule on the receive side. On an [`ExchangeError`] the
+/// truncation schedule on the receive side. The two are independent fields
+/// of one [`ExchangeCtx`]: a `plan` without `metrics` still injects its
+/// truncations, it just counts them nowhere. On an [`ExchangeError`] the
 /// remainder phase of stage 1 is skipped and the step's output state is
 /// unusable — callers must treat the error as fatal for this step, exactly
 /// like the synchronous drivers do.

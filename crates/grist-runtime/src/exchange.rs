@@ -197,8 +197,9 @@ pub fn halo_fault_key(rank: usize, src: usize, tag: u32) -> u64 {
 /// `plan` arms the chaos truncation schedule: before each received message
 /// is unpacked, the plan decides (keyed on [`halo_fault_key`]) whether it
 /// was truncated in flight. An injected truncation drops the buffer's
-/// trailing value and ticks `fault.injected`; the damage then surfaces
-/// through the normal malformed-buffer detection as a typed
+/// trailing value and ticks `fault.injected` (when a registry is attached
+/// — the two fields are independent, a plan alone still injects); the
+/// damage then surfaces through the normal malformed-buffer detection as a typed
 /// [`ExchangeError`] — the same error path a real size mismatch takes, so
 /// recovery code handles both alike. On error the remaining messages of the
 /// round are left un-received; a retry after checkpoint restore must use a
@@ -668,6 +669,7 @@ mod tests {
         let clean_rows = [
             ("none", false, None),
             ("metrics", true, None),
+            ("quiet plan only", false, Some(&quiet)),
             ("metrics+quiet plan", true, Some(&quiet)),
         ];
         for (label, metered, plan) in clean_rows {
@@ -699,25 +701,30 @@ mod tests {
         }
 
         // The pinned truncation surfaces as the same typed error through
-        // both protocols, on exactly the named message.
-        let (sync, ..) = run_round(&layout, n, true, Some(&pinned), false, tag);
-        let (asyn, ..) = run_round(&layout, n, true, Some(&pinned), true, tag);
-        for (r, (s, a)) in sync.iter().zip(&asyn).enumerate() {
-            assert_eq!(s.result, a.result, "rank {r}: sync and async results");
-            assert_eq!(s.counters, a.counters, "rank {r}: sync and async counters");
-            if r == rank {
-                let e = s.result.clone().expect_err("the pinned message must fail");
-                assert_eq!(e.src, src);
-                assert_eq!(e.tag, tag);
-                assert_eq!(
-                    e.got_values,
-                    e.expected_values - 1,
-                    "truncation drops exactly the trailing value"
-                );
-                assert_eq!(s.counters, [0, 0, 0, 1], "one injection, no counted round");
-            } else {
-                assert_eq!(s.result, reference[r].result, "rank {r} was not targeted");
-                assert_eq!(s.counters[3], 0, "rank {r} was not targeted");
+        // both protocols, on exactly the named message — with or without a
+        // registry: a plan alone still injects, it just counts nowhere.
+        for metered in [true, false] {
+            let (sync, ..) = run_round(&layout, n, metered, Some(&pinned), false, tag);
+            let (asyn, ..) = run_round(&layout, n, metered, Some(&pinned), true, tag);
+            for (r, (s, a)) in sync.iter().zip(&asyn).enumerate() {
+                let at = format!("metered {metered}, rank {r}");
+                assert_eq!(s.result, a.result, "{at}: sync and async results");
+                assert_eq!(s.counters, a.counters, "{at}: sync and async counters");
+                if r == rank {
+                    let e = s.result.clone().expect_err("the pinned message must fail");
+                    assert_eq!(e.src, src);
+                    assert_eq!(e.tag, tag);
+                    assert_eq!(
+                        e.got_values,
+                        e.expected_values - 1,
+                        "truncation drops exactly the trailing value"
+                    );
+                    let want = [0, 0, 0, u64::from(metered)];
+                    assert_eq!(s.counters, want, "{at}: one injection, no counted round");
+                } else {
+                    assert_eq!(s.result, reference[r].result, "{at} was not targeted");
+                    assert_eq!(s.counters[3], 0, "{at} was not targeted");
+                }
             }
         }
     }

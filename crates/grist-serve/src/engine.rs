@@ -243,7 +243,7 @@ pub struct QueryEngine<R: Real> {
     lons: Vec<f64>,
     sub: Substrate,
     cache_enabled: bool,
-    obs: Option<Arc<ObsPlane>>,
+    pub(crate) obs: Option<Arc<ObsPlane>>,
 }
 
 impl<R: Real> QueryEngine<R> {
@@ -300,11 +300,6 @@ impl<R: Real> QueryEngine<R> {
     pub fn with_obs(mut self, plane: Arc<ObsPlane>) -> Self {
         self.obs = Some(plane);
         self
-    }
-
-    /// The telemetry plane attached with [`Self::with_obs`], if any.
-    pub fn obs(&self) -> Option<&Arc<ObsPlane>> {
-        self.obs.as_ref()
     }
 
     /// The engine's substrate (counters: `serve.queries`, `serve.batches`,

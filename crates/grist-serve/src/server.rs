@@ -74,7 +74,7 @@ impl ForecastServer {
     /// ([`QueryEngine::with_obs`]), if any.
     pub fn start<R: Real>(engine: Arc<QueryEngine<R>>, cfg: ServeConfig) -> Self {
         assert!(cfg.workers >= 1 && cfg.max_batch >= 1);
-        let obs = engine.obs().cloned();
+        let obs = engine.obs.clone();
         let metrics = engine.substrate().metrics().clone();
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -324,7 +324,7 @@ mod tests {
         let q = Query::cell(0, 3, Product::T2m);
         let served = server.query_blocking(q.clone()).unwrap();
         assert_eq!(served, engine.serve_one_percol(&q).unwrap());
-        assert!(engine.obs().is_none());
+        assert!(engine.obs.is_none());
         server.shutdown();
         // No plane, no IDs: the traced run carries no flow event at all.
         let snap = engine.substrate().metrics().tracer().snapshot();

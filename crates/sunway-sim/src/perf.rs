@@ -389,17 +389,16 @@ mod tests {
         let m = crate::metrics::Metrics::default();
         let rrr = kernels.iter().find(|k| k.name == "compute_rrr").unwrap();
         // MPE path: no simulated cache, no counters.
-        let t_mpe = kernel_time(rrr, ExecTarget::MpeDp, &spec, &model, Some(&m));
+        let time = |t, reg| kernel_time(rrr, t, &spec, &model, reg);
         assert_eq!(
-            t_mpe,
-            kernel_time(rrr, ExecTarget::MpeDp, &spec, &model, None)
+            time(ExecTarget::MpeDp, Some(&m)),
+            time(ExecTarget::MpeDp, None)
         );
         assert_eq!(m.counter("ldcache.misses"), 0);
         // CPE path: identical time, counters populated.
-        let t_cpe = kernel_time(rrr, ExecTarget::CpeMix, &spec, &model, Some(&m));
         assert_eq!(
-            t_cpe,
-            kernel_time(rrr, ExecTarget::CpeMix, &spec, &model, None)
+            time(ExecTarget::CpeMix, Some(&m)),
+            time(ExecTarget::CpeMix, None)
         );
         assert!(m.counter("ldcache.hits") + m.counter("ldcache.misses") > 0);
         assert_eq!(m.counter("alloc.allocations"), rrr.arrays as u64);

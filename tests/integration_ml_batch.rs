@@ -89,10 +89,7 @@ fn batched_results_are_independent_of_execution_target() {
 #[test]
 fn batched_steady_state_allocates_nothing_after_warmup() {
     let nlev = 10;
-    // Two *full* blocks: an arena that met a short tail block first and a
-    // full one later would grow twice, and the per-arena bound below counts
-    // growths.
-    let cols = random_columns(nlev, 2 * DEFAULT_ML_BLOCK, 5);
+    let cols = random_columns(nlev, 48, 5); // 2 blocks at the default size
     let n_blocks = cols.len().div_ceil(DEFAULT_ML_BLOCK) as u64;
 
     // Serial: exactly one arena, and the event counter must go flat after
