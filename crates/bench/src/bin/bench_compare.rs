@@ -3,8 +3,10 @@
 //!
 //! Usage:
 //!   cargo run --release -p grist-bench --bin bench_compare -- \
-//!       OLD.json NEW.json [--tolerance PCT] [--time-tolerance PCT] \
-//!       [--markdown-summary]
+//!       OLD.json NEW.json [--markdown-summary]
+//!
+//! The bands are [`CompareConfig::default`]: deterministic counters ±10%,
+//! wall times +400%.
 //!
 //! `--markdown-summary` additionally prints a baseline-vs-current delta
 //! table as GitHub-flavored markdown on stdout, for appending to
@@ -19,32 +21,17 @@ use grist_bench::compare::{compare_docs, markdown_delta_table, CompareConfig};
 use sunway_sim::Json;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_compare OLD.json NEW.json [--tolerance PCT] [--time-tolerance PCT] \
-         [--markdown-summary]"
-    );
+    eprintln!("usage: bench_compare OLD.json NEW.json [--markdown-summary]");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
-    let mut cfg = CompareConfig::default();
+    let cfg = CompareConfig::default();
     let mut markdown = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut pct = |name: &str| -> f64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("bench_compare: {name} needs a non-negative percentage");
-                    usage();
-                })
-        };
+    for a in &args {
         match a.as_str() {
-            "--tolerance" => cfg.tolerance = pct("--tolerance"),
-            "--time-tolerance" => cfg.time_tolerance = pct("--time-tolerance"),
             "--markdown-summary" => markdown = true,
             _ if a.starts_with("--") => usage(),
             other => paths.push(other),

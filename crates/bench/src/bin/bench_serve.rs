@@ -3,33 +3,27 @@
 //!
 //! Usage:
 //!   cargo run --release -p grist-bench --bin bench_serve -- \
-//!       [OUT.json] [--min-speedup X]
+//!       [OUT.json]
 //!
 //! Defaults to stdout when no path is given. The binary fails (exit 1) when
-//! the batched dispatch path is slower than `--min-speedup` × the per-query
-//! reference path (acceptance floor 2×), or when the bitwise
-//! recompute-from-checkpoint verification covered nothing. The verification
-//! itself has no tolerance: any served product differing from its source
-//! checkpoint by a single bit panics inside the run. Pass 0 to the flag to
-//! disable the speedup gate when exploring.
+//! the batched dispatch path is slower than [`MIN_SPEEDUP`] × the per-query
+//! reference path, or when the bitwise recompute-from-checkpoint
+//! verification covered nothing. The verification itself has no tolerance:
+//! any served product differing from its source checkpoint by a single bit
+//! panics inside the run.
+
+/// Acceptance floor: batched dispatch over the per-query reference path.
+const MIN_SPEEDUP: f64 = 2.0;
 
 fn main() {
     let mut out_path: Option<String> = None;
-    let mut min_speedup = 2.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--min-speedup" => {
-                min_speedup = args
-                    .next()
-                    .unwrap_or_else(|| usage("--min-speedup needs a value"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("--min-speedup value must be a number"));
-            }
-            _ if arg.starts_with("--") => usage(&format!("unknown flag {arg}")),
-            _ if out_path.is_none() => out_path = Some(arg),
-            _ => usage("at most one output path"),
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            usage(&format!("unknown flag {arg}"));
+        } else if out_path.is_some() {
+            usage("at most one output path");
         }
+        out_path = Some(arg);
     }
 
     let bench = grist_bench::serve::run_serve();
@@ -46,9 +40,9 @@ fn main() {
         eprintln!("bench_serve: FAIL — the bitwise verification covered no products");
         std::process::exit(1);
     }
-    if bench.speedup < min_speedup {
+    if bench.speedup < MIN_SPEEDUP {
         eprintln!(
-            "bench_serve: FAIL — batched speedup {:.2}x below the {min_speedup}x floor",
+            "bench_serve: FAIL — batched speedup {:.2}x below the {MIN_SPEEDUP}x floor",
             bench.speedup
         );
         std::process::exit(1);
@@ -56,9 +50,6 @@ fn main() {
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "bench_serve: {msg}\n\
-         usage: bench_serve [OUT.json] [--min-speedup X]"
-    );
+    eprintln!("bench_serve: {msg}\nusage: bench_serve [OUT.json]");
     std::process::exit(2);
 }

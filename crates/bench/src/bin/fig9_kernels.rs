@@ -7,9 +7,7 @@
 //!    the Fig. 9 reproduction proper, and
 //! 2. measured host-CPU timings of the *real* kernels in f64 vs f32 — the
 //!    portable sanity check that mixed precision pays off on bandwidth-bound
-//!    kernels on commodity hardware too. The f64 pass is also run with the
-//!    scalar-reference kernels (`KernelMode::ScalarReference`) so the lane
-//!    kernels' measured speedup shows up next to the precision ratio.
+//!    kernels on commodity hardware too.
 //!
 //! Pass `--json` to emit one machine-readable document (schema
 //! `grist-fig9-v1`) on stdout instead of the tables/CSVs.
@@ -21,7 +19,7 @@ use grist_dycore::{Field2, Real};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::time::Instant;
 use sunway_sim::perf::{fig9_kernels, fig9_table, ExecTarget, PerfModel};
-use sunway_sim::{format_kernel_report, Json, KernelMode, Substrate, SunwaySpec};
+use sunway_sim::{format_kernel_report, Json, Substrate, SunwaySpec};
 
 fn time_host_kernels<R: Real>(
     sub: &Substrate,
@@ -83,11 +81,6 @@ fn main() {
     let mesh = HexMesh::build(5);
     let reps = 10;
     let sub = Substrate::cpe_teams(64);
-    // Scalar-reference pass first, then the lane kernels (the production
-    // default) for the f64/f32 comparison — same substrate, mode-switched.
-    sub.set_kernel_mode(KernelMode::ScalarReference);
-    let t64_scalar = time_host_kernels::<f64>(&sub, &mesh, nlev, reps);
-    sub.set_kernel_mode(KernelMode::Simd);
     let t64 = time_host_kernels::<f64>(&sub, &mesh, nlev, reps);
     let t32 = time_host_kernels::<f32>(&sub, &mesh, nlev, reps);
 
@@ -99,12 +92,10 @@ fn main() {
             }
         }
         let mut host: Vec<(String, Json)> = Vec::new();
-        for (((name, a), (_, b)), (_, s)) in t64.iter().zip(&t32).zip(&t64_scalar) {
-            host.push((format!("{name}.scalar_f64_ms"), Json::Num(s * 1e3)));
+        for ((name, a), (_, b)) in t64.iter().zip(&t32) {
             host.push((format!("{name}.f64_ms"), Json::Num(a * 1e3)));
             host.push((format!("{name}.f32_ms"), Json::Num(b * 1e3)));
             host.push((format!("{name}.ratio"), Json::Num(a / b)));
-            host.push((format!("{name}.lanes_speedup"), Json::Num(s / a)));
         }
         let doc = Json::Obj(vec![
             ("schema".into(), Json::Str("grist-fig9-v1".into())),
@@ -149,23 +140,9 @@ fn main() {
     println!("\nPaper band check: major-kernel CPE-MIX+DST speedups should sit near 20–70x\n");
 
     println!("# Host measurement: real kernels, f64 vs f32 (G5 grid, {nlev} levels)\n");
-    let mut th = Table::new(&[
-        "kernel",
-        "scalar f64 (ms)",
-        "f64 (ms)",
-        "f32 (ms)",
-        "f64/f32",
-        "lanes",
-    ]);
-    for (((name, a), (_, b)), (_, s)) in t64.iter().zip(&t32).zip(&t64_scalar) {
-        th.row(&[
-            name.to_string(),
-            fmt(s * 1e3),
-            fmt(a * 1e3),
-            fmt(b * 1e3),
-            fmt(a / b),
-            fmt(s / a),
-        ]);
+    let mut th = Table::new(&["kernel", "f64 (ms)", "f32 (ms)", "f64/f32"]);
+    for ((name, a), (_, b)) in t64.iter().zip(&t32) {
+        th.row(&[name.to_string(), fmt(a * 1e3), fmt(b * 1e3), fmt(a / b)]);
     }
     th.print();
     th.write_csv("fig9_host").expect("csv");

@@ -91,11 +91,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     pub fn with_ml_physics(mut self, ml: bool) -> Self {
         self.ml_physics = ml;
         self

@@ -32,9 +32,7 @@ use grist_ml::{cnn_batch_flops, mlp_batch_flops, GemmVariant};
 use grist_physics::column::consts::LVAP;
 use grist_physics::surface::{bulk_fluxes, SurfaceConfig};
 use grist_physics::{Column, SurfaceDiag, Tendencies};
-use sunway_sim::{
-    stage_chunks, ColumnsMut, CopyStats, DmaMode, KernelMode, LdmArena, Substrate, SunwaySpec,
-};
+use sunway_sim::{stage_chunks, ColumnsMut, CopyStats, DmaMode, LdmArena, Substrate, SunwaySpec};
 
 /// Default number of columns per batched dispatch block. Sized so the
 /// largest LDM-*resident* panel (an activation matrix, `ch × B·nlev` f32:
@@ -59,15 +57,23 @@ struct BlockScratch {
 }
 
 impl BlockScratch {
-    fn ensure(&mut self, b: usize, nlev: usize, n_in_mlp: usize, n_out_mlp: usize) {
-        let want = b * CNN_INPUT_CHANNELS * nlev;
+    /// Size every buffer for the suite's configured block (or `b`, if a
+    /// larger block ever arrives) rather than for the block that happens to
+    /// arrive, so a pooled arena that meets a short tail block first does
+    /// not grow a second time when a full block follows.
+    fn ensure(&mut self, suite: &MlSuite, b: usize) {
+        let cap = suite.block.max(b);
+        let nlev = suite.nlev;
+        let want = cap * CNN_INPUT_CHANNELS * nlev;
         if self.xs_cnn.len() < want {
             self.grows += 1;
             self.xs_cnn.resize(want, 0.0);
-            self.ys_cnn.resize(b * CNN_OUTPUT_CHANNELS * nlev, 0.0);
-            self.xs_mlp.resize(b * n_in_mlp, 0.0);
-            self.ys_mlp.resize(b * n_out_mlp, 0.0);
+            self.ys_cnn.resize(cap * CNN_OUTPUT_CHANNELS * nlev, 0.0);
+            self.xs_mlp.resize(cap * suite.mlp.n_in, 0.0);
+            self.ys_mlp.resize(cap * suite.mlp.n_out, 0.0);
         }
+        self.cnn.reserve(&suite.cnn, cap);
+        self.mlp.reserve(&suite.mlp, cap);
     }
 
     fn alloc_events(&self) -> u64 {
@@ -274,7 +280,7 @@ impl MlSuite {
         let b = block.len();
         let nlev = self.nlev;
         let (n_in, n_out) = (self.mlp.n_in, self.mlp.n_out);
-        s.ensure(b, nlev, n_in, n_out);
+        s.ensure(self, b);
 
         // Pack the stage matrices (row per column), raw physical units.
         let xs_cnn = &mut s.xs_cnn[..b * CNN_INPUT_CHANNELS * nlev];
@@ -341,12 +347,8 @@ impl MlSuite {
             }
         }
 
-        // One im2col+GEMM pass per network for the whole block, on the
-        // microkernel the substrate's KernelMode selects.
-        let variant = match self.sub.kernel_mode() {
-            KernelMode::ScalarReference => GemmVariant::Scalar,
-            KernelMode::Simd => GemmVariant::Simd,
-        };
+        // One im2col+GEMM pass per network for the whole block.
+        let variant = GemmVariant::default();
         let ys_cnn = &mut s.ys_cnn[..b * CNN_OUTPUT_CHANNELS * nlev];
         self.cnn.infer_batch(variant, b, xs_cnn, ys_cnn, &mut s.cnn);
         let ys_mlp = &mut s.ys_mlp[..b * n_out];
@@ -555,28 +557,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_dma_modes_are_bitwise_equivalent() {
+    fn dma_modes_are_bitwise_equivalent() {
         let mut suite = MlSuite::untrained(9, 8, 13);
         suite.block = 4;
         let cols = varied_columns(9, 11);
-        let reference = {
-            suite.sub.set_kernel_mode(KernelMode::ScalarReference);
-            suite.sub.set_dma_mode(DmaMode::Synchronous);
-            suite.step_columns(&cols)
-        };
-        for kernel in [KernelMode::ScalarReference, KernelMode::Simd] {
-            for dma in [DmaMode::Synchronous, DmaMode::DoubleBuffered] {
-                suite.sub.set_kernel_mode(kernel);
-                suite.sub.set_dma_mode(dma);
-                let got = suite.step_columns(&cols);
-                for (a, b) in got.iter().zip(&reference) {
-                    assert_eq!(a.tend.dt_dt, b.tend.dt_dt, "{kernel:?}/{dma:?}");
-                    assert_eq!(a.tend.dqv_dt, b.tend.dqv_dt, "{kernel:?}/{dma:?}");
-                    assert_eq!(a.diag.gsw, b.diag.gsw, "{kernel:?}/{dma:?}");
-                    assert_eq!(a.diag.glw, b.diag.glw, "{kernel:?}/{dma:?}");
-                    assert_eq!(a.diag.precip, b.diag.precip, "{kernel:?}/{dma:?}");
-                }
-            }
+        suite.sub.set_dma_mode(DmaMode::Synchronous);
+        let reference = suite.step_columns(&cols);
+        suite.sub.set_dma_mode(DmaMode::DoubleBuffered);
+        let got = suite.step_columns(&cols);
+        for (a, b) in got.iter().zip(&reference) {
+            assert_eq!(a.tend.dt_dt, b.tend.dt_dt);
+            assert_eq!(a.tend.dqv_dt, b.tend.dqv_dt);
+            assert_eq!(a.diag.gsw, b.diag.gsw);
+            assert_eq!(a.diag.glw, b.diag.glw);
+            assert_eq!(a.diag.precip, b.diag.precip);
         }
     }
 
@@ -609,6 +603,21 @@ mod tests {
             suite.scratch_alloc_events(),
             warm,
             "batched inference allocated in steady state"
+        );
+    }
+
+    #[test]
+    fn arena_growth_is_independent_of_block_arrival_order() {
+        // A pooled arena that meets a short tail block before a full one
+        // (as a CPE worker can) must already be sized for the full block.
+        let suite = MlSuite::untrained(8, 8, 5);
+        suite.step_columns(&varied_columns(8, DEFAULT_ML_BLOCK / 2));
+        let first = suite.scratch_alloc_events();
+        suite.step_columns(&varied_columns(8, DEFAULT_ML_BLOCK));
+        assert_eq!(
+            suite.scratch_alloc_events(),
+            first,
+            "arena sized by the arriving block, not the configured one"
         );
     }
 

@@ -213,11 +213,6 @@ impl<R: Real> GristModel<R> {
         self.halo_hook = Some(hook);
     }
 
-    /// Remove the halo hook (single-rank operation).
-    pub fn clear_halo_hook(&mut self) {
-        self.halo_hook = None;
-    }
-
     /// Add an idealized continent (rebuilding the per-column land states
     /// for the conventional suite).
     pub fn add_continent(&mut self, lat_range: (f64, f64), lon_range: (f64, f64)) {

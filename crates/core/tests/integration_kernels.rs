@@ -1,16 +1,15 @@
-//! The CI kernel-equivalence matrix: one test binary run in all four
-//! {scalar-reference, simd} × {sync-dma, double-buffered} cells (selected
-//! through the `GRIST_SIMD` / `GRIST_DMA` env vars), asserting that every
-//! vectorized or pipelined path is **bitwise identical** to the scalar
+//! The CI kernel-equivalence matrix: one test binary run in both
+//! {sync-dma, double-buffered} cells (selected through the `GRIST_DMA` env
+//! var), asserting that the pipelined path is **bitwise identical** to the
 //! synchronous oracle.
 //!
 //! Two layers of coverage:
 //!
 //! * env-driven — fresh substrates pick up the ambient matrix cell, so
-//!   `ambient_mode_matches_the_scalar_sync_oracle` proves whatever cell CI
+//!   `ambient_mode_matches_the_sync_oracle` proves whatever cell CI
 //!   selected against an explicitly-pinned oracle;
-//! * explicit — the full 2×2 grid is swept in-process regardless of env,
-//!   so a local `cargo test` covers all cells too.
+//! * explicit — both modes are swept in-process regardless of env, so a
+//!   local `cargo test` covers both cells too.
 //!
 //! Plus the DMA staging edge cases from the issue: empty input, one chunk,
 //! odd chunk counts, non-divisible tails, byte-counter parity between the
@@ -18,12 +17,9 @@
 //! must drain the in-flight chunk and degrade to the serial path cleanly.
 
 use grist_core::MlSuite;
-use grist_dycore::kernels as dk;
-use grist_dycore::Field2;
 use grist_physics::Column;
 use sunway_sim::{
-    stage_chunks, CopyStats, DmaMode, FaultPlan, FaultSite, KernelMode, LdmArena, Substrate,
-    SunwaySpec,
+    stage_chunks, CopyStats, DmaMode, FaultPlan, FaultSite, LdmArena, Substrate, SunwaySpec,
 };
 
 const NLEV: usize = 19;
@@ -68,90 +64,48 @@ fn ml_bits(suite: &MlSuite, cols: &[Column]) -> Vec<u64> {
     bits
 }
 
-/// Run the mesh-free dycore kernels on `sub`; return all outputs as bits.
-fn dycore_bits(sub: &Substrate) -> Vec<u64> {
-    let (nc, ne) = (90, 120);
-    let dpi = Field2::<f64>::from_fn(NLEV, nc, |k, c| 780.0 + (k * 7 + c) as f64 * 0.3);
-    let dphi = Field2::<f64>::from_fn(NLEV, nc, |k, c| 2100.0 + ((k + c) % 11) as f64);
-    let qv = Field2::<f64>::from_fn(NLEV, nc, |k, c| 1e-3 * (1.0 + ((k * c) % 5) as f64));
-    let q0 = Field2::<f64>::zeros(NLEV, nc);
-    let theta = Field2::<f64>::from_fn(NLEV, nc, |k, c| 295.0 + ((k + 2 * c) % 17) as f64);
-    let pv = Field2::<f64>::from_fn(NLEV, ne, |k, e| 1e-4 * (1.0 + ((k + e) % 9) as f64));
-    let vt = Field2::<f64>::from_fn(NLEV, ne, |k, e| ((e * 3 + k) % 13) as f64 - 6.0);
-    let mut rrr = Field2::<f64>::zeros(NLEV, nc);
-    let mut cor = Field2::<f64>::zeros(NLEV, ne);
-    dk::compute_rrr(sub, &dpi, &dphi, &qv, &q0, &q0, &theta, &mut rrr);
-    dk::calc_coriolis_term(sub, &pv, &vt, &mut cor);
-    rrr.as_slice()
-        .iter()
-        .chain(cor.as_slice())
-        .map(|v| v.to_bits())
-        .collect()
-}
-
 fn oracle_sub() -> Substrate {
     let sub = Substrate::serial();
-    sub.set_kernel_mode(KernelMode::ScalarReference);
     sub.set_dma_mode(DmaMode::Synchronous);
     sub
 }
 
-/// Whatever cell `GRIST_SIMD`/`GRIST_DMA` selected for this process must
-/// agree bit-for-bit with the pinned scalar/sync oracle — this is the
-/// assertion each CI matrix job runs.
+/// Whatever cell `GRIST_DMA` selected for this process must agree
+/// bit-for-bit with the pinned sync oracle — this is the assertion each CI
+/// matrix job runs.
 #[test]
-fn ambient_mode_matches_the_scalar_sync_oracle() {
+fn ambient_mode_matches_the_sync_oracle() {
     let cols = columns(NCOLS);
 
     let mut ambient = MlSuite::untrained(NLEV, 16, 9);
-    ambient.sub = Substrate::cpe_teams(4); // fresh substrate: env-selected modes
+    ambient.sub = Substrate::cpe_teams(4); // fresh substrate: env-selected mode
     let mut oracle = MlSuite::untrained(NLEV, 16, 9);
     oracle.sub = oracle_sub();
     assert_eq!(
         ml_bits(&ambient, &cols),
         ml_bits(&oracle, &cols),
-        "ML inference in mode ({:?}, {:?}) diverges from the scalar/sync oracle",
-        ambient.sub.kernel_mode(),
+        "ML inference in mode {:?} diverges from the sync oracle",
         ambient.sub.dma_mode(),
-    );
-
-    assert_eq!(
-        dycore_bits(&Substrate::serial()),
-        dycore_bits(&oracle_sub()),
-        "dycore kernels in the ambient mode diverge from the scalar oracle"
     );
 }
 
-/// The full 2×2 matrix, swept explicitly so local runs don't depend on env.
+/// Both DMA modes, swept explicitly so local runs don't depend on env.
 #[test]
-fn explicit_mode_grid_is_bitwise_closed() {
+fn explicit_dma_modes_are_bitwise_closed() {
     let cols = columns(NCOLS);
     let mut oracle = MlSuite::untrained(NLEV, 16, 9);
     oracle.sub = oracle_sub();
     let want = ml_bits(&oracle, &cols);
-    let want_dycore = dycore_bits(&oracle_sub());
 
-    for kernel in [KernelMode::ScalarReference, KernelMode::Simd] {
-        for dma in [DmaMode::Synchronous, DmaMode::DoubleBuffered] {
-            let mut suite = MlSuite::untrained(NLEV, 16, 9);
-            suite.sub = Substrate::cpe_teams(4);
-            suite.sub.set_kernel_mode(kernel);
-            suite.sub.set_dma_mode(dma);
-            assert_eq!(
-                ml_bits(&suite, &cols),
-                want,
-                "ML cell ({kernel:?}, {dma:?}) diverges from the oracle"
-            );
-
-            let sub = Substrate::serial();
-            sub.set_kernel_mode(kernel);
-            sub.set_dma_mode(dma);
-            assert_eq!(
-                dycore_bits(&sub),
-                want_dycore,
-                "dycore cell ({kernel:?}, {dma:?}) diverges from the oracle"
-            );
-        }
+    for dma in [DmaMode::Synchronous, DmaMode::DoubleBuffered] {
+        let mut suite = MlSuite::untrained(NLEV, 16, 9);
+        suite.sub = Substrate::cpe_teams(4);
+        suite.sub.set_dma_mode(dma);
+        assert_eq!(
+            ml_bits(&suite, &cols),
+            want,
+            "ML cell {dma:?} diverges from the oracle"
+        );
     }
 }
 
@@ -285,7 +239,6 @@ fn ml_staging_under_transient_faults_stays_bitwise_and_metered() {
 
     let mut suite = MlSuite::untrained(NLEV, 16, 9);
     suite.sub = Substrate::cpe_teams(4);
-    suite.sub.set_kernel_mode(KernelMode::Simd);
     suite.sub.set_dma_mode(DmaMode::DoubleBuffered);
     suite.sub.arm_faults(
         FaultPlan::new(5)

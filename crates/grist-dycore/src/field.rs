@@ -78,11 +78,6 @@ impl<R: Real> Field2<R> {
         &self.data[col * self.nlev..(col + 1) * self.nlev]
     }
 
-    #[inline]
-    pub fn col_mut(&mut self, col: usize) -> &mut [R] {
-        &mut self.data[col * self.nlev..(col + 1) * self.nlev]
-    }
-
     pub fn as_slice(&self) -> &[R] {
         &self.data
     }
@@ -122,11 +117,6 @@ impl<R: Real> Field2<R> {
     /// Lossless view as f64 for diagnostics.
     pub fn to_f64_vec(&self) -> Vec<f64> {
         self.data.iter().map(|x| x.to_f64()).collect()
-    }
-
-    /// Split into per-column mutable chunks for parallel columnar work.
-    pub fn par_columns_mut(&mut self) -> std::slice::ChunksMut<'_, R> {
-        self.data.chunks_mut(self.nlev)
     }
 
     pub fn min_value(&self) -> R {

@@ -13,15 +13,12 @@
 //! * `tracer_transport_hori_flux_limiter` — the FCT limiter (see
 //!   [`crate::tracer`]).
 
-use std::ops::{Add, Div, Mul, Neg, Sub};
-
 use crate::constants::{KAPPA, P0, RDRY};
 use crate::field::Field2;
-use crate::lanes::{lane_body, LaneVec, LANE_WIDTH};
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
-use sunway_sim::{ColumnsMut, KernelMode, Substrate};
+use sunway_sim::{ColumnsMut, Substrate};
 
 /// Static cost descriptor of one kernel invocation, per (level, element)
 /// point: the inputs of the roofline model.
@@ -62,7 +59,6 @@ pub fn grad_kinetic_energy<R: Real>(
     tend: &mut Field2<R>,
 ) {
     let nlev = ke.nlev();
-    let lanes = sub.kernel_mode() == KernelMode::Simd;
     let cols = ColumnsMut::new(tend.as_mut_slice(), nlev);
     // 4 streamed arrays per edge column (ke×2, inv_de, tend) — see
     // `grad_kinetic_energy_cost`; feeds the dma.* counters under CPE teams.
@@ -73,18 +69,7 @@ pub fn grad_kinetic_energy<R: Real>(
         let [c1, c2] = mesh.edge_cells[e];
         let (a, b) = (ke.col(c1 as usize), ke.col(c2 as usize));
         let inv = geom.inv_edge_de[e];
-        let body = if lanes { lane_body(nlev) } else { 0 };
-        let vinv = LaneVec::splat(inv);
-        let mut k = 0;
-        while k < body {
-            LaneVec::load(&b[k..])
-                .sub(LaneVec::load(&a[k..]))
-                .neg()
-                .mul(vinv)
-                .store(&mut col[k..]);
-            k += LANE_WIDTH;
-        }
-        for k in body..nlev {
+        for k in 0..nlev {
             col[k] = -(b[k] - a[k]) * inv;
         }
     });
@@ -168,7 +153,6 @@ pub fn compute_rrr<R: Real>(
 ) {
     let nlev = dpi.nlev();
     let rv_over_rd = R::from_f64(461.5 / RDRY);
-    let lanes = sub.kernel_mode() == KernelMode::Simd;
     let cols = ColumnsMut::new(rrr.as_mut_slice(), nlev);
     // 7 streamed arrays (dpi, dphi, qv, qc, qr, theta, rrr) per cell column.
     let bytes = 7 * nlev * R::BYTES;
@@ -178,28 +162,7 @@ pub fn compute_rrr<R: Real>(
         let (d, f) = (dpi.col(c), dphi.col(c));
         let (v, cc, r) = (qv.col(c), qc.col(c), qr.col(c));
         let t = theta.col(c);
-        let body = if lanes { lane_body(nlev) } else { 0 };
-        let one = LaneVec::splat(R::ONE);
-        let vrv = LaneVec::splat(rv_over_rd);
-        let t300 = LaneVec::splat(R::from_f64(300.0));
-        let stabc = LaneVec::splat(R::from_f64(1e-4));
-        let mut k = 0;
-        while k < body {
-            let vv = LaneVec::load(&v[k..]);
-            let moist = one.add(vv.mul(vrv));
-            let loading = one
-                .add(vv)
-                .add(LaneVec::load(&cc[k..]))
-                .add(LaneVec::load(&r[k..]));
-            let stab = one.add(LaneVec::load(&t[k..]).sub(t300).mul(stabc));
-            LaneVec::load(&d[k..])
-                .mul(moist)
-                .div(LaneVec::load(&f[k..]).mul(loading))
-                .mul(stab)
-                .store(&mut col[k..]);
-            k += LANE_WIDTH;
-        }
-        for k in body..nlev {
+        for k in 0..nlev {
             let moist = R::ONE + v[k] * rv_over_rd;
             let loading = R::ONE + v[k] + cc[k] + r[k];
             // θ-dependent stability factor keeps all seven streams live.
@@ -231,7 +194,6 @@ pub fn calc_coriolis_term<R: Real>(
     tend: &mut Field2<R>,
 ) {
     let nlev = vt.nlev();
-    let lanes = sub.kernel_mode() == KernelMode::Simd;
     let cols = ColumnsMut::new(tend.as_mut_slice(), nlev);
     // 3 streamed arrays (pv, vt, tend) per edge column.
     let bytes = 3 * nlev * R::BYTES;
@@ -239,15 +201,7 @@ pub fn calc_coriolis_term<R: Real>(
         // SAFETY: each edge index is dispatched exactly once.
         let col = unsafe { cols.col(e) };
         let (p, v) = (pv_edge.col(e), vt.col(e));
-        let body = if lanes { lane_body(nlev) } else { 0 };
-        let mut k = 0;
-        while k < body {
-            LaneVec::load(&p[k..])
-                .mul(LaneVec::load(&v[k..]))
-                .store(&mut col[k..]);
-            k += LANE_WIDTH;
-        }
-        for k in body..nlev {
+        for k in 0..nlev {
             col[k] = p[k] * v[k];
         }
     });
@@ -374,50 +328,6 @@ mod tests {
             for k in 0..3 {
                 assert_eq!(t.at(k, e), pv.at(k, e) * vt.at(k, e));
             }
-        }
-    }
-
-    #[test]
-    fn lane_kernels_match_scalar_reference_bitwise() {
-        use sunway_sim::KernelMode;
-        let (mesh, geom) = setup();
-        let scalar = Substrate::serial();
-        scalar.set_kernel_mode(KernelMode::ScalarReference);
-        let simd = Substrate::serial();
-        simd.set_kernel_mode(KernelMode::Simd);
-        // Levels chosen to exercise full lane groups, a ragged tail, and a
-        // tail-only column.
-        for nlev in [3usize, 8, 11, 19] {
-            let nc = mesh.n_cells();
-            let ne = mesh.n_edges();
-            let mk = |seed: usize, n: usize| {
-                Field2::from_fn(nlev, n, |k, i| {
-                    0.5 + ((k * 31 + i * 7 + seed) % 97) as f64 * 0.013
-                })
-            };
-            // compute_rrr
-            let (dpi, dphi) = (mk(1, nc), mk(2, nc));
-            let (qv, qc, qr) = (mk(3, nc), mk(4, nc), mk(5, nc));
-            let theta = mk(6, nc);
-            let mut r_s = Field2::zeros(nlev, nc);
-            let mut r_v = Field2::zeros(nlev, nc);
-            compute_rrr(&scalar, &dpi, &dphi, &qv, &qc, &qr, &theta, &mut r_s);
-            compute_rrr(&simd, &dpi, &dphi, &qv, &qc, &qr, &theta, &mut r_v);
-            assert_eq!(r_s.as_slice(), r_v.as_slice(), "compute_rrr nlev={nlev}");
-            // grad_kinetic_energy
-            let ke = mk(7, nc);
-            let mut g_s = Field2::zeros(nlev, ne);
-            let mut g_v = Field2::zeros(nlev, ne);
-            grad_kinetic_energy(&scalar, &mesh, &geom, &ke, &mut g_s);
-            grad_kinetic_energy(&simd, &mesh, &geom, &ke, &mut g_v);
-            assert_eq!(g_s.as_slice(), g_v.as_slice(), "grad_ke nlev={nlev}");
-            // calc_coriolis_term
-            let (pv, vt) = (mk(8, ne), mk(9, ne));
-            let mut c_s = Field2::zeros(nlev, ne);
-            let mut c_v = Field2::zeros(nlev, ne);
-            calc_coriolis_term(&scalar, &pv, &vt, &mut c_s);
-            calc_coriolis_term(&simd, &pv, &vt, &mut c_v);
-            assert_eq!(c_s.as_slice(), c_v.as_slice(), "coriolis nlev={nlev}");
         }
     }
 

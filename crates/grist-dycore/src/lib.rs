@@ -16,7 +16,6 @@ pub mod energetics;
 pub mod field;
 pub mod hevi;
 pub mod kernels;
-pub mod lanes;
 pub mod operators;
 pub mod real;
 pub mod swe;
@@ -28,7 +27,6 @@ pub use cfl::{cfl_report, max_acoustic_dt, CflReport};
 pub use energetics::{energy_budget, EnergyBudget};
 pub use field::{Field1, Field2};
 pub use hevi::{NhSolver, NhState};
-pub use lanes::{lane_body, LaneVec, LANE_WIDTH};
 pub use operators::ScaledGeometry;
 pub use real::{relative_l2_error, PrecisionMode, Real, MIXED_PRECISION_ERROR_THRESHOLD};
 pub use swe::{SwePhases, SweSolver, SweState, SweSubset};

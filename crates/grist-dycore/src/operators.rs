@@ -560,17 +560,6 @@ pub fn cell_velocity<R: Real>(
     });
 }
 
-/// Area-weighted global mean of a cell field at one level (diagnostics).
-pub fn global_mean<R: Real>(mesh: &HexMesh, f: &Field2<R>, lev: usize) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for c in 0..mesh.n_cells() {
-        num += f.at(lev, c).to_f64() * mesh.cell_area[c];
-        den += mesh.cell_area[c];
-    }
-    num / den
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

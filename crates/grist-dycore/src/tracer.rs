@@ -14,14 +14,11 @@
 //! (positive from `edge_cells[e][0]` to `edge_cells[e][1]`), which makes
 //! conservation exact by construction.
 
-use std::ops::{Add, Mul, Sub};
-
 use crate::field::Field2;
-use crate::lanes::{lane_body, LaneVec, LANE_WIDTH};
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
-use sunway_sim::{ColumnsMut, KernelMode, Substrate};
+use sunway_sim::{ColumnsMut, Substrate};
 
 /// Scratch buffers for one FCT transport invocation, reusable across steps.
 pub struct FctWorkspace<R: Real> {
@@ -69,8 +66,6 @@ pub fn fct_transport_step<R: Real>(
 ) {
     let nlev = q.nlev();
     let dt_r = R::from_f64(dt);
-    let lanes = sub.kernel_mode() == KernelMode::Simd;
-    let body = if lanes { lane_body(nlev) } else { 0 };
 
     // Per-edge transports T_e = dt · F_e · ℓ_e.
     {
@@ -80,17 +75,7 @@ pub fn fct_transport_step<R: Real>(
             let col = unsafe { cols.col(e) };
             let le = geom.edge_le[e];
             let f = flux.col(e);
-            let vle = LaneVec::splat(le);
-            let vdt = LaneVec::splat(dt_r);
-            let mut k = 0;
-            while k < body {
-                LaneVec::load(&f[k..])
-                    .mul(vle)
-                    .mul(vdt)
-                    .store(&mut col[k..]);
-                k += LANE_WIDTH;
-            }
-            for k in body..nlev {
+            for k in 0..nlev {
                 col[k] = f[k] * le * dt_r;
             }
         });
@@ -144,19 +129,7 @@ pub fn fct_transport_step<R: Real>(
             let [c1, c2] = mesh.edge_cells[e];
             let (q1, q2) = (q_ro.col(c1 as usize), q_ro.col(c2 as usize));
             let t_col = transport.col(e);
-            let vhalf = LaneVec::splat(half);
-            let mut k = 0;
-            while k < body {
-                let tv = LaneVec::load(&t_col[k..]);
-                let v1 = LaneVec::load(&q1[k..]);
-                let v2 = LaneVec::load(&q2[k..]);
-                let q_cent = v1.add(v2).mul(vhalf);
-                // The upwind branch becomes a per-lane select on sign(T).
-                let q_up = LaneVec::select_ge_zero(tv, v1, v2);
-                tv.mul(q_cent.sub(q_up)).store(&mut col[k..]);
-                k += LANE_WIDTH;
-            }
-            for lev in k..nlev {
+            for lev in 0..nlev {
                 let t = t_col[lev];
                 let q_cent = (q1[lev] + q2[lev]) * half;
                 let q_up = if t >= R::ZERO { q1[lev] } else { q2[lev] };
@@ -416,45 +389,6 @@ mod tests {
             "peak over-diffused: {}",
             q.max_value()
         );
-    }
-
-    #[test]
-    fn lane_fct_step_matches_scalar_reference_bitwise() {
-        // nlev = 11: one full lane group + a 3-level scalar tail.
-        let (mesh, geom) = setup(3);
-        let nlev = 11;
-        let mk_mass = |_: ()| {
-            Field2::from_fn(nlev, mesh.n_cells(), |k, c| {
-                (1000.0 + k as f64) * mesh.cell_area[c] * EARTH_RADIUS_M * EARTH_RADIUS_M
-            })
-        };
-        let flux = Field2::from_fn(nlev, mesh.n_edges(), |k, e| {
-            let m = mesh.edge_mid[e];
-            let v = Vec3::new(0.0, 0.0, 1.0).cross(m) * (1e-5 * EARTH_RADIUS_M);
-            (1000.0 + k as f64) * v.dot(mesh.edge_normal[e])
-        });
-        let blob = Field2::from_fn(nlev, mesh.n_cells(), |k, c| {
-            let d = mesh.cell_xyz[c].arc_dist(Vec3::new(1.0, 0.0, 0.0));
-            (-(d * d) / (0.09 + 0.01 * k as f64)).exp()
-        });
-        let scalar = sub();
-        scalar.set_kernel_mode(sunway_sim::KernelMode::ScalarReference);
-        let simd = sub();
-        simd.set_kernel_mode(sunway_sim::KernelMode::Simd);
-        let (mut m_s, mut m_v) = (mk_mass(()), mk_mass(()));
-        let (mut q_s, mut q_v) = (blob.clone(), blob);
-        let mut w_s = FctWorkspace::new(nlev, &mesh);
-        let mut w_v = FctWorkspace::new(nlev, &mesh);
-        for _ in 0..5 {
-            fct_transport_step(
-                &scalar, &mesh, &geom, &mut m_s, &flux, &mut q_s, 600.0, &mut w_s,
-            );
-            fct_transport_step(
-                &simd, &mesh, &geom, &mut m_v, &flux, &mut q_v, 600.0, &mut w_v,
-            );
-        }
-        assert_eq!(q_s.as_slice(), q_v.as_slice(), "FCT q diverged");
-        assert_eq!(m_s.as_slice(), m_v.as_slice(), "FCT mass diverged");
     }
 
     #[test]

@@ -184,7 +184,13 @@ impl CnnScratch {
         self.grows
     }
 
-    fn ensure(&mut self, col_n: usize, act_n: usize) {
+    /// Size the arena for batches of up to `b` samples of `net`. A caller
+    /// that knows its largest batch reserves for it up front, so capacity
+    /// does not depend on which batch size arrives first.
+    pub fn reserve(&mut self, net: &TendencyCnn, b: usize) {
+        let row_len = b * net.nlev;
+        let col_n = (3 * net.channels).max(3 * CNN_INPUT_CHANNELS) * row_len;
+        let act_n = net.channels.max(CNN_OUTPUT_CHANNELS) * row_len;
         if self.col.len() < col_n || self.act_a.len() < act_n {
             self.grows += 1;
             if self.col.len() < col_n {
@@ -220,7 +226,9 @@ impl MlpScratch {
         self.grows
     }
 
-    fn ensure(&mut self, xt_n: usize, h_n: usize, out_n: usize) {
+    /// See [`CnnScratch::reserve`].
+    pub fn reserve(&mut self, net: &RadiationMlp, b: usize) {
+        let (xt_n, h_n, out_n) = (net.n_in * b, net.width * b, net.n_out * b);
         if self.xt.len() < xt_n || self.h.len() < h_n || self.out.len() < out_n {
             self.grows += 1;
             if self.xt.len() < xt_n {
@@ -276,9 +284,8 @@ impl TendencyCnn {
     /// `xs` is the packed stage matrix `[b × 5·nlev]` (row-major per
     /// sample), `ys` receives `[b × 2·nlev]` normalized outputs. Bitwise
     /// identical to calling [`TendencyCnn::infer`] per sample. Both
-    /// [`GemmVariant`]s produce identical bits; the caller (usually
-    /// `grist-core` mapping the substrate's `KernelMode`) picks the
-    /// microkernel.
+    /// [`GemmVariant`]s produce identical bits; the caller picks the
+    /// microkernel (`grist-core` passes the default, `Simd`).
     pub fn infer_batch(
         &self,
         variant: GemmVariant,
@@ -294,9 +301,7 @@ impl TendencyCnn {
         }
         let row_len = b * self.nlev;
         let ch = self.channels;
-        let col_n = (3 * ch).max(3 * CNN_INPUT_CHANNELS) * row_len;
-        let act_n = ch.max(CNN_OUTPUT_CHANNELS) * row_len;
-        s.ensure(col_n, act_n);
+        s.reserve(self, b);
         let stage = SampleLayout::stage(self.nlev, CNN_INPUT_CHANNELS);
         let act = SampleLayout::batch_act(b, self.nlev);
         let CnnScratch {
@@ -351,7 +356,7 @@ impl RadiationMlp {
         if b == 0 {
             return;
         }
-        s.ensure(self.n_in * b, self.width * b, self.n_out * b);
+        s.reserve(self, b);
         let MlpScratch { xt, h, z, out, .. } = s;
         let xt = &mut xt[..self.n_in * b];
         for smp in 0..b {

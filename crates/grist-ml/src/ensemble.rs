@@ -34,14 +34,6 @@ impl CnnEnsemble {
         self.members.is_empty()
     }
 
-    /// Share one normalization across members (fit once on training data).
-    pub fn set_norms(&mut self, in_norm: Vec<(f32, f32)>, out_norm: Vec<(f32, f32)>) {
-        for m in &mut self.members {
-            m.in_norm = in_norm.clone();
-            m.out_norm = out_norm.clone();
-        }
-    }
-
     /// Mean prediction over the members, on a *normalized* input.
     pub fn infer(&self, x: &[f32], y: &mut [f32]) {
         y.fill(0.0);

@@ -35,9 +35,9 @@ pub mod simd;
 /// Which [`gemm_nn`]-compatible microkernel a caller selects. Both variants
 /// are *bitwise identical* (the lane kernel keeps one unfused accumulator
 /// per output element in the same increasing-`k` order — see [`simd`]);
-/// [`GemmVariant::Scalar`] is the reference oracle the CI kernel matrix
-/// checks the lanes against. `grist-core` maps the substrate's
-/// `KernelMode` onto this enum (grist-ml does not depend on sunway-sim).
+/// [`GemmVariant::Scalar`] is the reference oracle that the [`simd`] and
+/// `batch` tests and `bench_ml`'s probe check the lanes against.
+/// `grist-core` always runs the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmVariant {
     /// The scalar reference kernel ([`gemm_nn`]).

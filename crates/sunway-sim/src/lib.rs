@@ -57,8 +57,8 @@ pub use perf::{
     fig9_kernels, fig9_table, kernel_time, stream_hit_ratio, ExecTarget, KernelSpec, PerfModel,
 };
 pub use substrate::{
-    format_kernel_report, kernel_report_rows, ColumnsMut, DmaMode, ExecTargetKind, KernelMode,
-    KernelReportRow, Substrate,
+    format_kernel_report, kernel_report_rows, ColumnsMut, DmaMode, ExecTargetKind, KernelReportRow,
+    Substrate,
 };
 pub use swgomp::{JobServer, JobStats};
 pub use trace::{

@@ -41,57 +41,6 @@ pub enum ExecTargetKind {
     CpeTeams,
 }
 
-/// Which microkernel implementation lane-aware hot loops select.
-///
-/// The scalar path is the *bitwise-reference oracle*: the SIMD lane kernels
-/// keep one accumulator per output element walking `k` in the same order
-/// (no FMA contraction), so both modes produce identical bits — the CI
-/// kernel matrix asserts exactly that. Selected per-substrate; the
-/// `GRIST_SIMD` env var (`scalar` | `simd`) sets the default for every
-/// substrate built in the process, which is how the CI matrix drives whole
-/// test suites through one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Plain scalar loops — the equivalence oracle.
-    ScalarReference,
-    /// Explicit lane-group kernels (`grist_ml::gemm::simd`, the dycore
-    /// lane helpers). Production default.
-    #[default]
-    Simd,
-}
-
-impl KernelMode {
-    /// Read `GRIST_SIMD` (`scalar`/`scalar-reference`/`0`/`off` vs.
-    /// `simd`/`1`/`on`); unset defaults to [`KernelMode::Simd`]. Unknown
-    /// values panic so a typo'd CI matrix cell cannot silently test the
-    /// wrong kernel.
-    pub fn from_env() -> Self {
-        match std::env::var("GRIST_SIMD").ok().as_deref() {
-            None | Some("") => KernelMode::Simd,
-            Some("scalar") | Some("scalar-reference") | Some("0") | Some("off") => {
-                KernelMode::ScalarReference
-            }
-            Some("simd") | Some("1") | Some("on") => KernelMode::Simd,
-            Some(other) => panic!("GRIST_SIMD={other:?}: expected `scalar` or `simd`"),
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            KernelMode::ScalarReference => 0,
-            KernelMode::Simd => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        if v == 0 {
-            KernelMode::ScalarReference
-        } else {
-            KernelMode::Simd
-        }
-    }
-}
-
 /// How LDM staging transfers are scheduled by the omnicopy pipeline.
 ///
 /// Both modes move the same bytes in the same chunks (DMA counters are
@@ -113,7 +62,8 @@ pub enum DmaMode {
 impl DmaMode {
     /// Read `GRIST_DMA` (`sync`/`synchronous` vs. `double`/
     /// `double-buffered`); unset defaults to [`DmaMode::Synchronous`].
-    /// Unknown values panic (see [`KernelMode::from_env`]).
+    /// Unknown values panic so a typo'd CI matrix cell cannot silently
+    /// test the wrong mode.
     pub fn from_env() -> Self {
         match std::env::var("GRIST_DMA").ok().as_deref() {
             None | Some("") => DmaMode::Synchronous,
@@ -194,10 +144,8 @@ struct SubstrateInner {
     /// Armed chaos schedule, shared by every clone. `None` (the default)
     /// keeps the dispatch path infallible and fault-free.
     fault: Mutex<Option<FaultPlan>>,
-    /// [`KernelMode`] discriminant, shared by every clone (atomics so the
+    /// [`DmaMode`] discriminant, shared by every clone (an atomic so the
     /// CI matrix and benches can flip modes without rebuilding substrates).
-    kernel_mode: AtomicU8,
-    /// [`DmaMode`] discriminant, shared by every clone.
     dma_mode: AtomicU8,
 }
 
@@ -214,7 +162,6 @@ impl SubstrateInner {
             policy,
             metrics,
             fault: Mutex::new(None),
-            kernel_mode: AtomicU8::new(KernelMode::from_env().to_u8()),
             dma_mode: AtomicU8::new(DmaMode::from_env().to_u8()),
         }
     }
@@ -302,19 +249,6 @@ impl Substrate {
         self.inner.kind
     }
 
-    /// Which microkernel implementation kernels dispatched through this
-    /// substrate should use (shared by every clone).
-    pub fn kernel_mode(&self) -> KernelMode {
-        KernelMode::from_u8(self.inner.kernel_mode.load(Ordering::Relaxed))
-    }
-
-    /// Override the [`KernelMode`] for this substrate and every clone.
-    pub fn set_kernel_mode(&self, mode: KernelMode) {
-        self.inner
-            .kernel_mode
-            .store(mode.to_u8(), Ordering::Relaxed);
-    }
-
     /// How LDM staging pipelines dispatched through this substrate schedule
     /// their transfers (shared by every clone).
     pub fn dma_mode(&self) -> DmaMode {
@@ -326,23 +260,10 @@ impl Substrate {
         self.inner.dma_mode.store(mode.to_u8(), Ordering::Relaxed);
     }
 
-    pub fn is_offload(&self) -> bool {
-        self.inner.kind == ExecTargetKind::CpeTeams
-    }
-
     /// Worker count of the offload target; 1 for the serial target (the
     /// MPE itself).
     pub fn n_cpes(&self) -> usize {
         self.inner.server.as_ref().map_or(1, |s| s.n_cpes)
-    }
-
-    pub fn alloc_policy(&self) -> AllocPolicy {
-        self.inner.policy
-    }
-
-    /// The underlying job server, if this substrate offloads.
-    pub fn job_server(&self) -> Option<&JobServer> {
-        self.inner.server.as_ref()
     }
 
     /// The shared observability registry: per-kernel stats, trace spans,
@@ -841,20 +762,15 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_dma_modes_are_shared_by_clones() {
+    fn dma_mode_is_shared_by_clones() {
         let sub = Substrate::cpe_teams(2);
         let clone = sub.clone();
-        // Unset env defaults: simd + sync (skip when a CI matrix cell pins
-        // the env, since constructors read it).
-        if std::env::var_os("GRIST_SIMD").is_none() {
-            assert_eq!(sub.kernel_mode(), KernelMode::Simd);
-        }
+        // Unset env default: sync (skip when a CI matrix cell pins the env,
+        // since constructors read it).
         if std::env::var_os("GRIST_DMA").is_none() {
             assert_eq!(sub.dma_mode(), DmaMode::Synchronous);
         }
-        clone.set_kernel_mode(KernelMode::ScalarReference);
         clone.set_dma_mode(DmaMode::DoubleBuffered);
-        assert_eq!(sub.kernel_mode(), KernelMode::ScalarReference);
         assert_eq!(sub.dma_mode(), DmaMode::DoubleBuffered);
     }
 

@@ -16,7 +16,7 @@
 # identical to the synchronous one and cuts >= 30% of the traced halo wait
 # time. Compare against a committed baseline with:
 #   cargo run --release -p grist-bench --bin bench_compare -- \
-#       BENCH_smoke.json new.json --tolerance 10
+#       BENCH_smoke.json new.json
 # Everything runs offline (see README "Offline builds").
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -32,13 +32,10 @@ for seed in 42 7 1234; do
     CHAOS_SEED=$seed cargo run --release -p grist-bench --bin chaos_smoke
 done
 
-echo "== kernel matrix (scalar/simd x sync/double vs scalar-sync oracle) =="
-for simd in scalar simd; do
-    for dma in sync double; do
-        echo "-- GRIST_SIMD=$simd GRIST_DMA=$dma"
-        GRIST_SIMD=$simd GRIST_DMA=$dma \
-            cargo test --release -q -p grist-core --test integration_kernels
-    done
+echo "== kernel matrix (sync/double DMA vs sync oracle) =="
+for dma in sync double; do
+    echo "-- GRIST_DMA=$dma"
+    GRIST_DMA=$dma cargo test --release -q -p grist-core --test integration_kernels
 done
 
 echo "== trace report (traced multi-rank chaos run + attribution) =="
@@ -52,23 +49,23 @@ cargo test --release -q --test integration_scenarios
 echo "== bench smoke vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_smoke -- target/bench_smoke.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_smoke.json target/bench_smoke.json --tolerance 10
+    BENCH_smoke.json target/bench_smoke.json
 
 echo "== bench ml (batched >= 3x per-column, simd gemm >= 1.5x scalar) vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_ml -- target/bench_ml.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_ml.json target/bench_ml.json --tolerance 10
+    BENCH_ml.json target/bench_ml.json
 
 echo "== bench partition (edge-cut / halo-surface quality) vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_partition -- target/bench_partition.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_partition.json target/bench_partition.json --tolerance 10
+    BENCH_partition.json target/bench_partition.json
 
 echo "== serving layer (snapshot isolation + batched >= 2x per-query) vs committed baseline =="
 cargo test --release -q --test integration_serve
 cargo run --release -p grist-bench --bin bench_serve -- target/bench_serve.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_serve.json target/bench_serve.json --tolerance 10
+    BENCH_serve.json target/bench_serve.json
 
 echo "== telemetry plane (SLO + health-alert + disabled-overhead gates) =="
 cargo run --release -p grist-bench --bin obs_report -- \
@@ -77,7 +74,7 @@ cargo run --release -p grist-bench --bin obs_report -- \
 echo "== bench scaling (overlap gate + SDPD projections) vs committed baseline =="
 cargo run --release -p grist-bench --bin bench_scaling -- target/bench_scaling.json
 cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_scaling.json target/bench_scaling.json --tolerance 10
+    BENCH_scaling.json target/bench_scaling.json
 
 echo "== scaling figures (10, 11) regenerate =="
 cargo run --release -p grist-bench --bin fig10_weak_scaling > /dev/null
