@@ -71,9 +71,11 @@ impl BlockScratch {
             self.ys_cnn.resize(cap * CNN_OUTPUT_CHANNELS * nlev, 0.0);
             self.xs_mlp.resize(cap * suite.mlp.n_in, 0.0);
             self.ys_mlp.resize(cap * suite.mlp.n_out, 0.0);
+            // The network arenas grow with the stage matrices, so a block
+            // that fits does no sizing work beyond the one compare above.
+            self.cnn.reserve(&suite.cnn, cap);
+            self.mlp.reserve(&suite.mlp, cap);
         }
-        self.cnn.reserve(&suite.cnn, cap);
-        self.mlp.reserve(&suite.mlp, cap);
     }
 
     fn alloc_events(&self) -> u64 {
