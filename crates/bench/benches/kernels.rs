@@ -105,21 +105,26 @@ fn bench_fig9_kernels(sub: &Substrate) {
     g.finish();
 }
 
+/// The FCT step at the shape the coupled model runs it: G4 × 20 levels
+/// (`aqua_*`, `serve_*`).
 fn bench_tracer_limiter(sub: &Substrate) {
+    const FCT_NLEV: usize = 20;
     let mesh = HexMesh::build(4);
     let geom: ScaledGeometry<f64> = ScaledGeometry::new(&mesh, EARTH_RADIUS_M, EARTH_OMEGA);
     let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
-    let mass0 = Field2::from_fn(1, mesh.n_cells(), |_, c| 1000.0 * mesh.cell_area[c] * r2);
-    let flux = Field2::from_fn(1, mesh.n_edges(), |_, e| {
+    let mass0 = Field2::from_fn(FCT_NLEV, mesh.n_cells(), |_, c| {
+        1000.0 * mesh.cell_area[c] * r2
+    });
+    let flux = Field2::from_fn(FCT_NLEV, mesh.n_edges(), |_, e| {
         let m = mesh.edge_mid[e];
         1000.0 * 1e-5 * EARTH_RADIUS_M * Vec3::new(0.0, 0.0, 1.0).cross(m).dot(mesh.edge_normal[e])
     });
-    let q0 = Field2::from_fn(1, mesh.n_cells(), |_, c| {
+    let q0 = Field2::from_fn(FCT_NLEV, mesh.n_cells(), |_, c| {
         (-(mesh.cell_xyz[c].arc_dist(Vec3::new(1.0, 0.0, 0.0)) / 0.3).powi(2)).exp()
     });
-    let mut ws = FctWorkspace::new(1, &mesh);
+    let mut ws = FctWorkspace::new(FCT_NLEV, &mesh);
     let mut g = Bencher::group("tracer");
-    g.bench("fct_transport_step/G4", || {
+    g.bench("fct_transport_step/G4xL20", || {
         let mut mass = mass0.clone();
         let mut q = q0.clone();
         fct_transport_step(sub, &mesh, &geom, &mut mass, &flux, &mut q, 300.0, &mut ws);

@@ -31,9 +31,10 @@ use crate::constants::{CP, GRAVITY, KAPPA, P0, RDRY};
 use crate::field::Field2;
 use crate::operators::{self as op, ScaledGeometry};
 use crate::real::Real;
-use crate::tracer::{fct_transport_step, FctWorkspace};
+use crate::tracer::{fct_transport_keep_mass, FctWorkspace};
 use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
+use std::cell::RefCell;
 use sunway_sim::{ColumnsMut, Substrate};
 
 /// Prognostic state of the nonhydrostatic core.
@@ -135,9 +136,19 @@ pub struct NhSolver<R: Real> {
     div_u: Field2<R>,
     grad_div: Field2<R>,
     mdot: Field2<f64>,
-    fct_ws: Option<FctWorkspace<R>>,
+    fct_ws: FctWorkspace<R>,
     tracer_mass: Field2<R>,
     tracer_flux: Field2<R>,
+    /// Squared mean edge spacing \[m²\]: the length scale of the divergence
+    /// damping coefficient `ν = c·Δx²/Δt`.
+    dx2: f64,
+}
+
+thread_local! {
+    /// Per-thread scratch of the implicit column solve (five `nlev`-long
+    /// rows), grown on first use by whichever thread runs the column — the
+    /// MPE or a CPE-team worker.
+    static COLUMN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl<R: Real> NhSolver<R> {
@@ -158,6 +169,11 @@ impl<R: Real> NhSolver<R> {
         let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_verts());
         let geom = ScaledGeometry::new(&mesh, EARTH_RADIUS_M, EARTH_OMEGA);
         let geom64 = ScaledGeometry::new(&mesh, EARTH_RADIUS_M, EARTH_OMEGA);
+        let dx2 = {
+            let mean_de: f64 = mesh.edge_de.iter().sum::<f64>() / mesh.n_edges() as f64;
+            let d = mean_de * EARTH_RADIUS_M;
+            d * d
+        };
         NhSolver {
             geom,
             geom64,
@@ -181,9 +197,10 @@ impl<R: Real> NhSolver<R> {
             div_u: Field2::zeros(nlev, nc),
             grad_div: Field2::zeros(nlev, ne),
             mdot: Field2::zeros(nlev + 1, nc),
-            fct_ws: Some(FctWorkspace::new(nlev, &mesh)),
+            fct_ws: FctWorkspace::new(nlev, &mesh),
             tracer_mass: Field2::zeros(nlev, nc),
             tracer_flux: Field2::zeros(nlev, ne),
+            dx2,
             mesh,
             vc,
             config,
@@ -233,8 +250,12 @@ impl<R: Real> NhSolver<R> {
         }
     }
 
-    /// Diagnose layer θ, δφ, p and Π from the prognostic state.
-    fn diagnose(&mut self, state: &NhState<R>) {
+    /// Diagnose layer δφ and p — and, unless `PRESSURE_ONLY`, θ and Π — from
+    /// the prognostic state. The pressure-only form is what the implicit
+    /// solve needs after the horizontal update: it saves the Π `powf`, and
+    /// every later reader of θ and Π diagnoses in full first. (A const
+    /// parameter, so each form compiles to a branch-free level loop.)
+    fn diagnose<const PRESSURE_ONLY: bool>(&mut self, state: &NhState<R>) {
         let nlev = self.vc.nlev;
         let gamma = 1.0 / (1.0 - KAPPA);
         let theta = ColumnsMut::new(self.theta.as_mut_slice(), nlev);
@@ -249,16 +270,19 @@ impl<R: Real> NhSolver<R> {
             let ex = unsafe { exner.col(c) };
             let dpi = state.dpi.col(c);
             let phi = state.phi.col(c);
+            let theta_m = state.theta_m.col(c);
             for k in 0..nlev {
-                let t = state.theta_m.at(k, c) / dpi[k];
+                let t = theta_m[k] / dpi[k];
                 let d = phi[k] - phi[k + 1];
                 debug_assert!(d > 0.0, "negative layer thickness at cell {c} lev {k}");
                 let rho = dpi[k] / d;
                 let p = P0 * (rho * RDRY * t / P0).powf(gamma);
-                th[k] = t;
                 dp[k] = d;
                 pr[k] = p;
-                ex[k] = (p / P0).powf(KAPPA);
+                if !PRESSURE_ONLY {
+                    th[k] = t;
+                    ex[k] = (p / P0).powf(KAPPA);
+                }
             }
         });
     }
@@ -272,7 +296,7 @@ impl<R: Real> NhSolver<R> {
         // (Cloned handle: the guard must not borrow `self`.)
         let span_sub = self.sub.clone();
         let _span = span_sub.span("dycore");
-        self.diagnose(state);
+        self.diagnose::<false>(state);
         let nlev = self.vc.nlev;
         let mesh = &self.mesh;
 
@@ -304,13 +328,8 @@ impl<R: Real> NhSolver<R> {
         op::gradient(&sub, mesh, &self.geom64, &self.exner, &mut self.grad_exner);
         op::cell_to_edge(&sub, mesh, &self.theta, &mut self.theta_edge);
 
-        // Mean edge spacing for the damping coefficient scale ν = c·Δx²/dt.
-        let dx2 = {
-            let mean_de: f64 = self.mesh.edge_de.iter().sum::<f64>() / self.mesh.n_edges() as f64;
-            let d = mean_de * EARTH_RADIUS_M;
-            d * d
-        };
-        let nu = R::from_f64(self.config.div_damp * dx2 / dt);
+        // Damping coefficient ν = c·Δx²/dt.
+        let nu = R::from_f64(self.config.div_damp * self.dx2 / dt);
 
         // Momentum update (forward step).
         let dt_r = R::from_f64(dt);
@@ -446,7 +465,9 @@ impl<R: Real> NhSolver<R> {
         // ---------- tracer transport ----------
         let mesh = &self.mesh; // re-borrow after the &mut call above
         if !state.tracers.is_empty() {
-            // Tracer mass in working precision: M_i = δπ_i A_i R².
+            // Pre-transport tracer mass in working precision,
+            // M_i = (δπ_new + Δt·∇·F)_i · A_i R²: the mass the horizontal
+            // flux field acted on.
             let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
             {
                 let dpi = &state.dpi;
@@ -457,11 +478,6 @@ impl<R: Real> NhSolver<R> {
                     let col = unsafe { cols.col(c) };
                     let a = mesh.cell_area[c] * r2;
                     for (k, x) in col.iter_mut().enumerate() {
-                        // mass *before* this step's transport:
-                        // reconstruct from post-update dpi minus the
-                        // divergence applied — instead we simply use the
-                        // pre-transport mass implied by the flux field,
-                        // which keeps the FCT update consistent.
                         *x = R::from_f64((dpi.at(k, c) + dt * div_mass.at(k, c)) * a);
                     }
                 });
@@ -475,28 +491,25 @@ impl<R: Real> NhSolver<R> {
                     }
                 });
             }
-            let mut ws = self.fct_ws.take().expect("FCT workspace");
             for q in &mut state.tracers {
-                let mut mass = self.tracer_mass.clone();
-                fct_transport_step(
+                fct_transport_keep_mass(
                     &sub,
-                    &self.mesh,
+                    mesh,
                     &self.geom,
-                    &mut mass,
+                    &self.tracer_mass,
                     &self.tracer_flux,
                     q,
                     dt,
-                    &mut ws,
+                    &mut self.fct_ws,
                 );
             }
-            self.fct_ws = Some(ws);
         }
     }
 
     /// Backward-Euler (β-off-centered) solve of the coupled w–φ acoustic
     /// system, column by column.
     fn implicit_vertical(&mut self, state: &mut NhState<R>, dt: f64) {
-        self.diagnose(state); // refresh p, δφ after the horizontal update
+        self.diagnose::<true>(state); // refresh p, δφ after the horizontal update
         let nlev = self.vc.nlev;
         let gamma = 1.0 / (1.0 - KAPPA);
         let g = GRAVITY;
@@ -512,24 +525,28 @@ impl<R: Real> NhSolver<R> {
             // SAFETY: each cell index is dispatched exactly once.
             let w = unsafe { w_cols.col(c) };
             let phi = unsafe { phi_cols.col(c) };
-            {
+            COLUMN_SCRATCH.with_borrow_mut(|buf| {
                 let dpi = dpi_ro.col(c);
                 let p = pres.col(c);
                 let dp = dphi.col(c);
+                // Unknowns w_i, i = 0..nlev-1 (w_nlev = 0 at the flat surface);
+                // the right-hand side, then the solution, is w[..n] itself.
+                let n = nlev;
+                if buf.len() < 5 * n {
+                    buf.resize(5 * n, 0.0);
+                }
+                let (cc, rest) = buf.split_at_mut(n);
+                let (a, rest) = rest.split_at_mut(n);
+                let (b, rest) = rest.split_at_mut(n);
+                let (cvec, rest) = rest.split_at_mut(n);
+                let scratch = &mut rest[..n];
+                let (d, w_sfc) = w.split_at_mut(n);
                 // Linearization coefficients C_k = γ p_k Δt g / δφ_k
                 // (δφ responds with the *full* Δt; β enters through the
                 // pressure off-centering below).
-                let mut cc = vec![0.0f64; nlev];
-                for k in 0..nlev {
+                for k in 0..n {
                     cc[k] = gamma * p[k] * dt * g / dp[k];
                 }
-                // Unknowns w_i, i = 0..nlev-1 (w_nlev = 0 at the flat surface).
-                let n = nlev;
-                let mut a = vec![0.0f64; n];
-                let mut b = vec![0.0f64; n];
-                let mut cvec = vec![0.0f64; n];
-                let mut d = vec![0.0f64; n];
-                let mut scratch = vec![0.0f64; n];
                 for i in 0..n {
                     let dpi_half = if i == 0 {
                         0.5 * dpi[0]
@@ -542,16 +559,15 @@ impl<R: Real> NhSolver<R> {
                     a[i] = -fac * c_above;
                     b[i] = 1.0 + fac * (cc[i] + c_above);
                     cvec[i] = -fac * cc[i]; // couples to w_{i+1}; w_n = 0
-                    d[i] = w[i] + dt * g * ((p[i] - p_above) / dpi_half - 1.0);
+                    d[i] += dt * g * ((p[i] - p_above) / dpi_half - 1.0);
                 }
-                thomas_solve(&a, &b, &cvec, &mut d, &mut scratch);
-                w[..n].copy_from_slice(&d[..n]);
+                thomas_solve(a, b, cvec, d, scratch);
                 for i in 0..n {
                     phi[i] += dt * g * d[i];
                 }
                 // Surface: rigid flat lower boundary.
-                w[n] = 0.0;
-            }
+                w_sfc[0] = 0.0;
+            });
         });
     }
 
@@ -562,7 +578,7 @@ impl<R: Real> NhSolver<R> {
         &mut self,
         state: &NhState<R>,
     ) -> (&Field2<f64>, &Field2<f64>, &Field2<f64>, &Field2<f64>) {
-        self.diagnose(state);
+        self.diagnose::<false>(state);
         (&self.pres, &self.theta, &self.dphi, &self.exner)
     }
 
@@ -600,7 +616,7 @@ mod tests {
         // p diagnosed from the EOS must equal π at layer midpoints.
         let mut s = solver(2, 12);
         let st = s.isothermal_rest_state(280.0, 1.0e5);
-        s.diagnose(&st);
+        s.diagnose::<false>(&st);
         let pi_i = s.vc.pi_interfaces(1.0e5);
         for k in 0..12 {
             let p_mid = 0.5 * (pi_i[k] + pi_i[k + 1]);
@@ -610,6 +626,36 @@ mod tests {
                 "lev {k}: p = {p}, π_mid = {p_mid}"
             );
         }
+    }
+
+    #[test]
+    fn pressure_only_diagnosis_matches_full_diagnosis_bitwise() {
+        // On a state with motion, the re-diagnosis the implicit solve uses
+        // must reproduce the full one's p and δφ bit for bit and leave θ, Π
+        // alone.
+        let mut s = solver(2, 9);
+        let mut st = s.isothermal_rest_state(285.0, 1.0e5);
+        for e in 0..s.mesh.n_edges() {
+            let m = s.mesh.edge_mid[e];
+            for k in 0..9 {
+                st.u.set(k, e, 8.0 * m.z * s.mesh.edge_normal[e].x);
+            }
+        }
+        for _ in 0..5 {
+            s.step(&mut st, 120.0);
+        }
+        s.diagnose::<false>(&st);
+        let bits =
+            |f: &Field2<f64>| -> Vec<u64> { f.as_slice().iter().map(|x| x.to_bits()).collect() };
+        let (pres, dphi) = (bits(&s.pres), bits(&s.dphi));
+        let (theta, exner) = (bits(&s.theta), bits(&s.exner));
+        s.pres.fill(f64::NAN);
+        s.dphi.fill(f64::NAN);
+        s.diagnose::<true>(&st);
+        assert_eq!(bits(&s.pres), pres);
+        assert_eq!(bits(&s.dphi), dphi);
+        assert_eq!(bits(&s.theta), theta);
+        assert_eq!(bits(&s.exner), exner);
     }
 
     #[test]
