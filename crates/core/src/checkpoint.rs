@@ -7,29 +7,33 @@
 //! indistinguishable from an uninterrupted one, or "recovery" silently forks
 //! the trajectory.
 //!
-//! JSON's decimal numbers cannot carry `f64` exactly (and the in-tree
-//! [`Json`] writer refuses non-finite values outright), so prognostic data
-//! is serialized as *bit patterns*: each `f64` becomes 16 lowercase hex
-//! digits of its IEEE-754 representation, concatenated into one string per
-//! field. That round-trips every value — including NaN payloads mid-blowup —
-//! exactly, through the same dependency-free [`Json`] module the benchmark
-//! baselines use. Working-precision (`R = f32`) fields widen losslessly to
-//! `f64` on capture and narrow back exactly on restore (`f32 → f64` is
-//! value-preserving in both directions).
+//! A [`Checkpoint`] is a small typed header plus one immutable byte image
+//! holding every field as raw little-endian IEEE-754 bit patterns, each at
+//! the width the model stores it (`u` and the tracers of an `R = f32` model
+//! take 4 bytes a value, everything else 8). That carries every value — NaN
+//! payloads mid-blowup included — with one sized allocation and one pass
+//! over the state; cloning shares the image, which is what `grist-serve`
+//! publishes. Capture does no hashing: the serialized form
+//! ([`Checkpoint::to_bytes`]) puts the header in front as one text line and
+//! an FNV-1a of header and image behind, which [`Checkpoint::from_bytes`]
+//! verifies. DESIGN.md §8 has the byte layout.
 //!
 //! Every capture ticks `checkpoint.captures` and adds the serialized size to
 //! `checkpoint.bytes` in the model's metrics registry.
 
 use crate::model::GristModel;
-use grist_dycore::{Field2, Real};
-use std::fmt;
-use sunway_sim::Json;
+use grist_dycore::Real;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-/// Schema tag guarding against feeding some other JSON document (e.g. a
-/// bench baseline) to [`GristModel::restore`].
-pub const CHECKPOINT_SCHEMA: &str = "grist-checkpoint-v1";
+/// Schema tag opening the header line of a serialized checkpoint.
+const SCHEMA: &str = "grist-ckpt-v2";
+/// Longest header line [`Checkpoint::from_bytes`] looks for.
+const MAX_HEADER: usize = 256;
+/// Width of the trailing FNV-1a checksum.
+const TRAILER: usize = 8;
 
-/// A malformed or mismatched checkpoint document.
+/// A malformed or mismatched checkpoint image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointError {
     pub what: String,
@@ -49,66 +53,150 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Encode a slice of `f64` as concatenated 16-hex-digit IEEE-754 bit
-/// patterns — the bitwise-lossless wire format of checkpoint fields.
-pub fn encode_bits(values: &[f64]) -> String {
-    use fmt::Write;
-    let mut s = String::with_capacity(values.len() * 16);
-    for v in values {
-        write!(s, "{:016x}", v.to_bits()).expect("writing to String cannot fail");
-    }
-    s
+/// What an image holds; its `Display` is the serialized header line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    /// [`Real::NAME`] of the capturing model.
+    precision: &'static str,
+    /// `nlev`, `ncells`, `nedges`, `ntracers`.
+    shape: [usize; 4],
+    dyn_steps: usize,
 }
 
-/// Decode a string produced by [`encode_bits`].
-pub fn decode_bits(s: &str) -> Result<Vec<f64>, CheckpointError> {
-    if !s.len().is_multiple_of(16) {
-        return Err(CheckpointError::new(format!(
-            "bit-pattern string length {} is not a multiple of 16",
-            s.len()
-        )));
+impl fmt::Display for Header {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [nlev, ncells, nedges, ntracers] = self.shape;
+        write!(
+            f,
+            "{SCHEMA} {} nlev={nlev} ncells={ncells} nedges={nedges} ntracers={ntracers} \
+             dyn_steps={}",
+            self.precision, self.dyn_steps
+        )
     }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 16);
-    for chunk in bytes.chunks_exact(16) {
-        let hex = std::str::from_utf8(chunk)
-            .map_err(|_| CheckpointError::new("bit-pattern string is not ASCII"))?;
-        let bits = u64::from_str_radix(hex, 16)
-            .map_err(|_| CheckpointError::new(format!("invalid hex chunk {hex:?}")))?;
-        out.push(f64::from_bits(bits));
+}
+
+impl Header {
+    /// Image bytes this shape and precision imply, in image order; `None`
+    /// when that does not fit this machine's `usize`.
+    fn image_len(&self) -> Option<usize> {
+        let [nlev, ncells, nedges, ntracers] = self.shape.map(|n| n as u128);
+        let width = if self.precision == f32::NAME { 4 } else { 8 };
+        let layers = nlev * ncells;
+        // time_s, declination; dpi, theta_m on layers; w, phi on interfaces;
+        // tskin, coszr, albedo, precip_accum per cell.
+        let wide = 2 + 2 * layers + 2 * (nlev + 1) * ncells + 4 * ncells;
+        // u on edges and the tracers, at the model's width.
+        let native = nlev * nedges + ntracers * layers;
+        // ... and the ocean mask, one byte a cell.
+        usize::try_from(8 * wide + width * native + ncells).ok()
     }
-    Ok(out)
+
+    /// Parse a header line (without its newline).
+    fn parse(line: &str) -> Result<Self, CheckpointError> {
+        let mut tokens = line.split(' ');
+        let tag = tokens.next().unwrap_or("");
+        if tag != SCHEMA {
+            return Err(CheckpointError::new(format!(
+                "schema tag {tag:?}, expected {SCHEMA:?}"
+            )));
+        }
+        let precision = match tokens.next() {
+            Some("f32") => f32::NAME,
+            Some("f64") => f64::NAME,
+            other => {
+                return Err(CheckpointError::new(format!(
+                    "precision tag {other:?}, expected \"f32\" or \"f64\""
+                )))
+            }
+        };
+        // Extents below 2³² keep `image_len` inside `u128`.
+        let mut number = |key: &str, max: usize| {
+            tokens
+                .next()
+                .and_then(|t| t.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+                .filter(|&n: &usize| n <= max)
+                .ok_or_else(|| CheckpointError::new(format!("header field {key} missing or bad")))
+        };
+        let extent = u32::MAX as usize;
+        let header = Header {
+            precision,
+            shape: [
+                number("nlev", extent)?,
+                number("ncells", extent)?,
+                number("nedges", extent)?,
+                number("ntracers", extent)?,
+            ],
+            dyn_steps: number("dyn_steps", usize::MAX)?,
+        };
+        match tokens.next() {
+            None => Ok(header),
+            Some(extra) => Err(CheckpointError::new(format!(
+                "unexpected header token {extra:?}"
+            ))),
+        }
+    }
 }
 
 /// A captured model state: prognostics, surface, clocks — everything
-/// [`GristModel::restore`] needs to resume bit-for-bit.
-#[derive(Debug, Clone, PartialEq)]
+/// [`GristModel::restore`] needs to resume bit-for-bit. Immutable once
+/// built; `clone` shares the image.
+#[derive(Clone, PartialEq)]
 pub struct Checkpoint {
-    doc: Json,
+    header: Header,
+    image: Arc<[u8]>,
+    /// Serialized size: header line, image, trailer.
     bytes: usize,
 }
 
+impl fmt::Debug for Checkpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Checkpoint({}, {} B)", self.header, self.bytes)
+    }
+}
+
 impl Checkpoint {
-    /// The serialized document (what would be written to disk).
-    pub fn to_json(&self) -> String {
-        self.doc.pretty()
+    /// The serialized form (what would be written to disk): the header
+    /// line, the image, and an FNV-1a of both as a little-endian `u64`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.bytes);
+        out.extend_from_slice(format!("{}\n", self.header).as_bytes());
+        out.extend_from_slice(&self.image);
+        out.extend_from_slice(&fnv1a(&out).to_le_bytes());
+        out
     }
 
-    /// Parse a serialized checkpoint, verifying the schema tag.
-    pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let doc = Json::parse(text)
-            .map_err(|e| CheckpointError::new(format!("unparsable document: {e}")))?;
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(CHECKPOINT_SCHEMA) => {}
-            other => {
-                return Err(CheckpointError::new(format!(
-                    "schema tag {other:?}, expected {CHECKPOINT_SCHEMA:?}"
-                )))
-            }
+    /// Parse a serialized checkpoint: schema tag, header fields, the exact
+    /// length the header implies, then the checksum — in that order, so a
+    /// foreign document is named as one and a truncated image is rejected
+    /// without being hashed.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let head = &bytes[..bytes.len().min(MAX_HEADER)];
+        let eol = head.iter().position(|&b| b == b'\n');
+        let line = &head[..eol.unwrap_or(head.len())];
+        let header = Header::parse(&String::from_utf8_lossy(line))?;
+        let image_at = line.len() + 1;
+        let trailer_at = eol
+            .and(header.image_len())
+            .and_then(|len| image_at.checked_add(len))
+            .filter(|at| at.checked_add(TRAILER) == Some(bytes.len()))
+            .ok_or_else(|| {
+                CheckpointError::new(format!(
+                    "{} bytes is not the length of an image with header ({header})",
+                    bytes.len()
+                ))
+            })?;
+        let (body, trailer) = bytes.split_at(trailer_at);
+        let stored = u64::from_le_bytes(trailer.try_into().expect("length checked above"));
+        let hashed = fnv1a(body);
+        if hashed != stored {
+            return Err(CheckpointError::new(format!(
+                "checksum mismatch: image hashes to {hashed:016x}, trailer says {stored:016x}"
+            )));
         }
         Ok(Checkpoint {
-            doc,
-            bytes: text.len(),
+            header,
+            image: Arc::from(&body[image_at..]),
+            bytes: bytes.len(),
         })
     }
 
@@ -116,228 +204,133 @@ impl Checkpoint {
     pub fn byte_len(&self) -> usize {
         self.bytes
     }
+}
 
-    pub fn doc(&self) -> &Json {
-        &self.doc
-    }
-
-    fn str_field(&self, section: &str, key: &str) -> Result<&str, CheckpointError> {
-        self.doc
-            .get(section)
-            .and_then(|s| s.get(key))
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| CheckpointError::new(format!("missing field {section}.{key}")))
-    }
-
-    fn bits_field(&self, section: &str, key: &str, n: usize) -> Result<Vec<f64>, CheckpointError> {
-        let v = decode_bits(self.str_field(section, key)?)?;
-        if v.len() != n {
-            return Err(CheckpointError::new(format!(
-                "field {section}.{key} holds {} values, model expects {n}",
-                v.len()
-            )));
-        }
-        Ok(v)
+/// Write `values` at their own width to the front of `image` and step past.
+fn put<T: Real>(image: &mut &mut [u8], values: &[T]) {
+    let head = image
+        .split_off_mut(..values.len() * T::BYTES)
+        .expect("image sized by image_len");
+    for (dst, v) in head.chunks_exact_mut(T::BYTES).zip(values) {
+        v.write_le(dst);
     }
 }
 
-fn field_bits<R: Real>(f: &Field2<R>) -> Json {
-    Json::Str(encode_bits(&f.to_f64_vec()))
-}
-
-fn restore_field<R: Real>(dst: &mut Field2<R>, src: &[f64]) {
-    for (d, &v) in dst.as_mut_slice().iter_mut().zip(src) {
-        *d = R::from_f64(v);
+/// Inverse of [`put`].
+fn get<T: Real>(image: &mut &[u8], values: &mut [T]) {
+    let head = image
+        .split_off(..values.len() * T::BYTES)
+        .expect("image length checked against image_len");
+    for (v, src) in values.iter_mut().zip(head.chunks_exact(T::BYTES)) {
+        *v = T::read_le(src);
     }
 }
 
 impl<R: Real> GristModel<R> {
+    fn checkpoint_header(&self) -> Header {
+        Header {
+            precision: R::NAME,
+            shape: [
+                self.config.nlev,
+                self.state.dpi.ncols(),
+                self.state.u.ncols(),
+                self.state.tracers.len(),
+            ],
+            dyn_steps: self.dyn_steps_taken,
+        }
+    }
+
     /// Capture a restartable snapshot of the prognostic + tracer state, the
     /// surface, and the model clocks. Ticks `checkpoint.captures` and
     /// `checkpoint.bytes` on the shared metrics registry.
     pub fn checkpoint(&self) -> Checkpoint {
-        let shape = Json::Obj(vec![
-            ("nlev".into(), Json::Num(self.config.nlev as f64)),
-            ("ncells".into(), Json::Num(self.state.dpi.ncols() as f64)),
-            ("nedges".into(), Json::Num(self.state.u.ncols() as f64)),
-            (
-                "ntracers".into(),
-                Json::Num(self.state.tracers.len() as f64),
-            ),
-        ]);
-        let state = Json::Obj(vec![
-            ("dpi".into(), field_bits(&self.state.dpi)),
-            ("theta_m".into(), field_bits(&self.state.theta_m)),
-            ("u".into(), field_bits(&self.state.u)),
-            ("w".into(), field_bits(&self.state.w)),
-            ("phi".into(), field_bits(&self.state.phi)),
-            (
-                "tracers".into(),
-                Json::Arr(self.state.tracers.iter().map(field_bits).collect()),
-            ),
-        ]);
-        let surface = Json::Obj(vec![
-            ("tskin".into(), Json::Str(encode_bits(&self.surface.tskin))),
-            ("coszr".into(), Json::Str(encode_bits(&self.surface.coszr))),
-            (
-                "albedo".into(),
-                Json::Str(encode_bits(&self.surface.albedo)),
-            ),
-            (
-                "ocean".into(),
-                Json::Str(
-                    self.surface
-                        .ocean
-                        .iter()
-                        .map(|&o| if o { '1' } else { '0' })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let clock = Json::Obj(vec![
-            ("time_s".into(), Json::Str(encode_bits(&[self.time_s]))),
-            (
-                "declination".into(),
-                Json::Str(encode_bits(&[self.declination])),
-            ),
-            ("dyn_steps".into(), Json::Num(self.dyn_steps_taken as f64)),
-            (
-                "precip_accum".into(),
-                Json::Str(encode_bits(&self.precip_accum)),
-            ),
-        ]);
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str(CHECKPOINT_SCHEMA.into())),
-            ("precision".into(), Json::Str(R::NAME.into())),
-            ("shape".into(), shape),
-            ("clock".into(), clock),
-            ("state".into(), state),
-            ("surface".into(), surface),
-        ]);
-        let bytes = doc.pretty().len();
+        let header = self.checkpoint_header();
+        let len = header.image_len().expect("the state itself fits in memory");
+        let mut image: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let w = &mut Arc::get_mut(&mut image).expect("not shared yet");
+        put(w, &[self.time_s, self.declination]);
+        put(w, self.state.dpi.as_slice());
+        put(w, self.state.theta_m.as_slice());
+        put(w, self.state.w.as_slice());
+        put(w, self.state.phi.as_slice());
+        put(w, self.state.u.as_slice());
+        for t in &self.state.tracers {
+            put(w, t.as_slice());
+        }
+        put(w, &self.surface.tskin);
+        put(w, &self.surface.coszr);
+        put(w, &self.surface.albedo);
+        put(w, &self.precip_accum);
+        assert_eq!(w.len(), self.surface.ocean.len(), "image layout drifted");
+        for (dst, &ocean) in w.iter_mut().zip(&self.surface.ocean) {
+            *dst = ocean as u8;
+        }
+        // Sized up front so the count of allocations per capture is fixed.
+        let mut line = String::with_capacity(MAX_HEADER);
+        writeln!(line, "{header}").expect("writing to a String cannot fail");
+        let bytes = line.len() + len + TRAILER;
         let m = self.metrics();
         m.counter_add("checkpoint.captures", 1);
         m.counter_add("checkpoint.bytes", bytes as u64);
-        Checkpoint { doc, bytes }
+        Checkpoint {
+            header,
+            image,
+            bytes,
+        }
     }
 
-    /// Roll the model back to `ck`. Shapes are validated against this model;
-    /// prognostics, tracers, surface, and clocks are restored bit-for-bit
-    /// (diagnostic caches like `last_diag` are rebuilt by the next physics
-    /// step). Ticks `recovery.restores` on success.
+    /// Roll the model back to `ck`. Precision, shape and image length are
+    /// checked against this model before the first write, so a rejected
+    /// checkpoint leaves it untouched; then prognostics, tracers, surface
+    /// and clocks are copied straight out of the image (diagnostic caches
+    /// like `last_diag` are rebuilt by the next physics step). Ticks
+    /// `recovery.restores` on success.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        // Working precision must match before anything else: an f64 document
-        // restored into an f32 model with identical shapes used to pass every
-        // check below and silently truncate each field through `from_f64`.
-        let precision = ck
-            .doc
-            .get("precision")
-            .and_then(|p| p.as_str())
-            .ok_or_else(|| CheckpointError::new("missing precision tag"))?;
-        if precision != R::NAME {
+        let own = self.checkpoint_header();
+        // Equal shapes do not make equal images: an f32 model's `u` and
+        // tracers are half as wide as an f64 model's.
+        if ck.header.precision != own.precision {
             return Err(CheckpointError::new(format!(
-                "precision mismatch: checkpoint captured from an {precision} model cannot \
-                 restore into an {} model",
-                R::NAME
+                "precision mismatch: checkpoint captured from an {} model cannot restore into \
+                 an {} model",
+                ck.header.precision, own.precision
             )));
         }
-        let shape_of = |key: &str| {
-            ck.doc
-                .get("shape")
-                .and_then(|s| s.get(key))
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| CheckpointError::new(format!("missing shape.{key}")))
-        };
-        let (nlev, ncells, nedges, ntracers) = (
-            shape_of("nlev")? as usize,
-            shape_of("ncells")? as usize,
-            shape_of("nedges")? as usize,
-            shape_of("ntracers")? as usize,
-        );
-        if nlev != self.config.nlev
-            || ncells != self.state.dpi.ncols()
-            || nedges != self.state.u.ncols()
-            || ntracers != self.state.tracers.len()
-        {
+        if ck.header.shape != own.shape || Some(ck.image.len()) != own.image_len() {
             return Err(CheckpointError::new(format!(
-                "shape mismatch: checkpoint ({nlev} lev, {ncells} cells, {nedges} edges, \
-                 {ntracers} tracers) vs model ({} lev, {} cells, {} edges, {} tracers)",
-                self.config.nlev,
-                self.state.dpi.ncols(),
-                self.state.u.ncols(),
-                self.state.tracers.len()
+                "shape mismatch: checkpoint ({}, {} B image) vs model ({own})",
+                ck.header,
+                ck.image.len()
             )));
         }
-        // Decode everything fallibly *before* touching the model, so a
-        // truncated document cannot leave a half-restored state behind.
-        let dpi = ck.bits_field("state", "dpi", self.state.dpi.as_slice().len())?;
-        let theta_m = ck.bits_field("state", "theta_m", self.state.theta_m.as_slice().len())?;
-        let u = ck.bits_field("state", "u", self.state.u.as_slice().len())?;
-        let w = ck.bits_field("state", "w", self.state.w.as_slice().len())?;
-        let phi = ck.bits_field("state", "phi", self.state.phi.as_slice().len())?;
-        let tracer_docs = ck
-            .doc
-            .get("state")
-            .and_then(|s| s.get("tracers"))
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| CheckpointError::new("missing field state.tracers"))?;
-        if tracer_docs.len() != ntracers {
-            return Err(CheckpointError::new("tracer array length disagrees"));
+        let r = &mut &ck.image[..];
+        let mut clocks = [0.0f64; 2];
+        get(r, &mut clocks);
+        [self.time_s, self.declination] = clocks;
+        get(r, self.state.dpi.as_mut_slice());
+        get(r, self.state.theta_m.as_mut_slice());
+        get(r, self.state.w.as_mut_slice());
+        get(r, self.state.phi.as_mut_slice());
+        get(r, self.state.u.as_mut_slice());
+        for t in &mut self.state.tracers {
+            get(r, t.as_mut_slice());
         }
-        let mut tracers = Vec::with_capacity(ntracers);
-        for (i, t) in tracer_docs.iter().enumerate() {
-            let s = t
-                .as_str()
-                .ok_or_else(|| CheckpointError::new(format!("tracer {i} is not a string")))?;
-            let v = decode_bits(s)?;
-            if v.len() != self.state.tracers[i].as_slice().len() {
-                return Err(CheckpointError::new(format!("tracer {i} length mismatch")));
-            }
-            tracers.push(v);
+        get(r, &mut self.surface.tskin);
+        get(r, &mut self.surface.coszr);
+        get(r, &mut self.surface.albedo);
+        get(r, &mut self.precip_accum);
+        for (ocean, &src) in self.surface.ocean.iter_mut().zip(r.iter()) {
+            *ocean = src != 0;
         }
-        let tskin = ck.bits_field("surface", "tskin", self.surface.tskin.len())?;
-        let coszr = ck.bits_field("surface", "coszr", self.surface.coszr.len())?;
-        let albedo = ck.bits_field("surface", "albedo", self.surface.albedo.len())?;
-        let ocean_str = ck.str_field("surface", "ocean")?;
-        if ocean_str.len() != self.surface.ocean.len() {
-            return Err(CheckpointError::new("ocean mask length mismatch"));
-        }
-        let time_s = ck.bits_field("clock", "time_s", 1)?[0];
-        let declination = ck.bits_field("clock", "declination", 1)?[0];
-        let precip = ck.bits_field("clock", "precip_accum", self.precip_accum.len())?;
-        let dyn_steps = ck
-            .doc
-            .get("clock")
-            .and_then(|c| c.get("dyn_steps"))
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| CheckpointError::new("missing clock.dyn_steps"))?
-            as usize;
-
-        restore_field(&mut self.state.dpi, &dpi);
-        restore_field(&mut self.state.theta_m, &theta_m);
-        restore_field(&mut self.state.u, &u);
-        restore_field(&mut self.state.w, &w);
-        restore_field(&mut self.state.phi, &phi);
-        for (field, v) in self.state.tracers.iter_mut().zip(&tracers) {
-            restore_field(field, v);
-        }
-        self.surface.tskin = tskin;
-        self.surface.coszr = coszr;
-        self.surface.albedo = albedo;
-        for (o, b) in self.surface.ocean.iter_mut().zip(ocean_str.bytes()) {
-            *o = b == b'1';
-        }
-        self.time_s = time_s;
-        self.declination = declination;
-        self.precip_accum = precip;
-        self.dyn_steps_taken = dyn_steps;
+        self.dyn_steps_taken = ck.header.dyn_steps;
         self.metrics().counter_add("recovery.restores", 1);
         Ok(())
     }
 
     /// FNV-1a hash over the bit patterns of every prognostic field, the
     /// surface skin temperature, and the model clock — a cheap fingerprint
-    /// for "two runs converged to the identical state".
+    /// for "two runs converged to the identical state". Working-precision
+    /// fields hash as their `f64` widening, whatever width an image stores.
     pub fn state_hash(&self) -> u64 {
         let mut h = Fnv::new();
         for f in [
@@ -346,16 +339,16 @@ impl<R: Real> GristModel<R> {
             &self.state.w,
             &self.state.phi,
         ] {
-            h.update(f.as_slice());
+            h.values(f.as_slice());
         }
-        h.update(&self.state.u.to_f64_vec());
+        h.values(self.state.u.as_slice());
         for t in &self.state.tracers {
-            h.update(&t.to_f64_vec());
+            h.values(t.as_slice());
         }
-        h.update(&self.surface.tskin);
-        h.update(&self.precip_accum);
-        h.update(&[self.time_s, self.declination]);
-        h.finish()
+        h.values(&self.surface.tskin);
+        h.values(&self.precip_accum);
+        h.values(&[self.time_s, self.declination]);
+        h.0
     }
 }
 
@@ -366,9 +359,9 @@ impl<R: Real> GristModel<R> {
 pub fn hash_f64_bits(chunks: &[&[f64]]) -> u64 {
     let mut h = Fnv::new();
     for c in chunks {
-        h.update(c);
+        h.values(c);
     }
-    h.finish()
+    h.0
 }
 
 /// FNV-1a fingerprint of a `u32` sequence (little-endian bytes) — used to
@@ -376,15 +369,18 @@ pub fn hash_f64_bits(chunks: &[&[f64]]) -> u64 {
 pub fn hash_u32_seq(values: &[u32]) -> u64 {
     let mut h = Fnv::new();
     for v in values {
-        for b in v.to_le_bytes() {
-            h.0 ^= b as u64;
-            h.0 = h.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.bytes(&v.to_le_bytes());
     }
-    h.finish()
+    h.0
 }
 
-/// Minimal FNV-1a over f64 bit patterns.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
+}
+
+/// Minimal FNV-1a.
 struct Fnv(u64);
 
 impl Fnv {
@@ -392,136 +388,17 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn update(&mut self, values: &[f64]) {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The `f64` bit patterns of `values`, widened in place.
+    fn values<T: Real>(&mut self, values: &[T]) {
         for v in values {
-            for b in v.to_bits().to_le_bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            self.bytes(&v.to_f64().to_bits().to_le_bytes());
         }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::RunConfig;
-
-    #[test]
-    fn bit_pattern_roundtrip_is_lossless_including_nan_payloads() {
-        let values = [
-            0.0,
-            -0.0,
-            1.0,
-            std::f64::consts::PI,
-            1.0e-308,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with payload
-        ];
-        let decoded = decode_bits(&encode_bits(&values)).unwrap();
-        assert_eq!(decoded.len(), values.len());
-        for (a, b) in values.iter().zip(&decoded) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} round-tripped as {b}");
-        }
-    }
-
-    #[test]
-    fn malformed_bit_strings_are_typed_errors() {
-        assert!(decode_bits("0123456789abcde").is_err(), "length % 16 != 0");
-        assert!(decode_bits("zzzzzzzzzzzzzzzz").is_err(), "non-hex");
-        assert!(decode_bits("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn checkpoint_serializes_parses_and_restores_bitwise() {
-        let mut m = GristModel::<f64>::new(RunConfig::for_level(2, 6));
-        m.advance(2.0 * m.config.dt_phy);
-        let ck = m.checkpoint();
-        let text = ck.to_json();
-        assert_eq!(ck.byte_len(), text.len());
-        let reparsed = Checkpoint::from_json(&text).unwrap();
-        // Wreck the model, then restore from the re-parsed document.
-        let hash = m.state_hash();
-        let t = m.time_s;
-        m.advance(m.config.dt_phy);
-        assert_ne!(m.state_hash(), hash, "advancing must change the hash");
-        m.restore(&reparsed).unwrap();
-        assert_eq!(m.state_hash(), hash, "restore must be bit-for-bit");
-        assert_eq!(m.time_s, t);
-        let metrics = m.metrics();
-        assert_eq!(metrics.counter("checkpoint.captures"), 1);
-        assert_eq!(metrics.counter("checkpoint.bytes"), ck.byte_len() as u64);
-        assert_eq!(metrics.counter("recovery.restores"), 1);
-    }
-
-    #[test]
-    fn restore_rejects_wrong_schema_and_wrong_shape() {
-        let m = GristModel::<f64>::new(RunConfig::for_level(2, 6));
-        let err = Checkpoint::from_json(r#"{"schema": "grist-bench-v1"}"#).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
-        // A checkpoint from a different vertical resolution must not restore.
-        let other = GristModel::<f64>::new(RunConfig::for_level(2, 8)).checkpoint();
-        let mut m = m;
-        let err = m.restore(&other).unwrap_err();
-        assert!(err.to_string().contains("shape mismatch"), "{err}");
-    }
-
-    #[test]
-    fn cross_precision_restore_is_rejected_naming_both_precisions() {
-        // Regression: the shapes of an f64 and an f32 model at the same
-        // resolution are identical, so `restore` used to accept the foreign
-        // document and quietly narrow every field through `from_f64`.
-        let cfg = RunConfig::for_level(2, 6);
-        let ck64 = GristModel::<f64>::new(cfg.clone()).checkpoint();
-        let ck32 = GristModel::<f32>::new(cfg.clone()).checkpoint();
-
-        let mut m32 = GristModel::<f32>::new(cfg.clone());
-        m32.advance(m32.config.dt_phy);
-        let hash = m32.state_hash();
-        let err = m32.restore(&ck64).unwrap_err();
-        assert!(
-            err.to_string().contains("precision mismatch")
-                && err.to_string().contains("f64")
-                && err.to_string().contains("f32"),
-            "{err}"
-        );
-        assert_eq!(m32.state_hash(), hash, "rejection must not touch state");
-        assert_eq!(m32.metrics().counter("recovery.restores"), 0);
-
-        let mut m64 = GristModel::<f64>::new(cfg);
-        let err = m64.restore(&ck32).unwrap_err();
-        assert!(err.to_string().contains("precision mismatch"), "{err}");
-
-        // A document missing the tag entirely is rejected, not assumed.
-        let mut doc_text = ck64.to_json();
-        doc_text = doc_text.replace("\"precision\": \"f64\",", "");
-        let untagged = Checkpoint::from_json(&doc_text).unwrap();
-        let err = m64.restore(&untagged).unwrap_err();
-        assert!(err.to_string().contains("precision"), "{err}");
-    }
-
-    #[test]
-    fn f32_model_checkpoints_restore_its_working_precision_exactly() {
-        let mut m = GristModel::<f32>::new(RunConfig::for_level(2, 6));
-        m.advance(2.0 * m.config.dt_phy);
-        let ck = m.checkpoint();
-        let u_before: Vec<f32> = m.state.u.as_slice().to_vec();
-        let hash = m.state_hash();
-        m.advance(m.config.dt_phy);
-        m.restore(&Checkpoint::from_json(&ck.to_json()).unwrap())
-            .unwrap();
-        assert_eq!(m.state_hash(), hash);
-        assert_eq!(
-            m.state.u.as_slice(),
-            &u_before[..],
-            "f32 u restored exactly"
-        );
     }
 }

@@ -29,7 +29,7 @@ pub use cases::{
     add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, apply_held_suarez, HeldSuarez,
     TropicalCyclone,
 };
-pub use checkpoint::{decode_bits, encode_bits, Checkpoint, CheckpointError, CHECKPOINT_SCHEMA};
+pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{table2_grids, table3_schemes, GridSpec, RecoveryPolicy, RunConfig, Scheme};
 pub use coupling::{apply_tendencies, extract_columns, SurfaceState};
 pub use datagen::{

@@ -448,6 +448,22 @@ impl<R: Real> GristModel<R> {
         self.last_checkpoint.as_ref()
     }
 
+    /// Restore [`Self::last_checkpoint`]. `false` when there is none; also
+    /// `false`, with a `recovery.restore_failed` tick, when it does not
+    /// restore — the caller ends its window `completed: false` either way.
+    fn roll_back(&mut self) -> bool {
+        // Shares the image (a reference-count bump) so `restore` can borrow
+        // the model mutably.
+        let Some(ck) = self.last_checkpoint.clone() else {
+            return false;
+        };
+        let restored = self.restore(&ck).is_ok();
+        if !restored {
+            self.metrics().counter_add("recovery.restore_failed", 1);
+        }
+        restored
+    }
+
     /// [`Self::advance`] under the configured
     /// [`RecoveryPolicy`](crate::config::RecoveryPolicy): checkpoints are
     /// captured every `checkpoint_interval` dyn steps, the prognostic fields
@@ -467,13 +483,9 @@ impl<R: Real> GristModel<R> {
         // only be repaired if a previous window left a checkpoint behind.
         let mut report = self.health();
         if report.state == RunState::Corrupt {
-            match self.last_checkpoint.clone() {
-                Some(ck) if restores < policy.max_restores => {
-                    self.restore(&ck).expect("own checkpoint must restore");
-                    restores += 1;
-                    report = self.health();
-                }
-                _ => {}
+            if restores < policy.max_restores && self.roll_back() {
+                restores += 1;
+                report = self.health();
             }
             if report.state == RunState::Corrupt {
                 return RecoveryOutcome {
@@ -501,7 +513,7 @@ impl<R: Real> GristModel<R> {
             if scan_due || ck_due {
                 report = self.health();
                 if report.state == RunState::Corrupt {
-                    if restores >= policy.max_restores {
+                    if restores >= policy.max_restores || !self.roll_back() {
                         return RecoveryOutcome {
                             completed: false,
                             restores,
@@ -509,11 +521,6 @@ impl<R: Real> GristModel<R> {
                             final_health: report,
                         };
                     }
-                    let ck = self
-                        .last_checkpoint
-                        .clone()
-                        .expect("checkpoint captured at window entry");
-                    self.restore(&ck).expect("own checkpoint must restore");
                     restores += 1;
                     continue;
                 }
@@ -718,6 +725,21 @@ mod tests {
         assert!(!out.completed);
         assert_eq!(out.final_health.state, crate::health::RunState::Corrupt);
         assert_eq!(out.restores, 0);
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_restore_ends_the_window_instead_of_panicking() {
+        let mut m = GristModel::<f64>::new(small_config());
+        assert!(m.advance_resilient(m.config.dt_phy).completed);
+        // A slot holding another resolution's image cannot restore.
+        m.last_checkpoint = Some(GristModel::<f64>::new(RunConfig::for_level(2, 8)).checkpoint());
+        m.state.u.set(0, 3, f64::NAN);
+        let out = m.advance_resilient(m.config.dt_phy);
+        assert!(!out.completed);
+        assert_eq!(out.restores, 0);
+        assert_eq!(out.final_health.state, crate::health::RunState::Corrupt);
+        assert_eq!(m.metrics().counter("recovery.restore_failed"), 1);
+        assert_eq!(m.metrics().counter("recovery.restores"), 0);
     }
 
     #[test]

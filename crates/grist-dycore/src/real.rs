@@ -52,6 +52,11 @@ pub trait Real:
     fn max(self, o: Self) -> Self;
     fn min(self, o: Self) -> Self;
     fn mul_add(self, a: Self, b: Self) -> Self;
+    /// Write the IEEE-754 bit pattern, little-endian, into `dst`
+    /// (`dst.len() == Self::BYTES`) — no widening, no rounding.
+    fn write_le(self, dst: &mut [u8]);
+    /// Inverse of [`Self::write_le`] (`src.len() == Self::BYTES`).
+    fn read_le(src: &[u8]) -> Self;
 
     #[inline]
     fn from_usize(n: usize) -> Self {
@@ -106,6 +111,14 @@ macro_rules! impl_real {
             #[inline]
             fn mul_add(self, a: Self, b: Self) -> Self {
                 <$t>::mul_add(self, a, b)
+            }
+            #[inline]
+            fn write_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read_le(src: &[u8]) -> Self {
+                <$t>::from_le_bytes(src.try_into().expect("chunk is Self::BYTES wide"))
             }
         }
     };

@@ -3,8 +3,9 @@
 # "Instrumentation is a context, not a suffix"). Fails if any public
 # function under crates/ is named for the instrumentation it adds, or if
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
-# §11 "Why the dycore has no hand-written lanes"), then prints the three
-# size numbers PR descriptions quote.
+# §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
+# codec does (DESIGN.md §8: one binary image, no second reader), then prints
+# the three size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,13 +19,18 @@ if grep -rnE "GRIST_SIMD|KernelMode|LaneVec" crates; then
     exit 1
 fi
 
+if grep -rnE "encode_bits|decode_bits|grist-checkpoint-v1" crates; then
+    echo "api_surface: FAIL — checkpoints are one binary image; no hex codec, no v1 reader" >&2
+    exit 1
+fi
+
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
 tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 env_reads=$(grep -rE "std::env::var\(" --include='*.rs' \
     crates/core/src crates/grist-*/src crates/sunway-sim/src | wc -l)
-echo "api_surface: OK — no suffix-named public functions, no lane layer"
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no hex checkpoint codec"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
 echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}"
 echo "api_surface: std::env::var reads under crates/{core,grist-*,sunway-sim}/src: ${env_reads}"

@@ -145,22 +145,22 @@ fn checkpoint_restore_then_advance_matches_the_uninterrupted_run() {
 
     let mut primary = GristModel::<f64>::new(cfg());
     primary.advance(window);
-    let ck = primary.checkpoint();
-    let wire = ck.to_json();
+    let wire = primary.checkpoint().to_bytes();
+    let at_capture = primary.state_hash();
     primary.advance(window);
     let reference = primary.state_hash();
 
     // A fresh process: parse the serialized checkpoint, restore into a
     // newly built model, and continue.
-    let parsed = Checkpoint::from_json(&wire).expect("checkpoint round-trips through JSON");
+    let parsed = Checkpoint::from_bytes(&wire).expect("checkpoint round-trips through bytes");
     let mut resumed = GristModel::<f64>::new(cfg());
     resumed
         .restore(&parsed)
         .expect("restore into a fresh model");
     assert_eq!(
         resumed.state_hash(),
-        ck_hash_of(&parsed, &cfg()),
-        "restore is not faithful to the serialized document"
+        at_capture,
+        "restore is not faithful to the serialized image"
     );
     resumed.advance(window);
     assert_eq!(
@@ -172,15 +172,6 @@ fn checkpoint_restore_then_advance_matches_the_uninterrupted_run() {
     assert_eq!(primary.metrics().counter("checkpoint.captures"), 1);
     assert!(primary.metrics().counter("checkpoint.bytes") > 0);
     assert_eq!(resumed.metrics().counter("recovery.restores"), 1);
-}
-
-/// Hash of the state a checkpoint encodes, obtained by restoring it into a
-/// scratch model — lets the test pin "restore is faithful" separately from
-/// "the continued trajectory matches".
-fn ck_hash_of(ck: &Checkpoint, cfg: &RunConfig) -> u64 {
-    let mut scratch = GristModel::<f64>::new(cfg.clone());
-    scratch.restore(ck).expect("scratch restore");
-    scratch.state_hash()
 }
 
 // ---------------------------------------------------------------------------

@@ -3,53 +3,16 @@
 //! allocations. (What remains — the metrics registry may allocate per
 //! dispatch — is the same at every mesh size.)
 //!
-//! One test only: the counters below are process-global, scoped to the
-//! measuring thread by a thread-local switch.
+//! One test only: the allocator's counters are process-global (see
+//! `support/counting_alloc.rs`).
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use grist_dycore::hevi::{NhConfig, NhSolver};
 use grist_dycore::VerticalCoord;
 use grist_mesh::HexMesh;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use sunway_sim::Substrate;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only atomics and a const-initialised, destructor-free thread-local,
-// neither of which allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNT_THIS_THREAD.get() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNT_THIS_THREAD.get() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// (allocations, bytes) of the third `step` of a freshly built solver.
 fn third_step_allocs(level: u32, ntracers: usize) -> (u64, u64) {
@@ -76,13 +39,8 @@ fn third_step_allocs(level: u32, ntracers: usize) -> (u64, u64) {
     }
     solver.step(&mut state, 120.0);
     solver.step(&mut state, 120.0);
-    COUNT_THIS_THREAD.set(true);
-    solver.step(&mut state, 120.0);
-    COUNT_THIS_THREAD.set(false);
-    (
-        ALLOCS.swap(0, Ordering::Relaxed),
-        BYTES.swap(0, Ordering::Relaxed),
-    )
+    let ((), allocs, bytes) = counting_alloc::count(|| solver.step(&mut state, 120.0));
+    (allocs, bytes)
 }
 
 #[test]
