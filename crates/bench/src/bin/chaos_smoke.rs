@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p grist-bench --bin chaos_smoke`
 
 use grist_core::{GristModel, RunConfig};
-use sunway_sim::{FaultPlan, FaultSite, Substrate};
+use sunway_sim::{dispatch_fault_key, FaultPlan, FaultSite, Substrate};
 
 const SMOKE_LEVEL: u32 = 2;
 const SMOKE_NLEV: usize = 10;
@@ -40,8 +40,8 @@ fn main() {
         .unwrap_or(42);
     let plan = FaultPlan::new(seed)
         .with_rate(FaultSite::Dispatch, 0.05)
-        .pin(FaultSite::Dispatch, 11)
-        .pin(FaultSite::Dispatch, 350);
+        .pin(FaultSite::Dispatch, dispatch_fault_key("hevi_diagnose", 1))
+        .pin(FaultSite::Dispatch, dispatch_fault_key("fct_limiter", 3));
 
     let (clean_hash, _, _) = run_window(None);
     let (storm_hash, counters, checkpoints) = run_window(Some(plan));

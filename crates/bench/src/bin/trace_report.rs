@@ -27,8 +27,8 @@ use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use sunway_sim::{
-    analyze, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Metrics, RooflineInputs,
-    Substrate, SunwaySpec,
+    analyze, dispatch_fault_key, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Metrics,
+    RooflineInputs, Substrate, SunwaySpec,
 };
 
 const RANKS: usize = 4;
@@ -93,7 +93,7 @@ fn main() {
         sub.arm_faults(
             FaultPlan::new(seed.wrapping_add(ctx.rank as u64))
                 .with_rate(FaultSite::Dispatch, 0.02)
-                .pin(FaultSite::Dispatch, 11),
+                .pin(FaultSite::Dispatch, dispatch_fault_key("hevi_mass_flux", 0)),
         );
         let cfg = RunConfig::for_level(LEVEL, NLEV).with_ml_physics(true);
         let window = cfg.dt_dyn * cfg.dyn_per_phy() as f64;

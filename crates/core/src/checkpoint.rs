@@ -18,6 +18,11 @@
 //! an FNV-1a of header and image behind, which [`Checkpoint::from_bytes`]
 //! verifies. DESIGN.md §8 has the byte layout.
 //!
+//! A capture between two tracer steps also carries the dry-mass flux the
+//! solver has accumulated for the next one (`NhSolver::flux_sum`) and says so
+//! in its header (`trac_steps=K`); a capture on the tracer cadence — every
+//! one the default `RecoveryPolicy` takes — has neither.
+//!
 //! Every capture ticks `checkpoint.captures` and adds the serialized size to
 //! `checkpoint.bytes` in the model's metrics registry.
 
@@ -27,7 +32,7 @@ use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Schema tag opening the header line of a serialized checkpoint.
-const SCHEMA: &str = "grist-ckpt-v2";
+const SCHEMA: &str = "grist-ckpt-v3";
 /// Longest header line [`Checkpoint::from_bytes`] looks for.
 const MAX_HEADER: usize = 256;
 /// Width of the trailing FNV-1a checksum.
@@ -61,6 +66,9 @@ struct Header {
     /// `nlev`, `ncells`, `nedges`, `ntracers`.
     shape: [usize; 4],
     dyn_steps: usize,
+    /// Dynamics steps of the tracer cycle in progress at capture; when not
+    /// 0, the image carries their summed mass flux.
+    trac_steps: usize,
 }
 
 impl fmt::Display for Header {
@@ -71,7 +79,11 @@ impl fmt::Display for Header {
             "{SCHEMA} {} nlev={nlev} ncells={ncells} nedges={nedges} ntracers={ntracers} \
              dyn_steps={}",
             self.precision, self.dyn_steps
-        )
+        )?;
+        match self.trac_steps {
+            0 => Ok(()),
+            k => write!(f, " trac_steps={k}"),
+        }
     }
 }
 
@@ -83,8 +95,14 @@ impl Header {
         let width = if self.precision == f32::NAME { 4 } else { 8 };
         let layers = nlev * ncells;
         // time_s, declination; dpi, theta_m on layers; w, phi on interfaces;
-        // tskin, coszr, albedo, precip_accum per cell.
-        let wide = 2 + 2 * layers + 2 * (nlev + 1) * ncells + 4 * ncells;
+        // tskin, coszr, albedo, precip_accum per cell; mid-cycle, the mass
+        // flux summed on edges.
+        let flux_sum = if self.trac_steps > 0 {
+            nlev * nedges
+        } else {
+            0
+        };
+        let wide = 2 + 2 * layers + 2 * (nlev + 1) * ncells + 4 * ncells + flux_sum;
         // u on edges and the tracers, at the model's width.
         let native = nlev * nedges + ntracers * layers;
         // ... and the ocean mask, one byte a cell.
@@ -110,15 +128,15 @@ impl Header {
             }
         };
         // Extents below 2³² keep `image_len` inside `u128`.
-        let mut number = |key: &str, max: usize| {
-            tokens
-                .next()
+        let field = |token: Option<&str>, key: &str, max: usize| {
+            token
                 .and_then(|t| t.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
                 .filter(|&n: &usize| n <= max)
                 .ok_or_else(|| CheckpointError::new(format!("header field {key} missing or bad")))
         };
+        let mut number = |key: &str, max: usize| field(tokens.next(), key, max);
         let extent = u32::MAX as usize;
-        let header = Header {
+        let mut header = Header {
             precision,
             shape: [
                 number("nlev", extent)?,
@@ -127,12 +145,19 @@ impl Header {
                 number("ntracers", extent)?,
             ],
             dyn_steps: number("dyn_steps", usize::MAX)?,
+            trac_steps: 0,
         };
+        // Written only by a mid-cycle capture, so never 0.
+        let unexpected = |t: &str| CheckpointError::new(format!("unexpected header token {t:?}"));
+        if let Some(token) = tokens.next() {
+            header.trac_steps = field(Some(token), "trac_steps", usize::MAX)
+                .ok()
+                .filter(|&k| k > 0)
+                .ok_or_else(|| unexpected(token))?;
+        }
         match tokens.next() {
             None => Ok(header),
-            Some(extra) => Err(CheckpointError::new(format!(
-                "unexpected header token {extra:?}"
-            ))),
+            Some(extra) => Err(unexpected(extra)),
         }
     }
 }
@@ -237,6 +262,7 @@ impl<R: Real> GristModel<R> {
                 self.state.tracers.len(),
             ],
             dyn_steps: self.dyn_steps_taken,
+            trac_steps: self.solver.flux_steps,
         }
     }
 
@@ -261,6 +287,9 @@ impl<R: Real> GristModel<R> {
         put(w, &self.surface.coszr);
         put(w, &self.surface.albedo);
         put(w, &self.precip_accum);
+        if header.trac_steps > 0 {
+            put(w, self.solver.flux_sum.as_slice());
+        }
         assert_eq!(w.len(), self.surface.ocean.len(), "image layout drifted");
         for (dst, &ocean) in w.iter_mut().zip(&self.surface.ocean) {
             *dst = ocean as u8;
@@ -279,14 +308,19 @@ impl<R: Real> GristModel<R> {
         }
     }
 
-    /// Roll the model back to `ck`. Precision, shape and image length are
-    /// checked against this model before the first write, so a rejected
-    /// checkpoint leaves it untouched; then prognostics, tracers, surface
-    /// and clocks are copied straight out of the image (diagnostic caches
-    /// like `last_diag` are rebuilt by the next physics step). Ticks
+    /// Roll the model back to `ck`. Precision, shape, tracer cadence and
+    /// image length are checked against this model before the first write,
+    /// so a rejected checkpoint leaves it untouched; then prognostics,
+    /// tracers, surface and clocks are copied straight out of the image
+    /// (diagnostic caches like `last_diag` are rebuilt by the next physics
+    /// step), and the tracer cycle in progress becomes the captured one —
+    /// none, unless the image holds a partial flux sum. Ticks
     /// `recovery.restores` on success.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        let own = self.checkpoint_header();
+        let own = Header {
+            trac_steps: ck.header.trac_steps,
+            ..self.checkpoint_header()
+        };
         // Equal shapes do not make equal images: an f32 model's `u` and
         // tracers are half as wide as an f64 model's.
         if ck.header.precision != own.precision {
@@ -301,6 +335,13 @@ impl<R: Real> GristModel<R> {
                 "shape mismatch: checkpoint ({}, {} B image) vs model ({own})",
                 ck.header,
                 ck.image.len()
+            )));
+        }
+        if ck.header.trac_steps >= self.solver.config.dyn_per_trac.max(1) {
+            return Err(CheckpointError::new(format!(
+                "tracer cadence mismatch: checkpoint is {} steps into a tracer cycle, this \
+                 model's cycle is {} steps",
+                ck.header.trac_steps, self.solver.config.dyn_per_trac
             )));
         }
         let r = &mut &ck.image[..];
@@ -319,6 +360,10 @@ impl<R: Real> GristModel<R> {
         get(r, &mut self.surface.coszr);
         get(r, &mut self.surface.albedo);
         get(r, &mut self.precip_accum);
+        if ck.header.trac_steps > 0 {
+            get(r, self.solver.flux_sum.as_mut_slice());
+        }
+        self.solver.flux_steps = ck.header.trac_steps;
         for (ocean, &src) in self.surface.ocean.iter_mut().zip(r.iter()) {
             *ocean = src != 0;
         }
@@ -328,9 +373,11 @@ impl<R: Real> GristModel<R> {
     }
 
     /// FNV-1a hash over the bit patterns of every prognostic field, the
-    /// surface skin temperature, and the model clock — a cheap fingerprint
-    /// for "two runs converged to the identical state". Working-precision
-    /// fields hash as their `f64` widening, whatever width an image stores.
+    /// surface skin temperature, and the model clock — plus, between two
+    /// tracer steps, the accumulated mass flux and its step count — a cheap
+    /// fingerprint for "two runs converged to the identical state".
+    /// Working-precision fields hash as their `f64` widening, whatever width
+    /// an image stores.
     pub fn state_hash(&self) -> u64 {
         let mut h = Fnv::new();
         for f in [
@@ -348,6 +395,10 @@ impl<R: Real> GristModel<R> {
         h.values(&self.surface.tskin);
         h.values(&self.precip_accum);
         h.values(&[self.time_s, self.declination]);
+        if self.solver.flux_steps > 0 {
+            h.values(self.solver.flux_sum.as_slice());
+            h.bytes(&(self.solver.flux_steps as u64).to_le_bytes());
+        }
         h.0
     }
 }

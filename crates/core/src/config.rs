@@ -44,8 +44,9 @@ pub struct RunConfig {
     pub level: u32,
     /// Vertical layers.
     pub nlev: usize,
-    /// Dynamics / tracer / physics / radiation timesteps \[s\], keeping the
-    /// paper's 1 : 7.5 : 15 : 45 cadence of Table 2 scaled to the grid.
+    /// Dynamics / tracer / physics / radiation timesteps \[s\]. Table 2 runs
+    /// 4 / 30 / 60 / 180 s (1 : 7.5 : 15 : 45); [`Self::for_level`] builds the
+    /// nearest whole-number cadence, 1 : 8 : 16 : 48, scaled to the grid.
     pub dt_dyn: f64,
     pub dt_trac: f64,
     pub dt_phy: f64,
@@ -106,9 +107,12 @@ impl RunConfig {
         }
     }
 
-    /// Dynamics substeps per tracer step (must divide evenly).
+    /// Dynamics substeps per tracer step: the nearest whole number, at least
+    /// one (a `dt_trac` below `dt_dyn` transports every substep). Need not
+    /// divide `dyn_per_phy`: the model ends a tracer cycle before each
+    /// physics step, however far it got.
     pub fn dyn_per_trac(&self) -> usize {
-        (self.dt_trac / self.dt_dyn).round() as usize
+        ((self.dt_trac / self.dt_dyn).round() as usize).max(1)
     }
 
     pub fn dyn_per_phy(&self) -> usize {

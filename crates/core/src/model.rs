@@ -153,6 +153,7 @@ impl<R: Real> GristModel<R> {
             VerticalCoord::uniform(config.nlev),
             NhConfig {
                 ntracers: 3,
+                dyn_per_trac: config.dyn_per_trac(),
                 ..Default::default()
             },
             sub.clone(),
@@ -340,7 +341,9 @@ impl<R: Real> GristModel<R> {
         self.solver.mesh.n_cells()
     }
 
-    /// One dynamics substep.
+    /// One dynamics substep. The tracers move on the `dt_trac` cadence: on
+    /// every [`RunConfig::dyn_per_trac`]-th substep since the last tracer
+    /// step, by the mass flux accumulated in between.
     pub fn step_dyn(&mut self) {
         let dt = self.config.dt_dyn;
         // Root trace span: kernels record under `step/dycore/...`.
@@ -367,6 +370,9 @@ impl<R: Real> GristModel<R> {
     }
 
     /// One physics step over `dt_phy`, using the §3.2.4 coupling interface.
+    /// A tracer cycle in progress ends first, so physics reads — and adds its
+    /// tendencies to — tracers transported up to the model time, whether or
+    /// not `dt_phy` is a multiple of `dt_trac`.
     pub fn step_physics(&mut self) {
         // Root trace span: suite kernels record under `step/physics/...` (or
         // `step/ml/...` for the ML suite).
@@ -376,6 +382,8 @@ impl<R: Real> GristModel<R> {
             .tracer()
             .set_step(self.dyn_steps_taken as u64);
         let _span = span_sub.span("step");
+        self.solver
+            .flush_tracers(&mut self.state, self.config.dt_dyn);
         let dt_phy = self.config.dt_phy;
         let utc_hours = (self.time_s / 3600.0) % 24.0;
         let (lats, lons) = (&self.lats, &self.lons);

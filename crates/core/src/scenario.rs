@@ -1061,6 +1061,10 @@ fn run_coupled<R: Real>(s: &Scenario) -> Result<ScenarioRun, ScenarioError> {
                 "health.final_corrupt".into(),
                 (health.state == crate::health::RunState::Corrupt) as u64,
             ),
+            (
+                "tracer.cfl_violations".into(),
+                model.metrics().counter("tracer.cfl_violations"),
+            ),
         ],
     };
     Ok(ScenarioRun {

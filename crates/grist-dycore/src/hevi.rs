@@ -26,12 +26,23 @@
 //! advective/vector-invariant terms run in `R`. The *sensitive* quantities —
 //! the accumulated dry-mass flux `δπV`, the mass/Θ fields themselves, and the
 //! pressure-gradient / gravity (implicit) terms — always use `f64`.
+//!
+//! ## Tracer cadence (Table 2: dyn 4 s, tracer 30 s)
+//!
+//! With [`NhConfig::dyn_per_trac`] `= n > 1` the tracers are not transported
+//! every dynamics step: each step adds its `f64` dry-mass flux to
+//! [`NhSolver::flux_sum`], and every `n`-th step transports all tracers once,
+//! over `n·Δt`, by the time-mean flux `F̄ = ΣF / n` from the pre-transport
+//! mass `M = (δπ_end + nΔt·∇·F̄)·A` — the mass the summed horizontal fluxes
+//! acted on, so a uniform tracer stays uniform and `Σ M q` is conserved
+//! exactly as in the per-step form. [`NhSolver::flush_tracers`] ends a cycle
+//! early (before physics reads the tracers).
 
 use crate::constants::{CP, GRAVITY, KAPPA, P0, RDRY};
 use crate::field::Field2;
 use crate::operators::{self as op, ScaledGeometry};
 use crate::real::Real;
-use crate::tracer::{fct_transport_keep_mass, FctWorkspace};
+use crate::tracer::{fct_edge_transports, fct_transport_keep_mass, FctWorkspace};
 use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::cell::RefCell;
@@ -91,6 +102,10 @@ pub struct NhConfig {
     pub beta: f64,
     /// Number of passive tracers carried.
     pub ntracers: usize,
+    /// Dynamics steps per tracer step (0 and 1 both mean every step): the
+    /// tracers move once per this many [`NhSolver::step`]s, by the mass flux
+    /// accumulated over them.
+    pub dyn_per_trac: usize,
 }
 
 impl Default for NhConfig {
@@ -99,6 +114,7 @@ impl Default for NhConfig {
             div_damp: 0.12,
             beta: 1.0,
             ntracers: 1,
+            dyn_per_trac: 1,
         }
     }
 }
@@ -115,6 +131,14 @@ pub struct NhSolver<R: Real> {
     pub geom: ScaledGeometry<R>,
     /// Double-precision metric terms for the sensitive terms.
     pub geom64: ScaledGeometry<f64>,
+    /// Edge dry-mass flux summed over the [`Self::flux_steps`] dynamics steps
+    /// of the tracer cycle in progress (§3.4.2: accumulated in `f64`).
+    /// Meaningful only while `flux_steps > 0`; with it, part of what a
+    /// restart must carry.
+    pub flux_sum: Field2<f64>,
+    /// Dynamics steps accumulated into [`Self::flux_sum`] since the last
+    /// tracer step; 0 between cycles and whenever `dyn_per_trac <= 1`.
+    pub flux_steps: usize,
     // --- scratch (layer fields) ---
     theta: Field2<f64>,
     dphi: Field2<f64>,
@@ -138,7 +162,6 @@ pub struct NhSolver<R: Real> {
     mdot: Field2<f64>,
     fct_ws: FctWorkspace<R>,
     tracer_mass: Field2<R>,
-    tracer_flux: Field2<R>,
     /// Squared mean edge spacing \[m²\]: the length scale of the divergence
     /// damping coefficient `ν = c·Δx²/Δt`.
     dx2: f64,
@@ -177,6 +200,8 @@ impl<R: Real> NhSolver<R> {
         NhSolver {
             geom,
             geom64,
+            flux_sum: Field2::zeros(nlev, ne),
+            flux_steps: 0,
             theta: Field2::zeros(nlev, nc),
             dphi: Field2::zeros(nlev, nc),
             pres: Field2::zeros(nlev, nc),
@@ -199,7 +224,6 @@ impl<R: Real> NhSolver<R> {
             mdot: Field2::zeros(nlev + 1, nc),
             fct_ws: FctWorkspace::new(nlev, &mesh),
             tracer_mass: Field2::zeros(nlev, nc),
-            tracer_flux: Field2::zeros(nlev, ne),
             dx2,
             mesh,
             vc,
@@ -289,7 +313,9 @@ impl<R: Real> NhSolver<R> {
 
     /// One full HEVI dynamics step of `dt` seconds: explicit horizontal
     /// forward-backward update, then the implicit vertical acoustic solve,
-    /// then FCT tracer transport.
+    /// then FCT tracer transport — every step, or with
+    /// [`NhConfig::dyn_per_trac`] `> 1` on the step that completes a tracer
+    /// cycle (every step of one cycle must use the same `dt`).
     pub fn step(&mut self, state: &mut NhState<R>, dt: f64) {
         // All kernels below record under the "dycore" trace span, so the
         // metrics registry can attribute step time to the dynamical core.
@@ -357,10 +383,14 @@ impl<R: Real> NhSolver<R> {
 
         // Dry-mass flux δπ·u with the *updated* velocity (forward-backward)
         // — accumulated in f64 per §3.4.2.
+        // A sub-cycled tracer step also sums it, in the same pass.
+        let sub_cycled = self.config.dyn_per_trac > 1 && !state.tracers.is_empty();
         {
             let u = &state.u;
             let dpi = &state.dpi;
             let cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
+            let sums = sub_cycled.then(|| ColumnsMut::new(self.flux_sum.as_mut_slice(), nlev));
+            let first = self.flux_steps == 0;
             sub.run("hevi_mass_flux", cols.len(), |e| {
                 // SAFETY: each edge index is dispatched exactly once.
                 let col = unsafe { cols.col(e) };
@@ -368,6 +398,17 @@ impl<R: Real> NhSolver<R> {
                 let (a, b) = (dpi.col(c1 as usize), dpi.col(c2 as usize));
                 for k in 0..nlev {
                     col[k] = 0.5 * (a[k] + b[k]) * u.at(k, e).to_f64();
+                }
+                if let Some(sums) = &sums {
+                    // SAFETY: as above.
+                    let sum = unsafe { sums.col(e) };
+                    if first {
+                        sum.copy_from_slice(col);
+                    } else {
+                        for k in 0..nlev {
+                            sum[k] += col[k];
+                        }
+                    }
                 }
             });
         }
@@ -463,46 +504,94 @@ impl<R: Real> NhSolver<R> {
         self.implicit_vertical(state, dt);
 
         // ---------- tracer transport ----------
-        let mesh = &self.mesh; // re-borrow after the &mut call above
-        if !state.tracers.is_empty() {
-            // Pre-transport tracer mass in working precision,
-            // M_i = (δπ_new + Δt·∇·F)_i · A_i R²: the mass the horizontal
-            // flux field acted on.
-            let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
-            {
-                let dpi = &state.dpi;
-                let div_mass = &self.div_mass;
-                let cols = ColumnsMut::new(self.tracer_mass.as_mut_slice(), nlev);
-                sub.run("hevi_tracer_mass", cols.len(), |c| {
-                    // SAFETY: each cell index is dispatched exactly once.
-                    let col = unsafe { cols.col(c) };
-                    let a = mesh.cell_area[c] * r2;
-                    for (k, x) in col.iter_mut().enumerate() {
-                        *x = R::from_f64((dpi.at(k, c) + dt * div_mass.at(k, c)) * a);
-                    }
-                });
-                let mass_flux = &self.mass_flux;
-                let cols = ColumnsMut::new(self.tracer_flux.as_mut_slice(), nlev);
-                sub.run("hevi_tracer_flux", cols.len(), |e| {
-                    // SAFETY: each edge index is dispatched exactly once.
-                    let col = unsafe { cols.col(e) };
-                    for (k, x) in col.iter_mut().enumerate() {
-                        *x = R::from_f64(mass_flux.at(k, e));
-                    }
-                });
+        if sub_cycled {
+            self.flux_steps += 1;
+            if self.flux_steps >= self.config.dyn_per_trac {
+                self.end_tracer_cycle(state, dt);
             }
-            for q in &mut state.tracers {
-                fct_transport_keep_mass(
-                    &sub,
-                    mesh,
-                    &self.geom,
-                    &self.tracer_mass,
-                    &self.tracer_flux,
-                    q,
-                    dt,
-                    &mut self.fct_ws,
-                );
-            }
+        } else {
+            self.transport_tracers(state, dt);
+        }
+    }
+
+    /// Transport the tracers over whatever part of a tracer cycle has been
+    /// accumulated (nothing, when none has), so they are current at the
+    /// state's time — what a reader of the tracers outside the dynamics
+    /// (physics coupling) calls first. `dt` is the length of each accumulated
+    /// dynamics step.
+    pub fn flush_tracers(&mut self, state: &mut NhState<R>, dt: f64) {
+        if self.flux_steps > 0 {
+            let span_sub = self.sub.clone();
+            let _span = span_sub.span("dycore");
+            self.end_tracer_cycle(state, dt);
+        }
+    }
+
+    /// One tracer step over the `flux_steps` accumulated dynamics steps of
+    /// `dt` seconds each: the time-mean flux `F̄` and its divergence take the
+    /// per-step scratch fields, then the tracers move as in a single step of
+    /// the whole interval.
+    fn end_tracer_cycle(&mut self, state: &mut NhState<R>, dt: f64) {
+        let nlev = self.vc.nlev;
+        let steps = self.flux_steps as f64;
+        {
+            let inv = 1.0 / steps;
+            let sum = &self.flux_sum;
+            let cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
+            self.sub.run("hevi_flux_mean", cols.len(), |e| {
+                // SAFETY: each edge index is dispatched exactly once.
+                let col = unsafe { cols.col(e) };
+                for (x, &s) in col.iter_mut().zip(sum.col(e)) {
+                    *x = s * inv;
+                }
+            });
+        }
+        op::divergence(
+            &self.sub,
+            &self.mesh,
+            &self.geom64,
+            &self.mass_flux,
+            &mut self.div_mass,
+        );
+        self.flux_steps = 0;
+        self.transport_tracers(state, steps * dt);
+    }
+
+    /// FCT transport of every tracer over `dt` seconds by the dry-mass flux
+    /// in `mass_flux`, whose divergence is in `div_mass`.
+    fn transport_tracers(&mut self, state: &mut NhState<R>, dt: f64) {
+        if state.tracers.is_empty() {
+            return;
+        }
+        let nlev = self.vc.nlev;
+        let (sub, mesh) = (&self.sub, &self.mesh);
+        // Pre-transport tracer mass in working precision,
+        // M_i = (δπ_new + Δt·∇·F)_i · A_i R²: the mass the horizontal
+        // flux field acted on.
+        let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
+        {
+            let dpi = &state.dpi;
+            let div_mass = &self.div_mass;
+            let cols = ColumnsMut::new(self.tracer_mass.as_mut_slice(), nlev);
+            sub.run("hevi_tracer_mass", cols.len(), |c| {
+                // SAFETY: each cell index is dispatched exactly once.
+                let col = unsafe { cols.col(c) };
+                let a = mesh.cell_area[c] * r2;
+                for (k, x) in col.iter_mut().enumerate() {
+                    *x = R::from_f64((dpi.at(k, c) + dt * div_mass.at(k, c)) * a);
+                }
+            });
+        }
+        fct_edge_transports(sub, &self.geom, &self.mass_flux, dt, &mut self.fct_ws);
+        for q in &mut state.tracers {
+            fct_transport_keep_mass(
+                sub,
+                mesh,
+                &self.geom,
+                &self.tracer_mass,
+                q,
+                &mut self.fct_ws,
+            );
         }
     }
 
@@ -757,6 +846,122 @@ mod tests {
         for _ in 0..10 {
             s.step(&mut st, 120.0);
         }
+        for &q in st.tracers[0].as_slice() {
+            assert!((q - 1e-3).abs() < 1e-9, "uniform tracer drifted: {q}");
+        }
+    }
+
+    /// A solver on the Table-2 tracer cadence and a state in zonal flow.
+    fn sub_cycled(level: u32, nlev: usize, dyn_per_trac: usize) -> (NhSolver<f64>, NhState<f64>) {
+        let config = NhConfig {
+            dyn_per_trac,
+            ..NhConfig::default()
+        };
+        let s = NhSolver::new(HexMesh::build(level), VerticalCoord::uniform(nlev), config);
+        let mut st = s.isothermal_rest_state(280.0, 1.0e5);
+        for e in 0..s.mesh.n_edges() {
+            let m = s.mesh.edge_mid[e];
+            let zonal = grist_mesh::Vec3::new(0.0, 0.0, 1.0).cross(m);
+            for k in 0..nlev {
+                let speed = 10.0 + 10.0 * k as f64 / nlev as f64;
+                st.u.set(k, e, speed * zonal.dot(s.mesh.edge_normal[e]));
+            }
+        }
+        (s, st)
+    }
+
+    #[test]
+    fn sub_cycled_uniform_tracer_stays_uniform() {
+        let (mut s, mut st) = sub_cycled(2, 8, 8);
+        for _ in 0..16 {
+            s.step(&mut st, 120.0);
+        }
+        assert_eq!(s.flux_steps, 0, "16 steps are two whole cycles");
+        for &q in st.tracers[0].as_slice() {
+            assert!((q - 1e-3).abs() < 1e-9, "uniform tracer drifted: {q}");
+        }
+        assert_eq!(s.sub.metrics().counter("tracer.cfl_violations"), 0);
+    }
+
+    #[test]
+    fn sub_cycled_transport_conserves_tracer_mass_and_adds_no_extrema() {
+        let (mut s, mut st) = sub_cycled(3, 6, 8);
+        let center = grist_mesh::Vec3::new(1.0, 0.0, 0.0);
+        for c in 0..s.mesh.n_cells() {
+            let d = s.mesh.cell_xyz[c].arc_dist(center) / 0.3;
+            for k in 0..6 {
+                st.tracers[0].set(k, c, (-d * d).exp());
+            }
+        }
+        let q_start = st.tracers[0].clone();
+        let (q_min, q_max) = (q_start.min_value(), q_start.max_value());
+        let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
+        for cycle in 0..3 {
+            let q_old = st.tracers[0].clone();
+            for _ in 0..7 {
+                s.step(&mut st, 300.0);
+            }
+            assert_eq!(
+                st.tracers[0].as_slice(),
+                q_old.as_slice(),
+                "tracers moved before the cycle's last step"
+            );
+            s.step(&mut st, 300.0);
+            assert_eq!(s.flux_steps, 0);
+            // Σ M q over the tracer step: M the pre-transport mass before,
+            // the dry mass the dynamics arrived at after.
+            let before = crate::tracer::total_tracer(&s.tracer_mass, &q_old);
+            let mass_end = Field2::from_fn(6, s.mesh.n_cells(), |k, c| {
+                st.dpi.at(k, c) * s.mesh.cell_area[c] * r2
+            });
+            let after = crate::tracer::total_tracer(&mass_end, &st.tracers[0]);
+            assert!(
+                ((after - before) / before).abs() < 1e-12,
+                "cycle {cycle}: tracer mass drift {}",
+                (after - before) / before
+            );
+            assert!(st.tracers[0].min_value() >= q_min - 1e-12, "undershoot");
+            assert!(st.tracers[0].max_value() <= q_max + 1e-12, "overshoot");
+        }
+        assert_ne!(
+            st.tracers[0].as_slice(),
+            q_start.as_slice(),
+            "blob never moved"
+        );
+        assert_eq!(s.sub.metrics().counter("tracer.cfl_violations"), 0);
+    }
+
+    #[test]
+    fn flush_transports_a_partial_cycle_over_exactly_its_elapsed_time() {
+        // Three of eight steps, then a flush: a uniform tracer stays uniform
+        // only if the transported mass is the mass the three steps moved.
+        let (mut s, mut st) = sub_cycled(2, 8, 8);
+        for _ in 0..3 {
+            s.step(&mut st, 120.0);
+        }
+        assert_eq!(s.flux_steps, 3);
+        s.flush_tracers(&mut st, 120.0);
+        assert_eq!(s.flux_steps, 0);
+        for &q in st.tracers[0].as_slice() {
+            assert!((q - 1e-3).abs() < 1e-9, "uniform tracer drifted: {q}");
+        }
+        let moved = st.tracers[0].clone();
+        s.flush_tracers(&mut st, 120.0);
+        assert_eq!(
+            st.tracers[0].as_slice(),
+            moved.as_slice(),
+            "nothing to flush"
+        );
+        // The next cycle starts from an empty sum: five more steps do not
+        // complete one, eight do.
+        for _ in 0..5 {
+            s.step(&mut st, 120.0);
+        }
+        assert_eq!(s.flux_steps, 5);
+        for _ in 0..3 {
+            s.step(&mut st, 120.0);
+        }
+        assert_eq!(s.flux_steps, 0);
         for &q in st.tracers[0].as_slice() {
             assert!((q - 1e-3).abs() < 1e-9, "uniform tracer drifted: {q}");
         }

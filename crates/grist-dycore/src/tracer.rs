@@ -63,7 +63,8 @@ const LEVEL_BLOCK: usize = 32;
 ///   extrema) and exactly conservative in `Σ M_i q_i`.
 ///
 /// The caller must respect the flux CFL: total outflow of any cell during
-/// `dt` may not exceed its mass (checked with `debug_assert`).
+/// `dt` may not exceed its mass. A cell-level that ends the step without
+/// mass ticks the `tracer.cfl_violations` counter of `sub`'s registry.
 #[allow(clippy::too_many_arguments)]
 pub fn fct_transport_step<R: Real>(
     sub: &Substrate,
@@ -75,40 +76,51 @@ pub fn fct_transport_step<R: Real>(
     dt: f64,
     ws: &mut FctWorkspace<R>,
 ) {
-    fct_transport_keep_mass(sub, mesh, geom, mass, flux, q, dt, ws);
+    fct_edge_transports(sub, geom, flux, dt, ws);
+    fct_transport_keep_mass(sub, mesh, geom, mass, q, ws);
     mass.copy_from(&ws.mass_new);
 }
 
-/// [`fct_transport_step`] with the pre-step `mass` left untouched: the
-/// post-step mass stays in the workspace. The HEVI solver transports every
-/// tracer from the same pre-step mass and never reads the updated one.
-#[allow(clippy::too_many_arguments)]
+/// Per-edge transports `T_e = dt · F_e · ℓ_e` into the workspace: the part of
+/// an FCT step that does not depend on the tracer, computed once for every
+/// tracer [`fct_transport_keep_mass`] then moves with it. The flux may be
+/// held wider than the working precision (the HEVI solver's is `f64`,
+/// §3.4.2); it is cast on the way in.
+pub(crate) fn fct_edge_transports<R: Real, F: Real>(
+    sub: &Substrate,
+    geom: &ScaledGeometry<R>,
+    flux: &Field2<F>,
+    dt: f64,
+    ws: &mut FctWorkspace<R>,
+) {
+    let nlev = flux.nlev();
+    let dt_r = R::from_f64(dt);
+    let cols = ColumnsMut::new(ws.transport.as_mut_slice(), nlev);
+    sub.run("fct_transport", cols.len(), |e| {
+        // SAFETY: each edge index is dispatched exactly once.
+        let col = unsafe { cols.col(e) };
+        let le = geom.edge_le[e];
+        let f = flux.col(e);
+        for k in 0..nlev {
+            col[k] = R::from_f64(f[k].to_f64()) * le * dt_r;
+        }
+    });
+}
+
+/// The tracer-dependent part of [`fct_transport_step`], by the transports
+/// [`fct_edge_transports`] left in the workspace, with the pre-step `mass`
+/// left untouched: the post-step mass stays in the workspace. The HEVI solver
+/// transports every tracer from the same pre-step mass and never reads the
+/// updated one.
 pub(crate) fn fct_transport_keep_mass<R: Real>(
     sub: &Substrate,
     mesh: &HexMesh,
     geom: &ScaledGeometry<R>,
     mass: &Field2<R>,
-    flux: &Field2<R>,
     q: &mut Field2<R>,
-    dt: f64,
     ws: &mut FctWorkspace<R>,
 ) {
     let nlev = q.nlev();
-    let dt_r = R::from_f64(dt);
-
-    // Per-edge transports T_e = dt · F_e · ℓ_e.
-    {
-        let cols = ColumnsMut::new(ws.transport.as_mut_slice(), nlev);
-        sub.run("fct_transport", cols.len(), |e| {
-            // SAFETY: each edge index is dispatched exactly once.
-            let col = unsafe { cols.col(e) };
-            let le = geom.edge_le[e];
-            let f = flux.col(e);
-            for k in 0..nlev {
-                col[k] = f[k] * le * dt_r;
-            }
-        });
-    }
 
     // Low-order (upwind) transported tracer and the updated mass.
     let q_ro: &Field2<R> = q;
@@ -121,6 +133,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
             let qtd = unsafe { qtd_cols.col(c) };
             let mnew = unsafe { mnew_cols.col(c) };
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
+            let mut emptied = 0u64;
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
                 let n = LEVEL_BLOCK.min(nlev - k0);
                 let lv = k0..k0 + n;
@@ -145,14 +158,15 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
                 }
                 let (mnew, qtd) = (&mut mnew[lv.clone()], &mut qtd[lv]);
                 for l in 0..n {
-                    debug_assert!(
-                        m[l] > R::ZERO,
-                        "FCT: cell {c} lev {} emptied — CFL violated",
-                        k0 + l
-                    );
+                    emptied += u64::from(m[l] <= R::ZERO);
                     mnew[l] = m[l];
                     qtd[l] = mq[l] / m[l];
                 }
+            }
+            if emptied > 0 {
+                // Flux CFL violated: the step took more out of a cell than
+                // it held. Counted, not asserted, so release builds see it.
+                sub.metrics().counter_add("tracer.cfl_violations", emptied);
             }
         });
     }
@@ -422,6 +436,29 @@ mod tests {
             "overshoot: {}",
             q.max_value()
         );
+    }
+
+    #[test]
+    fn a_step_past_the_flux_cfl_ticks_the_violation_counter() {
+        let (mesh, geom) = setup(2);
+        // Solid-body rotation is non-divergent and empties nothing however
+        // long the step; dropping every other edge's flux makes it divergent.
+        let mut flux = sb_flux(&mesh, 1000.0, 1e-5);
+        for e in (0..mesh.n_edges()).step_by(2) {
+            flux.set(0, e, 0.0);
+        }
+        let mut ws = FctWorkspace::new(1, &mesh);
+        let run = |dt: f64, ws: &mut FctWorkspace<f64>| {
+            let s = sub();
+            let mut mass = uniform_mass(&mesh, 1000.0);
+            let mut q = Field2::constant(1, mesh.n_cells(), 0.37);
+            fct_transport_step(&s, &mesh, &geom, &mut mass, &flux, &mut q, dt, ws);
+            s.metrics().counter("tracer.cfl_violations")
+        };
+        // 64 m/s across ~1900 km cells: 600 s is far inside the CFL, 10⁶ s
+        // takes several cell masses out of the cells that lost their inflow.
+        assert_eq!(run(600.0, &mut ws), 0);
+        assert!(run(1.0e6, &mut ws) > 0, "emptied cells went uncounted");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! * [`Substrate::try_run_with_bytes`](crate::substrate::Substrate::try_run_with_bytes)
 //!   consults an armed plan before every offload dispatch ([`FaultSite::Dispatch`]
-//!   for compute-only kernels, [`FaultSite::Dma`] for dispatches carrying a
-//!   modeled DMA payload);
+//!   for compute-only kernels, keyed on [`dispatch_fault_key`] — kernel name
+//!   and how many times that kernel has been dispatched — so adding, removing
+//!   or reordering *other* kernels leaves a kernel's faults where they were;
+//!   [`FaultSite::Dma`] for dispatches carrying a modeled DMA payload);
 //! * `grist-runtime`'s chaos halo exchange consults it per received message
 //!   ([`FaultSite::HaloExchange`]), truncating the buffer so the failure
 //!   surfaces through the normal malformed-buffer detection path.
@@ -28,10 +30,10 @@
 //!   fails on every attempt, forcing the caller down the degrade path
 //!   (serial fallback for dispatches, checkpoint restore for exchanges).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where in the stack an injected fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -115,10 +117,14 @@ struct PlanCfg {
     pinned: BTreeSet<(FaultSite, u64)>,
 }
 
-/// Per-site monotone event counters (shared by every clone, so the plan
-/// assigns one key per dispatch no matter which substrate clone issues it).
+/// Monotone event counters (shared by every clone, so the plan assigns one
+/// key per dispatch no matter which substrate clone issues it): one for
+/// [`FaultSite::Dma`], and for [`FaultSite::Dispatch`] one per kernel name.
 #[derive(Debug, Default)]
-struct SiteSeqs([AtomicU64; 3]);
+struct SiteSeqs {
+    dma: AtomicU64,
+    dispatches: Mutex<BTreeMap<&'static str, u64>>,
+}
 
 /// A seeded, deterministic fault schedule. Cloning is cheap and shares the
 /// event counters; build the plan (rates, pins, retry budget) *before*
@@ -172,19 +178,38 @@ impl FaultPlan {
         self
     }
 
-    /// Hand out the next deterministic event key for `site` (the substrate's
-    /// dispatch counter). Sites with naturally unique keys — the halo
-    /// exchange's `(rank, src, tag)` — derive theirs instead, so rank-thread
-    /// interleaving cannot perturb the schedule.
-    pub fn next_key(&self, site: FaultSite) -> u64 {
-        self.seqs.0[site.index()].fetch_add(1, Ordering::Relaxed)
+    /// Hand out the next deterministic [`FaultSite::Dma`] event key: a
+    /// running ordinal over DMA-carrying dispatches and chunk gets. The other
+    /// sites derive keys that name the event — compute dispatches through
+    /// [`Self::next_dispatch_key`], the halo exchange from its
+    /// `(rank, src, tag)` — so neither a restructured step nor rank-thread
+    /// interleaving can perturb their schedule.
+    pub(crate) fn next_dma_key(&self) -> u64 {
+        self.seqs.dma.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Zero the per-site event counters (start an identical schedule over).
+    /// The [`dispatch_fault_key`] of this dispatch of kernel `name`, counting
+    /// the plan's earlier dispatches of the same name.
+    pub(crate) fn next_dispatch_key(&self, name: &'static str) -> u64 {
+        let mut seqs = self
+            .seqs
+            .dispatches
+            .lock()
+            .expect("no code panics holding the ordinal map");
+        let ordinal = seqs.entry(name).or_insert(0);
+        let key = dispatch_fault_key(name, *ordinal);
+        *ordinal += 1;
+        key
+    }
+
+    /// Zero the event counters (start an identical schedule over).
     pub fn reset(&self) {
-        for c in &self.seqs.0 {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.seqs.dma.store(0, Ordering::Relaxed);
+        self.seqs
+            .dispatches
+            .lock()
+            .expect("no code panics holding the ordinal map")
+            .clear();
     }
 
     /// Does attempt `attempt` of event `key` at `site` fail? Pure function
@@ -207,6 +232,17 @@ impl FaultPlan {
         // Top 53 bits → uniform in [0, 1).
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
     }
+}
+
+/// Event key of the `ordinal`-th (from 0) [`FaultSite::Dispatch`] dispatch of
+/// kernel `name` under one plan: an FNV-1a of the name, mixed, plus the
+/// ordinal. Exposed so chaos tests can [`FaultPlan::pin`] a specific dispatch
+/// of a specific kernel.
+pub fn dispatch_fault_key(name: &str, ordinal: u64) -> u64 {
+    let h = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    splitmix64(h).wrapping_add(ordinal)
 }
 
 /// SplitMix64 finalizer — the same mixer the vendored rand shim seeds with.
@@ -303,11 +339,33 @@ mod tests {
     fn clones_share_event_counters() {
         let p = FaultPlan::new(5);
         let q = p.clone();
-        assert_eq!(p.next_key(FaultSite::Dispatch), 0);
-        assert_eq!(q.next_key(FaultSite::Dispatch), 1);
-        assert_eq!(p.next_key(FaultSite::Dma), 0, "sites count independently");
+        assert_eq!(p.next_dma_key(), 0);
+        assert_eq!(q.next_dma_key(), 1);
+        assert_eq!(p.next_dispatch_key("a"), dispatch_fault_key("a", 0));
+        assert_eq!(q.next_dispatch_key("a"), dispatch_fault_key("a", 1));
         p.reset();
-        assert_eq!(q.next_key(FaultSite::Dispatch), 0);
+        assert_eq!(q.next_dma_key(), 0);
+        assert_eq!(q.next_dispatch_key("a"), dispatch_fault_key("a", 0));
+    }
+
+    #[test]
+    fn dispatch_keys_count_per_kernel_name() {
+        // Dispatches of other kernels in between do not move a kernel's keys.
+        let alone = FaultPlan::new(5);
+        let mixed = FaultPlan::new(5);
+        let mut keys = (Vec::new(), Vec::new());
+        for _ in 0..4 {
+            keys.0.push(alone.next_dispatch_key("fct_limiter"));
+            mixed.next_dispatch_key("hevi_mass_flux");
+            keys.1.push(mixed.next_dispatch_key("fct_limiter"));
+            mixed.next_dma_key();
+        }
+        assert_eq!(keys.0, keys.1);
+        assert_eq!(keys.0[3], dispatch_fault_key("fct_limiter", 3));
+        assert_ne!(
+            dispatch_fault_key("fct_limiter", 0),
+            dispatch_fault_key("fct_apply", 0)
+        );
     }
 
     #[test]

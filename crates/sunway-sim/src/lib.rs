@@ -46,7 +46,7 @@ pub use dma::{
     amortization_threshold, effective_bandwidth, simulate_dma_batch, staged_loop_time,
     DmaCompletion, DmaRequest,
 };
-pub use fault::{FaultError, FaultPlan, FaultSite};
+pub use fault::{dispatch_fault_key, FaultError, FaultPlan, FaultSite};
 pub use json::{Json, JsonError};
 pub use ldcache::{simulate_streams, Access, LdCache};
 pub use metrics::{KernelStats, Metrics, MetricsSnapshot, SpanGuard, SpanStats};

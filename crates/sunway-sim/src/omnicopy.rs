@@ -182,7 +182,7 @@ pub struct PipelineReport {
 /// the budget and the pipeline must degrade.
 fn consult_get(plan: Option<&FaultPlan>, report: &mut PipelineReport) -> Result<(), ()> {
     let Some(plan) = plan else { return Ok(()) };
-    let key = plan.next_key(FaultSite::Dma);
+    let key = plan.next_dma_key();
     let mut attempt = 0u32;
     while plan.should_fail(FaultSite::Dma, key, attempt) {
         report.injected += 1;

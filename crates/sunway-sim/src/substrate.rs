@@ -381,12 +381,11 @@ impl Substrate {
         if self.inner.server.is_some() {
             let plan = self.inner.fault.lock().unwrap().clone();
             if let Some(plan) = plan {
-                let site = if bytes_per_item > 0 {
-                    FaultSite::Dma
+                let (site, key) = if bytes_per_item > 0 {
+                    (FaultSite::Dma, plan.next_dma_key())
                 } else {
-                    FaultSite::Dispatch
+                    (FaultSite::Dispatch, plan.next_dispatch_key(name))
                 };
-                let key = plan.next_key(site);
                 let metrics = &self.inner.metrics;
                 let mut attempt = 0u32;
                 while plan.should_fail(site, key, attempt) {
@@ -558,6 +557,7 @@ impl<'a, T> ColumnsMut<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::dispatch_fault_key;
 
     #[test]
     fn serial_and_cpe_teams_produce_identical_results() {
@@ -686,10 +686,10 @@ mod tests {
         let clean = run_on(&Substrate::cpe_teams(4));
 
         let sub = Substrate::cpe_teams(4);
-        // The first compute-only dispatch (key 0) fails every attempt.
+        // The kernel's first dispatch fails every attempt.
         sub.arm_faults(
             FaultPlan::new(1)
-                .pin(FaultSite::Dispatch, 0)
+                .pin(FaultSite::Dispatch, dispatch_fault_key("faultable", 0))
                 .with_max_retries(2),
         );
         let chaotic = run_on(&sub);
@@ -726,9 +726,11 @@ mod tests {
         // rate plan and find a seed/key where attempt 0 fires and attempt 1
         // clears, exercising the retry path deterministically.
         let mut chosen = None;
+        let key = dispatch_fault_key("retryable", 0);
         'outer: for seed in 0..64 {
             let p = FaultPlan::new(seed).with_rate(FaultSite::Dispatch, 0.5);
-            if p.should_fail(FaultSite::Dispatch, 0, 0) && !p.should_fail(FaultSite::Dispatch, 0, 1)
+            if p.should_fail(FaultSite::Dispatch, key, 0)
+                && !p.should_fail(FaultSite::Dispatch, key, 1)
             {
                 chosen = Some(seed);
                 break 'outer;
@@ -752,7 +754,7 @@ mod tests {
     #[test]
     fn disarm_restores_the_fault_free_path() {
         let sub = Substrate::cpe_teams(2);
-        sub.arm_faults(FaultPlan::new(0).pin(FaultSite::Dispatch, 0));
+        sub.arm_faults(FaultPlan::new(0).pin(FaultSite::Dispatch, dispatch_fault_key("calm", 0)));
         assert!(sub.fault_plan().is_some());
         let plan = sub.disarm_faults().expect("was armed");
         assert_eq!(plan.seed(), 0);
@@ -779,7 +781,7 @@ mod tests {
         let sub = Substrate::serial();
         sub.arm_faults(
             FaultPlan::new(0)
-                .pin(FaultSite::Dispatch, 0)
+                .pin(FaultSite::Dispatch, dispatch_fault_key("mpe_kernel", 0))
                 .with_rate(FaultSite::Dispatch, 1.0),
         );
         sub.run("mpe_kernel", 64, |_| {});

@@ -4,7 +4,8 @@
 # function under crates/ is named for the instrumentation it adds, or if
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
 # §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
-# codec does (DESIGN.md §8: one binary image, no second reader), then prints
+# codec or a superseded image format's reader does (DESIGN.md §8: one binary
+# image, no second reader), then prints
 # the three size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,8 +20,8 @@ if grep -rnE "GRIST_SIMD|KernelMode|LaneVec" crates; then
     exit 1
 fi
 
-if grep -rnE "encode_bits|decode_bits|grist-checkpoint-v1" crates; then
-    echo "api_surface: FAIL — checkpoints are one binary image; no hex codec, no v1 reader" >&2
+if grep -rnE "encode_bits|decode_bits|grist-checkpoint-v1|grist-ckpt-v2" crates; then
+    echo "api_surface: FAIL — checkpoints are one binary image; no hex codec, no v1 or v2 reader" >&2
     exit 1
 fi
 

@@ -11,7 +11,7 @@
 use grist_core::{Checkpoint, GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
-use sunway_sim::{FaultPlan, FaultSite, Substrate};
+use sunway_sim::{dispatch_fault_key, FaultPlan, FaultSite, Substrate};
 
 /// Seed for the storms below; override with `CHAOS_SEED=<n>`.
 fn chaos_seed() -> u64 {
@@ -57,14 +57,15 @@ fn run_dispatch_storm(plan: Option<FaultPlan>) -> (u64, [u64; 3]) {
 #[test]
 fn dispatch_fault_storm_is_bitwise_invisible_and_deterministic() {
     let seed = chaos_seed();
-    // Transient rate faults plus two pinned dispatch events — one early,
-    // one mid-run (the window issues ~600 dispatches) — that persist through
-    // every retry and force the degrade-to-serial path.
+    // Transient rate faults plus two pinned dispatch events — one early
+    // (the second step's diagnosis), one mid-run (the second tracer step's
+    // first limiter pass) — that persist through every retry and force the
+    // degrade-to-serial path.
     let plan = || {
         FaultPlan::new(seed)
             .with_rate(FaultSite::Dispatch, 0.05)
-            .pin(FaultSite::Dispatch, 11)
-            .pin(FaultSite::Dispatch, 350)
+            .pin(FaultSite::Dispatch, dispatch_fault_key("hevi_diagnose", 1))
+            .pin(FaultSite::Dispatch, dispatch_fault_key("fct_limiter", 3))
     };
 
     let (clean_hash, clean_counters) = run_dispatch_storm(None);
@@ -107,7 +108,10 @@ fn resilient_advance_under_a_storm_completes_and_matches_clean_stepping() {
     sub.arm_faults(
         FaultPlan::new(seed)
             .with_rate(FaultSite::Dispatch, 0.05)
-            .pin(FaultSite::Dispatch, 7),
+            .pin(
+                FaultSite::Dispatch,
+                dispatch_fault_key("hevi_momentum_update", 0),
+            ),
     );
     let mut chaotic = GristModel::<f64>::with_substrate(cfg, sub);
     let outcome = chaotic.advance_resilient(window);
@@ -298,7 +302,10 @@ fn halo_fault_storm_recovers_deterministically_from_checkpoints() {
 fn fault_and_recovery_counters_surface_in_metrics_json() {
     let sub = Substrate::cpe_teams(4);
     // Pin the very first dispatch: retries burn, then degrade-to-serial.
-    sub.arm_faults(FaultPlan::new(chaos_seed()).pin(FaultSite::Dispatch, 0));
+    sub.arm_faults(
+        FaultPlan::new(chaos_seed())
+            .pin(FaultSite::Dispatch, dispatch_fault_key("hevi_diagnose", 0)),
+    );
     let mut m = GristModel::<f64>::with_substrate(small_config(), sub);
     m.step_dyn();
     let ck = m.checkpoint();

@@ -4,11 +4,14 @@
 //! (anything truncated, damaged, foreign or captured from a different
 //! model) — always as a typed error that leaves the target model untouched.
 
-use grist_core::{Checkpoint, GristModel, RunConfig};
+use grist_core::{
+    add_baroclinic_jet, Checkpoint, GristModel, HaloPhase, RecoveryPolicy, RunConfig,
+};
 use grist_dycore::Real;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Schema tag and checksum width of the serialized form (DESIGN.md §8).
-const SCHEMA: &str = "grist-ckpt-v2";
+const SCHEMA: &str = "grist-ckpt-v3";
 const TRAILER: usize = 8;
 
 /// Values a decimal or rounding codec would lose, at `T`'s own width.
@@ -125,9 +128,13 @@ fn must_be_rejected<R: Real>(target: &mut GristModel<R>, wire: &[u8], what: &str
 }
 
 fn damaged_images_are_typed_errors<R: Real>() {
+    // Three steps past a physics window: the image carries the optional
+    // mid-cycle section and its header token, so both are damaged too.
     let mut source = GristModel::<R>::new(cfg());
-    source.advance(source.config.dt_phy);
+    source.advance(source.config.dt_phy + 3.0 * source.config.dt_dyn);
     let wire = source.checkpoint().to_bytes();
+    assert!(wire.starts_with(SCHEMA.as_bytes()));
+    assert!(wire[..wire.iter().position(|&b| b == b'\n').unwrap()].ends_with(b" trac_steps=3"));
     // Nothing parses, so nothing reaches a model.
     for cut in 0..wire.len() {
         let err = Checkpoint::from_bytes(&wire[..cut]).expect_err("strict prefix accepted");
@@ -199,11 +206,12 @@ fn restore_rejects_wrong_schema_and_wrong_shape() {
         err.to_string().contains("schema tag \"{\"") && err.to_string().contains(SCHEMA),
         "{err}"
     );
-    let mut v3 = GristModel::<f64>::new(cfg()).checkpoint().to_bytes();
-    v3[SCHEMA.len() - 1] = b'3';
-    let err = Checkpoint::from_bytes(&v3).unwrap_err();
+    // So is the image format before the optional mid-cycle section.
+    let mut v2 = GristModel::<f64>::new(cfg()).checkpoint().to_bytes();
+    v2[SCHEMA.len() - 1] = b'2';
+    let err = Checkpoint::from_bytes(&v2).unwrap_err();
     assert!(
-        err.to_string().contains("grist-ckpt-v3") && err.to_string().contains(SCHEMA),
+        err.to_string().contains("grist-ckpt-v2") && err.to_string().contains(SCHEMA),
         "{err}"
     );
     // A checkpoint from a different vertical resolution must not restore.
@@ -278,4 +286,137 @@ fn f32_model_checkpoints_at_its_own_width_and_restores_exactly() {
         ck.byte_len(),
         wide.byte_len()
     );
+}
+
+/// A small model whose physics is a pure function of the column state, so a
+/// restart can be bitwise (see `integration_chaos`'s restart test).
+fn restartable() -> RunConfig {
+    RunConfig::for_level(2, 6).with_ml_physics(true)
+}
+
+/// ... in a jet, so mass moves — and the flux sum is not all zeros — from the
+/// first step on.
+fn in_a_jet(cfg: &RunConfig) -> GristModel<f64> {
+    let mut m = GristModel::<f64>::new(cfg.clone());
+    add_baroclinic_jet(&mut m, 35.0, 1.0);
+    m
+}
+
+#[test]
+fn restart_is_bitwise_from_every_offset_of_the_tracer_cycle() {
+    let cfg = restartable();
+    let (per_trac, nlev) = (cfg.dyn_per_trac(), cfg.nlev);
+    assert_eq!(per_trac, 8);
+    let windows = 2.0 * cfg.dt_phy;
+    let mut aligned_len = 0;
+    for k in 0..per_trac {
+        let mut primary = in_a_jet(&cfg);
+        primary.advance(k as f64 * cfg.dt_dyn);
+        let ck = primary.checkpoint();
+        let at_capture = primary.state_hash();
+        primary.advance(windows);
+
+        // Only a mid-cycle image carries the flux sum, and says so.
+        let wire = ck.to_bytes();
+        let header_len = wire.iter().position(|&b| b == b'\n').unwrap();
+        let header = String::from_utf8_lossy(&wire[..header_len]).into_owned();
+        if k == 0 {
+            aligned_len = wire.len();
+            assert!(!header.contains("trac_steps"), "{header}");
+        } else {
+            let token = format!(" trac_steps={k}");
+            assert!(header.ends_with(&token), "{header}");
+            let flux_sum = 8 * nlev * primary.state.u.ncols();
+            assert_eq!(
+                wire.len(),
+                aligned_len + token.len() + flux_sum,
+                "offset {k}"
+            );
+        }
+
+        // The target is itself three steps into a cycle: whatever it had
+        // accumulated must be gone after the restore.
+        let mut resumed = in_a_jet(&cfg);
+        resumed.advance(3.0 * cfg.dt_dyn);
+        resumed
+            .restore(&Checkpoint::from_bytes(&wire).expect("own image parses"))
+            .expect("own image restores");
+        assert_eq!(resumed.solver.flux_steps, k);
+        assert_eq!(resumed.state_hash(), at_capture, "offset {k}");
+        resumed.advance(windows);
+        assert_eq!(
+            resumed.state_hash(),
+            primary.state_hash(),
+            "restart from {k} steps into a tracer cycle diverged"
+        );
+    }
+}
+
+#[test]
+fn the_hash_between_tracer_steps_covers_the_accumulated_flux() {
+    let mut m = in_a_jet(&restartable());
+    m.advance(3.0 * m.config.dt_dyn);
+    let hash = m.state_hash();
+    let v = m.solver.flux_sum.at(0, 5);
+    m.solver.flux_sum.set(0, 5, v + 1.0);
+    assert_ne!(m.state_hash(), hash);
+    m.solver.flux_sum.set(0, 5, v);
+    assert_eq!(m.state_hash(), hash);
+}
+
+#[test]
+fn a_mid_cycle_image_restores_only_into_a_model_on_a_longer_cadence() {
+    let cfg = restartable();
+    let mut source = in_a_jet(&cfg);
+    source.advance(5.0 * cfg.dt_dyn);
+    let ck = source.checkpoint();
+    for dyn_per_trac in [1.0, 5.0] {
+        let mut target = GristModel::<f64>::new(RunConfig {
+            dt_trac: dyn_per_trac * cfg.dt_dyn,
+            ..cfg.clone()
+        });
+        let hash = target.state_hash();
+        let err = target.restore(&ck).unwrap_err();
+        assert!(err.to_string().contains("tracer cadence mismatch"), "{err}");
+        assert_eq!(target.state_hash(), hash, "rejection must not touch state");
+    }
+    let mut longer = GristModel::<f64>::new(RunConfig {
+        dt_trac: 6.0 * cfg.dt_dyn,
+        ..cfg
+    });
+    longer
+        .restore(&ck)
+        .expect("five steps into a six-step cycle");
+}
+
+#[test]
+fn a_mid_cycle_rollback_ends_on_the_uninterrupted_hash() {
+    // Checkpoints every 3 dyn steps land inside the 8-step tracer cycle. A
+    // NaN appears in `u` after step 14; the scan at step 15 finds it and
+    // rolls back to step 12, four steps into a cycle, with three more steps'
+    // worth of flux — and a NaN — in the live accumulator.
+    let cfg = RunConfig {
+        recovery: RecoveryPolicy {
+            checkpoint_interval: 3,
+            ..RecoveryPolicy::default()
+        },
+        ..restartable()
+    };
+    let window = 2.0 * cfg.dt_phy;
+    let mut clean = in_a_jet(&cfg);
+    let out = clean.advance_resilient(window);
+    assert!(out.completed && out.restores == 0);
+
+    let mut faulty = in_a_jet(&cfg);
+    let completed_steps = AtomicUsize::new(0);
+    faulty.set_halo_hook(Box::new(move |phase, state| {
+        if phase == HaloPhase::Complete && completed_steps.fetch_add(1, Ordering::Relaxed) == 13 {
+            state.u.set(0, 3, f64::NAN);
+        }
+    }));
+    let out = faulty.advance_resilient(window);
+    assert!(out.completed, "{}", out.final_health.diagnosis);
+    assert_eq!(out.restores, 1);
+    assert_eq!(faulty.dyn_steps(), clean.dyn_steps());
+    assert_eq!(faulty.state_hash(), clean.state_hash());
 }

@@ -14,11 +14,13 @@ use grist_dycore::VerticalCoord;
 use grist_mesh::HexMesh;
 use sunway_sim::Substrate;
 
-/// (allocations, bytes) of the third `step` of a freshly built solver.
-fn third_step_allocs(level: u32, ntracers: usize) -> (u64, u64) {
+/// (allocations, bytes) of `step` number `nth` (from 1) of a freshly built
+/// solver.
+fn step_allocs(level: u32, ntracers: usize, dyn_per_trac: usize, nth: usize) -> (u64, u64) {
     let nlev = 10;
     let config = NhConfig {
         ntracers,
+        dyn_per_trac,
         ..NhConfig::default()
     };
     let mut solver = NhSolver::<f64>::with_substrate(
@@ -37,31 +39,50 @@ fn third_step_allocs(level: u32, ntracers: usize) -> (u64, u64) {
                 .set(k, e, 10.0 * zonal.dot(solver.mesh.edge_normal[e]));
         }
     }
-    solver.step(&mut state, 120.0);
-    solver.step(&mut state, 120.0);
+    for _ in 1..nth {
+        solver.step(&mut state, 120.0);
+    }
     let ((), allocs, bytes) = counting_alloc::count(|| solver.step(&mut state, 120.0));
     (allocs, bytes)
 }
 
 #[test]
 fn step_allocations_do_not_scale_with_the_mesh() {
-    // The count may differ between tracer counts (each tracer adds five
-    // dispatches and the registry builds a key per dispatch), but for a
-    // given tracer count it must not depend on the mesh, and a step must
-    // not allocate field-sized buffers.
+    // The count differs between tracer counts and between a step that only
+    // accumulates mass flux and one that transports the tracers (each kernel
+    // dispatch builds a registry key), but for a given kind of step it must
+    // not depend on the mesh, and no step may allocate field-sized buffers.
+    let mut per_kind = Vec::new();
     for ntracers in [1, 3] {
-        let (small, small_bytes) = third_step_allocs(2, ntracers);
-        let (large, large_bytes) = third_step_allocs(3, ntracers);
-        assert_eq!(
-            small, large,
-            "{ntracers} tracer(s): allocations per step grew with the mesh \
-             (level 2: {small}, level 3: {large})"
-        );
-        for (level, bytes) in [(2, small_bytes), (3, large_bytes)] {
-            assert!(
-                bytes < 64 * 1024,
-                "{ntracers} tracer(s), level {level}: {bytes} B allocated in one step"
+        for (what, dyn_per_trac, nth) in [
+            ("transport every step", 1, 3),
+            ("accumulating step of an 8-step cycle", 8, 3),
+            ("transporting step of an 8-step cycle", 8, 8),
+        ] {
+            let (small, small_bytes) = step_allocs(2, ntracers, dyn_per_trac, nth);
+            let (large, large_bytes) = step_allocs(3, ntracers, dyn_per_trac, nth);
+            assert_eq!(
+                small, large,
+                "{ntracers} tracer(s), {what}: allocations per step grew with the mesh \
+                 (level 2: {small}, level 3: {large})"
             );
+            for (level, bytes) in [(2, small_bytes), (3, large_bytes)] {
+                assert!(
+                    bytes < 64 * 1024,
+                    "{ntracers} tracer(s), {what}, level {level}: {bytes} B allocated in one step"
+                );
+            }
+            per_kind.push(small);
         }
     }
+    // An accumulating step dispatches no tracer kernel at all, so it
+    // allocates less than any transporting one and the same for any number
+    // of tracers; the transporting step of a cycle adds two dispatches (the
+    // flux mean and its divergence) to a per-step transport.
+    let [every1, acc1, flush1, every3, acc3, flush3] = per_kind[..] else {
+        unreachable!("six kinds of step measured")
+    };
+    assert!(acc1 < every1 && acc3 < every3, "{per_kind:?}");
+    assert_eq!(acc1, acc3, "{per_kind:?}");
+    assert!(flush1 > every1 && flush3 > every3, "{per_kind:?}");
 }

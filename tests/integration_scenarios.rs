@@ -11,7 +11,8 @@
 use grist_core::checkpoint::hash_f64_bits;
 use grist_core::{
     add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, parse_scenario_file,
-    scenario_file_json, GristModel, RunConfig, ScenarioError, ScenarioRunner, TropicalCyclone,
+    scenario_file_json, CaseSpec, GristModel, RunConfig, ScenarioError, ScenarioRunner,
+    TropicalCyclone,
 };
 use grist_dycore::swe::SweSolver;
 use grist_dycore::swe_cases::{install_tc5_mountain, williamson_tc5, williamson_tc6};
@@ -79,6 +80,35 @@ fn committed_matrix_replays_bitwise() {
     assert!(names.iter().any(|n| n == "regional_refine"));
     assert!(names.iter().any(|n| n == "ablation_conventional"));
     assert!(names.iter().any(|n| n == "ablation_ml"));
+}
+
+#[test]
+fn no_committed_scenario_empties_a_cell_in_one_tracer_step() {
+    // The tracer step is dyn_per_trac dynamics steps long; the pins record
+    // that none of the coupled runs took more out of a cell than it held.
+    let mut coupled = 0;
+    for (path, text) in committed_scenarios() {
+        let (config, golden) = parse_scenario_file(&text).unwrap();
+        let golden = golden.expect("committed scenarios carry a golden pin");
+        let violations = golden
+            .counters
+            .iter()
+            .find(|(name, _)| name == "tracer.cfl_violations");
+        if matches!(
+            config.case,
+            CaseSpec::WilliamsonTc5 { .. } | CaseSpec::WilliamsonTc6 { .. }
+        ) {
+            continue; // shallow water: no tracers
+        }
+        coupled += 1;
+        assert_eq!(
+            violations.map(|(_, n)| *n),
+            Some(0),
+            "{}: flux CFL violated",
+            path.display()
+        );
+    }
+    assert!(coupled >= 9, "only {coupled} coupled scenarios checked");
 }
 
 #[test]

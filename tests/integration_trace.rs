@@ -10,8 +10,8 @@ use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_physics::Column;
 use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use sunway_sim::{
-    analyze, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Json, Metrics,
-    RooflineInputs, Substrate, SunwaySpec,
+    analyze, dispatch_fault_key, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Json,
+    Metrics, RooflineInputs, Substrate, SunwaySpec,
 };
 
 const RANKS: usize = 4;
@@ -45,7 +45,7 @@ fn run_traced_world() -> Metrics {
         sub.arm_faults(
             FaultPlan::new(42 + ctx.rank as u64)
                 .with_rate(FaultSite::Dispatch, 0.02)
-                .pin(FaultSite::Dispatch, 11),
+                .pin(FaultSite::Dispatch, dispatch_fault_key("hevi_mass_flux", 0)),
         );
         let cfg = RunConfig::for_level(2, NLEV).with_ml_physics(true);
         let window = cfg.dt_dyn * cfg.dyn_per_phy() as f64;
