@@ -5,8 +5,9 @@
 //! diagnostic variables back … for the next-step dynamical core integration."
 //!
 //! [`extract_columns`] builds the per-cell [`Column`]s from the dycore
-//! state; [`apply_tendencies`] folds the returned Q1/Q2-style tendencies back
-//! into Θ and the moisture tracers.
+//! state; `apply_tendencies` (`GristModel::step_physics` is its one caller)
+//! folds the returned Q1/Q2-style tendencies back into Θ and the moisture
+//! tracers, with the Π the extraction diagnosed.
 
 use grist_dycore::constants::GRAVITY;
 use grist_dycore::operators::cell_velocity;
@@ -83,6 +84,17 @@ pub fn extract_columns<R: Real>(
     state: &NhState<R>,
     surface: &SurfaceState,
 ) -> Vec<Column> {
+    extract_columns_and_exner(solver, state, surface).0
+}
+
+/// [`extract_columns`], and the Π it diagnosed on the way: what
+/// [`apply_tendencies`] converts `dT` to `dθ` with, borrowed from the solver
+/// from the extraction to the application.
+pub(crate) fn extract_columns_and_exner<'a, R: Real>(
+    solver: &'a mut NhSolver<R>,
+    state: &NhState<R>,
+    surface: &SurfaceState,
+) -> (Vec<Column>, &'a Field2<f64>) {
     let nlev = state.dpi.nlev();
     let nc = state.dpi.ncols();
     // Cell-centred winds.
@@ -134,14 +146,16 @@ pub fn extract_columns<R: Real>(
             ocean: surface.ocean[c],
         });
     }
-    cols
+    (cols, exner)
 }
 
 /// Fold physics tendencies back into the prognostic state over `dt` seconds:
 /// `dT/dt` enters Θ through `dθ = dT/Π`; moisture tendencies update the
-/// tracers (clamped non-negative).
-pub fn apply_tendencies<R: Real>(
-    solver: &mut NhSolver<R>,
+/// tracers (clamped non-negative). `exner` is the Π of this `state` as
+/// [`extract_columns_and_exner`] returned it with the columns the tendencies
+/// were computed from.
+pub(crate) fn apply_tendencies<R: Real>(
+    exner: &Field2<f64>,
     state: &mut NhState<R>,
     tends: &[Tendencies],
     dt: f64,
@@ -149,8 +163,6 @@ pub fn apply_tendencies<R: Real>(
     let nlev = state.dpi.nlev();
     let nc = state.dpi.ncols();
     assert_eq!(tends.len(), nc);
-    // Refresh Π for the θ conversion.
-    let exner = solver.diagnose_fields(state).3.clone();
 
     for c in 0..nc {
         let tend = &tends[c];
@@ -236,12 +248,12 @@ mod tests {
     fn heating_tendency_warms_the_state_through_theta() {
         let (mut solver, mut state, surface) = setup();
         let nc = solver.mesh.n_cells();
-        let before = extract_columns(&mut solver, &state, &surface);
+        let (before, exner) = extract_columns_and_exner(&mut solver, &state, &surface);
         let mut tends = vec![Tendencies::zeros(10); nc];
         for t in &mut tends {
             t.dt_dt[5] = 1.0 / 3600.0; // 1 K/hour at level 5
         }
-        apply_tendencies(&mut solver, &mut state, &tends, 3600.0);
+        apply_tendencies(exner, &mut state, &tends, 3600.0);
         let after = extract_columns(&mut solver, &state, &surface);
         for c in 0..nc {
             // Heating at fixed layer volume also raises p and Π through the
@@ -256,13 +268,14 @@ mod tests {
 
     #[test]
     fn moisture_tendencies_clamp_at_zero() {
-        let (mut solver, mut state, _) = setup();
+        let (mut solver, mut state, surface) = setup();
         let nc = solver.mesh.n_cells();
+        let (_, exner) = extract_columns_and_exner(&mut solver, &state, &surface);
         let mut tends = vec![Tendencies::zeros(10); nc];
         for t in &mut tends {
             t.dqv_dt = vec![-1.0; 10]; // absurd drying
         }
-        apply_tendencies(&mut solver, &mut state, &tends, 100.0);
+        apply_tendencies(exner, &mut state, &tends, 100.0);
         assert!(state.tracers[0].as_slice().iter().all(|&q| q >= 0.0));
     }
 }

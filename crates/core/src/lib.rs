@@ -31,7 +31,7 @@ pub use cases::{
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{table2_grids, table3_schemes, GridSpec, RecoveryPolicy, RunConfig, Scheme};
-pub use coupling::{apply_tendencies, extract_columns, SurfaceState};
+pub use coupling::{extract_columns, SurfaceState};
 pub use datagen::{
     coarse_grain_columns, generate_training_data, train_ml_suite, CoarseMap, DataGenConfig,
     GeneratedData, TrainReport,

@@ -4,7 +4,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
-use crate::coupling::{apply_tendencies, extract_columns, SurfaceState};
+use crate::coupling::{apply_tendencies, extract_columns_and_exner, SurfaceState};
 use crate::health::{HealthReport, RunState};
 use crate::mlsuite::MlSuite;
 use grist_dycore::hevi::NhConfig;
@@ -389,7 +389,7 @@ impl<R: Real> GristModel<R> {
         let (lats, lons) = (&self.lats, &self.lons);
         self.surface
             .update_sun(lats, lons, self.declination, utc_hours);
-        let cols = extract_columns(&mut self.solver, &self.state, &self.surface);
+        let (cols, exner) = extract_columns_and_exner(&mut self.solver, &self.state, &self.surface);
 
         let (tends, diags): (Vec<Tendencies>, Vec<SurfaceDiag>) = match &mut self.physics {
             PhysicsEngine::Conventional { suite, states } => {
@@ -409,7 +409,7 @@ impl<R: Real> GristModel<R> {
                     .unzip()
             }
         };
-        apply_tendencies(&mut self.solver, &mut self.state, &tends, dt_phy);
+        apply_tendencies(exner, &mut self.state, &tends, dt_phy);
         self.last_tendencies = tends;
         for (c, d) in diags.iter().enumerate() {
             self.precip_accum[c] += d.precip * dt_phy / 86_400.0; // mm/day → mm

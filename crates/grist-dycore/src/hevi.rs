@@ -141,25 +141,19 @@ pub struct NhSolver<R: Real> {
     pub flux_steps: usize,
     // --- scratch (layer fields) ---
     theta: Field2<f64>,
-    dphi: Field2<f64>,
-    pres: Field2<f64>,
     exner: Field2<f64>,
+    /// `p` and `δφ` for [`Self::diagnose_fields`] only: the step's implicit
+    /// solve diagnoses its own, column by column.
+    pres: Field2<f64>,
+    dphi: Field2<f64>,
     mass_flux: Field2<f64>,
-    div_mass: Field2<f64>,
     theta_flux: Field2<f64>,
-    div_theta: Field2<f64>,
+    div_mass: Field2<f64>,
     ke: Field2<R>,
+    div_u: Field2<R>,
     vor: Field2<R>,
-    pv_edge: Field2<R>,
     ve: Field2<R>,
     vn: Field2<R>,
-    vt: Field2<R>,
-    grad_ke: Field2<R>,
-    grad_exner: Field2<f64>,
-    theta_edge: Field2<f64>,
-    div_u: Field2<R>,
-    grad_div: Field2<R>,
-    mdot: Field2<f64>,
     fct_ws: FctWorkspace<R>,
     tracer_mass: Field2<R>,
     /// Squared mean edge spacing \[m²\]: the length scale of the divergence
@@ -168,10 +162,22 @@ pub struct NhSolver<R: Real> {
 }
 
 thread_local! {
-    /// Per-thread scratch of the implicit column solve (five `nlev`-long
+    /// Per-thread column scratch of the two cell kernels that keep their
+    /// intermediates out of memory (`hevi_mass_theta_update`: `∇·(Θ V)` and
+    /// `ṁ`; `hevi_implicit_vertical`: `p`, `δφ` and the five tridiagonal
     /// rows), grown on first use by whichever thread runs the column — the
     /// MPE or a CPE-team worker.
     static COLUMN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Equation of state `p = p₀ (ρ R_d θ / p₀)^γ`, `γ = 1/(1−κ)`, of a layer of
+/// dry mass `dpi`, potential temperature `theta` and geopotential thickness
+/// `dphi` (`ρ = δπ/δφ`) — one definition for the full-field diagnosis and the
+/// implicit solve's column diagnosis, which must agree bit for bit.
+#[inline(always)]
+fn eos_pressure(dpi: f64, theta: f64, dphi: f64, gamma: f64) -> f64 {
+    let rho = dpi / dphi;
+    P0 * (rho * RDRY * theta / P0).powf(gamma)
 }
 
 impl<R: Real> NhSolver<R> {
@@ -203,25 +209,17 @@ impl<R: Real> NhSolver<R> {
             flux_sum: Field2::zeros(nlev, ne),
             flux_steps: 0,
             theta: Field2::zeros(nlev, nc),
-            dphi: Field2::zeros(nlev, nc),
-            pres: Field2::zeros(nlev, nc),
             exner: Field2::zeros(nlev, nc),
+            pres: Field2::zeros(nlev, nc),
+            dphi: Field2::zeros(nlev, nc),
             mass_flux: Field2::zeros(nlev, ne),
-            div_mass: Field2::zeros(nlev, nc),
             theta_flux: Field2::zeros(nlev, ne),
-            div_theta: Field2::zeros(nlev, nc),
+            div_mass: Field2::zeros(nlev, nc),
             ke: Field2::zeros(nlev, nc),
+            div_u: Field2::zeros(nlev, nc),
             vor: Field2::zeros(nlev, nv),
-            pv_edge: Field2::zeros(nlev, ne),
             ve: Field2::zeros(nlev, nv),
             vn: Field2::zeros(nlev, nv),
-            vt: Field2::zeros(nlev, ne),
-            grad_ke: Field2::zeros(nlev, ne),
-            grad_exner: Field2::zeros(nlev, ne),
-            theta_edge: Field2::zeros(nlev, ne),
-            div_u: Field2::zeros(nlev, nc),
-            grad_div: Field2::zeros(nlev, ne),
-            mdot: Field2::zeros(nlev + 1, nc),
             fct_ws: FctWorkspace::new(nlev, &mesh),
             tracer_mass: Field2::zeros(nlev, nc),
             dx2,
@@ -274,24 +272,22 @@ impl<R: Real> NhSolver<R> {
         }
     }
 
-    /// Diagnose layer δφ and p — and, unless `PRESSURE_ONLY`, θ and Π — from
-    /// the prognostic state. The pressure-only form is what the implicit
-    /// solve needs after the horizontal update: it saves the Π `powf`, and
-    /// every later reader of θ and Π diagnoses in full first. (A const
-    /// parameter, so each form compiles to a branch-free level loop.)
-    fn diagnose<const PRESSURE_ONLY: bool>(&mut self, state: &NhState<R>) {
+    /// Diagnose θ and Π — and, with `WITH_PRESSURE`, layer `p` and `δφ` —
+    /// from the prognostic state. The step needs only θ and Π (its implicit
+    /// solve diagnoses `p`, `δφ` per column, after the horizontal update);
+    /// [`Self::diagnose_fields`] stores all four. (A const parameter, so
+    /// each form compiles to a branch-free level loop.)
+    fn diagnose<const WITH_PRESSURE: bool>(&mut self, state: &NhState<R>) {
         let nlev = self.vc.nlev;
         let gamma = 1.0 / (1.0 - KAPPA);
         let theta = ColumnsMut::new(self.theta.as_mut_slice(), nlev);
-        let dphi = ColumnsMut::new(self.dphi.as_mut_slice(), nlev);
-        let pres = ColumnsMut::new(self.pres.as_mut_slice(), nlev);
         let exner = ColumnsMut::new(self.exner.as_mut_slice(), nlev);
+        let pres = ColumnsMut::new(self.pres.as_mut_slice(), nlev);
+        let dphi = ColumnsMut::new(self.dphi.as_mut_slice(), nlev);
         self.sub.run("hevi_diagnose", theta.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
-            let th = unsafe { theta.col(c) };
-            let dp = unsafe { dphi.col(c) };
-            let pr = unsafe { pres.col(c) };
-            let ex = unsafe { exner.col(c) };
+            let (th, ex, pr, dp) =
+                unsafe { (theta.col(c), exner.col(c), pres.col(c), dphi.col(c)) };
             let dpi = state.dpi.col(c);
             let phi = state.phi.col(c);
             let theta_m = state.theta_m.col(c);
@@ -299,13 +295,12 @@ impl<R: Real> NhSolver<R> {
                 let t = theta_m[k] / dpi[k];
                 let d = phi[k] - phi[k + 1];
                 debug_assert!(d > 0.0, "negative layer thickness at cell {c} lev {k}");
-                let rho = dpi[k] / d;
-                let p = P0 * (rho * RDRY * t / P0).powf(gamma);
-                dp[k] = d;
-                pr[k] = p;
-                if !PRESSURE_ONLY {
-                    th[k] = t;
-                    ex[k] = (p / P0).powf(KAPPA);
+                let p = eos_pressure(dpi[k], t, d, gamma);
+                th[k] = t;
+                ex[k] = (p / P0).powf(KAPPA);
+                if WITH_PRESSURE {
+                    pr[k] = p;
+                    dp[k] = d;
                 }
             }
         });
@@ -316,187 +311,239 @@ impl<R: Real> NhSolver<R> {
     /// then FCT tracer transport — every step, or with
     /// [`NhConfig::dyn_per_trac`] `> 1` on the step that completes a tracer
     /// cycle (every step of one cycle must use the same `dt`).
+    ///
+    /// The dynamics are seven kernels, one per iteration space and data
+    /// dependence: every intermediate that is a pointwise function of cell
+    /// or vertex columns (`∂ₙK`, `∂ₙ(∇·V)`, `∂ₙΠ`, `θ_e`, `(ζ+f)_e`, `v_t`,
+    /// `∇·(Θ V)`, `ṁ`) is formed in registers or column scratch by the kernel
+    /// that consumes it, per level in the order a stand-alone operator
+    /// would.
     pub fn step(&mut self, state: &mut NhState<R>, dt: f64) {
         // All kernels below record under the "dycore" trace span, so the
         // metrics registry can attribute step time to the dynamical core.
         // (Cloned handle: the guard must not borrow `self`.)
-        let span_sub = self.sub.clone();
-        let _span = span_sub.span("dycore");
+        let sub = self.sub.clone();
+        let _span = sub.span("dycore");
         self.diagnose::<false>(state);
         let nlev = self.vc.nlev;
         let mesh = &self.mesh;
+        let (geom, geom64) = (&self.geom, &self.geom64);
 
         // ---------- horizontal explicit phase ----------
-        // Vector-invariant momentum pieces in working precision.
-        let sub = self.sub.clone();
-        op::kinetic_energy(&sub, mesh, &self.geom, &state.u, &mut self.ke);
-        op::vorticity(&sub, mesh, &self.geom, &state.u, &mut self.vor);
+        // Cell pieces of the vector-invariant momentum equation, in working
+        // precision: kinetic energy and the divergence the damping acts on,
+        // in one walk over the cell's edges.
         {
-            let f = &self.geom.f_vert;
-            let cols = ColumnsMut::new(self.vor.as_mut_slice(), nlev);
-            sub.run("hevi_abs_vorticity", cols.len(), |v| {
-                // SAFETY: each vertex index is dispatched exactly once.
-                for x in unsafe { cols.col(v) }.iter_mut() {
-                    *x += f[v];
+            let u = &state.u;
+            let ke_cols = ColumnsMut::new(self.ke.as_mut_slice(), nlev);
+            let div_cols = ColumnsMut::new(self.div_u.as_mut_slice(), nlev);
+            sub.run("hevi_ke_divergence", ke_cols.len(), |c| {
+                // SAFETY: each cell index is dispatched exactly once.
+                let (ke, div) = unsafe { (ke_cols.col(c), div_cols.col(c)) };
+                ke.fill(R::ZERO);
+                div.fill(R::ZERO);
+                let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
+                for (&e, &sign) in mesh.cell_edges.row(c).iter().zip(signs) {
+                    let w_ke = geom.ke_weight[e as usize];
+                    let w_div = sign * geom.edge_le[e as usize];
+                    let ue = &u.col(e as usize)[..nlev];
+                    for k in 0..nlev {
+                        ke[k] += w_ke * ue[k] * ue[k];
+                        div[k] = ue[k].mul_add(w_div, div[k]);
+                    }
+                }
+                let ia = geom.inv_cell_area[c];
+                for k in 0..nlev {
+                    ke[k] *= ia;
+                    div[k] *= ia;
                 }
             });
         }
-        op::vert_to_edge(&sub, mesh, &self.vor, &mut self.pv_edge);
-        op::vert_velocity(&sub, mesh, &self.geom, &state.u, &mut self.ve, &mut self.vn);
-        op::tangential_velocity(&sub, mesh, &self.geom, &self.ve, &self.vn, &mut self.vt);
-        op::gradient(&sub, mesh, &self.geom, &self.ke, &mut self.grad_ke);
 
-        // Divergence damping (working precision).
-        op::divergence(&sub, mesh, &self.geom, &state.u, &mut self.div_u);
-        op::gradient(&sub, mesh, &self.geom, &self.div_u, &mut self.grad_div);
-
-        // Pressure-gradient force in f64 (sensitive, §3.4.2).
-        op::gradient(&sub, mesh, &self.geom64, &self.exner, &mut self.grad_exner);
-        op::cell_to_edge(&sub, mesh, &self.theta, &mut self.theta_edge);
+        // Vertex pieces: absolute vorticity and the least-squares (east,
+        // north) velocity, from the same three edge columns.
+        {
+            let u = &state.u;
+            let vor_cols = ColumnsMut::new(self.vor.as_mut_slice(), nlev);
+            let ve_cols = ColumnsMut::new(self.ve.as_mut_slice(), nlev);
+            let vn_cols = ColumnsMut::new(self.vn.as_mut_slice(), nlev);
+            sub.run("hevi_vertex_vorticity_velocity", vor_cols.len(), |v| {
+                // SAFETY: each vertex index is dispatched exactly once.
+                let (vor, ve, vn) = unsafe { (vor_cols.col(v), ve_cols.col(v), vn_cols.col(v)) };
+                let edges = mesh.vert_edges[v].map(|e| e as usize);
+                let [u0, u1, u2] = edges.map(|e| &u.col(e)[..nlev]);
+                let [w0, w1, w2]: [R; 3] =
+                    std::array::from_fn(|i| geom.vert_edge_sign[v][i] * geom.edge_de[edges[i]]);
+                let ia = geom.inv_vert_area[v];
+                let f = geom.f_vert[v];
+                let rc = &geom.vert_recon[v];
+                let [n0, n1, n2] = rc.normals;
+                for k in 0..nlev {
+                    let zeta = u2[k].mul_add(w2, u1[k].mul_add(w1, u0[k].mul_add(w0, R::ZERO)));
+                    vor[k] = zeta * ia + f;
+                    let be =
+                        u2[k].mul_add(n2[0], u1[k].mul_add(n1[0], u0[k].mul_add(n0[0], R::ZERO)));
+                    let bn =
+                        u2[k].mul_add(n2[1], u1[k].mul_add(n1[1], u0[k].mul_add(n0[1], R::ZERO)));
+                    ve[k] = rc.minv[0][0] * be + rc.minv[0][1] * bn;
+                    vn[k] = rc.minv[1][0] * be + rc.minv[1][1] * bn;
+                }
+            });
+        }
 
         // Damping coefficient ν = c·Δx²/dt.
         let nu = R::from_f64(self.config.div_damp * self.dx2 / dt);
 
-        // Momentum update (forward step).
+        // Momentum update (forward step). The edge values — (ζ+f)_e, v_t,
+        // ∂ₙK, ∂ₙ(∇·V) in working precision, ∂ₙΠ and θ_e in f64 — are formed
+        // from the two cell and two vertex columns as they are consumed.
         let dt_r = R::from_f64(dt);
         {
-            let pv = &self.pv_edge;
-            let vt = &self.vt;
-            let gke = &self.grad_ke;
-            let gdiv = &self.grad_div;
-            let gex = &self.grad_exner;
-            let te = &self.theta_edge;
+            let (ke, div_u, vor, ve, vn) = (&self.ke, &self.div_u, &self.vor, &self.ve, &self.vn);
+            let (theta, exner) = (&self.theta, &self.exner);
+            let half = R::from_f64(0.5);
             let cols = ColumnsMut::new(state.u.as_mut_slice(), nlev);
             sub.run("hevi_momentum_update", cols.len(), |e| {
                 // SAFETY: each edge index is dispatched exactly once.
                 let col = unsafe { cols.col(e) };
+                let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
+                let [v1, v2] = mesh.edge_verts[e].map(|v| v as usize);
+                let (ke1, ke2) = (&ke.col(c1)[..nlev], &ke.col(c2)[..nlev]);
+                let (dv1, dv2) = (&div_u.col(c1)[..nlev], &div_u.col(c2)[..nlev]);
+                let (ex1, ex2) = (&exner.col(c1)[..nlev], &exner.col(c2)[..nlev]);
+                let (th1, th2) = (&theta.col(c1)[..nlev], &theta.col(c2)[..nlev]);
+                let (pv1, pv2) = (&vor.col(v1)[..nlev], &vor.col(v2)[..nlev]);
+                let (ae, an) = (&ve.col(v1)[..nlev], &vn.col(v1)[..nlev]);
+                let (be, bn) = (&ve.col(v2)[..nlev], &vn.col(v2)[..nlev]);
+                let [te, tn] = geom.edge_tangent_en[e];
+                let inv_de = geom.inv_edge_de[e];
+                let inv_de64 = geom64.inv_edge_de[e];
                 for k in 0..nlev {
-                    let cor = pv.at(k, e) * vt.at(k, e);
+                    let pv = (pv1[k] + pv2[k]) * half;
+                    let vt = (ae[k] + be[k]) * half * te + (an[k] + bn[k]) * half * tn;
+                    let cor = pv * vt;
+                    let grad_ke = (ke2[k] - ke1[k]) * inv_de;
+                    let grad_div = (dv2[k] - dv1[k]) * inv_de;
                     // Pressure-gradient force assembled in f64, cast once
                     // (§3.4.2: sensitive term).
-                    let pgf = R::from_f64(CP * te.at(k, e) * gex.at(k, e));
-                    let tend = cor - gke.at(k, e) - pgf + nu * gdiv.at(k, e);
+                    let grad_exner = (ex2[k] - ex1[k]) * inv_de64;
+                    let theta_edge = (th1[k] + th2[k]) * 0.5;
+                    let pgf = R::from_f64(CP * theta_edge * grad_exner);
+                    let tend = cor - grad_ke - pgf + nu * grad_div;
                     col[k] += dt_r * tend;
                 }
             });
         }
 
         // Dry-mass flux δπ·u with the *updated* velocity (forward-backward)
-        // — accumulated in f64 per §3.4.2.
-        // A sub-cycled tracer step also sums it, in the same pass.
+        // — accumulated in f64 per §3.4.2 — and the centered Θ flux it
+        // carries. A sub-cycled tracer step also sums the mass flux, in the
+        // same pass.
         let sub_cycled = self.config.dyn_per_trac > 1 && !state.tracers.is_empty();
         {
             let u = &state.u;
             let dpi = &state.dpi;
-            let cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
+            let theta = &self.theta;
+            let mass_cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
+            let theta_cols = ColumnsMut::new(self.theta_flux.as_mut_slice(), nlev);
             let sums = sub_cycled.then(|| ColumnsMut::new(self.flux_sum.as_mut_slice(), nlev));
             let first = self.flux_steps == 0;
-            sub.run("hevi_mass_flux", cols.len(), |e| {
+            sub.run("hevi_mass_flux", mass_cols.len(), |e| {
                 // SAFETY: each edge index is dispatched exactly once.
-                let col = unsafe { cols.col(e) };
-                let [c1, c2] = mesh.edge_cells[e];
-                let (a, b) = (dpi.col(c1 as usize), dpi.col(c2 as usize));
+                let (mf, tf, sum) = unsafe {
+                    (
+                        mass_cols.col(e),
+                        theta_cols.col(e),
+                        sums.as_ref().map(|s| s.col(e)),
+                    )
+                };
+                let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
+                let (d1, d2) = (&dpi.col(c1)[..nlev], &dpi.col(c2)[..nlev]);
+                let (th1, th2) = (&theta.col(c1)[..nlev], &theta.col(c2)[..nlev]);
+                let ue = &u.col(e)[..nlev];
                 for k in 0..nlev {
-                    col[k] = 0.5 * (a[k] + b[k]) * u.at(k, e).to_f64();
+                    mf[k] = 0.5 * (d1[k] + d2[k]) * ue[k].to_f64();
+                    tf[k] = mf[k] * 0.5 * (th1[k] + th2[k]);
                 }
-                if let Some(sums) = &sums {
-                    // SAFETY: as above.
-                    let sum = unsafe { sums.col(e) };
+                if let Some(sum) = sum {
                     if first {
-                        sum.copy_from_slice(col);
+                        sum.copy_from_slice(mf);
                     } else {
                         for k in 0..nlev {
-                            sum[k] += col[k];
+                            sum[k] += mf[k];
                         }
                     }
                 }
             });
         }
-        op::divergence(
-            &sub,
-            mesh,
-            &self.geom64,
-            &self.mass_flux,
-            &mut self.div_mass,
-        );
 
-        // Vertical (σ-coordinate) mass flux ṁ at interfaces.
+        // Update δπ and Θ: both flux divergences in one walk over the cell's
+        // edges, the σ-coordinate vertical mass flux ṁ at interfaces from the
+        // column of ∇·(δπ V), then horizontal plus vertical transport
+        // (first-order upwind for the vertical θ̃). ∇·(δπ V) is kept: a
+        // per-step tracer transport reads it.
         {
+            let (mass_flux, theta_flux, theta) = (&self.mass_flux, &self.theta_flux, &self.theta);
             let sigma_i = &self.vc.sigma_i;
-            let div_mass = &self.div_mass;
-            let cols = ColumnsMut::new(self.mdot.as_mut_slice(), nlev + 1);
-            sub.run("hevi_vertical_mdot", cols.len(), |c| {
-                // SAFETY: each cell index is dispatched exactly once.
-                let col = unsafe { cols.col(c) };
-                let dcol = div_mass.col(c);
-                let dps_dt: f64 = -dcol.iter().sum::<f64>();
-                let mut acc = 0.0;
-                col[0] = 0.0;
-                for k in 0..nlev {
-                    acc += dcol[k];
-                    col[k + 1] = -(sigma_i[k + 1] * dps_dt + acc);
-                }
-                col[nlev] = 0.0; // exact closure at the surface
-            });
-        }
-
-        // Θ flux and divergence (centered horizontal).
-        {
-            let theta = &self.theta;
-            let mass_flux = &self.mass_flux;
-            let cols = ColumnsMut::new(self.theta_flux.as_mut_slice(), nlev);
-            sub.run("hevi_theta_flux", cols.len(), |e| {
-                // SAFETY: each edge index is dispatched exactly once.
-                let col = unsafe { cols.col(e) };
-                let [c1, c2] = mesh.edge_cells[e];
-                let (a, b) = (theta.col(c1 as usize), theta.col(c2 as usize));
-                for k in 0..nlev {
-                    col[k] = mass_flux.at(k, e) * 0.5 * (a[k] + b[k]);
-                }
-            });
-        }
-        op::divergence(
-            &sub,
-            mesh,
-            &self.geom64,
-            &self.theta_flux,
-            &mut self.div_theta,
-        );
-
-        // Update δπ and Θ, including vertical transport (first-order upwind
-        // for the vertical θ̃).
-        {
-            let div_mass = &self.div_mass;
-            let div_theta = &self.div_theta;
-            let mdot = &self.mdot;
-            let theta = &self.theta;
             let dpi_cols = ColumnsMut::new(state.dpi.as_mut_slice(), nlev);
             let th_cols = ColumnsMut::new(state.theta_m.as_mut_slice(), nlev);
+            let div_cols = ColumnsMut::new(self.div_mass.as_mut_slice(), nlev);
             sub.run("hevi_mass_theta_update", dpi_cols.len(), |c| {
                 // SAFETY: each cell index is dispatched exactly once.
-                let dpi_c = unsafe { dpi_cols.col(c) };
-                let th_c = unsafe { th_cols.col(c) };
-                let md = mdot.col(c);
-                let th = theta.col(c);
-                for k in 0..nlev {
-                    // Interface θ̃ by upwinding on ṁ (positive = downward).
-                    let th_top = if k == 0 {
-                        th[0]
-                    } else if md[k] >= 0.0 {
-                        th[k - 1]
-                    } else {
-                        th[k]
-                    };
-                    // At the surface (k+1 == nlev) ṁ is zero so the
-                    // upwind pick is immaterial; otherwise upwind on ṁ.
-                    let th_bot = if k + 1 == nlev || md[k + 1] >= 0.0 {
-                        th[k]
-                    } else {
-                        th[k + 1]
-                    };
-                    dpi_c[k] += dt * (-div_mass.at(k, c) - (md[k + 1] - md[k]));
-                    th_c[k] += dt * (-div_theta.at(k, c) - (md[k + 1] * th_bot - md[k] * th_top));
-                }
+                let (dpi_c, th_c, div_mass) =
+                    unsafe { (dpi_cols.col(c), th_cols.col(c), div_cols.col(c)) };
+                COLUMN_SCRATCH.with_borrow_mut(|buf| {
+                    if buf.len() < 2 * nlev + 1 {
+                        buf.resize(2 * nlev + 1, 0.0);
+                    }
+                    let (div_theta, rest) = buf.split_at_mut(nlev);
+                    let md = &mut rest[..nlev + 1];
+                    div_mass.fill(0.0);
+                    div_theta.fill(0.0);
+                    let signs = &geom64.cell_edge_sign[mesh.cell_edges.row_range(c)];
+                    for (&e, &sign) in mesh.cell_edges.row(c).iter().zip(signs) {
+                        let w = sign * geom64.edge_le[e as usize];
+                        let mf = &mass_flux.col(e as usize)[..nlev];
+                        let tf = &theta_flux.col(e as usize)[..nlev];
+                        for k in 0..nlev {
+                            div_mass[k] = mf[k].mul_add(w, div_mass[k]);
+                            div_theta[k] = tf[k].mul_add(w, div_theta[k]);
+                        }
+                    }
+                    let ia = geom64.inv_cell_area[c];
+                    for k in 0..nlev {
+                        div_mass[k] *= ia;
+                        div_theta[k] *= ia;
+                    }
+                    let dps_dt: f64 = -div_mass.iter().sum::<f64>();
+                    let mut acc = 0.0;
+                    md[0] = 0.0;
+                    for k in 0..nlev {
+                        acc += div_mass[k];
+                        md[k + 1] = -(sigma_i[k + 1] * dps_dt + acc);
+                    }
+                    md[nlev] = 0.0; // exact closure at the surface
+                    let th = &theta.col(c)[..nlev];
+                    for k in 0..nlev {
+                        // Interface θ̃ by upwinding on ṁ (positive = downward).
+                        let th_top = if k == 0 {
+                            th[0]
+                        } else if md[k] >= 0.0 {
+                            th[k - 1]
+                        } else {
+                            th[k]
+                        };
+                        // At the surface (k+1 == nlev) ṁ is zero so the
+                        // upwind pick is immaterial; otherwise upwind on ṁ.
+                        let th_bot = if k + 1 == nlev || md[k + 1] >= 0.0 {
+                            th[k]
+                        } else {
+                            th[k + 1]
+                        };
+                        dpi_c[k] += dt * (-div_mass[k] - (md[k + 1] - md[k]));
+                        th_c[k] += dt * (-div_theta[k] - (md[k + 1] * th_bot - md[k] * th_top));
+                    }
+                });
             });
         }
 
@@ -596,40 +643,44 @@ impl<R: Real> NhSolver<R> {
     }
 
     /// Backward-Euler (β-off-centered) solve of the coupled w–φ acoustic
-    /// system, column by column.
+    /// system, column by column, on `p` and `δφ` diagnosed from the column
+    /// as the horizontal update left it.
     fn implicit_vertical(&mut self, state: &mut NhState<R>, dt: f64) {
-        self.diagnose::<true>(state); // refresh p, δφ after the horizontal update
         let nlev = self.vc.nlev;
         let gamma = 1.0 / (1.0 - KAPPA);
         let g = GRAVITY;
         let beta = self.config.beta;
         let p_top = self.vc.p_top;
-        let pres = &self.pres;
-        let dphi = &self.dphi;
 
         let w_cols = ColumnsMut::new(state.w.as_mut_slice(), nlev + 1);
         let phi_cols = ColumnsMut::new(state.phi.as_mut_slice(), nlev + 1);
-        let dpi_ro = &state.dpi;
+        let (dpi_ro, theta_m_ro) = (&state.dpi, &state.theta_m);
         self.sub.run("hevi_implicit_vertical", w_cols.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
-            let w = unsafe { w_cols.col(c) };
-            let phi = unsafe { phi_cols.col(c) };
+            let (w, phi) = unsafe { (w_cols.col(c), phi_cols.col(c)) };
             COLUMN_SCRATCH.with_borrow_mut(|buf| {
                 let dpi = dpi_ro.col(c);
-                let p = pres.col(c);
-                let dp = dphi.col(c);
+                let theta_m = theta_m_ro.col(c);
                 // Unknowns w_i, i = 0..nlev-1 (w_nlev = 0 at the flat surface);
                 // the right-hand side, then the solution, is w[..n] itself.
                 let n = nlev;
-                if buf.len() < 5 * n {
-                    buf.resize(5 * n, 0.0);
+                if buf.len() < 7 * n {
+                    buf.resize(7 * n, 0.0);
                 }
-                let (cc, rest) = buf.split_at_mut(n);
+                let (p, rest) = buf.split_at_mut(n);
+                let (dp, rest) = rest.split_at_mut(n);
+                let (cc, rest) = rest.split_at_mut(n);
                 let (a, rest) = rest.split_at_mut(n);
                 let (b, rest) = rest.split_at_mut(n);
                 let (cvec, rest) = rest.split_at_mut(n);
                 let scratch = &mut rest[..n];
                 let (d, w_sfc) = w.split_at_mut(n);
+                for k in 0..n {
+                    let t = theta_m[k] / dpi[k];
+                    dp[k] = phi[k] - phi[k + 1];
+                    debug_assert!(dp[k] > 0.0, "negative layer thickness at cell {c} lev {k}");
+                    p[k] = eos_pressure(dpi[k], t, dp[k], gamma);
+                }
                 // Linearization coefficients C_k = γ p_k Δt g / δφ_k
                 // (δφ responds with the *full* Δt; β enters through the
                 // pressure off-centering below).
@@ -667,7 +718,7 @@ impl<R: Real> NhSolver<R> {
         &mut self,
         state: &NhState<R>,
     ) -> (&Field2<f64>, &Field2<f64>, &Field2<f64>, &Field2<f64>) {
-        self.diagnose::<false>(state);
+        self.diagnose::<true>(state);
         (&self.pres, &self.theta, &self.dphi, &self.exner)
     }
 
@@ -705,7 +756,7 @@ mod tests {
         // p diagnosed from the EOS must equal π at layer midpoints.
         let mut s = solver(2, 12);
         let st = s.isothermal_rest_state(280.0, 1.0e5);
-        s.diagnose::<false>(&st);
+        s.diagnose::<true>(&st);
         let pi_i = s.vc.pi_interfaces(1.0e5);
         for k in 0..12 {
             let p_mid = 0.5 * (pi_i[k] + pi_i[k + 1]);
@@ -718,10 +769,10 @@ mod tests {
     }
 
     #[test]
-    fn pressure_only_diagnosis_matches_full_diagnosis_bitwise() {
-        // On a state with motion, the re-diagnosis the implicit solve uses
-        // must reproduce the full one's p and δφ bit for bit and leave θ, Π
-        // alone.
+    fn step_diagnosis_matches_full_diagnosis_bitwise_and_leaves_pressure_alone() {
+        // On a state with motion, the θ, Π the step diagnoses must be those
+        // `diagnose_fields` hands out, and the step form must not touch the
+        // stored p and δφ.
         let mut s = solver(2, 9);
         let mut st = s.isothermal_rest_state(285.0, 1.0e5);
         for e in 0..s.mesh.n_edges() {
@@ -733,18 +784,18 @@ mod tests {
         for _ in 0..5 {
             s.step(&mut st, 120.0);
         }
-        s.diagnose::<false>(&st);
+        s.diagnose::<true>(&st);
         let bits =
             |f: &Field2<f64>| -> Vec<u64> { f.as_slice().iter().map(|x| x.to_bits()).collect() };
         let (pres, dphi) = (bits(&s.pres), bits(&s.dphi));
         let (theta, exner) = (bits(&s.theta), bits(&s.exner));
-        s.pres.fill(f64::NAN);
-        s.dphi.fill(f64::NAN);
-        s.diagnose::<true>(&st);
-        assert_eq!(bits(&s.pres), pres);
-        assert_eq!(bits(&s.dphi), dphi);
+        s.theta.fill(f64::NAN);
+        s.exner.fill(f64::NAN);
+        s.diagnose::<false>(&st);
         assert_eq!(bits(&s.theta), theta);
         assert_eq!(bits(&s.exner), exner);
+        assert_eq!(bits(&s.pres), pres);
+        assert_eq!(bits(&s.dphi), dphi);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::json::Json;
 use crate::omnicopy::CopyStats;
 use crate::trace::{self, EventKind, Tracer};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -45,18 +46,123 @@ pub struct SpanStats {
 
 #[derive(Debug, Default)]
 struct MetricsState {
-    kernels: BTreeMap<String, KernelStats>,
-    spans: BTreeMap<String, SpanStats>,
     counters: BTreeMap<String, u64>,
     /// Named `f64` gauges, stored as IEEE-754 bit patterns so non-finite
     /// values (an empty latency window's NaN percentile, an infinite rate)
     /// compare and round-trip exactly. See [`Metrics::gauge_set`].
     gauges: BTreeMap<String, u64>,
-    /// Currently open span names, innermost last, keyed by the opening
-    /// thread's [`trace::thread_lane`]: in a shared-registry multi-rank run
-    /// each driver thread keeps its own stack, so concurrent spans cannot
-    /// corrupt each other's kernel paths.
-    stacks: BTreeMap<u32, Vec<&'static str>>,
+    /// Every thread that has opened a span or dispatched a kernel on this
+    /// registry, by its [`trace::thread_lane`].
+    lanes: BTreeMap<u32, Arc<Mutex<Lane>>>,
+}
+
+/// One thread's share of the kernel and span tables. A dispatch touches only
+/// its own thread's lane — found through a thread-local cache, its mutex
+/// contended by nothing but [`Metrics::snapshot`] and [`Metrics::reset`] —
+/// and [`Metrics::snapshot`] merges the lanes by key. Span paths and kernel
+/// keys are built once, the first time the lane sees them: a repeated
+/// dispatch finds its slot by name and adds four integers.
+///
+/// In a shared-registry multi-rank run each driver thread keeps its own
+/// span stack here, so concurrent spans cannot corrupt each other's kernel
+/// paths.
+#[derive(Debug)]
+struct Lane {
+    /// Currently open spans, innermost last, as indices into `nodes`.
+    stack: Vec<usize>,
+    /// Every span path this lane has opened; `nodes[0]` is the root (no
+    /// span open, empty path).
+    nodes: Vec<SpanNode>,
+}
+
+#[derive(Debug, Default)]
+struct SpanNode {
+    /// Full path, e.g. `step/dycore`.
+    path: String,
+    stats: SpanStats,
+    /// Spans opened directly under this one, by name.
+    children: Vec<(&'static str, usize)>,
+    /// Kernels dispatched directly under this span.
+    kernels: Vec<KernelSlot>,
+}
+
+#[derive(Debug)]
+struct KernelSlot {
+    name: &'static str,
+    /// The registry key, `<span path>/<name>`.
+    key: String,
+    stats: KernelStats,
+}
+
+impl Default for Lane {
+    fn default() -> Self {
+        Lane {
+            stack: Vec::new(),
+            nodes: vec![SpanNode::default()],
+        }
+    }
+}
+
+impl Lane {
+    /// The innermost open span (the root when none is).
+    fn current(&self) -> usize {
+        self.stack.last().copied().unwrap_or(0)
+    }
+
+    /// `<path of the innermost open span>/<name>`.
+    fn qualify(&self, name: &str) -> String {
+        let path = &self.nodes[self.current()].path;
+        if path.is_empty() {
+            name.to_string()
+        } else {
+            format!("{path}/{name}")
+        }
+    }
+
+    /// Open `name` under the innermost open span.
+    fn push(&mut self, name: &'static str) {
+        let parent = self.current();
+        let known = self.nodes[parent].children.iter().find(|c| c.0 == name);
+        let node = match known {
+            Some(&(_, node)) => node,
+            None => {
+                let path = self.qualify(name);
+                self.nodes.push(SpanNode {
+                    path,
+                    ..SpanNode::default()
+                });
+                let node = self.nodes.len() - 1;
+                self.nodes[parent].children.push((name, node));
+                node
+            }
+        };
+        self.stack.push(node);
+    }
+
+    /// The stats of kernel `name` under the innermost open span.
+    fn kernel(&mut self, name: &'static str) -> &mut KernelStats {
+        let node = self.current();
+        let slot = match self.nodes[node].kernels.iter().position(|k| k.name == name) {
+            Some(slot) => slot,
+            None => {
+                let key = self.qualify(name);
+                let kernels = &mut self.nodes[node].kernels;
+                kernels.push(KernelSlot {
+                    name,
+                    key,
+                    stats: KernelStats::default(),
+                });
+                kernels.len() - 1
+            }
+        };
+        &mut self.nodes[node].kernels[slot].stats
+    }
+}
+
+thread_local! {
+    /// The calling thread's lane in the registry it last recorded on, keyed
+    /// by that registry's tracer id.
+    static CACHED_LANE: RefCell<Option<(u64, Arc<Mutex<Lane>>)>> = const { RefCell::new(None) };
 }
 
 #[derive(Debug, Default)]
@@ -79,30 +185,25 @@ pub struct Metrics {
 /// wall time) on drop.
 pub struct SpanGuard<'a> {
     metrics: &'a Metrics,
-    lane: u32,
+    lane: Arc<Mutex<Lane>>,
     started: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let nanos = self.started.elapsed().as_nanos() as u64;
-        let mut st = self.metrics.inner.state.lock().expect("metrics poisoned");
-        let path = st
-            .stacks
-            .get(&self.lane)
-            .map(|s| s.join("/"))
-            .unwrap_or_default();
-        let e = st.spans.entry(path.clone()).or_default();
-        e.calls += 1;
-        e.nanos += nanos;
-        if let Some(stack) = st.stacks.get_mut(&self.lane) {
-            stack.pop();
+        let tracer = &self.metrics.inner.trace;
+        let traced_path = {
+            let mut lane = self.lane.lock().expect("metrics lane poisoned");
+            let node = lane.stack.pop().unwrap_or(0);
+            let node = &mut lane.nodes[node];
+            node.stats.calls += 1;
+            node.stats.nanos += nanos;
+            tracer.is_enabled().then(|| node.path.clone())
+        };
+        if let Some(path) = traced_path {
+            tracer.record_complete(EventKind::Span, &path, self.started, 0, 0);
         }
-        drop(st);
-        self.metrics
-            .inner
-            .trace
-            .record_complete(EventKind::Span, &path, self.started, 0, 0);
     }
 }
 
@@ -137,20 +238,27 @@ impl Metrics {
     /// [`trace`] timeline, where every span guard emits its
     /// own timestamped event.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        let lane = trace::thread_lane();
-        self.inner
-            .state
-            .lock()
-            .expect("metrics poisoned")
-            .stacks
-            .entry(lane)
-            .or_default()
-            .push(name);
+        let lane = self.lane();
+        lane.lock().expect("metrics lane poisoned").push(name);
         SpanGuard {
             metrics: self,
             lane,
             started: Instant::now(),
         }
+    }
+
+    /// The calling thread's lane, created on its first use of this registry.
+    fn lane(&self) -> Arc<Mutex<Lane>> {
+        let id = self.inner.trace.id();
+        CACHED_LANE.with_borrow_mut(|slot| match slot {
+            Some((cached, lane)) if *cached == id => Arc::clone(lane),
+            _ => {
+                let mut st = self.inner.state.lock().expect("metrics poisoned");
+                let lane = Arc::clone(st.lanes.entry(trace::thread_lane()).or_default());
+                *slot = Some((id, Arc::clone(&lane)));
+                lane
+            }
+        })
     }
 
     /// The event tracer sharing this registry's lifetime (disabled by
@@ -162,34 +270,17 @@ impl Metrics {
     /// The calling thread's span-qualified key for `name` (what
     /// [`Self::record_kernel`] would file under right now).
     pub fn qualified_kernel(&self, name: &str) -> String {
-        let lane = trace::thread_lane();
-        let st = self.inner.state.lock().expect("metrics poisoned");
-        match st.stacks.get(&lane) {
-            Some(stack) if !stack.is_empty() => {
-                let mut k = stack.join("/");
-                k.push('/');
-                k.push_str(name);
-                k
-            }
-            _ => name.to_string(),
-        }
+        let lane = self.lane();
+        let lane = lane.lock().expect("metrics lane poisoned");
+        lane.qualify(name)
     }
 
     /// Record one dispatch of the named kernel under the calling thread's
     /// open span path.
     pub fn record_kernel(&self, name: &'static str, nanos: u64, items: u64, bytes: u64) {
-        let lane = trace::thread_lane();
-        let mut st = self.inner.state.lock().expect("metrics poisoned");
-        let key = match st.stacks.get(&lane) {
-            Some(stack) if !stack.is_empty() => {
-                let mut k = stack.join("/");
-                k.push('/');
-                k.push_str(name);
-                k
-            }
-            _ => name.to_string(),
-        };
-        let e = st.kernels.entry(key).or_default();
+        let lane = self.lane();
+        let mut lane = lane.lock().expect("metrics lane poisoned");
+        let e = lane.kernel(name);
         e.calls += 1;
         e.nanos += nanos;
         e.items += items;
@@ -272,9 +363,11 @@ impl Metrics {
         self.counter_add("ldm.local_bytes", stats.local_bytes.load(Ordering::Relaxed));
     }
 
-    /// Freeze every kernel, span, and counter into a snapshot. Tracer ring
-    /// evictions surface here as a synthetic `trace.dropped_events` counter
-    /// (only when non-zero, so untraced runs keep their exact counter sets).
+    /// Freeze every kernel, span, and counter into a snapshot: the lanes
+    /// merged by key, entries nothing has been recorded on left out. Tracer
+    /// ring evictions surface here as a synthetic `trace.dropped_events`
+    /// counter (only when non-zero, so untraced runs keep their exact
+    /// counter sets).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let trace_dropped = self.inner.trace.dropped_total();
         let st = self.inner.state.lock().expect("metrics poisoned");
@@ -282,9 +375,28 @@ impl Metrics {
         if trace_dropped > 0 {
             counters.insert("trace.dropped_events".to_string(), trace_dropped);
         }
+        let mut kernels: BTreeMap<String, KernelStats> = BTreeMap::new();
+        let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
+        for lane in st.lanes.values() {
+            let lane = lane.lock().expect("metrics lane poisoned");
+            for node in &lane.nodes {
+                if node.stats.calls > 0 {
+                    let e = spans.entry(node.path.clone()).or_default();
+                    e.calls += node.stats.calls;
+                    e.nanos += node.stats.nanos;
+                }
+                for k in node.kernels.iter().filter(|k| k.stats.calls > 0) {
+                    let e = kernels.entry(k.key.clone()).or_default();
+                    e.calls += k.stats.calls;
+                    e.nanos += k.stats.nanos;
+                    e.items += k.stats.items;
+                    e.bytes += k.stats.bytes;
+                }
+            }
+        }
         MetricsSnapshot {
-            kernels: st.kernels.clone(),
-            spans: st.spans.clone(),
+            kernels,
+            spans,
             counters,
             gauges: st.gauges.clone(),
         }
@@ -292,24 +404,24 @@ impl Metrics {
 
     /// Per-kernel stats only (the legacy profiler view).
     pub fn kernel_snapshot(&self) -> Vec<(String, KernelStats)> {
-        self.inner
-            .state
-            .lock()
-            .expect("metrics poisoned")
-            .kernels
-            .iter()
-            .map(|(n, &s)| (n.clone(), s))
-            .collect()
+        self.snapshot().kernels.into_iter().collect()
     }
 
     /// Clear all kernels, spans, and counters (open spans stay open: the
     /// per-thread stacks are preserved so guards still pop correctly).
     pub fn reset(&self) {
         let mut st = self.inner.state.lock().expect("metrics poisoned");
-        st.kernels.clear();
-        st.spans.clear();
         st.counters.clear();
         st.gauges.clear();
+        for lane in st.lanes.values() {
+            let mut lane = lane.lock().expect("metrics lane poisoned");
+            for node in &mut lane.nodes {
+                node.stats = SpanStats::default();
+                for k in &mut node.kernels {
+                    k.stats = KernelStats::default();
+                }
+            }
+        }
     }
 }
 
@@ -723,6 +835,47 @@ mod tests {
         assert_eq!(snap.kernels["beta/kb"].calls, 1);
         assert_eq!(snap.spans["alpha"].calls, 1);
         assert_eq!(snap.spans["beta"].calls, 1);
+    }
+
+    #[test]
+    fn lanes_merge_by_key_and_one_thread_keeps_two_registries_apart() {
+        // Two threads recording the same kernel under the same span path
+        // accumulate in their own lanes; the snapshot shows one entry.
+        let m = Metrics::default();
+        std::thread::scope(|s| {
+            for nanos in [5, 7] {
+                let m = &m;
+                s.spawn(move || {
+                    let _step = m.span("step");
+                    m.record_kernel("work", nanos, 10, 1);
+                });
+            }
+        });
+        let snap = m.snapshot();
+        let w = &snap.kernels["step/work"];
+        assert_eq!((w.calls, w.nanos, w.items, w.bytes), (2, 12, 20, 2));
+        assert_eq!(snap.spans["step"].calls, 2);
+        assert_eq!(snap.kernels.len(), 1);
+
+        // One thread alternating between two registries: each dispatch
+        // files under the spans open on the registry it was made on.
+        let (a, b) = (Metrics::default(), Metrics::default());
+        let _sa = a.span("alpha");
+        let _sb = b.span("beta");
+        for _ in 0..3 {
+            a.record_kernel("k", 1, 1, 0);
+            b.record_kernel("k", 1, 1, 0);
+        }
+        assert_eq!(a.snapshot().kernels["alpha/k"].calls, 3);
+        assert_eq!(b.snapshot().kernels["beta/k"].calls, 3);
+
+        // A reset under an open span leaves nothing behind — no zeroed
+        // entries — and what follows still files under the open path.
+        a.reset();
+        assert_eq!(a.snapshot(), MetricsSnapshot::default());
+        a.record_kernel("k", 2, 1, 0);
+        assert_eq!(a.snapshot().kernels["alpha/k"].nanos, 2);
+        assert!(a.snapshot().spans.is_empty(), "alpha is still open");
     }
 
     #[test]

@@ -350,6 +350,12 @@ impl Default for Tracer {
 }
 
 impl Tracer {
+    /// Process-unique identity of this tracer — and so of the registry that
+    /// owns it: what the per-thread caches are keyed on.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// The disabled-path check every recording entry point starts with.
     #[inline]
     pub fn is_enabled(&self) -> bool {

@@ -5,8 +5,9 @@
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
 # §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
-# image, no second reader), then prints
-# the three size numbers PR descriptions quote.
+# image, no second reader), or if `grist-dycore` gains an `unsafe` (ROADMAP
+# item 7: restructure a kernel, do not add a raw-pointer site), then prints
+# the size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,15 @@ if grep -rnE "encode_bits|decode_bits|grist-checkpoint-v1|grist-ckpt-v2" crates;
     exit 1
 fi
 
+# Every `unsafe` in the dycore is a `ColumnsMut::col` under the "each index
+# dispatched once" contract; the ceiling only ever comes down.
+dycore_unsafe_ceiling=37
+dycore_unsafe=$(grep -rwo "unsafe" --include='*.rs' crates/grist-dycore/src | wc -l)
+if [ "$dycore_unsafe" -gt "$dycore_unsafe_ceiling" ]; then
+    echo "api_surface: FAIL — grist-dycore has ${dycore_unsafe} unsafe occurrences, ceiling ${dycore_unsafe_ceiling}" >&2
+    exit 1
+fi
+
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
@@ -34,4 +44,5 @@ env_reads=$(grep -rE "std::env::var\(" --include='*.rs' \
 echo "api_surface: OK — no suffix-named public functions, no lane layer, no hex checkpoint codec"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
 echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}"
+echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
 echo "api_surface: std::env::var reads under crates/{core,grist-*,sunway-sim}/src: ${env_reads}"

@@ -36,6 +36,7 @@ echo "== kernel matrix (sync/double DMA vs sync oracle) =="
 for dma in sync double; do
     echo "-- GRIST_DMA=$dma"
     GRIST_DMA=$dma cargo test --release -q -p grist-core --test integration_kernels
+    GRIST_DMA=$dma cargo test --release -q --test integration_fused_step
 done
 
 echo "== trace report (traced multi-rank chaos run + attribution) =="

@@ -84,10 +84,37 @@ fn kernel_report_covers_dycore_and_physics() {
     assert!(!report.is_empty());
     let names: Vec<&str> = report.iter().map(|r| r.name.as_str()).collect();
     // Names carry the full trace-span path (model step → suite → kernel).
-    assert!(
-        names.contains(&"step/dycore/hevi_momentum_update"),
-        "dycore kernel missing: {names:?}"
-    );
+    // The dynamics are seven kernels; the stand-alone operators they absorbed
+    // are no longer dispatched by a step (`divergence` still is, by the
+    // tracer step).
+    for kernel in [
+        "hevi_diagnose",
+        "hevi_ke_divergence",
+        "hevi_vertex_vorticity_velocity",
+        "hevi_momentum_update",
+        "hevi_mass_flux",
+        "hevi_mass_theta_update",
+        "hevi_implicit_vertical",
+    ] {
+        assert!(
+            names.contains(&format!("step/dycore/{kernel}").as_str()),
+            "dycore kernel {kernel} missing: {names:?}"
+        );
+    }
+    for absorbed in [
+        "kinetic_energy",
+        "vorticity",
+        "vert_to_edge",
+        "vert_velocity",
+        "tangential_velocity",
+        "gradient",
+        "cell_to_edge",
+    ] {
+        assert!(
+            !names.contains(&format!("step/dycore/{absorbed}").as_str()),
+            "a dyn step dispatched the stand-alone {absorbed}: {names:?}"
+        );
+    }
     assert!(
         names.contains(&"step/physics/physics_columns"),
         "physics kernel missing: {names:?}"

@@ -78,8 +78,19 @@ fn one_physics_window_runs_the_tracer_kernels_on_the_tracer_cadence() {
     assert!(m.advance_resilient(dt_phy).completed);
     let rows = m.kernel_report();
     let (ntracers, dyn_per_phy, dyn_per_trac) = (3, 16, 8);
-    assert_eq!(calls(&rows, "hevi_mass_flux"), dyn_per_phy);
-    assert_eq!(calls(&rows, "hevi_implicit_vertical"), dyn_per_phy);
+    // The dynamics: seven kernels a step, and one more diagnosis when the
+    // physics extracts its columns.
+    for per_dyn_step in [
+        "hevi_ke_divergence",
+        "hevi_vertex_vorticity_velocity",
+        "hevi_momentum_update",
+        "hevi_mass_flux",
+        "hevi_mass_theta_update",
+        "hevi_implicit_vertical",
+    ] {
+        assert_eq!(calls(&rows, per_dyn_step), dyn_per_phy, "{per_dyn_step}");
+    }
+    assert_eq!(calls(&rows, "hevi_diagnose"), dyn_per_phy + 1);
     let tracer_steps = dyn_per_phy / dyn_per_trac;
     for per_tracer in [
         "fct_loworder",
@@ -93,11 +104,21 @@ fn one_physics_window_runs_the_tracer_kernels_on_the_tracer_cadence() {
             "{per_tracer}"
         );
     }
-    for per_step in ["hevi_flux_mean", "hevi_tracer_mass", "fct_transport"] {
+    // `divergence`: of the time-mean flux, the only stand-alone operator left.
+    for per_step in [
+        "hevi_flux_mean",
+        "divergence",
+        "hevi_tracer_mass",
+        "fct_transport",
+    ] {
         assert_eq!(calls(&rows, per_step), tracer_steps, "{per_step}");
     }
-    // What `substrate.dispatch_calls_per_op` reads on aqua_conv_dp.
-    assert_eq!(rows.iter().map(|r| r.calls).sum::<u64>(), 372);
+    for per_window in ["cell_velocity", "physics_columns"] {
+        assert_eq!(calls(&rows, per_window), 1, "{per_window}");
+    }
+    // What `substrate.dispatch_calls_per_op` reads on aqua_conv_dp:
+    // 16 · 7 + 1 dynamics, 2 · (4 + 3 · 4) tracers, 2 physics.
+    assert_eq!(rows.iter().map(|r| r.calls).sum::<u64>(), 147);
 }
 
 #[test]
