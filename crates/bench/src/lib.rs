@@ -1,15 +1,17 @@
 //! Shared helpers for the figure/table harness binaries (aligned-column
-//! table printing, CSV output into `results/`), plus the benchmark-baseline
-//! pipeline: [`smoke`] produces the pinned `BENCH_*.json` documents and
-//! [`compare`] gates a fresh run against a committed baseline.
+//! table printing, CSV output into `results/`), plus the five pinned
+//! suites ([`smoke`], [`ml`], [`partition`], [`serve`], [`scaling`]) whose
+//! `BENCH_*.json` are exact golden pins: [`pin`] is what the `bench_gate`
+//! binary runs and compares.
 
 // Indexed loops mirror the Fortran stencil kernels they reproduce and are
 // clearer than iterator chains for staggered-grid code.
 #![allow(clippy::needless_range_loop)]
-pub mod compare;
 pub mod ml;
 pub mod obs;
 pub mod partition;
+pub mod pin;
+pub mod scaling;
 pub mod serve;
 pub mod smoke;
 

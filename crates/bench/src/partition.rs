@@ -3,25 +3,23 @@
 //! partitioner over a part-count ladder on one mesh (ROADMAP item 1's
 //! quality gate).
 //!
-//! Everything in the document is **deterministic** — the partitioner is
-//! seeded greedy growth plus boundary refinement with no randomness — so
-//! the standard [`crate::compare`] gate holds every projection to the tight
-//! tolerance. There are no kernels or wall times here; the `metrics`
-//! section is an empty snapshot kept only so the schema (and the compare
-//! pipeline) stay uniform across the `BENCH_*` family.
+//! Everything here is **deterministic** — the partitioner is seeded greedy
+//! growth plus boundary refinement with no randomness — so every number is
+//! a diagnostic of the exact pin (see [`crate::pin`]). There are no kernels,
+//! counters or wall times.
 //!
 //! The `surface_coeff` projections are the measured replacement for the
 //! analytic `halo_surface_fraction ≈ 3.5` guess in
-//! `grist_runtime::scaling::SdpdModelConfig`: `bench_scaling` feeds the
+//! `grist_runtime::scaling::SdpdModelConfig`: [`crate::scaling`] feeds the
 //! coefficient measured on its own partition into the model via
-//! `with_measured_surface`, and this suite gates the coefficient's drift
-//! across the ladder so a partitioner regression (ragged boundaries, split
-//! parts) shows up as a bench failure, not as silently worse projections.
+//! `with_measured_surface`, and this suite pins the coefficient across the
+//! ladder so a partitioner change (ragged boundaries, split parts) shows up
+//! as drift from the pin, not as silently different projections.
 
 use grist_mesh::{HexMesh, Partition};
 use sunway_sim::{Json, MetricsSnapshot};
 
-use crate::smoke::SCHEMA;
+use crate::pin::{SuiteResult, SuiteRun};
 
 /// Pinned mesh refinement level (G5: 10,242 cells — big enough that the
 /// 64-part surface law is in its asymptotic regime, small enough to
@@ -33,49 +31,21 @@ pub const PART_LADDER: [usize; 3] = [4, 16, 64];
 /// Boundary-refinement passes, matching the halo and scaling benches.
 pub const PART_REFINE_PASSES: usize = 2;
 
-/// Per-rung quality numbers, in ladder order (the binary prints these as a
-/// table; the document carries them as flat projections).
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionRung {
-    pub n_parts: usize,
-    pub edge_cut: usize,
-    pub imbalance: f64,
-    pub max_part_degree: usize,
-    pub mean_halo: f64,
-    pub max_ratio: f64,
-    pub surface_coeff: f64,
+/// Run the pinned ladder (nothing here can fail a gate but the pin).
+pub fn run() -> SuiteResult {
+    Ok(run_partition_with(PART_LEVEL, &PART_LADDER))
 }
 
-/// The assembled document plus the rung table behind it.
-#[derive(Debug)]
-pub struct PartitionBench {
-    pub doc: Json,
-    pub rungs: Vec<PartitionRung>,
-}
-
-/// Run the pinned ladder and assemble the `BENCH_partition.json` document.
-pub fn run_partition() -> PartitionBench {
-    run_partition_with(PART_LEVEL, &PART_LADDER)
-}
-
-/// [`run_partition`] with explicit knobs (tests use a smaller mesh).
-pub fn run_partition_with(level: u32, ladder: &[usize]) -> PartitionBench {
+/// The ladder with explicit knobs (tests use a smaller mesh): per rung,
+/// `partition.L<level>.p<parts>.{edge_cut, imbalance, max_part_degree,
+/// mean_halo, max_ratio, surface_coeff}`.
+pub fn run_partition_with(level: u32, ladder: &[usize]) -> SuiteRun {
     let mesh = HexMesh::build(level);
-    let mut rungs = Vec::with_capacity(ladder.len());
     let mut projections: Vec<(String, f64)> = Vec::new();
     for &n_parts in ladder {
         let partition = Partition::build(&mesh, n_parts, PART_REFINE_PASSES);
         let q = partition.quality(&mesh);
         let s = partition.surface_profile(&mesh);
-        rungs.push(PartitionRung {
-            n_parts,
-            edge_cut: q.edge_cut,
-            imbalance: q.imbalance,
-            max_part_degree: q.max_part_degree,
-            mean_halo: s.mean_halo,
-            max_ratio: s.max_ratio,
-            surface_coeff: s.surface_coeff,
-        });
         let pre = format!("partition.L{level}.p{n_parts}");
         projections.push((format!("{pre}.edge_cut"), q.edge_cut as f64));
         projections.push((format!("{pre}.imbalance"), q.imbalance));
@@ -86,105 +56,80 @@ pub fn run_partition_with(level: u32, ladder: &[usize]) -> PartitionBench {
     }
     projections.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
+    let config = Json::Obj(vec![
+        ("mesh_level".into(), Json::Num(level as f64)),
+        ("n_cells".into(), Json::Num(mesh.n_cells() as f64)),
+        ("refine_passes".into(), Json::Num(PART_REFINE_PASSES as f64)),
         (
-            "config".into(),
-            Json::Obj(vec![
-                ("mesh_level".into(), Json::Num(level as f64)),
-                ("n_cells".into(), Json::Num(mesh.n_cells() as f64)),
-                ("refine_passes".into(), Json::Num(PART_REFINE_PASSES as f64)),
-                (
-                    "ladder".into(),
-                    Json::Arr(ladder.iter().map(|&p| Json::Num(p as f64)).collect()),
-                ),
-            ]),
+            "ladder".into(),
+            Json::Arr(ladder.iter().map(|&p| Json::Num(p as f64)).collect()),
         ),
-        (
-            "projections".into(),
-            Json::Obj(
-                projections
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v)))
-                    .collect(),
-            ),
-        ),
-        // No kernels run here; the empty snapshot keeps the document in the
-        // uniform grist-bench-v1 shape the compare gate expects.
-        ("metrics".into(), MetricsSnapshot::default().to_json_value()),
     ]);
-
-    PartitionBench { doc, rungs }
+    SuiteRun::new(
+        "partition",
+        config,
+        projections,
+        &MetricsSnapshot::default(),
+        Vec::new(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_docs, CompareConfig};
+    use crate::pin::leaf;
 
     #[test]
-    fn document_has_the_bench_schema_and_sections() {
-        let b = run_partition_with(3, &[2, 4]);
-        assert_eq!(b.doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        for section in ["config", "projections", "metrics"] {
-            assert!(b.doc.get(section).is_some(), "missing {section}");
-        }
-        assert_eq!(b.rungs.len(), 2);
-    }
-
-    #[test]
-    fn ladder_projections_are_deterministic_under_the_compare_gate() {
+    fn two_runs_of_the_ladder_pin_equal() {
         let a = run_partition_with(3, &[2, 4]);
-        let b = run_partition_with(3, &[2, 4]);
-        let r = compare_docs(&a.doc, &b.doc, &CompareConfig::default()).unwrap();
-        assert!(r.is_empty(), "nondeterministic partition bench: {r:?}");
+        assert_eq!(a.pin.diagnostics.len(), 12);
+        assert!(a.pin.counters.is_empty() && a.pin.hashes.is_empty());
+        assert_eq!(a.pin, run_partition_with(3, &[2, 4]).pin);
     }
 
     #[test]
     fn edge_cut_grows_and_halo_shrinks_up_the_ladder() {
         let b = run_partition_with(4, &[4, 16]);
-        let (r4, r16) = (&b.rungs[0], &b.rungs[1]);
+        let rung = |parts: usize, what: &str| {
+            leaf(&b.pin.diagnostics, &format!("partition.L4.p{parts}.{what}"))
+        };
         assert!(
-            r16.edge_cut > r4.edge_cut,
-            "more parts must cut more edges: {} vs {}",
-            r4.edge_cut,
-            r16.edge_cut
+            rung(16, "edge_cut") > rung(4, "edge_cut"),
+            "more parts must cut more edges"
         );
         assert!(
-            r16.mean_halo < r4.mean_halo,
-            "per-part halo must shrink with part size: {} vs {}",
-            r4.mean_halo,
-            r16.mean_halo
+            rung(16, "mean_halo") < rung(4, "mean_halo"),
+            "per-part halo must shrink with part size"
         );
-        for r in &b.rungs {
-            assert!(r.imbalance >= 1.0 && r.imbalance < 1.5, "{r:?}");
-            assert!(r.surface_coeff > 0.5 && r.surface_coeff < 10.0, "{r:?}");
-            assert!(r.max_ratio > 0.0 && r.max_ratio < 2.0, "{r:?}");
+        for parts in [4, 16] {
+            let (imbalance, coeff, ratio) = (
+                rung(parts, "imbalance"),
+                rung(parts, "surface_coeff"),
+                rung(parts, "max_ratio"),
+            );
+            assert!((1.0..1.5).contains(&imbalance), "p{parts}: {imbalance}");
+            assert!(coeff > 0.5 && coeff < 10.0, "p{parts}: {coeff}");
+            assert!(ratio > 0.0 && ratio < 2.0, "p{parts}: {ratio}");
         }
     }
 
     #[test]
-    fn a_partitioner_regression_is_caught_by_the_gate() {
+    fn a_partitioner_change_is_one_drift_line_naming_the_leaf() {
         let good = run_partition_with(3, &[4]);
-        let mut bad = run_partition_with(3, &[4]);
-        // Simulate a 2x edge-cut blowup in the new document.
-        let Json::Obj(fields) = &mut bad.doc else {
-            panic!()
-        };
-        let proj = &mut fields
+        let mut moved = run_partition_with(3, &[4]);
+        let cut = moved
+            .pin
+            .diagnostics
             .iter_mut()
-            .find(|(k, _)| k == "projections")
-            .unwrap()
-            .1;
-        let Json::Obj(pf) = proj else { panic!() };
-        for (k, v) in pf.iter_mut() {
-            if k.ends_with(".edge_cut") {
-                let Json::Num(x) = v else { panic!() };
-                *x *= 2.0;
-            }
-        }
-        let r = compare_docs(&good.doc, &bad.doc, &CompareConfig::default()).unwrap();
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].what.contains("edge_cut"), "{}", r[0]);
+            .find(|(k, _)| k.ends_with(".edge_cut"))
+            .unwrap();
+        cut.1 += 1.0;
+        let drift = moved.drift_from(&good.pin_file_json()).unwrap();
+        assert_eq!(drift.len(), 1, "{drift:?}");
+        assert!(
+            drift[0].starts_with("diagnostic partition.L3.p4.edge_cut: pinned "),
+            "{}",
+            drift[0]
+        );
     }
 }

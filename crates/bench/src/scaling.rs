@@ -2,7 +2,7 @@
 //!
 //! 1. Runs the 4-rank phased shallow-water scenario twice — once with the
 //!    synchronous gathered exchange, once with the async begin/complete
-//!    overlap — on traced CPE-teams substrates, and **gates** that
+//!    overlap — on traced CPE-teams substrates, and **gates in-run** that
 //!    (a) the two modes are bitwise identical, (b) their deterministic
 //!    counters agree, and (c) `trace::analyze`'s halo wait-vs-transfer
 //!    split shows the overlapped mode cutting wait time by at least 30%.
@@ -10,13 +10,9 @@
 //!    counters ([`grist_runtime::scaling::MeasuredCosts`]) — never wall
 //!    times — with a pinned overlap factor, and emits weak- (128 →
 //!    524,288) and strong-scaling projections.
-//! 3. Writes a `grist-bench-v1` document whose gated `metrics` and
-//!    `projections` sections are byte-identical across machines (kernel
-//!    and span wall nanos are zeroed; everything else is counter-derived).
-//!    The live wait measurements go in the non-gated `overlap` section.
-//!
-//! Usage: `cargo run --release -p grist-bench --bin bench_scaling -- [OUT.json]`
-//! (defaults to stdout). Exit codes: 0 = gates pass, 1 = a gate failed.
+//! 3. Pins the synchronous run's counts and the projections exactly (see
+//!    [`crate::pin`]); the live wait measurements go to the wall report's
+//!    `overlap` section.
 
 use grist_core::DynStepMode;
 use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
@@ -27,6 +23,8 @@ use grist_runtime::scaling::{
     SdpdModel, SdpdModelConfig,
 };
 use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate, SunwaySpec};
+
+use crate::pin::{SuiteResult, SuiteRun};
 
 const RANKS: usize = 4;
 const LEVEL: u32 = 4;
@@ -42,11 +40,6 @@ const PINNED_OVERLAP: f64 = 0.30;
 /// Live gate: overlapped halo wait must be at most this share of the
 /// synchronous wait (≥ 30% reduction).
 const MAX_WAIT_RATIO: f64 = 0.70;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("bench_scaling: FAIL — {msg}");
-    std::process::exit(1);
-}
 
 /// Run the phased 4-rank scenario in `mode` on a shared traced registry;
 /// return the registry and each rank's final `h` bit pattern.
@@ -94,14 +87,16 @@ fn run_mode(mode: DynStepMode) -> (Metrics, Vec<Vec<u64>>) {
     (metrics, results)
 }
 
-fn main() {
+/// Run both modes, hold them to the three in-run gates, and pin the
+/// counter-calibrated projections.
+pub fn run() -> SuiteResult {
     let (sync_metrics, sync_states) = run_mode(DynStepMode::Synchronous);
     let (ovl_metrics, ovl_states) = run_mode(DynStepMode::Overlapped);
 
     // --- gate: bitwise identity between the modes ---
     for rank in 0..RANKS {
         if sync_states[rank] != ovl_states[rank] {
-            fail(&format!(
+            return Err(format!(
                 "rank {rank}: overlapped state is not bitwise identical to synchronous"
             ));
         }
@@ -125,7 +120,7 @@ fn main() {
                 )
             })
             .collect();
-        fail(&format!(
+        return Err(format!(
             "counter mismatch between modes: {}",
             diff.join(", ")
         ));
@@ -136,15 +131,15 @@ fn main() {
     let halo_sync = analyze(&sync_metrics.tracer().snapshot(), &inputs).halo;
     let halo_ovl = analyze(&ovl_metrics.tracer().snapshot(), &inputs).halo;
     if halo_sync.exchanges == 0 || halo_ovl.exchanges == 0 {
-        fail("no halo exchange events traced");
+        return Err("no halo exchange events traced".into());
     }
     if halo_sync.wait_ns == 0 {
-        fail("synchronous run recorded zero halo wait: nothing to overlap");
+        return Err("synchronous run recorded zero halo wait: nothing to overlap".into());
     }
     let ratio = halo_ovl.wait_ns as f64 / halo_sync.wait_ns as f64;
     let reduction_pct = (1.0 - ratio) * 100.0;
     eprintln!(
-        "bench_scaling: halo wait {} ns (sync) -> {} ns (overlapped), {:.1}% reduction \
+        "scaling: halo wait {} ns (sync) -> {} ns (overlapped), {:.1}% reduction \
          (transfer {} ns -> {} ns)",
         halo_sync.wait_ns,
         halo_ovl.wait_ns,
@@ -153,7 +148,7 @@ fn main() {
         halo_ovl.transfer_ns,
     );
     if ratio > MAX_WAIT_RATIO {
-        fail(&format!(
+        return Err(format!(
             "overlap hides only {reduction_pct:.1}% of halo wait time, need >= {:.0}%",
             (1.0 - MAX_WAIT_RATIO) * 100.0
         ));
@@ -161,7 +156,7 @@ fn main() {
 
     // --- calibrate the SDPD model from the deterministic counters ---
     let costs = MeasuredCosts::from_metrics(&sync_metrics, (RANKS * STEPS) as u64)
-        .unwrap_or_else(|e| fail(&format!("calibration: {e}")));
+        .map_err(|e| format!("calibration: {e}"))?;
     // Measure the halo-surface coefficient from the same partition the run
     // used instead of the analytic 3.5 guess (gated per part count in
     // BENCH_partition.json; here it feeds the comm term of the projections).
@@ -190,7 +185,7 @@ fn main() {
         projections.push((format!("commfrac.weak.{label}.p{procs}"), r.comm_fraction));
     }
     for (procs, eff) in weak_scaling_efficiencies(&model, mix_ml, &ladder)
-        .unwrap_or_else(|e| fail(&format!("weak-scaling efficiencies: {e}")))
+        .map_err(|e| format!("weak-scaling efficiencies: {e}"))?
     {
         projections.push((format!("eff.weak.p{procs}"), eff));
     }
@@ -204,65 +199,31 @@ fn main() {
     }
     projections.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // --- assemble the document: gated sections are wall-free ---
-    let mut snap = sync_snap;
-    for k in snap.kernels.values_mut() {
-        k.nanos = 0;
-    }
-    for s in snap.spans.values_mut() {
-        s.nanos = 0;
-    }
-    let doc = Json::Obj(vec![
+    let config = Json::Obj(vec![
+        ("ranks".into(), Json::Num(RANKS as f64)),
+        ("mesh_level".into(), Json::Num(LEVEL as f64)),
+        ("steps".into(), Json::Num(STEPS as f64)),
+        ("cpes".into(), Json::Num(CPES as f64)),
+        ("pinned_overlap_factor".into(), Json::Num(PINNED_OVERLAP)),
         (
-            "schema".into(),
-            Json::Str(grist_bench::smoke::SCHEMA.into()),
-        ),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("ranks".into(), Json::Num(RANKS as f64)),
-                ("mesh_level".into(), Json::Num(LEVEL as f64)),
-                ("steps".into(), Json::Num(STEPS as f64)),
-                ("cpes".into(), Json::Num(CPES as f64)),
-                ("pinned_overlap_factor".into(), Json::Num(PINNED_OVERLAP)),
-                (
-                    "measured_surface_coeff".into(),
-                    Json::Num(surface.surface_coeff),
-                ),
-            ]),
-        ),
-        (
-            "projections".into(),
-            Json::Obj(
-                projections
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v)))
-                    .collect(),
-            ),
-        ),
-        ("metrics".into(), snap.to_json_value()),
-        // Live measurements: informative record, not gated (wall-derived).
-        (
-            "overlap".into(),
-            Json::Obj(vec![
-                ("wait_sync_ns".into(), Json::Num(halo_sync.wait_ns as f64)),
-                (
-                    "wait_overlapped_ns".into(),
-                    Json::Num(halo_ovl.wait_ns as f64),
-                ),
-                ("reduction_pct".into(), Json::Num(reduction_pct)),
-            ]),
+            "measured_surface_coeff".into(),
+            Json::Num(surface.surface_coeff),
         ),
     ]);
-
-    grist_bench::emit_doc(
-        "bench_scaling",
-        std::env::args().nth(1).as_deref(),
-        &doc.pretty(),
-    );
-    eprintln!(
-        "bench_scaling: OK — bitwise-equal modes, counters identical, \
-         {reduction_pct:.1}% wait reduction (gate {:.0}%)",
-        (1.0 - MAX_WAIT_RATIO) * 100.0
-    );
+    // Live measurements: an informative record (wall-derived).
+    let overlap = Json::Obj(vec![
+        ("wait_sync_ns".into(), Json::Num(halo_sync.wait_ns as f64)),
+        (
+            "wait_overlapped_ns".into(),
+            Json::Num(halo_ovl.wait_ns as f64),
+        ),
+        ("reduction_pct".into(), Json::Num(reduction_pct)),
+    ]);
+    Ok(SuiteRun::new(
+        "scaling",
+        config,
+        projections,
+        &sync_snap,
+        vec![("overlap".into(), overlap)],
+    ))
 }

@@ -12,21 +12,20 @@
 //!   with the derived-product cache **disabled**, so every query pays its
 //!   full ML dispatch and the ratio isolates batching. Every batched answer
 //!   is then verified **bitwise** against a recompute from the source
-//!   epoch's checkpoint in the [`crate::compare`]-gated document: a fresh
-//!   model restores the published [`grist_serve::EpochView`], re-extracts
-//!   columns, and re-runs the pinned suite per column. The counters and
-//!   kernel call/item counts this phase emits are deterministic and held to
-//!   the tight tolerance.
+//!   epoch's checkpoint: a fresh model restores the published
+//!   [`grist_serve::EpochView`], re-extracts columns, and re-runs the pinned
+//!   suite per column. The counters and kernel call/item counts this phase
+//!   emits are deterministic and pinned exactly (see [`crate::pin`]).
 //! * **Phase B (traffic)** — a fresh store, the ensemble advancing on a
 //!   background thread, and client threads hammering the server while it
-//!   runs. Per-query latencies (p50/p99) and aggregate throughput land in
-//!   `serve.latency.*` / `serve.qps.*` projections, which the compare gate
-//!   holds to the loose wall band (upward-only / higher-is-better), and as
-//!   gauges on the metrics registry (informational; gauges are not gated).
+//!   runs. Per-query latencies (p50/p99) and aggregate throughput go to the
+//!   wall report only: nothing compares them (serving speed is
+//!   `benchmark/run.sh`'s `serve_steady` / `serve_churn`).
 //!
-//! The `bench_serve` binary enforces the acceptance floor: batched ≥ 2× the
-//! per-query path. The bitwise recompute check has no tolerance at all — a
-//! single differing bit panics the run.
+//! [`run`] enforces the in-run floor — batched ≥ [`MIN_SPEEDUP`] × the
+//! per-query path, and a verification that covered at least one product.
+//! The bitwise recompute check has no tolerance at all — a single differing
+//! bit panics the run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,10 +39,13 @@ use grist_serve::{
 };
 use sunway_sim::{Json, Substrate};
 
-use crate::smoke::SCHEMA;
+use crate::pin::{SuiteResult, SuiteRun};
+
+/// In-run gate: batched dispatch over the per-query reference path.
+pub const MIN_SPEEDUP: f64 = 2.0;
 
 /// Pinned configuration. Changing any of these invalidates the committed
-/// `BENCH_serve.json`; regenerate it when you do.
+/// `BENCH_serve.json`; re-pin it (`bench_gate serve --update`).
 pub const SERVE_LEVEL: u32 = 2;
 pub const SERVE_NLEV: usize = 10;
 pub const SERVE_MEMBERS: usize = 3;
@@ -63,8 +65,7 @@ pub const SERVE_CLIENTS: usize = 4;
 pub const SERVE_CLIENT_QUERIES: usize = 60;
 pub const SERVE_PERTURB: f64 = 1e-5;
 
-/// One bench run's knobs (the test suite shrinks them; `run_serve` pins
-/// them).
+/// One bench run's knobs (the test suite shrinks them; [`run`] pins them).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeBenchConfig {
     pub level: u32,
@@ -104,10 +105,10 @@ impl Default for ServeBenchConfig {
     }
 }
 
-/// The assembled document plus the headline numbers the binary gates on.
+/// The run plus the headline numbers [`run`] gates on and prints.
 #[derive(Debug)]
 pub struct ServeBench {
-    pub doc: Json,
+    pub run: SuiteRun,
     /// Batched / per-query throughput ratio (Phase A, cache disabled).
     pub speedup: f64,
     /// Products checked bitwise against a checkpoint recompute. The check
@@ -221,13 +222,27 @@ fn verify_against_checkpoints(
     verified
 }
 
-/// Run the pinned serving benchmark and assemble the `BENCH_serve.json`
-/// document.
-pub fn run_serve() -> ServeBench {
-    run_serve_with(ServeBenchConfig::default())
+/// Run the pinned serving benchmark and hold it to its in-run gates.
+pub fn run() -> SuiteResult {
+    let b = run_serve_with(ServeBenchConfig::default());
+    eprintln!(
+        "serve: batched/per-query speedup {:.2}x, {} products verified bitwise against \
+         checkpoints; traffic p50 {:.3} ms, p99 {:.3} ms, {:.0} qps",
+        b.speedup, b.verified_products, b.p50_ms, b.p99_ms, b.qps
+    );
+    if b.verified_products == 0 {
+        return Err("the bitwise verification covered no products".into());
+    }
+    if b.speedup < MIN_SPEEDUP {
+        return Err(format!(
+            "batched speedup {:.2}x below the {MIN_SPEEDUP}x floor",
+            b.speedup
+        ));
+    }
+    Ok(b.run)
 }
 
-/// [`run_serve`] with explicit knobs (tests use a miniature configuration).
+/// The benchmark with explicit knobs (tests use a miniature configuration).
 pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
     let run = RunConfig::for_level(cfg.level, cfg.nlev);
 
@@ -354,34 +369,22 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
     let (p50_ms, p99_ms) = (lat.percentile_ms(0.50), lat.percentile_ms(0.99));
     let qps = lat.count as f64 / wall_s.max(1e-12);
 
-    // ---- Assemble the document. ----
-    // Deterministic projections get the tight band; the `serve.latency.*` /
-    // `serve.qps.*` keys get the loose wall-derived gate (see
-    // `crate::compare`).
+    // ---- Assemble the pin and the wall report. ----
     let n = |x: f64| Json::Num(x);
-    let projections = Json::Obj(vec![
-        ("serve.queries_per_pass".into(), n(cfg.queries as f64)),
+    let projections = vec![
+        ("serve.queries_per_pass".into(), cfg.queries as f64),
         (
             "serve.batches_per_pass".into(),
-            n(cfg.queries.div_ceil(cfg.serve_batch) as f64),
+            cfg.queries.div_ceil(cfg.serve_batch) as f64,
         ),
-        (
-            "serve.verified_products".into(),
-            n(verified_products as f64),
-        ),
+        ("serve.verified_products".into(), verified_products as f64),
         (
             "serve.ensemble_publishes".into(),
-            n((cfg.members * (cfg.epochs + 1)) as f64),
+            (cfg.members * (cfg.epochs + 1)) as f64,
         ),
-        ("serve.latency.p50_ms".into(), n(p50_ms)),
-        ("serve.latency.p99_ms".into(), n(p99_ms)),
-        ("serve.qps.traffic".into(), n(qps)),
-        ("serve.qps.batched".into(), n(qps_of(batched_s))),
-        ("serve.qps.percol".into(), n(qps_of(percol_s))),
-    ]);
+    ];
 
-    // Host-dependent headline numbers; the compare gate ignores this
-    // section entirely.
+    // Host-dependent headline numbers: the wall report.
     let report = Json::Obj(vec![
         ("percol_qps".into(), n(qps_of(percol_s))),
         ("batched_qps".into(), n(qps_of(batched_s))),
@@ -394,14 +397,9 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
         ("traffic.max_ms".into(), n(lat.max as f64 / 1e6)),
     ]);
 
-    // The metrics section is the Phase A engine registry: its counters and
-    // kernel call/item counts are deterministic. Phase B latency lands on
-    // it as gauges — preserved in the artifact, ignored by the gate.
-    let metrics = engine.substrate().metrics();
-    metrics.gauge_set("serve.latency.p50_ms", p50_ms);
-    metrics.gauge_set("serve.latency.p99_ms", p99_ms);
-    metrics.gauge_set("serve.qps.traffic", qps);
-    let snap = metrics.snapshot();
+    // The Phase A engine registry: its counters and kernel call/item counts
+    // are deterministic.
+    let snap = engine.substrate().metrics().snapshot();
 
     let config = Json::Obj(vec![
         ("level".into(), n(cfg.level as f64)),
@@ -423,16 +421,16 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
         ("perturb_scale".into(), n(cfg.perturb_scale)),
     ]);
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("config".into(), config),
-        ("projections".into(), projections),
-        ("report".into(), report),
-        ("metrics".into(), snap.to_json_value()),
-    ]);
+    let run = SuiteRun::new(
+        "serve",
+        config,
+        projections,
+        &snap,
+        vec![("report".into(), report)],
+    );
 
     ServeBench {
-        doc,
+        run,
         speedup,
         verified_products,
         p50_ms,
@@ -444,7 +442,7 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sunway_sim::MetricsSnapshot;
+    use crate::pin::leaf;
 
     fn tiny() -> ServeBenchConfig {
         ServeBenchConfig {
@@ -466,35 +464,33 @@ mod tests {
     }
 
     #[test]
-    fn document_has_the_bench_schema_and_sections() {
+    fn run_verifies_every_product_kind_and_reports_traffic() {
         let b = run_serve_with(tiny());
-        assert_eq!(b.doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        for section in ["config", "projections", "report", "metrics"] {
-            assert!(b.doc.get(section).is_some(), "missing {section}");
-        }
         assert!(b.speedup.is_finite() && b.speedup > 0.0);
         assert!(b.qps > 0.0 && b.p50_ms >= 0.0 && b.p99_ms >= b.p50_ms);
         // The verification set covered the timing queries plus the column,
         // point, and region extras.
         assert!(b.verified_products as usize > tiny().queries);
-    }
-
-    #[test]
-    fn latency_lands_in_projections_and_gauges() {
-        let b = run_serve_with(tiny());
-        let p = |key: &str| {
-            b.doc
-                .get("projections")
-                .and_then(|p| p.get(key))
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("missing projection {key}"))
-        };
-        assert_eq!(p("serve.latency.p50_ms"), b.p50_ms);
-        assert_eq!(p("serve.latency.p99_ms"), b.p99_ms);
-        assert_eq!(p("serve.qps.traffic"), b.qps);
-        let snap = MetricsSnapshot::from_json_value(b.doc.get("metrics").unwrap()).unwrap();
-        assert_eq!(snap.gauge("serve.latency.p50_ms"), Some(b.p50_ms));
-        assert_eq!(snap.gauge("serve.qps.traffic"), Some(b.qps));
+        // Latency and throughput are in the wall report and nowhere in the pin.
+        let report = b.run.wall.get("report").unwrap();
+        assert_eq!(
+            report.get("traffic.p99_ms").and_then(Json::as_f64),
+            Some(b.p99_ms)
+        );
+        assert_eq!(
+            report.get("traffic.qps").and_then(Json::as_f64),
+            Some(b.qps)
+        );
+        let pinned = b.run.pin.diagnostics.iter().map(|(k, _)| k.as_str());
+        assert_eq!(
+            pinned.collect::<Vec<_>>(),
+            [
+                "serve.queries_per_pass",
+                "serve.batches_per_pass",
+                "serve.verified_products",
+                "serve.ensemble_publishes"
+            ]
+        );
     }
 
     /// Satellite pin: the shared histogram percentile and the retired
@@ -551,37 +547,23 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_quantities_survive_the_compare_gate() {
+    fn two_runs_pin_equal_and_batching_saves_calls_not_work() {
         let cfg = tiny();
         let a = run_serve_with(cfg);
-        let b = run_serve_with(cfg);
-        // Counters, kernel counts, and the deterministic projections must
-        // agree exactly; wall-derived latency/qps jitters between runs on a
-        // tiny configuration, so give the wall band effectively no limit —
-        // the tight band still applies to everything deterministic.
-        let r = crate::compare::compare_docs(
-            &a.doc,
-            &b.doc,
-            &crate::compare::CompareConfig {
-                tolerance: 0.0,
-                time_tolerance: 1e12,
-                min_time_ns: u64::MAX,
-            },
-        )
-        .unwrap();
-        assert!(r.is_empty(), "nondeterministic bench document: {r:?}");
+        assert_eq!(a.run.pin, run_serve_with(cfg).run.pin);
         // Both passes dispatched the same ML cells: the batched path saves
         // calls, never work.
-        let snap = MetricsSnapshot::from_json_value(a.doc.get("metrics").unwrap()).unwrap();
-        let percol = &snap.kernels["serve_percol/ml/ml_physics_columns"];
         assert_eq!(
-            percol.items,
+            leaf(
+                &a.run.pin.counters,
+                "kernel.serve_percol/ml/ml_physics_columns.items"
+            ),
             ((cfg.iters + 1) * cfg.queries) as u64,
             "one per-column dispatch per query per pass"
         );
-        let batches = snap.counters["serve.batches"];
+        let batches = leaf(&a.run.pin.counters, "serve.batches");
         assert!(
-            batches < snap.counters["serve.queries"],
+            batches < leaf(&a.run.pin.counters, "serve.queries"),
             "batching happened: {batches} batches"
         );
     }

@@ -1,14 +1,14 @@
-//! The pinned smoke benchmark behind `scripts/bench.sh` and the committed
-//! `BENCH_*.json` baselines: a miniature pass over the repo's three
-//! evaluation axes (Fig. 9 kernel model, Fig. 10/11 scaling projections, and
-//! the live coupled model on the CPE-teams substrate), every knob pinned so
-//! the document is reproducible.
+//! The pinned smoke suite behind `BENCH_smoke.json`: a miniature pass over
+//! the repo's three evaluation axes (Fig. 9 kernel model, Fig. 10/11 scaling
+//! projections, and the live coupled model on the CPE-teams substrate),
+//! every knob pinned so the pin is reproducible.
 //!
-//! Everything except wall-clock nanoseconds is deterministic: kernel call /
+//! Everything except wall-clock nanoseconds is deterministic — kernel call /
 //! item / byte counts, the `dma.*` / `ldcache.*` / `alloc.*` / `halo.*`
-//! hardware-model counters, and the analytic SDPD projections. The
-//! [`crate::compare`] gate therefore holds those to a tight tolerance and
-//! wall times to a loose one.
+//! hardware-model counters, and the analytic SDPD projections — and is
+//! pinned exactly (see [`crate::pin`]). The one thing a clock decides here
+//! is the in-run tracing budget: [`run`] fails when compiled-in but disabled
+//! tracing costs [`TRACE_OFF_BUDGET_PCT`] of the smoke window or more.
 
 use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
@@ -18,11 +18,14 @@ use sunway_sim::dma::{simulate_dma_batch, DmaRequest};
 use sunway_sim::perf::{fig9_kernels, kernel_time, ExecTarget, PerfModel};
 use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate, SunwaySpec};
 
-/// Document schema tag checked by [`crate::compare::compare_docs`].
-pub const SCHEMA: &str = "grist-bench-v1";
+use crate::pin::{SuiteResult, SuiteRun};
 
-/// Pinned smoke configuration — changing any of these invalidates committed
-/// baselines, so regenerate them (`scripts/bench.sh`) when you do.
+/// In-run gate: compiled-in but disabled tracing may cost at most this share
+/// of the smoke window.
+pub const TRACE_OFF_BUDGET_PCT: f64 = 1.0;
+
+/// Pinned smoke configuration — changing any of these invalidates the
+/// committed pin, so re-pin it (`bench_gate smoke --update`) when you do.
 pub const SMOKE_LEVEL: u32 = 2;
 pub const SMOKE_NLEV: usize = 10;
 pub const SMOKE_CPES: usize = 16;
@@ -35,8 +38,8 @@ pub const FIG9_NLEV: usize = 30;
 pub const HALO_RANKS: usize = 4;
 pub const HALO_MESH_LEVEL: u32 = 3;
 
-/// Run the full smoke suite and assemble the benchmark document.
-pub fn run_smoke() -> Json {
+/// Run the full smoke suite, then the tracing-overhead probe and its gate.
+pub fn run() -> SuiteResult {
     let config = RunConfig::for_level(SMOKE_LEVEL, SMOKE_NLEV);
 
     // --- live coupled model on the CPE-teams substrate (kernel section) ---
@@ -131,37 +134,38 @@ pub fn run_smoke() -> Json {
     merge_snapshots(&mut snap, &extra.snapshot());
 
     projections.sort_by(|a, b| a.0.cmp(&b.0));
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("config".into(), config_json(&config)),
-        (
-            "projections".into(),
-            Json::Obj(
-                projections
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v)))
-                    .collect(),
-            ),
-        ),
-        ("metrics".into(), snap.to_json_value()),
-    ])
+
+    // Deliberately after the pinned window, on registries of its own: the
+    // pin is the same whether or not the probe runs.
+    let (off_pct, trace) = trace_overhead();
+    eprintln!("smoke: tracing-disabled overhead {off_pct:.4}% (budget {TRACE_OFF_BUDGET_PCT}%)");
+    if off_pct.is_nan() || off_pct >= TRACE_OFF_BUDGET_PCT {
+        return Err(format!(
+            "disabled tracing costs {off_pct:.4}% of the smoke window, \
+             budget {TRACE_OFF_BUDGET_PCT}%"
+        ));
+    }
+    Ok(SuiteRun::new(
+        "smoke",
+        config_json(&config),
+        projections,
+        &snap,
+        vec![("trace".into(), trace)],
+    ))
 }
 
-/// Tracing-overhead measurement behind the smoke document's `"trace"`
-/// section (inserted by the `bench_smoke` binary; deliberately *not* part
-/// of [`run_smoke`] so the pinned `metrics`/`projections` sections are
-/// byte-identical whether or not the overhead probe runs).
+/// Tracing-overhead measurement: `overhead_off_pct` and the wall report's
+/// `trace` section around it.
 ///
-/// The headline number, `overhead_off_pct`, is the cost of *compiled-in but
-/// disabled* tracing, estimated robustly instead of by differencing two
-/// noisy wall times: a tight probe measures the disabled fast path (one
-/// relaxed atomic load) in ns/event, a traced window counts how many events
-/// the workload would record, and the product over the untraced window's
-/// wall time bounds the disabled overhead. `overhead_on_pct` (the full
-/// cost of recording) is reported for context but is wall-vs-wall and
-/// therefore noisy; only the `off` number is gated (< 1% — see
-/// [`crate::compare`] and the `bench_smoke` binary).
-pub fn trace_overhead() -> Json {
+/// The headline number is the cost of *compiled-in but disabled* tracing,
+/// estimated robustly instead of by differencing two noisy wall times: a
+/// tight probe measures the disabled fast path (one relaxed atomic load) in
+/// ns/event, a traced window counts how many events the workload would
+/// record, and the product over the untraced window's wall time bounds the
+/// disabled overhead. `overhead_on_pct` (the full cost of recording) is
+/// reported for context but is wall-vs-wall and therefore noisy; only the
+/// `off` number is gated ([`TRACE_OFF_BUDGET_PCT`], in [`run`]).
+fn trace_overhead() -> (f64, Json) {
     const PROBE_CALLS: u64 = 4_000_000;
 
     // (a) Disabled fast path in isolation: `Tracer::begin` is the guard
@@ -198,7 +202,7 @@ pub fn trace_overhead() -> Json {
 
     let overhead_off_pct = off_ns_per_event * events as f64 / (wall_off * 1e9) * 100.0;
     let overhead_on_pct = (wall_on - wall_off) / wall_off * 100.0;
-    Json::Obj(vec![
+    let section = Json::Obj(vec![
         ("probe_calls".into(), Json::Num(PROBE_CALLS as f64)),
         ("off_ns_per_event".into(), Json::Num(off_ns_per_event)),
         ("events_per_window".into(), Json::Num(events as f64)),
@@ -206,7 +210,8 @@ pub fn trace_overhead() -> Json {
         ("window_on_ms".into(), Json::Num(wall_on * 1e3)),
         ("overhead_off_pct".into(), Json::Num(overhead_off_pct)),
         ("overhead_on_pct".into(), Json::Num(overhead_on_pct)),
-    ])
+    ]);
+    (overhead_off_pct, section)
 }
 
 /// Fold `extra` into `base` (sum on key collision in every section).

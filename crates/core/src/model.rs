@@ -302,8 +302,8 @@ impl<R: Real> GristModel<R> {
         self.metrics().snapshot()
     }
 
-    /// The registry serialized as a pretty-printed JSON document — the
-    /// payload `scripts/bench.sh` folds into `BENCH_*.json` baselines.
+    /// The registry serialized as a pretty-printed JSON document (the
+    /// `<scenario>.metrics.json` that `scenario_gate --out` uploads).
     pub fn metrics_json(&self) -> String {
         self.metrics_snapshot().to_json()
     }

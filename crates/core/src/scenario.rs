@@ -676,62 +676,31 @@ pub struct ScenarioArtifact {
 }
 
 impl ScenarioArtifact {
-    /// Every way `got` differs from this pin (empty = bitwise match). Keys
-    /// present on either side but not the other count as drift.
+    /// Every way `got` differs from this pin (empty = bitwise match), one
+    /// line per leaf. A key on one side only is drift too — lost coverage
+    /// on the pinned side, an un-pinned entry on the other — and is named
+    /// alone, never as a dump of both key lists.
     pub fn diff(&self, got: &ScenarioArtifact) -> Vec<String> {
         let mut drift = Vec::new();
-        let keys =
-            |v: &[(String, String)]| -> Vec<String> { v.iter().map(|(k, _)| k.clone()).collect() };
-        if keys(&self.hashes) != keys(&got.hashes) {
-            drift.push(format!(
-                "hash set changed: pinned {:?}, got {:?}",
-                keys(&self.hashes),
-                keys(&got.hashes)
-            ));
-        }
-        for (k, want) in &self.hashes {
-            if let Some((_, g)) = got.hashes.iter().find(|(gk, _)| gk == k) {
-                if g != want {
-                    drift.push(format!("hash {k}: pinned {want}, got {g}"));
-                }
-            }
-        }
-        let dkeys =
-            |v: &[(String, f64)]| -> Vec<String> { v.iter().map(|(k, _)| k.clone()).collect() };
-        if dkeys(&self.diagnostics) != dkeys(&got.diagnostics) {
-            drift.push(format!(
-                "diagnostic set changed: pinned {:?}, got {:?}",
-                dkeys(&self.diagnostics),
-                dkeys(&got.diagnostics)
-            ));
-        }
-        for (k, want) in &self.diagnostics {
-            if let Some((_, g)) = got.diagnostics.iter().find(|(gk, _)| gk == k) {
-                if g.to_bits() != want.to_bits() {
-                    drift.push(format!(
-                        "diagnostic {k}: pinned {want:?} ({:016x}), got {g:?} ({:016x})",
-                        want.to_bits(),
-                        g.to_bits()
-                    ));
-                }
-            }
-        }
-        let ckeys =
-            |v: &[(String, u64)]| -> Vec<String> { v.iter().map(|(k, _)| k.clone()).collect() };
-        if ckeys(&self.counters) != ckeys(&got.counters) {
-            drift.push(format!(
-                "counter set changed: pinned {:?}, got {:?}",
-                ckeys(&self.counters),
-                ckeys(&got.counters)
-            ));
-        }
-        for (k, want) in &self.counters {
-            if let Some((_, g)) = got.counters.iter().find(|(gk, _)| gk == k) {
-                if g != want {
-                    drift.push(format!("counter {k}: pinned {want}, got {g}"));
-                }
-            }
-        }
+        diff_section(&mut drift, "hash", &self.hashes, &got.hashes, String::clone);
+        // Diagnostics are equal iff their bit patterns are.
+        let bits = |side: &[(String, f64)]| -> Vec<(String, u64)> {
+            side.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+        };
+        diff_section(
+            &mut drift,
+            "diagnostic",
+            &bits(&self.diagnostics),
+            &bits(&got.diagnostics),
+            |b| format!("{:?} ({b:016x})", f64::from_bits(*b)),
+        );
+        diff_section(
+            &mut drift,
+            "counter",
+            &self.counters,
+            &got.counters,
+            u64::to_string,
+        );
         drift
     }
 
@@ -864,6 +833,39 @@ impl ScenarioArtifact {
             diagnostics,
             counters,
         })
+    }
+}
+
+/// One section of [`ScenarioArtifact::diff`]: a line per key whose value
+/// differs or that only one side has.
+fn diff_section<T: PartialEq>(
+    drift: &mut Vec<String>,
+    what: &str,
+    pinned: &[(String, T)],
+    got: &[(String, T)],
+    show: impl Fn(&T) -> String,
+) {
+    fn find<'a, T>(side: &'a [(String, T)], key: &str) -> Option<&'a T> {
+        side.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    for (k, want) in pinned {
+        match find(got, k) {
+            None => drift.push(format!("{what} {k}: pinned {}, missing", show(want))),
+            Some(g) if g != want => drift.push(format!(
+                "{what} {k}: pinned {}, got {}",
+                show(want),
+                show(g)
+            )),
+            Some(_) => {}
+        }
+    }
+    for (k, g) in got {
+        if find(pinned, k).is_none() {
+            drift.push(format!(
+                "{what} {k}: not in pin (got {}) — re-pin with --update",
+                show(g)
+            ));
+        }
     }
 }
 
@@ -1372,5 +1374,44 @@ mod tests {
         let drift = perturbed.diff(&run.artifact);
         assert_eq!(drift.len(), 1, "{drift:?}");
         assert!(drift[0].contains("hash state"), "{}", drift[0]);
+    }
+
+    #[test]
+    fn a_key_on_one_side_only_is_one_line_naming_that_key() {
+        let pin = ScenarioArtifact {
+            name: "t".into(),
+            hashes: vec![
+                ("state".into(), "00000000000000aa".into()),
+                ("gone".into(), "00000000000000bb".into()),
+            ],
+            diagnostics: vec![("ps_mean".into(), 1.0), ("gone".into(), 2.0)],
+            counters: vec![("halo.messages".into(), 10), ("gone".into(), 16)],
+        };
+        let mut got = pin.clone();
+        got.hashes[1] = ("new".into(), "00000000000000cc".into());
+        got.diagnostics[1] = ("new".into(), 3.0);
+        got.counters[1] = ("new".into(), 3);
+        assert_eq!(
+            pin.diff(&got),
+            [
+                "hash gone: pinned 00000000000000bb, missing",
+                "hash new: not in pin (got 00000000000000cc) — re-pin with --update",
+                "diagnostic gone: pinned 2.0 (4000000000000000), missing",
+                "diagnostic new: not in pin (got 3.0 (4008000000000000)) — re-pin with --update",
+                "counter gone: pinned 16, missing",
+                "counter new: not in pin (got 3) — re-pin with --update",
+            ]
+        );
+        // Same keys in another order is the same pin.
+        got = pin.clone();
+        got.counters.reverse();
+        assert!(pin.diff(&got).is_empty());
+        // One ulp in a diagnostic is drift, by bit pattern.
+        got.diagnostics[0].1 = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_eq!(
+            pin.diff(&got),
+            ["diagnostic ps_mean: pinned 1.0 (3ff0000000000000), \
+              got 1.0000000000000002 (3ff0000000000001)"]
+        );
     }
 }

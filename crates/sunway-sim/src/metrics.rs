@@ -11,8 +11,8 @@
 //! [`distributor`](crate::distributor), `omnicopy`, and the halo exchange in
 //! `grist-runtime`) feed counters like `dma.bytes`, `ldcache.misses`, and
 //! `halo.messages`. [`MetricsSnapshot`] freezes the whole registry and
-//! round-trips through JSON for the `BENCH_*.json` baselines checked by
-//! `bench_compare`.
+//! round-trips through JSON; its counters and kernel call/item/byte counts
+//! are what the `BENCH_*.json` pins hold exactly (`bench_gate`).
 
 use crate::json::Json;
 use crate::omnicopy::CopyStats;
@@ -47,10 +47,6 @@ pub struct SpanStats {
 #[derive(Debug, Default)]
 struct MetricsState {
     counters: BTreeMap<String, u64>,
-    /// Named `f64` gauges, stored as IEEE-754 bit patterns so non-finite
-    /// values (an empty latency window's NaN percentile, an infinite rate)
-    /// compare and round-trip exactly. See [`Metrics::gauge_set`].
-    gauges: BTreeMap<String, u64>,
     /// Every thread that has opened a span or dispatched a kernel on this
     /// registry, by its [`trace::thread_lane`].
     lanes: BTreeMap<u32, Arc<Mutex<Lane>>>,
@@ -311,31 +307,6 @@ impl Metrics {
         }
     }
 
-    /// Set a named `f64` gauge (last write wins — latencies, rates,
-    /// percentiles; counters stay monotone, gauges are levels). Non-finite
-    /// values are legal and survive snapshot/JSON round-trips bit-exactly:
-    /// gauges are stored as IEEE-754 bit patterns and serialized through the
-    /// JSON writer's non-finite convention (see `json` module docs).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner
-            .state
-            .lock()
-            .expect("metrics poisoned")
-            .gauges
-            .insert(name.to_string(), value.to_bits());
-    }
-
-    /// Current value of a gauge (`None` if never set).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner
-            .state
-            .lock()
-            .expect("metrics poisoned")
-            .gauges
-            .get(name)
-            .map(|&bits| f64::from_bits(bits))
-    }
-
     /// Current value of a counter (0 if never recorded).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner
@@ -398,7 +369,6 @@ impl Metrics {
             kernels,
             spans,
             counters,
-            gauges: st.gauges.clone(),
         }
     }
 
@@ -412,7 +382,6 @@ impl Metrics {
     pub fn reset(&self) {
         let mut st = self.inner.state.lock().expect("metrics poisoned");
         st.counters.clear();
-        st.gauges.clear();
         for lane in st.lanes.values() {
             let mut lane = lane.lock().expect("metrics lane poisoned");
             for node in &mut lane.nodes {
@@ -431,17 +400,9 @@ pub struct MetricsSnapshot {
     pub kernels: BTreeMap<String, KernelStats>,
     pub spans: BTreeMap<String, SpanStats>,
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values as IEEE-754 bit patterns (so the snapshot stays `Eq`
-    /// and NaN gauges compare equal); decode with [`Self::gauge`].
-    pub gauges: BTreeMap<String, u64>,
 }
 
 impl MetricsSnapshot {
-    /// Decoded value of a gauge (`None` if absent).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(|&bits| f64::from_bits(bits))
-    }
-
     /// As a JSON value with `kernels`/`spans`/`counters` objects (stable,
     /// sorted key order — BTreeMap iteration).
     pub fn to_json_value(&self) -> Json {
@@ -478,22 +439,11 @@ impl MetricsSnapshot {
             .iter()
             .map(|(name, &v)| (name.clone(), Json::Num(v as f64)))
             .collect();
-        let mut sections = vec![
+        Json::Obj(vec![
             ("kernels".into(), Json::Obj(kernels)),
             ("spans".into(), Json::Obj(spans)),
             ("counters".into(), Json::Obj(counters)),
-        ];
-        // Emitted only when present so documents from gauge-free registries
-        // (all the pinned baselines) keep their exact historical shape.
-        if !self.gauges.is_empty() {
-            let gauges = self
-                .gauges
-                .iter()
-                .map(|(name, &bits)| (name.clone(), Json::Num(f64::from_bits(bits))))
-                .collect();
-            sections.push(("gauges".into(), Json::Obj(gauges)));
-        }
-        Json::Obj(sections)
+        ])
     }
 
     /// Pretty JSON document.
@@ -553,18 +503,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        if let Some(fields) = v.get("gauges").and_then(Json::as_obj) {
-            for (name, entry) in fields {
-                // `as_f64` also decodes the writer's non-finite bit-pattern
-                // strings, so NaN/±Inf gauges come back bit-exact.
-                let x = entry
-                    .as_f64()
-                    .ok_or_else(|| format!("gauge {name:?}: not a number"))?;
-                if snap.gauges.insert(name.clone(), x.to_bits()).is_some() {
-                    return Err(format!("gauge {name:?}: duplicate key"));
-                }
-            }
-        }
         Ok(snap)
     }
 
@@ -620,59 +558,6 @@ mod tests {
         m.reset();
         assert_eq!(m.counter("dma.bytes"), 0);
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn gauges_set_read_and_reset() {
-        let m = Metrics::default();
-        assert_eq!(m.gauge("serve.latency.p50_ms"), None);
-        m.gauge_set("serve.latency.p50_ms", 1.25);
-        m.gauge_set("serve.latency.p50_ms", 2.5); // last write wins
-        assert_eq!(m.gauge("serve.latency.p50_ms"), Some(2.5));
-        let snap = m.snapshot();
-        assert_eq!(snap.gauge("serve.latency.p50_ms"), Some(2.5));
-        m.reset();
-        assert_eq!(m.gauge("serve.latency.p50_ms"), None);
-    }
-
-    #[test]
-    fn non_finite_gauges_round_trip_through_json_exactly() {
-        // Regression for the `write_num` finiteness assert: a registry
-        // holding NaN/±Inf must export and re-import without aborting, and
-        // the snapshot must come back bit-identical (Eq on bit patterns).
-        let m = Metrics::default();
-        m.counter_add("serve.queries", 7);
-        m.gauge_set("serve.latency.p50_ms", 0.75);
-        m.gauge_set("serve.latency.p99_ms", f64::NAN);
-        m.gauge_set("serve.qps.peak", f64::INFINITY);
-        m.gauge_set("serve.qps.floor", f64::NEG_INFINITY);
-        m.gauge_set("nan.payload", f64::from_bits(0x7ff8_0000_0000_cafe));
-        let snap = m.snapshot();
-        let text = snap.to_json(); // would panic before the fix
-        let back = MetricsSnapshot::from_json(&text).expect("parse back");
-        assert_eq!(back, snap);
-        assert!(back.gauge("serve.latency.p99_ms").unwrap().is_nan());
-        assert_eq!(back.gauge("serve.qps.peak"), Some(f64::INFINITY));
-        assert_eq!(
-            back.gauge("nan.payload").unwrap().to_bits(),
-            0x7ff8_0000_0000_cafe
-        );
-    }
-
-    #[test]
-    fn gauge_free_snapshots_keep_the_historical_json_shape() {
-        // The committed BENCH_*.json baselines predate gauges; a registry
-        // that never sets one must serialize without a "gauges" section.
-        let m = Metrics::default();
-        m.counter_add("dma.bytes", 1);
-        let text = m.snapshot().to_json();
-        assert!(!text.contains("gauges"), "{text}");
-        let dup = r#"{"gauges": {"g": 1, "g": 2}}"#;
-        assert!(MetricsSnapshot::from_json(dup)
-            .unwrap_err()
-            .contains("duplicate"));
-        let bad = r#"{"gauges": {"g": "not a number"}}"#;
-        assert!(MetricsSnapshot::from_json(bad).unwrap_err().contains('g'));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! / [`Tracer::disable`]). Every recording entry point first does one
 //! relaxed atomic load and returns — no lock, no allocation, no clock read
 //! — so instrumented hot loops pay ~1 ns per *would-be* event when tracing
-//! is disabled (the `bench_smoke` "trace" section measures this and CI
-//! gates it below 1% of the smoke-run wall time). When enabled, each event
+//! is disabled (`bench_gate smoke` measures this in-run and fails at 1% of
+//! the smoke window). When enabled, each event
 //! costs one clock read, one sequence-counter bump, and one push into the
 //! recording thread's own ring under an uncontended mutex; a thread-local
 //! cache keeps the lane lookup off the hot path.

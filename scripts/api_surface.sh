@@ -5,9 +5,11 @@
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
 # §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
-# image, no second reader), or if `grist-dycore` gains an `unsafe` (ROADMAP
-# item 7: restructure a kernel, do not add a raw-pointer site), then prints
-# the size numbers PR descriptions quote.
+# image, no second reader), or the tolerance-band bench comparator does
+# (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `bench_gate`; wall
+# time is judged in `benchmark/`), or if `grist-dycore` gains an `unsafe`
+# (ROADMAP item 7: restructure a kernel, do not add a raw-pointer site), then
+# prints the size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,12 @@ if grep -rnE "encode_bits|decode_bits|grist-checkpoint-v1|grist-ckpt-v2" crates;
     exit 1
 fi
 
+# (Each name ends in a one-character class so this line does not match itself.)
+if grep -rnE "time_toleranc[e]|CompareConfi[g]|grist-bench-v[1]|bench_compar[e]" crates scripts; then
+    echo "api_surface: FAIL — bench pins are exact (bench_gate); no tolerance bands, no second comparator" >&2
+    exit 1
+fi
+
 # Every `unsafe` in the dycore is a `ColumnsMut::col` under the "each index
 # dispatched once" contract; the ceiling only ever comes down.
 dycore_unsafe_ceiling=37
@@ -41,8 +49,9 @@ crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xar
 tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 env_reads=$(grep -rE "std::env::var\(" --include='*.rs' \
     crates/core/src crates/grist-*/src crates/sunway-sim/src | wc -l)
-echo "api_surface: OK — no suffix-named public functions, no lane layer, no hex checkpoint codec"
+bins=$(ls crates/bench/src/bin | wc -l)
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no hex checkpoint codec, no bench tolerance bands"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
-echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}"
+echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins}"
 echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
 echo "api_surface: std::env::var reads under crates/{core,grist-*,sunway-sim}/src: ${env_reads}"

@@ -47,35 +47,15 @@ echo "== scenario regression matrix (bitwise golden-hash gate) =="
 cargo run --release -p grist-bench --bin scenario_gate -- --out target/scenarios
 cargo test --release -q --test integration_scenarios
 
-echo "== bench smoke vs committed baseline =="
-cargo run --release -p grist-bench --bin bench_smoke -- target/bench_smoke.json
-cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_smoke.json target/bench_smoke.json
-
-echo "== bench ml (batched >= 3x per-column, simd gemm >= 1.5x scalar) vs committed baseline =="
-cargo run --release -p grist-bench --bin bench_ml -- target/bench_ml.json
-cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_ml.json target/bench_ml.json
-
-echo "== bench partition (edge-cut / halo-surface quality) vs committed baseline =="
-cargo run --release -p grist-bench --bin bench_partition -- target/bench_partition.json
-cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_partition.json target/bench_partition.json
-
-echo "== serving layer (snapshot isolation + batched >= 2x per-query) vs committed baseline =="
+echo "== serving layer (snapshot isolation) =="
 cargo test --release -q --test integration_serve
-cargo run --release -p grist-bench --bin bench_serve -- target/bench_serve.json
-cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_serve.json target/bench_serve.json
 
 echo "== telemetry plane (SLO + health-alert + disabled-overhead gates) =="
 cargo run --release -p grist-bench --bin obs_report -- \
     target/obs_dashboard.json target/obs_report.md
 
-echo "== bench scaling (overlap gate + SDPD projections) vs committed baseline =="
-cargo run --release -p grist-bench --bin bench_scaling -- target/bench_scaling.json
-cargo run --release -p grist-bench --bin bench_compare -- \
-    BENCH_scaling.json target/bench_scaling.json
+echo "== bench pins: in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + 30%, tracer-off < 1%), then exact diff vs BENCH_*.json =="
+cargo run --release -p grist-bench --bin bench_gate -- --out target/bench
 
 echo "== scaling figures (10, 11) regenerate =="
 cargo run --release -p grist-bench --bin fig10_weak_scaling > /dev/null

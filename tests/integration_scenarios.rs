@@ -4,22 +4,23 @@
 //! [`ScenarioRunner`] and fails on any bitwise drift — the same check the
 //! `scenario_gate` bin runs in CI — plus the surrounding contracts: strict
 //! round-tripping of the document format, typed errors (naming the field)
-//! for malformed input, drift detection on a perturbed golden hash, and
+//! for malformed input, drift detection on a perturbed golden hash,
 //! pinned golden hashes for the initial-condition library under both
-//! substrate targets.
+//! substrate targets, and the shape of the committed `BENCH_*.json` pins
+//! (the same `{schema, config, golden}` document, no wall-time leaf).
 
 use grist_core::checkpoint::hash_f64_bits;
 use grist_core::{
     add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, parse_scenario_file,
-    scenario_file_json, CaseSpec, GristModel, RunConfig, ScenarioError, ScenarioRunner,
-    TropicalCyclone,
+    scenario_file_json, CaseSpec, GristModel, RunConfig, ScenarioArtifact, ScenarioError,
+    ScenarioRunner, TropicalCyclone, SCENARIO_SCHEMA,
 };
 use grist_dycore::swe::SweSolver;
 use grist_dycore::swe_cases::{install_tc5_mountain, williamson_tc5, williamson_tc6};
 use grist_mesh::HexMesh;
 use std::fs;
 use std::path::PathBuf;
-use sunway_sim::Substrate;
+use sunway_sim::{Json, Substrate};
 
 fn scenario_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
@@ -149,6 +150,46 @@ fn committed_files_are_serialization_fixed_points() {
         let (config2, golden2) = parse_scenario_file(&round).unwrap();
         assert_eq!(config2, config);
         assert_eq!(golden2, golden);
+    }
+}
+
+/// The five bench pins share the scenario document's shape and carry
+/// nothing a clock produced: wall time is recorded by `bench_gate --out`
+/// and judged by `benchmark/run.sh`, never diffed from a committed file.
+#[test]
+fn committed_bench_pins_are_exact_goldens_without_wall_leaves() {
+    for suite in ["smoke", "ml", "partition", "serve", "scaling"] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("BENCH_{suite}.json"));
+        let text = fs::read_to_string(&path).expect("committed bench pin");
+        let doc = Json::parse(&text).unwrap();
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["schema", "config", "golden"], "{suite}");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(SCENARIO_SCHEMA)
+        );
+        let golden = ScenarioArtifact::from_json(doc.get("golden").unwrap(), "golden")
+            .unwrap_or_else(|e| panic!("{suite}: {e}"));
+        assert_eq!(golden.name, suite);
+        assert!(
+            !golden.diagnostics.is_empty(),
+            "{suite}: pins no projection"
+        );
+        let pinned = golden.diagnostics.iter().map(|(k, _)| k);
+        for key in pinned.chain(golden.counters.iter().map(|(k, _)| k)) {
+            assert!(
+                !key.starts_with("serve.latency.")
+                    && !key.starts_with("serve.qps.")
+                    && !key.ends_with("nanos"),
+                "{suite}: wall-derived leaf {key} is pinned"
+            );
+        }
+        for section in ["nanos", "report", "gauges", "trace", "overlap"] {
+            assert!(
+                !text.contains(&format!("\"{section}\"")),
+                "{suite}: carries a {section:?} section"
+            );
+        }
     }
 }
 
