@@ -3,8 +3,9 @@
 //!
 //! A reduced-precision dynamics blowup, a corrupted restore, or a physics
 //! tendency gone wild all leave fingerprints in the prognostic fields long
-//! before the run crashes: NaN/Inf values, non-positive layer masses or
-//! potential temperatures, or winds whose acoustic CFL number no longer fits
+//! before the run crashes: NaN/Inf values, non-positive layer masses,
+//! potential temperatures or thicknesses, or winds whose acoustic CFL number
+//! no longer fits
 //! the timestep. [`GristModel::health`] scans every prognostic field and
 //! classifies the run:
 //!
@@ -18,7 +19,7 @@
 //! can assert the monitor actually ran.
 
 use crate::model::GristModel;
-use grist_dycore::Real;
+use grist_dycore::{Field2, Real};
 use grist_mesh::EARTH_RADIUS_M;
 use std::fmt;
 
@@ -50,7 +51,7 @@ pub struct HealthReport {
     pub state: RunState,
     /// NaN/Inf values found across all prognostic fields.
     pub non_finite: u64,
-    /// Finite but non-physical values (`δπ ≤ 0`, `Θ ≤ 0`).
+    /// Finite but non-physical values (`δπ ≤ 0`, `Θ ≤ 0`, `δφ ≤ 0`).
     pub non_physical: u64,
     /// Largest |u| over all edges/levels \[m/s\].
     pub max_abs_u: f64,
@@ -60,16 +61,49 @@ pub struct HealthReport {
     pub diagnosis: String,
 }
 
-fn scan_slice_finite(values: impl Iterator<Item = f64>, non_finite: &mut u64) -> f64 {
-    let mut max_abs = 0.0f64;
-    for v in values {
-        if !v.is_finite() {
-            *non_finite += 1;
-        } else {
-            max_abs = max_abs.max(v.abs());
+/// Non-finite count and largest finite `|v|` of a slice, without a branch
+/// per value: the magnitude bits of a non-negative float order as the floats
+/// do, so the maximum is an integer one and the loop vectorizes.
+fn scan_finite<R: Real>(values: &[R]) -> (u64, f64) {
+    const INF_BITS: u64 = f64::INFINITY.to_bits();
+    let mut non_finite = 0u64;
+    let mut max_bits = 0u64;
+    for &v in values {
+        let abs_bits = v.to_f64().to_bits() & (u64::MAX >> 1);
+        let finite = abs_bits < INF_BITS;
+        non_finite += u64::from(!finite);
+        max_bits = max_bits.max(if finite { abs_bits } else { 0 });
+    }
+    (non_finite, f64::from_bits(max_bits))
+}
+
+/// Non-finite count and finite-but-not-positive count (`-0.0` included) of
+/// a field that must be positive (`δπ`, `Θ`).
+fn scan_positive(values: &[f64]) -> (u64, u64) {
+    let (mut non_finite, mut non_physical) = (0u64, 0u64);
+    for &v in values {
+        non_finite += u64::from(!v.is_finite());
+        non_physical += u64::from(v.is_finite() & (v <= 0.0));
+    }
+    (non_finite, non_physical)
+}
+
+/// Non-finite count of the interface geopotential and, in the same pass,
+/// the layers whose thickness `δφ = φ_k − φ_{k+1}` is finite but not
+/// positive — the one input, with `δπ` and `Θ`, that takes the equation of
+/// state's `ln(δπ/δφ · R_d θ / p₀)` out of its domain.
+fn scan_interfaces(phi: &Field2<f64>) -> (u64, u64) {
+    let (mut non_finite, mut non_physical) = (0u64, 0u64);
+    for column in phi.as_slice().chunks_exact(phi.nlev()) {
+        for &v in column {
+            non_finite += u64::from(!v.is_finite());
+        }
+        for (&upper, &lower) in column.iter().zip(&column[1..]) {
+            let thickness = upper - lower;
+            non_physical += u64::from(thickness.is_finite() & (thickness <= 0.0));
         }
     }
-    max_abs
+    (non_finite, non_physical)
 }
 
 impl<R: Real> GristModel<R> {
@@ -81,30 +115,20 @@ impl<R: Real> GristModel<R> {
     /// Scan every prognostic field for NaN/Inf, non-physical layer values,
     /// and CFL blowup, and classify the run state.
     pub fn health_with(&self, thresholds: &HealthThresholds) -> HealthReport {
-        let mut non_finite = 0u64;
+        let fields = &self.state;
+        let (u_non_finite, max_abs_u) = scan_finite(fields.u.as_slice());
+        let mut non_finite = u_non_finite + scan_finite(fields.w.as_slice()).0;
+        for t in &fields.tracers {
+            non_finite += scan_finite(t.as_slice()).0;
+        }
         let mut non_physical = 0u64;
-        for &v in self.state.dpi.as_slice() {
-            if !v.is_finite() {
-                non_finite += 1;
-            } else if v <= 0.0 {
-                non_physical += 1;
-            }
-        }
-        for &v in self.state.theta_m.as_slice() {
-            if !v.is_finite() {
-                non_finite += 1;
-            } else if v <= 0.0 {
-                non_physical += 1;
-            }
-        }
-        let max_abs_u = scan_slice_finite(
-            self.state.u.as_slice().iter().map(|v| v.to_f64()),
-            &mut non_finite,
-        );
-        scan_slice_finite(self.state.w.as_slice().iter().copied(), &mut non_finite);
-        scan_slice_finite(self.state.phi.as_slice().iter().copied(), &mut non_finite);
-        for t in &self.state.tracers {
-            scan_slice_finite(t.as_slice().iter().map(|v| v.to_f64()), &mut non_finite);
+        for (bad, unphysical) in [
+            scan_positive(fields.dpi.as_slice()),
+            scan_positive(fields.theta_m.as_slice()),
+            scan_interfaces(&fields.phi),
+        ] {
+            non_finite += bad;
+            non_physical += unphysical;
         }
 
         let mesh = &self.solver.mesh;
@@ -123,7 +147,7 @@ impl<R: Real> GristModel<R> {
         } else if non_physical > 0 {
             (
                 RunState::Corrupt,
-                format!("{non_physical} non-positive mass/temperature layers"),
+                format!("{non_physical} non-positive mass/temperature/thickness layers"),
             )
         } else if max_abs_u > thresholds.max_wind || cfl > thresholds.max_cfl {
             (
@@ -189,6 +213,105 @@ mod tests {
         assert_eq!(h.state, RunState::Corrupt);
         assert_eq!(h.non_physical, 1);
         assert!(h.diagnosis.contains("non-positive"), "{}", h.diagnosis);
+    }
+
+    #[test]
+    fn collapsed_layer_is_corrupt_at_the_scan_that_sees_it() {
+        // One interface pushed above the one over it: δφ ≤ 0 in that layer
+        // (and a thicker one below), every value finite, δπ and Θ untouched.
+        let mut m = model();
+        let above = m.state.phi.at(2, 5);
+        m.state.phi.set(3, 5, above + 1.0);
+        let h = m.health();
+        assert_eq!(h.state, RunState::Corrupt);
+        assert_eq!((h.non_finite, h.non_physical), (0, 1));
+        assert!(h.diagnosis.contains("thickness"), "{}", h.diagnosis);
+        // Exactly zero thickness counts too.
+        m.state.phi.set(3, 5, above);
+        assert_eq!(m.health().non_physical, 1);
+    }
+
+    /// The scan as it was written value by value, each with its own branch.
+    fn branchy_counts<R: Real>(m: &GristModel<R>) -> (u64, u64, f64) {
+        let st = &m.state;
+        let (mut non_finite, mut non_physical, mut max_abs_u) = (0u64, 0u64, 0.0f64);
+        for field in [&st.dpi, &st.theta_m] {
+            for &v in field.as_slice() {
+                if !v.is_finite() {
+                    non_finite += 1;
+                } else if v <= 0.0 {
+                    non_physical += 1;
+                }
+            }
+        }
+        for v in st.u.as_slice().iter().map(|v| v.to_f64()) {
+            if !v.is_finite() {
+                non_finite += 1;
+            } else {
+                max_abs_u = max_abs_u.max(v.abs());
+            }
+        }
+        let mut rest = [&st.w, &st.phi].map(|f| f.to_f64_vec()).concat();
+        rest.extend(st.tracers.iter().flat_map(|t| t.to_f64_vec()));
+        for v in rest {
+            if !v.is_finite() {
+                non_finite += 1;
+            }
+        }
+        (non_finite, non_physical, max_abs_u)
+    }
+
+    fn branch_free_scan_reports_what_the_branchy_one_did<R: Real>() {
+        let mut m = GristModel::<R>::new(RunConfig::for_level(2, 6));
+        crate::cases::add_baroclinic_jet(&mut m, 35.0, 1.5);
+        m.advance(m.config.dt_phy);
+        let check = |m: &GristModel<R>, what: &str| {
+            let (non_finite, non_physical, max_abs_u) = branchy_counts(m);
+            let h = m.health();
+            assert_eq!(h.non_finite, non_finite, "{what}");
+            assert_eq!(h.non_physical, non_physical, "{what}");
+            assert_eq!(h.max_abs_u.to_bits(), max_abs_u.to_bits(), "{what}");
+            let state = if non_finite + non_physical > 0 {
+                RunState::Corrupt
+            } else {
+                RunState::Healthy
+            };
+            assert_eq!(h.state, state, "{what}: {}", h.diagnosis);
+        };
+        check(&m, "clean");
+        assert!(m.health().max_abs_u > 1.0, "the jet is in the state");
+        let clean = m.state.clone();
+        // -0.0: a wind that is no maximum, a mass that is not positive.
+        m.state.u.set(1, 7, R::from_f64(-0.0));
+        m.state.dpi.set(1, 7, -0.0);
+        check(&m, "-0.0");
+        m.state = clean.clone();
+        m.state.dpi.set(2, 5, -1.0);
+        m.state.theta_m.set(0, 9, -300.0);
+        check(&m, "negative mass and temperature");
+        m.state = clean.clone();
+        // Non-finite values larger in magnitude than every wind, in every
+        // field kind, both signs: counted, and kept out of the maximum.
+        m.state.u.set(0, 10, R::from_f64(f64::NAN));
+        m.state.u.set(3, 11, R::from_f64(f64::NEG_INFINITY));
+        m.state.w.set(2, 3, f64::INFINITY);
+        m.state.phi.set(4, 3, f64::NAN);
+        m.state.phi.set(1, 8, f64::NEG_INFINITY);
+        m.state.tracers[1].set(5, 0, R::from_f64(f64::INFINITY));
+        m.state.dpi.set(0, 0, f64::NAN);
+        m.state.theta_m.set(0, 1, f64::INFINITY);
+        check(&m, "NaN and Inf");
+        assert_eq!(m.health().non_finite, 8);
+    }
+
+    #[test]
+    fn branch_free_scan_reports_what_the_branchy_one_did_in_f64() {
+        branch_free_scan_reports_what_the_branchy_one_did::<f64>();
+    }
+
+    #[test]
+    fn branch_free_scan_reports_what_the_branchy_one_did_in_f32() {
+        branch_free_scan_reports_what_the_branchy_one_did::<f32>();
     }
 
     #[test]

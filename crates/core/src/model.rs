@@ -478,7 +478,9 @@ impl<R: Real> GristModel<R> {
     /// are health-scanned every `health_interval` steps, and a scan that
     /// finds corruption (NaN/Inf, non-physical layers) restores the last
     /// checkpoint instead of crashing — up to `max_restores` times, after
-    /// which the window is abandoned with `completed = false`.
+    /// which the window is abandoned with `completed = false`. The final
+    /// report is of the state the window ends on: the last scan's, when no
+    /// step followed it, otherwise one more scan's.
     ///
     /// Deterministic by construction: the checkpoint/scan cadence is keyed
     /// to `dyn_steps_taken` (which restores rewind), so a fixed corruption
@@ -508,18 +510,23 @@ impl<R: Real> GristModel<R> {
             self.last_checkpoint = Some(self.checkpoint());
             checkpoints += 1;
         }
+        // The report of the state as it stands, while there is one: a step
+        // invalidates it, a scan renews it, and the exit reuses it instead
+        // of scanning the same state twice when the window ends on a scan.
+        let mut current = Some(report);
         // A restore rewinds the step count, so the window ends at a step
         // number, however many times it is re-run.
         let end_step = self.dyn_steps_taken + self.window_steps(seconds);
         while self.dyn_steps_taken < end_step {
             self.step_coupled();
+            current = None;
             let steps = self.dyn_steps_taken;
             let scan_due =
                 policy.health_interval > 0 && steps.is_multiple_of(policy.health_interval);
             let ck_due =
                 policy.checkpoint_interval > 0 && steps.is_multiple_of(policy.checkpoint_interval);
             if scan_due || ck_due {
-                report = self.health();
+                let report = self.health();
                 if report.state == RunState::Corrupt {
                     if restores >= policy.max_restores || !self.roll_back() {
                         return RecoveryOutcome {
@@ -536,9 +543,10 @@ impl<R: Real> GristModel<R> {
                     self.last_checkpoint = Some(self.checkpoint());
                     checkpoints += 1;
                 }
+                current = Some(report);
             }
         }
-        let final_health = self.health();
+        let final_health = current.unwrap_or_else(|| self.health());
         RecoveryOutcome {
             completed: final_health.state != RunState::Corrupt,
             restores,
@@ -748,6 +756,28 @@ mod tests {
         assert_eq!(out.final_health.state, crate::health::RunState::Corrupt);
         assert_eq!(m.metrics().counter("recovery.restore_failed"), 1);
         assert_eq!(m.metrics().counter("recovery.restores"), 0);
+    }
+
+    #[test]
+    fn a_window_that_ends_on_a_scan_does_not_scan_its_last_state_twice() {
+        let cfg = small_config();
+        let interval = cfg.recovery.health_interval;
+        let scans = |m: &GristModel<f64>| m.metrics().counter("health.scans");
+        // Ends on the cadence: entry, one scan per interval, no exit scan.
+        let mut m = GristModel::<f64>::new(cfg.clone());
+        let out = m.advance_resilient(cfg.dt_phy);
+        assert!(out.completed && out.restores == 0);
+        let in_window = (m.dyn_steps() / interval) as u64;
+        assert_eq!(m.dyn_steps() % interval, 0);
+        assert_eq!(scans(&m), 1 + in_window);
+        assert_eq!(out.final_health, m.health(), "the reused report is current");
+        // Ends two steps past the cadence: the exit scan is the only one
+        // that has seen the final state.
+        let mut m = GristModel::<f64>::new(cfg.clone());
+        let out = m.advance_resilient((interval + 2) as f64 * cfg.dt_dyn);
+        assert_eq!(m.dyn_steps(), interval + 2);
+        assert_eq!(scans(&m), 1 + 1 + 1);
+        assert_eq!(out.final_health, m.health());
     }
 
     #[test]

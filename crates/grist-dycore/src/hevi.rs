@@ -170,14 +170,30 @@ thread_local! {
     static COLUMN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Equation of state `p = p₀ (ρ R_d θ / p₀)^γ`, `γ = 1/(1−κ)`, of a layer of
-/// dry mass `dpi`, potential temperature `theta` and geopotential thickness
-/// `dphi` (`ρ = δπ/δφ`) — one definition for the full-field diagnosis and the
-/// implicit solve's column diagnosis, which must agree bit for bit.
+/// `γ = 1/(1−κ)` of the equation of state `p = p₀ X^γ`, `X = ρ R_d θ / p₀`.
+const GAMMA: f64 = 1.0 / (1.0 - KAPPA);
+
+/// `ln X` of a layer of dry mass `dpi`, potential temperature `theta` and
+/// geopotential thickness `dphi` (`ρ = δπ/δφ`): the one logarithm both `p`
+/// and `Π = (p/p₀)^κ = X^{κγ}` are exponentials of — one definition for the
+/// full-field diagnosis and the implicit solve's column diagnosis, which
+/// must agree bit for bit.
 #[inline(always)]
-fn eos_pressure(dpi: f64, theta: f64, dphi: f64, gamma: f64) -> f64 {
+fn eos_ln_x(dpi: f64, theta: f64, dphi: f64) -> f64 {
     let rho = dpi / dphi;
-    P0 * (rho * RDRY * theta / P0).powf(gamma)
+    (rho * RDRY * theta / P0).ln()
+}
+
+/// Pressure `p = p₀ exp(γ ln X)`.
+#[inline(always)]
+fn eos_pressure(ln_x: f64) -> f64 {
+    P0 * (GAMMA * ln_x).exp()
+}
+
+/// Exner function `Π = exp(κγ ln X)`, without forming `p`.
+#[inline(always)]
+fn eos_exner(ln_x: f64) -> f64 {
+    (KAPPA * GAMMA * ln_x).exp()
 }
 
 impl<R: Real> NhSolver<R> {
@@ -279,7 +295,6 @@ impl<R: Real> NhSolver<R> {
     /// each form compiles to a branch-free level loop.)
     fn diagnose<const WITH_PRESSURE: bool>(&mut self, state: &NhState<R>) {
         let nlev = self.vc.nlev;
-        let gamma = 1.0 / (1.0 - KAPPA);
         let theta = ColumnsMut::new(self.theta.as_mut_slice(), nlev);
         let exner = ColumnsMut::new(self.exner.as_mut_slice(), nlev);
         let pres = ColumnsMut::new(self.pres.as_mut_slice(), nlev);
@@ -295,11 +310,11 @@ impl<R: Real> NhSolver<R> {
                 let t = theta_m[k] / dpi[k];
                 let d = phi[k] - phi[k + 1];
                 debug_assert!(d > 0.0, "negative layer thickness at cell {c} lev {k}");
-                let p = eos_pressure(dpi[k], t, d, gamma);
+                let lx = eos_ln_x(dpi[k], t, d);
                 th[k] = t;
-                ex[k] = (p / P0).powf(KAPPA);
+                ex[k] = eos_exner(lx);
                 if WITH_PRESSURE {
-                    pr[k] = p;
+                    pr[k] = eos_pressure(lx);
                     dp[k] = d;
                 }
             }
@@ -647,7 +662,6 @@ impl<R: Real> NhSolver<R> {
     /// as the horizontal update left it.
     fn implicit_vertical(&mut self, state: &mut NhState<R>, dt: f64) {
         let nlev = self.vc.nlev;
-        let gamma = 1.0 / (1.0 - KAPPA);
         let g = GRAVITY;
         let beta = self.config.beta;
         let p_top = self.vc.p_top;
@@ -679,13 +693,13 @@ impl<R: Real> NhSolver<R> {
                     let t = theta_m[k] / dpi[k];
                     dp[k] = phi[k] - phi[k + 1];
                     debug_assert!(dp[k] > 0.0, "negative layer thickness at cell {c} lev {k}");
-                    p[k] = eos_pressure(dpi[k], t, dp[k], gamma);
+                    p[k] = eos_pressure(eos_ln_x(dpi[k], t, dp[k]));
                 }
                 // Linearization coefficients C_k = γ p_k Δt g / δφ_k
                 // (δφ responds with the *full* Δt; β enters through the
                 // pressure off-centering below).
                 for k in 0..n {
-                    cc[k] = gamma * p[k] * dt * g / dp[k];
+                    cc[k] = GAMMA * p[k] * dt * g / dp[k];
                 }
                 for i in 0..n {
                     let dpi_half = if i == 0 {

@@ -8,8 +8,9 @@
 # image, no second reader), or the tolerance-band bench comparator does
 # (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `bench_gate`; wall
 # time is judged in `benchmark/`), or if `grist-dycore` gains an `unsafe`
-# (ROADMAP item 7: restructure a kernel, do not add a raw-pointer site), then
-# prints the size numbers PR descriptions quote.
+# (ROADMAP item 7: restructure a kernel, do not add a raw-pointer site) or
+# `hevi.rs` a `powf` (DESIGN.md §5: the step's equation of state is one `ln`
+# and its `exp`s), then prints the size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,15 @@ if [ "$dycore_unsafe" -gt "$dycore_unsafe_ceiling" ]; then
     exit 1
 fi
 
+# The one `powf` left in `hevi.rs` is set-up only (`isothermal_rest_state`):
+# Π and p of a step are exponentials of one `ln X`, never a `pow`.
+hevi_powf_ceiling=1
+hevi_powf=$(grep -o "powf" crates/grist-dycore/src/hevi.rs | wc -l)
+if [ "$hevi_powf" -gt "$hevi_powf_ceiling" ]; then
+    echo "api_surface: FAIL — crates/grist-dycore/src/hevi.rs has ${hevi_powf} powf occurrences, ceiling ${hevi_powf_ceiling}" >&2
+    exit 1
+fi
+
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
@@ -54,4 +64,5 @@ echo "api_surface: OK — no suffix-named public functions, no lane layer, no he
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
 echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins}"
 echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
+echo "api_surface: powf occurrences in crates/grist-dycore/src/hevi.rs: ${hevi_powf} (ceiling ${hevi_powf_ceiling})"
 echo "api_surface: std::env::var reads under crates/{core,grist-*,sunway-sim}/src: ${env_reads}"

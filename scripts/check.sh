@@ -37,6 +37,7 @@ for dma in sync double; do
     echo "-- GRIST_DMA=$dma"
     GRIST_DMA=$dma cargo test --release -q -p grist-core --test integration_kernels
     GRIST_DMA=$dma cargo test --release -q --test integration_fused_step
+    GRIST_DMA=$dma cargo test --release -q --test integration_eos
 done
 
 echo "== trace report (traced multi-rank chaos run + attribution) =="

@@ -172,8 +172,12 @@ fn a_tracer_step_shorter_than_the_dynamics_step_means_every_step() {
 #[test]
 fn default_cadence_steps_bit_for_bit_as_before_the_cadence_existed() {
     // Ten steps of a three-tracer solver on the default NhConfig
-    // (dyn_per_trac = 1); the hash is the parent commit's, where every step
-    // transported every tracer.
+    // (dyn_per_trac = 1). The hash was 0ba8bbbdb51ef672 on the commit before
+    // the cadence existed, where every step transported every tracer, and
+    // stayed there until the equation of state went from chained `powf` to
+    // one `ln` (last bits of p and Π; `integration_eos` bounds the move, and
+    // `integration_fused_step` holds this cadence to the per-step operator
+    // composition bit for bit), which re-pinned it once.
     let nlev = 7;
     let config = NhConfig {
         ntracers: 3,
@@ -217,7 +221,7 @@ fn default_cadence_steps_bit_for_bit_as_before_the_cadence_existed() {
     fields.extend(state.tracers.iter().map(|q| q.as_slice()));
     assert_eq!(
         format!("{:016x}", hash_f64_bits(&fields)),
-        "0ba8bbbdb51ef672",
+        "3a3bd300e6290d02",
         "NhSolver::step on the default NhConfig moved"
     );
 }
