@@ -4,15 +4,18 @@
 //!    synchronous gathered exchange, once with the async begin/complete
 //!    overlap — on traced CPE-teams substrates, and **gates in-run** that
 //!    (a) the two modes are bitwise identical, (b) their deterministic
-//!    counters agree, and (c) `trace::analyze`'s halo wait-vs-transfer
-//!    split shows the overlapped mode cutting wait time by at least 30%.
+//!    counters agree, and (c) every rank's trace lane shows the order that
+//!    *is* overlap (`check_exchange_order`): each step's send done before
+//!    its interior phase begins and no receive begun before that phase
+//!    ends; in the synchronous run the whole round between the two phases.
 //! 2. Calibrates the SDPD projection model from the run's *deterministic*
-//!    counters ([`grist_runtime::scaling::MeasuredCosts`]) — never wall
-//!    times — with a pinned overlap factor, and emits weak- (128 →
-//!    524,288) and strong-scaling projections.
+//!    halo counters ([`grist_runtime::scaling::MeasuredCosts`]) — never
+//!    wall times, never host dispatch counts — with a pinned overlap
+//!    factor, and emits weak- (128 → 524,288) and strong-scaling
+//!    projections.
 //! 3. Pins the synchronous run's counts and the projections exactly (see
-//!    [`crate::pin`]); the live wait measurements go to the wall report's
-//!    `overlap` section.
+//!    [`crate::pin`]); the measured wait reduction goes to the wall
+//!    report's `overlap` section, compared with nothing.
 
 use grist_core::DynStepMode;
 use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
@@ -22,6 +25,7 @@ use grist_runtime::scaling::{
     grid_by_label, weak_scaling_efficiencies, weak_scaling_ladder, MeasuredCosts, Scheme,
     SdpdModel, SdpdModelConfig,
 };
+use sunway_sim::trace::{EventKind, TraceEvent};
 use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate, SunwaySpec};
 
 use crate::pin::{SuiteResult, SuiteRun};
@@ -32,14 +36,20 @@ const STEPS: usize = 16;
 const CPES: usize = 8;
 const DT: f64 = 400.0;
 
-/// The committed projections use this overlap fraction — the floor the
-/// live gate enforces — so the baseline stays deterministic while the
-/// measured reduction may run well past it.
+/// The overlap fraction of the committed projections: a modeled constant,
+/// so the baseline is deterministic. The run's measured wait reduction is
+/// reported beside it (wall report, `overlap`) and held to nothing — on a
+/// shared host it has read anywhere from 22 % to 99 %; what the run *gates*
+/// is the event order that makes overlap possible
+/// ([`check_exchange_order`]).
 const PINNED_OVERLAP: f64 = 0.30;
 
-/// Live gate: overlapped halo wait must be at most this share of the
-/// synchronous wait (≥ 30% reduction).
-const MAX_WAIT_RATIO: f64 = 0.70;
+/// Operator kernel groups GRIST launches per dynamics step of this
+/// scenario: 48 = 12 operators × 4 tendency evaluations of a phased RK3
+/// step (stage 1's interior and remainder, stages 2 and 3). A property of
+/// the modeled code, not of the host run: the host fuses each evaluation
+/// into four dispatches and the projection must not shrink with them.
+const DYN_OPERATOR_GROUPS: f64 = 48.0;
 
 /// Run the phased 4-rank scenario in `mode` on a shared traced registry;
 /// return the registry and each rank's final `h` bit pattern.
@@ -87,6 +97,51 @@ fn run_mode(mode: DynStepMode) -> (Metrics, Vec<Vec<u64>>) {
     (metrics, results)
 }
 
+/// What overlap *means*, read off one rank lane as a string of marks in time
+/// order, upper case where an event begins and lower case where it ends: `S`
+/// `halo_pack_send`, `X` a synchronous `halo_exchange` round, `W` a
+/// `halo_wait` (several in a row read as one), and `F` / `T` the first and
+/// last kernel of a tendency evaluation (`swe_mass_flux`,
+/// `swe_momentum_tend`). A step is four evaluations — stage 1's interior and
+/// remainder, stages 2 and 3 — and must read exactly: overlapped, the send
+/// over before the interior begins and no wait begun before it ends;
+/// synchronous, the whole round between interior and remainder. One thread's
+/// clock, so nothing here depends on how fast anything ran. Returns the
+/// number of steps on the lane.
+fn check_exchange_order(events: &[TraceEvent], mode: DynStepMode) -> Result<usize, String> {
+    let want = match mode {
+        DynStepMode::Overlapped => "SsFfTtWwFfTtFfTtFfTt",
+        DynStepMode::Synchronous => "FfTtXWwxFfTtFfTtFfTt",
+    };
+    let mut marks: Vec<(u64, u64, bool, char)> = Vec::new();
+    for e in events {
+        // Kernel names carry their span path (`dycore/swe_mass_flux`).
+        let mark = match e.name.rsplit('/').next().unwrap_or_default() {
+            _ if e.kind == EventKind::HaloWait => 'W',
+            "halo_pack_send" => 'S',
+            "halo_exchange" => 'X',
+            "swe_mass_flux" => 'F',
+            "swe_momentum_tend" => 'T',
+            _ => continue,
+        };
+        marks.push((e.t0_ns, e.seq, false, mark));
+        marks.push((e.end_ns(), e.seq, true, mark.to_ascii_lowercase()));
+    }
+    // Record order breaks a tie between one event's end and the next's begin.
+    marks.sort_unstable();
+    let lane: String = marks.iter().map(|m| m.3).collect();
+    let lane = lane.replace("wW", "");
+    for (step, got) in lane.as_bytes().chunks(want.len()).enumerate() {
+        if got != want.as_bytes() {
+            return Err(format!(
+                "step {step} reads {}, {mode:?} is {want}",
+                String::from_utf8_lossy(got)
+            ));
+        }
+    }
+    Ok(lane.len() / want.len())
+}
+
 /// Run both modes, hold them to the three in-run gates, and pin the
 /// counter-calibrated projections.
 pub fn run() -> SuiteResult {
@@ -126,33 +181,51 @@ pub fn run() -> SuiteResult {
         ));
     }
 
-    // --- gate: measured wait reduction via the trace attribution ---
+    // --- gate: the exchange sits where the mode says, on every rank ---
+    let sync_trace = sync_metrics.tracer().snapshot();
+    let ovl_trace = ovl_metrics.tracer().snapshot();
+    for (mode, snap) in [
+        (DynStepMode::Synchronous, &sync_trace),
+        (DynStepMode::Overlapped, &ovl_trace),
+    ] {
+        let mut rank_lanes = 0;
+        for lane in &snap.lanes {
+            // A rank's own lane is the one its kernels are dispatched from;
+            // its CPE workers' lanes hold chunks only.
+            if !lane.events.iter().any(|e| e.kind == EventKind::Kernel) {
+                continue;
+            }
+            rank_lanes += 1;
+            let steps = check_exchange_order(&lane.events, mode)
+                .map_err(|e| format!("{mode:?}, rank {} lane: {e}", lane.rank))?;
+            if steps != STEPS {
+                return Err(format!(
+                    "{mode:?}, rank {} lane: {steps} steps traced, ran {STEPS}",
+                    lane.rank
+                ));
+            }
+        }
+        if rank_lanes != RANKS {
+            return Err(format!(
+                "{mode:?}: {rank_lanes} lanes dispatched kernels, expected {RANKS}"
+            ));
+        }
+    }
+
+    // Measured wait reduction: reported, compared with nothing.
     let inputs = RooflineInputs::from_arch(&SunwaySpec::next_gen());
-    let halo_sync = analyze(&sync_metrics.tracer().snapshot(), &inputs).halo;
-    let halo_ovl = analyze(&ovl_metrics.tracer().snapshot(), &inputs).halo;
-    if halo_sync.exchanges == 0 || halo_ovl.exchanges == 0 {
-        return Err("no halo exchange events traced".into());
-    }
-    if halo_sync.wait_ns == 0 {
-        return Err("synchronous run recorded zero halo wait: nothing to overlap".into());
-    }
-    let ratio = halo_ovl.wait_ns as f64 / halo_sync.wait_ns as f64;
-    let reduction_pct = (1.0 - ratio) * 100.0;
+    let halo_sync = analyze(&sync_trace, &inputs).halo;
+    let halo_ovl = analyze(&ovl_trace, &inputs).halo;
+    let reduction_pct = (1.0 - halo_ovl.wait_ns as f64 / halo_sync.wait_ns.max(1) as f64) * 100.0;
     eprintln!(
         "scaling: halo wait {} ns (sync) -> {} ns (overlapped), {:.1}% reduction \
-         (transfer {} ns -> {} ns)",
+         (transfer {} ns -> {} ns); not gated",
         halo_sync.wait_ns,
         halo_ovl.wait_ns,
         reduction_pct,
         halo_sync.transfer_ns,
         halo_ovl.transfer_ns,
     );
-    if ratio > MAX_WAIT_RATIO {
-        return Err(format!(
-            "overlap hides only {reduction_pct:.1}% of halo wait time, need >= {:.0}%",
-            (1.0 - MAX_WAIT_RATIO) * 100.0
-        ));
-    }
 
     // --- calibrate the SDPD model from the deterministic counters ---
     let costs = MeasuredCosts::from_metrics(&sync_metrics, (RANKS * STEPS) as u64)
@@ -163,9 +236,12 @@ pub fn run() -> SuiteResult {
     let mesh = HexMesh::build(LEVEL);
     let surface = Partition::build(&mesh, RANKS, 2).surface_profile(&mesh);
     let model = SdpdModel {
-        cfg: SdpdModelConfig::default()
-            .with_measured(&costs, PINNED_OVERLAP)
-            .with_measured_surface(surface.surface_coeff),
+        cfg: SdpdModelConfig {
+            dyn_kernel_groups: DYN_OPERATOR_GROUPS,
+            ..SdpdModelConfig::default()
+                .with_measured(&costs, PINNED_OVERLAP)
+                .with_measured_surface(surface.surface_coeff)
+        },
         ..SdpdModel::default()
     };
     let mix_ml = Scheme {
@@ -226,4 +302,90 @@ pub fn run() -> SuiteResult {
         &sync_snap,
         vec![("overlap".into(), overlap)],
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ev(kind: EventKind, name: &str, t0_ns: u64, dur_ns: u64) -> TraceEvent {
+        TraceEvent {
+            kind,
+            name: name.into(),
+            t0_ns,
+            dur_ns,
+            step: 0,
+            items: 0,
+            bytes: 0,
+            seq: t0_ns + dur_ns,
+        }
+    }
+
+    /// One step's lane from `t`: the halo events given, four 40 ns tendency
+    /// evaluations at +10 / +100 / +200 / +300, and the enclosing span.
+    fn step_lane(t: u64, halo: &[(EventKind, &str, u64, u64)]) -> Vec<TraceEvent> {
+        let mut lane: Vec<_> = (halo.iter())
+            .map(|&(kind, name, at, dur)| ev(kind, name, t + at, dur))
+            .collect();
+        for at in [10, 100, 200, 300] {
+            for (i, k) in ["mass_flux", "cell_tend", "vertex", "momentum_tend"]
+                .iter()
+                .enumerate()
+            {
+                let name = format!("dycore/swe_{k}");
+                lane.push(ev(EventKind::Kernel, &name, t + at + 10 * i as u64, 10));
+            }
+        }
+        lane.push(ev(EventKind::Span, "dycore", t, 400));
+        lane
+    }
+
+    const WAITS: [(EventKind, &str, u64, u64); 2] = [
+        (EventKind::HaloWait, "halo_wait<-1", 60, 8),
+        (EventKind::HaloWait, "halo_wait<-2", 70, 8),
+    ];
+
+    fn overlapped_step(t: u64, send_at: u64) -> Vec<TraceEvent> {
+        let mut halo = vec![
+            (EventKind::HaloExchange, "halo_pack_send", send_at, 5),
+            (EventKind::HaloExchange, "halo_recv_unpack", 55, 30),
+        ];
+        halo.extend(WAITS);
+        step_lane(t, &halo)
+    }
+
+    #[test]
+    fn exchange_order_accepts_overlap_and_names_a_send_moved_after_the_interior() {
+        let good = [overlapped_step(0, 0), overlapped_step(1000, 0)].concat();
+        assert_eq!(check_exchange_order(&good, DynStepMode::Overlapped), Ok(2));
+        // The same events are not a synchronous run.
+        assert!(check_exchange_order(&good, DynStepMode::Synchronous).is_err());
+
+        // Step 1's send issued only after its interior evaluation.
+        let late = [overlapped_step(0, 0), overlapped_step(1000, 52)].concat();
+        let err = check_exchange_order(&late, DynStepMode::Overlapped).unwrap_err();
+        assert!(err.contains("step 1 reads FfTtSsWw"), "{err}");
+
+        // A receive begun while the interior is still running.
+        let mut early_wait = good;
+        early_wait[2].t0_ns = 30;
+        let err = check_exchange_order(&early_wait, DynStepMode::Overlapped).unwrap_err();
+        assert!(err.contains("step 0 reads SsFfWwTt"), "{err}");
+    }
+
+    #[test]
+    fn exchange_order_wants_the_synchronous_round_between_the_phases() {
+        let lane = |round_at: u64| {
+            let mut halo = vec![(EventKind::HaloExchange, "halo_exchange", round_at, 40)];
+            halo.extend(WAITS);
+            step_lane(0, &halo)
+        };
+        assert_eq!(
+            check_exchange_order(&lane(55), DynStepMode::Synchronous),
+            Ok(1)
+        );
+        // A round begun before the step is the overlapped schedule.
+        let err = check_exchange_order(&lane(0), DynStepMode::Synchronous).unwrap_err();
+        assert!(err.contains("step 0 reads XFf"), "{err}");
+    }
 }

@@ -1,8 +1,12 @@
-//! Discrete finite-volume operators on the hexagonal C-grid (§3.1.2):
-//! divergence, gradient, vorticity, kinetic energy, tangential-velocity
-//! reconstruction, and staggering averages. "The discretization employs the
+//! Discrete finite-volume operators on the hexagonal C-grid (§3.1.2) as
+//! stand-alone kernels: divergence, gradient, vorticity, kinetic energy and
+//! the cell-centred velocity reconstruction. "The discretization employs the
 //! staggered finite-volume method, approximately second-order, leading to
-//! moderate computational load for basic operators."
+//! moderate computational load for basic operators." The solvers' steps fuse
+//! these (and the staggering averages and tangential reconstruction, whose
+//! stand-alone forms live with the test references in `tests/support/`) into
+//! a few kernels each; what is dispatched from here is diagnostics, the
+//! tracer step's divergence, and the references the fused steps are held to.
 //!
 //! All operators are generic over the [`Real`] precision and read their
 //! metric terms from a [`ScaledGeometry`] pre-cast to that precision, so the
@@ -48,7 +52,8 @@ pub struct ScaledGeometry<R: Real> {
     /// Edge tangent expressed in the (east, north) frame of each adjacent
     /// vertex is not needed; reconstruction returns an (e, n) vector that is
     /// projected on the edge tangent via these per-edge tangent components
-    /// in the *edge's own* frame... (see `tangential_velocity`).
+    /// in the *edge's own* frame (the `v_t` of the solvers' momentum
+    /// kernels).
     pub edge_tangent_en: Vec<[R; 2]>,
     /// Edge normal in the edge's own (east, north) frame (unused by solvers,
     /// kept for diagnostics).
@@ -162,29 +167,6 @@ impl<R: Real> ScaledGeometry<R> {
     }
 }
 
-/// Dispatch `body` over either the full `0..n_full` range (`subset: None`)
-/// or an explicit index list, under the same kernel name — the index-subset
-/// machinery behind the interior/halo phase split. Per-index arithmetic is
-/// identical in both modes, so running an operator over a partition of the
-/// index space (interior first, remainder later) produces bitwise the same
-/// output as one full dispatch.
-///
-/// Callers restricted to a subset must pass unique indices: the operator
-/// bodies write through [`ColumnsMut`] under the "each index dispatched
-/// exactly once" contract.
-pub fn run_on<F: Fn(usize) + Sync>(
-    sub: &Substrate,
-    name: &'static str,
-    n_full: usize,
-    subset: Option<&[u32]>,
-    body: F,
-) {
-    match subset {
-        None => sub.run(name, n_full, body),
-        Some(ix) => sub.run(name, ix.len(), |j| body(ix[j] as usize)),
-    }
-}
-
 /// Divergence of an edge-normal flux field, at cells:
 /// `div_i = (1/A_i) Σ_e s(i,e) F_e le_e`.
 pub fn divergence<R: Real>(
@@ -194,22 +176,10 @@ pub fn divergence<R: Real>(
     flux_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    divergence_on(sub, mesh, geom, flux_edge, out, None);
-}
-
-/// [`divergence`] restricted to a cell subset (`None` = all cells).
-pub fn divergence_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    flux_edge: &Field2<R>,
-    out: &mut Field2<R>,
-    cells: Option<&[u32]>,
-) {
     let nlev = flux_edge.nlev();
     debug_assert_eq!(out.nlev(), nlev);
     let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "divergence", cols.len(), cells, |c| {
+    sub.run("divergence", cols.len(), |c| {
         // SAFETY: each cell index is dispatched exactly once.
         let col = unsafe { cols.col(c) };
         col.fill(R::ZERO);
@@ -237,21 +207,9 @@ pub fn gradient<R: Real>(
     h_cell: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    gradient_on(sub, mesh, geom, h_cell, out, None);
-}
-
-/// [`gradient`] restricted to an edge subset (`None` = all edges).
-pub fn gradient_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    h_cell: &Field2<R>,
-    out: &mut Field2<R>,
-    edges: Option<&[u32]>,
-) {
     let nlev = h_cell.nlev();
     let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "gradient", cols.len(), edges, |e| {
+    sub.run("gradient", cols.len(), |e| {
         // SAFETY: each edge index is dispatched exactly once.
         let col = unsafe { cols.col(e) };
         let [c1, c2] = mesh.edge_cells[e];
@@ -273,21 +231,9 @@ pub fn vorticity<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    vorticity_on(sub, mesh, geom, u_edge, out, None);
-}
-
-/// [`vorticity`] restricted to a vertex subset (`None` = all vertices).
-pub fn vorticity_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    u_edge: &Field2<R>,
-    out: &mut Field2<R>,
-    verts: Option<&[u32]>,
-) {
     let nlev = u_edge.nlev();
     let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "vorticity", cols.len(), verts, |v| {
+    sub.run("vorticity", cols.len(), |v| {
         // SAFETY: each vertex index is dispatched exactly once.
         let col = unsafe { cols.col(v) };
         col.fill(R::ZERO);
@@ -315,21 +261,9 @@ pub fn kinetic_energy<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    kinetic_energy_on(sub, mesh, geom, u_edge, out, None);
-}
-
-/// [`kinetic_energy`] restricted to a cell subset (`None` = all cells).
-pub fn kinetic_energy_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    u_edge: &Field2<R>,
-    out: &mut Field2<R>,
-    cells: Option<&[u32]>,
-) {
     let nlev = u_edge.nlev();
     let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "kinetic_energy", cols.len(), cells, |c| {
+    sub.run("kinetic_energy", cols.len(), |c| {
         // SAFETY: each cell index is dispatched exactly once.
         let col = unsafe { cols.col(c) };
         col.fill(R::ZERO);
@@ -343,162 +277,6 @@ pub fn kinetic_energy_on<R: Real>(
         let ia = geom.inv_cell_area[c];
         for o in col.iter_mut() {
             *o *= ia;
-        }
-    });
-}
-
-/// Centered cell→edge average: `h_e = (h_{c1} + h_{c2}) / 2`.
-pub fn cell_to_edge<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    h_cell: &Field2<R>,
-    out: &mut Field2<R>,
-) {
-    cell_to_edge_on(sub, mesh, h_cell, out, None);
-}
-
-/// [`cell_to_edge`] restricted to an edge subset (`None` = all edges).
-pub fn cell_to_edge_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    h_cell: &Field2<R>,
-    out: &mut Field2<R>,
-    edges: Option<&[u32]>,
-) {
-    let nlev = h_cell.nlev();
-    let half = R::from_f64(0.5);
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "cell_to_edge", cols.len(), edges, |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
-        let [c1, c2] = mesh.edge_cells[e];
-        let a = h_cell.col(c1 as usize);
-        let b = h_cell.col(c2 as usize);
-        for (o, (&x1, &x2)) in col.iter_mut().zip(a.iter().zip(b)) {
-            *o = (x1 + x2) * half;
-        }
-    });
-}
-
-/// Vertex→edge average of a dual field.
-pub fn vert_to_edge<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    f_vert: &Field2<R>,
-    out: &mut Field2<R>,
-) {
-    vert_to_edge_on(sub, mesh, f_vert, out, None);
-}
-
-/// [`vert_to_edge`] restricted to an edge subset (`None` = all edges).
-pub fn vert_to_edge_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    f_vert: &Field2<R>,
-    out: &mut Field2<R>,
-    edges: Option<&[u32]>,
-) {
-    let nlev = f_vert.nlev();
-    let half = R::from_f64(0.5);
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "vert_to_edge", cols.len(), edges, |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
-        let [v1, v2] = mesh.edge_verts[e];
-        let a = f_vert.col(v1 as usize);
-        let b = f_vert.col(v2 as usize);
-        for (o, (&x1, &x2)) in col.iter_mut().zip(a.iter().zip(b)) {
-            *o = (x1 + x2) * half;
-        }
-    });
-}
-
-/// Full (east, north) velocity vectors reconstructed at dual vertices from
-/// the three incident edge-normal components, by 2×2 least squares.
-pub fn vert_velocity<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    u_edge: &Field2<R>,
-    out_e: &mut Field2<R>,
-    out_n: &mut Field2<R>,
-) {
-    vert_velocity_on(sub, mesh, geom, u_edge, out_e, out_n, None);
-}
-
-/// [`vert_velocity`] restricted to a vertex subset (`None` = all vertices).
-#[allow(clippy::too_many_arguments)]
-pub fn vert_velocity_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    u_edge: &Field2<R>,
-    out_e: &mut Field2<R>,
-    out_n: &mut Field2<R>,
-    verts: Option<&[u32]>,
-) {
-    let nlev = u_edge.nlev();
-    let cols_e = ColumnsMut::new(out_e.as_mut_slice(), nlev);
-    let cols_n = ColumnsMut::new(out_n.as_mut_slice(), nlev);
-    run_on(sub, "vert_velocity", cols_e.len(), verts, |v| {
-        // SAFETY: each vertex index is dispatched exactly once.
-        let ce = unsafe { cols_e.col(v) };
-        let cn = unsafe { cols_n.col(v) };
-        let rc = &geom.vert_recon[v];
-        for lev in 0..nlev {
-            let mut be = R::ZERO;
-            let mut bn = R::ZERO;
-            for k in 0..3 {
-                let u = u_edge.at(lev, mesh.vert_edges[v][k] as usize);
-                be = u.mul_add(rc.normals[k][0], be);
-                bn = u.mul_add(rc.normals[k][1], bn);
-            }
-            ce[lev] = rc.minv[0][0] * be + rc.minv[0][1] * bn;
-            cn[lev] = rc.minv[1][0] * be + rc.minv[1][1] * bn;
-        }
-    });
-}
-
-/// Tangential velocity at edges, from the two adjacent vertex
-/// reconstructions. This stands in for GRIST/TRSK's weighted perp operator;
-/// it is local, second-order on quasi-uniform meshes, and exercises the same
-/// indirect-access pattern.
-pub fn tangential_velocity<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    vert_ve: &Field2<R>,
-    vert_vn: &Field2<R>,
-    out: &mut Field2<R>,
-) {
-    tangential_velocity_on(sub, mesh, geom, vert_ve, vert_vn, out, None);
-}
-
-/// [`tangential_velocity`] restricted to an edge subset (`None` = all).
-#[allow(clippy::too_many_arguments)]
-pub fn tangential_velocity_on<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    geom: &ScaledGeometry<R>,
-    vert_ve: &Field2<R>,
-    vert_vn: &Field2<R>,
-    out: &mut Field2<R>,
-    edges: Option<&[u32]>,
-) {
-    let nlev = vert_ve.nlev();
-    let half = R::from_f64(0.5);
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    run_on(sub, "tangential_velocity", cols.len(), edges, |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
-        let [v1, v2] = mesh.edge_verts[e];
-        let [te, tn] = geom.edge_tangent_en[e];
-        let (ae, an) = (vert_ve.col(v1 as usize), vert_vn.col(v1 as usize));
-        let (be, bn) = (vert_ve.col(v2 as usize), vert_vn.col(v2 as usize));
-        for lev in 0..nlev {
-            let ve = (ae[lev] + be[lev]) * half;
-            let vn = (an[lev] + bn[lev]) * half;
-            col[lev] = ve * te + vn * tn;
         }
     });
 }
@@ -699,30 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn tangential_reconstruction_recovers_solid_body_flow() {
-        let (mesh, geom) = setup(5);
-        let omega = 1e-5;
-        let u = solid_body_u(&mesh, omega);
-        let mut ve = Field2::zeros(1, mesh.n_verts());
-        let mut vn = Field2::zeros(1, mesh.n_verts());
-        vert_velocity(&sub(), &mesh, &geom, &u, &mut ve, &mut vn);
-        let mut vt = Field2::zeros(1, mesh.n_edges());
-        tangential_velocity(&sub(), &mesh, &geom, &ve, &vn, &mut vt);
-        let mut worst = 0.0f64;
-        for e in 0..mesh.n_edges() {
-            let m = mesh.edge_mid[e];
-            let v = Vec3::new(0.0, 0.0, 1.0).cross(m) * (omega * EARTH_RADIUS_M);
-            let exact = v.dot(mesh.edge_tangent[e]);
-            worst = worst.max((vt.at(0, e) - exact).abs());
-        }
-        let scale = omega * EARTH_RADIUS_M;
-        assert!(
-            worst < 0.02 * scale,
-            "worst tangential error {worst} vs scale {scale}"
-        );
-    }
-
-    #[test]
     fn cell_velocity_recovers_solid_body_flow() {
         let (mesh, _) = setup(4);
         let omega = 1e-5;
@@ -745,15 +499,6 @@ mod tests {
             worst < 0.02 * scale,
             "worst cell-velocity error {worst} vs {scale}"
         );
-    }
-
-    #[test]
-    fn cell_to_edge_preserves_constants() {
-        let (mesh, _) = setup(3);
-        let h = Field2::constant(2, mesh.n_cells(), 7.5);
-        let mut he = Field2::zeros(2, mesh.n_edges());
-        cell_to_edge(&sub(), &mesh, &h, &mut he);
-        assert!(he.as_slice().iter().all(|&x| x == 7.5));
     }
 
     #[test]

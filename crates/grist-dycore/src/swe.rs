@@ -4,8 +4,9 @@
 //! classical proving ground for a C-grid operator set (GRIST's own baseline
 //! evaluation does the same [Zhang et al. 2019]). The solver exercises every
 //! horizontal operator of the 3-D core — divergence, gradient, vorticity,
-//! kinetic energy, tangential reconstruction, nonlinear Coriolis — and is
-//! validated on Williamson test case 2 (steady geostrophic flow).
+//! kinetic energy, tangential reconstruction, nonlinear Coriolis — fused
+//! into four kernels, one per iteration space, and is validated on
+//! Williamson test case 2 (steady geostrophic flow).
 //!
 //! Equations (h: fluid thickness, u: edge-normal velocity, b: bottom
 //! topography):
@@ -17,30 +18,26 @@
 
 use crate::constants::GRAVITY;
 use crate::field::Field2;
-use crate::operators as op;
-use crate::operators::ScaledGeometry;
+use crate::operators::{self, ScaledGeometry};
 use crate::real::Real;
 use grist_mesh::{HexMesh, Vec3, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::collections::BTreeSet;
 use sunway_sim::{ColumnsMut, Substrate};
 
-/// Per-kernel index subsets for one phase of a phased tendency evaluation:
-/// which cells, edges, and vertices each kernel of [`SweSolver::tendencies`]
-/// touches during that phase. Built by [`SwePhases::build`].
+/// Per-kernel index subsets for one phase of a phased tendency evaluation,
+/// one set per kernel of [`SweSolver::tendencies`]. Built by
+/// [`SwePhases::build`].
 #[derive(Debug, Clone)]
 pub struct SweSubset {
-    /// Divergence / kinetic-energy / Bernoulli / mass-tendency cells.
+    /// `swe_cell_tend`: cells whose mass tendency and Bernoulli function
+    /// the phase writes.
     pub cells: Vec<u32>,
-    /// Edges of the mass-flux chain (`cell_to_edge`, `swe_mass_flux`):
-    /// every edge incident to a phase cell.
+    /// `swe_mass_flux`: every edge incident to a phase cell.
     pub flux_edges: Vec<u32>,
-    /// Edges of the momentum chain (`gradient`, `vert_to_edge`,
-    /// `tangential_velocity`, `swe_momentum_tend`): edges whose both cells
-    /// are phase cells, so the Bernoulli values they read were computed in
-    /// the same phase.
+    /// `swe_momentum_tend`: edges whose both cells are phase cells, so the
+    /// Bernoulli values they read were computed in the same phase.
     pub momentum_edges: Vec<u32>,
-    /// Vertices of the momentum-chain edges (`vorticity`,
-    /// `swe_abs_vorticity`, `vert_velocity`).
+    /// `swe_vertex`: the vertices of the momentum edges.
     pub verts: Vec<u32>,
 }
 
@@ -136,19 +133,43 @@ pub struct SweSolver<R: Real> {
     pub sub: Substrate,
     /// Bottom topography at cells \[m\].
     pub topo: Field2<R>,
-    // scratch
-    h_edge: Field2<R>,
+    // What one kernel of a tendency evaluation hands the next.
     flux: Field2<R>,
-    ke: Field2<R>,
     bern: Field2<R>,
     vor: Field2<R>,
-    pv_edge: Field2<R>,
     ve: Field2<R>,
     vn: Field2<R>,
-    vt: Field2<R>,
-    grad_b: Field2<R>,
-    dh: Field2<R>,
-    du: Field2<R>,
+    /// Scratch of [`Self::total_energy`] only.
+    ke: Field2<R>,
+    /// The stage state and the two tendencies of an RK3 step; `None` while
+    /// a step has them out.
+    rk3: Option<Rk3Work<R>>,
+}
+
+struct Rk3Work<R: Real> {
+    stage: SweState<R>,
+    th: Field2<R>,
+    tu: Field2<R>,
+}
+
+/// Dispatch `body` over `0..n_full` (`subset: None`) or over an explicit
+/// index list, under the same kernel name. Per-index arithmetic is the same
+/// either way, so a kernel run over a partition of its index space (interior
+/// first, remainder later) writes bitwise what one full dispatch writes.
+///
+/// A subset must hold unique indices: the kernel bodies write through
+/// [`ColumnsMut`] under the "each index dispatched exactly once" contract.
+fn run_on<F: Fn(usize) + Sync>(
+    sub: &Substrate,
+    name: &'static str,
+    n_full: usize,
+    subset: Option<&[u32]>,
+    body: F,
+) {
+    match subset {
+        None => sub.run(name, n_full, body),
+        Some(ix) => sub.run(name, ix.len(), |j| body(ix[j] as usize)),
+    }
 }
 
 impl<R: Real> SweSolver<R> {
@@ -166,18 +187,20 @@ impl<R: Real> SweSolver<R> {
             geom,
             sub,
             topo: Field2::zeros(1, nc),
-            h_edge: Field2::zeros(1, ne),
             flux: Field2::zeros(1, ne),
-            ke: Field2::zeros(1, nc),
             bern: Field2::zeros(1, nc),
             vor: Field2::zeros(1, nv),
-            pv_edge: Field2::zeros(1, ne),
             ve: Field2::zeros(1, nv),
             vn: Field2::zeros(1, nv),
-            vt: Field2::zeros(1, ne),
-            grad_b: Field2::zeros(1, ne),
-            dh: Field2::zeros(1, nc),
-            du: Field2::zeros(1, ne),
+            ke: Field2::zeros(1, nc),
+            rk3: Some(Rk3Work {
+                stage: SweState {
+                    h: Field2::zeros(1, nc),
+                    u: Field2::zeros(1, ne),
+                },
+                th: Field2::zeros(1, nc),
+                tu: Field2::zeros(1, ne),
+            }),
             mesh,
         }
     }
@@ -202,6 +225,11 @@ impl<R: Real> SweSolver<R> {
         self.tendencies_impl(state, th, tu, Some(subset));
     }
 
+    /// Four kernels, one per iteration space and data dependence; each forms
+    /// its intermediates in registers with the operand order, association
+    /// and `mul_add`s of the stand-alone operator it absorbed
+    /// (`tests/integration_swe_fused.rs` holds the result to that
+    /// composition bit for bit).
     fn tendencies_impl(
         &mut self,
         state: &SweState<R>,
@@ -209,101 +237,106 @@ impl<R: Real> SweSolver<R> {
         tu: &mut Field2<R>,
         subset: Option<&SweSubset>,
     ) {
+        let (nc, ne) = (self.mesh.n_cells(), self.mesh.n_edges());
+        for (what, f, n) in [
+            ("h", &state.h, nc),
+            ("u", &state.u, ne),
+            ("dh/dt", &*th, nc),
+            ("du/dt", &*tu, ne),
+        ] {
+            // The kernels index these as flat slices: a second level would
+            // be read as the next column.
+            assert!(
+                f.nlev() == 1 && f.ncols() == n,
+                "shallow water is one layer on this mesh: {what} must be 1 x {n}, got {} x {}",
+                f.nlev(),
+                f.ncols()
+            );
+        }
         let mesh = &self.mesh;
         let geom = &self.geom;
         let sub = self.sub.clone();
-        let cells = subset.map(|s| s.cells.as_slice());
-        let flux_edges = subset.map(|s| s.flux_edges.as_slice());
-        let momentum_edges = subset.map(|s| s.momentum_edges.as_slice());
-        let verts = subset.map(|s| s.verts.as_slice());
-        // Mass flux and its divergence.
-        op::cell_to_edge_on(&sub, mesh, &state.h, &mut self.h_edge, flux_edges);
+        let (h, u) = (state.h.as_slice(), state.u.as_slice());
+        let half = R::from_f64(0.5);
+
+        // Mass flux h_e·u at edges, h_e the centered cell average.
         {
-            let h_edge = &self.h_edge;
-            let u = &state.u;
             let cols = ColumnsMut::new(self.flux.as_mut_slice(), 1);
-            op::run_on(&sub, "swe_mass_flux", cols.len(), flux_edges, |e| {
+            let edges = subset.map(|s| s.flux_edges.as_slice());
+            run_on(&sub, "swe_mass_flux", cols.len(), edges, |e| {
+                let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 // SAFETY: each edge index is dispatched exactly once.
-                *unsafe { cols.at(e) } = h_edge.at(0, e) * u.at(0, e);
+                *unsafe { cols.at(e) } = (h[c1] + h[c2]) * half * u[e];
             });
         }
-        op::divergence_on(&sub, mesh, geom, &self.flux, th, cells);
-        match cells {
-            None => {
-                for v in th.as_mut_slice() {
-                    *v = -*v;
-                }
-            }
-            Some(cs) => {
-                let nlev = th.nlev();
-                for &c in cs {
-                    for k in 0..nlev {
-                        let v = th.at(k, c as usize);
-                        th.set(k, c as usize, -v);
-                    }
-                }
-            }
-        }
 
-        // Bernoulli function K + g(h+b) and its gradient.
-        op::kinetic_energy_on(&sub, mesh, geom, &state.u, &mut self.ke, cells);
-        let g = R::from_f64(GRAVITY);
+        // Cells: dh/dt = −∇·F and the Bernoulli function K + g(h+b), from
+        // one walk over the cell's edges.
         {
-            let ke = &self.ke;
-            let topo = &self.topo;
-            let h = &state.h;
-            let cols = ColumnsMut::new(self.bern.as_mut_slice(), 1);
-            op::run_on(&sub, "swe_bernoulli", cols.len(), cells, |c| {
+            let g = R::from_f64(GRAVITY);
+            let (flux, topo) = (self.flux.as_slice(), self.topo.as_slice());
+            let th_cols = ColumnsMut::new(th.as_mut_slice(), 1);
+            let bern_cols = ColumnsMut::new(self.bern.as_mut_slice(), 1);
+            let cells = subset.map(|s| s.cells.as_slice());
+            run_on(&sub, "swe_cell_tend", th_cols.len(), cells, |c| {
+                let (mut div, mut ke) = (R::ZERO, R::ZERO);
+                let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
+                for (&e, &sign) in mesh.cell_edges.row(c).iter().zip(signs) {
+                    let e = e as usize;
+                    div = flux[e].mul_add(sign * geom.edge_le[e], div);
+                    ke += geom.ke_weight[e] * u[e] * u[e];
+                }
+                let ia = geom.inv_cell_area[c];
                 // SAFETY: each cell index is dispatched exactly once.
-                *unsafe { cols.at(c) } = ke.at(0, c) + g * (h.at(0, c) + topo.at(0, c));
+                unsafe {
+                    *th_cols.at(c) = -(div * ia);
+                    *bern_cols.at(c) = ke * ia + g * (h[c] + topo[c]);
+                }
             });
         }
-        op::gradient_on(
-            &sub,
-            mesh,
-            geom,
-            &self.bern,
-            &mut self.grad_b,
-            momentum_edges,
-        );
 
-        // Absolute vorticity at edges, tangential velocity, Coriolis term.
-        op::vorticity_on(&sub, mesh, geom, &state.u, &mut self.vor, verts);
+        // Vertices: absolute vorticity and the least-squares (east, north)
+        // velocity, from the same three edges.
         {
-            let cols = ColumnsMut::new(self.vor.as_mut_slice(), 1);
-            op::run_on(&sub, "swe_abs_vorticity", cols.len(), verts, |v| {
+            let vor_cols = ColumnsMut::new(self.vor.as_mut_slice(), 1);
+            let ve_cols = ColumnsMut::new(self.ve.as_mut_slice(), 1);
+            let vn_cols = ColumnsMut::new(self.vn.as_mut_slice(), 1);
+            let verts = subset.map(|s| s.verts.as_slice());
+            run_on(&sub, "swe_vertex", vor_cols.len(), verts, |v| {
+                let edges = mesh.vert_edges[v].map(|e| e as usize);
+                let [u0, u1, u2] = edges.map(|e| u[e]);
+                let [w0, w1, w2]: [R; 3] =
+                    std::array::from_fn(|i| geom.vert_edge_sign[v][i] * geom.edge_de[edges[i]]);
+                let rc = &geom.vert_recon[v];
+                let [n0, n1, n2] = rc.normals;
+                let zeta = u2.mul_add(w2, u1.mul_add(w1, u0.mul_add(w0, R::ZERO)));
+                let be = u2.mul_add(n2[0], u1.mul_add(n1[0], u0.mul_add(n0[0], R::ZERO)));
+                let bn = u2.mul_add(n2[1], u1.mul_add(n1[1], u0.mul_add(n0[1], R::ZERO)));
                 // SAFETY: each vertex index is dispatched exactly once.
-                *unsafe { cols.at(v) } += geom.f_vert[v];
+                unsafe {
+                    *vor_cols.at(v) = zeta * geom.inv_vert_area[v] + geom.f_vert[v];
+                    *ve_cols.at(v) = rc.minv[0][0] * be + rc.minv[0][1] * bn;
+                    *vn_cols.at(v) = rc.minv[1][0] * be + rc.minv[1][1] * bn;
+                }
             });
         }
-        op::vert_to_edge_on(&sub, mesh, &self.vor, &mut self.pv_edge, momentum_edges);
-        op::vert_velocity_on(
-            &sub,
-            mesh,
-            geom,
-            &state.u,
-            &mut self.ve,
-            &mut self.vn,
-            verts,
-        );
-        op::tangential_velocity_on(
-            &sub,
-            mesh,
-            geom,
-            &self.ve,
-            &self.vn,
-            &mut self.vt,
-            momentum_edges,
-        );
 
+        // Edges: du/dt = (ζ+f)_e·v_t − ∂ₙ(K + g(h+b)), the edge values
+        // formed from the two cells and two vertices as they are consumed.
         {
-            let pv_edge = &self.pv_edge;
-            let vt = &self.vt;
-            let grad_b = &self.grad_b;
+            let (bern, vor) = (self.bern.as_slice(), self.vor.as_slice());
+            let (ve, vn) = (self.ve.as_slice(), self.vn.as_slice());
             let cols = ColumnsMut::new(tu.as_mut_slice(), 1);
-            op::run_on(&sub, "swe_momentum_tend", cols.len(), momentum_edges, |e| {
+            let edges = subset.map(|s| s.momentum_edges.as_slice());
+            run_on(&sub, "swe_momentum_tend", cols.len(), edges, |e| {
+                let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
+                let [v1, v2] = mesh.edge_verts[e].map(|v| v as usize);
+                let [te, tn] = geom.edge_tangent_en[e];
+                let pv = (vor[v1] + vor[v2]) * half;
+                let vt = (ve[v1] + ve[v2]) * half * te + (vn[v1] + vn[v2]) * half * tn;
+                let grad_b = (bern[c2] - bern[c1]) * geom.inv_edge_de[e];
                 // SAFETY: each edge index is dispatched exactly once.
-                *unsafe { cols.at(e) } = pv_edge.at(0, e) * vt.at(0, e) - grad_b.at(0, e);
+                *unsafe { cols.at(e) } = pv * vt - grad_b;
             });
         }
     }
@@ -332,26 +365,24 @@ impl<R: Real> SweSolver<R> {
         let span_sub = self.sub.clone();
         let _span = span_sub.span("dycore");
         let dt = R::from_f64(dt);
-        let mut s1 = state.clone();
-        let mut s2 = state.clone();
-        let mut th = self.dh.clone();
-        let mut tu = self.du.clone();
+        // Out of `self` for the step, so the stages can borrow the solver.
+        let mut work = self
+            .rk3
+            .take()
+            .expect("an RK3 step is not re-entered from its own stage 1");
+        let Rk3Work { stage, th, tu } = &mut work;
 
-        stage1(self, state, &mut th, &mut tu);
-        s1.h.copy_from(&state.h);
-        s1.u.copy_from(&state.u);
-        s1.h.axpy(dt / R::from_f64(3.0), &th);
-        s1.u.axpy(dt / R::from_f64(3.0), &tu);
-
-        self.tendencies(&s1, &mut th, &mut tu);
-        s2.h.copy_from(&state.h);
-        s2.u.copy_from(&state.u);
-        s2.h.axpy(dt / R::from_f64(2.0), &th);
-        s2.u.axpy(dt / R::from_f64(2.0), &tu);
-
-        self.tendencies(&s2, &mut th, &mut tu);
-        state.h.axpy(dt, &th);
-        state.u.axpy(dt, &tu);
+        stage1(self, state, th, tu);
+        for frac in [3.0, 2.0] {
+            stage.h.copy_from(&state.h);
+            stage.u.copy_from(&state.u);
+            stage.h.axpy(dt / R::from_f64(frac), th);
+            stage.u.axpy(dt / R::from_f64(frac), tu);
+            self.tendencies(stage, th, tu);
+        }
+        state.h.axpy(dt, th);
+        state.u.axpy(dt, tu);
+        self.rk3 = Some(work);
     }
 
     /// Total mass `Σ A_i h_i` (unit-sphere areas × R²).
@@ -365,7 +396,7 @@ impl<R: Real> SweSolver<R> {
     /// Total energy `Σ A_i (h K + g h(h/2+b))`.
     pub fn total_energy(&mut self, state: &SweState<R>) -> f64 {
         let sub = self.sub.clone();
-        op::kinetic_energy(&sub, &self.mesh, &self.geom, &state.u, &mut self.ke);
+        operators::kinetic_energy(&sub, &self.mesh, &self.geom, &state.u, &mut self.ke);
         let r2 = self.geom.rearth * self.geom.rearth;
         (0..self.mesh.n_cells())
             .map(|c| {

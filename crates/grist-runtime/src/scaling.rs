@@ -81,14 +81,15 @@ pub fn weak_scaling_efficiencies(
     Ok(effs)
 }
 
-/// Per-step structural costs measured from a metered run's counter
+/// Per-step communication structure measured from a metered run's counter
 /// registry. Only deterministic counters are read — never wall times — so
 /// a calibration taken on one machine reproduces bit-for-bit on another.
+/// `substrate.dispatches` is not among them: how many host dispatches a
+/// step makes is a property of how far the host kernels are fused, not of
+/// how many operator kernel groups GRIST launches
+/// ([`SdpdModelConfig::dyn_kernel_groups`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredCosts {
-    /// Kernel-group dispatches per rank per dynamics step
-    /// (`substrate.dispatches`).
-    pub kernel_groups_per_step: f64,
     /// Gathered halo exchanges per rank per dynamics step
     /// (`halo.exchanges`).
     pub exchanges_per_step: f64,
@@ -110,12 +111,10 @@ impl MeasuredCosts {
                 v => Ok(v as f64),
             }
         };
-        let dispatches = need("substrate.dispatches")?;
         let exchanges = need("halo.exchanges")?;
         let messages = need("halo.messages")?;
         let bytes = need("halo.bytes")?;
         Ok(MeasuredCosts {
-            kernel_groups_per_step: dispatches / rank_steps as f64,
             exchanges_per_step: exchanges / rank_steps as f64,
             messages_per_exchange: messages / exchanges,
             bytes_per_message: bytes / messages,
@@ -256,13 +255,12 @@ impl Default for SdpdModelConfig {
 }
 
 impl SdpdModelConfig {
-    /// Replace the hand-set per-step structure constants with costs
-    /// measured from a metered run, and set the comm/compute overlap
-    /// fraction. Wall-derived constants (roofline fractions, software
-    /// latencies) stay modeled: counter-derived values are deterministic
-    /// across machines, wall times are not.
+    /// Replace the hand-set exchange count with the one measured from a
+    /// metered run, and set the comm/compute overlap fraction. Wall-derived
+    /// constants (roofline fractions, software latencies) stay modeled:
+    /// counter-derived values are deterministic across machines, wall times
+    /// are not.
     pub fn with_measured(mut self, costs: &MeasuredCosts, overlap_factor: f64) -> Self {
-        self.dyn_kernel_groups = costs.kernel_groups_per_step;
         self.exchanges_per_dyn_step = costs.exchanges_per_step;
         self.overlap_factor = overlap_factor.clamp(0.0, 1.0);
         self
@@ -587,17 +585,17 @@ mod tests {
         assert_eq!(
             err,
             ScalingError::MissingCounter {
-                name: "substrate.dispatches"
+                name: "halo.exchanges"
             }
         );
-        assert!(err.to_string().contains("substrate.dispatches"), "{err}");
-        // A registry with kernels but no halo traffic names the halo counter.
-        metrics.counter_add("substrate.dispatches", 10);
-        let err = MeasuredCosts::from_metrics(&metrics, 8).expect_err("no halo counters");
+        assert!(err.to_string().contains("halo.exchanges"), "{err}");
+        // A registry with rounds but no messages names the next counter.
+        metrics.counter_add("halo.exchanges", 10);
+        let err = MeasuredCosts::from_metrics(&metrics, 8).expect_err("no message counter");
         assert_eq!(
             err,
             ScalingError::MissingCounter {
-                name: "halo.exchanges"
+                name: "halo.messages"
             }
         );
     }
@@ -605,17 +603,20 @@ mod tests {
     #[test]
     fn measured_costs_come_out_per_rank_step() {
         let metrics = Metrics::default();
+        // Host dispatches are recorded and deliberately not read.
         metrics.counter_add("substrate.dispatches", 120);
         metrics.counter_add("halo.exchanges", 12);
         metrics.counter_add("halo.messages", 36);
         metrics.counter_add("halo.bytes", 7_200);
         let costs = MeasuredCosts::from_metrics(&metrics, 12).expect("all counters present");
-        assert_eq!(costs.kernel_groups_per_step, 10.0);
         assert_eq!(costs.exchanges_per_step, 1.0);
         assert_eq!(costs.messages_per_exchange, 3.0);
         assert_eq!(costs.bytes_per_message, 200.0);
         let cfg = SdpdModelConfig::default().with_measured(&costs, 0.4);
-        assert_eq!(cfg.dyn_kernel_groups, 10.0);
+        assert_eq!(
+            cfg.dyn_kernel_groups,
+            SdpdModelConfig::default().dyn_kernel_groups
+        );
         assert_eq!(cfg.exchanges_per_dyn_step, 1.0);
         assert_eq!(cfg.overlap_factor, 0.4);
     }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # API-surface gate: instrumentation is a context, not a suffix (DESIGN.md
 # "Instrumentation is a context, not a suffix"). Fails if any public
-# function under crates/ is named for the instrumentation it adds, or if
+# function under crates/ is named for the instrumentation it adds or for
+# the index subset it runs over (`*_on`: the shallow-water kernels take
+# their subset as an argument, DESIGN.md §5), or if
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
 # §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
@@ -14,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if grep -rnE "pub fn \w+_(metered|chaos|observed|traced|with_obs)\b" crates; then
+if grep -rnE "pub fn \w+_(metered|chaos|observed|traced|with_obs|on)\b" crates; then
     echo "api_surface: FAIL — fold the variant(s) above into the layer's context" >&2
     exit 1
 fi
@@ -37,7 +39,7 @@ fi
 
 # Every `unsafe` in the dycore is a `ColumnsMut::col` under the "each index
 # dispatched once" contract; the ceiling only ever comes down.
-dycore_unsafe_ceiling=37
+dycore_unsafe_ceiling=32
 dycore_unsafe=$(grep -rwo "unsafe" --include='*.rs' crates/grist-dycore/src | wc -l)
 if [ "$dycore_unsafe" -gt "$dycore_unsafe_ceiling" ]; then
     echo "api_surface: FAIL — grist-dycore has ${dycore_unsafe} unsafe occurrences, ceiling ${dycore_unsafe_ceiling}" >&2

@@ -37,6 +37,7 @@ for dma in sync double; do
     echo "-- GRIST_DMA=$dma"
     GRIST_DMA=$dma cargo test --release -q -p grist-core --test integration_kernels
     GRIST_DMA=$dma cargo test --release -q --test integration_fused_step
+    GRIST_DMA=$dma cargo test --release -q --test integration_swe_fused
     GRIST_DMA=$dma cargo test --release -q --test integration_eos
 done
 
@@ -55,7 +56,7 @@ echo "== telemetry plane (SLO + health-alert + disabled-overhead gates) =="
 cargo run --release -p grist-bench --bin obs_report -- \
     target/obs_dashboard.json target/obs_report.md
 
-echo "== bench pins: in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + 30%, tracer-off < 1%), then exact diff vs BENCH_*.json =="
+echo "== bench pins: in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + exchange order on every rank lane, tracer-off < 1%), then exact diff vs BENCH_*.json =="
 cargo run --release -p grist-bench --bin bench_gate -- --out target/bench
 
 echo "== scaling figures (10, 11) regenerate =="

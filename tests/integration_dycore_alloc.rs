@@ -2,7 +2,9 @@
 //! seen: per-column scratch and the per-tracer mass are reused workspace, and
 //! the metrics registry builds a kernel's key on its first dispatch under a
 //! span, not on every one. What the first sight costs is the same at every
-//! mesh size.
+//! mesh size. A shallow-water RK3 step — plain, or with its first stage split
+//! into interior and remainder — keeps its stage state and both tendencies
+//! in the solver and allocates nothing either.
 //!
 //! One test only: the allocator's counters are process-global (see
 //! `support/counting_alloc.rs`).
@@ -11,6 +13,7 @@
 mod counting_alloc;
 
 use grist_dycore::hevi::{NhConfig, NhSolver};
+use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
 use grist_dycore::VerticalCoord;
 use grist_mesh::HexMesh;
 use sunway_sim::Substrate;
@@ -47,8 +50,36 @@ fn step_allocs(level: u32, ntracers: usize, dyn_per_trac: usize, nth: usize) -> 
     (allocs, bytes)
 }
 
+/// Allocations of a warmed-up `step_rk3`, and of a warmed-up step whose
+/// stage 1 runs phased over a ragged interior.
+fn swe_step_allocs(level: u32) -> (u64, u64) {
+    let mut solver = SweSolver::<f64>::new(HexMesh::build(level));
+    let mut state = williamson_tc2::<f64>(&solver.mesh);
+    let interior: Vec<u32> = (0..solver.mesh.n_cells() as u32)
+        .filter(|c| c % 3 != 1)
+        .collect();
+    let phases = SwePhases::build(&solver.mesh, &interior);
+    let mut phased = |solver: &mut SweSolver<f64>| {
+        solver.step_rk3_with_stage1(&mut state, 300.0, |sv, st, th, tu| {
+            sv.tendencies_subset(st, th, tu, &phases.interior);
+            sv.tendencies_subset(st, th, tu, &phases.remainder);
+        })
+    };
+    phased(&mut solver);
+    let ((), phased_allocs, _) = counting_alloc::count(|| phased(&mut solver));
+    let ((), plain_allocs, _) = counting_alloc::count(|| solver.step_rk3(&mut state, 300.0));
+    (plain_allocs, phased_allocs)
+}
+
 #[test]
 fn step_allocations_do_not_scale_with_the_mesh() {
+    for level in [2, 3] {
+        assert_eq!(
+            swe_step_allocs(level),
+            (0, 0),
+            "level {level}: (plain, phased) shallow-water steps allocated"
+        );
+    }
     for ntracers in [1, 3] {
         for (what, dyn_per_trac, nth, expect_none) in [
             ("transport every step", 1, 3, true),

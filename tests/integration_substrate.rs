@@ -42,10 +42,38 @@ fn swe_tc2_height_matches_serial_on_cpe_teams() {
     // The teams run must actually have dispatched through the profiler.
     let report = teams.sub.kernel_report();
     assert!(!report.is_empty(), "CPE-teams run recorded no kernels");
-    // Kernel names are span-qualified (`dycore/swe_momentum_tend`).
-    assert!(report
-        .iter()
-        .any(|r| r.name.ends_with("swe_momentum_tend") && r.calls >= steps as u64));
+    // A stage is four kernels, three stages a step; names are
+    // span-qualified (`dycore/swe_momentum_tend`).
+    for kernel in [
+        "swe_mass_flux",
+        "swe_cell_tend",
+        "swe_vertex",
+        "swe_momentum_tend",
+    ] {
+        let name = format!("dycore/{kernel}");
+        assert!(
+            report
+                .iter()
+                .any(|r| r.name == name && r.calls == 3 * steps as u64),
+            "{name} not dispatched 3 x {steps} times: {report:?}"
+        );
+    }
+    // The stand-alone operators the four absorbed are no longer dispatched.
+    for absorbed in [
+        "cell_to_edge",
+        "vert_to_edge",
+        "vert_velocity",
+        "tangential_velocity",
+        "gradient",
+        "kinetic_energy",
+        "vorticity",
+        "divergence",
+    ] {
+        assert!(
+            !report.iter().any(|r| r.name.ends_with(absorbed)),
+            "a shallow-water step dispatched the stand-alone {absorbed}: {report:?}"
+        );
+    }
 }
 
 /// Coupled-model surface pressure after ≥10 dynamics steps (with physics

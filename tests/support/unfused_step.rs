@@ -1,15 +1,18 @@
 //! One dynamics step composed from the stand-alone
-//! `grist_dycore::operators`, one field written per pass, in the order the
-//! solver dispatched them before its kernels were fused — the reference
-//! `tests/integration_fused_step.rs` holds `NhSolver::step` to bit for bit,
-//! and, run on the `powf` form of the equation of state the solver used to
-//! evaluate, the reference `tests/integration_eos.rs` bounds the
-//! one-logarithm form against.
+//! `grist_dycore::operators` (and the four of `unfused_operators.rs`), one
+//! field written per pass, in the order the solver dispatched them before
+//! its kernels were fused — the reference `tests/integration_fused_step.rs`
+//! holds `NhSolver::step` to bit for bit, and, run on the `powf` form of the
+//! equation of state the solver used to evaluate, the reference
+//! `tests/integration_eos.rs` bounds the one-logarithm form against.
 //!
 //! This file is the only place the unfused sequence lives.
 
 // Indexed loops, as in the kernels this spells out.
 #![allow(clippy::needless_range_loop)]
+
+#[path = "unfused_operators.rs"]
+mod unfused_operators;
 
 use grist_dycore::constants::{CP, GRAVITY, KAPPA, P0, RDRY};
 use grist_dycore::hevi::{NhSolver, NhState};
@@ -19,6 +22,7 @@ use grist_dycore::vertical::thomas_solve;
 use grist_dycore::{Field2, PrecisionMode, Real};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use sunway_sim::Substrate;
+use unfused_operators::{cell_to_edge, tangential_velocity, vert_to_edge, vert_velocity};
 
 /// The `RunConfig` precision whose model is a `GristModel<R>`.
 pub fn precision_of<R: Real>() -> PrecisionMode {
@@ -132,9 +136,9 @@ impl<R: Real> Unfused<R> {
                 *vor.at_mut(k, v) += geom.f_vert[v];
             }
         }
-        op::vert_to_edge(sub, mesh, &vor, &mut pv_edge);
-        op::vert_velocity(sub, mesh, geom, &st.u, &mut ve, &mut vn);
-        op::tangential_velocity(sub, mesh, geom, &ve, &vn, &mut vt);
+        vert_to_edge(mesh, &vor, &mut pv_edge);
+        vert_velocity(mesh, geom, &st.u, &mut ve, &mut vn);
+        tangential_velocity(mesh, geom, &ve, &vn, &mut vt);
         op::gradient(sub, mesh, geom, &ke, &mut grad_ke);
         // Divergence damping.
         op::divergence(sub, mesh, geom, &st.u, &mut div_u);
@@ -143,7 +147,7 @@ impl<R: Real> Unfused<R> {
         let mut grad_exner = Field2::<f64>::zeros(nlev, ne);
         let mut theta_edge = Field2::<f64>::zeros(nlev, ne);
         op::gradient(sub, mesh, geom64, &exner, &mut grad_exner);
-        op::cell_to_edge(sub, mesh, &theta, &mut theta_edge);
+        cell_to_edge(mesh, &theta, &mut theta_edge);
 
         // Momentum update (forward step).
         let nu = R::from_f64(self.div_damp * self.dx2 / dt);
