@@ -18,7 +18,6 @@ pub mod coupling;
 pub mod datagen;
 pub mod diag;
 pub mod health;
-pub mod history;
 pub mod mlsuite;
 pub mod model;
 pub mod observe;
@@ -38,7 +37,6 @@ pub use datagen::{
 };
 pub use diag::{bin_latlon, precision_gate, spatial_correlation, PrecisionGate};
 pub use health::{HealthReport, HealthThresholds, RunState};
-pub use history::{read_snapshot, HistoryRecord, HistoryWriter, Snapshot};
 pub use mlsuite::{MlOutput, MlSuite, ScratchPool, DEFAULT_ML_BLOCK};
 pub use model::{GristModel, HaloHook, HaloPhase, PhysicsEngine, RecoveryOutcome};
 pub use overlap::{swe_dyn_step, DynStepMode};

@@ -12,10 +12,10 @@
 //! *block*, metered with `run_with_bytes` so DMA counters, the `ml` trace
 //! span and the fault/degradation path all see the batched kernel. All
 //! intermediate storage comes from a shared [`ScratchPool`]; after warm-up
-//! the steady-state loop performs zero heap allocations (inference side —
-//! the `MlOutput` assembly still allocates its `Tendencies`, exactly as the
-//! per-column path always has), which
-//! [`MlSuite::scratch_alloc_events`] lets tests assert.
+//! the steady-state loop performs zero heap allocations — a block runs one
+//! path and every buffer on it is a pooled arena — on the inference side
+//! (the `MlOutput` assembly allocates its `Tendencies`, as the per-column
+//! path does), which [`MlSuite::scratch_alloc_events`] lets tests assert.
 //!
 //! The batched path is **bitwise identical** to the per-column reference
 //! ([`MlSuite::step_columns_per_column`]): the GEMM kernel accumulates each
@@ -32,7 +32,7 @@ use grist_ml::{cnn_batch_flops, mlp_batch_flops, GemmVariant};
 use grist_physics::column::consts::LVAP;
 use grist_physics::surface::{bulk_fluxes, SurfaceConfig};
 use grist_physics::{Column, SurfaceDiag, Tendencies};
-use sunway_sim::{stage_chunks, ColumnsMut, CopyStats, DmaMode, LdmArena, Substrate, SunwaySpec};
+use sunway_sim::{ColumnsMut, Substrate};
 
 /// Default number of columns per batched dispatch block. Sized so the
 /// largest LDM-*resident* panel (an activation matrix, `ch × B·nlev` f32:
@@ -296,57 +296,12 @@ impl MlSuite {
             self.mlp_input_into(col, row);
         }
 
-        // Normalize in place — under DmaMode::DoubleBuffered the rows are
-        // staged through LDM with the prefetch-overlap pipeline (one row
-        // per chunk), the same bits the plain in-place loop produces.
-        match self.sub.dma_mode() {
-            DmaMode::Synchronous => {
-                for row in xs_cnn.chunks_mut(CNN_INPUT_CHANNELS * nlev) {
-                    self.cnn.normalize_input(row);
-                }
-                for row in xs_mlp.chunks_mut(n_in) {
-                    self.mlp.normalize_input(row);
-                }
-            }
-            DmaMode::DoubleBuffered => {
-                let mut arena = LdmArena::new(&SunwaySpec::next_gen());
-                let stats = CopyStats::default();
-                let fault = self.sub.fault_plan();
-                let mut degradations = 0u64;
-                for (xs, row_len, net) in [
-                    (&mut *xs_cnn, CNN_INPUT_CHANNELS * nlev, true),
-                    (&mut *xs_mlp, n_in, false),
-                ] {
-                    let report = stage_chunks(
-                        DmaMode::DoubleBuffered,
-                        &mut arena,
-                        row_len,
-                        xs,
-                        &stats,
-                        fault.as_ref(),
-                        |_, row| {
-                            if net {
-                                self.cnn.normalize_input(row);
-                            } else {
-                                self.mlp.normalize_input(row);
-                            }
-                        },
-                    )
-                    .expect("ML stage rows fit the LDM arena");
-                    degradations += u64::from(report.degraded_at.is_some());
-                    self.sub
-                        .metrics()
-                        .counter_add("fault.injected", report.injected);
-                    self.sub
-                        .metrics()
-                        .counter_add("fault.retries", report.retries);
-                }
-                use std::sync::atomic::Ordering as O;
-                let m = self.sub.metrics();
-                m.counter_add("dma.transactions", stats.dma_transfers.load(O::Relaxed));
-                m.counter_add("dma.bytes", stats.dma_bytes.load(O::Relaxed));
-                m.counter_add("fault.degradations", degradations);
-            }
+        // Normalize in place, one row per column.
+        for row in xs_cnn.chunks_mut(CNN_INPUT_CHANNELS * nlev) {
+            self.cnn.normalize_input(row);
+        }
+        for row in xs_mlp.chunks_mut(n_in) {
+            self.mlp.normalize_input(row);
         }
 
         // One im2col+GEMM pass per network for the whole block.
@@ -556,38 +511,6 @@ mod tests {
                 assert_eq!(a.diag.lhflx, b.diag.lhflx);
             }
         }
-    }
-
-    #[test]
-    fn dma_modes_are_bitwise_equivalent() {
-        let mut suite = MlSuite::untrained(9, 8, 13);
-        suite.block = 4;
-        let cols = varied_columns(9, 11);
-        suite.sub.set_dma_mode(DmaMode::Synchronous);
-        let reference = suite.step_columns(&cols);
-        suite.sub.set_dma_mode(DmaMode::DoubleBuffered);
-        let got = suite.step_columns(&cols);
-        for (a, b) in got.iter().zip(&reference) {
-            assert_eq!(a.tend.dt_dt, b.tend.dt_dt);
-            assert_eq!(a.tend.dqv_dt, b.tend.dqv_dt);
-            assert_eq!(a.diag.gsw, b.diag.gsw);
-            assert_eq!(a.diag.glw, b.diag.glw);
-            assert_eq!(a.diag.precip, b.diag.precip);
-        }
-    }
-
-    #[test]
-    fn double_buffered_staging_meters_dma_counters() {
-        let mut suite = MlSuite::untrained(8, 8, 3);
-        suite.block = 4;
-        let cols = varied_columns(8, 8);
-        let base = suite.sub.metrics().counter("dma.transactions");
-        suite.sub.set_dma_mode(DmaMode::DoubleBuffered);
-        suite.step_columns(&cols);
-        let staged = suite.sub.metrics().counter("dma.transactions") - base;
-        // 8 columns in 2 blocks: each block stages 4 CNN rows + 4 MLP rows,
-        // one get + one put per row.
-        assert_eq!(staged, 2 * (4 + 4) * 2);
     }
 
     #[test]

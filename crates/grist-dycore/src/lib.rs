@@ -9,7 +9,6 @@
 // Indexed loops mirror the Fortran stencil kernels they reproduce and are
 // clearer than iterator chains for staggered-grid code.
 #![allow(clippy::needless_range_loop)]
-pub mod cfl;
 pub mod constants;
 pub mod diffusion;
 pub mod energetics;
@@ -23,7 +22,6 @@ pub mod swe_cases;
 pub mod tracer;
 pub mod vertical;
 
-pub use cfl::{cfl_report, max_acoustic_dt, CflReport};
 pub use energetics::{energy_budget, EnergyBudget};
 pub use field::{Field1, Field2};
 pub use hevi::{NhSolver, NhState};

@@ -15,7 +15,6 @@
 #![allow(clippy::needless_range_loop)]
 pub mod batch;
 pub mod data;
-pub mod ensemble;
 pub mod flops;
 pub mod gemm;
 pub mod io;
@@ -27,7 +26,6 @@ pub use batch::{
     cnn_batch_flops, mlp_batch_flops, CnnScratch, ColumnScratch, MlpScratch, SampleLayout,
 };
 pub use data::{ChannelNormalizer, Dataset, Sample, TrainingPeriod, TRAINING_PERIODS};
-pub use ensemble::CnnEnsemble;
 pub use flops::{
     achieved_peak_fraction, compare_radiation, gemm_lane_utilization, RadiationComparison,
     WorkloadMix,

@@ -13,7 +13,6 @@
 pub mod cloud;
 pub mod column;
 pub mod convection;
-pub mod gwd;
 pub mod microphysics;
 pub mod pbl;
 pub mod radiation;
@@ -24,6 +23,5 @@ pub use cloud::{cloud_fraction, total_cloud_cover, CloudConfig};
 pub use column::{
     saturation_mixing_ratio, saturation_vapor_pressure, Column, SurfaceDiag, Tendencies,
 };
-pub use gwd::{gravity_wave_drag, GwdConfig};
 pub use radiation::{FlopLedger, RadiationConfig};
 pub use suite::{ColumnPhysicsState, ConventionalSuite, PhysicsOutput, SuiteConfig};

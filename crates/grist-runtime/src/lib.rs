@@ -9,14 +9,12 @@
 // Indexed loops mirror the Fortran stencil kernels they reproduce and are
 // clearer than iterator chains for staggered-grid code.
 #![allow(clippy::needless_range_loop)]
-pub mod collectives;
 pub mod comm;
 pub mod exchange;
 pub mod fattree;
 pub mod pio;
 pub mod scaling;
 
-pub use collectives::{allgather, allreduce_vec, broadcast, reduce};
 pub use comm::{run_world, CommStats, RankCtx};
 pub use exchange::{
     exchange_gathered, halo_fault_key, ExchangeCtx, ExchangeError, ExchangeReceipt,

@@ -8,7 +8,6 @@
 //! a batch of column loads?
 
 use crate::arch::SunwaySpec;
-use crate::substrate::DmaMode;
 
 /// One queued DMA request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,52 +110,6 @@ pub fn simulate_dma_batch(
         .zip(&finish)
         .map(|(&(cpe, _, _), &finish_t)| DmaCompletion { cpe, finish_t })
         .collect()
-}
-
-/// Modeled wall time of one get→compute→put staging loop over `n_chunks`
-/// chunks of `chunk_bytes` each, with `compute_s` seconds of CPE work per
-/// chunk — the timing twin of `omnicopy::stage_chunks`.
-///
-/// One DMA engine serves gets and puts exclusively (a transfer costs
-/// `dma_latency + chunk_bytes / ddr_bandwidth`); the CPE computes one chunk
-/// at a time. [`DmaMode::Synchronous`] fully serializes, so the loop takes
-/// `n · (2·t_dma + compute_s)` exactly. [`DmaMode::DoubleBuffered`] issues
-/// the get of chunk *k+1* the moment compute of chunk *k* starts, hiding
-/// transfers under compute (or compute under transfers) down to the
-/// max(DMA-bound, compute-bound) floor plus fill/drain.
-pub fn staged_loop_time(
-    spec: &SunwaySpec,
-    mode: DmaMode,
-    n_chunks: usize,
-    chunk_bytes: usize,
-    compute_s: f64,
-) -> f64 {
-    let t_dma = spec.dma_latency + chunk_bytes as f64 / spec.ddr_bandwidth;
-    match mode {
-        DmaMode::Synchronous => n_chunks as f64 * (2.0 * t_dma + compute_s),
-        DmaMode::DoubleBuffered => {
-            // Exact event sweep over the two resources: the (exclusive) DMA
-            // engine and the CPE. get(0) fills the pipe; for each chunk the
-            // prefetch of k+1 is issued when compute(k) starts; put(k) is
-            // issued when compute(k) ends; put(n−1) drains.
-            if n_chunks == 0 {
-                return 0.0;
-            }
-            let mut engine_free = t_dma; // get(0) done
-            let mut get_done = t_dma; // chunk 0 resident
-            let mut cpe_free = 0.0f64;
-            for k in 0..n_chunks {
-                let start = cpe_free.max(get_done);
-                if k + 1 < n_chunks {
-                    engine_free = engine_free.max(start) + t_dma;
-                    get_done = engine_free;
-                }
-                cpe_free = start + compute_s;
-                engine_free = engine_free.max(cpe_free) + t_dma;
-            }
-            engine_free
-        }
-    }
 }
 
 /// Effective bandwidth of one isolated transfer of `bytes` (amortization
@@ -287,56 +240,6 @@ mod tests {
             (100_000..2_000_000).contains(&b90),
             "90% threshold {b90} bytes"
         );
-    }
-
-    #[test]
-    fn double_buffering_never_loses_and_hides_transfers() {
-        let s = spec();
-        let chunk = 48 * 1024;
-        let t_dma = s.dma_latency + chunk as f64 / s.ddr_bandwidth;
-        for &n in &[0usize, 1, 2, 7, 32] {
-            for &compute in &[0.1 * t_dma, t_dma, 10.0 * t_dma] {
-                let sync = staged_loop_time(&s, DmaMode::Synchronous, n, chunk, compute);
-                let db = staged_loop_time(&s, DmaMode::DoubleBuffered, n, chunk, compute);
-                assert!((sync - n as f64 * (2.0 * t_dma + compute)).abs() < 1e-12);
-                assert!(db <= sync + 1e-12, "n={n} compute={compute}: {db} > {sync}");
-                // Both resources are lower bounds.
-                if n > 0 {
-                    assert!(db + 1e-12 >= n as f64 * compute);
-                    assert!(db + 1e-12 >= 2.0 * n as f64 * t_dma);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compute_bound_loop_hides_all_but_fill_and_drain() {
-        let s = spec();
-        let chunk = 48 * 1024;
-        let t_dma = s.dma_latency + chunk as f64 / s.ddr_bandwidth;
-        let compute = 20.0 * t_dma;
-        let n = 16;
-        let db = staged_loop_time(&s, DmaMode::DoubleBuffered, n, chunk, compute);
-        // All gets/puts except the fill get and the drain put overlap compute.
-        let ideal = t_dma + n as f64 * compute + t_dma;
-        assert!((db - ideal).abs() < 1e-9, "db {db} vs ideal {ideal}");
-        // vs sync: saves ~2(n−1) transfers.
-        let sync = staged_loop_time(&s, DmaMode::Synchronous, n, chunk, compute);
-        assert!((sync - db - 2.0 * (n as f64 - 1.0) * t_dma).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dma_bound_loop_is_pinned_to_the_engine() {
-        let s = spec();
-        let chunk = 256 * 1024;
-        let t_dma = s.dma_latency + chunk as f64 / s.ddr_bandwidth;
-        let compute = 0.01 * t_dma;
-        let n = 16;
-        let db = staged_loop_time(&s, DmaMode::DoubleBuffered, n, chunk, compute);
-        // The engine serves 2n transfers back to back; compute slips into
-        // the gaps except for the very last chunk's compute.
-        assert!(db >= 2.0 * n as f64 * t_dma);
-        assert!(db <= 2.0 * n as f64 * t_dma + n as f64 * compute + 1e-9);
     }
 
     #[test]

@@ -179,11 +179,11 @@ impl FaultPlan {
     }
 
     /// Hand out the next deterministic [`FaultSite::Dma`] event key: a
-    /// running ordinal over DMA-carrying dispatches and chunk gets. The other
-    /// sites derive keys that name the event — compute dispatches through
-    /// [`Self::next_dispatch_key`], the halo exchange from its
-    /// `(rank, src, tag)` — so neither a restructured step nor rank-thread
-    /// interleaving can perturb their schedule.
+    /// running ordinal over the plan's byte-carrying dispatches, one draw
+    /// per dispatch. The other sites derive keys that name the event —
+    /// compute dispatches through [`Self::next_dispatch_key`], the halo
+    /// exchange from its `(rank, src, tag)` — so neither a restructured step
+    /// nor rank-thread interleaving can perturb their schedule.
     pub(crate) fn next_dma_key(&self) -> u64 {
         self.seqs.dma.fetch_add(1, Ordering::Relaxed)
     }

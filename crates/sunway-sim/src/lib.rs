@@ -43,21 +43,18 @@ pub mod trace;
 pub use arch::SunwaySpec;
 pub use distributor::{AllocPolicy, PoolAllocator};
 pub use dma::{
-    amortization_threshold, effective_bandwidth, simulate_dma_batch, staged_loop_time,
-    DmaCompletion, DmaRequest,
+    amortization_threshold, effective_bandwidth, simulate_dma_batch, DmaCompletion, DmaRequest,
 };
 pub use fault::{dispatch_fault_key, FaultError, FaultPlan, FaultSite};
 pub use json::{Json, JsonError};
 pub use ldcache::{simulate_streams, Access, LdCache};
 pub use metrics::{KernelStats, Metrics, MetricsSnapshot, SpanGuard, SpanStats};
-pub use omnicopy::{
-    omnicopy, stage_chunks, CopyStats, LdmArena, LdmOverflow, PipelineReport, Space,
-};
+pub use omnicopy::{omnicopy, CopyStats, LdmArena, LdmOverflow, Space};
 pub use perf::{
     fig9_kernels, fig9_table, kernel_time, stream_hit_ratio, ExecTarget, KernelSpec, PerfModel,
 };
 pub use substrate::{
-    format_kernel_report, kernel_report_rows, ColumnsMut, DmaMode, ExecTargetKind, KernelReportRow,
+    format_kernel_report, kernel_report_rows, ColumnsMut, ExecTargetKind, KernelReportRow,
     Substrate,
 };
 pub use swgomp::{JobServer, JobStats};

@@ -8,18 +8,17 @@
 //! (`step` → `dycore`/`physics`/`ml`), every named kernel dispatch records
 //! under the currently open span path, and the hardware simulators
 //! ([`dma`](crate::dma), [`ldcache`](crate::ldcache),
-//! [`distributor`](crate::distributor), `omnicopy`, and the halo exchange in
-//! `grist-runtime`) feed counters like `dma.bytes`, `ldcache.misses`, and
-//! `halo.messages`. [`MetricsSnapshot`] freezes the whole registry and
-//! round-trips through JSON; its counters and kernel call/item/byte counts
-//! are what the `BENCH_*.json` pins hold exactly (`bench_gate`).
+//! [`distributor`](crate::distributor), the substrate's byte-carrying
+//! dispatches, and the halo exchange in `grist-runtime`) feed counters like
+//! `dma.bytes`, `ldcache.misses`, and `halo.messages`. [`MetricsSnapshot`]
+//! freezes the whole registry and round-trips through JSON; its counters and
+//! kernel call/item/byte counts are what the `BENCH_*.json` pins hold
+//! exactly (`bench_gate`).
 
 use crate::json::Json;
-use crate::omnicopy::CopyStats;
 use crate::trace::{self, EventKind, Tracer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -317,21 +316,6 @@ impl Metrics {
             .get(name)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Fold an [`omnicopy`](crate::omnicopy::omnicopy) statistics block into
-    /// the DMA counters.
-    pub fn absorb_copy_stats(&self, stats: &CopyStats) {
-        self.counter_add(
-            "dma.transactions",
-            stats.dma_transfers.load(Ordering::Relaxed),
-        );
-        self.counter_add("dma.bytes", stats.dma_bytes.load(Ordering::Relaxed));
-        self.counter_add(
-            "ldm.local_copies",
-            stats.local_copies.load(Ordering::Relaxed),
-        );
-        self.counter_add("ldm.local_bytes", stats.local_bytes.load(Ordering::Relaxed));
     }
 
     /// Freeze every kernel, span, and counter into a snapshot: the lanes
@@ -822,21 +806,5 @@ mod tests {
         let _s = m.span("step");
         let _d = m.span("dycore");
         assert_eq!(m.qualified_kernel("flux"), "step/dycore/flux");
-    }
-
-    #[test]
-    fn absorb_copy_stats_maps_to_dma_counters() {
-        use std::sync::atomic::Ordering;
-        let stats = CopyStats::default();
-        stats.dma_transfers.store(4, Ordering::Relaxed);
-        stats.dma_bytes.store(4096, Ordering::Relaxed);
-        stats.local_copies.store(2, Ordering::Relaxed);
-        stats.local_bytes.store(64, Ordering::Relaxed);
-        let m = Metrics::default();
-        m.absorb_copy_stats(&stats);
-        assert_eq!(m.counter("dma.transactions"), 4);
-        assert_eq!(m.counter("dma.bytes"), 4096);
-        assert_eq!(m.counter("ldm.local_copies"), 2);
-        assert_eq!(m.counter("ldm.local_bytes"), 64);
     }
 }

@@ -28,7 +28,6 @@ use crate::swgomp::JobServer;
 use crate::trace::{self, EventKind};
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -39,54 +38,6 @@ pub enum ExecTargetKind {
     Serial,
     /// Offload through the SWGOMP job server to emulated CPE teams.
     CpeTeams,
-}
-
-/// How LDM staging transfers are scheduled by the omnicopy pipeline.
-///
-/// Both modes move the same bytes in the same chunks (DMA counters are
-/// identical); double buffering only changes *when* the get of chunk `k+1`
-/// is issued — overlapped with the compute of chunk `k`. Selected
-/// per-substrate; the `GRIST_DMA` env var (`sync` | `double`) sets the
-/// process-wide default. Defaults to [`DmaMode::Synchronous`] so existing
-/// counter baselines are unaffected unless a caller opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DmaMode {
-    /// get → compute → put, one chunk at a time.
-    #[default]
-    Synchronous,
-    /// Two LDM buffer slots; prefetch of chunk `k+1` overlaps compute of
-    /// chunk `k` (the SWGOMP/O2ATH `omnicopy` idiom).
-    DoubleBuffered,
-}
-
-impl DmaMode {
-    /// Read `GRIST_DMA` (`sync`/`synchronous` vs. `double`/
-    /// `double-buffered`); unset defaults to [`DmaMode::Synchronous`].
-    /// Unknown values panic so a typo'd CI matrix cell cannot silently
-    /// test the wrong mode.
-    pub fn from_env() -> Self {
-        match std::env::var("GRIST_DMA").ok().as_deref() {
-            None | Some("") => DmaMode::Synchronous,
-            Some("sync") | Some("synchronous") => DmaMode::Synchronous,
-            Some("double") | Some("double-buffered") | Some("db") => DmaMode::DoubleBuffered,
-            Some(other) => panic!("GRIST_DMA={other:?}: expected `sync` or `double`"),
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            DmaMode::Synchronous => 0,
-            DmaMode::DoubleBuffered => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        if v == 0 {
-            DmaMode::Synchronous
-        } else {
-            DmaMode::DoubleBuffered
-        }
-    }
 }
 
 /// One row of a kernel report, ready for display. `name` is the full
@@ -144,9 +95,6 @@ struct SubstrateInner {
     /// Armed chaos schedule, shared by every clone. `None` (the default)
     /// keeps the dispatch path infallible and fault-free.
     fault: Mutex<Option<FaultPlan>>,
-    /// [`DmaMode`] discriminant, shared by every clone (an atomic so the
-    /// CI matrix and benches can flip modes without rebuilding substrates).
-    dma_mode: AtomicU8,
 }
 
 impl SubstrateInner {
@@ -162,7 +110,6 @@ impl SubstrateInner {
             policy,
             metrics,
             fault: Mutex::new(None),
-            dma_mode: AtomicU8::new(DmaMode::from_env().to_u8()),
         }
     }
 }
@@ -249,17 +196,6 @@ impl Substrate {
         self.inner.kind
     }
 
-    /// How LDM staging pipelines dispatched through this substrate schedule
-    /// their transfers (shared by every clone).
-    pub fn dma_mode(&self) -> DmaMode {
-        DmaMode::from_u8(self.inner.dma_mode.load(Ordering::Relaxed))
-    }
-
-    /// Override the [`DmaMode`] for this substrate and every clone.
-    pub fn set_dma_mode(&self, mode: DmaMode) {
-        self.inner.dma_mode.store(mode.to_u8(), Ordering::Relaxed);
-    }
-
     /// Worker count of the offload target; 1 for the serial target (the
     /// MPE itself).
     pub fn n_cpes(&self) -> usize {
@@ -306,11 +242,6 @@ impl Substrate {
     /// still live) if one was armed.
     pub fn disarm_faults(&self) -> Option<FaultPlan> {
         self.inner.fault.lock().unwrap().take()
-    }
-
-    /// A clone of the currently armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.fault.lock().unwrap().clone()
     }
 
     /// Dispatch `0..n_items` as the named kernel, recording wall time, the
@@ -755,25 +686,11 @@ mod tests {
     fn disarm_restores_the_fault_free_path() {
         let sub = Substrate::cpe_teams(2);
         sub.arm_faults(FaultPlan::new(0).pin(FaultSite::Dispatch, dispatch_fault_key("calm", 0)));
-        assert!(sub.fault_plan().is_some());
         let plan = sub.disarm_faults().expect("was armed");
         assert_eq!(plan.seed(), 0);
-        assert!(sub.fault_plan().is_none());
+        assert!(sub.disarm_faults().is_none());
         sub.run("calm", 64, |_| {});
         assert_eq!(sub.metrics().counter("fault.injected"), 0);
-    }
-
-    #[test]
-    fn dma_mode_is_shared_by_clones() {
-        let sub = Substrate::cpe_teams(2);
-        let clone = sub.clone();
-        // Unset env default: sync (skip when a CI matrix cell pins the env,
-        // since constructors read it).
-        if std::env::var_os("GRIST_DMA").is_none() {
-            assert_eq!(sub.dma_mode(), DmaMode::Synchronous);
-        }
-        clone.set_dma_mode(DmaMode::DoubleBuffered);
-        assert_eq!(sub.dma_mode(), DmaMode::DoubleBuffered);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 # the index subset it runs over (`*_on`: the shallow-water kernels take
 # their subset as an argument, DESIGN.md §5), or if
 # the deleted dycore lane layer / kernel-mode switch reappears (DESIGN.md
-# §11 "Why the dycore has no hand-written lanes") or the JSON/hex checkpoint
+# §11 "Why the dycore has no hand-written lanes") or a DMA scheduling mode
+# and its staging pipeline do (§11 "Why there is no DMA mode"), or library
+# code reads the environment (behaviour comes from arguments, never from a
+# process-wide variable), or the JSON/hex checkpoint
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
 # image, no second reader), or the tolerance-band bench comparator does
 # (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `bench_gate`; wall
@@ -21,8 +24,16 @@ if grep -rnE "pub fn \w+_(metered|chaos|observed|traced|with_obs|on)\b" crates; 
     exit 1
 fi
 
-if grep -rnE "GRIST_SIMD|KernelMode|LaneVec" crates; then
-    echo "api_surface: FAIL — one plain loop per dycore kernel; no kernel-mode switch" >&2
+if grep -rnE "GRIST_SIMD|KernelMode|LaneVec|GRIST_DMA|DmaMode|stage_chunks|staged_loop_time" crates; then
+    echo "api_surface: FAIL — one plain loop per dycore kernel, one omnicopy; no kernel-mode or DMA-mode switch" >&2
+    exit 1
+fi
+
+# The `CHAOS_SEED` reads in two bench bins and a test are harness code,
+# outside this set.
+if grep -rnE "env::var(_os)?\(" --include='*.rs' \
+    crates/core/src crates/grist-*/src crates/sunway-sim/src; then
+    echo "api_surface: FAIL — library code reads no environment variable; take the value as an argument" >&2
     exit 1
 fi
 
@@ -59,12 +70,9 @@ pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
 tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
-env_reads=$(grep -rE "std::env::var\(" --include='*.rs' \
-    crates/core/src crates/grist-*/src crates/sunway-sim/src | wc -l)
 bins=$(ls crates/bench/src/bin | wc -l)
-echo "api_surface: OK — no suffix-named public functions, no lane layer, no hex checkpoint codec, no bench tolerance bands"
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads in library code, no hex checkpoint codec, no bench tolerance bands"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
 echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins}"
 echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
 echo "api_surface: powf occurrences in crates/grist-dycore/src/hevi.rs: ${hevi_powf} (ceiling ${hevi_powf_ceiling})"
-echo "api_surface: std::env::var reads under crates/{core,grist-*,sunway-sim}/src: ${env_reads}"

@@ -32,15 +32,6 @@ for seed in 42 7 1234; do
     CHAOS_SEED=$seed cargo run --release -p grist-bench --bin chaos_smoke
 done
 
-echo "== kernel matrix (sync/double DMA vs sync oracle) =="
-for dma in sync double; do
-    echo "-- GRIST_DMA=$dma"
-    GRIST_DMA=$dma cargo test --release -q -p grist-core --test integration_kernels
-    GRIST_DMA=$dma cargo test --release -q --test integration_fused_step
-    GRIST_DMA=$dma cargo test --release -q --test integration_swe_fused
-    GRIST_DMA=$dma cargo test --release -q --test integration_eos
-done
-
 echo "== trace report (traced multi-rank chaos run + attribution) =="
 cargo run --release -p grist-bench --bin trace_report -- \
     target/trace.json target/trace_report.json

@@ -1,16 +1,18 @@
 //! Cross-crate integration tests of the batched GEMM inference engine: the
 //! property-style equivalence suite (batched [`MlSuite::step_columns`] vs
 //! the per-column reference, bitwise, across every batch shape and both
-//! execution targets), the zero-allocation steady-state guarantee, the
-//! FLOP-accounting consistency check against the exact GEMM op counts the
-//! lowering issues, and the surface-parameter plumbing pin.
+//! execution targets), the same equivalence under `FaultSite::Dma` faults
+//! (retried, then degraded to the calling thread), the zero-allocation
+//! steady-state guarantee, the FLOP-accounting consistency check against the
+//! exact GEMM op counts the lowering issues, and the surface-parameter
+//! plumbing pin.
 
-use grist_core::{MlSuite, DEFAULT_ML_BLOCK};
+use grist_core::{MlOutput, MlSuite, DEFAULT_ML_BLOCK};
 use grist_ml::gemm_flops;
 use grist_physics::surface::bulk_fluxes;
 use grist_physics::Column;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use sunway_sim::Substrate;
+use sunway_sim::{FaultPlan, FaultSite, Substrate};
 
 /// Seeded column population (vendored `rand` shim — deterministic per
 /// seed): the reference column with every ML-visible field perturbed.
@@ -84,6 +86,76 @@ fn batched_results_are_independent_of_execution_target() {
         assert_eq!(x.diag.gsw, y.diag.gsw);
         assert_eq!(x.diag.precip, y.diag.precip);
     }
+}
+
+/// Every value of every output as its bit pattern, in column order.
+fn output_bits(out: &[MlOutput]) -> Vec<u64> {
+    out.iter()
+        .flat_map(|o| {
+            let t = &o.tend;
+            let d = &o.diag;
+            [&t.dt_dt, &t.dqv_dt, &t.dqc_dt, &t.dqr_dt]
+                .into_iter()
+                .flatten()
+                .chain([
+                    &d.gsw,
+                    &d.glw,
+                    &d.precip,
+                    &d.shflx,
+                    &d.lhflx,
+                    &d.tskin,
+                    &d.cloud_cover,
+                ])
+                .map(|v| v.to_bits())
+        })
+        .collect()
+}
+
+/// `ml_physics_blocks` carries bytes, so `FaultSite::Dma` is its fault site:
+/// one key per `step_columns` call, in call order.
+#[test]
+fn dma_site_faults_retry_or_degrade_without_moving_a_bit() {
+    let nlev = 10;
+    let mut clean = MlSuite::untrained(nlev, 16, 9);
+    clean.sub = Substrate::serial();
+    let mut suite = MlSuite::untrained(nlev, 16, 9);
+    suite.sub = Substrate::cpe_teams(4);
+    let m = suite.sub.metrics();
+
+    // Transient faults inside a generous retry budget: every call offloads.
+    suite.sub.arm_faults(
+        FaultPlan::new(5)
+            .with_rate(FaultSite::Dma, 0.3)
+            .with_max_retries(10),
+    );
+    for (ni, n) in batch_sizes().into_iter().enumerate() {
+        let cols = random_columns(nlev, n, 300 + ni as u64);
+        assert_eq!(
+            output_bits(&suite.step_columns(&cols)),
+            output_bits(&clean.step_columns(&cols)),
+            "transient DMA faults moved bits at n {n}"
+        );
+    }
+    assert!(m.counter("fault.injected") > 0, "rate 0.3 never fired");
+    assert_eq!(m.counter("fault.retries"), m.counter("fault.injected"));
+    assert_eq!(m.counter("fault.degradations"), 0);
+    assert!(m.counter("dma.bytes") > 0);
+
+    // A fault pinned on the next call outlives the budget: that call runs
+    // on the calling thread and attributes no DMA traffic.
+    suite
+        .sub
+        .arm_faults(FaultPlan::new(5).pin(FaultSite::Dma, 0).with_max_retries(1));
+    let cols = random_columns(nlev, DEFAULT_ML_BLOCK + 5, 77);
+    let (bytes, injected) = (m.counter("dma.bytes"), m.counter("fault.injected"));
+    assert_eq!(
+        output_bits(&suite.step_columns(&cols)),
+        output_bits(&clean.step_columns(&cols)),
+        "the degraded dispatch moved bits"
+    );
+    assert_eq!(m.counter("fault.degradations"), 1);
+    assert_eq!(m.counter("fault.injected") - injected, 2);
+    assert_eq!(m.counter("dma.bytes"), bytes, "a degraded call is not DMA");
 }
 
 #[test]
