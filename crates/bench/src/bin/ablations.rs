@@ -10,7 +10,6 @@
 
 use grist_bench::{fmt, Table};
 use grist_mesh::{bfs_cell_order, edge_index_span, HexMesh, Partition, Permutation};
-use grist_runtime::pio::n_writers;
 use sunway_sim::distributor::{AllocPolicy, PoolAllocator};
 use sunway_sim::ldcache::{simulate_streams, LdCache};
 use sunway_sim::SunwaySpec;
@@ -127,14 +126,15 @@ fn main() {
     t3b.write_csv("ablation_reorder_cache").expect("csv");
 
     // ---------------- 4. Grouped I/O ----------------
+    // Groups of `g` ranks ship to one leader that writes: `⌈p / g⌉` writers.
     println!("\n# Ablation 4: grouped parallel I/O writer counts\n");
     let mut t4 = Table::new(&["processes", "group=1 (naive)", "group=64", "group=256"]);
     for p in [128usize, 32_768, 524_288] {
         t4.row(&[
             p.to_string(),
-            n_writers(p, 1).to_string(),
-            n_writers(p, 64).to_string(),
-            n_writers(p, 256).to_string(),
+            p.div_ceil(1).to_string(),
+            p.div_ceil(64).to_string(),
+            p.div_ceil(256).to_string(),
         ]);
     }
     t4.print();

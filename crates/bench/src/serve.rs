@@ -31,7 +31,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use grist_core::{extract_columns, GristModel, RunConfig};
-use grist_obs::Histogram;
 use grist_serve::{
     default_suite, derive, run_ensemble, spawn_ensemble, EnsembleConfig, ForecastServer,
     PoolTarget, Product, ProductData, Query, QueryEngine, Response, Select, ServeConfig,
@@ -130,7 +129,6 @@ fn ensemble_config(cfg: &ServeBenchConfig, run: &RunConfig) -> EnsembleConfig {
         run: run.clone(),
         perturb_scale: cfg.perturb_scale,
         target: PoolTarget::Serial,
-        obs: None,
     }
 }
 
@@ -326,15 +324,10 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
             max_batch: cfg.max_batch,
         },
     ));
-    // Per-query latencies stream into the shared log-bucketed histogram
-    // (grist-obs) — the same implementation the live telemetry plane uses,
-    // so the bench and the SLO gate can never disagree on what "p99" means.
-    let lat_hist = Arc::new(Histogram::new());
     let t0 = Instant::now();
     let clients: Vec<std::thread::JoinHandle<()>> = (0..cfg.clients)
         .map(|client| {
             let server = Arc::clone(&server);
-            let lat_hist = Arc::clone(&lat_hist);
             let members = cfg.members;
             let n = cfg.client_queries;
             std::thread::spawn(move || {
@@ -349,9 +342,7 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
                         (client * 37 + i * 11) % ncells,
                         product,
                     );
-                    let t = Instant::now();
                     server.query_blocking(q).expect("traffic query");
-                    lat_hist.record(t.elapsed().as_nanos() as u64);
                 }
             })
         })
@@ -361,11 +352,14 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
     }
     let wall_s = t0.elapsed().as_secs_f64();
     ensemble.join();
+    // The server's own queue-to-answer histogram — the one the SLO reads,
+    // so the bench and the SLO gate never disagree on what "p99" means.
+    let lat =
+        traffic_engine.substrate().metrics().snapshot().histograms["serve.latency_ns"].clone();
     drop(traffic_engine);
     if let Ok(server) = Arc::try_unwrap(server) {
         server.shutdown();
     }
-    let lat = lat_hist.snapshot();
     let (p50_ms, p99_ms) = (lat.percentile_ms(0.50), lat.percentile_ms(0.99));
     let qps = lat.count as f64 / wall_s.max(1e-12);
 
@@ -493,15 +487,15 @@ mod tests {
         );
     }
 
-    /// Satellite pin: the shared histogram percentile and the retired
-    /// sort-and-index estimator use the same rank convention, so on a
+    /// The registry histogram's percentile and the sort-and-index
+    /// estimator use the same rank convention, so on a
     /// seeded sample they land in the same bucket — exactly equal once the
     /// sample is quantized to bucket lower bounds, and within the layout's
     /// 1/16 relative quantization on raw values.
     #[test]
     fn histogram_percentiles_agree_with_sort_and_index_on_a_seeded_sample() {
-        use grist_obs::{bucket_index, bucket_lo};
-        // The retired estimator, kept as the pin's reference.
+        use sunway_sim::{bucket_index, bucket_lo, Histogram};
+        // The sort-and-index estimator, kept as the reference.
         fn sort_index(sorted: &[u64], p: f64) -> u64 {
             sorted[((sorted.len() - 1) as f64 * p).round() as usize]
         }
@@ -514,11 +508,10 @@ mod tests {
                 x % 200_000_000 // ns-scale latencies up to 200 ms
             })
             .collect();
-        let h = Histogram::new();
+        let mut snap = Histogram::default();
         for &v in &sample {
-            h.record(v);
+            snap.record(v);
         }
-        let snap = h.snapshot();
         sample.sort_unstable();
         for p in [0.50, 0.90, 0.99] {
             let reference = sort_index(&sample, p);
@@ -536,11 +529,10 @@ mod tests {
         // Pre-quantized sample (bucket_lo∘bucket_index is monotone, so the
         // sorted order survives): the two methods agree exactly.
         let quantized: Vec<u64> = sample.iter().map(|&v| bucket_lo(bucket_index(v))).collect();
-        let h2 = Histogram::new();
+        let mut snap2 = Histogram::default();
         for &v in &quantized {
-            h2.record(v);
+            snap2.record(v);
         }
-        let snap2 = h2.snapshot();
         for p in [0.0, 0.50, 0.90, 0.99, 1.0] {
             assert_eq!(snap2.percentile(p), sort_index(&quantized, p), "p{p}");
         }

@@ -231,6 +231,9 @@ pub fn merge_snapshots(base: &mut MetricsSnapshot, extra: &MetricsSnapshot) {
     for (k, &v) in &extra.counters {
         *base.counters.entry(k.clone()).or_default() += v;
     }
+    for (k, h) in &extra.histograms {
+        base.histograms.entry(k.clone()).or_default().merge(h);
+    }
 }
 
 fn config_json(config: &RunConfig) -> Json {

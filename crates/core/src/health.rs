@@ -23,9 +23,25 @@ use grist_dycore::{Field2, Real};
 use grist_mesh::EARTH_RADIUS_M;
 use std::fmt;
 
-/// Trust-region bounds for [`GristModel::health_with`] — defined once, in
-/// `grist-obs`, so the streaming watch applies the same two numbers.
-pub use grist_obs::HealthThresholds;
+/// The wind/CFL trust region [`GristModel::health_with`] classifies a run
+/// against. The scan is its only reader: the streaming health watch takes
+/// the scan's verdict, not these numbers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HealthThresholds {
+    /// Maximum plausible |u| \[m/s\] before the run is declared unstable.
+    pub max_wind: f64,
+    /// Maximum advective CFL number `max|u|·dt_dyn / min Δx`.
+    pub max_cfl: f64,
+}
+
+impl Default for HealthThresholds {
+    fn default() -> Self {
+        HealthThresholds {
+            max_wind: 350.0,
+            max_cfl: 2.0,
+        }
+    }
+}
 
 /// Classified run state, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -1,15 +1,14 @@
-//! SLO policy: the contract the serving stack is held to, evaluated
-//! continuously against the live histograms and the health watch.
+//! SLO policy: the contract the serving stack is held to.
 //!
 //! An [`SloPolicy`] is three numbers — a p99 latency ceiling, a throughput
-//! floor, and an alert budget — and [`SloPolicy::evaluate`] turns a moment's
-//! telemetry into an [`SloStatus`] listing every violated term. The server
-//! evaluates after each batch (cheap: one histogram snapshot); `obs_report`
-//! evaluates once more at the end of a traffic scenario and gates CI on the
-//! result.
+//! floor, and an alert budget — and [`SloPolicy::evaluate`] turns a latency
+//! histogram, the window it was recorded over and a health-alert count into
+//! an [`SloStatus`] listing every violated term. It is a pure function of
+//! its arguments: nothing on the request path evaluates it. `obs_report`
+//! evaluates it once, on the registry snapshot at the end of a traffic
+//! scenario, and gates CI on the result.
 
-use crate::hist::HistSnapshot;
-use sunway_sim::Json;
+use sunway_sim::Histogram;
 
 /// Serving-stack service-level objectives.
 #[derive(Debug, Clone, Copy)]
@@ -77,31 +76,12 @@ impl SloStatus {
     pub fn ok(&self) -> bool {
         self.violated.is_empty()
     }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(self.ok())),
-            ("queries".into(), Json::Num(self.queries as f64)),
-            ("p99_ms".into(), Json::Num(self.p99_ms)),
-            ("qps".into(), Json::Num(self.qps)),
-            ("alerts".into(), Json::Num(self.alerts as f64)),
-            (
-                "violated".into(),
-                Json::Arr(
-                    self.violated
-                        .iter()
-                        .map(|t| Json::Str(t.name().into()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 impl SloPolicy {
-    /// Evaluate against a latency snapshot, the wall-clock window it was
-    /// recorded over, and the current health-alert count.
-    pub fn evaluate(&self, latency: &HistSnapshot, window_s: f64, alerts: u64) -> SloStatus {
+    /// Evaluate against a latency histogram, the wall-clock window it was
+    /// recorded over, and the health-alert count.
+    pub fn evaluate(&self, latency: &Histogram, window_s: f64, alerts: u64) -> SloStatus {
         let queries = latency.count;
         let p99_ms = latency.percentile_ms(0.99);
         let qps = if window_s > 0.0 {
@@ -129,28 +109,18 @@ impl SloPolicy {
             violated,
         }
     }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("p99_latency_ms".into(), Json::Num(self.p99_latency_ms)),
-            ("qps_floor".into(), Json::Num(self.qps_floor)),
-            ("alert_budget".into(), Json::Num(self.alert_budget as f64)),
-            ("min_queries".into(), Json::Num(self.min_queries as f64)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
 
-    fn latencies(ns: &[u64]) -> HistSnapshot {
-        let h = Histogram::new();
+    fn latencies(ns: &[u64]) -> Histogram {
+        let mut h = Histogram::default();
         for &v in ns {
             h.record(v);
         }
-        h.snapshot()
+        h
     }
 
     #[test]
@@ -193,20 +163,5 @@ mod tests {
         assert!(st.ok(), "below min_queries: perf terms not enforced");
         let st = policy.evaluate(&latencies(&[9_000_000u64; 5]), 1e6, 1);
         assert_eq!(st.violated, vec![SloTerm::AlertBudget]);
-    }
-
-    #[test]
-    fn status_json_names_violated_terms() {
-        let policy = SloPolicy {
-            p99_latency_ms: 0.5,
-            qps_floor: 0.0,
-            alert_budget: 0,
-            min_queries: 1,
-        };
-        let st = policy.evaluate(&latencies(&[4_000_000]), 1.0, 0);
-        let j = st.to_json();
-        assert_eq!(j.get("ok"), Some(&Json::Bool(false)));
-        let v = j.get("violated").and_then(Json::as_arr).unwrap();
-        assert_eq!(v[0].as_str(), Some("p99_latency"));
     }
 }

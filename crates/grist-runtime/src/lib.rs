@@ -3,8 +3,8 @@
 //! The parallelization facilitation layer (§3.1.3) of the GRIST-rs
 //! reproduction: an in-process message-passing rank world (the MPI
 //! stand-in), the linked-list gathered halo exchange, the 16:3-oversubscribed
-//! fat-tree network model, grouped parallel I/O, and the SDPD scaling
-//! projection behind Figs. 10–11.
+//! fat-tree network model, and the SDPD scaling projection behind
+//! Figs. 10–11.
 
 // Indexed loops mirror the Fortran stencil kernels they reproduce and are
 // clearer than iterator chains for staggered-grid code.
@@ -12,7 +12,6 @@
 pub mod comm;
 pub mod exchange;
 pub mod fattree;
-pub mod pio;
 pub mod scaling;
 
 pub use comm::{run_world, CommStats, RankCtx};
@@ -21,7 +20,6 @@ pub use exchange::{
     PendingExchange, VarList,
 };
 pub use fattree::{boundary_fraction, exchange_time, ExchangeProfile, ExchangeTime};
-pub use pio::{grouped_write, io_group, n_writers, IoGroup};
 pub use scaling::{
     grid_by_label, table2_grids, weak_scaling_efficiencies, weak_scaling_ladder, GridSpec,
     MeasuredCosts, ScalingError, Scheme, SdpdModel, SdpdModelConfig, SdpdResult,

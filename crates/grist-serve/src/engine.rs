@@ -20,7 +20,6 @@
 use crate::store::SnapshotStore;
 use grist_core::{extract_columns, GristModel, MlOutput, MlSuite, RunConfig};
 use grist_dycore::Real;
-use grist_obs::ObsPlane;
 use grist_physics::Column;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -243,7 +242,6 @@ pub struct QueryEngine<R: Real> {
     lons: Vec<f64>,
     sub: Substrate,
     cache_enabled: bool,
-    pub(crate) obs: Option<Arc<ObsPlane>>,
 }
 
 impl<R: Real> QueryEngine<R> {
@@ -281,7 +279,6 @@ impl<R: Real> QueryEngine<R> {
             lons,
             sub,
             cache_enabled: true,
-            obs: None,
         }
     }
 
@@ -292,18 +289,10 @@ impl<R: Real> QueryEngine<R> {
         self
     }
 
-    /// Attach a telemetry plane. A [`ForecastServer`](crate::ForecastServer)
-    /// started on this engine mints a trace ID per submitted query
-    /// (flow-joined to its kernels in the Perfetto export), records each
-    /// served batch's size and every member's queue-to-answer latency, and
-    /// re-evaluates the SLO policy after each batch.
-    pub fn with_obs(mut self, plane: Arc<ObsPlane>) -> Self {
-        self.obs = Some(plane);
-        self
-    }
-
     /// The engine's substrate (counters: `serve.queries`, `serve.batches`,
-    /// `serve.view.restores`, `serve.cache.{hits,misses}`, `serve.ml.cells`).
+    /// `serve.view.restores`, `serve.cache.{hits,misses}`, `serve.ml.cells`;
+    /// a [`ForecastServer`](crate::ForecastServer) on this engine adds the
+    /// `serve.latency_ns` and `serve.batch_size` histograms).
     pub fn substrate(&self) -> &Substrate {
         &self.sub
     }
@@ -422,7 +411,7 @@ impl<R: Real> QueryEngine<R> {
     ///
     /// Request-scoped flow IDs arrive through the caller's
     /// [`flow_scope`](sunway_sim::flow_scope) (the server installs one per
-    /// batch; see `ObsPlane::mint_trace_id` in `grist-obs`): each live ID
+    /// batch, with the IDs its tracer minted at submit): each live ID
     /// gets a `FlowStep` on this worker's lane as the batch opens, and the
     /// same scope rides into every substrate dispatch under the batch,
     /// joining the served answer to its kernel spans in the Perfetto export.

@@ -7,14 +7,18 @@
 //! `advance` calls** — the snapshot-isolation rule — and the pools
 //! barrier between epochs so no member's published frontier runs more
 //! than one epoch ahead of the slowest pool.
+//!
+//! After every epoch each member samples its physics health into its own
+//! [`HealthWatch`]: drift is measured against the member's own first
+//! sample, so members never share one. The alerts come back in the pool's
+//! [`RankReport`].
 
 use crate::store::{EpochView, SnapshotStore};
 use grist_core::{GristModel, RunConfig};
 use grist_dycore::Real;
-use grist_obs::ObsPlane;
+use grist_obs::{Alert, HealthWatch, WatchThresholds};
 use grist_runtime::run_world;
 use std::sync::Arc;
-use std::time::Instant;
 use sunway_sim::Substrate;
 
 /// Which execution target each rank pool builds for its members. Each pool
@@ -53,19 +57,17 @@ pub struct EnsembleConfig {
     pub perturb_scale: f64,
     /// Execution target each pool builds.
     pub target: PoolTarget,
-    /// Telemetry plane to report into: every member advance records an
-    /// epoch-advance duration, and each member samples its physics health
-    /// (mass/energy drift, CFL, NaN census) into the plane's `HealthWatch`
-    /// after every epoch. The integration itself is bitwise unchanged.
-    pub obs: Option<Arc<ObsPlane>>,
 }
 
 /// What one rank pool did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankReport {
     pub rank: usize,
     pub members: Vec<usize>,
     pub publishes: u64,
+    /// Health alerts the pool's members raised, each with its member, in
+    /// raise order.
+    pub alerts: Vec<(usize, Alert)>,
 }
 
 fn mix(member: usize, k: usize, c: usize) -> u64 {
@@ -128,6 +130,11 @@ pub fn run_ensemble<R: Real>(cfg: &EnsembleConfig, store: &Arc<SnapshotStore>) -
                 model
             })
             .collect();
+        let mut watches: Vec<HealthWatch> = mine
+            .iter()
+            .map(|_| HealthWatch::new(WatchThresholds::default()))
+            .collect();
+        let mut alerts = Vec::new();
         let mut publishes = 0u64;
         // Epoch 0: every member visible before anyone advances, so queries
         // issued from the first moment of the run always find a view.
@@ -138,13 +145,9 @@ pub fn run_ensemble<R: Real>(cfg: &EnsembleConfig, store: &Arc<SnapshotStore>) -
         ctx.barrier(1_000);
         let advance_s = cfg.dyn_steps_per_epoch as f64 * cfg.run.dt_dyn;
         for e in 0..cfg.epochs {
-            for (model, &m) in models.iter_mut().zip(&mine) {
-                let t0 = Instant::now();
+            for ((model, watch), &m) in models.iter_mut().zip(&mut watches).zip(&mine) {
                 model.advance(advance_s);
-                if let Some(plane) = &cfg.obs {
-                    plane.record_epoch_advance_ns(t0.elapsed().as_nanos() as u64);
-                    model.sample_health(plane);
-                }
+                alerts.extend(model.sample_health(watch).into_iter().map(|a| (m, a)));
                 publish_member(store, m, model);
                 publishes += 1;
             }
@@ -155,6 +158,7 @@ pub fn run_ensemble<R: Real>(cfg: &EnsembleConfig, store: &Arc<SnapshotStore>) -
             rank: ctx.rank,
             members: mine,
             publishes,
+            alerts,
         }
     });
     reports
@@ -194,7 +198,6 @@ mod tests {
             run: RunConfig::for_level(2, 6),
             perturb_scale: 1e-6,
             target: PoolTarget::Serial,
-            obs: None,
         }
     }
 
@@ -217,38 +220,11 @@ mod tests {
             assert_eq!(epochs, vec![0, 2, 4], "member {member} epoch ladder");
             assert!(store.latest(member).is_some());
         }
-    }
-
-    #[test]
-    fn observed_ensemble_matches_plain_and_feeds_the_plane() {
-        let store_plain = Arc::new(SnapshotStore::new(2, 8));
-        let store_obs = Arc::new(SnapshotStore::new(2, 8));
-        let cfg = small_cfg(2, 2);
-        let plane = Arc::new(ObsPlane::default());
-        run_ensemble::<f64>(&cfg, &store_plain);
-        let observed = EnsembleConfig {
-            obs: Some(Arc::clone(&plane)),
-            ..cfg
-        };
-        run_ensemble::<f64>(&observed, &store_obs);
-        for member in 0..2 {
-            assert_eq!(
-                store_plain.latest(member).unwrap().state_hash,
-                store_obs.latest(member).unwrap().state_hash,
-                "member {member}: observation must not perturb the trajectory"
-            );
+        // Every member was sampled into its own watch; a healthy ensemble
+        // raises nothing.
+        for r in &reports {
+            assert!(r.alerts.is_empty(), "rank {}: {:?}", r.rank, r.alerts);
         }
-        // 2 members × 2 epochs of observed advances, all sampled.
-        let epochs = plane.epoch_advance_snapshot();
-        assert_eq!(epochs.count, 4);
-        assert!(epochs.min > 0, "epoch advance took measurable time");
-        assert_eq!(plane.watch().ingested(), 4);
-        assert_eq!(
-            plane.watch().alert_count(),
-            0,
-            "healthy ensemble must not alert: {:?}",
-            plane.watch().alerts()
-        );
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!   pools via [`run_world`](grist_runtime::run_world), publishing a view
 //!   per member per epoch.
 //!
-//! The stack is instrumented for the live telemetry plane (DESIGN.md §13):
-//! a [`ForecastServer`] started on an engine with a plane attached
-//! ([`QueryEngine::with_obs`]) mints request-scoped trace IDs and records
-//! per-query latency / per-batch size into the shared
-//! [`ObsPlane`](grist_obs::ObsPlane), re-evaluating its SLO policy after
-//! every batch, and [`run_ensemble`] under an [`EnsembleConfig`] carrying
-//! the same plane streams per-epoch physics health into it.
+//! Telemetry lives in the registry and tracer the engine's substrate already
+//! owns (DESIGN.md §13): a [`ForecastServer`] records per-query latency and
+//! per-batch size as histograms in the engine's `Metrics`, and takes its
+//! request-scoped flow IDs from the engine's tracer, so turning tracing on
+//! is the one switch that joins a served answer to its kernel spans.
+//! [`run_ensemble`] samples every member's physics health into that
+//! member's own `HealthWatch` and returns the alerts in its [`RankReport`]s.
 
 pub mod engine;
 pub mod ensemble;

@@ -8,10 +8,14 @@
 //! batches grow toward `max_batch` and every batch becomes one
 //! `ScratchPool`-backed ML dispatch, while an idle server answers a lone
 //! query with no added latency.
+//!
+//! Each served batch records its size (`serve.batch_size`) and every query's
+//! queue-to-answer latency (`serve.latency_ns`) as histograms in the engine's
+//! registry, under one lane lock per batch. Request-scoped flow IDs come from
+//! the engine's tracer, so tracing is the one switch for flow events.
 
 use crate::engine::{Query, QueryEngine, Response, ServeError};
 use grist_dycore::Real;
-use grist_obs::ObsPlane;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,9 +42,10 @@ impl Default for ServeConfig {
 struct Job {
     query: Query,
     reply: Sender<Result<Response, ServeError>>,
-    /// Request-scoped flow ID (0 = untraced; see [`ObsPlane::mint_trace_id`]).
+    /// Request-scoped flow ID (0 = untraced; see
+    /// [`Tracer::mint_flow_id`](sunway_sim::Tracer::mint_flow_id)).
     trace_id: u64,
-    /// Enqueue time — the latency clock the telemetry plane reads.
+    /// Enqueue time — where `serve.latency_ns` starts.
     submitted: Instant,
 }
 
@@ -62,19 +67,16 @@ impl PendingResponse {
 pub struct ForecastServer {
     tx: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<u64>>,
-    obs: Option<Arc<ObsPlane>>,
-    /// The engine's registry (shared handle) — flow begins are recorded on
-    /// the submitting thread's lane through it.
+    /// The engine's registry (shared handle) — flow IDs are minted and flow
+    /// begins recorded on the submitting thread's lane through it.
     metrics: Metrics,
 }
 
 impl ForecastServer {
     /// Start `cfg.workers` threads serving queries against `engine`,
-    /// reporting into the telemetry plane attached to the engine
-    /// ([`QueryEngine::with_obs`]), if any.
+    /// recording into the engine's registry.
     pub fn start<R: Real>(engine: Arc<QueryEngine<R>>, cfg: ServeConfig) -> Self {
         assert!(cfg.workers >= 1 && cfg.max_batch >= 1);
-        let obs = engine.obs.clone();
         let metrics = engine.substrate().metrics().clone();
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -82,10 +84,13 @@ impl ForecastServer {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let engine = Arc::clone(&engine);
-                let obs = obs.clone();
                 let max_batch = cfg.max_batch;
                 std::thread::spawn(move || {
                     let mut served = 0u64;
+                    let metrics = engine.substrate().metrics();
+                    // One batch size and one latency per query, recorded
+                    // under one lock.
+                    let mut samples: Vec<(&'static str, u64)> = Vec::with_capacity(max_batch + 1);
                     loop {
                         // Hold the queue lock only while forming the batch;
                         // serving runs with the queue free for peers.
@@ -109,23 +114,25 @@ impl ForecastServer {
                             let _flow = flow_scope(&ids);
                             engine.serve_batch(&queries)
                         };
+                        // Every answer of the batch is ready now: one clock
+                        // read serves the whole batch's latencies.
+                        let answered = Instant::now();
                         served += batch.len() as u64;
-                        let tracer = engine.substrate().metrics().tracer();
+                        samples.clear();
+                        samples.push(("serve.batch_size", batch.len() as u64));
                         for (job, result) in batch.into_iter().zip(results) {
                             // A client that gave up on its PendingResponse
                             // just drops the answer.
                             let _ = job.reply.send(result);
-                            tracer.record_flow(EventKind::FlowEnd, "request", job.trace_id);
-                            if let Some(plane) = &obs {
-                                plane.record_serve_latency_ns(
-                                    job.submitted.elapsed().as_nanos() as u64
-                                );
-                            }
+                            metrics.tracer().record_flow(
+                                EventKind::FlowEnd,
+                                "request",
+                                job.trace_id,
+                            );
+                            let latency = answered.saturating_duration_since(job.submitted);
+                            samples.push(("serve.latency_ns", latency.as_nanos() as u64));
                         }
-                        if let Some(plane) = &obs {
-                            plane.record_batch_size(queries.len() as u64);
-                            plane.evaluate_slo();
-                        }
+                        metrics.record_hist(&samples);
                     }
                     served
                 })
@@ -134,7 +141,6 @@ impl ForecastServer {
         ForecastServer {
             tx: Some(tx),
             workers,
-            obs,
             metrics,
         }
     }
@@ -142,10 +148,9 @@ impl ForecastServer {
     /// Enqueue a query; returns immediately.
     pub fn submit(&self, query: Query) -> Result<PendingResponse, ServeError> {
         let (reply, rx) = channel();
-        let trace_id = self.obs.as_ref().map_or(0, |p| p.mint_trace_id());
-        self.metrics
-            .tracer()
-            .record_flow(EventKind::FlowBegin, "request", trace_id);
+        let tracer = self.metrics.tracer();
+        let trace_id = tracer.mint_flow_id();
+        tracer.record_flow(EventKind::FlowBegin, "request", trace_id);
         self.tx
             .as_ref()
             .ok_or(ServeError::Disconnected)?
@@ -195,7 +200,7 @@ mod tests {
     use grist_core::{GristModel, RunConfig};
     use sunway_sim::Substrate;
 
-    fn served_engine(cfg: &RunConfig, obs: Option<Arc<ObsPlane>>) -> Arc<QueryEngine<f64>> {
+    fn served_engine(cfg: &RunConfig) -> Arc<QueryEngine<f64>> {
         let store = Arc::new(SnapshotStore::new(1, 2));
         let model = GristModel::<f64>::new(cfg.clone());
         store.publish(EpochView {
@@ -204,22 +209,18 @@ mod tests {
             state_hash: model.state_hash(),
             checkpoint: model.checkpoint(),
         });
-        let engine = QueryEngine::new(
+        Arc::new(QueryEngine::new(
             store,
             cfg.clone(),
             Substrate::serial(),
             default_suite(cfg.nlev),
-        );
-        Arc::new(match obs {
-            Some(plane) => engine.with_obs(plane),
-            None => engine,
-        })
+        ))
     }
 
     #[test]
     fn concurrent_submits_all_answer_and_match_direct_serving() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg, None);
+        let engine = served_engine(&cfg);
         let server = ForecastServer::start(
             Arc::clone(&engine),
             ServeConfig {
@@ -246,17 +247,23 @@ mod tests {
         }
         let served = server.shutdown();
         assert_eq!(served, 40);
-        // Batching happened: fewer engine batches than queries.
-        let batches = engine.substrate().metrics().counter("serve.batches");
+        // Batching happened: fewer engine batches than queries, and the
+        // histograms saw every batch and every query.
+        let snap = engine.substrate().metrics().snapshot();
+        let batches = snap.counters["serve.batches"];
         assert!(batches <= 40, "{batches} batches for 40 queries");
+        let sizes = &snap.histograms["serve.batch_size"];
+        assert_eq!((sizes.count, sizes.sum), (batches, 40));
+        let latency = &snap.histograms["serve.latency_ns"];
+        assert_eq!(latency.count, 40);
+        assert!(latency.min > 0, "queue-to-answer latency is nonzero");
     }
 
     #[test]
-    fn observed_server_records_latency_batches_and_joined_flows() {
+    fn a_traced_engine_joins_every_query_to_its_kernels() {
         use sunway_sim::EventKind;
         let cfg = RunConfig::for_level(2, 6);
-        let plane = Arc::new(ObsPlane::default());
-        let engine = served_engine(&cfg, Some(Arc::clone(&plane)));
+        let engine = served_engine(&cfg);
         engine.substrate().metrics().tracer().enable();
         let server = ForecastServer::start(
             Arc::clone(&engine),
@@ -266,36 +273,25 @@ mod tests {
             },
         );
         const N: usize = 24;
-        let pending: Vec<PendingResponse> = (0..N)
+        let pending: Vec<(Query, PendingResponse)> = (0..N)
             .map(|i| {
-                server
-                    .submit(Query::cell(0, i % engine.n_cells(), Product::Precip))
-                    .unwrap()
+                let q = Query::cell(0, i % engine.n_cells(), Product::Precip);
+                (q.clone(), server.submit(q).unwrap())
             })
             .collect();
-        for p in pending {
-            p.wait().unwrap();
+        for (q, p) in pending {
+            assert_eq!(p.wait().unwrap(), engine.serve_one_percol(&q).unwrap());
         }
         server.shutdown();
 
-        // Every query got an ID and a latency record; batch sizes sum to
-        // the total.
-        assert_eq!(plane.mint_trace_id(), N as u64 + 1, "one ID per query");
-        let lat = plane.serve_latency_snapshot();
-        assert_eq!(lat.count, N as u64);
-        assert!(lat.min > 0, "queue-to-answer latency is nonzero");
-        assert_eq!(plane.batch_size_snapshot().sum, N as u64);
-        // The SLO ran at least once per batch and generously holds.
-        assert!(plane.slo_evals() >= 1);
-        let status = plane.last_slo_status().expect("slo evaluated");
-        assert!(status.ok(), "smoke SLO breached: {:?}", status.violated);
-
         // Flow join: one begin + one end per query, and at least one step
         // per query (the serving batch stamps every member's ID).
-        let snap = engine.substrate().metrics().tracer().snapshot();
+        let tracer = engine.substrate().metrics().tracer();
+        let snap = tracer.snapshot();
         assert_eq!(snap.count_kind(EventKind::FlowBegin), N);
         assert_eq!(snap.count_kind(EventKind::FlowEnd), N);
         assert!(snap.count_kind(EventKind::FlowStep) >= N);
+        assert_eq!(tracer.mint_flow_id(), N as u64 + 1, "one ID per query");
         // The batch's cache-miss dispatch stamped flow steps on the kernel
         // name, scoping requests down to substrate lanes.
         let dispatch_steps = snap
@@ -316,26 +312,27 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_server_mints_no_ids_and_stays_bit_identical() {
+    fn an_untraced_engine_mints_no_ids_and_stays_bit_identical() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg, None);
-        engine.substrate().metrics().tracer().enable();
+        let engine = served_engine(&cfg);
         let server = ForecastServer::start(Arc::clone(&engine), ServeConfig::default());
         let q = Query::cell(0, 3, Product::T2m);
         let served = server.query_blocking(q.clone()).unwrap();
         assert_eq!(served, engine.serve_one_percol(&q).unwrap());
-        assert!(engine.obs.is_none());
         server.shutdown();
-        // No plane, no IDs: the traced run carries no flow event at all.
-        let snap = engine.substrate().metrics().tracer().snapshot();
-        let stats = sunway_sim::validate_chrome(&snap.to_chrome_json()).unwrap();
-        assert_eq!(stats.flows, 0, "an unobserved server must not record flows");
+        // Tracing off: no ID was minted (the first one a traced run gets is
+        // 1) and the timeline holds no flow event.
+        let tracer = engine.substrate().metrics().tracer();
+        let stats = sunway_sim::validate_chrome(&tracer.snapshot().to_chrome_json()).unwrap();
+        assert_eq!(stats.flows, 0, "an untraced server must not record flows");
+        tracer.enable();
+        assert_eq!(tracer.mint_flow_id(), 1, "serving untraced minted nothing");
     }
 
     #[test]
     fn shutdown_disconnects_cleanly() {
         let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg, None);
+        let engine = served_engine(&cfg);
         let server = ForecastServer::start(engine, ServeConfig::default());
         let p = server.submit(Query::cell(0, 0, Product::T2m)).unwrap();
         assert!(p.wait().is_ok());

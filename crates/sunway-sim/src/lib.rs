@@ -15,8 +15,9 @@
 //! * [`perf`] — the roofline model behind Fig. 9 (compute-bound MPE,
 //!   bandwidth-bound CPE cluster, f32 traffic halving).
 //! * [`metrics`] — the unified observability registry: hierarchical trace
-//!   spans, per-kernel stats, and hardware-model counters, shared by every
-//!   clone of a [`substrate::Substrate`].
+//!   spans, per-kernel stats, hardware-model counters and named
+//!   [`hist`] distributions, shared by every clone of a
+//!   [`substrate::Substrate`].
 //! * [`json`] — the dependency-free JSON reader/writer behind the
 //!   `BENCH_*.json` benchmark baselines (the workspace builds offline, so
 //!   serde is unavailable).
@@ -31,6 +32,7 @@ pub mod arch;
 pub mod distributor;
 pub mod dma;
 pub mod fault;
+pub mod hist;
 pub mod json;
 pub mod ldcache;
 pub mod metrics;
@@ -46,6 +48,7 @@ pub use dma::{
     amortization_threshold, effective_bandwidth, simulate_dma_batch, DmaCompletion, DmaRequest,
 };
 pub use fault::{dispatch_fault_key, FaultError, FaultPlan, FaultSite};
+pub use hist::{bucket_hi, bucket_index, bucket_lo, Histogram, HIST_BUCKETS, HIST_LAYOUT};
 pub use json::{Json, JsonError};
 pub use ldcache::{simulate_streams, Access, LdCache};
 pub use metrics::{KernelStats, Metrics, MetricsSnapshot, SpanGuard, SpanStats};

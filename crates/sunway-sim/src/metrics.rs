@@ -10,11 +10,14 @@
 //! ([`dma`](crate::dma), [`ldcache`](crate::ldcache),
 //! [`distributor`](crate::distributor), the substrate's byte-carrying
 //! dispatches, and the halo exchange in `grist-runtime`) feed counters like
-//! `dma.bytes`, `ldcache.misses`, and `halo.messages`. [`MetricsSnapshot`]
-//! freezes the whole registry and round-trips through JSON; its counters and
-//! kernel call/item/byte counts are what the `BENCH_*.json` pins hold
-//! exactly (`bench_gate`).
+//! `dma.bytes`, `ldcache.misses`, and `halo.messages`. Distributions —
+//! the serving front-end's `serve.latency_ns` and `serve.batch_size` — are
+//! named [`Histogram`]s recorded through [`Metrics::record_hist`] into the
+//! same per-thread lanes. [`MetricsSnapshot`] freezes the whole registry and
+//! round-trips through JSON; its counters and kernel call/item/byte counts
+//! are what the `BENCH_*.json` pins hold exactly (`bench_gate`).
 
+use crate::hist::Histogram;
 use crate::json::Json;
 use crate::trace::{self, EventKind, Tracer};
 use std::cell::RefCell;
@@ -46,15 +49,16 @@ pub struct SpanStats {
 #[derive(Debug, Default)]
 struct MetricsState {
     counters: BTreeMap<String, u64>,
-    /// Every thread that has opened a span or dispatched a kernel on this
-    /// registry, by its [`trace::thread_lane`].
+    /// Every thread that has opened a span, dispatched a kernel or recorded
+    /// a histogram on this registry, by its [`trace::thread_lane`].
     lanes: BTreeMap<u32, Arc<Mutex<Lane>>>,
 }
 
-/// One thread's share of the kernel and span tables. A dispatch touches only
-/// its own thread's lane — found through a thread-local cache, its mutex
-/// contended by nothing but [`Metrics::snapshot`] and [`Metrics::reset`] —
-/// and [`Metrics::snapshot`] merges the lanes by key. Span paths and kernel
+/// One thread's share of the kernel, span and histogram tables. A dispatch
+/// (or a histogram record) touches only its own thread's lane — found
+/// through a thread-local cache, its mutex contended by nothing but
+/// [`Metrics::snapshot`] and [`Metrics::reset`] — and
+/// [`Metrics::snapshot`] merges the lanes by key. Span paths and kernel
 /// keys are built once, the first time the lane sees them: a repeated
 /// dispatch finds its slot by name and adds four integers.
 ///
@@ -68,6 +72,8 @@ struct Lane {
     /// Every span path this lane has opened; `nodes[0]` is the root (no
     /// span open, empty path).
     nodes: Vec<SpanNode>,
+    /// Named distributions recorded on this thread (not span-qualified).
+    hists: Vec<(&'static str, Histogram)>,
 }
 
 #[derive(Debug, Default)]
@@ -94,6 +100,7 @@ impl Default for Lane {
         Lane {
             stack: Vec::new(),
             nodes: vec![SpanNode::default()],
+            hists: Vec::new(),
         }
     }
 }
@@ -151,6 +158,18 @@ impl Lane {
             }
         };
         &mut self.nodes[node].kernels[slot].stats
+    }
+
+    /// The histogram named `name`, created empty on first use.
+    fn hist(&mut self, name: &'static str) -> &mut Histogram {
+        let slot = match self.hists.iter().position(|h| h.0 == name) {
+            Some(slot) => slot,
+            None => {
+                self.hists.push((name, Histogram::default()));
+                self.hists.len() - 1
+            }
+        };
+        &mut self.hists[slot].1
     }
 }
 
@@ -282,6 +301,18 @@ impl Metrics {
         e.bytes += bytes;
     }
 
+    /// Record `(name, value)` samples into the calling thread's named
+    /// histograms, all under one lock of its lane: a caller with several
+    /// values per event (the serving front-end: one batch size and one
+    /// latency per query) pays one lock for the lot.
+    pub fn record_hist(&self, samples: &[(&'static str, u64)]) {
+        let lane = self.lane();
+        let mut lane = lane.lock().expect("metrics lane poisoned");
+        for &(name, v) in samples {
+            lane.hist(name).record(v);
+        }
+    }
+
     /// Add `delta` to the named counter (created at zero on first use).
     /// Resilience counters (`fault.*`, `checkpoint.captures`,
     /// `recovery.restores`) also emit an instant trace event when tracing
@@ -318,8 +349,9 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Freeze every kernel, span, and counter into a snapshot: the lanes
-    /// merged by key, entries nothing has been recorded on left out. Tracer
+    /// Freeze every kernel, span, counter and histogram into a snapshot: the
+    /// lanes merged by key, entries nothing has been recorded on left out.
+    /// Tracer
     /// ring evictions surface here as a synthetic `trace.dropped_events`
     /// counter (only when non-zero, so untraced runs keep their exact
     /// counter sets).
@@ -332,8 +364,17 @@ impl Metrics {
         }
         let mut kernels: BTreeMap<String, KernelStats> = BTreeMap::new();
         let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
         for lane in st.lanes.values() {
             let lane = lane.lock().expect("metrics lane poisoned");
+            for (name, h) in &lane.hists {
+                match histograms.get_mut(*name) {
+                    Some(merged) => merged.merge(h),
+                    None => {
+                        histograms.insert(name.to_string(), h.clone());
+                    }
+                }
+            }
             for node in &lane.nodes {
                 if node.stats.calls > 0 {
                     let e = spans.entry(node.path.clone()).or_default();
@@ -353,6 +394,7 @@ impl Metrics {
             kernels,
             spans,
             counters,
+            histograms,
         }
     }
 
@@ -361,13 +403,15 @@ impl Metrics {
         self.snapshot().kernels.into_iter().collect()
     }
 
-    /// Clear all kernels, spans, and counters (open spans stay open: the
-    /// per-thread stacks are preserved so guards still pop correctly).
+    /// Clear all kernels, spans, counters and histograms (open spans stay
+    /// open: the per-thread stacks are preserved so guards still pop
+    /// correctly).
     pub fn reset(&self) {
         let mut st = self.inner.state.lock().expect("metrics poisoned");
         st.counters.clear();
         for lane in st.lanes.values() {
             let mut lane = lane.lock().expect("metrics lane poisoned");
+            lane.hists.clear();
             for node in &mut lane.nodes {
                 node.stats = SpanStats::default();
                 for k in &mut node.kernels {
@@ -384,11 +428,15 @@ pub struct MetricsSnapshot {
     pub kernels: BTreeMap<String, KernelStats>,
     pub spans: BTreeMap<String, SpanStats>,
     pub counters: BTreeMap<String, u64>,
+    /// Named distributions, `log16-v1` buckets (see [`crate::hist`]).
+    pub histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsSnapshot {
-    /// As a JSON value with `kernels`/`spans`/`counters` objects (stable,
-    /// sorted key order — BTreeMap iteration).
+    /// As a JSON value with `kernels`/`spans`/`counters` objects and, when
+    /// any histogram was recorded, a `histograms` object (stable, sorted key
+    /// order — BTreeMap iteration). A registry that recorded no histogram
+    /// writes no `histograms` key at all.
     pub fn to_json_value(&self) -> Json {
         let kernels = self
             .kernels
@@ -423,11 +471,20 @@ impl MetricsSnapshot {
             .iter()
             .map(|(name, &v)| (name.clone(), Json::Num(v as f64)))
             .collect();
-        Json::Obj(vec![
+        let mut doc = vec![
             ("kernels".into(), Json::Obj(kernels)),
             ("spans".into(), Json::Obj(spans)),
             ("counters".into(), Json::Obj(counters)),
-        ])
+        ];
+        if !self.histograms.is_empty() {
+            let histograms = self
+                .histograms
+                .iter()
+                .map(|(name, h)| (name.clone(), h.to_json()))
+                .collect();
+            doc.push(("histograms".into(), Json::Obj(histograms)));
+        }
+        Json::Obj(doc)
     }
 
     /// Pretty JSON document.
@@ -484,6 +541,14 @@ impl MetricsSnapshot {
                     .ok_or_else(|| format!("counter {name:?}: not a non-negative integer"))?;
                 if snap.counters.insert(name.clone(), v).is_some() {
                     return Err(format!("counter {name:?}: duplicate key"));
+                }
+            }
+        }
+        if let Some(fields) = v.get("histograms").and_then(Json::as_obj) {
+            for (name, entry) in fields {
+                let h = Histogram::from_json(entry).map_err(|e| format!("{name:?}: {e}"))?;
+                if snap.histograms.insert(name.clone(), h).is_some() {
+                    return Err(format!("histogram {name:?}: duplicate key"));
                 }
             }
         }
@@ -797,6 +862,130 @@ mod tests {
             .unwrap();
         assert_eq!(fault.items, 2, "delta rides on the event");
         assert_eq!(m.counter("fault.injected"), 3);
+    }
+
+    #[test]
+    fn concurrent_hist_records_lose_nothing_and_merge_exactly() {
+        const THREADS: u64 = 8;
+        const RECORDS: u64 = 20_000;
+
+        // Deterministic per-thread value stream (xorshift); thread t records
+        // values(t), and the references are rebuilt serially from the same
+        // streams.
+        fn values(t: u64) -> impl Iterator<Item = u64> {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t + 1) | 1;
+            (0..RECORDS).map(move |_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % 100_000_000 // ns-scale, spans many octaves
+            })
+        }
+
+        let m = Metrics::default();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let m = &m;
+                s.spawn(move || {
+                    for v in values(t) {
+                        m.record_hist(&[("lat", v)]);
+                    }
+                });
+            }
+        });
+        let snap = m.snapshot();
+
+        let mut reference = Histogram::default();
+        let (mut even, mut odd) = (Histogram::default(), Histogram::default());
+        for t in 0..THREADS {
+            let split = if t % 2 == 0 { &mut even } else { &mut odd };
+            for v in values(t) {
+                reference.record(v);
+                split.record(v);
+            }
+        }
+        assert_eq!(snap.histograms.len(), 1);
+        let got = &snap.histograms["lat"];
+        assert_eq!(got.count, THREADS * RECORDS, "total count");
+        assert_eq!(*got, reference, "lanes merge bucket for bucket");
+        even.merge(&odd);
+        assert_eq!(even, reference, "a split population merges exactly");
+    }
+
+    #[test]
+    fn histograms_round_trip_and_leave_a_histogram_free_document_unchanged() {
+        // A registry that recorded no histogram writes no `histograms` key
+        // at all: the three-section document, byte for byte.
+        let mut snap = MetricsSnapshot::default();
+        snap.kernels.insert(
+            "step/dycore/flux".into(),
+            KernelStats {
+                calls: 2,
+                nanos: 1_500,
+                items: 84,
+                bytes: 672,
+            },
+        );
+        snap.spans.insert(
+            "step".into(),
+            SpanStats {
+                calls: 1,
+                nanos: 9_000,
+            },
+        );
+        snap.counters.insert("halo.messages".into(), 3);
+        assert_eq!(
+            snap.to_json(),
+            r#"{
+  "kernels": {
+    "step/dycore/flux": {
+      "calls": 2,
+      "nanos": 1500,
+      "items": 84,
+      "bytes": 672
+    }
+  },
+  "spans": {
+    "step": {
+      "calls": 1,
+      "nanos": 9000
+    }
+  },
+  "counters": {
+    "halo.messages": 3
+  }
+}
+"#
+        );
+
+        // With histograms, the section rides along and reads back exactly,
+        // an empty histogram (no `min`) included.
+        let m = Metrics::default();
+        m.record_hist(&[("serve.batch_size", 4), ("serve.latency_ns", 1_234_567)]);
+        m.record_hist(&[("serve.latency_ns", 987_654_321), ("serve.latency_ns", 0)]);
+        let mut with = m.snapshot();
+        assert_eq!(with.histograms["serve.latency_ns"].count, 3);
+        with.histograms.insert("idle".into(), Histogram::default());
+        with.counters = snap.counters.clone();
+        let text = with.to_json();
+        assert!(text.contains("\"histograms\""));
+        assert_eq!(MetricsSnapshot::from_json(&text).unwrap(), with);
+
+        // Strict like every other section.
+        let dup = r#"{"histograms": {
+            "h": {"layout": "log16-v1", "count": 0, "sum": 0, "max": 0, "buckets": {}},
+            "h": {"layout": "log16-v1", "count": 0, "sum": 0, "max": 0, "buckets": {}}}}"#;
+        assert!(MetricsSnapshot::from_json(dup)
+            .unwrap_err()
+            .contains("duplicate"));
+        let foreign = r#"{"histograms": {"h": {"layout": "log2-v0"}}}"#;
+        assert!(MetricsSnapshot::from_json(foreign)
+            .unwrap_err()
+            .contains("layout"));
+
+        // And reset clears them with everything else.
+        m.reset();
+        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

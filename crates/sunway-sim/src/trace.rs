@@ -329,6 +329,8 @@ pub struct Tracer {
     epoch: AtomicU64,
     step: AtomicU64,
     seq: AtomicU64,
+    /// The next request-scoped flow ID [`Self::mint_flow_id`] hands out.
+    next_flow: AtomicU64,
     shared: Mutex<TracerShared>,
 }
 
@@ -340,6 +342,7 @@ impl Default for Tracer {
             epoch: AtomicU64::new(0),
             step: AtomicU64::new(0),
             seq: AtomicU64::new(0),
+            next_flow: AtomicU64::new(1),
             shared: Mutex::new(TracerShared {
                 origin: Instant::now(),
                 capacity: DEFAULT_RING_CAPACITY,
@@ -450,6 +453,18 @@ impl Tracer {
             let dur = t0.elapsed().as_nanos() as u64;
             self.push(EventKind::Chunk, name, Some(t0), dur, items, 0);
         }
+    }
+
+    /// Mint a request-scoped flow ID (monotone from 1 over the tracer's
+    /// lifetime), or the reserved "untraced" ID 0 while tracing is off — so
+    /// a request that arrives untraced records no flow event end to end, at
+    /// the cost of one relaxed load.
+    #[inline]
+    pub fn mint_flow_id(&self) -> u64 {
+        if !self.is_enabled() {
+            return 0;
+        }
+        self.next_flow.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Record one flow-arrow point event (`kind` must be a flow kind; the
@@ -1373,6 +1388,18 @@ mod tests {
         // Sequence numbers stay ordered after un-rotation.
         let seqs: Vec<u64> = snap.lanes[0].events.iter().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn flow_ids_are_minted_only_while_tracing() {
+        let t = Tracer::default();
+        assert_eq!(t.mint_flow_id(), 0, "off: the untraced id");
+        t.enable();
+        assert_eq!((t.mint_flow_id(), t.mint_flow_id()), (1, 2));
+        t.disable();
+        assert_eq!(t.mint_flow_id(), 0);
+        t.enable();
+        assert_eq!(t.mint_flow_id(), 3, "unique over the tracer's lifetime");
     }
 
     #[test]

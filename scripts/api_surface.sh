@@ -12,10 +12,14 @@
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
 # image, no second reader), or the tolerance-band bench comparator does
 # (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `bench_gate`; wall
-# time is judged in `benchmark/`), or if `grist-dycore` gains an `unsafe`
+# time is judged in `benchmark/`), or a second telemetry registry, switch or
+# lock-free histogram does (DESIGN.md §13: histograms live in `Metrics`, the
+# tracer is the one switch), or if `grist-dycore` gains an `unsafe`
 # (ROADMAP item 7: restructure a kernel, do not add a raw-pointer site) or
 # `hevi.rs` a `powf` (DESIGN.md §5: the step's equation of state is one `ln`
-# and its `exp`s), then prints the size numbers PR descriptions quote.
+# and its `exp`s), or the `pub fn` count, the lines under `crates/` or the
+# bins grow past their ceilings, then prints the size numbers PR
+# descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,8 +33,8 @@ if grep -rnE "GRIST_SIMD|KernelMode|LaneVec|GRIST_DMA|DmaMode|stage_chunks|stage
     exit 1
 fi
 
-# The `CHAOS_SEED` reads in two bench bins and a test are harness code,
-# outside this set.
+# The `CHAOS_SEED` reads in one bench bin (`trace_report`) and one test
+# (`integration_chaos`) are harness code, outside this set.
 if grep -rnE "env::var(_os)?\(" --include='*.rs' \
     crates/core/src crates/grist-*/src crates/sunway-sim/src; then
     echo "api_surface: FAIL — library code reads no environment variable; take the value as an argument" >&2
@@ -45,6 +49,12 @@ fi
 # (Each name ends in a one-character class so this line does not match itself.)
 if grep -rnE "time_toleranc[e]|CompareConfi[g]|grist-bench-v[1]|bench_compar[e]" crates scripts; then
     echo "api_surface: FAIL — bench pins are exact (bench_gate); no tolerance bands, no second comparator" >&2
+    exit 1
+fi
+
+# (Each name ends in a one-character class so this line does not match itself.)
+if grep -rnE "ObsPlan[e]|with_ob[s]|absorb_trac[e]|DASHBOARD_VERSIO[N]|grist-obs-v[1]|fetch_ma[x]" crates; then
+    echo "api_surface: FAIL — one registry (Metrics histograms), one switch (the tracer), no lock-free histogram twin" >&2
     exit 1
 fi
 
@@ -66,13 +76,27 @@ if [ "$hevi_powf" -gt "$hevi_powf_ceiling" ]; then
     exit 1
 fi
 
+# Size ceilings: like the `unsafe` one they only ever come down — lower a
+# ceiling to the new count when a change removes code.
+pub_fns_ceiling=546
+crates_lines_ceiling=33824
+bins_ceiling=13
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
 tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 bins=$(ls crates/bench/src/bin | wc -l)
-echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads in library code, no hex checkpoint codec, no bench tolerance bands"
-echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns}"
-echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines}, tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins}"
+at_most() { # what count ceiling
+    if [ "$2" -gt "$3" ]; then
+        echo "api_surface: FAIL — $1 is $2, ceiling $3" >&2
+        exit 1
+    fi
+}
+at_most "pub fn count under crates/{core,grist-*,sunway-sim}" "$pub_fns" "$pub_fns_ceiling"
+at_most "Rust lines under crates/" "$crates_lines" "$crates_lines_ceiling"
+at_most "bins under crates/bench/src/bin" "$bins" "$bins_ceiling"
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads in library code, no hex checkpoint codec, no bench tolerance bands, no second telemetry registry"
+echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns} (ceiling ${pub_fns_ceiling})"
+echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines} (ceiling ${crates_lines_ceiling}), tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins} (ceiling ${bins_ceiling})"
 echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
 echo "api_surface: powf occurrences in crates/grist-dycore/src/hevi.rs: ${hevi_powf} (ceiling ${hevi_powf_ceiling})"

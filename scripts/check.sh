@@ -29,7 +29,6 @@ echo "== chaos suite (3 fixed fault seeds) =="
 for seed in 42 7 1234; do
     echo "-- CHAOS_SEED=$seed"
     CHAOS_SEED=$seed cargo test --release -q --test integration_chaos
-    CHAOS_SEED=$seed cargo run --release -p grist-bench --bin chaos_smoke
 done
 
 echo "== trace report (traced multi-rank chaos run + attribution) =="
@@ -43,9 +42,9 @@ cargo test --release -q --test integration_scenarios
 echo "== serving layer (snapshot isolation) =="
 cargo test --release -q --test integration_serve
 
-echo "== telemetry plane (SLO + health-alert + disabled-overhead gates) =="
+echo "== serving telemetry (end-of-run SLO, no member alert, metrics document re-parses equal) =="
 cargo run --release -p grist-bench --bin obs_report -- \
-    target/obs_dashboard.json target/obs_report.md
+    target/obs_metrics.json target/obs_report.md
 
 echo "== bench pins: in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + exchange order on every rank lane, tracer-off < 1%), then exact diff vs BENCH_*.json =="
 cargo run --release -p grist-bench --bin bench_gate -- --out target/bench

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests of the parallel substrate: the SWGOMP job
-//! server executing real dycore kernels, the distributed-rank shallow-water
-//! run with gathered halo exchanges, and the parallel I/O path.
+//! server executing real dycore kernels and the distributed-rank
+//! shallow-water run with gathered halo exchanges.
 
 use grist_dycore::{Field2, SweSolver};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::{exchange_gathered, grouped_write, run_world, VarList};
+use grist_runtime::{exchange_gathered, run_world, VarList};
 use std::sync::atomic::Ordering;
 use sunway_sim::{JobServer, Substrate};
 
@@ -145,35 +145,4 @@ fn job_server_executes_a_real_divergence_kernel() {
             );
         }
     }
-}
-
-#[test]
-fn grouped_io_roundtrips_a_partitioned_field() {
-    let mesh = HexMesh::build(2);
-    let n_ranks = 6;
-    let partition = Partition::build(&mesh, n_ranks, 1);
-    let truth: Vec<f64> = (0..mesh.n_cells()).map(|c| (c as f64).sin()).collect();
-    let truth_ref = &truth;
-    let partition_ref = &partition;
-
-    let (results, _) = run_world(n_ranks, move |mut ctx| {
-        let owned = partition_ref.cells_of(ctx.rank);
-        let data: Vec<f64> = owned.iter().map(|&c| truth_ref[c as usize]).collect();
-        // One record per rank; offset = first owned cell (deterministic).
-        let offset = owned.first().copied().unwrap_or(0) as u64;
-        let recs = grouped_write(&mut ctx, 3, offset, &data, 9);
-        (owned, recs)
-    });
-
-    // Leaders hold the records of their whole group.
-    let mut n_records = 0;
-    for (_, recs) in results.iter() {
-        if let Some(r) = recs {
-            n_records += r.len();
-        }
-    }
-    assert_eq!(
-        n_records, n_ranks,
-        "every rank's record must reach a leader"
-    );
 }

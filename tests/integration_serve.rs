@@ -42,7 +42,6 @@ fn no_torn_reads_under_concurrent_advance<R: Real>(target: PoolTarget) {
             run: run.clone(),
             perturb_scale: 1e-6,
             target,
-            obs: None,
         },
         Arc::clone(&store),
     );
