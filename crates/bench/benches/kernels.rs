@@ -1,109 +1,19 @@
-//! Micro-benchmarks of the Fig. 9 kernels and the suite/transport hot
-//! paths, in both precisions — the measured counterpart of the modeled
-//! Sunway numbers (`cargo run --release --bin fig9_kernels`). Uses the
-//! offline self-timed harness in `grist_bench::Bencher`.
+//! Micro-benchmarks of the transport, shallow-water, physics and ML hot
+//! paths — host timings beside the modeled Sunway numbers (`cargo run
+//! --release --bin fig9_kernels` times the executed Fig. 9 kernels inside a
+//! coupled window). Uses the offline self-timed harness in
+//! `grist_bench::Bencher`.
 
 use grist_bench::Bencher;
-use grist_dycore::kernels as dk;
 use grist_dycore::operators::ScaledGeometry;
 use grist_dycore::tracer::{fct_transport_step, FctWorkspace};
-use grist_dycore::{Field2, Real, SweSolver};
+use grist_dycore::{Field2, SweSolver};
 use grist_mesh::{HexMesh, Vec3, EARTH_OMEGA, EARTH_RADIUS_M};
 use grist_ml::models::TendencyCnn;
 use grist_physics::{Column, ColumnPhysicsState, ConventionalSuite};
 use sunway_sim::Substrate;
 
 const NLEV: usize = 30;
-
-struct KernelData<R: Real> {
-    geom: ScaledGeometry<R>,
-    ke: Field2<R>,
-    dpi: Field2<R>,
-    theta: Field2<R>,
-    dphi: Field2<R>,
-    qv: Field2<R>,
-    q0: Field2<R>,
-    u: Field2<R>,
-    out_e: Field2<R>,
-    out_c: Field2<R>,
-}
-
-fn kernel_data<R: Real>(mesh: &HexMesh) -> KernelData<R> {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    KernelData {
-        geom: ScaledGeometry::new(mesh, EARTH_RADIUS_M, EARTH_OMEGA),
-        ke: Field2::from_fn(NLEV, nc, |k, c| R::from_f64((c % 97) as f64 + k as f64)),
-        dpi: Field2::constant(NLEV, nc, R::from_f64(800.0)),
-        theta: Field2::constant(NLEV, nc, R::from_f64(300.0)),
-        dphi: Field2::constant(NLEV, nc, R::from_f64(2200.0)),
-        qv: Field2::constant(NLEV, nc, R::from_f64(0.008)),
-        q0: Field2::zeros(NLEV, nc),
-        u: Field2::from_fn(NLEV, ne, |k, e| R::from_f64(((e + k) % 41) as f64 * 0.1)),
-        out_e: Field2::zeros(NLEV, ne),
-        out_c: Field2::zeros(NLEV, nc),
-    }
-}
-
-fn bench_fig9_kernels(sub: &Substrate) {
-    let mesh = HexMesh::build(4);
-    let mut d64 = kernel_data::<f64>(&mesh);
-    let mut d32 = kernel_data::<f32>(&mesh);
-    let mut g = Bencher::group("fig9_kernels");
-
-    g.bench("grad_kinetic_energy/f64", || {
-        dk::grad_kinetic_energy(sub, &mesh, &d64.geom, &d64.ke, &mut d64.out_e)
-    });
-    g.bench("grad_kinetic_energy/f32", || {
-        dk::grad_kinetic_energy(sub, &mesh, &d32.geom, &d32.ke, &mut d32.out_e)
-    });
-    g.bench("primal_normal_flux_edge/f64", || {
-        dk::primal_normal_flux_edge(
-            sub,
-            &mesh,
-            &d64.geom,
-            &d64.u,
-            &d64.dpi,
-            &d64.theta,
-            &mut d64.out_e,
-        )
-    });
-    g.bench("primal_normal_flux_edge/f32", || {
-        dk::primal_normal_flux_edge(
-            sub,
-            &mesh,
-            &d32.geom,
-            &d32.u,
-            &d32.dpi,
-            &d32.theta,
-            &mut d32.out_e,
-        )
-    });
-    g.bench("compute_rrr/f64", || {
-        dk::compute_rrr(
-            sub,
-            &d64.dpi,
-            &d64.dphi,
-            &d64.qv,
-            &d64.q0,
-            &d64.q0,
-            &d64.theta,
-            &mut d64.out_c,
-        )
-    });
-    g.bench("compute_rrr/f32", || {
-        dk::compute_rrr(
-            sub,
-            &d32.dpi,
-            &d32.dphi,
-            &d32.qv,
-            &d32.q0,
-            &d32.q0,
-            &d32.theta,
-            &mut d32.out_c,
-        )
-    });
-    g.finish();
-}
 
 /// The FCT step at the shape the coupled model runs it: G4 × 20 levels
 /// (`aqua_*`, `serve_*`).
@@ -172,7 +82,6 @@ fn main() {
         ("cpe64", Substrate::cpe_teams(64)),
     ] {
         println!("\n# kernels on substrate: {label}");
-        bench_fig9_kernels(&sub);
         bench_tracer_limiter(&sub);
         bench_swe_step(&sub);
     }

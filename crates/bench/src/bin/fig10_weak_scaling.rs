@@ -5,10 +5,12 @@
 //! the paper observes rising from 19% to 37%).
 
 use grist_bench::{fmt, Table};
+use grist_dycore::hevi::DYN_KERNELS;
+use grist_dycore::tracer::FCT_KERNELS;
 use grist_runtime::scaling::{grid_by_label, weak_scaling_ladder, Scheme, SdpdModel};
 
 fn main() {
-    let model = SdpdModel::default();
+    let model = SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS);
     let ladder = weak_scaling_ladder();
 
     println!("# Figure 10: weak scaling (mixed precision), 128 → 524,288 CGs\n");

@@ -4,10 +4,12 @@
 //! `eff(N) = (P_N / N) / (P_32768 / 32768)`.
 
 use grist_bench::{fmt, Table};
+use grist_dycore::hevi::DYN_KERNELS;
+use grist_dycore::tracer::FCT_KERNELS;
 use grist_runtime::scaling::{grid_by_label, Scheme, SdpdModel};
 
 fn main() {
-    let model = SdpdModel::default();
+    let model = SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS);
     let g12 = &grid_by_label("G12").expect("Table 2 row");
     let g11s = &grid_by_label("G11S").expect("Table 2 row");
     let procs: Vec<usize> = (0..5).map(|i| 32_768usize << i).collect();

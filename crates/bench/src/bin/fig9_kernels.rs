@@ -1,88 +1,70 @@
 //! Regenerates **Figure 9**: per-kernel CPE speedups over the MPE
 //! double-precision baseline, for the four variants DP / DP+DST / MIX /
-//! MIX+DST, on the G6 grid (the artifact's 128-process, 100 km demo case).
+//! MIX+DST, of the kernels the dycore executes — the seven of a dynamics
+//! step (`hevi::DYN_KERNELS`) and the five of a tracer's FCT step
+//! (`tracer::FCT_KERNELS`) — on the G6 grid (the artifact's 128-process,
+//! 100 km demo case).
 //!
 //! Two tables are produced:
-//! 1. the modeled Sunway speedups (roofline + LDCache simulator), which is
-//!    the Fig. 9 reproduction proper, and
-//! 2. measured host-CPU timings of the *real* kernels in f64 vs f32 — the
-//!    portable sanity check that mixed precision pays off on bandwidth-bound
-//!    kernels on commodity hardware too.
+//! 1. the modeled Sunway speedups (roofline + LDCache simulator) of each
+//!    kernel's cost descriptor, which is the Fig. 9 reproduction proper, and
+//! 2. the same kernels' host time in one coupled-model window (level 4 × 20
+//!    levels, a baroclinic jet, serial substrate), read from
+//!    `kernel_report()` after one warm-up window, once in f64 and once in
+//!    Mixed (f32 working precision).
 //!
 //! Pass `--json` to emit one machine-readable document (schema
-//! `grist-fig9-v1`) on stdout instead of the tables/CSVs.
+//! `grist-fig9-v1`) on stdout instead of the tables/CSVs; its host keys
+//! `<kernel>.f32_ms` are the Mixed window.
 
+use grist_bench::smoke::FIG9_DOMAIN;
 use grist_bench::{fmt, Table};
-use grist_dycore::kernels as dk;
-use grist_dycore::operators::ScaledGeometry;
-use grist_dycore::{Field2, Real};
-use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
-use std::time::Instant;
-use sunway_sim::perf::{fig9_kernels, fig9_table, ExecTarget, PerfModel};
-use sunway_sim::{format_kernel_report, Json, Substrate, SunwaySpec};
+use grist_core::{add_baroclinic_jet, GristModel, RunConfig};
+use grist_dycore::hevi::DYN_KERNELS;
+use grist_dycore::tracer::FCT_KERNELS;
+use grist_dycore::{PrecisionMode, Real};
+use sunway_sim::perf::{fig9_table, ExecTarget, KernelSpec};
+use sunway_sim::{format_kernel_report, Json, KernelReportRow, SunwaySpec};
 
-fn time_host_kernels<R: Real>(
-    sub: &Substrate,
-    mesh: &HexMesh,
-    nlev: usize,
-    reps: usize,
-) -> Vec<(&'static str, f64)> {
-    let geom: ScaledGeometry<R> = ScaledGeometry::new(mesh, EARTH_RADIUS_M, EARTH_OMEGA);
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    let ke = Field2::<R>::from_fn(nlev, nc, |k, c| R::from_f64((c % 97) as f64 + k as f64));
-    let dpi = Field2::<R>::constant(nlev, nc, R::from_f64(800.0));
-    let theta = Field2::<R>::constant(nlev, nc, R::from_f64(300.0));
-    let dphi = Field2::<R>::constant(nlev, nc, R::from_f64(2200.0));
-    let qv = Field2::<R>::constant(nlev, nc, R::from_f64(0.008));
-    let q0 = Field2::<R>::zeros(nlev, nc);
-    let u = Field2::<R>::from_fn(nlev, ne, |k, e| R::from_f64(((e + k) % 41) as f64 * 0.1));
-    let pv = Field2::<R>::constant(nlev, ne, R::from_f64(1e-4));
-    let vt = Field2::<R>::from_fn(nlev, ne, |_, e| R::from_f64((e % 13) as f64));
-    let mut out_e = Field2::<R>::zeros(nlev, ne);
-    let mut out_c = Field2::<R>::zeros(nlev, nc);
+/// The host window's grid: the `aqua_*` benchmark workloads' shape.
+const HOST_LEVEL: u32 = 4;
+const HOST_NLEV: usize = 20;
 
-    let mut results = Vec::new();
-    let timeit = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm up
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_secs_f64() / reps as f64
-    };
-    results.push((
-        "grad_kinetic_energy",
-        timeit(&mut || dk::grad_kinetic_energy(sub, mesh, &geom, &ke, &mut out_e)),
-    ));
-    results.push((
-        "primal_normal_flux_edge",
-        timeit(&mut || dk::primal_normal_flux_edge(sub, mesh, &geom, &u, &dpi, &theta, &mut out_e)),
-    ));
-    results.push((
-        "compute_rrr",
-        timeit(&mut || dk::compute_rrr(sub, &dpi, &dphi, &qv, &q0, &q0, &theta, &mut out_c)),
-    ));
-    results.push((
-        "calc_coriolis_term",
-        timeit(&mut || dk::calc_coriolis_term(sub, &pv, &vt, &mut out_e)),
-    ));
-    results
+/// Milliseconds each of `kernels` took in one physics window of a jet on
+/// the host, and that window's whole kernel report.
+fn host_window<R: Real>(
+    precision: PrecisionMode,
+    kernels: &[KernelSpec],
+) -> (Vec<f64>, Vec<KernelReportRow>) {
+    let config = RunConfig::for_level(HOST_LEVEL, HOST_NLEV).with_precision(precision);
+    let mut model = GristModel::<R>::new(config);
+    add_baroclinic_jet(&mut model, 35.0, 1.0);
+    let dt_phy = model.config.dt_phy;
+    model.advance(dt_phy); // warm up
+    model.reset_kernel_report();
+    model.advance(dt_phy);
+    let rows = model.kernel_report();
+    // Rows are span-qualified: `step/dycore/fct_limiter`.
+    let ms = kernels
+        .iter()
+        .map(|k| {
+            rows.iter()
+                .filter(|r| r.name.rsplit('/').next() == Some(k.name))
+                .map(|r| r.total_ms)
+                .sum()
+        })
+        .collect();
+    (ms, rows)
 }
 
 fn main() {
     let json_mode = std::env::args().any(|a| a == "--json");
     let spec = SunwaySpec::next_gen();
-    let model = PerfModel::default();
-    let nlev = 30;
+    let kernels: Vec<KernelSpec> = DYN_KERNELS.iter().chain(&FCT_KERNELS).copied().collect();
+    let table = fig9_table(&kernels, &FIG9_DOMAIN, &spec);
 
-    let kernels = fig9_kernels(40_962, 122_880, nlev);
-    let table = fig9_table(&kernels, &spec, &model);
-
-    let mesh = HexMesh::build(5);
-    let reps = 10;
-    let sub = Substrate::cpe_teams(64);
-    let t64 = time_host_kernels::<f64>(&sub, &mesh, nlev, reps);
-    let t32 = time_host_kernels::<f32>(&sub, &mesh, nlev, reps);
+    let (t64, report) = host_window::<f64>(PrecisionMode::Double, &kernels);
+    let (t32, _) = host_window::<f32>(PrecisionMode::Mixed, &kernels);
 
     if json_mode {
         let mut modeled: Vec<(String, Json)> = Vec::new();
@@ -92,21 +74,21 @@ fn main() {
             }
         }
         let mut host: Vec<(String, Json)> = Vec::new();
-        for ((name, a), (_, b)) in t64.iter().zip(&t32) {
-            host.push((format!("{name}.f64_ms"), Json::Num(a * 1e3)));
-            host.push((format!("{name}.f32_ms"), Json::Num(b * 1e3)));
-            host.push((format!("{name}.ratio"), Json::Num(a / b)));
+        for ((k, a), b) in kernels.iter().zip(&t64).zip(&t32) {
+            host.push((format!("{}.f64_ms", k.name), Json::Num(*a)));
+            host.push((format!("{}.f32_ms", k.name), Json::Num(*b)));
+            host.push((format!("{}.ratio", k.name), Json::Num(a / b)));
         }
         let doc = Json::Obj(vec![
             ("schema".into(), Json::Str("grist-fig9-v1".into())),
             (
                 "config".into(),
                 Json::Obj(vec![
-                    ("cells".into(), Json::Num(40_962.0)),
-                    ("edges".into(), Json::Num(122_880.0)),
-                    ("nlev".into(), Json::Num(nlev as f64)),
-                    ("host_mesh_level".into(), Json::Num(5.0)),
-                    ("host_reps".into(), Json::Num(reps as f64)),
+                    ("cells".into(), Json::Num(FIG9_DOMAIN.cells as f64)),
+                    ("edges".into(), Json::Num(FIG9_DOMAIN.edges as f64)),
+                    ("nlev".into(), Json::Num(FIG9_DOMAIN.nlev as f64)),
+                    ("host_mesh_level".into(), Json::Num(HOST_LEVEL as f64)),
+                    ("host_reps".into(), Json::Num(1.0)),
                 ]),
             ),
             ("modeled_speedup".into(), Json::Obj(modeled)),
@@ -116,19 +98,27 @@ fn main() {
         return;
     }
 
-    println!("# Figure 9 (modeled): kernel speedups over MPE-DP, G6 grid, 64 CPEs/CG\n");
-    let mut t = Table::new(&["kernel", "CPE-DP", "CPE-DP+DST", "CPE-MIX", "CPE-MIX+DST"]);
-    for row in &table {
+    println!("# Figure 9 (modeled): executed-kernel speedups over MPE-DP, G6 grid, 64 CPEs/CG\n");
+    let mut t = Table::new(&[
+        "kernel",
+        "arrays",
+        "CPE-DP",
+        "CPE-DP+DST",
+        "CPE-MIX",
+        "CPE-MIX+DST",
+    ]);
+    for (k, row) in kernels.iter().zip(&table) {
         let get = |target: ExecTarget| -> String {
             fmt(row
                 .speedup
                 .iter()
                 .find(|&&(tt, _)| tt == target)
                 .map(|&(_, s)| s)
-                .unwrap())
+                .expect("fig9_table covers every CPE target"))
         };
         t.row(&[
             row.name.to_string(),
+            k.arrays.to_string(),
             get(ExecTarget::CpeDp),
             get(ExecTarget::CpeDpDst),
             get(ExecTarget::CpeMix),
@@ -137,16 +127,18 @@ fn main() {
     }
     t.print();
     t.write_csv("fig9_modeled").expect("csv");
-    println!("\nPaper band check: major-kernel CPE-MIX+DST speedups should sit near 20–70x\n");
 
-    println!("# Host measurement: real kernels, f64 vs f32 (G5 grid, {nlev} levels)\n");
-    let mut th = Table::new(&["kernel", "f64 (ms)", "f32 (ms)", "f64/f32"]);
-    for ((name, a), (_, b)) in t64.iter().zip(&t32) {
-        th.row(&[name.to_string(), fmt(a * 1e3), fmt(b * 1e3), fmt(a / b)]);
+    println!(
+        "\n# Host measurement: one coupled window, f64 vs Mixed (level {HOST_LEVEL}, \
+         {HOST_NLEV} levels, serial)\n"
+    );
+    let mut th = Table::new(&["kernel", "f64 (ms)", "Mixed (ms)", "f64/Mixed"]);
+    for ((k, a), b) in kernels.iter().zip(&t64).zip(&t32) {
+        th.row(&[k.name.to_string(), fmt(*a), fmt(*b), fmt(a / b)]);
     }
     th.print();
     th.write_csv("fig9_host").expect("csv");
 
-    println!("\n# Substrate kernel report (CPE-teams target, f64+f32 passes)\n");
-    print!("{}", format_kernel_report(&sub.kernel_report()));
+    println!("\n# Substrate kernel report (the f64 window)\n");
+    print!("{}", format_kernel_report(&report));
 }

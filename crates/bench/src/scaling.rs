@@ -18,7 +18,9 @@
 //!    report's `overlap` section, compared with nothing.
 
 use grist_core::DynStepMode;
+use grist_dycore::hevi::DYN_KERNELS;
 use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
+use grist_dycore::tracer::FCT_KERNELS;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::run_world;
 use grist_runtime::scaling::{
@@ -43,13 +45,6 @@ const DT: f64 = 400.0;
 /// is the event order that makes overlap possible
 /// ([`check_exchange_order`]).
 const PINNED_OVERLAP: f64 = 0.30;
-
-/// Operator kernel groups GRIST launches per dynamics step of this
-/// scenario: 48 = 12 operators × 4 tendency evaluations of a phased RK3
-/// step (stage 1's interior and remainder, stages 2 and 3). A property of
-/// the modeled code, not of the host run: the host fuses each evaluation
-/// into four dispatches and the projection must not shrink with them.
-const DYN_OPERATOR_GROUPS: f64 = 48.0;
 
 /// Run the phased 4-rank scenario in `mode` on a shared traced registry;
 /// return the registry and each rank's final `h` bit pattern.
@@ -235,15 +230,10 @@ pub fn run() -> SuiteResult {
     // BENCH_partition.json; here it feeds the comm term of the projections).
     let mesh = HexMesh::build(LEVEL);
     let surface = Partition::build(&mesh, RANKS, 2).surface_profile(&mesh);
-    let model = SdpdModel {
-        cfg: SdpdModelConfig {
-            dyn_kernel_groups: DYN_OPERATOR_GROUPS,
-            ..SdpdModelConfig::default()
-                .with_measured(&costs, PINNED_OVERLAP)
-                .with_measured_surface(surface.surface_coeff)
-        },
-        ..SdpdModel::default()
-    };
+    let mut model = SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS);
+    model.cfg = SdpdModelConfig::default()
+        .with_measured(&costs, PINNED_OVERLAP)
+        .with_measured_surface(surface.surface_coeff);
     let mix_ml = Scheme {
         mixed: true,
         ml_physics: true,

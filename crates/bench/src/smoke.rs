@@ -11,11 +11,13 @@
 //! tracing costs [`TRACE_OFF_BUDGET_PCT`] of the smoke window or more.
 
 use grist_core::{GristModel, RunConfig};
+use grist_dycore::hevi::DYN_KERNELS;
+use grist_dycore::tracer::FCT_KERNELS;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
 use grist_runtime::{run_world, ExchangeCtx, VarList};
 use sunway_sim::dma::{simulate_dma_batch, DmaRequest};
-use sunway_sim::perf::{fig9_kernels, kernel_time, ExecTarget, PerfModel};
+use sunway_sim::perf::{kernel_time, Domain, ExecTarget};
 use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate, SunwaySpec};
 
 use crate::pin::{SuiteResult, SuiteRun};
@@ -30,10 +32,14 @@ pub const SMOKE_LEVEL: u32 = 2;
 pub const SMOKE_NLEV: usize = 10;
 pub const SMOKE_CPES: usize = 16;
 pub const SMOKE_DYN_STEPS: usize = 16;
-/// Fig. 9 model sizes: the G6 grid of the paper's 100 km demo case.
-pub const FIG9_CELLS: usize = 40_962;
-pub const FIG9_EDGES: usize = 122_880;
-pub const FIG9_NLEV: usize = 30;
+/// Fig. 9 model domain: the G6 grid of the paper's 100 km demo case, 30
+/// levels.
+pub const FIG9_DOMAIN: Domain = Domain {
+    cells: 40_962,
+    edges: 122_880,
+    verts: 81_920,
+    nlev: 30,
+};
 /// Halo-exchange smoke world.
 pub const HALO_RANKS: usize = 4;
 pub const HALO_MESH_LEVEL: u32 = 3;
@@ -51,14 +57,14 @@ pub fn run() -> SuiteResult {
     // --- hardware-model smokes, recorded into a second registry ---
     let extra = Metrics::default();
     let spec = SunwaySpec::next_gen();
-    let perf = PerfModel::default();
 
-    // Fig. 9: modeled kernel times for every kernel × target, metered so the
-    // LDCache/allocator simulators fill `ldcache.*` / `alloc.*`.
+    // Fig. 9: modeled kernel times for every executed kernel × target,
+    // metered so the LDCache/allocator simulators fill `ldcache.*` /
+    // `alloc.*`.
     let mut projections: Vec<(String, f64)> = Vec::new();
-    for k in &fig9_kernels(FIG9_CELLS, FIG9_EDGES, FIG9_NLEV) {
+    for k in DYN_KERNELS.iter().chain(&FCT_KERNELS) {
         for target in ExecTarget::fig9_all() {
-            let t = kernel_time(k, target, &spec, &perf, Some(&extra));
+            let t = kernel_time(k, &FIG9_DOMAIN, target, &spec, Some(&extra));
             projections.push((format!("fig9.{}.{}_s", k.name, target.label()), t));
         }
     }
@@ -98,7 +104,7 @@ pub fn run() -> SuiteResult {
     }
 
     // Fig. 10: the weak-scaling ladder under the full MIX-ML scheme.
-    let sdpd = SdpdModel::default();
+    let sdpd = SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS);
     let grids = table2_grids();
     let mix_ml = Scheme {
         mixed: true,
@@ -244,9 +250,9 @@ fn config_json(config: &RunConfig) -> Json {
         ("n_cpes".into(), n(SMOKE_CPES as f64)),
         ("dyn_steps".into(), n(SMOKE_DYN_STEPS as f64)),
         ("dt_dyn".into(), n(config.dt_dyn)),
-        ("fig9_cells".into(), n(FIG9_CELLS as f64)),
-        ("fig9_edges".into(), n(FIG9_EDGES as f64)),
-        ("fig9_nlev".into(), n(FIG9_NLEV as f64)),
+        ("fig9_cells".into(), n(FIG9_DOMAIN.cells as f64)),
+        ("fig9_edges".into(), n(FIG9_DOMAIN.edges as f64)),
+        ("fig9_nlev".into(), n(FIG9_DOMAIN.nlev as f64)),
         ("halo_ranks".into(), n(HALO_RANKS as f64)),
         ("halo_mesh_level".into(), n(HALO_MESH_LEVEL as f64)),
     ])

@@ -46,6 +46,7 @@ use crate::tracer::{fct_edge_transports, fct_transport_keep_mass, FctWorkspace};
 use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::cell::RefCell;
+use sunway_sim::perf::{IterSpace, KernelSpec};
 use sunway_sim::{ColumnsMut, Substrate};
 
 /// Prognostic state of the nonhydrostatic core.
@@ -196,6 +197,98 @@ fn eos_exner(ln_x: f64) -> f64 {
     (KAPPA * GAMMA * ln_x).exp()
 }
 
+// Cost descriptors of the seven dyn-step kernels, each counted from its
+// per-level code below (DESIGN.md §5 "Cost descriptors": a cell has six
+// edges; a fused multiply-add is two cheap ops).
+
+/// `θ = Θ/δπ`, `δφ`, `ln X`, `Π`: 4 cheap, 3 ÷ + `ln` + `exp`; streams `δπ`,
+/// `Θ`, `φ`, `θ`, `Π`.
+const HEVI_DIAGNOSE: KernelSpec = KernelSpec {
+    name: "hevi_diagnose",
+    space: IterSpace::Cells,
+    flops_per_point: 4.0,
+    expensive_per_point: 5.0,
+    arrays: 5,
+    mixed: false,
+};
+/// Six edges × (`K += w u u`: 3, `∇·V` fma: 2), then two scalings: 32;
+/// streams `u` of six edges, `K`, `∇·V`.
+const HEVI_KE_DIVERGENCE: KernelSpec = KernelSpec {
+    name: "hevi_ke_divergence",
+    space: IterSpace::Cells,
+    flops_per_point: 32.0,
+    expensive_per_point: 0.0,
+    arrays: 8,
+    mixed: true,
+};
+/// `ζ`, `b_e`, `b_n` as three fmas each (18), `ζ A⁻¹ + f` (2), the 2 × 2
+/// solve (6): 26; streams `u` of three edges, `ζ+f`, `v_e`, `v_n`.
+const HEVI_VERTEX_VORTICITY_VELOCITY: KernelSpec = KernelSpec {
+    name: "hevi_vertex_vorticity_velocity",
+    space: IterSpace::Vertices,
+    flops_per_point: 26.0,
+    expensive_per_point: 0.0,
+    arrays: 6,
+    mixed: true,
+};
+/// `(ζ+f)_e` 2, `v_t` 7, Coriolis 1, `∂ₙK` / `∂ₙ(∇·V)` / `∂ₙΠ` 2 each, `θ_e` 2,
+/// pressure gradient 2, tendency 4, `u += Δt·tend` 2: 26; streams `K`,
+/// `∇·V`, `Π`, `θ` of two cells, `ζ+f`, `v_e`, `v_n` of two vertices, `u`.
+const HEVI_MOMENTUM_UPDATE: KernelSpec = KernelSpec {
+    name: "hevi_momentum_update",
+    space: IterSpace::Edges,
+    flops_per_point: 26.0,
+    expensive_per_point: 0.0,
+    arrays: 15,
+    mixed: true,
+};
+/// `F = ½(δπ₁+δπ₂)u` 3, `F θ_e` 3, `ΣF += F` 1: 7; streams `δπ`, `θ` of two
+/// cells, `u`, `F`, `F θ_e` and `ΣF` (sub-cycled tracers, as on every
+/// Table 2 grid) — `f64` in every scheme (§3.4.2).
+const HEVI_MASS_FLUX: KernelSpec = KernelSpec {
+    name: "hevi_mass_flux",
+    space: IterSpace::Edges,
+    flops_per_point: 7.0,
+    expensive_per_point: 0.0,
+    arrays: 8,
+    mixed: false,
+};
+/// Six edges × two flux fmas (24), two scalings, the column sum, `ṁ` (3),
+/// two upwind compares, the `δπ` (4) and `Θ` (6) updates: 42; streams `F`
+/// and `F θ_e` of six edges, `θ`, `δπ`, `Θ`, `∇·F`.
+const HEVI_MASS_THETA_UPDATE: KernelSpec = KernelSpec {
+    name: "hevi_mass_theta_update",
+    space: IterSpace::Cells,
+    flops_per_point: 42.0,
+    expensive_per_point: 0.0,
+    arrays: 16,
+    mixed: false,
+};
+/// Column `p` (5 cheap; 3 ÷ + `ln` + `exp`), `C_k` (3; ÷), the tridiagonal
+/// row (11; 2 ÷), the Thomas sweep (6; 2 ÷), `φ += Δt g w` (2): 27 cheap,
+/// 10 expensive; streams `δπ`, `Θ`, `w`, `φ` (`p`, `δφ` and the rows are
+/// column scratch).
+const HEVI_IMPLICIT_VERTICAL: KernelSpec = KernelSpec {
+    name: "hevi_implicit_vertical",
+    space: IterSpace::Cells,
+    flops_per_point: 27.0,
+    expensive_per_point: 10.0,
+    arrays: 4,
+    mixed: false,
+};
+
+/// The kernels of one [`NhSolver::step`]'s dynamics, in dispatch order, one
+/// dispatch each: the per-dyn-step ensemble of the SDPD model and Fig. 9.
+pub const DYN_KERNELS: [KernelSpec; 7] = [
+    HEVI_DIAGNOSE,
+    HEVI_KE_DIVERGENCE,
+    HEVI_VERTEX_VORTICITY_VELOCITY,
+    HEVI_MOMENTUM_UPDATE,
+    HEVI_MASS_FLUX,
+    HEVI_MASS_THETA_UPDATE,
+    HEVI_IMPLICIT_VERTICAL,
+];
+
 impl<R: Real> NhSolver<R> {
     pub fn new(mesh: HexMesh, vc: VerticalCoord, config: NhConfig) -> Self {
         Self::with_substrate(mesh, vc, config, Substrate::serial())
@@ -299,7 +392,7 @@ impl<R: Real> NhSolver<R> {
         let exner = ColumnsMut::new(self.exner.as_mut_slice(), nlev);
         let pres = ColumnsMut::new(self.pres.as_mut_slice(), nlev);
         let dphi = ColumnsMut::new(self.dphi.as_mut_slice(), nlev);
-        self.sub.run("hevi_diagnose", theta.len(), |c| {
+        self.sub.run(HEVI_DIAGNOSE.name, theta.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
             let (th, ex, pr, dp) =
                 unsafe { (theta.col(c), exner.col(c), pres.col(c), dphi.col(c)) };
@@ -352,7 +445,7 @@ impl<R: Real> NhSolver<R> {
             let u = &state.u;
             let ke_cols = ColumnsMut::new(self.ke.as_mut_slice(), nlev);
             let div_cols = ColumnsMut::new(self.div_u.as_mut_slice(), nlev);
-            sub.run("hevi_ke_divergence", ke_cols.len(), |c| {
+            sub.run(HEVI_KE_DIVERGENCE.name, ke_cols.len(), |c| {
                 // SAFETY: each cell index is dispatched exactly once.
                 let (ke, div) = unsafe { (ke_cols.col(c), div_cols.col(c)) };
                 ke.fill(R::ZERO);
@@ -382,7 +475,7 @@ impl<R: Real> NhSolver<R> {
             let vor_cols = ColumnsMut::new(self.vor.as_mut_slice(), nlev);
             let ve_cols = ColumnsMut::new(self.ve.as_mut_slice(), nlev);
             let vn_cols = ColumnsMut::new(self.vn.as_mut_slice(), nlev);
-            sub.run("hevi_vertex_vorticity_velocity", vor_cols.len(), |v| {
+            sub.run(HEVI_VERTEX_VORTICITY_VELOCITY.name, vor_cols.len(), |v| {
                 // SAFETY: each vertex index is dispatched exactly once.
                 let (vor, ve, vn) = unsafe { (vor_cols.col(v), ve_cols.col(v), vn_cols.col(v)) };
                 let edges = mesh.vert_edges[v].map(|e| e as usize);
@@ -418,7 +511,7 @@ impl<R: Real> NhSolver<R> {
             let (theta, exner) = (&self.theta, &self.exner);
             let half = R::from_f64(0.5);
             let cols = ColumnsMut::new(state.u.as_mut_slice(), nlev);
-            sub.run("hevi_momentum_update", cols.len(), |e| {
+            sub.run(HEVI_MOMENTUM_UPDATE.name, cols.len(), |e| {
                 // SAFETY: each edge index is dispatched exactly once.
                 let col = unsafe { cols.col(e) };
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
@@ -463,7 +556,7 @@ impl<R: Real> NhSolver<R> {
             let theta_cols = ColumnsMut::new(self.theta_flux.as_mut_slice(), nlev);
             let sums = sub_cycled.then(|| ColumnsMut::new(self.flux_sum.as_mut_slice(), nlev));
             let first = self.flux_steps == 0;
-            sub.run("hevi_mass_flux", mass_cols.len(), |e| {
+            sub.run(HEVI_MASS_FLUX.name, mass_cols.len(), |e| {
                 // SAFETY: each edge index is dispatched exactly once.
                 let (mf, tf, sum) = unsafe {
                     (
@@ -503,7 +596,7 @@ impl<R: Real> NhSolver<R> {
             let dpi_cols = ColumnsMut::new(state.dpi.as_mut_slice(), nlev);
             let th_cols = ColumnsMut::new(state.theta_m.as_mut_slice(), nlev);
             let div_cols = ColumnsMut::new(self.div_mass.as_mut_slice(), nlev);
-            sub.run("hevi_mass_theta_update", dpi_cols.len(), |c| {
+            sub.run(HEVI_MASS_THETA_UPDATE.name, dpi_cols.len(), |c| {
                 // SAFETY: each cell index is dispatched exactly once.
                 let (dpi_c, th_c, div_mass) =
                     unsafe { (dpi_cols.col(c), th_cols.col(c), div_cols.col(c)) };
@@ -669,7 +762,8 @@ impl<R: Real> NhSolver<R> {
         let w_cols = ColumnsMut::new(state.w.as_mut_slice(), nlev + 1);
         let phi_cols = ColumnsMut::new(state.phi.as_mut_slice(), nlev + 1);
         let (dpi_ro, theta_m_ro) = (&state.dpi, &state.theta_m);
-        self.sub.run("hevi_implicit_vertical", w_cols.len(), |c| {
+        let sub = &self.sub;
+        sub.run(HEVI_IMPLICIT_VERTICAL.name, w_cols.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
             let (w, phi) = unsafe { (w_cols.col(c), phi_cols.col(c)) };
             COLUMN_SCRATCH.with_borrow_mut(|buf| {

@@ -14,7 +14,6 @@ pub mod diffusion;
 pub mod energetics;
 pub mod field;
 pub mod hevi;
-pub mod kernels;
 pub mod operators;
 pub mod real;
 pub mod swe;

@@ -1,6 +1,7 @@
 //! Passive tracer transport: flux-form advection with a Zalesak-style
 //! flux-corrected-transport (FCT) limiter — the paper's
-//! `tracer_transport_hori_flux_limiter` kernel (Fig. 9).
+//! `tracer_transport_hori_flux_limiter` kernel (Fig. 9), here five kernels
+//! ([`FCT_KERNELS`]).
 //!
 //! The tracer equation "can be computed almost entirely using lower
 //! precision; the sole exception is the mass flux δπV, which is accumulated
@@ -18,6 +19,7 @@ use crate::field::Field2;
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
+use sunway_sim::perf::{IterSpace, KernelSpec};
 use sunway_sim::{ColumnsMut, Substrate};
 
 /// Scratch buffers for one FCT transport invocation, reusable across steps.
@@ -81,6 +83,75 @@ pub fn fct_transport_step<R: Real>(
     mass.copy_from(&ws.mass_new);
 }
 
+// Cost descriptors of the five FCT kernels, each counted from its per-level
+// code below (DESIGN.md §5 "Cost descriptors": a cell has six edges and six
+// neighbours; selects are free, compares count one).
+
+/// `T_e = F_e ℓ_e Δt`: 2 cheap; streams `F`, `T`.
+const FCT_TRANSPORT: KernelSpec = KernelSpec {
+    name: "fct_transport",
+    space: IterSpace::Edges,
+    flops_per_point: 2.0,
+    expensive_per_point: 0.0,
+    arrays: 2,
+    mixed: true,
+};
+/// `M q` (1), six edges × (upwind compare, `M −= sT`, `Mq −= sT q_up`: 5),
+/// the emptied-cell count (2), `q_td = Mq/M` (÷): 33 cheap, 1 expensive;
+/// streams `M`, `q`, `T` of six edges, `q` of six neighbours, `M_new`, `q_td`.
+const FCT_LOWORDER: KernelSpec = KernelSpec {
+    name: "fct_loworder",
+    space: IterSpace::Cells,
+    flops_per_point: 33.0,
+    expensive_per_point: 1.0,
+    arrays: 16,
+    mixed: true,
+};
+/// `q_cent` 2, upwind compare 1, `A = T(q_cent − q_up)` 2: 5; streams `q` of
+/// two cells, `T`, `A`.
+const FCT_ANTIDIFFUSIVE: KernelSpec = KernelSpec {
+    name: "fct_antidiffusive",
+    space: IterSpace::Edges,
+    flops_per_point: 5.0,
+    expensive_per_point: 0.0,
+    arrays: 4,
+    mixed: true,
+};
+/// Own bounds (2), six neighbours × four min / max (24), six edges × (`sA`,
+/// compare, one add to each of `P±`: 4), `Q±` (4), two compare + min (4)
+/// with a ÷ each: 58 cheap, 2 expensive; streams `q_td`, `q` of the cell
+/// and six neighbours, `A` of six edges, `M_new`, `R⁺`, `R⁻`.
+const FCT_LIMITER: KernelSpec = KernelSpec {
+    name: "fct_limiter",
+    space: IterSpace::Cells,
+    flops_per_point: 58.0,
+    expensive_per_point: 2.0,
+    arrays: 23,
+    mixed: true,
+};
+/// `q_td M` (1), six edges × (sign compare, `min R`, `Mq −= s·coef·A`: 5),
+/// `q = Mq/M` (÷): 31 cheap, 1 expensive; streams `M_new`, `q_td`, `A` of six
+/// edges, `R⁺`, `R⁻` of the cell and six neighbours, `q`.
+const FCT_APPLY: KernelSpec = KernelSpec {
+    name: "fct_apply",
+    space: IterSpace::Cells,
+    flops_per_point: 31.0,
+    expensive_per_point: 1.0,
+    arrays: 23,
+    mixed: true,
+};
+
+/// The kernels of one tracer's FCT step, in dispatch order: `fct_transport`
+/// once per tracer step, the other four once per tracer. The SDPD model's
+/// tracer ensemble and, with [`crate::hevi::DYN_KERNELS`], Fig. 9's.
+pub const FCT_KERNELS: [KernelSpec; 5] = [
+    FCT_TRANSPORT,
+    FCT_LOWORDER,
+    FCT_ANTIDIFFUSIVE,
+    FCT_LIMITER,
+    FCT_APPLY,
+];
+
 /// Per-edge transports `T_e = dt · F_e · ℓ_e` into the workspace: the part of
 /// an FCT step that does not depend on the tracer, computed once for every
 /// tracer [`fct_transport_keep_mass`] then moves with it. The flux may be
@@ -96,7 +167,7 @@ pub(crate) fn fct_edge_transports<R: Real, F: Real>(
     let nlev = flux.nlev();
     let dt_r = R::from_f64(dt);
     let cols = ColumnsMut::new(ws.transport.as_mut_slice(), nlev);
-    sub.run("fct_transport", cols.len(), |e| {
+    sub.run(FCT_TRANSPORT.name, cols.len(), |e| {
         // SAFETY: each edge index is dispatched exactly once.
         let col = unsafe { cols.col(e) };
         let le = geom.edge_le[e];
@@ -128,7 +199,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     {
         let qtd_cols = ColumnsMut::new(ws.q_td.as_mut_slice(), nlev);
         let mnew_cols = ColumnsMut::new(ws.mass_new.as_mut_slice(), nlev);
-        sub.run("fct_loworder", qtd_cols.len(), |c| {
+        sub.run(FCT_LOWORDER.name, qtd_cols.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
             let qtd = unsafe { qtd_cols.col(c) };
             let mnew = unsafe { mnew_cols.col(c) };
@@ -175,7 +246,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let half = R::from_f64(0.5);
     {
         let cols = ColumnsMut::new(ws.anti.as_mut_slice(), nlev);
-        sub.run("fct_antidiffusive", cols.len(), |e| {
+        sub.run(FCT_ANTIDIFFUSIVE.name, cols.len(), |e| {
             // SAFETY: each edge index is dispatched exactly once.
             let col = unsafe { cols.col(e) };
             let [c1, c2] = mesh.edge_cells[e];
@@ -198,7 +269,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     {
         let rp_cols = ColumnsMut::new(ws.r_plus.as_mut_slice(), nlev);
         let rm_cols = ColumnsMut::new(ws.r_minus.as_mut_slice(), nlev);
-        sub.run("fct_limiter", rp_cols.len(), |c| {
+        sub.run(FCT_LIMITER.name, rp_cols.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
             let rp = unsafe { rp_cols.col(c) };
             let rm = unsafe { rm_cols.col(c) };
@@ -261,7 +332,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let r_minus = &ws.r_minus;
     {
         let q_cols = ColumnsMut::new(q.as_mut_slice(), nlev);
-        sub.run("fct_apply", q_cols.len(), |c| {
+        sub.run(FCT_APPLY.name, q_cols.len(), |c| {
             // SAFETY: each cell index is dispatched exactly once.
             let qc = unsafe { q_cols.col(c) };
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];

@@ -9,7 +9,7 @@
 //! real machine and are documented as modeled values in EXPERIMENTS.md.
 
 use crate::fattree::{exchange_time, ExchangeProfile};
-use sunway_sim::perf::{kernel_time, ExecTarget, KernelSpec, PerfModel};
+use sunway_sim::perf::{kernel_time, Domain, ExecTarget, KernelSpec};
 use sunway_sim::{Metrics, SunwaySpec};
 
 /// Typed failures of the scaling-model API.
@@ -86,8 +86,8 @@ pub fn weak_scaling_efficiencies(
 /// a calibration taken on one machine reproduces bit-for-bit on another.
 /// `substrate.dispatches` is not among them: how many host dispatches a
 /// step makes is a property of how far the host kernels are fused, not of
-/// how many operator kernel groups GRIST launches
-/// ([`SdpdModelConfig::dyn_kernel_groups`]).
+/// how many kernels the modeled GRIST code launches per dynamics step (a
+/// constant of [`SdpdModel`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredCosts {
     /// Gathered halo exchanges per rank per dynamics step
@@ -178,45 +178,51 @@ impl Scheme {
     }
 }
 
-/// Calibration constants of the projection.
+// Calibration constants of the projection (DESIGN.md §6).
+
+/// Kernel launches per dynamics step of the modeled GRIST code (RK stages ×
+/// operator groups) — not of the host's fused kernels: the seven host
+/// dispatches would put the G12 MIX-ML communication share at 0.75, past
+/// the paper's 37 %.
+const DYN_LAUNCHES_PER_STEP: f64 = 30.0;
+/// Variables (per-level values) carried per exchanged halo cell.
+const EXCHANGE_VARS: f64 = 10.0;
+/// Conventional-physics flops per column per physics step.
+const CONV_PHY_FLOPS: f64 = 2.0e6;
+/// Conventional radiation flops per column per radiation step.
+const CONV_RAD_FLOPS: f64 = 8.0e6;
+/// Achieved fraction of CG peak for conventional physics (§4.7: ~6%).
+const CONV_EFFICIENCY: f64 = 0.06;
+/// ML tendency-CNN flops per column per physics step.
+const ML_PHY_FLOPS: f64 = 3.0e7;
+/// ML radiation-MLP flops per column per radiation step.
+const ML_RAD_FLOPS: f64 = 3.6e5;
+/// Achieved fraction of CG peak for the ML suite (§4.7: 74–84%).
+const ML_EFFICIENCY: f64 = 0.78;
+/// Number of transported tracers (the six prognostic tracer variables).
+const N_TRACERS: f64 = 6.0;
+/// Load-imbalance growth per doubling of the process count.
+const IMBALANCE_PER_DOUBLING: f64 = 0.015;
+/// LDCache working-set scale factor (fraction of a CPE's share of the local
+/// points that must be resident to cut DDR traffic).
+const WS_FACTOR: f64 = 0.25;
+/// Traffic reduction at full residency.
+const RESIDENCY_SAVING: f64 = 0.6;
+/// Per-kernel-group software overhead at scale (MPE serial sections,
+/// athread spawn + barrier, MPI progress) \[s\].
+const PER_GROUP_OVERHEAD: f64 = 150.0e-6;
+/// Software latency per halo message at the 128-process baseline \[s\].
+const MSG_SOFTWARE_LATENCY: f64 = 120.0e-6;
+/// Relative growth of message latency per doubling of the process count
+/// (network diameter + software collective costs).
+const LATENCY_GROWTH_PER_DOUBLING: f64 = 0.22;
+
+/// The projection's settable inputs: what a metered run or the partitioner
+/// measures in place of a modeled default.
 #[derive(Debug, Clone, Copy)]
 pub struct SdpdModelConfig {
-    /// Dyn-solver kernel-group invocations per dynamics step (RK stages ×
-    /// operator groups).
-    pub dyn_kernel_groups: f64,
     /// Halo exchanges per dynamics step.
     pub exchanges_per_dyn_step: f64,
-    /// Variables (per-level values) carried per exchanged halo cell.
-    pub exchange_vars: f64,
-    /// Conventional-physics flops per column per physics step.
-    pub conv_phy_flops: f64,
-    /// Conventional radiation flops per column per radiation step.
-    pub conv_rad_flops: f64,
-    /// Achieved fraction of CG peak for conventional physics (§4.7: ~6%).
-    pub conv_efficiency: f64,
-    /// ML tendency-CNN flops per column per physics step.
-    pub ml_phy_flops: f64,
-    /// ML radiation-MLP flops per column per radiation step.
-    pub ml_rad_flops: f64,
-    /// Achieved fraction of CG peak for the ML suite (§4.7: 74–84%).
-    pub ml_efficiency: f64,
-    /// Number of transported tracers (the six prognostic tracer variables).
-    pub n_tracers: f64,
-    /// Load-imbalance growth per doubling of the process count.
-    pub imbalance_per_doubling: f64,
-    /// LDCache working-set scale factor (fraction of a CPE's share of the
-    /// local points that must be resident to cut DDR traffic).
-    pub ws_factor: f64,
-    /// Traffic reduction at full residency.
-    pub residency_saving: f64,
-    /// Per-kernel-group software overhead at scale (MPE serial sections,
-    /// athread spawn + barrier, MPI progress) \[s\].
-    pub per_group_overhead: f64,
-    /// Software latency per halo message at the 128-process baseline \[s\].
-    pub msg_software_latency: f64,
-    /// Relative growth of message latency per doubling of the process count
-    /// (network diameter + software collective costs).
-    pub latency_growth_per_doubling: f64,
     /// Fraction of the per-step communication time hidden behind interior
     /// compute by the async begin/complete exchange (0 = fully synchronous).
     /// Communication can only hide under compute that exists, so the hidden
@@ -232,22 +238,7 @@ pub struct SdpdModelConfig {
 impl Default for SdpdModelConfig {
     fn default() -> Self {
         SdpdModelConfig {
-            dyn_kernel_groups: 30.0,
             exchanges_per_dyn_step: 3.0,
-            exchange_vars: 10.0,
-            conv_phy_flops: 2.0e6,
-            conv_rad_flops: 8.0e6,
-            conv_efficiency: 0.06,
-            ml_phy_flops: 3.0e7,
-            ml_rad_flops: 3.6e5,
-            ml_efficiency: 0.78,
-            n_tracers: 6.0,
-            imbalance_per_doubling: 0.015,
-            ws_factor: 0.25,
-            residency_saving: 0.6,
-            per_group_overhead: 150.0e-6,
-            msg_software_latency: 120.0e-6,
-            latency_growth_per_doubling: 0.22,
             overlap_factor: 0.0,
             halo_surface_coeff: 3.5,
         }
@@ -291,30 +282,30 @@ pub struct SdpdResult {
 #[derive(Debug, Clone, Copy)]
 pub struct SdpdModel {
     pub spec: SunwaySpec,
-    pub perf: PerfModel,
     pub cfg: SdpdModelConfig,
-}
-
-impl Default for SdpdModel {
-    fn default() -> Self {
-        SdpdModel {
-            spec: SunwaySpec::next_gen(),
-            perf: PerfModel::default(),
-            cfg: SdpdModelConfig::default(),
-        }
-    }
+    dyn_kernels: &'static [KernelSpec],
+    tracer_kernels: &'static [KernelSpec],
 }
 
 impl SdpdModel {
-    /// The representative per-dyn-step kernel ensemble at local sizes.
-    fn dyn_kernels(&self, local_cells: usize, local_edges: usize, nlev: usize) -> Vec<KernelSpec> {
-        sunway_sim::perf::fig9_kernels(local_cells, local_edges, nlev)
+    /// The model of a dycore whose dynamics step runs `dyn_kernels` and
+    /// whose tracer step runs `tracer_kernels` per tracer — the descriptors
+    /// the dycore declares beside its dispatches
+    /// (`grist_dycore::hevi::DYN_KERNELS`, `grist_dycore::tracer::FCT_KERNELS`).
+    pub fn new(dyn_kernels: &'static [KernelSpec], tracer_kernels: &'static [KernelSpec]) -> Self {
+        assert!(!dyn_kernels.is_empty(), "a dynamics step runs kernels");
+        SdpdModel {
+            spec: SunwaySpec::next_gen(),
+            cfg: SdpdModelConfig::default(),
+            dyn_kernels,
+            tracer_kernels,
+        }
     }
 
     /// Effective traffic multiplier from LDCache residency of the local
     /// working set (the Fig. 11 plateau mechanism).
     fn residency(&self, local_edge_points: usize, arrays: f64, elem: f64) -> f64 {
-        let ws = local_edge_points as f64 * arrays * elem * self.cfg.ws_factor;
+        let ws = local_edge_points as f64 * arrays * elem * WS_FACTOR;
         let cache = self.spec.ldcache_bytes as f64;
         ((cache - ws) / cache).clamp(0.0, 1.0)
     }
@@ -325,6 +316,12 @@ impl SdpdModel {
         let local_cells = grid.cells.div_ceil(procs);
         let local_edges = grid.edges.div_ceil(procs);
         let nlev = grid.nlev;
+        let local = Domain {
+            cells: local_cells,
+            edges: local_edges,
+            verts: grid.verts.div_ceil(procs),
+            nlev,
+        };
         let elem = if scheme.mixed { 4.0 } else { 8.0 };
         let target = if scheme.mixed {
             ExecTarget::CpeMixDst
@@ -332,58 +329,58 @@ impl SdpdModel {
             ExecTarget::CpeDpDst
         };
 
+        let time = |kernels: &[KernelSpec]| -> f64 {
+            kernels
+                .iter()
+                .map(|k| kernel_time(k, &local, target, &self.spec, None))
+                .sum()
+        };
+
         // --- dynamics compute per step ---
-        let kernels = self.dyn_kernels(local_cells, local_edges, nlev);
-        let mut t_group: f64 = kernels
+        let n_dyn_kernels = self.dyn_kernels.len() as f64;
+        // LDCache residency of the local state trims the memory-bound part;
+        // its working set is the mean launch's arrays.
+        let mean_arrays = self
+            .dyn_kernels
             .iter()
-            .map(|k| kernel_time(k, target, &self.spec, &self.perf, None))
-            .sum();
-        // LDCache residency of the local state trims the memory-bound part.
-        let res = self.residency(local_edges * nlev, 7.0, elem);
-        t_group *= 1.0 - self.cfg.residency_saving * res;
-        // One dynamics step runs `dyn_kernel_groups` kernel-group
-        // invocations, each costing the mean of the representative ensemble
-        // plus the fixed per-group software overhead that dominates at small
-        // local sizes (and caps strong scaling, as in Fig. 11).
+            .map(|k| k.arrays as f64)
+            .sum::<f64>()
+            / n_dyn_kernels;
+        let res = self.residency(local_edges * nlev, mean_arrays, elem);
+        let t_group = time(self.dyn_kernels) * (1.0 - RESIDENCY_SAVING * res);
+        // One dynamics step makes `DYN_LAUNCHES_PER_STEP` launches, each
+        // costing the mean of the executed ensemble plus the fixed per-group
+        // software overhead that dominates at small local sizes (and caps
+        // strong scaling, as in Fig. 11).
         // Full residency also shortens the per-group overhead (resident
         // arrays skip DMA descriptor setup and kernel tails) — the mechanism
         // behind G11S's late extra efficiency in Fig. 11.
-        let group_overhead = self.cfg.per_group_overhead * (1.0 - 0.35 * res);
-        let dyn_per_step =
-            self.cfg.dyn_kernel_groups * (t_group / kernels.len() as f64 + group_overhead);
+        let group_overhead = PER_GROUP_OVERHEAD * (1.0 - 0.35 * res);
+        let dyn_per_step = DYN_LAUNCHES_PER_STEP * (t_group / n_dyn_kernels + group_overhead);
 
         // --- tracer transport per tracer step ---
-        let tracer_kernel = KernelSpec {
-            name: "tracer_transport_hori_flux_limiter",
-            points: local_edges * nlev,
-            flops_per_point: 14.0,
-            expensive_per_point: 1.0,
-            arrays: 6,
-            has_mixed_variant: true,
-        };
-        let tracer_per_step = kernel_time(&tracer_kernel, target, &self.spec, &self.perf, None)
-            * self.cfg.n_tracers
-            * (1.0 - self.cfg.residency_saving * res);
+        let tracer_per_step =
+            time(self.tracer_kernels) * N_TRACERS * (1.0 - RESIDENCY_SAVING * res);
 
         // --- physics per physics/radiation step ---
         let cg_peak = self.spec.cg_peak_f64();
         let cols = local_cells as f64;
         let (phy_per_step, rad_per_step) = if scheme.ml_physics {
             (
-                cols * self.cfg.ml_phy_flops / (self.cfg.ml_efficiency * cg_peak),
-                cols * self.cfg.ml_rad_flops / (self.cfg.ml_efficiency * cg_peak),
+                cols * ML_PHY_FLOPS / (ML_EFFICIENCY * cg_peak),
+                cols * ML_RAD_FLOPS / (ML_EFFICIENCY * cg_peak),
             )
         } else {
             (
-                cols * self.cfg.conv_phy_flops / (self.cfg.conv_efficiency * cg_peak),
-                cols * self.cfg.conv_rad_flops / (self.cfg.conv_efficiency * cg_peak),
+                cols * CONV_PHY_FLOPS / (CONV_EFFICIENCY * cg_peak),
+                cols * CONV_RAD_FLOPS / (CONV_EFFICIENCY * cg_peak),
             )
         };
 
         // --- communication per dynamics step ---
         let halo_cells =
             (self.cfg.halo_surface_coeff * (local_cells as f64).sqrt()).min(local_cells as f64);
-        let msg_bytes = halo_cells / 6.0 * nlev as f64 * self.cfg.exchange_vars * elem;
+        let msg_bytes = halo_cells / 6.0 * nlev as f64 * EXCHANGE_VARS * elem;
         let profile = ExchangeProfile {
             procs,
             msg_bytes,
@@ -393,9 +390,9 @@ impl SdpdModel {
         // software latency that grows with system size (MPI stack, network
         // diameter) — the dominant term at these message sizes.
         let lat_growth =
-            1.0 + self.cfg.latency_growth_per_doubling * ((procs.max(128) as f64) / 128.0).log2();
+            1.0 + LATENCY_GROWTH_PER_DOUBLING * ((procs.max(128) as f64) / 128.0).log2();
         let comm_per_step = (exchange_time(&profile, &self.spec).total()
-            + 6.0 * self.cfg.msg_software_latency * lat_growth)
+            + 6.0 * MSG_SOFTWARE_LATENCY * lat_growth)
             * self.cfg.exchanges_per_dyn_step;
 
         // --- assemble one simulated day ---
@@ -404,8 +401,7 @@ impl SdpdModel {
         let n_phy = 86_400.0 / grid.dt_phy;
         let n_rad = 86_400.0 / grid.dt_rad;
 
-        let imbalance =
-            1.0 + self.cfg.imbalance_per_doubling * ((procs.max(128) as f64 / 128.0).log2());
+        let imbalance = 1.0 + IMBALANCE_PER_DOUBLING * ((procs.max(128) as f64 / 128.0).log2());
         let dyn_s = dyn_per_step * n_dyn * imbalance;
         let tracer_s = tracer_per_step * n_trac * imbalance;
         let physics_s = (phy_per_step * n_phy + rad_per_step * n_rad) * imbalance;
@@ -470,9 +466,11 @@ pub fn weak_scaling_ladder() -> Vec<(&'static str, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grist_dycore::hevi::DYN_KERNELS;
+    use grist_dycore::tracer::FCT_KERNELS;
 
     fn model() -> SdpdModel {
-        SdpdModel::default()
+        SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS)
     }
 
     fn grid(label: &str) -> GridSpec {
@@ -613,10 +611,6 @@ mod tests {
         assert_eq!(costs.messages_per_exchange, 3.0);
         assert_eq!(costs.bytes_per_message, 200.0);
         let cfg = SdpdModelConfig::default().with_measured(&costs, 0.4);
-        assert_eq!(
-            cfg.dyn_kernel_groups,
-            SdpdModelConfig::default().dyn_kernel_groups
-        );
         assert_eq!(cfg.exchanges_per_dyn_step, 1.0);
         assert_eq!(cfg.overlap_factor, 0.4);
     }

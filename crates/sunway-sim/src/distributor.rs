@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn distributor_fixes_the_fig6_thrashing() {
         let s = spec();
-        let n_arrays = 7; // compute_rrr streams 7 arrays
+        let n_arrays = 7;
         let mut aligned = PoolAllocator::new(AllocPolicy::Aligned, &s, n_arrays);
         let mut dist = PoolAllocator::new(AllocPolicy::Distributed, &s, n_arrays);
         for _ in 0..n_arrays {

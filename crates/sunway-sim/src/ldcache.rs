@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn distributed_bases_restore_hits_for_seven_arrays() {
         // Fig. 6b: staggering the starting addresses across cache lanes lets
-        // even 7 concurrent streams (compute_rrr!) coexist.
+        // even 7 concurrent streams coexist.
         let mut c = small_cache();
         let way = 32 * 1024u64;
         let n = 7;

@@ -54,7 +54,7 @@ pub use ldcache::{simulate_streams, Access, LdCache};
 pub use metrics::{KernelStats, Metrics, MetricsSnapshot, SpanGuard, SpanStats};
 pub use omnicopy::{omnicopy, CopyStats, LdmArena, LdmOverflow, Space};
 pub use perf::{
-    fig9_kernels, fig9_table, kernel_time, stream_hit_ratio, ExecTarget, KernelSpec, PerfModel,
+    fig9_table, kernel_time, stream_hit_ratio, Domain, ExecTarget, IterSpace, KernelSpec,
 };
 pub use substrate::{
     format_kernel_report, kernel_report_rows, ColumnsMut, ExecTargetKind, KernelReportRow,

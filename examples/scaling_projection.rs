@@ -7,6 +7,8 @@
 //! cargo run --release --example scaling_projection
 //! ```
 
+use grist_dycore::hevi::DYN_KERNELS;
+use grist_dycore::tracer::FCT_KERNELS;
 use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
 use sunway_sim::SunwaySpec;
 
@@ -32,7 +34,7 @@ fn main() {
         spec.supernode_size, spec.oversubscription
     );
 
-    let model = SdpdModel::default();
+    let model = SdpdModel::new(&DYN_KERNELS, &FCT_KERNELS);
     let grids = table2_grids();
     let mix_ml = Scheme {
         mixed: true,

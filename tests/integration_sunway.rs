@@ -1,76 +1,148 @@
 //! Cross-crate integration tests of the Sunway performance stack: the
-//! dycore's cost descriptors feeding the roofline model, the LDCache/
+//! dycore's cost descriptors — the kernels a step dispatches, no more and no
+//! fewer — feeding the roofline model and its §4.6 mechanisms, the LDCache/
 //! distributor pipeline, and omnicopy inside a job-server offload.
 
-use grist_dycore::kernels::{
-    calc_coriolis_term_cost, compute_rrr_cost, grad_kinetic_energy_cost,
-    primal_normal_flux_edge_cost, tracer_flux_limiter_cost,
-};
+use grist_dycore::hevi::{NhConfig, NhSolver, DYN_KERNELS};
+use grist_dycore::tracer::FCT_KERNELS;
+use grist_dycore::VerticalCoord;
+use grist_mesh::HexMesh;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use sunway_sim::omnicopy::{omnicopy, CopyStats, LdmArena, Space};
-use sunway_sim::perf::{kernel_time, ExecTarget, KernelSpec, PerfModel};
+use sunway_sim::perf::{fig9_table, kernel_time, Domain, ExecTarget, KernelSpec};
 use sunway_sim::{JobServer, SunwaySpec};
 
-/// Translate a dycore cost descriptor into the perf model's kernel spec.
-fn to_spec(name: &'static str, cost: grist_dycore::kernels::KernelCost) -> KernelSpec {
-    KernelSpec {
-        name,
-        points: cost.points,
-        flops_per_point: cost.flops_per_point,
-        expensive_per_point: cost.expensive_per_point,
-        arrays: cost.arrays,
-        has_mixed_variant: cost.has_mixed_variant,
+/// The G6 grid, 30 levels: Fig. 9's domain.
+const G6: Domain = Domain {
+    cells: 40_962,
+    edges: 122_880,
+    verts: 81_920,
+    nlev: 30,
+};
+
+/// Every kernel Fig. 9 and the SDPD model read.
+fn executed() -> Vec<KernelSpec> {
+    DYN_KERNELS.iter().chain(&FCT_KERNELS).copied().collect()
+}
+
+fn time(k: &KernelSpec, target: ExecTarget) -> f64 {
+    kernel_time(k, &G6, target, &SunwaySpec::next_gen(), None)
+}
+
+#[test]
+fn descriptors_name_exactly_the_kernels_a_step_dispatches() {
+    // One `NhSolver::step` with three tracers: on the default cadence it
+    // transports them; eight steps to a tracer step, it does not.
+    let ntracers: u64 = 3;
+    for dyn_per_trac in [1, 8] {
+        let config = NhConfig {
+            ntracers: ntracers as usize,
+            dyn_per_trac,
+            ..NhConfig::default()
+        };
+        let mut solver = NhSolver::<f64>::new(HexMesh::build(2), VerticalCoord::uniform(6), config);
+        let mut state = solver.isothermal_rest_state(285.0, 1.0e5);
+        solver.step(&mut state, 300.0);
+
+        // Rows are span-qualified: `dycore/hevi_diagnose`.
+        let mut dispatched: BTreeMap<&str, u64> = BTreeMap::new();
+        let rows = solver.sub.kernel_report();
+        for row in &rows {
+            let name = row.name.rsplit('/').next().expect("a kernel name");
+            *dispatched.entry(name).or_default() += row.calls;
+        }
+
+        let mut expected: BTreeMap<&str, u64> = DYN_KERNELS.iter().map(|k| (k.name, 1)).collect();
+        if dyn_per_trac == 1 {
+            // `fct_transport` once per tracer step, the other four per tracer
+            // — and the pre-transport mass, a once-per-tracer-step pass over
+            // three columns that no model term carries.
+            let (per_step, per_tracer) = FCT_KERNELS.split_at(1);
+            expected.extend(per_step.iter().map(|k| (k.name, 1)));
+            expected.extend(per_tracer.iter().map(|k| (k.name, ntracers)));
+            expected.insert("hevi_tracer_mass", 1);
+        }
+        assert_eq!(dispatched, expected, "dyn_per_trac {dyn_per_trac}");
     }
 }
 
 #[test]
 fn dycore_cost_descriptors_drive_the_fig9_model() {
-    let spec = SunwaySpec::next_gen();
-    let model = PerfModel::default();
-    let (nc, ne, nlev) = (40_962, 122_880, 30);
-    let kernels = vec![
-        to_spec(
-            "grad_kinetic_energy",
-            grad_kinetic_energy_cost::<f64>(ne, nlev),
-        ),
-        to_spec(
-            "primal_normal_flux_edge",
-            primal_normal_flux_edge_cost::<f64>(ne, nlev),
-        ),
-        to_spec("compute_rrr", compute_rrr_cost::<f64>(nc, nlev)),
-        to_spec("calc_coriolis_term", calc_coriolis_term_cost(ne, nlev)),
-        to_spec(
-            "tracer_transport_hori_flux_limiter",
-            tracer_flux_limiter_cost::<f64>(ne, nlev),
-        ),
-    ];
-    for k in &kernels {
-        let base = kernel_time(k, ExecTarget::MpeDp, &spec, &model, None);
-        let best = kernel_time(k, ExecTarget::CpeMixDst, &spec, &model, None);
-        let speedup = base / best;
+    let kernels = executed();
+    let table = fig9_table(&kernels, &G6, &SunwaySpec::next_gen());
+    assert_eq!(table.len(), 12);
+    for (k, row) in kernels.iter().zip(&table) {
+        assert_eq!(row.name, k.name);
+        assert!(k.arrays >= 2 && k.flops_per_point > 0.0, "{}", k.name);
         assert!(
-            (5.0..150.0).contains(&speedup),
-            "{}: full-optimization speedup {speedup} out of the plausible band",
-            k.name
+            row.speedup.iter().all(|&(_, s)| s.is_finite() && s > 0.0),
+            "{}: {:?}",
+            k.name,
+            row.speedup
+        );
+        // Mixed precision never costs time.
+        assert!(time(k, ExecTarget::CpeMixDst) <= time(k, ExecTarget::CpeDpDst));
+    }
+}
+
+#[test]
+fn dst_rescues_every_kernel_that_streams_more_than_four_arrays() {
+    // Fig. 6 / §3.3.3: more concurrent streams than the LDCache has ways
+    // thrash from way-aligned bases; distributed bases fix it.
+    let ways = SunwaySpec::next_gen().ldcache_ways;
+    let mut rescued = 0;
+    for k in &executed() {
+        let gain = time(k, ExecTarget::CpeDp) / time(k, ExecTarget::CpeDpDst);
+        if k.arrays > ways {
+            assert!(
+                gain > 3.0,
+                "{} ({} arrays): DST gains {gain}",
+                k.name,
+                k.arrays
+            );
+            rescued += 1;
+        } else {
+            assert_eq!(gain, 1.0, "{} ({} arrays) cannot thrash", k.name, k.arrays);
+        }
+    }
+    assert!(
+        rescued >= 8,
+        "only {rescued} kernels stream more than {ways} arrays"
+    );
+}
+
+#[test]
+fn mix_changes_nothing_for_a_kernel_that_always_runs_in_f64() {
+    // §4.6: a kernel without a mixed-precision variant gains nothing from
+    // MIX — here the f64 equation of state, mass flux, mass / Θ update and
+    // implicit solve (§3.4.2's sensitive terms).
+    let f64_only: Vec<KernelSpec> = executed().into_iter().filter(|k| !k.mixed).collect();
+    assert_eq!(f64_only.len(), 4);
+    for k in &f64_only {
+        assert_eq!(time(k, ExecTarget::CpeMix), time(k, ExecTarget::CpeDp));
+        assert_eq!(
+            time(k, ExecTarget::CpeMixDst),
+            time(k, ExecTarget::CpeDpDst)
         );
     }
-    // The paper's ordering claims.
-    let s = |name: &str, t: ExecTarget| {
-        let k = kernels.iter().find(|k| k.name == name).unwrap();
-        kernel_time(k, ExecTarget::MpeDp, &spec, &model, None)
-            / kernel_time(k, t, &spec, &model, None)
-    };
-    assert!(
-        s("primal_normal_flux_edge", ExecTarget::CpeMixDst)
-            > s("primal_normal_flux_edge", ExecTarget::CpeDpDst),
-        "divide/pow-heavy kernel must benefit from MIX"
-    );
-    let cor_gain =
-        s("calc_coriolis_term", ExecTarget::CpeMixDst) / s("calc_coriolis_term", ExecTarget::CpeDp);
-    assert!(
-        (0.95..1.1).contains(&cor_gain),
-        "coriolis should gain ~nothing from MIX+DST: {cor_gain}"
-    );
+}
+
+#[test]
+fn mixed_precision_halves_modeled_memory_time_workspace_wide() {
+    // §4.6: on the bandwidth-bound CPE cluster, f32 halves the bytes a mixed
+    // kernel streams. A kernel with no divide or elemental function gains
+    // nothing else, so its whole gain is memory time.
+    let mut seen = 0;
+    for k in executed()
+        .iter()
+        .filter(|k| k.mixed && k.expensive_per_point == 0.0)
+    {
+        let ratio = time(k, ExecTarget::CpeDpDst) / time(k, ExecTarget::CpeMixDst);
+        assert!((1.4..2.3).contains(&ratio), "{}: MIX ratio {ratio}", k.name);
+        seen += 1;
+    }
+    assert!(seen >= 4, "only {seen} cheap-op mixed kernels");
 }
 
 #[test]
@@ -125,7 +197,7 @@ fn bfs_reordering_improves_measured_ldcache_hits() {
     // §3.1.3's claim, measured: run the real edge→cell indirect stream of a
     // gradient kernel through the LDCache simulator under BFS vs random cell
     // ordering.
-    use grist_mesh::{bfs_cell_order, HexMesh, Permutation};
+    use grist_mesh::{bfs_cell_order, Permutation};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use sunway_sim::LdCache;
@@ -153,17 +225,4 @@ fn bfs_reordering_improves_measured_ldcache_hits() {
         "BFS hit ratio {bfs:.3} must clearly beat random {random:.3}"
     );
     assert!(bfs > 0.8, "BFS stream should be cache-friendly: {bfs:.3}");
-}
-
-#[test]
-fn mixed_precision_halves_modeled_memory_time_workspace_wide() {
-    let spec = SunwaySpec::next_gen();
-    let model = PerfModel::default();
-    let k64 = to_spec("grad_ke", grad_kinetic_energy_cost::<f64>(122_880, 30));
-    let k32 = to_spec("grad_ke", grad_kinetic_energy_cost::<f32>(122_880, 30));
-    // Same flops, half the bytes.
-    assert_eq!(k64.flops_per_point, k32.flops_per_point);
-    let t64 = kernel_time(&k64, ExecTarget::CpeDpDst, &spec, &model, None);
-    let t32 = kernel_time(&k32, ExecTarget::CpeMixDst, &spec, &model, None);
-    assert!((1.4..2.3).contains(&(t64 / t32)), "MIX ratio {}", t64 / t32);
 }
