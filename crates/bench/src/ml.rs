@@ -1,5 +1,5 @@
 //! The pinned ML-inference benchmark behind `BENCH_ml.json`: the batched
-//! GEMM engine ([`grist_core::MlSuite::step_columns`]) against the
+//! engine ([`grist_core::MlSuite::step_columns`]) against the
 //! per-column matrix–vector reference
 //! ([`grist_core::MlSuite::step_columns_per_column`]) on both execution
 //! targets, every knob pinned so the document is reproducible.

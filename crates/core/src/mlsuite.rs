@@ -8,9 +8,10 @@
 //!
 //! [`MlSuite::step_columns`] packs blocks of [`MlSuite::block`] columns into
 //! row-major `[B × n_in]` stage matrices and runs each block through
-//! `grist_ml`'s im2col + GEMM engine — one `Substrate` dispatch item per
-//! *block*, metered with `run_with_bytes` so DMA counters, the `ml` trace
-//! span and the fault/degradation path all see the batched kernel. All
+//! `grist_ml`'s batched engine (the CNN's conv register tiles, the MLP's
+//! GEMMs) — one `Substrate` dispatch item per *block*, metered with
+//! `run_with_bytes` so DMA counters, the `ml` trace span and the
+//! fault/degradation path all see the batched kernel. All
 //! intermediate storage comes from a shared [`ScratchPool`]; after warm-up
 //! the steady-state loop performs zero heap allocations — a block runs one
 //! path and every buffer on it is a pooled arena — on the inference side
@@ -18,10 +19,10 @@
 //! path does), which [`MlSuite::scratch_alloc_events`] lets tests assert.
 //!
 //! The batched path is **bitwise identical** to the per-column reference
-//! ([`MlSuite::step_columns_per_column`]): the GEMM kernel accumulates each
-//! output element in the same order as the matrix–vector loops (see
-//! `grist_ml::gemm`), so equivalence tests use exact equality and the chaos
-//! suite's determinism guarantees carry over unchanged.
+//! ([`MlSuite::step_columns_per_column`]): the conv tiles and the GEMM
+//! accumulate each output element in the same order as the per-column
+//! loops (see `grist_ml::batch`), so equivalence tests use exact equality
+//! and the chaos suite's determinism guarantees carry over unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,12 +35,13 @@ use grist_physics::surface::{bulk_fluxes, SurfaceConfig};
 use grist_physics::{Column, SurfaceDiag, Tendencies};
 use sunway_sim::{ColumnsMut, Substrate};
 
-/// Default number of columns per batched dispatch block. Sized so the
-/// largest LDM-*resident* panel (an activation matrix, `ch × B·nlev` f32:
-/// 240 KB for the production-like 64-channel, 30-level suite) fills but
-/// does not overflow a CPE's 256 KB LDM. The 3× larger im2col panel never
-/// needs to be resident — the GEMM tiling streams it in `KC`-deep slivers
-/// — see DESIGN.md "Batched ML inference".
+/// Default number of columns per batched dispatch block. A CPE's 256 KiB
+/// LDM cannot hold a whole activation plane at the production-like
+/// 64-channel, 30-level shape: the padded plane `B·(nlev + 2) × ch` f32 is
+/// 256 KiB (262 144 B) by itself. It need not: a conv register tile holds
+/// resident only its receptive field, `(MR + 2)` rows × `c_in` (1.75 KiB),
+/// and the layer's weights, `3·c_in × c_out` f32 (48 KiB), and streams the
+/// rows through — see DESIGN.md "Batched ML inference".
 pub const DEFAULT_ML_BLOCK: usize = 32;
 
 /// Per-block working storage: the packed stage matrices plus the network
@@ -93,9 +95,13 @@ pub struct ScratchPool {
     created: AtomicU64,
 }
 
+/// Why locking the free list can fail: only a panic while it was held, and
+/// the pool holds it just to push or pop an arena.
+const POOL_POISONED: &str = "ML scratch pool poisoned: a block panicked while holding it";
+
 impl ScratchPool {
     fn take(&self) -> BlockScratch {
-        let popped = self.free.lock().unwrap().pop();
+        let popped = self.free.lock().expect(POOL_POISONED).pop();
         popped.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
             BlockScratch::default()
@@ -103,7 +109,7 @@ impl ScratchPool {
     }
 
     fn put(&self, s: BlockScratch) {
-        self.free.lock().unwrap().push(s);
+        self.free.lock().expect(POOL_POISONED).push(s);
     }
 
     /// Total allocation events: arenas created plus every buffer growth
@@ -112,7 +118,7 @@ impl ScratchPool {
     /// meaningful between dispatches, when all arenas are back in the
     /// pool.)
     pub fn alloc_events(&self) -> u64 {
-        let free = self.free.lock().unwrap();
+        let free = self.free.lock().expect(POOL_POISONED);
         self.created.load(Ordering::Relaxed) + free.iter().map(|s| s.alloc_events()).sum::<u64>()
     }
 }
@@ -268,7 +274,7 @@ impl MlSuite {
         self.assemble_output(col, &y, &r)
     }
 
-    /// Run one block of columns through the batched GEMM engine, writing
+    /// Run one block of columns through the batched engine, writing
     /// each result into its slot of `out` at `lo + i`.
     fn step_block(
         &self,
@@ -304,12 +310,13 @@ impl MlSuite {
             self.mlp.normalize_input(row);
         }
 
-        // One im2col+GEMM pass per network for the whole block.
-        let variant = GemmVariant::default();
+        // One pass per network for the whole block: the CNN's conv tiles,
+        // the MLP's GEMMs.
         let ys_cnn = &mut s.ys_cnn[..b * CNN_OUTPUT_CHANNELS * nlev];
-        self.cnn.infer_batch(variant, b, xs_cnn, ys_cnn, &mut s.cnn);
+        self.cnn.infer_batch(b, xs_cnn, ys_cnn, &mut s.cnn);
         let ys_mlp = &mut s.ys_mlp[..b * n_out];
-        self.mlp.infer_batch(variant, b, xs_mlp, ys_mlp, &mut s.mlp);
+        self.mlp
+            .infer_batch(GemmVariant::default(), b, xs_mlp, ys_mlp, &mut s.mlp);
 
         // Denormalize and assemble per column.
         for (i, col) in block.iter().enumerate() {
@@ -324,8 +331,9 @@ impl MlSuite {
 
     /// Run on many columns — "a simplified, unified computational pattern
     /// (primarily matrix multiplication)": blocks of [`Self::block`]
-    /// columns, each lowered to im2col + GEMM, one `Substrate` dispatch
-    /// item per block with the streamed bytes metered for the DMA model.
+    /// columns, each through the conv tiles and the MLP's GEMMs, one
+    /// `Substrate` dispatch item per block with the streamed bytes metered
+    /// for the DMA model.
     pub fn step_columns(&self, cols: &[Column]) -> Vec<MlOutput> {
         // Attribute the inference fan-out to the "ml" trace span.
         let _span = self.sub.span("ml");
@@ -391,7 +399,7 @@ impl MlSuite {
     }
 
     /// FLOPs the batched engine issues for a block of `b` columns, summed
-    /// from the exact GEMM shapes the lowering performs. Consistency:
+    /// from the exact layer shapes the lowering performs. Consistency:
     /// `batch_flops(b) == b · flops_per_column()`.
     pub fn batch_flops(&self, b: usize) -> u64 {
         cnn_batch_flops(&self.cnn, b) + mlp_batch_flops(&self.mlp, b)
@@ -639,7 +647,7 @@ mod tests {
             assert_eq!(
                 suite.batch_flops(b as usize),
                 b * suite.flops_per_column(),
-                "batched GEMM op count must be exactly b × per-column FLOPs"
+                "batched op count must be exactly b × per-column FLOPs"
             );
         }
     }

@@ -2,11 +2,12 @@
 //! unified computational pattern (primarily matrix multiplication)" that the
 //! paper's AI-enhanced physics suite reduces to (§3.2.3, §3.3.4).
 //!
-//! Every layer of the batched inference engine ([`crate::batch`]) lowers to
-//! exactly one call of [`gemm_nn`]: `Conv1d` through an im2col panel and
-//! `Dense` on transposed activation panels. The kernel therefore carries the
-//! entire steady-state FLOP budget of the coupled ML physics run, and its
-//! two properties are load-bearing:
+//! Every `Dense` layer of the batched inference engine ([`crate::batch`])
+//! lowers to exactly one call of [`gemm_nn`] on transposed activation
+//! panels: the radiation MLP's whole trunk, about 4 % of the suite's FLOPs.
+//! (The CNN's convolutions run their own register tile over the padded
+//! activations, with the same accumulation discipline.) Two properties are
+//! load-bearing:
 //!
 //! 1. **Zero allocations.** The kernel works in place on caller-provided
 //!    row-major slices; blocking is done with index arithmetic, not packing
@@ -18,8 +19,8 @@
 //!    panels visited in order, and the micro-kernel never splits `k` across
 //!    partial sums). `C[i][j]`'s value is therefore *bitwise identical* to a
 //!    naive `for k { c += a[k]*b[k] }` loop — which is exactly what the
-//!    per-column `Conv1d::infer` / `Dense::infer` paths compute. Batched and
-//!    per-column inference agree bit for bit, which keeps the substrate's
+//!    per-column `Dense::infer` path computes. Batched and per-column
+//!    inference agree bit for bit, which keeps the substrate's
 //!    degrade-to-serial fault path and the chaos suite's bitwise-determinism
 //!    guarantees intact.
 //!

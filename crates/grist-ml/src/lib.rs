@@ -22,9 +22,7 @@ pub mod models;
 pub mod optim;
 pub mod tensor;
 
-pub use batch::{
-    cnn_batch_flops, mlp_batch_flops, CnnScratch, ColumnScratch, MlpScratch, SampleLayout,
-};
+pub use batch::{cnn_batch_flops, mlp_batch_flops, CnnScratch, ColumnScratch, MlpScratch};
 pub use data::{ChannelNormalizer, Dataset, Sample, TrainingPeriod, TRAINING_PERIODS};
 pub use flops::{
     achieved_peak_fraction, compare_radiation, gemm_lane_utilization, RadiationComparison,

@@ -221,41 +221,30 @@ impl TendencyCnn {
         opt.update(&mut self.output.bias);
     }
 
-    fn param_tensors(&self) -> Vec<&[f32]> {
-        let mut v: Vec<&[f32]> = vec![&self.input.weight.w, &self.input.bias.w];
-        for r in &self.res {
-            v.push(&r.conv1.weight.w);
-            v.push(&r.conv1.bias.w);
-            v.push(&r.conv2.weight.w);
-            v.push(&r.conv2.bias.w);
-        }
-        v.push(&self.output.weight.w);
-        v.push(&self.output.bias.w);
-        v
-    }
-
-    fn param_tensors_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut v: Vec<&mut Vec<f32>> = vec![&mut self.input.weight.w, &mut self.input.bias.w];
+    /// Every conv layer in file order: input, each ResUnit's two, output.
+    fn convs_mut(&mut self) -> Vec<&mut Conv1d> {
+        let mut v = vec![&mut self.input];
         for r in &mut self.res {
-            v.push(&mut r.conv1.weight.w);
-            v.push(&mut r.conv1.bias.w);
-            v.push(&mut r.conv2.weight.w);
-            v.push(&mut r.conv2.bias.w);
+            v.push(&mut r.conv1);
+            v.push(&mut r.conv2);
         }
-        v.push(&mut self.output.weight.w);
-        v.push(&mut self.output.bias.w);
+        v.push(&mut self.output);
         v
     }
 
-    /// Serialize architecture, weights and normalization to a writer.
+    /// Serialize architecture, weights and normalization to a writer. Each
+    /// conv writes its weight in `[c_out × c_in × ksize]` order, then its
+    /// bias.
     pub fn save_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         write_magic(w, KIND_CNN)?;
         write_u64(w, self.nlev as u64)?;
         write_u64(w, self.channels as u64)?;
         write_norm_pairs(w, &self.in_norm)?;
         write_norm_pairs(w, &self.out_norm)?;
-        for t in self.param_tensors() {
-            write_f32_slice(w, t)?;
+        let res = self.res.iter().flat_map(|r| [&r.conv1, &r.conv2]);
+        for conv in [&self.input].into_iter().chain(res).chain([&self.output]) {
+            write_f32_slice(w, &conv.weight_oik())?;
+            write_f32_slice(w, &conv.bias.w)?;
         }
         Ok(())
     }
@@ -268,15 +257,20 @@ impl TendencyCnn {
         let mut net = TendencyCnn::new(nlev, channels, 0);
         net.in_norm = read_norm_pairs(r)?;
         net.out_norm = read_norm_pairs(r)?;
-        for t in net.param_tensors_mut() {
+        let read_sized = |r: &mut _, want: usize| {
             let loaded = read_f32_vec(r)?;
-            if loaded.len() != t.len() {
+            if loaded.len() != want {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("tensor size mismatch: {} vs {}", loaded.len(), t.len()),
+                    format!("tensor size mismatch: {} vs {want}", loaded.len()),
                 ));
             }
-            *t = loaded;
+            Ok(loaded)
+        };
+        for conv in net.convs_mut() {
+            let weight = read_sized(r, conv.weight.len())?;
+            conv.set_weight_oik(&weight);
+            conv.bias.w = read_sized(r, conv.bias.len())?;
         }
         Ok(net)
     }

@@ -139,13 +139,18 @@ impl Dense {
 /// temperature, humidity, and other atmospheric variables" (§3.2.3).
 ///
 /// Data layout: channel-major `[ch × len]`.
+///
+/// The weight is stored K-major, `[(c_in·ksize) × c_out]`: row `ci·ksize + k`
+/// holds tap `k` of input channel `ci` for every output channel, the layout
+/// the batched register tile streams (`crate::batch`). Weight files keep the
+/// `[c_out × c_in × ksize]` order.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     pub c_in: usize,
     pub c_out: usize,
     pub ksize: usize,
     pub len: usize,
-    pub weight: Param, // [c_out × c_in × ksize]
+    pub weight: Param, // [(c_in·ksize) × c_out]
     pub bias: Param,   // [c_out]
     cached_x: Vec<f32>,
 }
@@ -153,12 +158,16 @@ pub struct Conv1d {
 impl Conv1d {
     pub fn new(c_in: usize, c_out: usize, ksize: usize, len: usize, rng: &mut StdRng) -> Self {
         assert!(ksize % 2 == 1, "odd kernel for same padding");
+        // Drawn in `[c_out × c_in × ksize]` order, so a seed gives the
+        // network it always gave, then stored K-major.
+        let mut weight = Param::he(c_out * c_in * ksize, c_in * ksize, rng);
+        weight.w = transposed(&weight.w, c_out, c_in * ksize);
         Conv1d {
             c_in,
             c_out,
             ksize,
             len,
-            weight: Param::he(c_out * c_in * ksize, c_in * ksize, rng),
+            weight,
             bias: Param::zeros(c_out),
             cached_x: Vec::new(),
         }
@@ -166,7 +175,18 @@ impl Conv1d {
 
     #[inline]
     fn widx(&self, co: usize, ci: usize, k: usize) -> usize {
-        (co * self.c_in + ci) * self.ksize + k
+        (ci * self.ksize + k) * self.c_out + co
+    }
+
+    /// The weight in `[c_out × c_in × ksize]` order — the order weight files
+    /// hold.
+    pub(crate) fn weight_oik(&self) -> Vec<f32> {
+        transposed(&self.weight.w, self.c_in * self.ksize, self.c_out)
+    }
+
+    /// Set the weight from `[c_out × c_in × ksize]` order.
+    pub(crate) fn set_weight_oik(&mut self, oik: &[f32]) {
+        self.weight.w = transposed(oik, self.c_out, self.c_in * self.ksize);
     }
 
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
@@ -241,6 +261,13 @@ impl Conv1d {
     pub fn flops(&self) -> u64 {
         2 * (self.c_out * self.c_in * self.ksize * self.len) as u64
     }
+}
+
+/// Row-major `m [rows × cols]` as row-major `[cols × rows]`.
+fn transposed(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols)
+        .flat_map(|c| (0..rows).map(move |r| m[r * cols + c]))
+        .collect()
 }
 
 /// ReLU activation (stateful: caches the mask).

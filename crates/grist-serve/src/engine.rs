@@ -12,7 +12,7 @@
 //! Derived products (precip, t2m) run the full ML physics suite on the
 //! queried columns. [`QueryEngine::serve_batch`] gathers every uncached
 //! `(member, cell)` a batch of queries needs into *one*
-//! [`MlSuite::step_columns`] call — the `ScratchPool`-backed im2col+GEMM
+//! [`MlSuite::step_columns`] call — the `ScratchPool`-backed batched
 //! block dispatch — while [`QueryEngine::serve_one_percol`] is the
 //! per-query reference path (one dispatch per column, bitwise-identical
 //! results, no cross-query batching) that `bench_gate serve` measures against.
