@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the transport, shallow-water, physics and ML hot
-//! paths — host timings beside the modeled Sunway numbers (`cargo run
-//! --release --bin fig9_kernels` times the executed Fig. 9 kernels inside a
+//! paths — host timings beside the modeled Sunway numbers (`grist report
+//! fig9` times the executed Fig. 9 kernels inside a
 //! coupled window). Uses the offline self-timed harness in
 //! `grist_bench::Bencher`.
 

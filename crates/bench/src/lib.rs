@@ -1,8 +1,8 @@
-//! Shared helpers for the figure/table harness binaries (aligned-column
-//! table printing, CSV output into `results/`), plus the five pinned
-//! suites ([`smoke`], [`ml`], [`partition`], [`serve`], [`scaling`]) whose
-//! `BENCH_*.json` are exact golden pins: [`pin`] is what the `bench_gate`
-//! binary runs and compares.
+//! What the `grist` binary runs: the paper's tables and figures
+//! ([`report`]), the five pinned suites ([`smoke`], [`ml`], [`partition`],
+//! [`serve`], [`scaling`]) whose `BENCH_*.json` are exact golden pins
+//! ([`pin`]), the serving-telemetry scenario ([`obs`]), and their shared
+//! helpers (aligned-column tables, CSV output into `results/`).
 
 // Indexed loops mirror the Fortran stencil kernels they reproduce and are
 // clearer than iterator chains for staggered-grid code.
@@ -11,12 +11,12 @@ pub mod ml;
 pub mod obs;
 pub mod partition;
 pub mod pin;
+pub mod report;
 pub mod scaling;
 pub mod serve;
 pub mod smoke;
 
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// A simple text table accumulated row by row.
@@ -64,32 +64,17 @@ impl Table {
     }
 
     /// Also write as CSV under `results/<name>.csv`.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", self.header.join(","))?;
+    pub fn write_csv(&self, name: &str) -> Result<PathBuf, String> {
+        let path = PathBuf::from("results").join(format!("{name}.csv"));
+        let mut text = format!("{}\n", self.header.join(","));
         for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+            text.push_str(&row.join(","));
+            text.push('\n');
         }
+        fs::create_dir_all("results")
+            .and_then(|()| fs::write(&path, text))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         Ok(path)
-    }
-}
-
-/// The shared epilogue of the document-emitting bins: write `text` to
-/// `path`, or to stdout when no path was given. An unwritable path is
-/// reported under `bin`'s name and exits 2 (gate failures exit 1).
-pub fn emit_doc(bin: &str, path: Option<&str>, text: &str) {
-    match path {
-        Some(path) => {
-            fs::write(path, text).unwrap_or_else(|e| {
-                eprintln!("{bin}: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("{bin}: wrote {path} ({} bytes)", text.len());
-        }
-        None => print!("{text}"),
     }
 }
 

@@ -30,7 +30,7 @@ pub const MIN_SIMD_SPEEDUP: f64 = 1.5;
 
 /// Pinned configuration — the production-like suite shape from the issue:
 /// 16 levels, 64 CNN channels. Changing any of these invalidates the
-/// committed `BENCH_ml.json`; re-pin it (`bench_gate ml --update`).
+/// committed `BENCH_ml.json`; re-pin it (`grist gate ml --update`).
 pub const ML_NLEV: usize = 16;
 pub const ML_CHANNELS: usize = 64;
 /// Columns per `step_columns` call: 8 blocks of the default 32-column

@@ -1,14 +1,14 @@
-//! The serving-telemetry scenario behind the `obs_report` binary and the CI
-//! `obs` job: an ensemble advancing on rank pools — every member sampled
-//! into its own health watch after each epoch — while threaded clients
-//! hammer a [`ForecastServer`] reading its views. The server records
-//! `serve.latency_ns` and `serve.batch_size` into its engine's registry; at
-//! the end the scenario is held to three gates ([`ObsBench::failures`]):
+//! The serving-telemetry scenario behind `grist obs`: an ensemble advancing
+//! on rank pools — every member sampled into its own health watch after
+//! each epoch — while threaded clients hammer a [`ForecastServer`] reading
+//! its views. The server records `serve.latency_ns` and `serve.batch_size`
+//! into its engine's registry; at the end the scenario is held to three
+//! gates ([`ObsBench::failures`]):
 //!
 //! * **SLO** — [`SloPolicy::evaluate`], once, on the registry's latency
 //!   histogram, the traffic window and the ensemble's alert count;
 //! * **health** — no ensemble member raised an alert;
-//! * **document** — the registry document the bin wrote re-parses to an
+//! * **document** — the registry document `grist obs` wrote re-parses to an
 //!   equal [`MetricsSnapshot`]. Every percentile a report prints is a pure
 //!   function of those bucket counts, so equality is reproducibility.
 
@@ -61,7 +61,7 @@ impl Default for ObsBenchConfig {
 pub struct ObsBench {
     /// The serving engine's registry at the end of the traffic.
     pub snapshot: MetricsSnapshot,
-    /// `snapshot` as the JSON document `obs_report` writes.
+    /// `snapshot` as the JSON document `grist obs` writes.
     pub document: String,
     /// Health alerts, each with the member that raised it.
     pub alerts: Vec<(usize, Alert)>,

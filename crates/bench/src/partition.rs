@@ -124,7 +124,8 @@ mod tests {
             .find(|(k, _)| k.ends_with(".edge_cut"))
             .unwrap();
         cut.1 += 1.0;
-        let drift = moved.drift_from(&good.pin_file_json()).unwrap();
+        let committed = grist_core::pin_file_json(&good.config, Some(&good.pin));
+        let drift = moved.drift_from(&committed).unwrap();
         assert_eq!(drift.len(), 1, "{drift:?}");
         assert!(
             drift[0].starts_with("diagnostic partition.L3.p4.edge_cut: pinned "),

@@ -1,5 +1,5 @@
-//! The `BENCH_*.json` family as exact golden pins — what the `bench_gate`
-//! binary runs, writes and compares.
+//! The `BENCH_*.json` family as exact golden pins — what `grist gate` runs,
+//! writes and compares.
 //!
 //! A suite run yields two things and keeps them apart:
 //!
@@ -8,7 +8,8 @@
 //!   by bit pattern), and as `counters` the registry's counters plus every
 //!   kernel's `calls` / `items` / `bytes` and every span's `calls`,
 //!   flattened to `kernel.<path>.<field>` / `span.<path>.calls`. It is
-//!   committed as `{schema, config, golden}` and checked by
+//!   committed as `{schema, config, golden}`
+//!   ([`grist_core::pin_file_json`]) and checked by
 //!   [`ScenarioArtifact::diff`] — zero tolerance, one comparator.
 //! * **a wall report** — everything a clock produced (kernel and span
 //!   nanoseconds, rates, latency percentiles, the tracing-overhead and
@@ -21,13 +22,13 @@
 //! see [`crate::ml::run`], [`crate::serve::run`], [`crate::smoke::run`] and
 //! [`crate::scaling::run`].
 
-use grist_core::{ScenarioArtifact, SCENARIO_SCHEMA};
+use grist_core::{parse_pin_file, ScenarioArtifact};
 use sunway_sim::{Json, MetricsSnapshot};
 
 /// One suite's outcome: `Err` when an in-run gate failed.
 pub type SuiteResult = Result<SuiteRun, String>;
 
-/// A suite by the name `bench_gate` takes; `BENCH_<name>.json` is its pin.
+/// A suite by the name `grist gate` takes; `BENCH_<name>.json` is its pin.
 pub type Suite = (&'static str, fn() -> SuiteResult);
 
 /// The five suites.
@@ -39,13 +40,15 @@ pub const SUITES: [Suite; 5] = [
     ("scaling", crate::scaling::run),
 ];
 
-/// What one suite run produced.
+/// What one suite run — or one scenario's two runs, in `grist gate` —
+/// produced.
 #[derive(Debug)]
 pub struct SuiteRun {
-    /// The suite's pinned knobs; the committed `config` must equal it.
+    /// The run's pinned knobs; the committed `config` must equal it.
     pub config: Json,
     pub pin: ScenarioArtifact,
-    /// Wall-derived numbers: recorded, never compared.
+    /// Wall-derived numbers (a scenario's metrics snapshot): recorded,
+    /// never compared.
     pub wall: Json,
 }
 
@@ -85,45 +88,18 @@ impl SuiteRun {
         }
     }
 
-    /// The `BENCH_<suite>.json` document of this run.
-    pub fn pin_file_json(&self) -> String {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SCENARIO_SCHEMA.into())),
-            ("config".into(), self.config.clone()),
-            ("golden".into(), self.pin.to_json()),
-        ])
-        .pretty()
-    }
-
     /// Every way this run differs from the committed document `text`:
     /// [`ScenarioArtifact::diff`] against its `golden`, after one line if
-    /// its `config` is not what the suite ran with. `Err` when `text` is
-    /// not a strict `{schema, config, golden}` document.
+    /// its `config` is not what the run used. `Err` when `text` is not a
+    /// strict pin document ([`parse_pin_file`]) or has no `golden`.
     pub fn drift_from(&self, text: &str) -> Result<Vec<String>, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let fields = doc.as_obj().ok_or("document: expected an object")?;
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != ["schema", "config", "golden"] {
-            return Err(format!(
-                "document: fields {keys:?}, expected [\"schema\", \"config\", \"golden\"]"
-            ));
-        }
-        let [(_, schema), (_, config), (_, golden)] = fields else {
-            unreachable!("three keys were just matched");
-        };
-        if schema.as_str() != Some(SCENARIO_SCHEMA) {
-            return Err(format!(
-                "document.schema: expected {SCENARIO_SCHEMA:?}, found {}",
-                one_line(schema)
-            ));
-        }
-        let golden = ScenarioArtifact::from_json(golden, "golden").map_err(|e| e.to_string())?;
-
+        let (config, golden) = parse_pin_file(text).map_err(|e| e.to_string())?;
+        let golden = golden.ok_or("no golden block committed — pin it with --update")?;
         let mut drift = Vec::new();
-        if *config != self.config {
+        if config != self.config {
             drift.push(format!(
                 "config: pinned {}, suite ran {} — re-pin with --update",
-                one_line(config),
+                one_line(&config),
                 one_line(&self.config)
             ));
         }
@@ -147,7 +123,13 @@ pub(crate) fn leaf<T: Copy>(section: &[(String, T)], key: &str) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grist_core::{pin_file_json, SCENARIO_SCHEMA};
     use sunway_sim::{KernelStats, SpanStats};
+
+    /// The committed document of `run`.
+    fn doc(run: &SuiteRun) -> String {
+        pin_file_json(&run.config, Some(&run.pin))
+    }
 
     fn sample() -> SuiteRun {
         let mut snap = MetricsSnapshot::default();
@@ -202,7 +184,7 @@ mod tests {
             Some(35_310_366)
         );
         // No clock reading reaches the committed document.
-        let text = run.pin_file_json();
+        let text = doc(&run);
         assert!(!text.contains("4603913") && !text.contains("35310366"));
         assert_eq!(run.drift_from(&text).unwrap(), [] as [&str; 0]);
     }
@@ -213,7 +195,7 @@ mod tests {
         let drift = |edit: &dyn Fn(&mut SuiteRun)| {
             let mut pinned = sample();
             edit(&mut pinned);
-            run.drift_from(&pinned.pin_file_json()).unwrap()
+            run.drift_from(&doc(&pinned)).unwrap()
         };
         let ulp_up = f64::from_bits(run.pin.diagnostics[0].1.to_bits() + 1);
         assert_eq!(
@@ -248,15 +230,11 @@ mod tests {
     #[test]
     fn a_document_with_a_wall_section_or_another_schema_is_refused() {
         let run = sample();
-        let with_report =
-            run.pin_file_json()
-                .replacen("\"golden\"", "\"report\": {},\n  \"golden\"", 1);
+        let with_report = doc(&run).replacen("\"golden\"", "\"report\": {},\n  \"golden\"", 1);
         assert!(run.drift_from(&with_report).unwrap_err().contains("report"));
-        let other = run.pin_file_json().replace(SCENARIO_SCHEMA, "some-v0");
+        let other = doc(&run).replace(SCENARIO_SCHEMA, "some-v0");
         assert!(run.drift_from(&other).unwrap_err().contains("schema"));
-        let unknown =
-            run.pin_file_json()
-                .replacen("\"counters\"", "\"gauges\": {},\n    \"counters\"", 1);
+        let unknown = doc(&run).replacen("\"counters\"", "\"gauges\": {},\n    \"counters\"", 1);
         assert!(run.drift_from(&unknown).unwrap_err().contains("gauges"));
     }
 }

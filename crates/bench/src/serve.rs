@@ -44,7 +44,7 @@ use crate::pin::{SuiteResult, SuiteRun};
 pub const MIN_SPEEDUP: f64 = 2.0;
 
 /// Pinned configuration. Changing any of these invalidates the committed
-/// `BENCH_serve.json`; re-pin it (`bench_gate serve --update`).
+/// `BENCH_serve.json`; re-pin it (`grist gate serve --update`).
 pub const SERVE_LEVEL: u32 = 2;
 pub const SERVE_NLEV: usize = 10;
 pub const SERVE_MEMBERS: usize = 3;

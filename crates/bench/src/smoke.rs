@@ -27,7 +27,7 @@ use crate::pin::{SuiteResult, SuiteRun};
 pub const TRACE_OFF_BUDGET_PCT: f64 = 1.0;
 
 /// Pinned smoke configuration — changing any of these invalidates the
-/// committed pin, so re-pin it (`bench_gate smoke --update`) when you do.
+/// committed pin, so re-pin it (`grist gate smoke --update`) when you do.
 pub const SMOKE_LEVEL: u32 = 2;
 pub const SMOKE_NLEV: usize = 10;
 pub const SMOKE_CPES: usize = 16;

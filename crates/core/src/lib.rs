@@ -41,7 +41,7 @@ pub use mlsuite::{MlOutput, MlSuite, ScratchPool, DEFAULT_ML_BLOCK};
 pub use model::{GristModel, HaloHook, HaloPhase, PhysicsEngine, RecoveryOutcome};
 pub use overlap::{swe_dyn_step, DynStepMode};
 pub use scenario::{
-    parse_scenario_file, scenario_file_json, CaseSpec, FaultSpec, PhysicsChoice, RefinementSpec,
-    Scenario, ScenarioArtifact, ScenarioError, ScenarioRun, ScenarioRunner, TargetSpec,
-    SCENARIO_SCHEMA,
+    parse_pin_file, parse_scenario_file, pin_file_json, CaseSpec, FaultSpec, PhysicsChoice,
+    RefinementSpec, Scenario, ScenarioArtifact, ScenarioError, ScenarioRun, ScenarioRunner,
+    TargetSpec, SCENARIO_SCHEMA,
 };

@@ -368,10 +368,10 @@ impl MlSuite {
     }
 
     /// The pre-batching reference: one dispatch item per column, each a
-    /// matrix–vector inference. Kept because gates consume it: `bench_gate ml`
+    /// matrix–vector inference. Kept because gates consume it: `grist gate ml`
     /// requires [`Self::step_columns`] to be ≥3× faster than this path, the
     /// equivalence tests require bitwise-equal output, and
-    /// `QueryEngine::serve_one_percol` (the `bench_gate serve` reference) runs on
+    /// `QueryEngine::serve_one_percol` (the `grist gate serve` reference) runs on
     /// it.
     pub fn step_columns_per_column(&self, cols: &[Column]) -> Vec<MlOutput> {
         let _span = self.sub.span("ml");

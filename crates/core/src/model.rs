@@ -303,7 +303,7 @@ impl<R: Real> GristModel<R> {
     }
 
     /// The registry serialized as a pretty-printed JSON document (the
-    /// `<scenario>.metrics.json` that `scenario_gate --out` uploads).
+    /// `<scenario>.run.json` that `grist gate` writes to its `--out`).
     pub fn metrics_json(&self) -> String {
         self.metrics_snapshot().to_json()
     }

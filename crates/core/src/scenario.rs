@@ -11,9 +11,9 @@
 //! [`ScenarioRunner`] executes it deterministically and emits a
 //! [`ScenarioArtifact`]: bitwise state hashes (the `checkpoint.rs` FNV
 //! family), conservation/health diagnostics pinned by bit pattern, and
-//! exact counters. Committed pins live in `scenarios/*.json`; the
-//! `scenario_gate` bin and `tests/integration_scenarios.rs` replay the
-//! matrix and fail on any drift.
+//! exact counters. Committed pins live in `scenarios/*.json`; `grist gate
+//! scenarios` and `tests/integration_scenarios.rs` replay the matrix and
+//! fail on any drift.
 //!
 //! Parsing is strict: unknown or missing fields are typed
 //! [`ScenarioError`]s naming the offending field, never a panic — malformed
@@ -869,10 +869,11 @@ fn diff_section<T: PartialEq>(
     }
 }
 
-/// Read a full scenario document: `{schema, config, golden?}`.
-pub fn parse_scenario_file(
-    text: &str,
-) -> Result<(Scenario, Option<ScenarioArtifact>), ScenarioError> {
+/// Read a pin document `{schema, config, golden?}` — the one strict reader
+/// of the shape `scenarios/*.json` and `BENCH_*.json` share. `config` comes
+/// back untyped: a scenario types it with [`Scenario::from_json`]
+/// ([`parse_scenario_file`]), a bench suite compares it as it is.
+pub fn parse_pin_file(text: &str) -> Result<(Json, Option<ScenarioArtifact>), ScenarioError> {
     let doc = Json::parse(text).map_err(|e| ScenarioError::Parse(e.to_string()))?;
     expect_obj(&doc, "document", &["schema", "config", "golden"])?;
     match req_str(&doc, "document", "schema")? {
@@ -884,7 +885,7 @@ pub fn parse_scenario_file(
             })
         }
     }
-    let config = Scenario::from_json(req(&doc, "document", "config")?, "config")?;
+    let config = req(&doc, "document", "config")?.clone();
     let golden = match doc.get("golden") {
         None | Some(Json::Null) => None,
         Some(g) => Some(ScenarioArtifact::from_json(g, "golden")?),
@@ -892,11 +893,19 @@ pub fn parse_scenario_file(
     Ok((config, golden))
 }
 
-/// Serialize a full scenario document.
-pub fn scenario_file_json(config: &Scenario, golden: Option<&ScenarioArtifact>) -> String {
+/// Read a full scenario document: [`parse_pin_file`] with a typed `config`.
+pub fn parse_scenario_file(
+    text: &str,
+) -> Result<(Scenario, Option<ScenarioArtifact>), ScenarioError> {
+    let (config, golden) = parse_pin_file(text)?;
+    Ok((Scenario::from_json(&config, "config")?, golden))
+}
+
+/// Serialize a pin document — the one writer [`parse_pin_file`] reads.
+pub fn pin_file_json(config: &Json, golden: Option<&ScenarioArtifact>) -> String {
     let mut fields = vec![
         ("schema".into(), Json::Str(SCENARIO_SCHEMA.into())),
-        ("config".into(), config.to_json()),
+        ("config".into(), config.clone()),
     ];
     if let Some(g) = golden {
         fields.push(("golden".into(), g.to_json()));
@@ -1273,17 +1282,17 @@ mod tests {
             parts: 8,
             refine_passes: 2,
         });
-        let text = scenario_file_json(&s, None);
+        let text = pin_file_json(&s.to_json(), None);
         let (back, golden) = parse_scenario_file(&text).unwrap();
         assert_eq!(back, s);
         assert!(golden.is_none());
         // Twice through: serialization is a fixed point.
-        assert_eq!(scenario_file_json(&back, None), text);
+        assert_eq!(pin_file_json(&back.to_json(), None), text);
     }
 
     #[test]
     fn unknown_fields_are_named_errors_not_panics() {
-        let text = scenario_file_json(&tiny(), None);
+        let text = pin_file_json(&tiny().to_json(), None);
         let with_typo = text.replace("\"phy_steps\"", "\"phy_stepz\"");
         match parse_scenario_file(&with_typo) {
             Err(ScenarioError::UnknownField { field, .. }) => {
@@ -1364,7 +1373,7 @@ mod tests {
     fn artifact_roundtrips_and_diffs_name_the_drift() {
         let s = tiny();
         let run = ScenarioRunner::new().run(&s).unwrap();
-        let text = scenario_file_json(&s, Some(&run.artifact));
+        let text = pin_file_json(&s.to_json(), Some(&run.artifact));
         let (_, golden) = parse_scenario_file(&text).unwrap();
         let golden = golden.unwrap();
         assert_eq!(golden, run.artifact);

@@ -37,7 +37,7 @@ pub mod simd;
 /// are *bitwise identical* (the lane kernel keeps one unfused accumulator
 /// per output element in the same increasing-`k` order — see [`simd`]);
 /// [`GemmVariant::Scalar`] is the reference oracle that the [`simd`] and
-/// `batch` tests and `bench_gate ml`'s probe check the lanes against.
+/// `batch` tests and `grist gate ml`'s probe check the lanes against.
 /// `grist-core` always runs the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmVariant {

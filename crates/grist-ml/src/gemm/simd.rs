@@ -11,7 +11,7 @@
 //! use `f32::mul_add`). The lane kernel therefore performs, per output
 //! element, the exact same sequence of IEEE-754 operations as the scalar
 //! oracle, and the results agree bit for bit; this module's
-//! `lane_kernel_is_bitwise_equal_to_scalar_oracle` and `bench_gate ml`'s
+//! `lane_kernel_is_bitwise_equal_to_scalar_oracle` and `grist gate ml`'s
 //! probe compare the two with exact equality.
 //!
 //! What the lanes buy over the auto-vectorized scalar kernel is a larger

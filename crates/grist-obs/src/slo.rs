@@ -4,7 +4,7 @@
 //! floor, and an alert budget — and [`SloPolicy::evaluate`] turns a latency
 //! histogram, the window it was recorded over and a health-alert count into
 //! an [`SloStatus`] listing every violated term. It is a pure function of
-//! its arguments: nothing on the request path evaluates it. `obs_report`
+//! its arguments: nothing on the request path evaluates it. `grist obs`
 //! evaluates it once, on the registry snapshot at the end of a traffic
 //! scenario, and gates CI on the result.
 

@@ -229,7 +229,7 @@ pub struct SdpdModelConfig {
     /// time is capped at the per-step dynamics compute.
     pub overlap_factor: f64,
     /// Halo surface coefficient: halo cells ≈ coeff · √(local cells). The
-    /// default 3.5 is the analytic compact-patch guess; `bench_gate scaling`
+    /// default 3.5 is the analytic compact-patch guess; `grist gate scaling`
     /// overrides it with the coefficient measured from the partitioner's
     /// [`grist_mesh::SurfaceProfile`] (committed in `BENCH_partition.json`).
     pub halo_surface_coeff: f64,

@@ -15,7 +15,7 @@
 //! [`MlSuite::step_columns`] call — the `ScratchPool`-backed batched
 //! block dispatch — while [`QueryEngine::serve_one_percol`] is the
 //! per-query reference path (one dispatch per column, bitwise-identical
-//! results, no cross-query batching) that `bench_gate serve` measures against.
+//! results, no cross-query batching) that `grist gate serve` measures against.
 
 use crate::store::SnapshotStore;
 use grist_core::{extract_columns, GristModel, MlOutput, MlSuite, RunConfig};
@@ -530,7 +530,7 @@ impl<R: Real> QueryEngine<R> {
 
     /// The per-query reference path: same answers, one ML dispatch *per
     /// column* and no cross-query batching or caching. Kept because a gate
-    /// consumes it: `bench_gate serve` requires [`Self::serve_batch`] to be ≥2×
+    /// consumes it: `grist gate serve` requires [`Self::serve_batch`] to be ≥2×
     /// faster than this path and bitwise equal to it.
     pub fn serve_one_percol(&self, q: &Query) -> Result<Response, ServeError> {
         let _span = self.sub.span("serve_percol");

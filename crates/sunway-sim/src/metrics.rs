@@ -15,7 +15,7 @@
 //! named [`Histogram`]s recorded through [`Metrics::record_hist`] into the
 //! same per-thread lanes. [`MetricsSnapshot`] freezes the whole registry and
 //! round-trips through JSON; its counters and kernel call/item/byte counts
-//! are what the `BENCH_*.json` pins hold exactly (`bench_gate`).
+//! are what the `BENCH_*.json` pins hold exactly (`grist gate`).
 
 use crate::hist::Histogram;
 use crate::json::Json;

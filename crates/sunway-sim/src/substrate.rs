@@ -21,7 +21,6 @@
 //! metrics registry, so a solver and the model driver holding clones of the
 //! same substrate accumulate into one report.
 
-use crate::distributor::AllocPolicy;
 use crate::fault::{FaultError, FaultPlan, FaultSite};
 use crate::metrics::{Metrics, SpanGuard};
 use crate::swgomp::JobServer;
@@ -90,7 +89,6 @@ pub fn format_kernel_report(rows: &[KernelReportRow]) -> String {
 struct SubstrateInner {
     kind: ExecTargetKind,
     server: Option<JobServer>,
-    policy: AllocPolicy,
     metrics: Metrics,
     /// Armed chaos schedule, shared by every clone. `None` (the default)
     /// keeps the dispatch path infallible and fault-free.
@@ -98,16 +96,10 @@ struct SubstrateInner {
 }
 
 impl SubstrateInner {
-    fn new(
-        kind: ExecTargetKind,
-        server: Option<JobServer>,
-        policy: AllocPolicy,
-        metrics: Metrics,
-    ) -> Self {
+    fn new(kind: ExecTargetKind, server: Option<JobServer>, metrics: Metrics) -> Self {
         SubstrateInner {
             kind,
             server,
-            policy,
             metrics,
             fault: Mutex::new(None),
         }
@@ -128,7 +120,6 @@ impl fmt::Debug for Substrate {
         f.debug_struct("Substrate")
             .field("kind", &self.inner.kind)
             .field("n_cpes", &self.n_cpes())
-            .field("policy", &self.inner.policy)
             .finish()
     }
 }
@@ -151,19 +142,13 @@ impl Substrate {
     /// into a single world-wide view.
     pub fn serial_with_metrics(metrics: Metrics) -> Self {
         Substrate {
-            inner: Arc::new(SubstrateInner::new(
-                ExecTargetKind::Serial,
-                None,
-                AllocPolicy::Distributed,
-                metrics,
-            )),
+            inner: Arc::new(SubstrateInner::new(ExecTargetKind::Serial, None, metrics)),
         }
     }
 
-    /// Offload target: a persistent [`JobServer`] with `n_cpes` workers and
-    /// the paper's address-distributing allocation policy.
+    /// Offload target: a persistent [`JobServer`] with `n_cpes` workers.
     pub fn cpe_teams(n_cpes: usize) -> Self {
-        Substrate::with_policy(n_cpes, AllocPolicy::Distributed)
+        Substrate::cpe_teams_with_metrics(n_cpes, Metrics::default())
     }
 
     /// [`Self::cpe_teams`] recording into an existing (shared) registry;
@@ -173,21 +158,7 @@ impl Substrate {
             inner: Arc::new(SubstrateInner::new(
                 ExecTargetKind::CpeTeams,
                 Some(JobServer::new(n_cpes)),
-                AllocPolicy::Distributed,
                 metrics,
-            )),
-        }
-    }
-
-    /// Offload target with an explicit [`AllocPolicy`] (for the Fig. 9 DST
-    /// ablation, which compares Aligned vs. Distributed).
-    pub fn with_policy(n_cpes: usize, policy: AllocPolicy) -> Self {
-        Substrate {
-            inner: Arc::new(SubstrateInner::new(
-                ExecTargetKind::CpeTeams,
-                Some(JobServer::new(n_cpes)),
-                policy,
-                Metrics::default(),
             )),
         }
     }

@@ -25,7 +25,7 @@
 //! / [`Tracer::disable`]). Every recording entry point first does one
 //! relaxed atomic load and returns — no lock, no allocation, no clock read
 //! — so instrumented hot loops pay ~1 ns per *would-be* event when tracing
-//! is disabled (`bench_gate smoke` measures this in-run and fails at 1% of
+//! is disabled (`grist gate smoke` measures this in-run and fails at 1% of
 //! the smoke window). When enabled, each event
 //! costs one clock read, one sequence-counter bump, and one push into the
 //! recording thread's own ring under an uncontended mutex; a thread-local

@@ -11,7 +11,7 @@
 # process-wide variable), or the JSON/hex checkpoint
 # codec or a superseded image format's reader does (DESIGN.md §8: one binary
 # image, no second reader), or the tolerance-band bench comparator does
-# (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `bench_gate`; wall
+# (DESIGN.md §7: `BENCH_*.json` are exact pins checked by `grist gate`; wall
 # time is judged in `benchmark/`), or a second telemetry registry, switch or
 # lock-free histogram does (DESIGN.md §13: histograms live in `Metrics`, the
 # tracer is the one switch), or the Fig. 9 stand-in kernels, their second
@@ -20,9 +20,10 @@
 # §7 "Batched ML inference"), or if `grist-dycore` gains an `unsafe`
 # (ROADMAP item 7: restructure a kernel, do not add a raw-pointer site) or
 # `hevi.rs` a `powf` (DESIGN.md §5: the step's equation of state is one `ln`
-# and its `exp`s), or the `pub fn` count, the lines under `crates/` or the
-# bins grow past their ceilings, then prints the size numbers PR
-# descriptions quote.
+# and its `exp`s), or a second binary, its document schema or a `--bin`
+# invocation does (one `grist` binary, DESIGN.md §7), or the `pub fn` count
+# or the lines under `crates/` grow past their ceilings, then prints the
+# size numbers PR descriptions quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,11 +37,12 @@ if grep -rnE "GRIST_SIMD|KernelMode|LaneVec|GRIST_DMA|DmaMode|stage_chunks|stage
     exit 1
 fi
 
-# The `CHAOS_SEED` reads in one bench bin (`trace_report`) and one test
-# (`integration_chaos`) are harness code, outside this set.
+# The `grist` binary reads no variable either (`grist trace` seeds its
+# fault plans from a constant); the one `CHAOS_SEED` read is a test's,
+# `tests/integration_chaos.rs`.
 if grep -rnE "env::var(_os)?\(" --include='*.rs' \
-    crates/core/src crates/grist-*/src crates/sunway-sim/src; then
-    echo "api_surface: FAIL — library code reads no environment variable; take the value as an argument" >&2
+    crates/core/src crates/grist-*/src crates/sunway-sim/src crates/bench/src; then
+    echo "api_surface: FAIL — library and binary code read no environment variable; take the value as an argument" >&2
     exit 1
 fi
 
@@ -51,7 +53,7 @@ fi
 
 # (Each name ends in a one-character class so this line does not match itself.)
 if grep -rnE "time_toleranc[e]|CompareConfi[g]|grist-bench-v[1]|bench_compar[e]" crates scripts; then
-    echo "api_surface: FAIL — bench pins are exact (bench_gate); no tolerance bands, no second comparator" >&2
+    echo "api_surface: FAIL — bench pins are exact (grist gate); no tolerance bands, no second comparator" >&2
     exit 1
 fi
 
@@ -69,6 +71,13 @@ fi
 # (Each name ends in a one-character class so this line does not match itself.)
 if grep -rnE "im2co[l]|SampleLayou[t]" crates; then
     echo "api_surface: FAIL — the CNN's convs read their receptive field in place (grist_ml::batch's register tile); no gathered receptive-field panel, no layout struct for one" >&2
+    exit 1
+fi
+
+# (Each name ends in a one-character class so this line does not match itself.)
+if [ -d crates/bench/src/bin ] || grep -rnE "grist-fig9-v[1]" crates \
+    || grep -rnE -- "--bi[n] " scripts .github; then
+    echo "api_surface: FAIL — one binary, grist (crates/bench/src/main.rs): no crates/bench/src/bin, no Fig. 9 document, no \`--bin\` invocation" >&2
     exit 1
 fi
 
@@ -93,13 +102,11 @@ fi
 # Size ceilings: like the `unsafe` one they only ever come down — lower a
 # ceiling to the new count when a change removes code.
 pub_fns_ceiling=534
-crates_lines_ceiling=33433
-bins_ceiling=13
+crates_lines_ceiling=33404
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
 tests_lines=$(find tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
-bins=$(ls crates/bench/src/bin | wc -l)
 at_most() { # what count ceiling
     if [ "$2" -gt "$3" ]; then
         echo "api_surface: FAIL — $1 is $2, ceiling $3" >&2
@@ -108,9 +115,8 @@ at_most() { # what count ceiling
 }
 at_most "pub fn count under crates/{core,grist-*,sunway-sim}" "$pub_fns" "$pub_fns_ceiling"
 at_most "Rust lines under crates/" "$crates_lines" "$crates_lines_ceiling"
-at_most "bins under crates/bench/src/bin" "$bins" "$bins_ceiling"
-echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads in library code, no hex checkpoint codec, no bench tolerance bands, no second telemetry registry"
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads outside tests, no hex checkpoint codec, no bench tolerance bands, no second telemetry registry, one binary"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim}: ${pub_fns} (ceiling ${pub_fns_ceiling})"
-echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines} (ceiling ${crates_lines_ceiling}), tests/ + examples/ ${tests_lines}; bins under crates/bench/src/bin: ${bins} (ceiling ${bins_ceiling})"
+echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines} (ceiling ${crates_lines_ceiling}), tests/ + examples/ ${tests_lines}"
 echo "api_surface: unsafe occurrences in crates/grist-dycore/src: ${dycore_unsafe} (ceiling ${dycore_unsafe_ceiling})"
 echo "api_surface: powf occurrences in crates/grist-dycore/src/hevi.rs: ${hevi_powf} (ceiling ${hevi_powf_ceiling})"

@@ -31,26 +31,16 @@ for seed in 42 7 1234; do
     CHAOS_SEED=$seed cargo test --release -q --test integration_chaos
 done
 
-echo "== trace report (traced multi-rank chaos run + attribution) =="
-cargo run --release -p grist-bench --bin trace_report -- \
-    target/trace.json target/trace_report.json
+echo "== grist gate: every scenarios/*.json twice (bitwise stable), every BENCH_*.json suite's in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + exchange order on every rank lane, tracer-off < 1%), then an exact diff against each pin =="
+cargo run --release -p grist-bench -- gate
 
-echo "== scenario regression matrix (bitwise golden-hash gate) =="
-cargo run --release -p grist-bench --bin scenario_gate -- --out target/scenarios
-cargo test --release -q --test integration_scenarios
+echo "== grist trace (traced multi-rank chaos run + attribution) =="
+cargo run --release -p grist-bench -- trace
 
-echo "== serving layer (snapshot isolation) =="
-cargo test --release -q --test integration_serve
+echo "== grist obs (end-of-run SLO, no member alert, metrics document re-parses equal) =="
+cargo run --release -p grist-bench -- obs
 
-echo "== serving telemetry (end-of-run SLO, no member alert, metrics document re-parses equal) =="
-cargo run --release -p grist-bench --bin obs_report -- \
-    target/obs_metrics.json target/obs_report.md
-
-echo "== bench pins: in-run gates (ml 3x / 1.5x, serve 2x + verified > 0, scaling bitwise + counters + exchange order on every rank lane, tracer-off < 1%), then exact diff vs BENCH_*.json =="
-cargo run --release -p grist-bench --bin bench_gate -- --out target/bench
-
-echo "== scaling figures (10, 11) regenerate =="
-cargo run --release -p grist-bench --bin fig10_weak_scaling > /dev/null
-cargo run --release -p grist-bench --bin fig11_strong_scaling > /dev/null
+echo "== grist report fig10 fig11 (scaling figures regenerate) =="
+cargo run --release -p grist-bench -- report fig10 fig11 > /dev/null
 
 echo "All checks passed."

@@ -1,19 +1,20 @@
 //! Conformance tests for the scenario regression matrix.
 //!
 //! Replays every committed `scenarios/*.json` pin through the
-//! [`ScenarioRunner`] and fails on any bitwise drift — the same check the
-//! `scenario_gate` bin runs in CI — plus the surrounding contracts: strict
-//! round-tripping of the document format, typed errors (naming the field)
-//! for malformed input, drift detection on a perturbed golden hash,
-//! pinned golden hashes for the initial-condition library under both
-//! substrate targets, and the shape of the committed `BENCH_*.json` pins
-//! (the same `{schema, config, golden}` document, no wall-time leaf).
+//! [`ScenarioRunner`] and fails on any bitwise drift — the same check
+//! `grist gate scenarios` runs in CI — plus the surrounding contracts:
+//! strict round-tripping of the document format (bench pins included),
+//! typed errors (naming the field) for malformed input, drift detection on
+//! a perturbed golden hash, pinned golden hashes for the initial-condition
+//! library under both substrate targets, and the shape of the committed
+//! `BENCH_*.json` pins (the same `{schema, config, golden}` document, no
+//! wall-time leaf).
 
 use grist_core::checkpoint::hash_f64_bits;
 use grist_core::{
-    add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, parse_scenario_file,
-    scenario_file_json, CaseSpec, GristModel, RunConfig, ScenarioArtifact, ScenarioError,
-    ScenarioRunner, TropicalCyclone, SCENARIO_SCHEMA,
+    add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, parse_pin_file,
+    parse_scenario_file, pin_file_json, CaseSpec, GristModel, RunConfig, ScenarioArtifact,
+    ScenarioError, ScenarioRunner, TropicalCyclone, SCENARIO_SCHEMA,
 };
 use grist_dycore::swe::SweSolver;
 use grist_dycore::swe_cases::{install_tc5_mountain, williamson_tc5, williamson_tc6};
@@ -136,31 +137,48 @@ fn ablation_pair_differs_only_in_physics_and_diverges() {
     );
 }
 
+fn bench_pin_path(suite: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("BENCH_{suite}.json"))
+}
+
+const BENCH_SUITES: [&str; 5] = ["smoke", "ml", "partition", "serve", "scaling"];
+
+/// Every committed pin — scenario or bench — reads through the one reader
+/// and writes back byte for byte through the one writer.
 #[test]
 fn committed_files_are_serialization_fixed_points() {
     for (path, text) in committed_scenarios() {
         let (config, golden) = parse_scenario_file(&text).unwrap();
-        let round = scenario_file_json(&config, golden.as_ref());
+        let round = pin_file_json(&config.to_json(), golden.as_ref());
         assert_eq!(
             round,
             text,
-            "{}: not a fixed point of scenario_file_json (regenerate with scenario_gate --update)",
+            "{}: not a fixed point of pin_file_json (regenerate with grist gate --update)",
             path.display()
         );
         let (config2, golden2) = parse_scenario_file(&round).unwrap();
         assert_eq!(config2, config);
         assert_eq!(golden2, golden);
     }
+    for suite in BENCH_SUITES {
+        let text = fs::read_to_string(bench_pin_path(suite)).expect("committed bench pin");
+        let (config, golden) = parse_pin_file(&text).unwrap_or_else(|e| panic!("{suite}: {e}"));
+        assert!(golden.is_some(), "{suite}: no golden block");
+        assert_eq!(
+            pin_file_json(&config, golden.as_ref()),
+            text,
+            "BENCH_{suite}.json: not a fixed point of pin_file_json (regenerate with grist gate {suite} --update)"
+        );
+    }
 }
 
 /// The five bench pins share the scenario document's shape and carry
-/// nothing a clock produced: wall time is recorded by `bench_gate --out`
+/// nothing a clock produced: wall time is recorded by `grist gate --out`
 /// and judged by `benchmark/run.sh`, never diffed from a committed file.
 #[test]
 fn committed_bench_pins_are_exact_goldens_without_wall_leaves() {
-    for suite in ["smoke", "ml", "partition", "serve", "scaling"] {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("BENCH_{suite}.json"));
-        let text = fs::read_to_string(&path).expect("committed bench pin");
+    for suite in BENCH_SUITES {
+        let text = fs::read_to_string(bench_pin_path(suite)).expect("committed bench pin");
         let doc = Json::parse(&text).unwrap();
         let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| &**k).collect();
         assert_eq!(keys, ["schema", "config", "golden"], "{suite}");

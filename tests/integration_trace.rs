@@ -17,7 +17,7 @@ use sunway_sim::{
 const RANKS: usize = 4;
 const NLEV: usize = 8;
 
-/// The `trace_report` binary's scenario in miniature: every rank drives a
+/// `grist trace`'s scenario in miniature: every rank drives a
 /// resilient ML-physics window on its own CPE-teams substrate over one
 /// shared registry, under a dispatch-fault storm with one pinned
 /// degrade-to-serial fault per rank, then swaps halos once with a pinned
