@@ -10,7 +10,7 @@
 //! row-major `[B × n_in]` stage matrices and runs each block through
 //! `grist_ml`'s batched engine (the CNN's conv register tiles, the MLP's
 //! GEMMs) — one `Substrate` dispatch item per *block*, metered with
-//! `run_with_bytes` so DMA counters, the `ml` trace span and the
+//! a per-block DMA payload so DMA counters, the `ml` trace span and the
 //! fault/degradation path all see the batched kernel. All
 //! intermediate storage comes from a shared [`ScratchPool`]; after warm-up
 //! the steady-state loop performs zero heap allocations — a block runs one
@@ -275,16 +275,8 @@ impl MlSuite {
     }
 
     /// Run one block of columns through the batched engine, writing
-    /// each result into its slot of `out` at `lo + i`.
-    fn step_block(
-        &self,
-        cols: &[Column],
-        lo: usize,
-        hi: usize,
-        out: &ColumnsMut<'_, Option<MlOutput>>,
-        s: &mut BlockScratch,
-    ) {
-        let block = &cols[lo..hi];
+    /// column `i`'s result into `out[i]`.
+    fn step_block(&self, block: &[Column], out: &mut [Option<MlOutput>], s: &mut BlockScratch) {
         let b = block.len();
         let nlev = self.nlev;
         let (n_in, n_out) = (self.mlp.n_in, self.mlp.n_out);
@@ -324,8 +316,7 @@ impl MlSuite {
             self.cnn.denormalize_output(y);
             let r = &mut ys_mlp[i * n_out..][..n_out];
             self.mlp.denormalize_output(r);
-            // SAFETY: each output index is written by exactly one block.
-            *unsafe { out.at(lo + i) } = Some(self.assemble_output(col, y, r));
+            out[i] = Some(self.assemble_output(col, y, r));
         }
     }
 
@@ -351,17 +342,15 @@ impl MlSuite {
             .sum();
         self.sub.metrics().counter_add("ml.flops_batched", flops);
         let mut out: Vec<Option<MlOutput>> = (0..n).map(|_| None).collect();
-        {
-            let out_view = ColumnsMut::new(&mut out, 1);
-            self.sub
-                .run_with_bytes("ml_physics_blocks", n_blocks, bytes_per_block, |bi| {
-                    let lo = bi * block;
-                    let hi = (lo + block).min(n);
-                    let mut scratch = self.scratch.take();
-                    self.step_block(cols, lo, hi, &out_view, &mut scratch);
-                    self.scratch.put(scratch);
-                });
-        }
+        // One view column per block; the last is short when `block ∤ n`.
+        let blocks = ColumnsMut::new(&mut out, block);
+        self.sub
+            .run_cols("ml_physics_blocks", bytes_per_block, blocks, |bi, out| {
+                let lo = bi * block;
+                let mut scratch = self.scratch.take();
+                self.step_block(&cols[lo..lo + out.len()], out, &mut scratch);
+                self.scratch.put(scratch);
+            });
         out.into_iter()
             .map(|o| o.expect("block dispatched"))
             .collect()
@@ -381,13 +370,10 @@ impl MlSuite {
             .metrics()
             .counter_add("ml.flops_percol", n as u64 * self.flops_per_column());
         let mut out: Vec<Option<MlOutput>> = (0..n).map(|_| None).collect();
-        {
-            let out_cols = ColumnsMut::new(&mut out, 1);
-            self.sub.run("ml_physics_columns", n, |i| {
-                // SAFETY: each column index is dispatched exactly once.
-                *unsafe { out_cols.at(i) } = Some(self.step_column(&cols[i]));
+        self.sub
+            .run_cols("ml_physics_columns", 0, &mut out[..], |i, o| {
+                *o = Some(self.step_column(&cols[i]));
             });
-        }
         out.into_iter()
             .map(|o| o.expect("column dispatched"))
             .collect()

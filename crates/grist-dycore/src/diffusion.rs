@@ -10,7 +10,7 @@ use crate::field::Field2;
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::Substrate;
 
 /// Cell-scalar Laplacian: `∇²h|_i = (1/A_i) Σ_e s(i,e) ℓ_e (h_nb − h_i)/d_e`.
 pub fn laplacian_cell<R: Real>(
@@ -20,11 +20,7 @@ pub fn laplacian_cell<R: Real>(
     h: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    let nlev = h.nlev();
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("laplacian_cell", cols.len(), |c| {
-        // SAFETY: each cell index is dispatched exactly once.
-        let col = unsafe { cols.col(c) };
+    sub.run_cols("laplacian_cell", 0, out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         let own = h.col(c);
         for (&e, &nb) in mesh
@@ -62,10 +58,7 @@ pub fn laplacian_edge<R: Real>(
     crate::operators::vorticity(sub, mesh, geom, u, vor_scratch);
     let div_scratch = &*div_scratch;
     let vor_scratch = &*vor_scratch;
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("laplacian_edge", cols.len(), |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
+    sub.run_cols("laplacian_edge", 0, out.cols_mut(), |e, col| {
         let [c1, c2] = mesh.edge_cells[e];
         let [v1, v2] = mesh.edge_verts[e];
         let inv_de = geom.inv_edge_de[e];

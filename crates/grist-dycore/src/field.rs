@@ -7,6 +7,7 @@
 //! vertical (columnar) solvers want.
 
 use crate::real::Real;
+use sunway_sim::ColumnsMut;
 
 /// A 2-D field: `nlev` vertical layers × `ncols` horizontal locations,
 /// level-fastest.
@@ -84,6 +85,12 @@ impl<R: Real> Field2<R> {
 
     pub fn as_mut_slice(&mut self) -> &mut [R] {
         &mut self.data
+    }
+
+    /// The columns as a write set for `Substrate::run_cols`, strided by this
+    /// field's own `nlev`: dispatched index `c` gets column `c` as `&mut [R]`.
+    pub fn cols_mut(&mut self) -> ColumnsMut<'_, R> {
+        ColumnsMut::new(&mut self.data, self.nlev)
     }
 
     pub fn fill(&mut self, v: R) {

@@ -47,7 +47,7 @@ use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::cell::RefCell;
 use sunway_sim::perf::{IterSpace, KernelSpec};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::Substrate;
 
 /// Prognostic state of the nonhydrostatic core.
 ///
@@ -388,14 +388,14 @@ impl<R: Real> NhSolver<R> {
     /// each form compiles to a branch-free level loop.)
     fn diagnose<const WITH_PRESSURE: bool>(&mut self, state: &NhState<R>) {
         let nlev = self.vc.nlev;
-        let theta = ColumnsMut::new(self.theta.as_mut_slice(), nlev);
-        let exner = ColumnsMut::new(self.exner.as_mut_slice(), nlev);
-        let pres = ColumnsMut::new(self.pres.as_mut_slice(), nlev);
-        let dphi = ColumnsMut::new(self.dphi.as_mut_slice(), nlev);
-        self.sub.run(HEVI_DIAGNOSE.name, theta.len(), |c| {
-            // SAFETY: each cell index is dispatched exactly once.
-            let (th, ex, pr, dp) =
-                unsafe { (theta.col(c), exner.col(c), pres.col(c), dphi.col(c)) };
+        let outs = (
+            self.theta.cols_mut(),
+            self.exner.cols_mut(),
+            self.pres.cols_mut(),
+            self.dphi.cols_mut(),
+        );
+        let sub = &self.sub;
+        sub.run_cols(HEVI_DIAGNOSE.name, 0, outs, |c, (th, ex, pr, dp)| {
             let dpi = state.dpi.col(c);
             let phi = state.phi.col(c);
             let theta_m = state.theta_m.col(c);
@@ -443,11 +443,8 @@ impl<R: Real> NhSolver<R> {
         // in one walk over the cell's edges.
         {
             let u = &state.u;
-            let ke_cols = ColumnsMut::new(self.ke.as_mut_slice(), nlev);
-            let div_cols = ColumnsMut::new(self.div_u.as_mut_slice(), nlev);
-            sub.run(HEVI_KE_DIVERGENCE.name, ke_cols.len(), |c| {
-                // SAFETY: each cell index is dispatched exactly once.
-                let (ke, div) = unsafe { (ke_cols.col(c), div_cols.col(c)) };
+            let outs = (self.ke.cols_mut(), self.div_u.cols_mut());
+            sub.run_cols(HEVI_KE_DIVERGENCE.name, 0, outs, |c, (ke, div)| {
                 ke.fill(R::ZERO);
                 div.fill(R::ZERO);
                 let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
@@ -472,12 +469,9 @@ impl<R: Real> NhSolver<R> {
         // north) velocity, from the same three edge columns.
         {
             let u = &state.u;
-            let vor_cols = ColumnsMut::new(self.vor.as_mut_slice(), nlev);
-            let ve_cols = ColumnsMut::new(self.ve.as_mut_slice(), nlev);
-            let vn_cols = ColumnsMut::new(self.vn.as_mut_slice(), nlev);
-            sub.run(HEVI_VERTEX_VORTICITY_VELOCITY.name, vor_cols.len(), |v| {
-                // SAFETY: each vertex index is dispatched exactly once.
-                let (vor, ve, vn) = unsafe { (vor_cols.col(v), ve_cols.col(v), vn_cols.col(v)) };
+            let outs = (self.vor.cols_mut(), self.ve.cols_mut(), self.vn.cols_mut());
+            let name = HEVI_VERTEX_VORTICITY_VELOCITY.name;
+            sub.run_cols(name, 0, outs, |v, (vor, ve, vn)| {
                 let edges = mesh.vert_edges[v].map(|e| e as usize);
                 let [u0, u1, u2] = edges.map(|e| &u.col(e)[..nlev]);
                 let [w0, w1, w2]: [R; 3] =
@@ -510,10 +504,8 @@ impl<R: Real> NhSolver<R> {
             let (ke, div_u, vor, ve, vn) = (&self.ke, &self.div_u, &self.vor, &self.ve, &self.vn);
             let (theta, exner) = (&self.theta, &self.exner);
             let half = R::from_f64(0.5);
-            let cols = ColumnsMut::new(state.u.as_mut_slice(), nlev);
-            sub.run(HEVI_MOMENTUM_UPDATE.name, cols.len(), |e| {
-                // SAFETY: each edge index is dispatched exactly once.
-                let col = unsafe { cols.col(e) };
+            let out = state.u.cols_mut();
+            sub.run_cols(HEVI_MOMENTUM_UPDATE.name, 0, out, |e, col| {
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 let [v1, v2] = mesh.edge_verts[e].map(|v| v as usize);
                 let (ke1, ke2) = (&ke.col(c1)[..nlev], &ke.col(c2)[..nlev]);
@@ -552,19 +544,13 @@ impl<R: Real> NhSolver<R> {
             let u = &state.u;
             let dpi = &state.dpi;
             let theta = &self.theta;
-            let mass_cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
-            let theta_cols = ColumnsMut::new(self.theta_flux.as_mut_slice(), nlev);
-            let sums = sub_cycled.then(|| ColumnsMut::new(self.flux_sum.as_mut_slice(), nlev));
             let first = self.flux_steps == 0;
-            sub.run(HEVI_MASS_FLUX.name, mass_cols.len(), |e| {
-                // SAFETY: each edge index is dispatched exactly once.
-                let (mf, tf, sum) = unsafe {
-                    (
-                        mass_cols.col(e),
-                        theta_cols.col(e),
-                        sums.as_ref().map(|s| s.col(e)),
-                    )
-                };
+            let outs = (
+                self.mass_flux.cols_mut(),
+                self.theta_flux.cols_mut(),
+                sub_cycled.then(|| self.flux_sum.cols_mut()),
+            );
+            sub.run_cols(HEVI_MASS_FLUX.name, 0, outs, |e, (mf, tf, sum)| {
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 let (d1, d2) = (&dpi.col(c1)[..nlev], &dpi.col(c2)[..nlev]);
                 let (th1, th2) = (&theta.col(c1)[..nlev], &theta.col(c2)[..nlev]);
@@ -593,13 +579,13 @@ impl<R: Real> NhSolver<R> {
         {
             let (mass_flux, theta_flux, theta) = (&self.mass_flux, &self.theta_flux, &self.theta);
             let sigma_i = &self.vc.sigma_i;
-            let dpi_cols = ColumnsMut::new(state.dpi.as_mut_slice(), nlev);
-            let th_cols = ColumnsMut::new(state.theta_m.as_mut_slice(), nlev);
-            let div_cols = ColumnsMut::new(self.div_mass.as_mut_slice(), nlev);
-            sub.run(HEVI_MASS_THETA_UPDATE.name, dpi_cols.len(), |c| {
-                // SAFETY: each cell index is dispatched exactly once.
-                let (dpi_c, th_c, div_mass) =
-                    unsafe { (dpi_cols.col(c), th_cols.col(c), div_cols.col(c)) };
+            let outs = (
+                state.dpi.cols_mut(),
+                state.theta_m.cols_mut(),
+                self.div_mass.cols_mut(),
+            );
+            let name = HEVI_MASS_THETA_UPDATE.name;
+            sub.run_cols(name, 0, outs, |c, (dpi_c, th_c, div_mass)| {
                 COLUMN_SCRATCH.with_borrow_mut(|buf| {
                     if buf.len() < 2 * nlev + 1 {
                         buf.resize(2 * nlev + 1, 0.0);
@@ -687,15 +673,12 @@ impl<R: Real> NhSolver<R> {
     /// per-step scratch fields, then the tracers move as in a single step of
     /// the whole interval.
     fn end_tracer_cycle(&mut self, state: &mut NhState<R>, dt: f64) {
-        let nlev = self.vc.nlev;
         let steps = self.flux_steps as f64;
         {
             let inv = 1.0 / steps;
             let sum = &self.flux_sum;
-            let cols = ColumnsMut::new(self.mass_flux.as_mut_slice(), nlev);
-            self.sub.run("hevi_flux_mean", cols.len(), |e| {
-                // SAFETY: each edge index is dispatched exactly once.
-                let col = unsafe { cols.col(e) };
+            let out = self.mass_flux.cols_mut();
+            self.sub.run_cols("hevi_flux_mean", 0, out, |e, col| {
                 for (x, &s) in col.iter_mut().zip(sum.col(e)) {
                     *x = s * inv;
                 }
@@ -718,7 +701,6 @@ impl<R: Real> NhSolver<R> {
         if state.tracers.is_empty() {
             return;
         }
-        let nlev = self.vc.nlev;
         let (sub, mesh) = (&self.sub, &self.mesh);
         // Pre-transport tracer mass in working precision,
         // M_i = (δπ_new + Δt·∇·F)_i · A_i R²: the mass the horizontal
@@ -727,10 +709,8 @@ impl<R: Real> NhSolver<R> {
         {
             let dpi = &state.dpi;
             let div_mass = &self.div_mass;
-            let cols = ColumnsMut::new(self.tracer_mass.as_mut_slice(), nlev);
-            sub.run("hevi_tracer_mass", cols.len(), |c| {
-                // SAFETY: each cell index is dispatched exactly once.
-                let col = unsafe { cols.col(c) };
+            let out = self.tracer_mass.cols_mut();
+            sub.run_cols("hevi_tracer_mass", 0, out, |c, col| {
                 let a = mesh.cell_area[c] * r2;
                 for (k, x) in col.iter_mut().enumerate() {
                     *x = R::from_f64((dpi.at(k, c) + dt * div_mass.at(k, c)) * a);
@@ -759,13 +739,10 @@ impl<R: Real> NhSolver<R> {
         let beta = self.config.beta;
         let p_top = self.vc.p_top;
 
-        let w_cols = ColumnsMut::new(state.w.as_mut_slice(), nlev + 1);
-        let phi_cols = ColumnsMut::new(state.phi.as_mut_slice(), nlev + 1);
+        let outs = (state.w.cols_mut(), state.phi.cols_mut());
         let (dpi_ro, theta_m_ro) = (&state.dpi, &state.theta_m);
         let sub = &self.sub;
-        sub.run(HEVI_IMPLICIT_VERTICAL.name, w_cols.len(), |c| {
-            // SAFETY: each cell index is dispatched exactly once.
-            let (w, phi) = unsafe { (w_cols.col(c), phi_cols.col(c)) };
+        sub.run_cols(HEVI_IMPLICIT_VERTICAL.name, 0, outs, |c, (w, phi)| {
             COLUMN_SCRATCH.with_borrow_mut(|buf| {
                 let dpi = dpi_ro.col(c);
                 let theta_m = theta_m_ro.col(c);

@@ -16,7 +16,7 @@
 use crate::field::Field2;
 use crate::real::Real;
 use grist_mesh::{HexMesh, Vec3};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::Substrate;
 
 /// Physical metric terms cast to the working precision `R`.
 ///
@@ -176,12 +176,8 @@ pub fn divergence<R: Real>(
     flux_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    let nlev = flux_edge.nlev();
-    debug_assert_eq!(out.nlev(), nlev);
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("divergence", cols.len(), |c| {
-        // SAFETY: each cell index is dispatched exactly once.
-        let col = unsafe { cols.col(c) };
+    debug_assert_eq!(out.nlev(), flux_edge.nlev());
+    sub.run_cols("divergence", 0, out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         let rng = mesh.cell_edges.row_range(c);
         for (k, &e) in mesh.cell_edges.row(c).iter().enumerate() {
@@ -207,11 +203,7 @@ pub fn gradient<R: Real>(
     h_cell: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    let nlev = h_cell.nlev();
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("gradient", cols.len(), |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
+    sub.run_cols("gradient", 0, out.cols_mut(), |e, col| {
         let [c1, c2] = mesh.edge_cells[e];
         let a = h_cell.col(c1 as usize);
         let b = h_cell.col(c2 as usize);
@@ -231,11 +223,7 @@ pub fn vorticity<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    let nlev = u_edge.nlev();
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("vorticity", cols.len(), |v| {
-        // SAFETY: each vertex index is dispatched exactly once.
-        let col = unsafe { cols.col(v) };
+    sub.run_cols("vorticity", 0, out.cols_mut(), |v, col| {
         col.fill(R::ZERO);
         for k in 0..3 {
             let e = mesh.vert_edges[v][k] as usize;
@@ -261,11 +249,7 @@ pub fn kinetic_energy<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    let nlev = u_edge.nlev();
-    let cols = ColumnsMut::new(out.as_mut_slice(), nlev);
-    sub.run("kinetic_energy", cols.len(), |c| {
-        // SAFETY: each cell index is dispatched exactly once.
-        let col = unsafe { cols.col(c) };
+    sub.run_cols("kinetic_energy", 0, out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         for &e in mesh.cell_edges.row(c) {
             let w = geom.ke_weight[e as usize];
@@ -292,12 +276,8 @@ pub fn cell_velocity<R: Real>(
     out_n: &mut Field2<R>,
 ) {
     let nlev = u_edge.nlev();
-    let cols_e = ColumnsMut::new(out_e.as_mut_slice(), nlev);
-    let cols_n = ColumnsMut::new(out_n.as_mut_slice(), nlev);
-    sub.run("cell_velocity", cols_e.len(), |c| {
-        // SAFETY: each cell index is dispatched exactly once.
-        let ce = unsafe { cols_e.col(c) };
-        let cn = unsafe { cols_n.col(c) };
+    let outs = (out_e.cols_mut(), out_n.cols_mut());
+    sub.run_cols("cell_velocity", 0, outs, |c, (ce, cn)| {
         {
             let p = mesh.cell_xyz[c];
             let (e_hat, n_hat) = (p.east(), p.north());

@@ -22,23 +22,24 @@ use crate::operators::{self, ScaledGeometry};
 use crate::real::Real;
 use grist_mesh::{HexMesh, Vec3, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::collections::BTreeSet;
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::{over, IndexSet, Substrate};
 
 /// Per-kernel index subsets for one phase of a phased tendency evaluation,
 /// one set per kernel of [`SweSolver::tendencies`]. Built by
-/// [`SwePhases::build`].
-#[derive(Debug, Clone)]
+/// [`SwePhases::build`]; each is an [`IndexSet`], so no index is dispatched
+/// twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweSubset {
     /// `swe_cell_tend`: cells whose mass tendency and Bernoulli function
     /// the phase writes.
-    pub cells: Vec<u32>,
+    cells: IndexSet,
     /// `swe_mass_flux`: every edge incident to a phase cell.
-    pub flux_edges: Vec<u32>,
+    flux_edges: IndexSet,
     /// `swe_momentum_tend`: edges whose both cells are phase cells, so the
     /// Bernoulli values they read were computed in the same phase.
-    pub momentum_edges: Vec<u32>,
+    momentum_edges: IndexSet,
     /// `swe_vertex`: the vertices of the momentum edges.
-    pub verts: Vec<u32>,
+    verts: IndexSet,
 }
 
 /// A two-phase cover of the full index space for the shallow-water
@@ -55,14 +56,15 @@ pub struct SweSubset {
 /// flight) the interior cells must additionally come from a
 /// `RankLocale::phase_split` with pad ≥ 1: the interior mass-flux chain
 /// reads `h` at the interior cells and their first neighbours.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwePhases {
     pub interior: SweSubset,
     pub remainder: SweSubset,
 }
 
 impl SwePhases {
-    /// Derive the kernel subsets from an interior cell set.
+    /// Derive the kernel subsets from an interior cell set (in any order,
+    /// repeats ignored).
     pub fn build(mesh: &HexMesh, interior_cells: &[u32]) -> Self {
         let interior_set: BTreeSet<u32> = interior_cells.iter().copied().collect();
         let mut flux_edges: BTreeSet<u32> = BTreeSet::new();
@@ -83,36 +85,42 @@ impl SwePhases {
                 verts.insert(v);
             }
         }
-        let interior = SweSubset {
-            cells: {
-                let mut c = interior_cells.to_vec();
-                c.sort_unstable();
-                c
-            },
-            flux_edges: flux_edges.iter().copied().collect(),
-            momentum_edges: momentum_edges.clone(),
-            verts: verts.iter().copied().collect(),
-        };
         let momentum_set: BTreeSet<u32> = momentum_edges.iter().copied().collect();
+        // `0..n` without `taken`, in increasing order.
+        let rest = |n: usize, taken: &BTreeSet<u32>| {
+            IndexSet::new((0..n as u32).filter(|i| !taken.contains(i)).collect())
+        };
         let remainder = SweSubset {
-            cells: (0..mesh.n_cells() as u32)
-                .filter(|c| !interior_set.contains(c))
-                .collect(),
-            flux_edges: (0..mesh.n_edges() as u32)
-                .filter(|e| !flux_edges.contains(e))
-                .collect(),
-            momentum_edges: (0..mesh.n_edges() as u32)
-                .filter(|e| !momentum_set.contains(e))
-                .collect(),
-            verts: (0..mesh.n_verts() as u32)
-                .filter(|v| !verts.contains(v))
-                .collect(),
+            cells: rest(mesh.n_cells(), &interior_set),
+            flux_edges: rest(mesh.n_edges(), &flux_edges),
+            momentum_edges: rest(mesh.n_edges(), &momentum_set),
+            verts: rest(mesh.n_verts(), &verts),
+        };
+        // The sets iterate in increasing order, each index once.
+        let interior = SweSubset {
+            cells: IndexSet::new(interior_set.into_iter().collect()),
+            flux_edges: IndexSet::new(flux_edges.into_iter().collect()),
+            momentum_edges: IndexSet::new(momentum_edges),
+            verts: IndexSet::new(verts.into_iter().collect()),
         };
         SwePhases {
             interior,
             remainder,
         }
     }
+}
+
+/// Dispatch one kernel body over all of `out` (`set: None`) or over `set`'s
+/// indices of it: same name, same per-index arithmetic, so interior then
+/// remainder writes bitwise what one full dispatch writes. (A macro, so a
+/// full dispatch pays no per-index subset lookup.)
+macro_rules! run_over {
+    ($sub:expr, $name:literal, $set:expr, $out:expr, $body:expr) => {
+        match $set {
+            None => $sub.run_cols($name, 0, $out, $body),
+            Some(set) => $sub.run_cols($name, 0, over(set, $out), $body),
+        }
+    };
 }
 
 /// Shallow-water prognostic state.
@@ -150,26 +158,6 @@ struct Rk3Work<R: Real> {
     stage: SweState<R>,
     th: Field2<R>,
     tu: Field2<R>,
-}
-
-/// Dispatch `body` over `0..n_full` (`subset: None`) or over an explicit
-/// index list, under the same kernel name. Per-index arithmetic is the same
-/// either way, so a kernel run over a partition of its index space (interior
-/// first, remainder later) writes bitwise what one full dispatch writes.
-///
-/// A subset must hold unique indices: the kernel bodies write through
-/// [`ColumnsMut`] under the "each index dispatched exactly once" contract.
-fn run_on<F: Fn(usize) + Sync>(
-    sub: &Substrate,
-    name: &'static str,
-    n_full: usize,
-    subset: Option<&[u32]>,
-    body: F,
-) {
-    match subset {
-        None => sub.run(name, n_full, body),
-        Some(ix) => sub.run(name, ix.len(), |j| body(ix[j] as usize)),
-    }
 }
 
 impl<R: Real> SweSolver<R> {
@@ -260,25 +248,20 @@ impl<R: Real> SweSolver<R> {
         let half = R::from_f64(0.5);
 
         // Mass flux h_e·u at edges, h_e the centered cell average.
-        {
-            let cols = ColumnsMut::new(self.flux.as_mut_slice(), 1);
-            let edges = subset.map(|s| s.flux_edges.as_slice());
-            run_on(&sub, "swe_mass_flux", cols.len(), edges, |e| {
-                let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
-                // SAFETY: each edge index is dispatched exactly once.
-                *unsafe { cols.at(e) } = (h[c1] + h[c2]) * half * u[e];
-            });
-        }
+        let (edges, out) = (subset.map(|s| &s.flux_edges), self.flux.as_mut_slice());
+        run_over!(sub, "swe_mass_flux", edges, out, |e, flux| {
+            let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
+            *flux = (h[c1] + h[c2]) * half * u[e];
+        });
 
         // Cells: dh/dt = −∇·F and the Bernoulli function K + g(h+b), from
         // one walk over the cell's edges.
         {
             let g = R::from_f64(GRAVITY);
             let (flux, topo) = (self.flux.as_slice(), self.topo.as_slice());
-            let th_cols = ColumnsMut::new(th.as_mut_slice(), 1);
-            let bern_cols = ColumnsMut::new(self.bern.as_mut_slice(), 1);
-            let cells = subset.map(|s| s.cells.as_slice());
-            run_on(&sub, "swe_cell_tend", th_cols.len(), cells, |c| {
+            let cells = subset.map(|s| &s.cells);
+            let out = (th.as_mut_slice(), self.bern.as_mut_slice());
+            run_over!(sub, "swe_cell_tend", cells, out, |c, (th, bern)| {
                 let (mut div, mut ke) = (R::ZERO, R::ZERO);
                 let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
                 for (&e, &sign) in mesh.cell_edges.row(c).iter().zip(signs) {
@@ -287,22 +270,21 @@ impl<R: Real> SweSolver<R> {
                     ke += geom.ke_weight[e] * u[e] * u[e];
                 }
                 let ia = geom.inv_cell_area[c];
-                // SAFETY: each cell index is dispatched exactly once.
-                unsafe {
-                    *th_cols.at(c) = -(div * ia);
-                    *bern_cols.at(c) = ke * ia + g * (h[c] + topo[c]);
-                }
+                *th = -(div * ia);
+                *bern = ke * ia + g * (h[c] + topo[c]);
             });
         }
 
         // Vertices: absolute vorticity and the least-squares (east, north)
         // velocity, from the same three edges.
         {
-            let vor_cols = ColumnsMut::new(self.vor.as_mut_slice(), 1);
-            let ve_cols = ColumnsMut::new(self.ve.as_mut_slice(), 1);
-            let vn_cols = ColumnsMut::new(self.vn.as_mut_slice(), 1);
-            let verts = subset.map(|s| s.verts.as_slice());
-            run_on(&sub, "swe_vertex", vor_cols.len(), verts, |v| {
+            let outs = (
+                self.vor.as_mut_slice(),
+                self.ve.as_mut_slice(),
+                self.vn.as_mut_slice(),
+            );
+            let verts = subset.map(|s| &s.verts);
+            run_over!(sub, "swe_vertex", verts, outs, |v, (vor, ve, vn)| {
                 let edges = mesh.vert_edges[v].map(|e| e as usize);
                 let [u0, u1, u2] = edges.map(|e| u[e]);
                 let [w0, w1, w2]: [R; 3] =
@@ -312,12 +294,9 @@ impl<R: Real> SweSolver<R> {
                 let zeta = u2.mul_add(w2, u1.mul_add(w1, u0.mul_add(w0, R::ZERO)));
                 let be = u2.mul_add(n2[0], u1.mul_add(n1[0], u0.mul_add(n0[0], R::ZERO)));
                 let bn = u2.mul_add(n2[1], u1.mul_add(n1[1], u0.mul_add(n0[1], R::ZERO)));
-                // SAFETY: each vertex index is dispatched exactly once.
-                unsafe {
-                    *vor_cols.at(v) = zeta * geom.inv_vert_area[v] + geom.f_vert[v];
-                    *ve_cols.at(v) = rc.minv[0][0] * be + rc.minv[0][1] * bn;
-                    *vn_cols.at(v) = rc.minv[1][0] * be + rc.minv[1][1] * bn;
-                }
+                *vor = zeta * geom.inv_vert_area[v] + geom.f_vert[v];
+                *ve = rc.minv[0][0] * be + rc.minv[0][1] * bn;
+                *vn = rc.minv[1][0] * be + rc.minv[1][1] * bn;
             });
         }
 
@@ -326,17 +305,16 @@ impl<R: Real> SweSolver<R> {
         {
             let (bern, vor) = (self.bern.as_slice(), self.vor.as_slice());
             let (ve, vn) = (self.ve.as_slice(), self.vn.as_slice());
-            let cols = ColumnsMut::new(tu.as_mut_slice(), 1);
-            let edges = subset.map(|s| s.momentum_edges.as_slice());
-            run_on(&sub, "swe_momentum_tend", cols.len(), edges, |e| {
+            let edges = subset.map(|s| &s.momentum_edges);
+            let out = tu.as_mut_slice();
+            run_over!(sub, "swe_momentum_tend", edges, out, |e, tu| {
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 let [v1, v2] = mesh.edge_verts[e].map(|v| v as usize);
                 let [te, tn] = geom.edge_tangent_en[e];
                 let pv = (vor[v1] + vor[v2]) * half;
                 let vt = (ve[v1] + ve[v2]) * half * te + (vn[v1] + vn[v2]) * half * tn;
                 let grad_b = (bern[c2] - bern[c1]) * geom.inv_edge_de[e];
-                // SAFETY: each edge index is dispatched exactly once.
-                *unsafe { cols.at(e) } = pv * vt - grad_b;
+                *tu = pv * vt - grad_b;
             });
         }
     }
@@ -546,45 +524,34 @@ mod tests {
             let expect: Vec<u32> = (0..n as u32).collect();
             assert_eq!(all, expect, "{what} must partition 0..{n}");
         };
+        let (a, b) = (&phases.interior, &phases.remainder);
         check(
-            &phases.interior.cells,
-            &phases.remainder.cells,
+            a.cells.as_slice(),
+            b.cells.as_slice(),
             mesh.n_cells(),
             "cells",
         );
+        let (af, bf) = (a.flux_edges.as_slice(), b.flux_edges.as_slice());
+        check(af, bf, mesh.n_edges(), "flux edges");
+        let (am, bm) = (a.momentum_edges.as_slice(), b.momentum_edges.as_slice());
+        check(am, bm, mesh.n_edges(), "momentum edges");
         check(
-            &phases.interior.flux_edges,
-            &phases.remainder.flux_edges,
-            mesh.n_edges(),
-            "flux edges",
-        );
-        check(
-            &phases.interior.momentum_edges,
-            &phases.remainder.momentum_edges,
-            mesh.n_edges(),
-            "momentum edges",
-        );
-        check(
-            &phases.interior.verts,
-            &phases.remainder.verts,
+            a.verts.as_slice(),
+            b.verts.as_slice(),
             mesh.n_verts(),
             "verts",
         );
     }
 
-    #[test]
-    fn phased_stage1_is_bitwise_identical_to_full_step() {
-        // The tentpole invariant: interior-then-remainder phased tendencies
-        // in stage 1 must reproduce the plain step exactly, for an
-        // arbitrary interior set (no tolerance — bit equality).
-        let mesh = HexMesh::build(3);
-        let interior: Vec<u32> = (0..mesh.n_cells() as u32).filter(|c| c % 2 == 0).collect();
-        let phases = SwePhases::build(&mesh, &interior);
+    /// Three steps with stage 1 phased over `interior`, and three plain
+    /// steps, on `sub`: they must agree bit for bit.
+    fn assert_phased_matches_plain(sub: &Substrate, mesh: HexMesh, interior: &[u32]) {
+        let phases = SwePhases::build(&mesh, interior);
         let dt = 400.0;
 
-        let mut plain = SweSolver::<f64>::new(mesh.clone());
+        let mut plain = SweSolver::<f64>::with_substrate(mesh.clone(), sub.clone());
         let mut a = williamson_tc2::<f64>(&plain.mesh);
-        let mut phased = SweSolver::<f64>::new(mesh);
+        let mut phased = SweSolver::<f64>::with_substrate(mesh, sub.clone());
         let mut b = williamson_tc2::<f64>(&phased.mesh);
         for _ in 0..3 {
             plain.step_rk3(&mut a, dt);
@@ -598,6 +565,49 @@ mod tests {
             |f: &Field2<f64>| -> Vec<u64> { f.as_slice().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&a.h), bits(&b.h), "h must match bit-for-bit");
         assert_eq!(bits(&a.u), bits(&b.u), "u must match bit-for-bit");
+    }
+
+    #[test]
+    fn phased_stage1_is_bitwise_identical_to_full_step() {
+        // The tentpole invariant: interior-then-remainder phased tendencies
+        // in stage 1 must reproduce the plain step exactly, for an
+        // arbitrary interior set (no tolerance — bit equality).
+        let mesh = HexMesh::build(3);
+        let interior: Vec<u32> = (0..mesh.n_cells() as u32).filter(|c| c % 2 == 0).collect();
+        assert_phased_matches_plain(&Substrate::serial(), mesh, &interior);
+    }
+
+    #[test]
+    fn repeated_interior_cells_are_dispatched_once() {
+        let mesh = HexMesh::build(2);
+        assert_eq!(
+            SwePhases::build(&mesh, &[7, 3, 7, 3]),
+            SwePhases::build(&mesh, &[3, 7])
+        );
+        // Every interior cell listed twice, on CPE teams: a cell dispatched
+        // twice would be written by two workers at once.
+        let mesh = HexMesh::build(3);
+        let evens: Vec<u32> = (0..mesh.n_cells() as u32).filter(|c| c % 2 == 0).collect();
+        let twice: Vec<u32> = evens.iter().chain(&evens).copied().collect();
+        assert_phased_matches_plain(&Substrate::cpe_teams(4), mesh, &twice);
+    }
+
+    #[test]
+    fn an_out_of_range_subset_is_refused_before_any_kernel_runs() {
+        // (A repeated index cannot be built: `IndexSet::new` refuses it.)
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut solver =
+            SweSolver::<f64>::with_substrate(HexMesh::build(2), Substrate::cpe_teams(2));
+        let (nc, ne) = (solver.mesh.n_cells(), solver.mesh.n_edges());
+        let mut subset = SwePhases::build(&solver.mesh, &[0, 1]).interior;
+        subset.flux_edges = IndexSet::new(vec![0, ne as u32]);
+        let state = williamson_tc2::<f64>(&solver.mesh);
+        let (mut th, mut tu) = (Field2::zeros(1, nc), Field2::zeros(1, ne));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            solver.tendencies_subset(&state, &mut th, &mut tu, &subset)
+        }));
+        assert!(run.is_err(), "edge {ne} of {ne} edges");
+        assert!(solver.sub.kernel_report().is_empty(), "no kernel ran");
     }
 
     #[test]

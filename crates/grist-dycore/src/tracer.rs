@@ -20,7 +20,7 @@ use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
 use sunway_sim::perf::{IterSpace, KernelSpec};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::Substrate;
 
 /// Scratch buffers for one FCT transport invocation, reusable across steps.
 pub struct FctWorkspace<R: Real> {
@@ -164,16 +164,11 @@ pub(crate) fn fct_edge_transports<R: Real, F: Real>(
     dt: f64,
     ws: &mut FctWorkspace<R>,
 ) {
-    let nlev = flux.nlev();
     let dt_r = R::from_f64(dt);
-    let cols = ColumnsMut::new(ws.transport.as_mut_slice(), nlev);
-    sub.run(FCT_TRANSPORT.name, cols.len(), |e| {
-        // SAFETY: each edge index is dispatched exactly once.
-        let col = unsafe { cols.col(e) };
+    sub.run_cols(FCT_TRANSPORT.name, 0, ws.transport.cols_mut(), |e, col| {
         let le = geom.edge_le[e];
-        let f = flux.col(e);
-        for k in 0..nlev {
-            col[k] = R::from_f64(f[k].to_f64()) * le * dt_r;
+        for (t, f) in col.iter_mut().zip(flux.col(e)) {
+            *t = R::from_f64(f.to_f64()) * le * dt_r;
         }
     });
 }
@@ -197,12 +192,8 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let q_ro: &Field2<R> = q;
     let transport = &ws.transport;
     {
-        let qtd_cols = ColumnsMut::new(ws.q_td.as_mut_slice(), nlev);
-        let mnew_cols = ColumnsMut::new(ws.mass_new.as_mut_slice(), nlev);
-        sub.run(FCT_LOWORDER.name, qtd_cols.len(), |c| {
-            // SAFETY: each cell index is dispatched exactly once.
-            let qtd = unsafe { qtd_cols.col(c) };
-            let mnew = unsafe { mnew_cols.col(c) };
+        let outs = (ws.q_td.cols_mut(), ws.mass_new.cols_mut());
+        sub.run_cols(FCT_LOWORDER.name, 0, outs, |c, (qtd, mnew)| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             let mut emptied = 0u64;
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
@@ -245,10 +236,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     // Antidiffusive fluxes A_e = T_e (q_centered − q_upwind).
     let half = R::from_f64(0.5);
     {
-        let cols = ColumnsMut::new(ws.anti.as_mut_slice(), nlev);
-        sub.run(FCT_ANTIDIFFUSIVE.name, cols.len(), |e| {
-            // SAFETY: each edge index is dispatched exactly once.
-            let col = unsafe { cols.col(e) };
+        sub.run_cols(FCT_ANTIDIFFUSIVE.name, 0, ws.anti.cols_mut(), |e, col| {
             let [c1, c2] = mesh.edge_cells[e];
             let (q1, q2) = (q_ro.col(c1 as usize), q_ro.col(c2 as usize));
             let t_col = transport.col(e);
@@ -267,12 +255,8 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let anti = &ws.anti;
     let tiny = R::from_f64(1e-300_f64.max(f64::MIN_POSITIVE));
     {
-        let rp_cols = ColumnsMut::new(ws.r_plus.as_mut_slice(), nlev);
-        let rm_cols = ColumnsMut::new(ws.r_minus.as_mut_slice(), nlev);
-        sub.run(FCT_LIMITER.name, rp_cols.len(), |c| {
-            // SAFETY: each cell index is dispatched exactly once.
-            let rp = unsafe { rp_cols.col(c) };
-            let rm = unsafe { rm_cols.col(c) };
+        let outs = (ws.r_plus.cols_mut(), ws.r_minus.cols_mut());
+        sub.run_cols(FCT_LIMITER.name, 0, outs, |c, (rp, rm)| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
                 let n = LEVEL_BLOCK.min(nlev - k0);
@@ -331,10 +315,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let r_plus = &ws.r_plus;
     let r_minus = &ws.r_minus;
     {
-        let q_cols = ColumnsMut::new(q.as_mut_slice(), nlev);
-        sub.run(FCT_APPLY.name, q_cols.len(), |c| {
-            // SAFETY: each cell index is dispatched exactly once.
-            let qc = unsafe { q_cols.col(c) };
+        sub.run_cols(FCT_APPLY.name, 0, q.cols_mut(), |c, qc| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
                 let n = LEVEL_BLOCK.min(nlev - k0);

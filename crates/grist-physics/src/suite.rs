@@ -15,7 +15,7 @@ use crate::microphysics::{microphysics, MicroConfig};
 use crate::pbl::{pbl_diffusion, PblConfig};
 use crate::radiation::{radiation, FlopLedger, RadiationConfig};
 use crate::surface::{bulk_fluxes, land_step, LandConfig, LandState, SurfaceConfig};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::Substrate;
 
 /// Per-column persistent physics state.
 #[derive(Debug, Clone)]
@@ -179,20 +179,13 @@ impl ConventionalSuite {
         dt_phy: f64,
         dt_rad: f64,
     ) -> Vec<PhysicsOutput> {
-        assert_eq!(cols.len(), states.len());
         // Attribute the column sweep to the "physics" trace span.
         let _span = self.sub.span("physics");
-        let n = cols.len();
-        let mut out: Vec<Option<PhysicsOutput>> = (0..n).map(|_| None).collect();
-        {
-            let out_cols = ColumnsMut::new(&mut out, 1);
-            let st_cols = ColumnsMut::new(states, 1);
-            self.sub.run("physics_columns", n, |i| {
-                // SAFETY: each column index is dispatched exactly once.
-                let s = unsafe { st_cols.at(i) };
-                *unsafe { out_cols.at(i) } = Some(self.step_column(&cols[i], s, dt_phy, dt_rad));
+        let mut out: Vec<Option<PhysicsOutput>> = (0..cols.len()).map(|_| None).collect();
+        self.sub
+            .run_cols("physics_columns", 0, (&mut out[..], states), |i, (o, s)| {
+                *o = Some(self.step_column(&cols[i], s, dt_phy, dt_rad));
             });
-        }
         out.into_iter()
             .map(|o| o.expect("column dispatched"))
             .collect()

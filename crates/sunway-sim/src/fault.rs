@@ -6,7 +6,7 @@
 //! description of which of those events fail, shared (cheaply, via `Arc`)
 //! between the injection sites:
 //!
-//! * [`Substrate::try_run_with_bytes`](crate::substrate::Substrate::try_run_with_bytes)
+//! * [`Substrate::run_cols`](crate::substrate::Substrate::run_cols)
 //!   consults an armed plan before every offload dispatch ([`FaultSite::Dispatch`]
 //!   for compute-only kernels, keyed on [`dispatch_fault_key`] — kernel name
 //!   and how many times that kernel has been dispatched — so adding, removing

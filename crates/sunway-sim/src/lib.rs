@@ -57,8 +57,8 @@ pub use perf::{
     fig9_table, kernel_time, stream_hit_ratio, Domain, ExecTarget, IterSpace, KernelSpec,
 };
 pub use substrate::{
-    format_kernel_report, kernel_report_rows, ColumnsMut, ExecTargetKind, KernelReportRow,
-    Substrate,
+    format_kernel_report, kernel_report_rows, over, ColumnsMut, ExecTargetKind, IndexSet,
+    KernelReportRow, Over, Substrate,
 };
 pub use swgomp::{JobServer, JobStats};
 pub use trace::{

@@ -9,16 +9,17 @@
 //! to execute parallel code pieces."
 //!
 //! [`JobServer`] owns one persistent worker thread per simulated CPE.
-//! [`JobServer::parallel_for`] distributes a loop directly from the MPE
-//! (`!$omp parallel do`); [`JobServer::target_parallel_for`] first ships a
-//! *team-head* job to a CPE, which then distributes the chunks to its team —
-//! the `!$omp target` path of Fig. 4. Both block until every chunk retires,
-//! which is what makes the internal lifetime erasure sound.
+//! [`JobServer::target_parallel_for`] ships a *team-head* job to a CPE,
+//! which then distributes the chunks to its team — the `!$omp target` path
+//! of Fig. 4. It blocks until every chunk retires, which is what makes the
+//! internal lifetime erasure sound.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use crate::substrate::WriteSet;
 
 /// A multi-producer multi-consumer job queue (the Athread mailbox): every
 /// CPE worker pulls from the same queue, and both the MPE and team-head
@@ -57,27 +58,21 @@ impl JobQueue {
     }
 }
 
-/// Type-erased slice-of-work closure: `call(ctx, start, end)`.
-#[derive(Clone, Copy)]
-struct RawTask {
-    ctx: *const (),
-    call: unsafe fn(*const (), usize, usize),
-}
-// SAFETY: the referent is a `Fn(usize) + Sync` closure that the submitting
-// thread keeps alive (and blocks on) until every chunk completes.
-unsafe impl Send for RawTask {}
+/// A loop body over one chunk, `task(start, end)`, its borrow erased to
+/// `'static` so it can sit in the shared queue (see `target_parallel_for`).
+type Task = &'static (dyn Fn(usize, usize) + Sync);
 
 enum Msg {
     /// Execute `task` over `[start, end)` and decrement the barrier.
     Chunk {
-        task: RawTask,
+        task: Task,
         start: usize,
         end: usize,
         done: Arc<Barrier>,
     },
     /// Become a team head: distribute `n_items` over the team, then barrier.
     TeamHead {
-        task: RawTask,
+        task: Task,
         n_items: usize,
         chunk: usize,
         done: Arc<Barrier>,
@@ -87,28 +82,16 @@ enum Msg {
 
 /// A simple completion barrier (count-down latch).
 ///
-/// # Accounting conventions
+/// [`JobServer::target_parallel_for`] creates it with **`n_chunks + 1`**
+/// tickets: one per chunk, each surrendered by [`Barrier::done`] when the
+/// chunk retires, and one held by the *team-head job* itself until the last
+/// chunk is in the queue (`worker_loop`'s `TeamHead` arm). Without the `+1`,
+/// a fast team could retire every already-enqueued chunk while the head is
+/// still enqueueing the rest, dropping `remaining` to zero and releasing
+/// the MPE early — a use-after-free on the borrowed closure.
 ///
-/// The two launch paths initialize the latch differently, and the difference
-/// is load-bearing:
-///
-/// * [`JobServer::parallel_for`] creates the barrier with **`n_chunks`**
-///   tickets. The MPE enqueues every chunk itself, each chunk calls
-///   [`Barrier::done`] exactly once when it retires, and the MPE's
-///   [`Barrier::wait`] releases after the last chunk.
-///
-/// * [`JobServer::target_parallel_for`] creates the barrier with
-///   **`n_chunks + 1`** tickets. The extra ticket belongs to the *team-head
-///   job* itself: the team head must not let the MPE proceed until it has
-///   finished enqueueing chunks, so it holds a ticket that it only
-///   surrenders (in `worker_loop`'s `TeamHead` arm) after the last chunk is
-///   in the queue. Without the `+1`, a fast team could retire every
-///   already-enqueued chunk while the head is still enqueueing the rest,
-///   dropping `remaining` to zero and releasing the MPE early — a
-///   use-after-free on the borrowed closure.
-///
-/// `barrier_conventions_*` tests below pin both conventions down with
-/// 1-item chunks and `n_items < n_cpes` stress shapes.
+/// The `barrier_*` tests below pin it down with 1-item chunks and
+/// `n_items < n_cpes` stress shapes.
 struct Barrier {
     remaining: AtomicUsize,
     /// Parking lot for [`Self::wait`]'s slow path. On real hardware the MPE
@@ -213,62 +196,26 @@ impl JobServer {
         }
     }
 
-    fn erase<F: Fn(usize) + Sync>(f: &F) -> RawTask {
-        unsafe fn call_impl<F: Fn(usize) + Sync>(ctx: *const (), start: usize, end: usize) {
-            let f = unsafe { &*(ctx as *const F) };
-            for i in start..end {
-                f(i);
-            }
-        }
-        RawTask {
-            ctx: f as *const F as *const (),
-            call: call_impl::<F>,
-        }
-    }
-
-    fn chunk_count(n_items: usize, chunk: usize) -> usize {
-        n_items.div_ceil(chunk.max(1))
-    }
-
-    /// `!$omp parallel do` from the MPE: distribute `0..n_items` in chunks
-    /// over the CPEs and wait.
-    pub fn parallel_for<F: Fn(usize) + Sync>(&self, n_items: usize, chunk: usize, f: &F) {
-        if n_items == 0 {
-            return;
-        }
-        let task = Self::erase(f);
-        // Barrier convention: `n_chunks` tickets — one per chunk, no extra
-        // (the MPE itself never holds a ticket on this path). See `Barrier`.
-        let n_chunks = Self::chunk_count(n_items, chunk);
-        let done = Barrier::new(n_chunks);
-        let mut start = 0;
-        while start < n_items {
-            let end = (start + chunk).min(n_items);
-            self.stats.spawned_by_mpe.fetch_add(1, Ordering::Relaxed);
-            self.queue.send(Msg::Chunk {
-                task,
-                start,
-                end,
-                done: Arc::clone(&done),
-            });
-            start = end;
-        }
-        done.wait();
-    }
-
     /// `!$omp target` + `!$omp do`: ship a team-head job to one CPE, which
     /// re-distributes the loop to its team members (Fig. 5's CPE-spawned
-    /// jobs), then wait for the whole team.
+    /// jobs), then wait for the whole team. Every index of `0..n_items` runs
+    /// once, in chunks of `chunk`.
     pub fn target_parallel_for<F: Fn(usize) + Sync>(&self, n_items: usize, chunk: usize, f: &F) {
         if n_items == 0 {
             return;
         }
-        let task = Self::erase(f);
-        // Barrier convention: `n_chunks + 1` tickets — one per chunk plus
-        // one held by the team-head job until it finishes enqueueing, so the
-        // MPE cannot be released while chunks are still being spawned. See
-        // the `Barrier` doc comment for why the `+1` is load-bearing.
-        let n_chunks = Self::chunk_count(n_items, chunk);
+        let run = |start: usize, end: usize| {
+            for i in start..end {
+                f(i);
+            }
+        };
+        let run: &(dyn Fn(usize, usize) + Sync) = &run;
+        // SAFETY: `done.wait()` below returns only after every chunk holding
+        // `task` has retired, so the erased borrow never outlives `run`.
+        let task = unsafe { std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), Task>(run) };
+        // `n_chunks + 1` tickets: one per chunk plus the team head's, see
+        // `Barrier`.
+        let n_chunks = n_items.div_ceil(chunk.max(1));
         let done = Barrier::new(n_chunks + 1);
         self.stats.spawned_by_mpe.fetch_add(1, Ordering::Relaxed);
         self.queue.send(Msg::TeamHead {
@@ -279,50 +226,17 @@ impl JobServer {
         });
         done.wait();
     }
-}
 
-/// Wrapper for sending a raw mutable base pointer into worker closures.
-/// Soundness: each index is written by exactly one chunk, and the caller
-/// blocks until all chunks retire.
-struct SyncPtr<T>(*mut T);
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Accessor keeping closure captures at the (Sync) struct level —
-    /// edition-2021 precise capture would otherwise grab the raw field.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-impl JobServer {
     /// `!$omp target parallel workshare` on `array = value` (the second
     /// idiom of Fig. 4: Fortran array assignments distributed over CPEs).
     pub fn target_workshare_fill<T: Copy + Send + Sync>(&self, data: &mut [T], value: T) {
         let n = data.len();
-        let base = SyncPtr(data.as_mut_ptr());
+        let split = data.split();
         let chunk = n.div_ceil(4 * self.n_cpes).max(1);
         self.target_parallel_for(n, chunk, &|i| {
-            // SAFETY: i < n, each i visited exactly once, caller blocks.
-            unsafe { *base.get().add(i) = value };
-        });
-    }
-
-    /// Workshare elementwise map `dst(:) = f(src(:))`.
-    pub fn target_workshare_map<T, U, F>(&self, dst: &mut [U], src: &[T], f: F)
-    where
-        T: Sync,
-        U: Send + Sync,
-        F: Fn(&T) -> U + Sync,
-    {
-        assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let base = SyncPtr(dst.as_mut_ptr());
-        let chunk = n.div_ceil(4 * self.n_cpes).max(1);
-        self.target_parallel_for(n, chunk, &|i| {
-            // SAFETY: disjoint writes, completion barrier before return.
-            unsafe { base.get().add(i).write(f(&src[i])) };
+            // SAFETY: `target_parallel_for` runs each `i < n` once and
+            // returns after the last (the argument at `Substrate::run_cols`).
+            *unsafe { <&mut [T]>::col(&split, i) } = value;
         });
     }
 }
@@ -336,7 +250,7 @@ fn worker_loop(queue: Arc<JobQueue>, stats: Arc<JobStats>) {
                 end,
                 done,
             } => {
-                unsafe { (task.call)(task.ctx, start, end) };
+                task(start, end);
                 stats.chunks_run.fetch_add(1, Ordering::Relaxed);
                 done.done();
             }
@@ -381,28 +295,19 @@ impl Drop for JobServer {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parallel_for_touches_every_index_once() {
-        let server = JobServer::new(8);
-        let n = 10_000;
-        let counters: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        server.parallel_for(n, 64, &|i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
+    /// Hits per index of one `target_parallel_for` over `0..n`.
+    fn hits(server: &JobServer, n: usize, chunk: usize) -> Vec<u64> {
+        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        server.target_parallel_for(n, chunk, &|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
         });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        hits.iter().map(|h| h.load(Ordering::Relaxed)).collect()
     }
 
     #[test]
-    fn target_parallel_for_computes_the_same_result() {
+    fn target_parallel_for_touches_every_index_once() {
         let server = JobServer::new(8);
-        let n = 5_000;
-        let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        server.target_parallel_for(n, 128, &|i| {
-            out[i].store((i * i) as u64, Ordering::Relaxed);
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v.load(Ordering::Relaxed), (i * i) as u64);
-        }
+        assert_eq!(hits(&server, 10_000, 64), vec![1; 10_000]);
     }
 
     #[test]
@@ -417,19 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn mpe_path_spawns_chunks_from_the_mpe() {
-        let server = JobServer::new(4);
-        server.parallel_for(1000, 100, &|_| {});
-        assert_eq!(server.stats.spawned_by_mpe.load(Ordering::Relaxed), 10);
-        assert_eq!(server.stats.spawned_by_cpe.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn repeated_launches_reuse_the_persistent_workers() {
         let server = JobServer::new(8);
         let acc = AtomicU64::new(0);
         for _ in 0..50 {
-            server.parallel_for(256, 16, &|_| {
+            server.target_parallel_for(256, 16, &|_| {
                 acc.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -458,64 +355,23 @@ mod tests {
     }
 
     #[test]
-    fn workshare_map_applies_elementwise() {
-        let server = JobServer::new(8);
-        let src: Vec<f64> = (0..5000).map(|i| i as f64).collect();
-        let mut dst = vec![0.0f64; 5000];
-        server.target_workshare_map(&mut dst, &src, |&x| 2.0 * x + 1.0);
-        for (i, &d) in dst.iter().enumerate() {
-            assert_eq!(d, 2.0 * i as f64 + 1.0);
-        }
-    }
-
-    #[test]
-    fn workshare_on_empty_slices_is_a_noop() {
+    fn empty_ranges_are_a_noop() {
         let server = JobServer::new(2);
         let mut empty: Vec<f64> = Vec::new();
         server.target_workshare_fill(&mut empty, 1.0);
-        server.target_workshare_map(&mut empty, &[], |&x: &f64| x);
-    }
-
-    #[test]
-    fn empty_range_is_a_noop() {
-        let server = JobServer::new(2);
-        server.parallel_for(0, 16, &|_| panic!("must not run"));
         server.target_parallel_for(0, 16, &|_| panic!("must not run"));
     }
 
-    /// Barrier convention stress, MPE path: 1-item chunks mean every index
-    /// is its own job and the latch starts at exactly `n_items`. The wait
-    /// must neither hang (too many tickets) nor release before every write
-    /// lands (too few).
+    /// Barrier stress: 1-item chunks through a team head. The latch starts
+    /// at `n_items + 1`; the team head's extra ticket must be surrendered
+    /// (no hang) and must hold the MPE back until all chunks are enqueued
+    /// (no early release: every index has run once when the call returns).
     #[test]
-    fn barrier_conventions_one_item_chunks_mpe_path() {
+    fn barrier_one_item_chunks() {
         let server = JobServer::new(8);
         for round in 0..20 {
-            let n = 257 + round; // odd sizes, never a multiple of the team
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            server.parallel_for(n, 1, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            // No early release: by the time parallel_for returns, every
-            // index has been written exactly once.
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    /// Barrier convention stress, target path: 1-item chunks through a team
-    /// head. The latch starts at `n_items + 1`; the team head's extra ticket
-    /// must be surrendered (no hang) and must hold the MPE back until all
-    /// chunks are enqueued (no early release).
-    #[test]
-    fn barrier_conventions_one_item_chunks_target_path() {
-        let server = JobServer::new(8);
-        for round in 0..20 {
-            let n = 131 + round;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            server.target_parallel_for(n, 1, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            let n = 131 + round; // odd sizes, never a multiple of the team
+            assert_eq!(hits(&server, n, 1), vec![1; n], "n={n}");
         }
         // Every chunk went through the team head, none through the MPE.
         assert_eq!(server.stats.spawned_by_mpe.load(Ordering::Relaxed), 20);
@@ -559,29 +415,13 @@ mod tests {
     }
 
     /// Fewer items than CPEs: most workers stay idle, and the idle majority
-    /// must not be counted as barrier participants. Both paths must return
+    /// must not be counted as barrier participants. The call must return
     /// promptly with every item done exactly once.
     #[test]
-    fn barrier_conventions_fewer_items_than_cpes() {
+    fn barrier_fewer_items_than_cpes() {
         let server = JobServer::new(32);
         for n in [1usize, 2, 3, 5, 31] {
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            server.parallel_for(n, 1, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "mpe path, n={n}"
-            );
-
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            server.target_parallel_for(n, 1, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "target path, n={n}"
-            );
+            assert_eq!(hits(&server, n, 1), vec![1; n], "n={n}");
         }
     }
 }
