@@ -22,7 +22,7 @@ use grist_core::{extract_columns, GristModel, MlOutput, MlSuite, RunConfig};
 use grist_dycore::Real;
 use grist_physics::Column;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use sunway_sim::Substrate;
 
 /// What a query asks for.
@@ -103,6 +103,16 @@ impl ColumnState {
 pub struct Derived {
     pub precip: f64,
     pub t2m: f64,
+}
+
+impl Derived {
+    /// The value of scalar `product` (`T2m` or `Precip`).
+    fn scalar(&self, product: Product) -> f64 {
+        match product {
+            Product::T2m => self.t2m,
+            _ => self.precip,
+        }
+    }
 }
 
 /// The pinned derived-product convention. Public so the benchmark's
@@ -211,26 +221,31 @@ pub fn default_suite(nlev: usize) -> MlSuite {
     MlSuite::untrained(nlev, 16, 0x5e12)
 }
 
+/// One member's epoch: its columns and a fill-once derived slot per cell. A
+/// batch holds the `Arc`, pinning its epoch even if the replica moves on; a
+/// new epoch is a new `ViewCache`.
 struct ViewCache {
     epoch: u64,
     state_hash: u64,
     columns: Arc<Vec<Column>>,
-    derived: Vec<Option<Derived>>,
+    derived: Vec<OnceLock<Derived>>,
+}
+
+impl ViewCache {
+    fn new(epoch: u64, state_hash: u64, columns: Arc<Vec<Column>>) -> Arc<Self> {
+        let derived = columns.iter().map(|_| OnceLock::new()).collect();
+        Arc::new(ViewCache {
+            epoch,
+            state_hash,
+            columns,
+            derived,
+        })
+    }
 }
 
 struct Replica<R: Real> {
     model: GristModel<R>,
-    cache: Option<ViewCache>,
-}
-
-/// Everything a batch needs from one member, decoupled from the replica
-/// lock: the `Arc`'d columns pin the epoch's data even if the replica moves
-/// to a newer view mid-batch, so responses stay internally consistent.
-struct MemberPlan {
-    epoch: u64,
-    state_hash: u64,
-    columns: Arc<Vec<Column>>,
-    derived: Vec<Option<Derived>>,
+    cache: Option<Arc<ViewCache>>,
 }
 
 /// Snapshot-isolated query answering for every ensemble member.
@@ -240,6 +255,8 @@ pub struct QueryEngine<R: Real> {
     members: Vec<Mutex<Replica<R>>>,
     lats: Vec<f64>,
     lons: Vec<f64>,
+    /// Unit vectors of the cell centres, built from `lats` / `lons`.
+    xyz: [Vec<f64>; 3],
     sub: Substrate,
     cache_enabled: bool,
 }
@@ -271,12 +288,24 @@ impl<R: Real> QueryEngine<R> {
             let rep = members[0].lock().expect("replica poisoned");
             (rep.model.lats.clone(), rep.model.lons.clone())
         };
+        let xyz = [
+            lats.iter()
+                .zip(&lons)
+                .map(|(la, lo)| la.cos() * lo.cos())
+                .collect(),
+            lats.iter()
+                .zip(&lons)
+                .map(|(la, lo)| la.cos() * lo.sin())
+                .collect(),
+            lats.iter().map(|la| la.sin()).collect(),
+        ];
         QueryEngine {
             store,
             suite,
             members,
             lats,
             lons,
+            xyz,
             sub,
             cache_enabled: true,
         }
@@ -316,19 +345,7 @@ impl<R: Real> QueryEngine<R> {
                     Err(ServeError::UnknownCell { cell, ncells })
                 }
             }
-            Select::Point { lat, lon } => {
-                // Nearest cell by great-circle angle (maximize the cosine).
-                let (mut best, mut best_cos) = (0usize, f64::NEG_INFINITY);
-                for c in 0..ncells {
-                    let cosang = lat.sin() * self.lats[c].sin()
-                        + lat.cos() * self.lats[c].cos() * (lon - self.lons[c]).cos();
-                    if cosang > best_cos {
-                        best_cos = cosang;
-                        best = c;
-                    }
-                }
-                Ok(vec![best])
-            }
+            Select::Point { lat, lon } => Ok(vec![self.nearest_cell(lat, lon)]),
             Select::Region { lat, lon } => {
                 let cells: Vec<usize> = (0..ncells)
                     .filter(|&c| {
@@ -347,10 +364,37 @@ impl<R: Real> QueryEngine<R> {
         }
     }
 
-    /// Sync `member`'s replica to the store's latest view and return the
-    /// epoch-pinned plan. Restores (and re-extracts columns, and drops the
-    /// derived cache) only when the epoch moved.
-    fn member_plan(&self, member: usize) -> Result<MemberPlan, ServeError> {
+    /// The first cell with the largest `F_c = sin φ sin φ_c + cos φ cos φ_c
+    /// cos(λ − λ_c)` (great-circle nearest). `F_c` is the unit vectors' dot
+    /// product `D_c` to about 1e-15 plus the rounding of `λ − λ_c`, so ranking
+    /// by `F` the cells within `margin` of the largest `D` returns the full
+    /// scan's answer (DESIGN.md §12). NaN or ±∞ makes every cell a candidate.
+    fn nearest_cell(&self, lat: f64, lon: f64) -> usize {
+        let (sin_lat, cos_lat) = (lat.sin(), lat.cos());
+        let q = [cos_lat * lon.cos(), cos_lat * lon.sin(), sin_lat];
+        let [xs, ys, zs] = &self.xyz;
+        let dot = |c: usize| q[0] * xs[c] + q[1] * ys[c] + q[2] * zs[c];
+        let best_dot = (0..xs.len()).map(dot).fold(f64::NEG_INFINITY, f64::max);
+        let margin = 1e-12 * (1.0 + lon.abs());
+        let (mut best, mut best_cos) = (0usize, f64::NEG_INFINITY);
+        for c in 0..xs.len() {
+            if dot(c) < best_dot - margin {
+                continue;
+            }
+            let cosang = sin_lat * self.lats[c].sin()
+                + cos_lat * self.lats[c].cos() * (lon - self.lons[c]).cos();
+            if cosang > best_cos {
+                best_cos = cosang;
+                best = c;
+            }
+        }
+        best
+    }
+
+    /// Sync `member`'s replica to the store's latest view and return its
+    /// cache, restoring (and re-extracting columns) only when the epoch moved.
+    /// With the cache disabled each call gets a fresh private cache.
+    fn view_cache(&self, member: usize) -> Result<Arc<ViewCache>, ServeError> {
         if member >= self.members.len() {
             return Err(ServeError::UnknownMember {
                 member,
@@ -362,8 +406,7 @@ impl<R: Real> QueryEngine<R> {
             .latest(member)
             .ok_or(ServeError::NoSnapshot { member })?;
         let mut rep = self.members[member].lock().expect("replica poisoned");
-        let stale = rep.cache.as_ref().is_none_or(|c| c.epoch != view.epoch);
-        if stale {
+        if rep.cache.as_ref().is_none_or(|c| c.epoch != view.epoch) {
             rep.model
                 .restore(&view.checkpoint)
                 .map_err(|e| ServeError::ViewRejected {
@@ -383,26 +426,15 @@ impl<R: Real> QueryEngine<R> {
             }
             let model = &mut rep.model;
             let cols = extract_columns(&mut model.solver, &model.state, &model.surface);
-            let ncells = cols.len();
-            rep.cache = Some(ViewCache {
-                epoch: view.epoch,
-                state_hash: view.state_hash,
-                columns: Arc::new(cols),
-                derived: vec![None; ncells],
-            });
+            rep.cache = Some(ViewCache::new(view.epoch, view.state_hash, Arc::new(cols)));
             self.sub.metrics().counter_add("serve.view.restores", 1);
         }
-        let cache = rep.cache.as_ref().expect("cache just synced");
-        Ok(MemberPlan {
-            epoch: cache.epoch,
-            state_hash: cache.state_hash,
-            columns: Arc::clone(&cache.columns),
-            derived: if self.cache_enabled {
-                cache.derived.clone()
-            } else {
-                vec![None; cache.columns.len()]
-            },
-        })
+        let cache = rep.cache.clone().expect("cache just synced");
+        if self.cache_enabled {
+            return Ok(cache);
+        }
+        let private = ViewCache::new(cache.epoch, cache.state_hash, Arc::clone(&cache.columns));
+        Ok(private)
     }
 
     /// Answer a batch of queries with **one** block-batched ML dispatch for
@@ -424,12 +456,12 @@ impl<R: Real> QueryEngine<R> {
         m.counter_add("serve.queries", queries.len() as u64);
 
         // Resolve every query and sync each touched member once.
-        let mut plans: BTreeMap<usize, MemberPlan> = BTreeMap::new();
+        let mut plans: BTreeMap<usize, Arc<ViewCache>> = BTreeMap::new();
         let mut resolved: Vec<Result<Vec<usize>, ServeError>> = Vec::with_capacity(queries.len());
         for q in queries {
             let r = (|| {
                 if let std::collections::btree_map::Entry::Vacant(e) = plans.entry(q.member) {
-                    e.insert(self.member_plan(q.member)?);
+                    e.insert(self.view_cache(q.member)?);
                 }
                 self.resolve(&q.select)
             })();
@@ -446,7 +478,7 @@ impl<R: Real> QueryEngine<R> {
             };
             let plan = &plans[&q.member];
             for &cell in cells {
-                if plan.derived[cell].is_some() {
+                if plan.derived[cell].get().is_some() {
                     hits += 1;
                 } else if seen.insert((q.member, cell)) {
                     misses += 1;
@@ -459,7 +491,9 @@ impl<R: Real> QueryEngine<R> {
         m.counter_add("serve.cache.hits", hits);
         m.counter_add("serve.cache.misses", misses);
 
-        // One batched dispatch for the whole batch's missing cells.
+        // One batched dispatch for the whole batch's missing cells. A batch
+        // that fills a slot first wrote the same bits (a column's ML output
+        // does not depend on its block), so a refused `set` loses nothing.
         if !jobs.is_empty() {
             let cols: Vec<Column> = jobs
                 .iter()
@@ -467,36 +501,19 @@ impl<R: Real> QueryEngine<R> {
                 .collect();
             let outs = self.suite.step_columns(&cols);
             m.counter_add("serve.ml.cells", jobs.len() as u64);
-            for (&(mb, cell), out) in jobs.iter().zip(&outs) {
-                let plan = plans.get_mut(&mb).unwrap();
-                plan.derived[cell] = Some(derive(&plan.columns[cell], out));
+            for ((&(mb, cell), col), out) in jobs.iter().zip(&cols).zip(&outs) {
+                let _ = plans[&mb].derived[cell].set(derive(col, out));
             }
         }
 
-        // Write fresh derived values back into each member's cache — only
-        // if the replica is still on the epoch the batch computed against.
-        if self.cache_enabled {
-            for (&mb, plan) in &plans {
-                let mut rep = self.members[mb].lock().expect("replica poisoned");
-                if let Some(cache) = rep.cache.as_mut() {
-                    if cache.epoch == plan.epoch {
-                        for (slot, fresh) in cache.derived.iter_mut().zip(&plan.derived) {
-                            if slot.is_none() {
-                                *slot = *fresh;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Assemble responses from the epoch-pinned plans.
+        // Assemble responses from the epoch-pinned caches.
         queries
             .iter()
             .zip(resolved)
             .map(|(q, r)| {
                 let cells = r?;
                 let plan = &plans[&q.member];
+                let slot = |c: usize| plan.derived[c].get().expect("derived computed");
                 let data = match q.product {
                     Product::ColumnState => ProductData::Columns(
                         cells
@@ -504,18 +521,7 @@ impl<R: Real> QueryEngine<R> {
                             .map(|&c| ColumnState::from_column(&plan.columns[c]))
                             .collect(),
                     ),
-                    Product::T2m => ProductData::Scalars(
-                        cells
-                            .iter()
-                            .map(|&c| plan.derived[c].expect("derived computed").t2m)
-                            .collect(),
-                    ),
-                    Product::Precip => ProductData::Scalars(
-                        cells
-                            .iter()
-                            .map(|&c| plan.derived[c].expect("derived computed").precip)
-                            .collect(),
-                    ),
+                    p => ProductData::Scalars(cells.iter().map(|&c| slot(c).scalar(p)).collect()),
                 };
                 Ok(Response {
                     member: q.member,
@@ -536,7 +542,7 @@ impl<R: Real> QueryEngine<R> {
         let _span = self.sub.span("serve_percol");
         let m = self.sub.metrics();
         m.counter_add("serve.percol.queries", 1);
-        let plan = self.member_plan(q.member)?;
+        let plan = self.view_cache(q.member)?;
         let cells = self.resolve(&q.select)?;
         let data = match q.product {
             Product::ColumnState => ProductData::Columns(
@@ -552,13 +558,7 @@ impl<R: Real> QueryEngine<R> {
                 ProductData::Scalars(
                     cols.iter()
                         .zip(&outs)
-                        .map(|(col, out)| {
-                            let d = derive(col, out);
-                            match product {
-                                Product::T2m => d.t2m,
-                                _ => d.precip,
-                            }
-                        })
+                        .map(|(col, out)| derive(col, out).scalar(product))
                         .collect(),
                 )
             }

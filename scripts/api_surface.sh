@@ -114,7 +114,7 @@ fi
 # Size ceilings: like the `unsafe` one they only ever come down — lower a
 # ceiling to the new count when a change removes code.
 pub_fns_ceiling=532
-crates_lines_ceiling=33397
+crates_lines_ceiling=33396
 pub_fns=$(grep -rE "pub fn " --include='*.rs' crates/core crates/grist-* crates/sunway-sim | wc -l)
 # crates/rand is the vendored offline shim, not this repo's code.
 crates_lines=$(find crates -name '*.rs' -not -path 'crates/rand/*' -print0 | xargs -0 cat | wc -l)
