@@ -25,7 +25,7 @@ use crate::smoke::merge_snapshots;
 /// In-run gate: batched inference over the per-column path, serial target.
 pub const MIN_SPEEDUP: f64 = 3.0;
 /// In-run gate: SIMD GEMM microkernel over the scalar oracle on the pinned
-/// macro-tile shape (best-of-N minima).
+/// macro-tile shape (median of the paired per-trial ratios).
 pub const MIN_SIMD_SPEEDUP: f64 = 1.5;
 
 /// Pinned configuration — the production-like suite shape from the issue:
@@ -47,10 +47,11 @@ pub const ML_SEED: u64 = 4;
 pub const GEMM_M: usize = 64;
 pub const GEMM_N: usize = 512;
 pub const GEMM_K: usize = 192;
-/// Best-of-N trials for the GEMM probe. Min-time over independent trials is
-/// the standard defence against scheduler noise on shared CI hosts: the
-/// fastest observed run is the closest to the hardware's actual capability,
-/// and a ratio of two minima is far more stable than a ratio of means.
+/// Paired trials for the GEMM probe. Each trial times both variants back to
+/// back, alternating which goes first, and the gate reads the median of the
+/// per-trial ratios: a burst of host load lands on one pair and moves one
+/// ratio, where timing all scalar trials before all SIMD trials let it
+/// depress a whole variant's minimum.
 pub const GEMM_TRIALS: usize = 11;
 
 /// One bench run's knobs (the test suite shrinks them; [`run`] pins them).
@@ -62,7 +63,7 @@ pub struct MlBenchConfig {
     pub iters: usize,
     pub n_cpes: usize,
     pub seed: u64,
-    /// GEMM probe shape (m, n, k) and best-of-N trial count.
+    /// GEMM probe shape (m, n, k) and paired trial count.
     pub gemm_shape: (usize, usize, usize),
     pub gemm_trials: usize,
 }
@@ -91,22 +92,36 @@ pub struct MlBench {
     /// Same ratio on the CPE-teams target.
     pub cpe_speedup: f64,
     /// SIMD / scalar GEMM throughput ratio on the pinned probe shape
-    /// (best-of-N minima).
+    /// (median of the paired per-trial ratios).
     pub gemm_simd_speedup: f64,
 }
 
 /// Measured scalar-vs-SIMD throughput of the raw GEMM microkernel.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmProbe {
+    /// Best-of-N throughputs.
     pub scalar_gflops: f64,
     pub simd_gflops: f64,
-    pub speedup: f64,
+    /// Scalar / SIMD time ratio per trial: `[q1, median, q3]`.
+    pub speedup: [f64; 3],
 }
 
-/// Best-of-N min-time probe of `gemm_nn_with` in both variants on one
-/// shape. Also asserts the two variants agree bitwise — the probe runs in
-/// every bench invocation, so a lane-kernel equivalence break cannot ship a
-/// baseline.
+/// `[q1, median, q3]` of `samples` (sorted in place), interpolating
+/// linearly between order statistics. `samples` must not be empty.
+fn quartiles(samples: &mut [f64]) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let x = p * (samples.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (x - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Paired probe of `gemm_nn_with` in both variants on one shape (see
+/// [`GEMM_TRIALS`]). Also asserts the two variants agree bitwise — the probe
+/// runs in every bench invocation, so a lane-kernel equivalence break cannot
+/// ship a baseline.
 pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
     // Deterministic operands in a tame range (no overflow over k MACs).
     let a: Vec<f32> = (0..m * k)
@@ -117,24 +132,30 @@ pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
         .collect();
     let flops = gemm_flops(m, n, k) as f64;
 
-    let mut outputs: Vec<Vec<u32>> = Vec::with_capacity(2);
-    let mut best = [f64::INFINITY; 2];
-    for (slot, variant) in [GemmVariant::Scalar, GemmVariant::Simd]
-        .into_iter()
-        .enumerate()
-    {
-        let mut c = vec![0.0f32; m * n];
-        gemm_nn_with(variant, m, n, k, &a, &b, &mut c); // warm-up
-        for _ in 0..trials.max(1) {
-            c.fill(0.0);
-            let t0 = Instant::now();
-            gemm_nn_with(variant, m, n, k, &a, &b, std::hint::black_box(&mut c));
-            best[slot] = best[slot].min(t0.elapsed().as_secs_f64());
-        }
-        outputs.push(c.iter().map(|v| v.to_bits()).collect());
+    let variants = [GemmVariant::Scalar, GemmVariant::Simd];
+    let mut c = [vec![0.0f32; m * n], vec![0.0f32; m * n]];
+    for (variant, c) in variants.into_iter().zip(&mut c) {
+        gemm_nn_with(variant, m, n, k, &a, &b, c); // warm-up
     }
-    assert_eq!(
-        outputs[0], outputs[1],
+    let mut best = [f64::INFINITY; 2];
+    let mut ratios = Vec::with_capacity(trials.max(1));
+    for trial in 0..trials.max(1) {
+        let mut secs = [0.0; 2];
+        let order = if trial % 2 == 0 { [0, 1] } else { [1, 0] };
+        for slot in order {
+            c[slot].fill(0.0);
+            let out = std::hint::black_box(&mut c[slot]);
+            let t0 = Instant::now();
+            gemm_nn_with(variants[slot], m, n, k, &a, &b, out);
+            secs[slot] = t0.elapsed().as_secs_f64();
+            best[slot] = best[slot].min(secs[slot]);
+        }
+        ratios.push(secs[0] / secs[1].max(1e-12));
+    }
+    assert!(
+        c[0].iter()
+            .zip(&c[1])
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
         "SIMD GEMM is not bitwise equal to the scalar oracle on {m}x{n}x{k}"
     );
 
@@ -142,7 +163,7 @@ pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
     GemmProbe {
         scalar_gflops: gflops(best[0]),
         simd_gflops: gflops(best[1]),
-        speedup: best[0] / best[1].max(1e-12),
+        speedup: quartiles(&mut ratios),
     }
 }
 
@@ -312,7 +333,9 @@ pub fn run_ml_with(cfg: MlBenchConfig) -> MlBench {
         ),
         ("gemm.scalar_gflops".into(), Json::Num(gemm.scalar_gflops)),
         ("gemm.simd_gflops".into(), Json::Num(gemm.simd_gflops)),
-        ("gemm.simd_speedup".into(), Json::Num(gemm.speedup)),
+        ("gemm.simd_speedup_q1".into(), Json::Num(gemm.speedup[0])),
+        ("gemm.simd_speedup".into(), Json::Num(gemm.speedup[1])),
+        ("gemm.simd_speedup_q3".into(), Json::Num(gemm.speedup[2])),
     ]);
 
     let mut snap = serial.snap;
@@ -345,7 +368,7 @@ pub fn run_ml_with(cfg: MlBenchConfig) -> MlBench {
         run,
         serial_speedup,
         cpe_speedup,
-        gemm_simd_speedup: gemm.speedup,
+        gemm_simd_speedup: gemm.speedup[1],
     }
 }
 
@@ -384,7 +407,17 @@ mod tests {
         // a clean return means the oracle check ran on this shape.
         let p = gemm_probe(32, 48, 40, 3);
         assert!(p.scalar_gflops > 0.0 && p.simd_gflops > 0.0);
-        assert!(p.speedup > 0.0 && p.speedup.is_finite());
+        assert!(p.speedup[0] > 0.0 && p.speedup[2].is_finite());
+        assert!(p.speedup[0] <= p.speedup[1] && p.speedup[1] <= p.speedup[2]);
+    }
+
+    #[test]
+    fn quartiles_of_known_samples() {
+        assert_eq!(quartiles(&mut [4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&mut [4.0, 1.0, 3.0, 2.0]), [1.75, 2.5, 3.25]);
+        assert_eq!(quartiles(&mut [2.2]), [2.2; 3]);
+        // One pair hit by load moves one ratio, not the median.
+        assert_eq!(quartiles(&mut [2.2, 2.3, 0.4, 2.1, 2.25, 2.2, 2.3])[1], 2.2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The serving-telemetry scenario behind `grist obs`: an ensemble advancing
 //! on rank pools — every member sampled into its own health watch after
 //! each epoch — while threaded clients hammer a [`ForecastServer`] reading
-//! its views. The server records `serve.latency_ns` and `serve.batch_size`
+//! its views. The server records `serve.{latency_ns,queue_ns,batch_size}`
 //! into its engine's registry; at the end the scenario is held to three
 //! gates ([`ObsBench::failures`]):
 //!

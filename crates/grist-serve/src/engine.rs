@@ -17,7 +17,7 @@
 //! per-query reference path (one dispatch per column, bitwise-identical
 //! results, no cross-query batching) that `grist gate serve` measures against.
 
-use crate::store::SnapshotStore;
+use crate::{lock, store::SnapshotStore};
 use grist_core::{extract_columns, GristModel, MlOutput, MlSuite, RunConfig};
 use grist_dycore::Real;
 use grist_physics::Column;
@@ -285,7 +285,7 @@ impl<R: Real> QueryEngine<R> {
             })
             .collect();
         let (lats, lons) = {
-            let rep = members[0].lock().expect("replica poisoned");
+            let rep = lock(&members[0]);
             (rep.model.lats.clone(), rep.model.lons.clone())
         };
         let xyz = [
@@ -321,7 +321,7 @@ impl<R: Real> QueryEngine<R> {
     /// The engine's substrate (counters: `serve.queries`, `serve.batches`,
     /// `serve.view.restores`, `serve.cache.{hits,misses}`, `serve.ml.cells`;
     /// a [`ForecastServer`](crate::ForecastServer) on this engine adds the
-    /// `serve.latency_ns` and `serve.batch_size` histograms).
+    /// `serve.{queue_ns,latency_ns,batch_size}` histograms).
     pub fn substrate(&self) -> &Substrate {
         &self.sub
     }
@@ -405,31 +405,35 @@ impl<R: Real> QueryEngine<R> {
             .store
             .latest(member)
             .ok_or(ServeError::NoSnapshot { member })?;
-        let mut rep = self.members[member].lock().expect("replica poisoned");
-        if rep.cache.as_ref().is_none_or(|c| c.epoch != view.epoch) {
-            rep.model
-                .restore(&view.checkpoint)
-                .map_err(|e| ServeError::ViewRejected {
-                    member,
-                    epoch: view.epoch,
-                    what: e.to_string(),
-                })?;
-            let got = rep.model.state_hash();
-            if got != view.state_hash {
-                rep.cache = None;
-                return Err(ServeError::TornView {
-                    member,
-                    epoch: view.epoch,
-                    expected: view.state_hash,
-                    got,
-                });
+        let mut rep = lock(&self.members[member]);
+        let cache = match rep.cache.as_ref().filter(|c| c.epoch == view.epoch) {
+            Some(c) => Arc::clone(c),
+            None => {
+                rep.model
+                    .restore(&view.checkpoint)
+                    .map_err(|e| ServeError::ViewRejected {
+                        member,
+                        epoch: view.epoch,
+                        what: e.to_string(),
+                    })?;
+                let got = rep.model.state_hash();
+                if got != view.state_hash {
+                    rep.cache = None;
+                    return Err(ServeError::TornView {
+                        member,
+                        epoch: view.epoch,
+                        expected: view.state_hash,
+                        got,
+                    });
+                }
+                let model = &mut rep.model;
+                let cols = extract_columns(&mut model.solver, &model.state, &model.surface);
+                let fresh = ViewCache::new(view.epoch, view.state_hash, Arc::new(cols));
+                rep.cache = Some(Arc::clone(&fresh));
+                self.sub.metrics().counter_add("serve.view.restores", 1);
+                fresh
             }
-            let model = &mut rep.model;
-            let cols = extract_columns(&mut model.solver, &model.state, &model.surface);
-            rep.cache = Some(ViewCache::new(view.epoch, view.state_hash, Arc::new(cols)));
-            self.sub.metrics().counter_add("serve.view.restores", 1);
-        }
-        let cache = rep.cache.clone().expect("cache just synced");
+        };
         if self.cache_enabled {
             return Ok(cache);
         }
@@ -513,6 +517,7 @@ impl<R: Real> QueryEngine<R> {
             .map(|(q, r)| {
                 let cells = r?;
                 let plan = &plans[&q.member];
+                // Always set: each resolved scalar cell was a hit or a job above.
                 let slot = |c: usize| plan.derived[c].get().expect("derived computed");
                 let data = match q.product {
                     Product::ColumnState => ProductData::Columns(

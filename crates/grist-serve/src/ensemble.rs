@@ -170,9 +170,11 @@ pub struct EnsembleHandle {
 }
 
 impl EnsembleHandle {
-    /// Block until the ensemble finishes; panics if it panicked.
+    /// Block until the ensemble finishes, re-raising the run's own panic.
     pub fn join(self) -> Vec<RankReport> {
-        self.thread.join().expect("ensemble run panicked")
+        self.thread
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 }
 

@@ -1,5 +1,6 @@
 //! The request front-end: a thread pool draining an mpsc queue, forming
-//! batches opportunistically.
+//! batches opportunistically, answering each query through its own reply
+//! slot.
 //!
 //! `submit` is async in the offline-safe sense: it enqueues and returns a
 //! [`PendingResponse`] immediately; the caller collects the answer whenever
@@ -9,15 +10,25 @@
 //! `ScratchPool`-backed ML dispatch, while an idle server answers a lone
 //! query with no added latency.
 //!
-//! Each served batch records its size (`serve.batch_size`) and every query's
-//! queue-to-answer latency (`serve.latency_ns`) as histograms in the engine's
-//! registry, under one lane lock per batch. Request-scoped flow IDs come from
-//! the engine's tracer, so tracing is the one switch for flow events.
+//! An answer travels back through a one-shot slot (DESIGN.md §12 "Reply
+//! path"): one `Arc`'d mutex over the answer and the waiting thread, filled
+//! by the worker, taken by [`PendingResponse::wait`], which parks until the
+//! worker unparks it. A worker that drops a job unanswered — shutdown, or a
+//! batch unwound by a panic — delivers [`ServeError::Disconnected`].
+//!
+//! Each served batch records its size (`serve.batch_size`) and, per query,
+//! the queue wait up to the batch's forming (`serve.queue_ns`) and the
+//! queue-to-answer latency (`serve.latency_ns`) as histograms in the
+//! engine's registry, under one lane lock per batch. Request-scoped flow IDs
+//! come from the engine's tracer, so tracing is the one switch for flow
+//! events.
 
 use crate::engine::{Query, QueryEngine, Response, ServeError};
+use crate::lock;
 use grist_dycore::Real;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 use std::time::Instant;
 use sunway_sim::{flow_scope, EventKind, Metrics};
 
@@ -39,26 +50,76 @@ impl Default for ServeConfig {
     }
 }
 
+type Answer = Result<Response, ServeError>;
+
+/// One query's reply slot: the answer once a worker has filled it, and the
+/// client thread to unpark once it waits.
+type Slot = Mutex<(Option<Answer>, Option<Thread>)>;
+
+/// The worker's end of a slot. Dropping it stores `answer` and unparks the
+/// client if it has registered (one that has not parked yet finds the answer
+/// on its next look), so a job dropped unanswered — shutdown, or a batch
+/// unwound by a panic — delivers `Disconnected` and no client waits forever.
+struct Reply {
+    slot: Arc<Slot>,
+    answer: Answer,
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        let answer = std::mem::replace(&mut self.answer, Err(ServeError::Disconnected));
+        let waiter = {
+            let mut s = lock(&self.slot);
+            s.0 = Some(answer);
+            s.1.take()
+        };
+        if let Some(t) = waiter {
+            t.unpark();
+        }
+    }
+}
+
+/// A fresh slot's two ends.
+fn reply_slot() -> (Reply, PendingResponse) {
+    let slot = Arc::new(Mutex::new((None, None)));
+    let reply = Reply {
+        slot: Arc::clone(&slot),
+        answer: Err(ServeError::Disconnected),
+    };
+    (reply, PendingResponse { slot })
+}
+
 struct Job {
     query: Query,
-    reply: Sender<Result<Response, ServeError>>,
+    reply: Reply,
     /// Request-scoped flow ID (0 = untraced; see
     /// [`Tracer::mint_flow_id`](sunway_sim::Tracer::mint_flow_id)).
     trace_id: u64,
-    /// Enqueue time — where `serve.latency_ns` starts.
+    /// Enqueue time — where `serve.queue_ns` and `serve.latency_ns` start.
     submitted: Instant,
 }
 
 /// A submitted query's future answer.
 pub struct PendingResponse {
-    rx: Receiver<Result<Response, ServeError>>,
+    slot: Arc<Slot>,
 }
 
 impl PendingResponse {
     /// Block until the answer arrives. A worker that disappeared (server
     /// shut down with the job queued) surfaces as `Disconnected`.
     pub fn wait(self) -> Result<Response, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
+        // Register, then park. An unpark landing between the unlock and the
+        // park leaves the token set, so `park` returns at once; a spurious
+        // wake-up just looks again.
+        loop {
+            let mut s = lock(&self.slot);
+            if let Some(answer) = s.0.take() {
+                return answer;
+            }
+            s.1 = Some(thread::current());
+            drop(s);
+            thread::park();
+        }
     }
 }
 
@@ -66,7 +127,7 @@ impl PendingResponse {
 /// closes the queue and joins the workers.
 pub struct ForecastServer {
     tx: Option<Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<u64>>,
+    workers: Vec<thread::JoinHandle<u64>>,
     /// The engine's registry (shared handle) — flow IDs are minted and flow
     /// begins recorded on the submitting thread's lane through it.
     metrics: Metrics,
@@ -84,32 +145,41 @@ impl ForecastServer {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let engine = Arc::clone(&engine);
-                let max_batch = cfg.max_batch;
-                std::thread::spawn(move || {
+                thread::spawn(move || {
                     let mut served = 0u64;
                     let metrics = engine.substrate().metrics();
-                    // One batch size and one latency per query, recorded
-                    // under one lock.
-                    let mut samples: Vec<(&'static str, u64)> = Vec::with_capacity(max_batch + 1);
+                    // One batch's queries, flow IDs and reply ends, kept
+                    // across batches; a panic unwinding `batch` drops its
+                    // replies, which releases their clients.
+                    let mut queries: Vec<Query> = Vec::with_capacity(cfg.max_batch);
+                    let mut ids: Vec<u64> = Vec::with_capacity(cfg.max_batch);
+                    let mut batch: Vec<(Reply, Instant)> = Vec::with_capacity(cfg.max_batch);
+                    // One batch size and a queue wait and a latency per
+                    // query, recorded under one lock.
+                    let mut samples: Vec<(&'static str, u64)> =
+                        Vec::with_capacity(2 * cfg.max_batch + 1);
                     loop {
                         // Hold the queue lock only while forming the batch;
                         // serving runs with the queue free for peers.
-                        let mut batch = Vec::with_capacity(max_batch);
                         {
-                            let queue = rx.lock().expect("queue poisoned");
-                            match queue.recv() {
-                                Ok(job) => batch.push(job),
-                                Err(_) => break, // queue closed: shutdown
-                            }
-                            while batch.len() < max_batch {
+                            let queue = lock(&rx);
+                            let Ok(mut job) = queue.recv() else {
+                                break; // queue closed: shutdown
+                            };
+                            loop {
+                                queries.push(job.query);
+                                ids.push(job.trace_id);
+                                batch.push((job.reply, job.submitted));
+                                if batch.len() == cfg.max_batch {
+                                    break;
+                                }
                                 match queue.try_recv() {
-                                    Ok(job) => batch.push(job),
+                                    Ok(next) => job = next,
                                     Err(_) => break,
                                 }
                             }
                         }
-                        let queries: Vec<Query> = batch.iter().map(|j| j.query.clone()).collect();
-                        let ids: Vec<u64> = batch.iter().map(|j| j.trace_id).collect();
+                        let formed = Instant::now();
                         let results = {
                             let _flow = flow_scope(&ids);
                             engine.serve_batch(&queries)
@@ -120,19 +190,23 @@ impl ForecastServer {
                         served += batch.len() as u64;
                         samples.clear();
                         samples.push(("serve.batch_size", batch.len() as u64));
-                        for (job, result) in batch.into_iter().zip(results) {
-                            // A client that gave up on its PendingResponse
-                            // just drops the answer.
-                            let _ = job.reply.send(result);
-                            metrics.tracer().record_flow(
-                                EventKind::FlowEnd,
-                                "request",
-                                job.trace_id,
-                            );
-                            let latency = answered.saturating_duration_since(job.submitted);
-                            samples.push(("serve.latency_ns", latency.as_nanos() as u64));
+                        for (((mut reply, submitted), result), &id) in
+                            batch.drain(..).zip(results).zip(&ids)
+                        {
+                            // Dropping the reply delivers it; a client that
+                            // gave up on its PendingResponse never reads it.
+                            reply.answer = result;
+                            drop(reply);
+                            metrics
+                                .tracer()
+                                .record_flow(EventKind::FlowEnd, "request", id);
+                            let since = |t: Instant| t.saturating_duration_since(submitted);
+                            samples.push(("serve.queue_ns", since(formed).as_nanos() as u64));
+                            samples.push(("serve.latency_ns", since(answered).as_nanos() as u64));
                         }
                         metrics.record_hist(&samples);
+                        queries.clear();
+                        ids.clear();
                     }
                     served
                 })
@@ -147,7 +221,7 @@ impl ForecastServer {
 
     /// Enqueue a query; returns immediately.
     pub fn submit(&self, query: Query) -> Result<PendingResponse, ServeError> {
-        let (reply, rx) = channel();
+        let (reply, pending) = reply_slot();
         let tracer = self.metrics.tracer();
         let trace_id = tracer.mint_flow_id();
         tracer.record_flow(EventKind::FlowBegin, "request", trace_id);
@@ -161,7 +235,7 @@ impl ForecastServer {
                 submitted: Instant::now(),
             })
             .map_err(|_| ServeError::Disconnected)?;
-        Ok(PendingResponse { rx })
+        Ok(pending)
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -170,7 +244,7 @@ impl ForecastServer {
     }
 
     /// Close the queue, join every worker, and return the total number of
-    /// queries served.
+    /// queries served. A worker that panicked re-raises its own panic here.
     pub fn shutdown(mut self) -> u64 {
         self.drain()
     }
@@ -179,7 +253,7 @@ impl ForecastServer {
         drop(self.tx.take());
         self.workers
             .drain(..)
-            .map(|w| w.join().expect("serve worker panicked"))
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .sum()
     }
 }
@@ -195,147 +269,27 @@ impl Drop for ForecastServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{default_suite, Product};
-    use crate::store::{EpochView, SnapshotStore};
-    use grist_core::{GristModel, RunConfig};
-    use sunway_sim::Substrate;
-
-    fn served_engine(cfg: &RunConfig) -> Arc<QueryEngine<f64>> {
-        let store = Arc::new(SnapshotStore::new(1, 2));
-        let model = GristModel::<f64>::new(cfg.clone());
-        store.publish(EpochView {
-            member: 0,
-            epoch: model.dyn_steps() as u64,
-            state_hash: model.state_hash(),
-            checkpoint: model.checkpoint(),
-        });
-        Arc::new(QueryEngine::new(
-            store,
-            cfg.clone(),
-            Substrate::serial(),
-            default_suite(cfg.nlev),
-        ))
-    }
 
     #[test]
-    fn concurrent_submits_all_answer_and_match_direct_serving() {
-        let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
-        let server = ForecastServer::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 3,
-                max_batch: 8,
-            },
-        );
-        let pending: Vec<(Query, PendingResponse)> = (0..40)
-            .map(|i| {
-                let product = if i % 2 == 0 {
-                    Product::Precip
-                } else {
-                    Product::T2m
-                };
-                let q = Query::cell(0, i % engine.n_cells(), product);
-                let p = server.submit(q.clone()).unwrap();
-                (q, p)
-            })
-            .collect();
-        for (q, p) in pending {
-            let served = p.wait().unwrap();
-            let direct = engine.serve_one_percol(&q).unwrap();
-            assert_eq!(served, direct, "served answer must be bit-identical");
+    fn a_reply_dropped_unanswered_delivers_disconnected() {
+        // Dropped before the client waits, and once it has registered to park.
+        for before_wait in [true, false] {
+            let (reply, pending) = reply_slot();
+            let slot = Arc::clone(&pending.slot);
+            let mut reply = Some(reply);
+            if before_wait {
+                drop(reply.take());
+            }
+            let (tx, rx) = channel();
+            thread::spawn(move || tx.send(pending.wait()));
+            while reply.is_some() && lock(&slot).1.is_none() {
+                thread::yield_now();
+            }
+            drop(reply);
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a dropped reply left its client parked");
+            assert_eq!(got, Err(ServeError::Disconnected));
         }
-        let served = server.shutdown();
-        assert_eq!(served, 40);
-        // Batching happened: fewer engine batches than queries, and the
-        // histograms saw every batch and every query.
-        let snap = engine.substrate().metrics().snapshot();
-        let batches = snap.counters["serve.batches"];
-        assert!(batches <= 40, "{batches} batches for 40 queries");
-        let sizes = &snap.histograms["serve.batch_size"];
-        assert_eq!((sizes.count, sizes.sum), (batches, 40));
-        let latency = &snap.histograms["serve.latency_ns"];
-        assert_eq!(latency.count, 40);
-        assert!(latency.min > 0, "queue-to-answer latency is nonzero");
-    }
-
-    #[test]
-    fn a_traced_engine_joins_every_query_to_its_kernels() {
-        use sunway_sim::EventKind;
-        let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
-        engine.substrate().metrics().tracer().enable();
-        let server = ForecastServer::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 2,
-                max_batch: 8,
-            },
-        );
-        const N: usize = 24;
-        let pending: Vec<(Query, PendingResponse)> = (0..N)
-            .map(|i| {
-                let q = Query::cell(0, i % engine.n_cells(), Product::Precip);
-                (q.clone(), server.submit(q).unwrap())
-            })
-            .collect();
-        for (q, p) in pending {
-            assert_eq!(p.wait().unwrap(), engine.serve_one_percol(&q).unwrap());
-        }
-        server.shutdown();
-
-        // Flow join: one begin + one end per query, and at least one step
-        // per query (the serving batch stamps every member's ID).
-        let tracer = engine.substrate().metrics().tracer();
-        let snap = tracer.snapshot();
-        assert_eq!(snap.count_kind(EventKind::FlowBegin), N);
-        assert_eq!(snap.count_kind(EventKind::FlowEnd), N);
-        assert!(snap.count_kind(EventKind::FlowStep) >= N);
-        assert_eq!(tracer.mint_flow_id(), N as u64 + 1, "one ID per query");
-        // The batch's cache-miss dispatch stamped flow steps on the kernel
-        // name, scoping requests down to substrate lanes.
-        let dispatch_steps = snap
-            .lanes
-            .iter()
-            .flat_map(|l| &l.events)
-            .filter(|e| e.kind == EventKind::FlowStep && e.name != "request")
-            .count();
-        assert!(dispatch_steps > 0, "no dispatch-level flow steps recorded");
-        // And the whole document exports as valid Chrome JSON with flows.
-        let stats = sunway_sim::validate_chrome(&snap.to_chrome_json()).unwrap();
-        assert_eq!(
-            stats.flows,
-            snap.count_kind(EventKind::FlowBegin)
-                + snap.count_kind(EventKind::FlowStep)
-                + snap.count_kind(EventKind::FlowEnd)
-        );
-    }
-
-    #[test]
-    fn an_untraced_engine_mints_no_ids_and_stays_bit_identical() {
-        let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
-        let server = ForecastServer::start(Arc::clone(&engine), ServeConfig::default());
-        let q = Query::cell(0, 3, Product::T2m);
-        let served = server.query_blocking(q.clone()).unwrap();
-        assert_eq!(served, engine.serve_one_percol(&q).unwrap());
-        server.shutdown();
-        // Tracing off: no ID was minted (the first one a traced run gets is
-        // 1) and the timeline holds no flow event.
-        let tracer = engine.substrate().metrics().tracer();
-        let stats = sunway_sim::validate_chrome(&tracer.snapshot().to_chrome_json()).unwrap();
-        assert_eq!(stats.flows, 0, "an untraced server must not record flows");
-        tracer.enable();
-        assert_eq!(tracer.mint_flow_id(), 1, "serving untraced minted nothing");
-    }
-
-    #[test]
-    fn shutdown_disconnects_cleanly() {
-        let cfg = RunConfig::for_level(2, 6);
-        let engine = served_engine(&cfg);
-        let server = ForecastServer::start(engine, ServeConfig::default());
-        let p = server.submit(Query::cell(0, 0, Product::T2m)).unwrap();
-        assert!(p.wait().is_ok());
-        server.shutdown();
     }
 }

@@ -10,6 +10,7 @@
 //! Epochs per member are strictly increasing; publishing a stale or
 //! duplicate epoch is a programming error and panics.
 
+use crate::lock;
 use grist_core::Checkpoint;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -63,7 +64,7 @@ impl SnapshotStore {
     /// simulation side, not query-time conditions.
     pub fn publish(&self, view: EpochView) -> Arc<EpochView> {
         let member = view.member;
-        let mut q = self.members[member].lock().expect("store poisoned");
+        let mut q = lock(&self.members[member]);
         if let Some(last) = q.back() {
             assert!(
                 view.epoch > last.epoch,
@@ -78,31 +79,20 @@ impl SnapshotStore {
             q.pop_front();
         }
         drop(q);
-        self.log
-            .lock()
-            .expect("store poisoned")
-            .push((member, view.epoch, view.state_hash));
+        lock(&self.log).push((member, view.epoch, view.state_hash));
         view
     }
 
     /// The most recent view for `member` (`None` before the first publish
     /// or for an out-of-range member).
     pub fn latest(&self, member: usize) -> Option<Arc<EpochView>> {
-        self.members
-            .get(member)?
-            .lock()
-            .expect("store poisoned")
-            .back()
-            .cloned()
+        lock(self.members.get(member)?).back().cloned()
     }
 
     /// A specific retained epoch of `member` (`None` if never published or
     /// already evicted by the retention window).
     pub fn get(&self, member: usize, epoch: u64) -> Option<Arc<EpochView>> {
-        self.members
-            .get(member)?
-            .lock()
-            .expect("store poisoned")
+        lock(self.members.get(member)?)
             .iter()
             .find(|v| v.epoch == epoch)
             .cloned()
@@ -110,12 +100,12 @@ impl SnapshotStore {
 
     /// Every `(member, epoch, state_hash)` ever published, in publish order.
     pub fn published_log(&self) -> Vec<(usize, u64, u64)> {
-        self.log.lock().expect("store poisoned").clone()
+        lock(&self.log).clone()
     }
 
     /// Total number of publishes across all members.
     pub fn published_count(&self) -> usize {
-        self.log.lock().expect("store poisoned").len()
+        lock(&self.log).len()
     }
 }
 

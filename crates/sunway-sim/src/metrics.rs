@@ -11,7 +11,7 @@
 //! [`distributor`](crate::distributor), the substrate's byte-carrying
 //! dispatches, and the halo exchange in `grist-runtime`) feed counters like
 //! `dma.bytes`, `ldcache.misses`, and `halo.messages`. Distributions —
-//! the serving front-end's `serve.latency_ns` and `serve.batch_size` — are
+//! the serving front-end's `serve.{latency_ns,queue_ns,batch_size}` — are
 //! named [`Histogram`]s recorded through [`Metrics::record_hist`] into the
 //! same per-thread lanes. [`MetricsSnapshot`] freezes the whole registry and
 //! round-trips through JSON; its counters and kernel call/item/byte counts

@@ -10,16 +10,20 @@
 //! execution targets and `{f32, f64}` working precisions.
 //!
 //! Also here: the nearest-cell sweep that holds `Select::Point` to the
-//! brute-force great-circle scan, and the derived cache across an epoch.
+//! brute-force great-circle scan, the derived cache across an epoch, and
+//! the front-end's reply path (every answer reaches its client, in either
+//! order of answer and `wait`, under a watchdog so a lost wake-up fails
+//! instead of hanging).
 
 use grist_core::{GristModel, RunConfig};
 use grist_dycore::Real;
 use grist_serve::{
-    default_suite, spawn_ensemble, EnsembleConfig, EpochView, ForecastServer, PoolTarget, Product,
-    Query, QueryEngine, Response, Select, ServeConfig, SnapshotStore,
+    default_suite, spawn_ensemble, EnsembleConfig, EpochView, ForecastServer, PendingResponse,
+    PoolTarget, Product, Query, QueryEngine, Response, Select, ServeConfig, SnapshotStore,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 use sunway_sim::Substrate;
 
 const MEMBERS: usize = 3;
@@ -340,4 +344,293 @@ fn a_new_epoch_misses_the_cache_and_answers_like_the_reference_path() {
     assert_eq!(m.counter("serve.view.restores"), 2);
     assert!(e2.epoch > e1.epoch);
     assert_eq!(e2, engine.serve_one_percol(&q).expect("reference path"));
+}
+
+fn served_engine(cfg: &RunConfig) -> Arc<QueryEngine<f64>> {
+    let store = Arc::new(SnapshotStore::new(1, 2));
+    let model = GristModel::<f64>::new(cfg.clone());
+    store.publish(EpochView {
+        member: 0,
+        epoch: model.dyn_steps() as u64,
+        state_hash: model.state_hash(),
+        checkpoint: model.checkpoint(),
+    });
+    Arc::new(QueryEngine::new(
+        store,
+        cfg.clone(),
+        Substrate::serial(),
+        default_suite(cfg.nlev),
+    ))
+}
+
+#[test]
+fn concurrent_submits_all_answer_and_match_direct_serving() {
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let server = ForecastServer::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 3,
+            max_batch: 8,
+        },
+    );
+    let pending: Vec<(Query, PendingResponse)> = (0..40)
+        .map(|i| {
+            let product = if i % 2 == 0 {
+                Product::Precip
+            } else {
+                Product::T2m
+            };
+            let q = Query::cell(0, i % engine.n_cells(), product);
+            let p = server.submit(q.clone()).unwrap();
+            (q, p)
+        })
+        .collect();
+    for (q, p) in pending {
+        let served = p.wait().unwrap();
+        let direct = engine.serve_one_percol(&q).unwrap();
+        assert_eq!(served, direct, "served answer must be bit-identical");
+    }
+    let served = server.shutdown();
+    assert_eq!(served, 40);
+    // Batching happened: fewer engine batches than queries, and the
+    // histograms saw every batch and every query.
+    let snap = engine.substrate().metrics().snapshot();
+    let batches = snap.counters["serve.batches"];
+    assert!(batches <= 40, "{batches} batches for 40 queries");
+    let sizes = &snap.histograms["serve.batch_size"];
+    assert_eq!((sizes.count, sizes.sum), (batches, 40));
+    let latency = &snap.histograms["serve.latency_ns"];
+    assert_eq!(latency.count, 40);
+    assert!(latency.min > 0, "queue-to-answer latency is nonzero");
+}
+
+#[test]
+fn a_traced_engine_joins_every_query_to_its_kernels() {
+    use sunway_sim::EventKind;
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    engine.substrate().metrics().tracer().enable();
+    let server = ForecastServer::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 2,
+            max_batch: 8,
+        },
+    );
+    const N: usize = 24;
+    let pending: Vec<(Query, PendingResponse)> = (0..N)
+        .map(|i| {
+            let q = Query::cell(0, i % engine.n_cells(), Product::Precip);
+            (q.clone(), server.submit(q).unwrap())
+        })
+        .collect();
+    for (q, p) in pending {
+        assert_eq!(p.wait().unwrap(), engine.serve_one_percol(&q).unwrap());
+    }
+    server.shutdown();
+
+    // Flow join: one begin + one end per query, and at least one step
+    // per query (the serving batch stamps every member's ID).
+    let tracer = engine.substrate().metrics().tracer();
+    let snap = tracer.snapshot();
+    assert_eq!(snap.count_kind(EventKind::FlowBegin), N);
+    assert_eq!(snap.count_kind(EventKind::FlowEnd), N);
+    assert!(snap.count_kind(EventKind::FlowStep) >= N);
+    assert_eq!(tracer.mint_flow_id(), N as u64 + 1, "one ID per query");
+    // The batch's cache-miss dispatch stamped flow steps on the kernel
+    // name, scoping requests down to substrate lanes.
+    let dispatch_steps = snap
+        .lanes
+        .iter()
+        .flat_map(|l| &l.events)
+        .filter(|e| e.kind == EventKind::FlowStep && e.name != "request")
+        .count();
+    assert!(dispatch_steps > 0, "no dispatch-level flow steps recorded");
+    // And the whole document exports as valid Chrome JSON with flows.
+    let stats = sunway_sim::validate_chrome(&snap.to_chrome_json()).unwrap();
+    assert_eq!(
+        stats.flows,
+        snap.count_kind(EventKind::FlowBegin)
+            + snap.count_kind(EventKind::FlowStep)
+            + snap.count_kind(EventKind::FlowEnd)
+    );
+}
+
+#[test]
+fn an_untraced_engine_mints_no_ids_and_stays_bit_identical() {
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let server = ForecastServer::start(Arc::clone(&engine), ServeConfig::default());
+    let q = Query::cell(0, 3, Product::T2m);
+    let served = server.query_blocking(q.clone()).unwrap();
+    assert_eq!(served, engine.serve_one_percol(&q).unwrap());
+    server.shutdown();
+    // Tracing off: no ID was minted (the first one a traced run gets is
+    // 1) and the timeline holds no flow event.
+    let tracer = engine.substrate().metrics().tracer();
+    let stats = sunway_sim::validate_chrome(&tracer.snapshot().to_chrome_json()).unwrap();
+    assert_eq!(stats.flows, 0, "an untraced server must not record flows");
+    tracer.enable();
+    assert_eq!(tracer.mint_flow_id(), 1, "serving untraced minted nothing");
+}
+
+#[test]
+fn shutdown_disconnects_cleanly() {
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let server = ForecastServer::start(engine, ServeConfig::default());
+    let p = server.submit(Query::cell(0, 0, Product::T2m)).unwrap();
+    assert!(p.wait().is_ok());
+    server.shutdown();
+}
+
+/// Run `f` on its own thread and fail unless it returns within `secs`: a
+/// client parked on a lost wake-up fails the test instead of hanging it.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(secs))
+        .expect("watchdog: no answer in time (a lost wake-up, or the body panicked)")
+}
+
+/// A fixed mix of cells, points and products with their reference answers.
+fn reference_mix(engine: &QueryEngine<f64>) -> Vec<(Query, Response)> {
+    let products = [Product::Precip, Product::T2m, Product::ColumnState];
+    (0..48)
+        .map(|k| {
+            let product = products[k % 3];
+            let q = if k % 4 == 3 {
+                Query::point(0, 0.05 * k as f64 - 1.2, 0.13 * k as f64, product)
+            } else {
+                Query::cell(0, (k * 37) % engine.n_cells(), product)
+            };
+            let want = engine.serve_one_percol(&q).unwrap();
+            (q, want)
+        })
+        .collect()
+}
+
+#[test]
+fn an_answer_reaches_its_client_whether_it_lands_before_or_after_wait() {
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let one = ServeConfig {
+        workers: 1,
+        max_batch: 8,
+    };
+    let server = ForecastServer::start(Arc::clone(&engine), one);
+    let q = Query::cell(0, 5, Product::Precip);
+    let want = engine.serve_one_percol(&q).unwrap();
+
+    // Answer first: the batch's histograms are recorded after its replies.
+    let p = server.submit(q.clone()).unwrap();
+    let m = engine.substrate().metrics();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !m.snapshot().histograms.contains_key("serve.latency_ns") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never answered"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(within(60, move || p.wait()).unwrap(), want);
+
+    // Wait first: the lone worker is busy deriving the whole globe.
+    let globe = Query {
+        member: 0,
+        select: Select::Region {
+            lat: (-2.0, 2.0),
+            lon: (-7.0, 7.0),
+        },
+        product: Product::T2m,
+    };
+    let busy = server.submit(globe.clone()).unwrap();
+    let p = server.submit(q).unwrap();
+    assert_eq!(within(60, move || p.wait()).unwrap(), want);
+    let got = within(60, move || busy.wait()).unwrap();
+    assert_eq!(got, engine.serve_one_percol(&globe).unwrap());
+    assert_eq!(server.shutdown(), 3);
+}
+
+#[test]
+fn four_clients_with_64_outstanding_get_every_answer_from_one_worker() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 2_000;
+    const WINDOW: usize = 64;
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let mix = Arc::new(reference_mix(&engine));
+    let one = ServeConfig {
+        workers: 1,
+        max_batch: 32,
+    };
+    let server = Arc::new(ForecastServer::start(Arc::clone(&engine), one));
+    let clients = Arc::clone(&server);
+    within(120, move || {
+        let threads: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (server, mix) = (Arc::clone(&clients), Arc::clone(&mix));
+                std::thread::spawn(move || {
+                    let check = |(k, p): (usize, PendingResponse)| {
+                        assert_eq!(p.wait().unwrap(), mix[k].1, "client {client} query {k}");
+                    };
+                    let mut inflight = VecDeque::with_capacity(WINDOW);
+                    for i in 0..PER_CLIENT {
+                        if inflight.len() == WINDOW {
+                            check(inflight.pop_front().unwrap());
+                        }
+                        let k = (client * 7 + i) % mix.len();
+                        inflight.push_back((k, server.submit(mix[k].0.clone()).unwrap()));
+                    }
+                    inflight.into_iter().for_each(check);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+    });
+    let server = Arc::try_unwrap(server).ok().expect("clients are done");
+    assert_eq!(server.shutdown(), (CLIENTS * PER_CLIENT) as u64);
+
+    // Queue wait sits beside latency: one sample per query, and a query's
+    // wait up to its batch's forming never exceeds its queue-to-answer time.
+    let snap = engine.substrate().metrics().snapshot();
+    let (queue, latency) = (
+        &snap.histograms["serve.queue_ns"],
+        &snap.histograms["serve.latency_ns"],
+    );
+    assert_eq!(queue.count, snap.counters["serve.queries"]);
+    assert_eq!(queue.count, (CLIENTS * PER_CLIENT) as u64);
+    assert!(queue.sum <= latency.sum, "{} > {}", queue.sum, latency.sum);
+}
+
+#[test]
+fn dropped_pending_responses_leave_the_server_answering() {
+    const N: usize = 400;
+    let cfg = RunConfig::for_level(2, 6);
+    let engine = served_engine(&cfg);
+    let mix = reference_mix(&engine);
+    let server = ForecastServer::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 2,
+            max_batch: 16,
+        },
+    );
+    let mut kept = Vec::new();
+    for i in 0..N {
+        let k = i % mix.len();
+        let p = server.submit(mix[k].0.clone()).unwrap();
+        if i % 2 == 1 {
+            kept.push((k, p));
+        } // else: dropped unread
+    }
+    for (k, p) in kept {
+        assert_eq!(within(60, move || p.wait()).unwrap(), mix[k].1);
+    }
+    let (q, want) = mix[1].clone();
+    assert_eq!(server.query_blocking(q).unwrap(), want);
+    assert_eq!(server.shutdown(), N as u64 + 1);
 }
