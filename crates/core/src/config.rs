@@ -10,9 +10,9 @@ pub fn table3_schemes() -> [Scheme; 4] {
     Scheme::all()
 }
 
-/// How the model driver survives injected or real faults: the retry/degrade
-/// ladder for substrate dispatches and the checkpoint/health cadence used by
-/// `GristModel::advance_resilient`.
+/// How the model driver survives injected or real faults: the checkpoint /
+/// health cadence and the restore budget of `GristModel::advance_resilient`
+/// (a dispatch's retry budget is its `FaultPlan`'s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Dyn steps between automatic checkpoints.
@@ -21,9 +21,6 @@ pub struct RecoveryPolicy {
     pub health_interval: usize,
     /// Checkpoint restores tolerated before the run is declared lost.
     pub max_restores: u32,
-    /// Re-issues of a failed CpeTeams dispatch before degrading to serial
-    /// (forwarded into `FaultPlan::with_max_retries` by chaos drivers).
-    pub max_dispatch_retries: u32,
 }
 
 impl Default for RecoveryPolicy {
@@ -32,7 +29,6 @@ impl Default for RecoveryPolicy {
             checkpoint_interval: 8,
             health_interval: 4,
             max_restores: 3,
-            max_dispatch_retries: 2,
         }
     }
 }

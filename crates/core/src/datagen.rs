@@ -352,18 +352,15 @@ pub fn train_ml_suite(
 
     let eval_cnn = |suite: &MlSuite, set: &[(Vec<f32>, Vec<f32>)]| -> f32 {
         let mut total = 0.0;
-        let mut y = vec![0.0f32; 2 * nlev];
         for (x, t) in set {
-            suite.cnn.infer(x, &mut y);
-            total += grist_ml::mse_loss(&y, t).0;
+            total += grist_ml::mse_loss(&suite.cnn.infer(x), t).0;
         }
         total / set.len().max(1) as f32
     };
     let eval_mlp = |suite: &MlSuite, set: &[(Vec<f32>, Vec<f32>)]| -> f32 {
         let mut total = 0.0;
         for (x, t) in set {
-            let y = suite.mlp.infer(x);
-            total += grist_ml::mse_loss(&y, t).0;
+            total += grist_ml::mse_loss(&suite.mlp.infer(x), t).0;
         }
         total / set.len().max(1) as f32
     };

@@ -173,16 +173,8 @@ impl MlSuite {
         }
     }
 
-    /// Build the CNN input vector `[U|V|T|Q|P] × nlev` from a column
-    /// (raw physical units; normalization is the model's).
-    pub fn cnn_input(&self, col: &Column) -> Vec<f32> {
-        let mut x = vec![0.0f32; CNN_INPUT_CHANNELS * self.nlev];
-        self.cnn_input_into(col, &mut x);
-        x
-    }
-
-    /// Fill a `[5 × nlev]` slice with the CNN input — the allocation-free
-    /// form the batched packer uses.
+    /// Fill a `[5 × nlev]` slice with the CNN input `[U|V|T|Q|P] × nlev` of
+    /// a column (raw physical units; normalization is the model's).
     pub fn cnn_input_into(&self, col: &Column, x: &mut [f32]) {
         let nlev = self.nlev;
         debug_assert_eq!(x.len(), CNN_INPUT_CHANNELS * nlev);
@@ -194,15 +186,8 @@ impl MlSuite {
         }
     }
 
-    /// Build the radiation MLP input `[T | Q | tskin | coszr]`.
-    pub fn mlp_input(&self, col: &Column) -> Vec<f32> {
-        let mut x = vec![0.0f32; 2 * self.nlev + 2];
-        self.mlp_input_into(col, &mut x);
-        x
-    }
-
-    /// Fill a `[2·nlev + 2]` slice with the MLP input (allocation-free
-    /// form).
+    /// Fill a `[2·nlev + 2]` slice with the radiation MLP input
+    /// `[T | Q | tskin | coszr]`.
     pub fn mlp_input_into(&self, col: &Column, x: &mut [f32]) {
         let nlev = self.nlev;
         debug_assert_eq!(x.len(), 2 * nlev + 2);
@@ -259,14 +244,15 @@ impl MlSuite {
     pub fn step_column(&self, col: &Column) -> MlOutput {
         let nlev = self.nlev;
         // --- ML physical tendency module ---
-        let mut x = self.cnn_input(col);
+        let mut x = vec![0.0f32; CNN_INPUT_CHANNELS * nlev];
+        self.cnn_input_into(col, &mut x);
         self.cnn.normalize_input(&mut x);
-        let mut y = vec![0.0f32; 2 * nlev];
-        self.cnn.infer(&x, &mut y);
+        let mut y = self.cnn.infer(&x);
         self.cnn.denormalize_output(&mut y);
 
         // --- ML radiation/surface diagnostic module ---
-        let mut rx = self.mlp_input(col);
+        let mut rx = vec![0.0f32; self.mlp.n_in];
+        self.mlp_input_into(col, &mut rx);
         self.mlp.normalize_input(&mut rx);
         let mut r = self.mlp.infer(&rx);
         self.mlp.denormalize_output(&mut r);
@@ -410,12 +396,19 @@ impl MlSuite {
 
     /// Load a suite saved with [`Self::save`]. Runtime knobs (substrate,
     /// surface config, block size) are not part of the weight file and come
-    /// back as defaults.
+    /// back as defaults. A pair of networks that disagree — an MLP that
+    /// does not read `[T | Q | tskin | coszr]` on the CNN's levels, or one
+    /// without the two radiation outputs — is `InvalidData`.
     pub fn load(path: &std::path::Path) -> std::io::Result<MlSuite> {
         let mut f = std::fs::File::open(path)?;
         let cnn = TendencyCnn::load_from(&mut f)?;
         let mlp = RadiationMlp::load_from(&mut f)?;
         let nlev = cnn.nlev;
+        if mlp.n_in != 2 * nlev + 2 || mlp.n_out < 2 {
+            let (i, o, want) = (mlp.n_in, mlp.n_out, 2 * nlev + 2);
+            let what = format!("MLP of {i} inputs, {o} outputs; {nlev} levels need {want}, ≥ 2");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, what));
+        }
         Ok(MlSuite {
             cnn,
             mlp,
@@ -452,12 +445,13 @@ mod tests {
         col.t = vec![3.0; 5];
         col.qv = vec![4.0; 5];
         col.p = vec![5.0; 5];
-        let x = suite.cnn_input(&col);
+        let mut x = vec![0.0f32; 25];
+        suite.cnn_input_into(&col, &mut x);
         assert_eq!(&x[0..5], &[1.0; 5]);
         assert_eq!(&x[5..10], &[2.0; 5]);
         assert_eq!(&x[20..25], &[5.0; 5]);
-        let rx = suite.mlp_input(&col);
-        assert_eq!(rx.len(), 12);
+        let mut rx = vec![0.0f32; 12];
+        suite.mlp_input_into(&col, &mut rx);
         assert_eq!(suite.mlp.n_out, 3);
         assert_eq!(rx[10], col.tskin as f32);
         assert_eq!(rx[11], col.coszr as f32);
@@ -616,6 +610,26 @@ mod tests {
         assert_eq!(a.tend.dt_dt, b.tend.dt_dt);
         assert_eq!(a.diag.gsw, b.diag.gsw);
         assert_eq!(a.diag.precip, b.diag.precip);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_rejects_networks_that_disagree() {
+        let dir = std::env::temp_dir().join(format!("grist-mlsuite-pair-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("suite.gml");
+        let mut suite = MlSuite::untrained(6, 8, 31);
+        for mlp in [
+            // Inputs for 7 levels beside a 6-level CNN.
+            RadiationMlp::with_outputs(2 * 7 + 2, 3, 8, 1),
+            // No `glw` output for `assemble_output` to read.
+            RadiationMlp::with_outputs(2 * 6 + 2, 1, 8, 1),
+        ] {
+            suite.mlp = mlp;
+            suite.save(&path).unwrap();
+            let err = MlSuite::load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

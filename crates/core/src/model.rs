@@ -13,8 +13,7 @@ use grist_mesh::HexMesh;
 use grist_physics::suite::SuiteConfig;
 use grist_physics::{ColumnPhysicsState, ConventionalSuite, SurfaceDiag, Tendencies};
 use sunway_sim::{
-    format_kernel_report, KernelReportRow, Metrics, MetricsSnapshot, RooflineInputs, Substrate,
-    TraceReport,
+    KernelReportRow, Metrics, MetricsSnapshot, RooflineInputs, Substrate, TraceReport,
 };
 
 /// Which side of the dyn step a [`GristModel`] halo hook is called on.
@@ -40,14 +39,6 @@ pub enum PhysicsEngine {
         states: Vec<ColumnPhysicsState>,
     },
     Ml(Box<MlSuite>),
-    /// The paper's "AI-enhanced" blend: both suites run on the same columns
-    /// and their tendencies/diagnostics are averaged 50/50 — the ML emulator
-    /// corrects the conventional suite rather than replacing it.
-    Hybrid {
-        suite: ConventionalSuite,
-        states: Vec<ColumnPhysicsState>,
-        ml: Box<MlSuite>,
-    },
 }
 
 impl PhysicsEngine {
@@ -55,38 +46,8 @@ impl PhysicsEngine {
         match self {
             PhysicsEngine::Conventional { .. } => "Conventional",
             PhysicsEngine::Ml(_) => "ML-physics",
-            PhysicsEngine::Hybrid { .. } => "Hybrid",
         }
     }
-}
-
-/// 50/50 blend of two physics outputs (tendency vectors element-wise, every
-/// surface diagnostic scalar).
-fn blend_half(
-    a: (Tendencies, SurfaceDiag),
-    b: (Tendencies, SurfaceDiag),
-) -> (Tendencies, SurfaceDiag) {
-    let (ta, da) = a;
-    let (tb, db) = b;
-    let mix = |x: &[f64], y: &[f64]| -> Vec<f64> {
-        x.iter().zip(y).map(|(&p, &q)| 0.5 * (p + q)).collect()
-    };
-    let tend = Tendencies {
-        dt_dt: mix(&ta.dt_dt, &tb.dt_dt),
-        dqv_dt: mix(&ta.dqv_dt, &tb.dqv_dt),
-        dqc_dt: mix(&ta.dqc_dt, &tb.dqc_dt),
-        dqr_dt: mix(&ta.dqr_dt, &tb.dqr_dt),
-    };
-    let diag = SurfaceDiag {
-        gsw: 0.5 * (da.gsw + db.gsw),
-        glw: 0.5 * (da.glw + db.glw),
-        precip: 0.5 * (da.precip + db.precip),
-        shflx: 0.5 * (da.shflx + db.shflx),
-        lhflx: 0.5 * (da.lhflx + db.lhflx),
-        tskin: 0.5 * (da.tskin + db.tskin),
-        cloud_cover: 0.5 * (da.cloud_cover + db.cloud_cover),
-    };
-    (tend, diag)
 }
 
 /// The coupled model.
@@ -172,10 +133,6 @@ impl<R: Real> GristModel<R> {
         let physics = if config.ml_physics {
             let mut suite = MlSuite::untrained(config.nlev, 32, 2024);
             suite.sub = sub.clone();
-            // Same surface-layer parameters the conventional suite would
-            // run with, so switching physics engines doesn't silently
-            // change the bulk-flux diagnostic.
-            suite.surface = SuiteConfig::default().surface;
             PhysicsEngine::Ml(Box::new(suite))
         } else {
             let states = (0..nc)
@@ -220,9 +177,7 @@ impl<R: Real> GristModel<R> {
         let (lats, lons) = (self.lats.clone(), self.lons.clone());
         self.surface
             .add_continent(&lats, &lons, lat_range, lon_range);
-        if let PhysicsEngine::Conventional { states, .. } | PhysicsEngine::Hybrid { states, .. } =
-            &mut self.physics
-        {
+        if let PhysicsEngine::Conventional { states, .. } = &mut self.physics {
             for (c, st) in states.iter_mut().enumerate() {
                 *st = ColumnPhysicsState::new(
                     self.config.nlev,
@@ -242,31 +197,6 @@ impl<R: Real> GristModel<R> {
         self.physics = PhysicsEngine::Ml(Box::new(suite));
     }
 
-    /// Switch to the hybrid engine: the conventional suite and an untrained
-    /// [`MlSuite`] (seeded as in [`Self::with_substrate`]) both run every
-    /// physics step and their outputs are averaged 50/50. Column states are
-    /// rebuilt from the current surface.
-    pub fn set_hybrid_physics(&mut self) {
-        let sub = self.solver.sub.clone();
-        let mut ml = MlSuite::untrained(self.config.nlev, 32, 2024);
-        ml.sub = sub.clone();
-        ml.surface = SuiteConfig::default().surface;
-        let states = (0..self.n_cells())
-            .map(|c| {
-                ColumnPhysicsState::new(
-                    self.config.nlev,
-                    self.surface.ocean[c],
-                    self.surface.tskin[c],
-                )
-            })
-            .collect();
-        self.physics = PhysicsEngine::Hybrid {
-            suite: ConventionalSuite::with_substrate(SuiteConfig::default(), sub),
-            states,
-            ml: Box::new(ml),
-        };
-    }
-
     /// The execution substrate shared by the dycore and the physics suite.
     pub fn substrate(&self) -> &Substrate {
         &self.solver.sub
@@ -277,11 +207,6 @@ impl<R: Real> GristModel<R> {
     /// — the Fig. 9-style measured table, hottest kernel first.
     pub fn kernel_report(&self) -> Vec<KernelReportRow> {
         self.solver.sub.kernel_report()
-    }
-
-    /// [`Self::kernel_report`] formatted as an aligned text table.
-    pub fn kernel_report_text(&self) -> String {
-        format_kernel_report(&self.kernel_report())
     }
 
     /// Clear the accumulated kernel profile (e.g. after spin-up, before a
@@ -399,14 +324,6 @@ impl<R: Real> GristModel<R> {
             PhysicsEngine::Ml(suite) => {
                 let outs = suite.step_columns(&cols);
                 outs.into_iter().map(|o| (o.tend, o.diag)).unzip()
-            }
-            PhysicsEngine::Hybrid { suite, states, ml } => {
-                let conv = suite.step_columns(&cols, states, dt_phy, self.config.dt_rad);
-                let mlo = ml.step_columns(&cols);
-                conv.into_iter()
-                    .zip(mlo)
-                    .map(|(c, m)| blend_half((c.tend, c.diag), (m.tend, m.diag)))
-                    .unzip()
             }
         };
         apply_tendencies(exner, &mut self.state, &tends, dt_phy);
@@ -632,29 +549,6 @@ mod tests {
         m.advance(2.0 * m.config.dt_phy);
         assert!(m.state.u.as_slice().iter().all(|x| x.is_finite()));
         assert_eq!(m.physics.label(), "ML-physics");
-    }
-
-    #[test]
-    fn hybrid_physics_blends_both_suites() {
-        let mut conv = GristModel::<f64>::new(small_config());
-        let mut ml = GristModel::<f64>::new(small_config().with_ml_physics(true));
-        let mut hyb = GristModel::<f64>::new(small_config());
-        hyb.set_hybrid_physics();
-        assert_eq!(hyb.physics.label(), "Hybrid");
-        conv.step_physics();
-        ml.step_physics();
-        hyb.step_physics();
-        // The hybrid diagnostic is the exact midpoint of the two suites on
-        // the first step (identical column inputs into all three models).
-        for c in [0usize, 57, 101] {
-            let want = 0.5 * (conv.last_diag[c].glw + ml.last_diag[c].glw);
-            assert_eq!(hyb.last_diag[c].glw.to_bits(), want.to_bits());
-            let want_t = 0.5 * (conv.last_tendencies[c].dt_dt[0] + ml.last_tendencies[c].dt_dt[0]);
-            assert_eq!(hyb.last_tendencies[c].dt_dt[0].to_bits(), want_t.to_bits());
-        }
-        // And the blended model stays stable.
-        hyb.advance(2.0 * hyb.config.dt_phy);
-        assert!(hyb.state.u.as_slice().iter().all(|x| x.is_finite()));
     }
 
     #[test]

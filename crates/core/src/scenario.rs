@@ -4,7 +4,7 @@
 //! The paper's "seamless" claim — one model spanning standard dycore test
 //! cases, physics-suite variants, and global-to-regional configurations —
 //! becomes testable here: a [`Scenario`] names an initial case × physics
-//! suite {conventional, ML, hybrid} × precision mode × resolution level ×
+//! suite {conventional, ML} × precision mode × resolution level ×
 //! dyn-step mode × fault plan × optional regional refinement, composed
 //! entirely from existing pieces (`cases.rs`, `swe_cases.rs`, [`RunConfig`],
 //! [`RecoveryPolicy`](crate::RecoveryPolicy), the substrate targets). The
@@ -121,12 +121,11 @@ impl CaseSpec {
     }
 }
 
-/// Physics-suite ablation axis (Table 3's "Physics" column + the hybrid).
+/// Physics-suite ablation axis (Table 3's "Physics" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhysicsChoice {
     Conventional,
     Ml,
-    Hybrid,
 }
 
 /// Execution target of every hot loop in the run.
@@ -342,11 +341,10 @@ impl Scenario {
         let physics = match req_str(j, ctx, "physics")? {
             "conventional" => PhysicsChoice::Conventional,
             "ml" => PhysicsChoice::Ml,
-            "hybrid" => PhysicsChoice::Hybrid,
             other => {
                 return Err(ScenarioError::BadValue {
                     field: format!("{ctx}.physics"),
-                    what: format!("{other:?} is not one of conventional, ml, hybrid"),
+                    what: format!("{other:?} is not one of conventional, ml"),
                 })
             }
         };
@@ -599,7 +597,6 @@ impl Scenario {
                     match self.physics {
                         PhysicsChoice::Conventional => "conventional",
                         PhysicsChoice::Ml => "ml",
-                        PhysicsChoice::Hybrid => "hybrid",
                     }
                     .into(),
                 ),
@@ -991,9 +988,6 @@ fn run_coupled<R: Real>(s: &Scenario) -> Result<ScenarioRun, ScenarioError> {
             add_supercell_patch(&mut model, lat_deg.to_radians(), lon_deg.to_radians())
         }
         CaseSpec::WilliamsonTc5 { .. } | CaseSpec::WilliamsonTc6 { .. } => unreachable!(),
-    }
-    if s.physics == PhysicsChoice::Hybrid {
-        model.set_hybrid_physics();
     }
 
     if matches!(s.case, CaseSpec::HeldSuarez) {

@@ -32,14 +32,14 @@
 //! bitwise-determinism tests keep holding with the batched engine wired in.
 //!
 //! All intermediate storage comes from caller-provided scratch arenas
-//! ([`CnnScratch`], [`MlpScratch`], [`ColumnScratch`]) that only grow on
+//! ([`CnnScratch`], [`MlpScratch`]) that only grow on
 //! first use (or a larger batch) and count every growth — the zero-alloc
 //! steady-state acceptance test asserts the counters stop moving.
 
 use crate::gemm::simd::{F32x8, Lanes, LANE_WIDTH};
 use crate::gemm::{gemm_flops, gemm_nn_with, GemmVariant};
 use crate::models::{RadiationMlp, TendencyCnn, CNN_INPUT_CHANNELS, CNN_OUTPUT_CHANNELS};
-use crate::tensor::{Conv1d, Dense, Relu};
+use crate::tensor::{relu, Conv1d, Dense};
 
 /// Levels per conv register tile: with [`NR`], 10 accumulator vectors, two
 /// weight vectors and one broadcast in 16 256-bit registers. It beat seven
@@ -302,39 +302,6 @@ impl MlpScratch {
     }
 }
 
-/// Scratch for the *per-column* `infer_into` paths (the satellite fix for
-/// the old allocate-per-call `infer`): three planes sized to the larger of
-/// the CNN activation (`channels·nlev`) and MLP width.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnScratch {
-    a: Vec<f32>,
-    b: Vec<f32>,
-    c: Vec<f32>,
-    grows: u64,
-}
-
-impl ColumnScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// See [`CnnScratch::grows`].
-    pub fn grows(&self) -> u64 {
-        self.grows
-    }
-
-    /// Hand out the three planes at exactly `n` elements each.
-    pub(crate) fn planes(&mut self, n: usize) -> (&mut [f32], &mut [f32], &mut [f32]) {
-        if self.a.len() < n {
-            self.grows += 1;
-            self.a.resize(n, 0.0);
-            self.b.resize(n, 0.0);
-            self.c.resize(n, 0.0);
-        }
-        (&mut self.a[..n], &mut self.b[..n], &mut self.c[..n])
-    }
-}
-
 impl TendencyCnn {
     /// Batched inference on `b` *normalized* samples.
     ///
@@ -410,10 +377,10 @@ impl RadiationMlp {
         let h = &mut h[..self.width * b];
         let z = &mut z[..self.width * b];
         dense_batch(variant, &self.input, b, xt, h);
-        Relu::infer(h);
+        relu(h);
         for layer in &self.hidden {
             dense_batch(variant, layer, b, h, z);
-            Relu::infer(z);
+            relu(z);
             for (a, &v) in h.iter_mut().zip(z.iter()) {
                 *a += v;
             }

@@ -8,6 +8,22 @@ use std::io::{self, Read, Write};
 
 pub(crate) const MAGIC: &[u8; 8] = b"GRISTML1";
 
+/// The longest tensor a weight file may hold.
+const MAX_TENSOR_LEN: usize = 1 << 28;
+
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// `rows × cols` as a tensor length, or `InvalidData` if a header's sizes
+/// imply a tensor longer than [`read_f32_vec`] accepts — checked before a
+/// model allocates it.
+pub(crate) fn tensor_len(rows: usize, cols: usize) -> io::Result<usize> {
+    rows.checked_mul(cols)
+        .filter(|&n| n <= MAX_TENSOR_LEN)
+        .ok_or_else(|| invalid(format!("header implies a {rows} × {cols} tensor")))
+}
+
 pub(crate) fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -28,11 +44,8 @@ pub(crate) fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
 
 pub(crate) fn read_f32_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
     let n = read_u64(r)? as usize;
-    if n > (1 << 28) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "tensor too large",
-        ));
+    if n > MAX_TENSOR_LEN {
+        return Err(invalid(format!("tensor of {n} values is too large")));
     }
     let mut buf = vec![0u8; n * 4];
     r.read_exact(&mut buf)?;
@@ -47,14 +60,22 @@ pub(crate) fn write_norm_pairs(w: &mut impl Write, pairs: &[(f32, f32)]) -> io::
     write_f32_slice(w, &flat)
 }
 
-pub(crate) fn read_norm_pairs(r: &mut impl Read) -> io::Result<Vec<(f32, f32)>> {
-    let flat = read_f32_vec(r)?;
-    if flat.len() % 2 != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "odd norm vector",
-        ));
+/// A tensor of exactly `want` values, the length the header implies.
+pub(crate) fn read_f32_exact(r: &mut impl Read, want: usize) -> io::Result<Vec<f32>> {
+    let v = read_f32_vec(r)?;
+    if v.len() != want {
+        return Err(invalid(format!(
+            "tensor of {} values, header implies {want}",
+            v.len()
+        )));
     }
+    Ok(v)
+}
+
+/// Exactly `want` normaliser pairs: one per input channel or output of the
+/// network the header describes.
+pub(crate) fn read_norm_pairs(r: &mut impl Read, want: usize) -> io::Result<Vec<(f32, f32)>> {
+    let flat = read_f32_exact(r, 2 * want)?;
     Ok(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
 }
 
@@ -62,14 +83,10 @@ pub(crate) fn check_magic(r: &mut impl Read, kind: u64) -> io::Result<()> {
     let mut m = [0u8; 8];
     r.read_exact(&mut m)?;
     if &m != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic".into()));
     }
-    let k = read_u64(r)?;
-    if k != kind {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "wrong model kind",
-        ));
+    if read_u64(r)? != kind {
+        return Err(invalid("wrong model kind".into()));
     }
     Ok(())
 }
@@ -101,7 +118,8 @@ mod tests {
         let p = vec![(1.0f32, 2.0f32), (-3.0, 0.5)];
         let mut buf = Vec::new();
         write_norm_pairs(&mut buf, &p).unwrap();
-        assert_eq!(read_norm_pairs(&mut buf.as_slice()).unwrap(), p);
+        assert_eq!(read_norm_pairs(&mut buf.as_slice(), 2).unwrap(), p);
+        assert!(read_norm_pairs(&mut buf.as_slice(), 3).is_err());
     }
 
     #[test]

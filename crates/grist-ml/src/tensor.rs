@@ -1,6 +1,9 @@
 //! Minimal neural-network building blocks: parameters with gradient and
 //! Adam moment storage, dense and 1-D convolution layers with hand-written
-//! forward/backward passes, and activations.
+//! forward/backward passes, and the ReLU activation. The layers are
+//! stateless: `infer` is the one forward pass and `backward` takes the input
+//! it read, so a network's training step backpropagates through the
+//! activation planes its inference computes.
 //!
 //! The paper's ML physics suite is deliberately compact — an 11-layer 1-D CNN
 //! (~0.5 M parameters) and a 7-layer MLP — so a small, dependency-free,
@@ -63,7 +66,6 @@ pub struct Dense {
     pub n_out: usize,
     pub weight: Param, // row-major [n_out × n_in]
     pub bias: Param,
-    cached_x: Vec<f32>,
 }
 
 impl Dense {
@@ -73,13 +75,12 @@ impl Dense {
             n_out,
             weight: Param::he(n_out * n_in, n_in, rng),
             bias: Param::zeros(n_out),
-            cached_x: Vec::new(),
         }
     }
 
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
+    /// The forward pass `y = W x + b`.
+    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.n_in);
-        self.cached_x = x.to_vec();
         let mut y = self.bias.w.clone();
         for o in 0..self.n_out {
             let row = &self.weight.w[o * self.n_in..(o + 1) * self.n_in];
@@ -92,24 +93,11 @@ impl Dense {
         y
     }
 
-    /// Inference-only forward (no caching) — the hot path of the coupled run.
-    pub fn infer(&self, x: &[f32], y: &mut [f32]) {
+    /// Accumulate the parameter gradients of the forward pass that read `x`
+    /// and return the gradient with respect to `x`.
+    pub fn backward(&mut self, x: &[f32], grad_y: &[f32]) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.n_in);
-        debug_assert_eq!(y.len(), self.n_out);
-        y.copy_from_slice(&self.bias.w);
-        for o in 0..self.n_out {
-            let row = &self.weight.w[o * self.n_in..(o + 1) * self.n_in];
-            let mut acc = 0.0f32;
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
-            }
-            y[o] += acc;
-        }
-    }
-
-    pub fn backward(&mut self, grad_y: &[f32]) -> Vec<f32> {
         debug_assert_eq!(grad_y.len(), self.n_out);
-        let x = &self.cached_x;
         let mut grad_x = vec![0.0f32; self.n_in];
         for o in 0..self.n_out {
             let gy = grad_y[o];
@@ -152,7 +140,6 @@ pub struct Conv1d {
     pub len: usize,
     pub weight: Param, // [(c_in·ksize) × c_out]
     pub bias: Param,   // [c_out]
-    cached_x: Vec<f32>,
 }
 
 impl Conv1d {
@@ -169,7 +156,6 @@ impl Conv1d {
             len,
             weight,
             bias: Param::zeros(c_out),
-            cached_x: Vec::new(),
         }
     }
 
@@ -189,16 +175,10 @@ impl Conv1d {
         self.weight.w = transposed(oik, self.c_out, self.c_in * self.ksize);
     }
 
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        self.cached_x = x.to_vec();
-        let mut y = vec![0.0f32; self.c_out * self.len];
-        self.infer(x, &mut y);
-        y
-    }
-
-    pub fn infer(&self, x: &[f32], y: &mut [f32]) {
+    /// The forward pass: `y [c_out × len]` from `x [c_in × len]`.
+    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.c_in * self.len);
-        debug_assert_eq!(y.len(), self.c_out * self.len);
+        let mut y = vec![0.0f32; self.c_out * self.len];
         let half = self.ksize / 2;
         for co in 0..self.c_out {
             let yrow = &mut y[co * self.len..(co + 1) * self.len];
@@ -220,10 +200,12 @@ impl Conv1d {
                 }
             }
         }
+        y
     }
 
-    pub fn backward(&mut self, grad_y: &[f32]) -> Vec<f32> {
-        let x = &self.cached_x;
+    /// See [`Dense::backward`].
+    pub fn backward(&mut self, x: &[f32], grad_y: &[f32]) -> Vec<f32> {
+        debug_assert_eq!(x.len(), self.c_in * self.len);
         let half = self.ksize / 2;
         let mut grad_x = vec![0.0f32; self.c_in * self.len];
         for co in 0..self.c_out {
@@ -270,30 +252,19 @@ fn transposed(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         .collect()
 }
 
-/// ReLU activation (stateful: caches the mask).
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
+/// ReLU in place: `x ← max(x, 0)` (a NaN becomes 0).
+pub(crate) fn relu(x: &mut [f32]) {
+    for v in x.iter_mut() {
+        *v = v.max(0.0);
+    }
 }
 
-impl Relu {
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        self.mask = x.iter().map(|&v| v > 0.0).collect();
-        x.iter().map(|&v| v.max(0.0)).collect()
-    }
-
-    pub fn infer(x: &mut [f32]) {
-        for v in x.iter_mut() {
-            *v = v.max(0.0);
-        }
-    }
-
-    pub fn backward(&self, grad_y: &[f32]) -> Vec<f32> {
-        grad_y
-            .iter()
-            .zip(&self.mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect()
+/// ReLU's backward pass in place, masked by the forward *output* `y`:
+/// `y > 0` holds exactly where the input was `> 0` (a NaN input gave 0).
+pub(crate) fn relu_backward(y: &[f32], grad: &mut [f32]) {
+    debug_assert_eq!(y.len(), grad.len());
+    for (g, &v) in grad.iter_mut().zip(y) {
+        *g = if v > 0.0 { *g } else { 0.0 };
     }
 }
 
@@ -324,24 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_forward_matches_manual() {
+    fn dense_infer_matches_manual() {
         let mut r = rng();
         let mut d = Dense::new(2, 2, &mut r);
         d.weight.w = vec![1.0, 2.0, 3.0, 4.0];
         d.bias.w = vec![0.5, -0.5];
-        let y = d.forward(&[1.0, -1.0]);
+        let y = d.infer(&[1.0, -1.0]);
         assert_eq!(y, vec![1.0 - 2.0 + 0.5, 3.0 - 4.0 - 0.5]);
-    }
-
-    #[test]
-    fn dense_infer_matches_forward() {
-        let mut r = rng();
-        let mut d = Dense::new(7, 5, &mut r);
-        let x: Vec<f32> = (0..7).map(|i| i as f32 * 0.3 - 1.0).collect();
-        let y1 = d.forward(&x);
-        let mut y2 = vec![0.0; 5];
-        d.infer(&x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     /// Finite-difference gradient check for a layer.
@@ -369,37 +329,30 @@ mod tests {
         let mut d = Dense::new(6, 4, &mut r);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
         let t: Vec<f32> = (0..4).map(|i| (i as f32 * 0.3).cos()).collect();
-        let y = d.forward(&x);
-        let (_, gy) = mse_loss(&y, &t);
+        let (_, gy) = mse_loss(&d.infer(&x), &t);
         d.weight.zero_grad();
         d.bias.zero_grad();
-        let gx = d.backward(&gy);
+        let gx = d.backward(&x, &gy);
 
         // weight grads
         let g = d.weight.g.clone();
         let mut d2 = d.clone();
         check_grad(&mut d.weight.w.clone(), &g, |w| {
             d2.weight.w.copy_from_slice(w);
-            let y = d2.forward(&x);
-            mse_loss(&y, &t).0
+            mse_loss(&d2.infer(&x), &t).0
         });
 
         // input grads
-        let mut d3 = d.clone();
         let mut xv = x.clone();
-        check_grad(&mut xv, &gx, |xx| {
-            let y = d3.forward(xx);
-            mse_loss(&y, &t).0
-        });
+        check_grad(&mut xv, &gx, |xx| mse_loss(&d.infer(xx), &t).0);
     }
 
     #[test]
     fn conv1d_same_padding_preserves_length() {
         let mut r = rng();
-        let mut c = Conv1d::new(3, 5, 3, 30, &mut r);
+        let c = Conv1d::new(3, 5, 3, 30, &mut r);
         let x = vec![0.1f32; 3 * 30];
-        let y = c.forward(&x);
-        assert_eq!(y.len(), 5 * 30);
+        assert_eq!(c.infer(&x).len(), 5 * 30);
     }
 
     #[test]
@@ -409,8 +362,7 @@ mod tests {
         c.weight.w = vec![0.0, 1.0, 0.0]; // delta at centre
         c.bias.w = vec![0.0];
         let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let y = c.forward(&x);
-        assert_eq!(y, x);
+        assert_eq!(c.infer(&x), x);
     }
 
     #[test]
@@ -419,35 +371,30 @@ mod tests {
         let mut c = Conv1d::new(2, 3, 3, 8, &mut r);
         let x: Vec<f32> = (0..16).map(|i| (i as f32 * 0.37).sin()).collect();
         let t: Vec<f32> = (0..24).map(|i| (i as f32 * 0.21).cos()).collect();
-        let y = c.forward(&x);
-        let (_, gy) = mse_loss(&y, &t);
+        let (_, gy) = mse_loss(&c.infer(&x), &t);
         c.weight.zero_grad();
         c.bias.zero_grad();
-        let gx = c.backward(&gy);
+        let gx = c.backward(&x, &gy);
 
         let g = c.weight.g.clone();
         let mut c2 = c.clone();
         check_grad(&mut c.weight.w.clone(), &g, |w| {
             c2.weight.w.copy_from_slice(w);
-            let y = c2.forward(&x);
-            mse_loss(&y, &t).0
+            mse_loss(&c2.infer(&x), &t).0
         });
 
-        let mut c3 = c.clone();
         let mut xv = x.clone();
-        check_grad(&mut xv, &gx, |xx| {
-            let y = c3.forward(xx);
-            mse_loss(&y, &t).0
-        });
+        check_grad(&mut xv, &gx, |xx| mse_loss(&c.infer(xx), &t).0);
     }
 
     #[test]
     fn relu_masks_negatives_in_both_directions() {
-        let mut r = Relu::default();
-        let y = r.forward(&[-1.0, 2.0, -3.0, 4.0]);
-        assert_eq!(y, vec![0.0, 2.0, 0.0, 4.0]);
-        let g = r.backward(&[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(g, vec![0.0, 1.0, 0.0, 1.0]);
+        let mut y = vec![-1.0, 2.0, -3.0, 4.0, f32::NAN, 0.0];
+        relu(&mut y);
+        assert_eq!(y, vec![0.0, 2.0, 0.0, 4.0, 0.0, 0.0]);
+        let mut g = vec![1.0; 6];
+        relu_backward(&y, &mut g);
+        assert_eq!(g, vec![0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]

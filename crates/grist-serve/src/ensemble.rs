@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(reports[0].members, vec![0, 2]);
         assert_eq!(reports[1].members, vec![1]);
         // 3 members × (1 initial + 2 epochs) publishes.
-        assert_eq!(store.published_count(), 9);
+        assert_eq!(store.published_log().len(), 9);
         let log = store.published_log();
         for member in 0..3 {
             let epochs: Vec<u64> = log

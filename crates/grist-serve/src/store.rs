@@ -102,11 +102,6 @@ impl SnapshotStore {
     pub fn published_log(&self) -> Vec<(usize, u64, u64)> {
         lock(&self.log).clone()
     }
-
-    /// Total number of publishes across all members.
-    pub fn published_count(&self) -> usize {
-        lock(&self.log).len()
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +142,7 @@ mod tests {
         assert!(store.get(0, e0).is_none(), "evicted by retain=2");
         assert_eq!(store.get(0, e1).unwrap().epoch, e1);
         assert!(store.latest(1).is_none(), "members are independent");
-        assert_eq!(store.published_count(), 3);
+        assert_eq!(store.published_log().len(), 3);
         let log = store.published_log();
         assert_eq!(log.len(), 3);
         assert_eq!(log[0].0, 0);

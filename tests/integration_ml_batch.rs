@@ -383,8 +383,7 @@ fn a_scratch_shared_by_two_networks_keeps_each_bitwise() {
         let mut ys = vec![0.0f32; b * 2 * nlev];
         net.infer_batch(b, &xs, &mut ys, &mut scratch);
         for (x, y) in xs.chunks_exact(5 * nlev).zip(ys.chunks_exact(2 * nlev)) {
-            let mut y1 = vec![0.0f32; 2 * nlev];
-            net.infer(x, &mut y1);
+            let y1 = net.infer(x);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(y), bits(&y1), "nlev {nlev} after a deeper network");
         }

@@ -99,7 +99,7 @@ fn no_torn_reads_under_concurrent_advance<R: Real>(target: PoolTarget) {
         .collect();
     ensemble.join();
     assert_eq!(
-        store.published_count(),
+        store.published_log().len(),
         MEMBERS * (EPOCHS + 1),
         "every member publishes every epoch"
     );

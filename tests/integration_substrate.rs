@@ -7,7 +7,7 @@
 use grist_core::{GristModel, RunConfig};
 use grist_dycore::SweSolver;
 use grist_mesh::HexMesh;
-use sunway_sim::Substrate;
+use sunway_sim::{format_kernel_report, Substrate};
 
 fn rel_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1.0)
@@ -157,7 +157,7 @@ fn kernel_report_covers_dycore_and_physics() {
     }
 
     // The formatted table carries every kernel name.
-    let text = m.kernel_report_text();
+    let text = format_kernel_report(&m.kernel_report());
     for r in &report {
         assert!(text.contains(r.name.as_str()));
     }
