@@ -8,7 +8,7 @@
 //! consistency check against the exact multiply–add counts the lowering
 //! issues, the surface-parameter plumbing pin, and the pins on the saved
 //! weight file: an untrained suite's bytes by hash, a trained suite's bytes
-//! across two training runs from one seed.
+//! across two training runs from one seed and by hash.
 
 use std::sync::OnceLock;
 
@@ -317,6 +317,10 @@ fn trained_suite() -> &'static MlSuite {
     SUITE.get_or_init(train)
 }
 
+/// Two trainings from one seed save the same bytes, and those bytes are
+/// pinned by hash: the mini-batch loop of `train_ml_suite` (sample order,
+/// gradient accumulation, Adam) moves it, the coupled model that generates
+/// the data moves it too.
 #[test]
 fn training_twice_from_one_seed_saves_identical_bytes() {
     let first = trained_suite();
@@ -328,6 +332,13 @@ fn training_twice_from_one_seed_saves_identical_bytes() {
     let b = saved_bytes(&train(), "trained-b");
     assert_eq!(a.len(), b.len());
     assert!(a == b, "two trainings from seed 42 saved different bytes");
+    assert_eq!(
+        fnv1a(&a),
+        0xddbd_a6db_f2e4_4f50,
+        "the trained suite's {} saved bytes hash to {:016x}",
+        a.len(),
+        fnv1a(&a)
+    );
 }
 
 /// Batched against per-column inference, by bit pattern, with each call
