@@ -68,43 +68,37 @@ impl CoarseMap {
     }
 }
 
+/// The nine profiles of a column: p, dp, z, t, qv, qc, qr, u, v.
+fn profiles(c: &Column) -> [&[f64]; 9] {
+    [&c.p, &c.dp, &c.z, &c.t, &c.qv, &c.qc, &c.qr, &c.u, &c.v]
+}
+
+/// [`profiles`], mutably.
+fn profiles_mut(c: &mut Column) -> [&mut [f64]; 9] {
+    [
+        &mut c.p, &mut c.dp, &mut c.z, &mut c.t, &mut c.qv, &mut c.qc, &mut c.qr, &mut c.u,
+        &mut c.v,
+    ]
+}
+
 /// Coarse-grain a set of fine columns (profile-wise averaging).
 pub fn coarse_grain_columns(map: &CoarseMap, fine: &[Column]) -> Vec<Column> {
     assert_eq!(fine.len(), map.fine_to_coarse.len());
-    let nlev = fine[0].nlev();
-    let template = &fine[0];
-    let mut out: Vec<Column> = (0..map.n_coarse)
-        .map(|_| Column {
-            p: vec![0.0; nlev],
-            dp: vec![0.0; nlev],
-            z: vec![0.0; nlev],
-            t: vec![0.0; nlev],
-            qv: vec![0.0; nlev],
-            qc: vec![0.0; nlev],
-            qr: vec![0.0; nlev],
-            u: vec![0.0; nlev],
-            v: vec![0.0; nlev],
-            tskin: 0.0,
-            coszr: 0.0,
-            albedo: template.albedo,
-            ocean: template.ocean,
-        })
-        .collect();
+    let mut zero = fine[0].clone();
+    for v in profiles_mut(&mut zero).into_iter().flatten() {
+        *v = 0.0;
+    }
+    (zero.tskin, zero.coszr) = (0.0, 0.0);
+    let mut out = vec![zero; map.n_coarse];
     let mut counts = vec![0usize; map.n_coarse];
     for (f, col) in fine.iter().enumerate() {
         let c = map.fine_to_coarse[f] as usize;
         counts[c] += 1;
         let o = &mut out[c];
-        for k in 0..nlev {
-            o.p[k] += col.p[k];
-            o.dp[k] += col.dp[k];
-            o.z[k] += col.z[k];
-            o.t[k] += col.t[k];
-            o.qv[k] += col.qv[k];
-            o.qc[k] += col.qc[k];
-            o.qr[k] += col.qr[k];
-            o.u[k] += col.u[k];
-            o.v[k] += col.v[k];
+        for (acc, v) in profiles_mut(o).into_iter().zip(profiles(col)) {
+            for (a, b) in acc.iter_mut().zip(v) {
+                *a += b;
+            }
         }
         o.tskin += col.tskin;
         o.coszr += col.coszr;
@@ -114,16 +108,8 @@ pub fn coarse_grain_columns(map: &CoarseMap, fine: &[Column]) -> Vec<Column> {
             continue;
         }
         let inv = 1.0 / n as f64;
-        for k in 0..nlev {
-            o.p[k] *= inv;
-            o.dp[k] *= inv;
-            o.z[k] *= inv;
-            o.t[k] *= inv;
-            o.qv[k] *= inv;
-            o.qc[k] *= inv;
-            o.qr[k] *= inv;
-            o.u[k] *= inv;
-            o.v[k] *= inv;
+        for v in profiles_mut(o).into_iter().flatten() {
+            *v *= inv;
         }
         o.tskin *= inv;
         o.coszr *= inv;
@@ -315,68 +301,53 @@ pub fn train_ml_suite(
     // --- normalization fit on the training split ---
     let cnn_ds = Dataset::split_by_day(data.cnn.clone(), seed);
     let mlp_ds = Dataset::split_by_day(data.mlp.clone(), seed ^ 1);
-    let xs: Vec<Vec<f32>> = cnn_ds.train.iter().map(|s| s.x.clone()).collect();
-    let ys: Vec<Vec<f32>> = cnn_ds.train.iter().map(|s| s.y.clone()).collect();
-    let in_norm = ChannelNormalizer::fit(xs.iter(), CNN_INPUT_CHANNELS, nlev);
-    let out_norm = ChannelNormalizer::fit(ys.iter(), CNN_OUTPUT_CHANNELS, nlev);
+    let xs = cnn_ds.train.iter().map(|s| &s.x);
+    let ys = cnn_ds.train.iter().map(|s| &s.y);
+    let in_norm = ChannelNormalizer::fit(xs, CNN_INPUT_CHANNELS, nlev);
+    let out_norm = ChannelNormalizer::fit(ys, CNN_OUTPUT_CHANNELS, nlev);
     suite.cnn.in_norm = in_norm.as_inv_pairs();
     suite.cnn.out_norm = out_norm.stats.clone();
 
-    let rxs: Vec<Vec<f32>> = mlp_ds.train.iter().map(|s| s.x.clone()).collect();
-    let rys: Vec<Vec<f32>> = mlp_ds.train.iter().map(|s| s.y.clone()).collect();
-    let rin = ChannelNormalizer::fit(rxs.iter(), 2 * nlev + 2, 1);
-    let rout = ChannelNormalizer::fit(rys.iter(), 3, 1);
+    let rxs = mlp_ds.train.iter().map(|s| &s.x);
+    let rys = mlp_ds.train.iter().map(|s| &s.y);
+    let rin = ChannelNormalizer::fit(rxs, 2 * nlev + 2, 1);
+    let rout = ChannelNormalizer::fit(rys, 3, 1);
     suite.mlp.in_norm = rin.as_inv_pairs();
     suite.mlp.out_norm = rout.stats.clone();
 
     // Normalized sample tensors.
-    let prep = |s: &Sample, innorm: &ChannelNormalizer, outnorm: &ChannelNormalizer| {
-        let mut x = s.x.clone();
-        innorm.normalize(&mut x);
-        let mut y = s.y.clone();
-        outnorm.normalize(&mut y);
-        (x, y)
+    let prep = |set: &[Sample], innorm: &ChannelNormalizer, outnorm: &ChannelNormalizer| {
+        let normalized = |s: &Sample| {
+            let (mut x, mut y) = (s.x.clone(), s.y.clone());
+            innorm.normalize(&mut x);
+            outnorm.normalize(&mut y);
+            (x, y)
+        };
+        set.iter().map(normalized).collect::<Vec<_>>()
     };
-    let cnn_train: Vec<_> = cnn_ds
-        .train
-        .iter()
-        .map(|s| prep(s, &in_norm, &out_norm))
-        .collect();
-    let cnn_test: Vec<_> = cnn_ds
-        .test
-        .iter()
-        .map(|s| prep(s, &in_norm, &out_norm))
-        .collect();
-    let mlp_train: Vec<_> = mlp_ds.train.iter().map(|s| prep(s, &rin, &rout)).collect();
-    let mlp_test: Vec<_> = mlp_ds.test.iter().map(|s| prep(s, &rin, &rout)).collect();
+    let cnn_train = prep(&cnn_ds.train, &in_norm, &out_norm);
+    let cnn_test = prep(&cnn_ds.test, &in_norm, &out_norm);
+    let mlp_train = prep(&mlp_ds.train, &rin, &rout);
+    let mlp_test = prep(&mlp_ds.test, &rin, &rout);
 
-    let eval_cnn = |suite: &MlSuite, set: &[(Vec<f32>, Vec<f32>)]| -> f32 {
-        let mut total = 0.0;
-        for (x, t) in set {
-            total += grist_ml::mse_loss(&suite.cnn.infer(x), t).0;
-        }
-        total / set.len().max(1) as f32
-    };
-    let eval_mlp = |suite: &MlSuite, set: &[(Vec<f32>, Vec<f32>)]| -> f32 {
-        let mut total = 0.0;
-        for (x, t) in set {
-            total += grist_ml::mse_loss(&suite.mlp.infer(x), t).0;
-        }
+    // The mean normalized-space MSE of `infer` over `set`.
+    let mean_loss = |infer: &dyn Fn(&[f32]) -> Vec<f32>, set: &[(Vec<f32>, Vec<f32>)]| {
+        let total = set
+            .iter()
+            .fold(0.0, |acc, (x, t)| acc + grist_ml::mse_loss(&infer(x), t).0);
         total / set.len().max(1) as f32
     };
 
-    let cnn_test_loss_untrained = eval_cnn(&suite, &cnn_test);
-    let mlp_test_loss_untrained = eval_mlp(&suite, &mlp_test);
+    let cnn_test_loss_untrained = mean_loss(&|x| suite.cnn.infer(x), &cnn_test);
+    let mlp_test_loss_untrained = mean_loss(&|x| suite.mlp.infer(x), &mlp_test);
 
     // --- training loops ---
-    let mut opt_cnn = Adam::new(AdamConfig {
+    let cfg = AdamConfig {
         lr: 2e-3,
         ..Default::default()
-    });
-    let mut opt_mlp = Adam::new(AdamConfig {
-        lr: 2e-3,
-        ..Default::default()
-    });
+    };
+    let mut opt_cnn = Adam::new(cfg, suite.cnn.tensor_lens());
+    let mut opt_mlp = Adam::new(cfg, suite.mlp.tensor_lens());
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xbeef);
     let batch = 16;
     let mut order: Vec<usize> = (0..cnn_train.len()).collect();
@@ -387,16 +358,15 @@ pub fn train_ml_suite(
         for chunk in order.chunks(batch) {
             for &i in chunk {
                 let (x, y) = &cnn_train[i];
-                cnn_train_loss += suite.cnn.train_sample(x, y);
+                cnn_train_loss += suite.cnn.train_sample(&mut opt_cnn, x, y);
             }
             suite.cnn.optimizer_step(&mut opt_cnn);
         }
         cnn_train_loss /= cnn_train.len().max(1) as f32;
 
-        for chunk in (0..mlp_train.len()).collect::<Vec<_>>().chunks(batch) {
-            for &i in chunk {
-                let (x, y) = &mlp_train[i];
-                suite.mlp.train_sample(x, y);
+        for chunk in mlp_train.chunks(batch) {
+            for (x, y) in chunk {
+                suite.mlp.train_sample(&mut opt_mlp, x, y);
             }
             suite.mlp.optimizer_step(&mut opt_mlp);
         }
@@ -404,9 +374,9 @@ pub fn train_ml_suite(
 
     let report = TrainReport {
         cnn_train_loss,
-        cnn_test_loss: eval_cnn(&suite, &cnn_test),
+        cnn_test_loss: mean_loss(&|x| suite.cnn.infer(x), &cnn_test),
         cnn_test_loss_untrained,
-        mlp_test_loss: eval_mlp(&suite, &mlp_test),
+        mlp_test_loss: mean_loss(&|x| suite.mlp.infer(x), &mlp_test),
         mlp_test_loss_untrained,
         train_test_ratio: cnn_ds.ratio(),
     };
@@ -459,18 +429,21 @@ mod tests {
         assert!(avg.iter().all(|&v| (v - 5.5).abs() < 1e-12));
     }
 
-    #[test]
-    fn generated_data_has_paperlike_split_and_shapes() {
-        let cfg = DataGenConfig {
+    /// A level-2 run coarse-grained to level 1, 8 levels, `n_periods`
+    /// Table-1 periods of one day.
+    fn small_run(n_periods: usize) -> DataGenConfig {
+        DataGenConfig {
             fine_level: 2,
             coarse_level: 1,
             nlev: 8,
-            steps_per_day: 8,
-            days_per_period: 1,
-            n_periods: 1,
-            cell_stride: 1,
-        };
-        let data = generate_training_data(&cfg);
+            n_periods,
+            ..DataGenConfig::default()
+        }
+    }
+
+    #[test]
+    fn generated_data_has_paperlike_split_and_shapes() {
+        let data = generate_training_data(&small_run(1));
         assert!(!data.cnn.is_empty());
         assert_eq!(data.cnn.len(), data.mlp.len());
         assert_eq!(data.cnn[0].x.len(), 5 * 8);
@@ -485,16 +458,7 @@ mod tests {
 
     #[test]
     fn training_reduces_test_loss() {
-        let cfg = DataGenConfig {
-            fine_level: 2,
-            coarse_level: 1,
-            nlev: 8,
-            steps_per_day: 8,
-            days_per_period: 1,
-            n_periods: 2,
-            cell_stride: 1,
-        };
-        let data = generate_training_data(&cfg);
+        let data = generate_training_data(&small_run(2));
         let (_suite, report) = train_ml_suite(&data, 8, 15, 42);
         assert!(
             report.cnn_test_loss < 0.8 * report.cnn_test_loss_untrained,

@@ -127,7 +127,7 @@ fn conv3(conv: &Conv1d, b: usize, x: &[f32], y: &mut [f32], epi: Epilogue) {
 /// unfused `acc + x·w` per `(ci, tap)` in increasing order.
 #[inline(always)]
 fn tile<const R: usize>(conv: &Conv1d, xw: &[f32], c0: usize, yw: &mut [f32], epi: Epilogue) {
-    let (c_in, c_out, w, bias) = (conv.c_in, conv.c_out, &conv.weight.w, &conv.bias.w);
+    let (c_in, c_out, w, bias) = (conv.c_in, conv.c_out, &conv.weight, &conv.bias);
     let seed = [0, LANE_WIDTH].map(|off| F32x8::load(&bias[c0 + off..]));
     let mut acc = [seed; R];
     // Row `i + tap` of the window feeds level `i` at `tap`; every slice is
@@ -159,10 +159,10 @@ fn tile<const R: usize>(conv: &Conv1d, xw: &[f32], c0: usize, yw: &mut [f32], ep
 /// Output channels `c0..c_out` (fewer than [`NR`]) of `r` levels, one
 /// scalar accumulator each, in the tile's order.
 fn edge(conv: &Conv1d, xw: &[f32], c0: usize, r: usize, yw: &mut [f32], epi: Epilogue) {
-    let (c_in, c_out, w) = (conv.c_in, conv.c_out, &conv.weight.w);
+    let (c_in, c_out, w) = (conv.c_in, conv.c_out, &conv.weight);
     for i in 0..r {
         for co in c0..c_out {
-            let mut acc = conv.bias.w[co];
+            let mut acc = conv.bias[co];
             for ci in 0..c_in {
                 for t in 0..TAPS {
                     acc += xw[(i + t) * c_in + ci] * w[(ci * TAPS + t) * c_out + co];
@@ -183,8 +183,8 @@ fn head(conv: &Conv1d, b: usize, x: &[f32], ys: &mut [f32]) {
         for p in 0..len {
             let xr = &x[(s * (len + 2) + 1 + p) * c_in..][..c_in];
             for co in 0..c_out {
-                let mut acc = conv.bias.w[co];
-                for (&xv, wrow) in xr.iter().zip(conv.weight.w.chunks_exact(c_out)) {
+                let mut acc = conv.bias[co];
+                for (&xv, wrow) in xr.iter().zip(conv.weight.chunks_exact(c_out)) {
                     acc += xv * wrow[co];
                 }
                 ys[(s * c_out + co) * len + p] = acc;
@@ -209,9 +209,9 @@ fn dense_batch(variant: GemmVariant, layer: &Dense, b: usize, x: &[f32], y: &mut
     debug_assert_eq!(x.len(), layer.n_in * b);
     debug_assert_eq!(y.len(), layer.n_out * b);
     y.fill(0.0);
-    gemm_nn_with(variant, layer.n_out, b, layer.n_in, &layer.weight.w, x, y);
+    gemm_nn_with(variant, layer.n_out, b, layer.n_in, &layer.weight, x, y);
     for o in 0..layer.n_out {
-        let bias = layer.bias.w[o];
+        let bias = layer.bias[o];
         for v in &mut y[o * b..(o + 1) * b] {
             *v += bias;
         }
@@ -337,13 +337,13 @@ impl TendencyCnn {
             zero_pad_rows(p, b, nlev, ch);
             &mut p[..b * (nlev + 2) * ch]
         });
-        conv3(&self.input, b, stage, a, Epilogue::Relu);
-        for r in &self.res {
-            conv3(&r.conv1, b, a, h1, Epilogue::Relu);
-            conv3(&r.conv2, b, h1, c, Epilogue::Residual(a));
+        conv3(&self.convs[0], b, stage, a, Epilogue::Relu);
+        for [conv1, conv2] in self.units() {
+            conv3(conv1, b, a, h1, Epilogue::Relu);
+            conv3(conv2, b, h1, c, Epilogue::Residual(a));
             std::mem::swap(&mut a, &mut c);
         }
-        head(&self.output, b, a, ys);
+        head(&self.convs[self.convs.len() - 1], b, a, ys);
     }
 }
 
@@ -376,9 +376,9 @@ impl RadiationMlp {
         }
         let h = &mut h[..self.width * b];
         let z = &mut z[..self.width * b];
-        dense_batch(variant, &self.input, b, xt, h);
+        dense_batch(variant, &self.layers[0], b, xt, h);
         relu(h);
-        for layer in &self.hidden {
+        for layer in self.hidden() {
             dense_batch(variant, layer, b, h, z);
             relu(z);
             for (a, &v) in h.iter_mut().zip(z.iter()) {
@@ -386,7 +386,7 @@ impl RadiationMlp {
             }
         }
         let out = &mut out[..self.n_out * b];
-        dense_batch(variant, &self.output, b, h, out);
+        dense_batch(variant, &self.layers[self.layers.len() - 1], b, h, out);
         for smp in 0..b {
             for o in 0..self.n_out {
                 ys[smp * self.n_out + o] = out[o * b + smp];
@@ -402,20 +402,14 @@ impl RadiationMlp {
 pub fn cnn_batch_flops(net: &TendencyCnn, b: usize) -> u64 {
     let n = b * net.nlev;
     let conv = |c: &Conv1d| gemm_flops(c.c_out, n, c.c_in * c.ksize);
-    conv(&net.input)
-        + net
-            .res
-            .iter()
-            .map(|r| conv(&r.conv1) + conv(&r.conv2))
-            .sum::<u64>()
-        + conv(&net.output)
+    net.convs.iter().map(conv).sum()
 }
 
 /// FLOPs [`RadiationMlp::infer_batch`] issues for a block of `b` samples
 /// (one GEMM per dense layer). Equals `b × RadiationMlp::flops()`.
 pub fn mlp_batch_flops(net: &RadiationMlp, b: usize) -> u64 {
     let dense = |d: &Dense| gemm_flops(d.n_out, b, d.n_in);
-    dense(&net.input) + net.hidden.iter().map(dense).sum::<u64>() + dense(&net.output)
+    net.layers.iter().map(dense).sum()
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ fn invalid(what: String) -> io::Error {
 }
 
 /// `rows × cols` as a tensor length, or `InvalidData` if a header's sizes
-/// imply a tensor longer than [`read_f32_vec`] accepts — checked before a
-/// model allocates it.
+/// imply a tensor longer than a weight file may hold — checked before a
+/// tensor is read.
 pub(crate) fn tensor_len(rows: usize, cols: usize) -> io::Result<usize> {
     rows.checked_mul(cols)
         .filter(|&n| n <= MAX_TENSOR_LEN)
@@ -42,34 +42,32 @@ pub(crate) fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
     Ok(())
 }
 
-pub(crate) fn read_f32_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
-    let n = read_u64(r)? as usize;
-    if n > MAX_TENSOR_LEN {
-        return Err(invalid(format!("tensor of {n} values is too large")));
-    }
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 pub(crate) fn write_norm_pairs(w: &mut impl Write, pairs: &[(f32, f32)]) -> io::Result<()> {
     let flat: Vec<f32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
     write_f32_slice(w, &flat)
 }
 
-/// A tensor of exactly `want` values, the length the header implies.
+/// A tensor of exactly `want` values, the length the header implies. The
+/// stored length is compared with `want` before anything is allocated, and
+/// the values are read through a buffer that grows with the bytes actually
+/// present, so a truncated file costs a small multiple of what it holds,
+/// never what its header claims.
 pub(crate) fn read_f32_exact(r: &mut impl Read, want: usize) -> io::Result<Vec<f32>> {
-    let v = read_f32_vec(r)?;
-    if v.len() != want {
+    let n = read_u64(r)?;
+    if n != want as u64 {
         return Err(invalid(format!(
-            "tensor of {} values, header implies {want}",
-            v.len()
+            "tensor of {n} values, header implies {want}"
         )));
     }
-    Ok(v)
+    let mut bytes = Vec::new();
+    r.take(4 * n).read_to_end(&mut bytes)?;
+    if bytes.len() != 4 * want {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect())
 }
 
 /// Exactly `want` normaliser pairs: one per input channel or output of the
@@ -109,7 +107,7 @@ mod tests {
         let v = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 1e30];
         let mut buf = Vec::new();
         write_f32_slice(&mut buf, &v).unwrap();
-        let back = read_f32_vec(&mut buf.as_slice()).unwrap();
+        let back = read_f32_exact(&mut buf.as_slice(), v.len()).unwrap();
         assert_eq!(back, v);
     }
 
@@ -138,6 +136,14 @@ mod tests {
         let mut buf = Vec::new();
         write_f32_slice(&mut buf, &v).unwrap();
         buf.truncate(buf.len() - 3);
-        assert!(read_f32_vec(&mut buf.as_slice()).is_err());
+        assert!(read_f32_exact(&mut buf.as_slice(), 16).is_err());
+        // A length field of 2^28 values (1 GiB) over a few bytes: refused
+        // when it disagrees with the header, cut short when it agrees.
+        let mut buf = Vec::new();
+        write_u64(&mut buf, 1 << 28).unwrap();
+        buf.extend([0u8; 12]);
+        assert!(read_f32_exact(&mut buf.as_slice(), 16).is_err());
+        let err = read_f32_exact(&mut buf.as_slice(), 1 << 28).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

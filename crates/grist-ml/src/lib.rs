@@ -2,7 +2,8 @@
 //!
 //! The AI-enhanced physics suite of the GRIST-rs reproduction (§3.2): a
 //! dependency-free f32 neural-network library (stateless dense + 1-D conv
-//! layers with hand-written backprop, and Adam), the paper's two models —
+//! layers that hold only their weights, with hand-written backprop, and
+//! Adam, which owns every gradient and moment), the paper's two models —
 //! the 11-layer ~0.5M-parameter [`TendencyCnn`] for the Q1/Q2 physical
 //! tendencies and the 7-layer residual [`RadiationMlp`] for the `gsw`/`glw`
 //! surface radiation diagnostics, each with one forward pass whose planes
@@ -32,4 +33,4 @@ pub use gemm::simd::{gemm_nn_simd, F32x8, Lanes, LANE_WIDTH, MR_SIMD, NR_SIMD};
 pub use gemm::{gemm_flops, gemm_nn, gemm_nn_with, GemmVariant};
 pub use models::{RadiationMlp, TendencyCnn, CNN_INPUT_CHANNELS, CNN_OUTPUT_CHANNELS};
 pub use optim::{Adam, AdamConfig};
-pub use tensor::{mse_loss, Conv1d, Dense, Param};
+pub use tensor::{mse_loss, Conv1d, Dense};

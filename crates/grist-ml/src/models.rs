@@ -25,21 +25,14 @@ use std::io::{Read, Write};
 pub const CNN_INPUT_CHANNELS: usize = 5;
 /// Number of output channels: Q1 (heating) and Q2 (moistening).
 pub const CNN_OUTPUT_CHANNELS: usize = 2;
+/// Residual units of the CNN, and residual hidden layers of the MLP.
+const RES_UNITS: usize = 5;
 
-/// One residual unit: conv → ReLU → conv, added to the input.
-#[derive(Debug, Clone)]
-pub(crate) struct ResUnit {
-    pub(crate) conv1: Conv1d,
-    pub(crate) conv2: Conv1d,
-}
-
-impl ResUnit {
-    fn new(ch: usize, nlev: usize, rng: &mut StdRng) -> Self {
-        ResUnit {
-            conv1: Conv1d::new(ch, ch, 3, nlev, rng),
-            conv2: Conv1d::new(ch, ch, 3, nlev, rng),
-        }
-    }
+/// The gradients of layer `j`'s weight and bias in `grads`, a network's
+/// tensors in file order: each layer's weight, then its bias.
+fn layer_grads(grads: &mut [Vec<f32>], j: usize) -> [&mut [f32]; 2] {
+    let (w, b) = grads[2 * j..].split_at_mut(1);
+    [&mut w[0], &mut b[0]]
 }
 
 /// The 11-layer tendency CNN (input conv + 5 ResUnits + output conv).
@@ -47,13 +40,23 @@ impl ResUnit {
 pub struct TendencyCnn {
     pub nlev: usize,
     pub channels: usize,
-    pub(crate) input: Conv1d,
-    pub(crate) res: Vec<ResUnit>,
-    pub(crate) output: Conv1d,
+    /// Every conv in file order: the input conv, each ResUnit's two (conv →
+    /// ReLU → conv, added to the unit's input), the 1 × 1 head.
+    pub(crate) convs: Vec<Conv1d>,
     /// Per-channel input normalization (mean, 1/std) — fit on training data.
     pub in_norm: Vec<(f32, f32)>,
     /// Per-channel output denormalization (mean, std).
     pub out_norm: Vec<(f32, f32)>,
+}
+
+/// `(c_in, c_out, ksize)` of every CNN conv, in file order. The 1×1
+/// per-level linear readout head is not counted among the "11-layer deep
+/// CNN" k=3 convolution layers.
+fn conv_shapes(channels: usize) -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![(CNN_INPUT_CHANNELS, channels, 3)];
+    shapes.extend([(channels, channels, 3); 2 * RES_UNITS]);
+    shapes.push((channels, CNN_OUTPUT_CHANNELS, 1));
+    shapes
 }
 
 impl TendencyCnn {
@@ -64,45 +67,45 @@ impl TendencyCnn {
         TendencyCnn {
             nlev,
             channels,
-            input: Conv1d::new(CNN_INPUT_CHANNELS, channels, 3, nlev, &mut rng),
-            res: (0..5)
-                .map(|_| ResUnit::new(channels, nlev, &mut rng))
+            convs: conv_shapes(channels)
+                .into_iter()
+                .map(|(c_in, c_out, k)| Conv1d::new(c_in, c_out, k, nlev, &mut rng))
                 .collect(),
-            // 1×1 per-level linear readout head (not counted among the
-            // "11-layer deep CNN" k=3 convolution layers).
-            output: Conv1d::new(channels, CNN_OUTPUT_CHANNELS, 1, nlev, &mut rng),
             in_norm: vec![(0.0, 1.0); CNN_INPUT_CHANNELS],
             out_norm: vec![(0.0, 1.0); CNN_OUTPUT_CHANNELS],
         }
     }
 
+    /// The ResUnits' `[conv1, conv2]` pairs, between the input conv and the
+    /// head.
+    pub(crate) fn units(&self) -> &[[Conv1d; 2]] {
+        self.convs[1..self.convs.len() - 1].as_chunks().0
+    }
+
     /// Total trainable parameters.
     pub fn n_params(&self) -> usize {
-        self.input.n_params()
-            + self
-                .res
-                .iter()
-                .map(|r| r.conv1.n_params() + r.conv2.n_params())
-                .sum::<usize>()
-            + self.output.n_params()
+        self.tensor_lens().iter().sum()
+    }
+
+    /// Every weight and bias length in file order — what [`Adam::new`]
+    /// sizes its state from.
+    pub fn tensor_lens(&self) -> Vec<usize> {
+        self.convs
+            .iter()
+            .flat_map(|c| [c.weight.len(), c.bias.len()])
+            .collect()
     }
 
     /// Deep (k = 3) conv layers in the network — the paper's "11-layer deep
     /// CNN": one input conv plus two per ResUnit; the 1×1 readout head is a
     /// linear projection, not a deep layer.
     pub fn n_conv_layers(&self) -> usize {
-        1 + 2 * self.res.len()
+        1 + 2 * self.units().len()
     }
 
     /// FLOPs of one forward (inference) pass.
     pub fn flops(&self) -> u64 {
-        self.input.flops()
-            + self
-                .res
-                .iter()
-                .map(|r| r.conv1.flops() + r.conv2.flops())
-                .sum::<u64>()
-            + self.output.flops()
+        self.convs.iter().map(Conv1d::flops).sum()
     }
 
     /// Normalize a raw `[5 × nlev]` input in place.
@@ -128,22 +131,24 @@ impl TendencyCnn {
     /// The one forward pass, on a *normalized* input: every activation
     /// plane in layer order — the input conv's (after its ReLU), each
     /// ResUnit's hidden plane (conv1 after its ReLU) and its output
-    /// (conv2 plus the skip), then the network output.
+    /// (conv2 plus the skip), then the network output. Conv `j` reads plane
+    /// `j − 1` (the input conv reads `x`) and writes plane `j`.
     fn forward(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut a = self.input.infer(x);
+        let mut a = self.convs[0].infer(x);
         relu(&mut a);
         let mut planes = vec![a];
-        for r in &self.res {
+        for [conv1, conv2] in self.units() {
             let a = &planes[planes.len() - 1];
-            let mut h = r.conv1.infer(a);
+            let mut h = conv1.infer(a);
             relu(&mut h);
-            let mut out = r.conv2.infer(&h);
+            let mut out = conv2.infer(&h);
             for (o, &s) in out.iter_mut().zip(a) {
                 *o += s;
             }
             planes.extend([h, out]);
         }
-        planes.push(self.output.infer(&planes[planes.len() - 1]));
+        let head = &self.convs[self.convs.len() - 1];
+        planes.push(head.infer(&planes[planes.len() - 1]));
         planes
     }
 
@@ -155,46 +160,39 @@ impl TendencyCnn {
     }
 
     /// One SGD sample: forward, MSE vs `target` (normalized), backward
-    /// through the recorded planes. Returns the loss. Gradients accumulate
-    /// until the optimizer step.
-    pub fn train_sample(&mut self, x: &[f32], target: &[f32]) -> f32 {
+    /// through the recorded planes. Returns the loss. The gradients
+    /// accumulate in `opt` until [`Self::optimizer_step`]; `opt` is built
+    /// from this network's [`Self::tensor_lens`].
+    pub fn train_sample(&self, opt: &mut Adam, x: &[f32], target: &[f32]) -> f32 {
         let planes = self.forward(x);
-        // `acts` = [a0, h1, a1, …, h5, a5]: unit i reads a_i = acts[2i].
+        // `acts` = [a0, h1, a1, …, h5, a5]: conv `j` reads acts[j − 1].
         let (y, acts) = planes.split_last().expect("forward returns its output");
         let (loss, gy) = mse_loss(y, target);
-        let mut g = self.output.backward(&acts[acts.len() - 1], &gy);
-        for (i, r) in self.res.iter_mut().enumerate().rev() {
-            let h = &acts[2 * i + 1];
-            let mut gh = r.conv2.backward(h, &g);
+        let grads = opt.grads_mut();
+        let head = self.convs.len() - 1;
+        let mut g = self.convs[head].backward(&acts[head - 1], &gy, layer_grads(grads, head));
+        // `j` is a ResUnit's conv1, `j + 1` its conv2, last unit first.
+        for j in (1..head).step_by(2).rev() {
+            let h = &acts[j];
+            let mut gh = self.convs[j + 1].backward(h, &g, layer_grads(grads, j + 1));
             relu_backward(h, &mut gh);
-            let gx = r.conv1.backward(&acts[2 * i], &gh);
+            let gx = self.convs[j].backward(&acts[j - 1], &gh, layer_grads(grads, j));
             for (a, b) in g.iter_mut().zip(&gx) {
                 *a += b; // plus the residual skip path
             }
         }
         relu_backward(&acts[0], &mut g);
-        self.input.backward(x, &g);
+        self.convs[0].backward(x, &g, layer_grads(grads, 0));
         loss
     }
 
     /// Apply one optimizer step to every parameter.
     pub fn optimizer_step(&mut self, opt: &mut Adam) {
-        opt.begin_step();
-        for conv in self.convs_mut() {
-            opt.update(&mut conv.weight);
-            opt.update(&mut conv.bias);
-        }
-    }
-
-    /// Every conv layer in file order: input, each ResUnit's two, output.
-    fn convs_mut(&mut self) -> Vec<&mut Conv1d> {
-        let mut v = vec![&mut self.input];
-        for r in &mut self.res {
-            v.push(&mut r.conv1);
-            v.push(&mut r.conv2);
-        }
-        v.push(&mut self.output);
-        v
+        opt.step(
+            self.convs
+                .iter_mut()
+                .flat_map(|c| [&mut c.weight[..], &mut c.bias[..]]),
+        );
     }
 
     /// Serialize architecture, weights and normalization to a writer. Each
@@ -206,15 +204,16 @@ impl TendencyCnn {
         write_u64(w, self.channels as u64)?;
         write_norm_pairs(w, &self.in_norm)?;
         write_norm_pairs(w, &self.out_norm)?;
-        let res = self.res.iter().flat_map(|r| [&r.conv1, &r.conv2]);
-        for conv in [&self.input].into_iter().chain(res).chain([&self.output]) {
+        for conv in &self.convs {
             write_f32_slice(w, &conv.weight_oik())?;
-            write_f32_slice(w, &conv.bias.w)?;
+            write_f32_slice(w, &conv.bias)?;
         }
         Ok(())
     }
 
-    /// Deserialize a model saved with [`Self::save_to`].
+    /// Deserialize a model saved with [`Self::save_to`]: the header, the
+    /// normalisers and every tensor are read before a layer is built, and
+    /// nothing is allocated beyond what the file holds.
     pub fn load_from(r: &mut impl Read) -> std::io::Result<TendencyCnn> {
         check_magic(r, KIND_CNN)?;
         let nlev = read_u64(r)? as usize;
@@ -223,15 +222,23 @@ impl TendencyCnn {
         // activation plane, `channels × nlev`.
         tensor_len(tensor_len(3, channels)?, channels.max(CNN_INPUT_CHANNELS))?;
         tensor_len(channels, nlev)?;
-        let mut net = TendencyCnn::new(nlev, channels, 0);
-        net.in_norm = read_norm_pairs(r, CNN_INPUT_CHANNELS)?;
-        net.out_norm = read_norm_pairs(r, CNN_OUTPUT_CHANNELS)?;
-        for conv in net.convs_mut() {
-            let weight = read_f32_exact(r, conv.weight.len())?;
-            conv.set_weight_oik(&weight);
-            conv.bias.w = read_f32_exact(r, conv.bias.len())?;
-        }
-        Ok(net)
+        let in_norm = read_norm_pairs(r, CNN_INPUT_CHANNELS)?;
+        let out_norm = read_norm_pairs(r, CNN_OUTPUT_CHANNELS)?;
+        let convs = conv_shapes(channels)
+            .into_iter()
+            .map(|(c_in, c_out, k)| {
+                let weight = read_f32_exact(r, c_out * c_in * k)?;
+                let bias = read_f32_exact(r, c_out)?;
+                Ok(Conv1d::from_weights(c_in, c_out, k, nlev, &weight, bias))
+            })
+            .collect::<std::io::Result<_>>()?;
+        Ok(TendencyCnn {
+            nlev,
+            channels,
+            convs,
+            in_norm,
+            out_norm,
+        })
     }
 }
 
@@ -243,12 +250,20 @@ pub struct RadiationMlp {
     pub n_in: usize,
     pub n_out: usize,
     pub width: usize,
-    pub(crate) input: Dense,
-    pub(crate) hidden: Vec<Dense>, // 5 hidden layers with residual skips
-    pub(crate) output: Dense,
+    /// Every dense layer in file order: the input layer, the five hidden
+    /// layers with residual skips, the output layer.
+    pub(crate) layers: Vec<Dense>,
     pub in_norm: Vec<(f32, f32)>,
     /// (mean, std) per output (gsw, glw, …).
     pub out_norm: Vec<(f32, f32)>,
+}
+
+/// `(n_in, n_out)` of every MLP layer, in file order.
+fn dense_shapes(n_in: usize, n_out: usize, width: usize) -> Vec<(usize, usize)> {
+    let mut shapes = vec![(n_in, width)];
+    shapes.extend([(width, width); RES_UNITS]);
+    shapes.push((width, n_out));
+    shapes
 }
 
 impl RadiationMlp {
@@ -265,29 +280,40 @@ impl RadiationMlp {
             n_in,
             n_out,
             width,
-            input: Dense::new(n_in, width, &mut rng),
-            hidden: (0..5).map(|_| Dense::new(width, width, &mut rng)).collect(),
-            output: Dense::new(width, n_out, &mut rng),
+            layers: dense_shapes(n_in, n_out, width)
+                .into_iter()
+                .map(|(i, o)| Dense::new(i, o, &mut rng))
+                .collect(),
             in_norm: vec![(0.0, 1.0); n_in],
             out_norm: vec![(0.0, 1.0); n_out],
         }
     }
 
+    /// The hidden layers with residual skips, between the input and the
+    /// output layer.
+    pub(crate) fn hidden(&self) -> &[Dense] {
+        &self.layers[1..self.layers.len() - 1]
+    }
+
     /// Dense layers in the network (the paper's "7-layer MLP").
     pub fn n_layers(&self) -> usize {
-        2 + self.hidden.len()
+        self.layers.len()
     }
 
     pub fn n_params(&self) -> usize {
-        self.input.n_params()
-            + self.hidden.iter().map(|h| h.n_params()).sum::<usize>()
-            + self.output.n_params()
+        self.tensor_lens().iter().sum()
+    }
+
+    /// See [`TendencyCnn::tensor_lens`].
+    pub fn tensor_lens(&self) -> Vec<usize> {
+        self.layers
+            .iter()
+            .flat_map(|d| [d.weight.len(), d.bias.len()])
+            .collect()
     }
 
     pub fn flops(&self) -> u64 {
-        self.input.flops()
-            + self.hidden.iter().map(|h| h.flops()).sum::<u64>()
-            + self.output.flops()
+        self.layers.iter().map(Dense::flops).sum()
     }
 
     pub fn normalize_input(&self, x: &mut [f32]) {
@@ -307,17 +333,18 @@ impl RadiationMlp {
     /// hidden layer's ReLU output `z` and the residual sum `h + z`, then the
     /// network output.
     fn forward(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut h = self.input.infer(x);
+        let mut h = self.layers[0].infer(x);
         relu(&mut h);
         let mut planes = vec![h];
-        for layer in &self.hidden {
+        for layer in self.hidden() {
             let h = &planes[planes.len() - 1];
             let mut z = layer.infer(h);
             relu(&mut z);
             let next = h.iter().zip(&z).map(|(a, b)| a + b).collect();
             planes.extend([z, next]);
         }
-        planes.push(self.output.infer(&planes[planes.len() - 1]));
+        let output = &self.layers[self.layers.len() - 1];
+        planes.push(output.infer(&planes[planes.len() - 1]));
         planes
     }
 
@@ -329,43 +356,38 @@ impl RadiationMlp {
     }
 
     /// See [`TendencyCnn::train_sample`].
-    pub fn train_sample(&mut self, x: &[f32], target: &[f32]) -> f32 {
+    pub fn train_sample(&self, opt: &mut Adam, x: &[f32], target: &[f32]) -> f32 {
         let planes = self.forward(x);
-        // `acts` = [h0, z1, h1, …, z5, h5]: layer i reads h_i = acts[2i].
+        // `acts` = [h0, z1, h1, …, z5, h5]: hidden layer j reads
+        // h_{j−1} = acts[2j − 2], the output layer the last plane.
         let (y, acts) = planes.split_last().expect("forward returns its output");
         let (loss, gy) = mse_loss(y, target);
-        let mut g = self.output.backward(&acts[acts.len() - 1], &gy);
-        for (i, layer) in self.hidden.iter_mut().enumerate().rev() {
+        let grads = opt.grads_mut();
+        let out = self.layers.len() - 1;
+        let mut g = self.layers[out].backward(&acts[acts.len() - 1], &gy, layer_grads(grads, out));
+        for j in (1..out).rev() {
             // Residual block: h_out = relu(layer(h_in)) + h_in, so the
             // gradient reaching h_in is the skip-path gradient plus the
             // gradient back-propagated through relu∘layer.
             let mut gz = g.clone();
-            relu_backward(&acts[2 * i + 1], &mut gz);
-            let g_layer = layer.backward(&acts[2 * i], &gz);
+            relu_backward(&acts[2 * j - 1], &mut gz);
+            let g_layer = self.layers[j].backward(&acts[2 * j - 2], &gz, layer_grads(grads, j));
             for (a, b) in g.iter_mut().zip(&g_layer) {
                 *a += b;
             }
         }
         relu_backward(&acts[0], &mut g);
-        self.input.backward(x, &g);
+        self.layers[0].backward(x, &g, layer_grads(grads, 0));
         loss
     }
 
     /// See [`TendencyCnn::optimizer_step`].
     pub fn optimizer_step(&mut self, opt: &mut Adam) {
-        opt.begin_step();
-        for d in self.layers_mut() {
-            opt.update(&mut d.weight);
-            opt.update(&mut d.bias);
-        }
-    }
-
-    /// Every dense layer in file order: input, the five hidden, output.
-    fn layers_mut(&mut self) -> Vec<&mut Dense> {
-        let mut v = vec![&mut self.input];
-        v.extend(&mut self.hidden);
-        v.push(&mut self.output);
-        v
+        opt.step(
+            self.layers
+                .iter_mut()
+                .flat_map(|d| [&mut d.weight[..], &mut d.bias[..]]),
+        );
     }
 
     /// Serialize architecture, weights and normalization to a writer. Each
@@ -377,18 +399,15 @@ impl RadiationMlp {
         write_u64(w, self.width as u64)?;
         write_norm_pairs(w, &self.in_norm)?;
         write_norm_pairs(w, &self.out_norm)?;
-        for d in [&self.input]
-            .into_iter()
-            .chain(&self.hidden)
-            .chain([&self.output])
-        {
-            write_f32_slice(w, &d.weight.w)?;
-            write_f32_slice(w, &d.bias.w)?;
+        for d in &self.layers {
+            write_f32_slice(w, &d.weight)?;
+            write_f32_slice(w, &d.bias)?;
         }
         Ok(())
     }
 
-    /// Deserialize a model saved with [`Self::save_to`].
+    /// Deserialize a model saved with [`Self::save_to`]; see
+    /// [`TendencyCnn::load_from`].
     pub fn load_from(r: &mut impl Read) -> std::io::Result<RadiationMlp> {
         check_magic(r, KIND_MLP)?;
         let n_in = read_u64(r)? as usize;
@@ -399,14 +418,24 @@ impl RadiationMlp {
         for n in [n_in, n_out, width] {
             tensor_len(n, width.max(2))?;
         }
-        let mut net = RadiationMlp::with_outputs(n_in, n_out, width, 0);
-        net.in_norm = read_norm_pairs(r, n_in)?;
-        net.out_norm = read_norm_pairs(r, n_out)?;
-        for d in net.layers_mut() {
-            d.weight.w = read_f32_exact(r, d.weight.len())?;
-            d.bias.w = read_f32_exact(r, d.bias.len())?;
-        }
-        Ok(net)
+        let in_norm = read_norm_pairs(r, n_in)?;
+        let out_norm = read_norm_pairs(r, n_out)?;
+        let layers = dense_shapes(n_in, n_out, width)
+            .into_iter()
+            .map(|(i, o)| {
+                let weight = read_f32_exact(r, o * i)?;
+                let bias = read_f32_exact(r, o)?;
+                Ok(Dense::from_weights(i, o, weight, bias))
+            })
+            .collect::<std::io::Result<_>>()?;
+        Ok(RadiationMlp {
+            n_in,
+            n_out,
+            width,
+            layers,
+            in_norm,
+            out_norm,
+        })
     }
 }
 
@@ -470,46 +499,30 @@ mod tests {
             .collect()
     }
 
-    /// `net` after `epochs` full-batch Adam steps (lr 3e-3) on `set`:
-    /// `sample` accumulates one pair's gradients, `step` applies them.
-    fn trained<N>(
-        mut net: N,
-        set: &Set,
-        epochs: usize,
-        sample: fn(&mut N, &[f32], &[f32]) -> f32,
-        step: fn(&mut N, &mut Adam),
-    ) -> N {
-        let mut opt = Adam::new(AdamConfig {
-            lr: 3e-3,
-            ..Default::default()
-        });
+    /// `net` after `epochs` full-batch Adam steps (lr 3e-3) on `set`.
+    fn trained_cnn(mut net: TendencyCnn, set: &Set, epochs: usize) -> TendencyCnn {
+        let mut opt = Adam::new(AdamConfig::default(), net.tensor_lens());
+        opt.cfg.lr = 3e-3;
         for _ in 0..epochs {
             for (x, y) in set {
-                sample(&mut net, x, y);
+                net.train_sample(&mut opt, x, y);
             }
-            step(&mut net, &mut opt);
+            net.optimizer_step(&mut opt);
         }
         net
     }
 
-    fn trained_cnn(net: TendencyCnn, set: &Set, epochs: usize) -> TendencyCnn {
-        trained(
-            net,
-            set,
-            epochs,
-            TendencyCnn::train_sample,
-            TendencyCnn::optimizer_step,
-        )
-    }
-
-    fn trained_mlp(net: RadiationMlp, set: &Set, epochs: usize) -> RadiationMlp {
-        trained(
-            net,
-            set,
-            epochs,
-            RadiationMlp::train_sample,
-            RadiationMlp::optimizer_step,
-        )
+    /// See [`trained_cnn`].
+    fn trained_mlp(mut net: RadiationMlp, set: &Set, epochs: usize) -> RadiationMlp {
+        let mut opt = Adam::new(AdamConfig::default(), net.tensor_lens());
+        opt.cfg.lr = 3e-3;
+        for _ in 0..epochs {
+            for (x, y) in set {
+                net.train_sample(&mut opt, x, y);
+            }
+            net.optimizer_step(&mut opt);
+        }
+        net
     }
 
     #[test]
@@ -563,16 +576,20 @@ mod tests {
     fn train_sample_loss_is_the_inference_loss_bit_for_bit() {
         // A few optimizer steps first, so the weights are not the draw.
         let cnn_set = cnn_samples();
-        let mut cnn = trained_cnn(TendencyCnn::new(8, 8, 5), &cnn_set, 3);
+        let cnn = trained_cnn(TendencyCnn::new(8, 8, 5), &cnn_set, 3);
+        let mut opt = Adam::new(AdamConfig::default(), cnn.tensor_lens());
         for s in &cnn_set {
             let want = cnn_loss(&cnn, std::slice::from_ref(s));
-            assert_eq!(cnn.train_sample(&s.0, &s.1).to_bits(), want.to_bits());
+            let got = cnn.train_sample(&mut opt, &s.0, &s.1);
+            assert_eq!(got.to_bits(), want.to_bits());
         }
         let mlp_set = mlp_samples();
-        let mut mlp = trained_mlp(RadiationMlp::new(4, 16, 6), &mlp_set, 3);
+        let mlp = trained_mlp(RadiationMlp::new(4, 16, 6), &mlp_set, 3);
+        let mut opt = Adam::new(AdamConfig::default(), mlp.tensor_lens());
         for s in &mlp_set {
             let want = mlp_loss(&mlp, std::slice::from_ref(s));
-            assert_eq!(mlp.train_sample(&s.0, &s.1).to_bits(), want.to_bits());
+            let got = mlp.train_sample(&mut opt, &s.0, &s.1);
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

@@ -1,9 +1,11 @@
-//! Minimal neural-network building blocks: parameters with gradient and
-//! Adam moment storage, dense and 1-D convolution layers with hand-written
+//! Minimal neural-network building blocks: dense and 1-D convolution layers
+//! that hold their weights and biases as plain vectors, with hand-written
 //! forward/backward passes, and the ReLU activation. The layers are
 //! stateless: `infer` is the one forward pass and `backward` takes the input
-//! it read, so a network's training step backpropagates through the
-//! activation planes its inference computes.
+//! it read and adds into the gradient slices it is handed, so a network's
+//! training step backpropagates through the activation planes its inference
+//! computes, and the gradients and optimizer moments live in the optimizer
+//! ([`crate::optim::Adam`]), never in a layer.
 //!
 //! The paper's ML physics suite is deliberately compact — an 11-layer 1-D CNN
 //! (~0.5 M parameters) and a 7-layer MLP — so a small, dependency-free,
@@ -15,48 +17,10 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// A trainable parameter tensor with gradient and Adam moments.
-#[derive(Debug, Clone)]
-pub struct Param {
-    pub w: Vec<f32>,
-    pub g: Vec<f32>,
-    pub m: Vec<f32>,
-    pub v: Vec<f32>,
-}
-
-impl Param {
-    /// He-uniform initialization for a parameter with `fan_in` inputs.
-    pub fn he(n: usize, fan_in: usize, rng: &mut StdRng) -> Self {
-        let bound = (6.0 / fan_in as f32).sqrt();
-        let w = (0..n).map(|_| rng.gen_range(-bound..bound)).collect();
-        Param {
-            w,
-            g: vec![0.0; n],
-            m: vec![0.0; n],
-            v: vec![0.0; n],
-        }
-    }
-
-    pub fn zeros(n: usize) -> Self {
-        Param {
-            w: vec![0.0; n],
-            g: vec![0.0; n],
-            m: vec![0.0; n],
-            v: vec![0.0; n],
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.w.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
-    }
-
-    pub fn zero_grad(&mut self) {
-        self.g.fill(0.0);
-    }
+/// `n` He-uniform weights for a layer with `fan_in` inputs.
+fn he(n: usize, fan_in: usize, rng: &mut StdRng) -> Vec<f32> {
+    let bound = (6.0 / fan_in as f32).sqrt();
+    (0..n).map(|_| rng.gen_range(-bound..bound)).collect()
 }
 
 /// Fully-connected layer `y = W x + b`.
@@ -64,26 +28,39 @@ impl Param {
 pub struct Dense {
     pub n_in: usize,
     pub n_out: usize,
-    pub weight: Param, // row-major [n_out × n_in]
-    pub bias: Param,
+    pub weight: Vec<f32>, // row-major [n_out × n_in]
+    pub bias: Vec<f32>,
 }
 
 impl Dense {
+    /// He-initialised weights, zero bias.
     pub fn new(n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
+        Self::from_weights(n_in, n_out, he(n_out * n_in, n_in, rng), vec![0.0; n_out])
+    }
+
+    /// The layer with `weight [n_out × n_in]` and `bias [n_out]`.
+    pub(crate) fn from_weights(
+        n_in: usize,
+        n_out: usize,
+        weight: Vec<f32>,
+        bias: Vec<f32>,
+    ) -> Self {
+        assert_eq!(weight.len(), n_out * n_in, "dense weight length");
+        assert_eq!(bias.len(), n_out, "dense bias length");
         Dense {
             n_in,
             n_out,
-            weight: Param::he(n_out * n_in, n_in, rng),
-            bias: Param::zeros(n_out),
+            weight,
+            bias,
         }
     }
 
     /// The forward pass `y = W x + b`.
     pub fn infer(&self, x: &[f32]) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.n_in);
-        let mut y = self.bias.w.clone();
+        let mut y = self.bias.clone();
         for o in 0..self.n_out {
-            let row = &self.weight.w[o * self.n_in..(o + 1) * self.n_in];
+            let row = &self.weight[o * self.n_in..(o + 1) * self.n_in];
             let mut acc = 0.0f32;
             for (wi, xi) in row.iter().zip(x) {
                 acc += wi * xi;
@@ -93,27 +70,30 @@ impl Dense {
         y
     }
 
-    /// Accumulate the parameter gradients of the forward pass that read `x`
-    /// and return the gradient with respect to `x`.
-    pub fn backward(&mut self, x: &[f32], grad_y: &[f32]) -> Vec<f32> {
+    /// Add the weight and bias gradients of the forward pass that read `x`
+    /// into `grad_w` and `grad_b` (laid out as `weight` and `bias`) and
+    /// return the gradient with respect to `x`.
+    pub fn backward(
+        &self,
+        x: &[f32],
+        grad_y: &[f32],
+        [grad_w, grad_b]: [&mut [f32]; 2],
+    ) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.n_in);
         debug_assert_eq!(grad_y.len(), self.n_out);
+        debug_assert_eq!(grad_w.len(), self.weight.len());
         let mut grad_x = vec![0.0f32; self.n_in];
         for o in 0..self.n_out {
             let gy = grad_y[o];
-            self.bias.g[o] += gy;
-            let row_w = &self.weight.w[o * self.n_in..(o + 1) * self.n_in];
-            let row_g = &mut self.weight.g[o * self.n_in..(o + 1) * self.n_in];
+            grad_b[o] += gy;
+            let row_w = &self.weight[o * self.n_in..(o + 1) * self.n_in];
+            let row_g = &mut grad_w[o * self.n_in..(o + 1) * self.n_in];
             for i in 0..self.n_in {
                 row_g[i] += gy * x[i];
                 grad_x[i] += gy * row_w[i];
             }
         }
         grad_x
-    }
-
-    pub fn n_params(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 
     /// FLOPs of one forward pass (mul+add per weight).
@@ -138,24 +118,39 @@ pub struct Conv1d {
     pub c_out: usize,
     pub ksize: usize,
     pub len: usize,
-    pub weight: Param, // [(c_in·ksize) × c_out]
-    pub bias: Param,   // [c_out]
+    pub weight: Vec<f32>, // [(c_in·ksize) × c_out]
+    pub bias: Vec<f32>,   // [c_out]
 }
 
 impl Conv1d {
+    /// He-initialised weights, zero bias. The weights are drawn in
+    /// `[c_out × c_in × ksize]` order, so a seed gives the network it
+    /// always gave.
     pub fn new(c_in: usize, c_out: usize, ksize: usize, len: usize, rng: &mut StdRng) -> Self {
+        let weight = he(c_out * c_in * ksize, c_in * ksize, rng);
+        Self::from_weights(c_in, c_out, ksize, len, &weight, vec![0.0; c_out])
+    }
+
+    /// The layer with weight `oik` in `[c_out × c_in × ksize]` order (the
+    /// order weight files hold), stored K-major, and `bias [c_out]`.
+    pub(crate) fn from_weights(
+        c_in: usize,
+        c_out: usize,
+        ksize: usize,
+        len: usize,
+        oik: &[f32],
+        bias: Vec<f32>,
+    ) -> Self {
         assert!(ksize % 2 == 1, "odd kernel for same padding");
-        // Drawn in `[c_out × c_in × ksize]` order, so a seed gives the
-        // network it always gave, then stored K-major.
-        let mut weight = Param::he(c_out * c_in * ksize, c_in * ksize, rng);
-        weight.w = transposed(&weight.w, c_out, c_in * ksize);
+        assert_eq!(oik.len(), c_out * c_in * ksize, "conv weight length");
+        assert_eq!(bias.len(), c_out, "conv bias length");
         Conv1d {
             c_in,
             c_out,
             ksize,
             len,
-            weight,
-            bias: Param::zeros(c_out),
+            weight: transposed(oik, c_out, c_in * ksize),
+            bias,
         }
     }
 
@@ -164,37 +159,34 @@ impl Conv1d {
         (ci * self.ksize + k) * self.c_out + co
     }
 
+    /// Tap `k`'s shift `k − ksize/2`, and the output positions `p` whose
+    /// input `p + shift` lies inside the column.
+    fn tap(&self, k: usize) -> (isize, std::ops::Range<usize>) {
+        let shift = k as isize - (self.ksize / 2) as isize;
+        let ps = (-shift).max(0) as usize..self.len - shift.max(0) as usize;
+        (shift, ps)
+    }
+
     /// The weight in `[c_out × c_in × ksize]` order — the order weight files
     /// hold.
     pub(crate) fn weight_oik(&self) -> Vec<f32> {
-        transposed(&self.weight.w, self.c_in * self.ksize, self.c_out)
-    }
-
-    /// Set the weight from `[c_out × c_in × ksize]` order.
-    pub(crate) fn set_weight_oik(&mut self, oik: &[f32]) {
-        self.weight.w = transposed(oik, self.c_out, self.c_in * self.ksize);
+        transposed(&self.weight, self.c_in * self.ksize, self.c_out)
     }
 
     /// The forward pass: `y [c_out × len]` from `x [c_in × len]`.
     pub fn infer(&self, x: &[f32]) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.c_in * self.len);
         let mut y = vec![0.0f32; self.c_out * self.len];
-        let half = self.ksize / 2;
         for co in 0..self.c_out {
             let yrow = &mut y[co * self.len..(co + 1) * self.len];
-            yrow.fill(self.bias.w[co]);
+            yrow.fill(self.bias[co]);
             for ci in 0..self.c_in {
                 let xrow = &x[ci * self.len..(ci + 1) * self.len];
                 for k in 0..self.ksize {
-                    let w = self.weight.w[self.widx(co, ci, k)];
+                    let w = self.weight[self.widx(co, ci, k)];
                     // y[p] += w * x[p + k - half] where in range
-                    let shift = k as isize - half as isize;
-                    let (p_lo, p_hi) = if shift < 0 {
-                        ((-shift) as usize, self.len)
-                    } else {
-                        (0, self.len - shift as usize)
-                    };
-                    for p in p_lo..p_hi {
+                    let (shift, ps) = self.tap(k);
+                    for p in ps {
                         yrow[p] += w * xrow[(p as isize + shift) as usize];
                     }
                 }
@@ -203,41 +195,37 @@ impl Conv1d {
         y
     }
 
-    /// See [`Dense::backward`].
-    pub fn backward(&mut self, x: &[f32], grad_y: &[f32]) -> Vec<f32> {
+    /// See [`Dense::backward`]; `grad_w` is K-major, as `weight` is.
+    pub fn backward(
+        &self,
+        x: &[f32],
+        grad_y: &[f32],
+        [grad_w, grad_b]: [&mut [f32]; 2],
+    ) -> Vec<f32> {
         debug_assert_eq!(x.len(), self.c_in * self.len);
-        let half = self.ksize / 2;
+        debug_assert_eq!(grad_w.len(), self.weight.len());
         let mut grad_x = vec![0.0f32; self.c_in * self.len];
         for co in 0..self.c_out {
             let gy = &grad_y[co * self.len..(co + 1) * self.len];
-            self.bias.g[co] += gy.iter().sum::<f32>();
+            grad_b[co] += gy.iter().sum::<f32>();
             for ci in 0..self.c_in {
                 let xrow = &x[ci * self.len..(ci + 1) * self.len];
                 let gx = &mut grad_x[ci * self.len..(ci + 1) * self.len];
                 for k in 0..self.ksize {
                     let wi = self.widx(co, ci, k);
-                    let w = self.weight.w[wi];
-                    let shift = k as isize - half as isize;
-                    let (p_lo, p_hi) = if shift < 0 {
-                        ((-shift) as usize, self.len)
-                    } else {
-                        (0, self.len - shift as usize)
-                    };
+                    let w = self.weight[wi];
+                    let (shift, ps) = self.tap(k);
                     let mut gw = 0.0f32;
-                    for p in p_lo..p_hi {
+                    for p in ps {
                         let xi = xrow[(p as isize + shift) as usize];
                         gw += gy[p] * xi;
                         gx[(p as isize + shift) as usize] += gy[p] * w;
                     }
-                    self.weight.g[wi] += gw;
+                    grad_w[wi] += gw;
                 }
             }
         }
         grad_x
-    }
-
-    pub fn n_params(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 
     pub fn flops(&self) -> u64 {
@@ -298,8 +286,8 @@ mod tests {
     fn dense_infer_matches_manual() {
         let mut r = rng();
         let mut d = Dense::new(2, 2, &mut r);
-        d.weight.w = vec![1.0, 2.0, 3.0, 4.0];
-        d.bias.w = vec![0.5, -0.5];
+        d.weight = vec![1.0, 2.0, 3.0, 4.0];
+        d.bias = vec![0.5, -0.5];
         let y = d.infer(&[1.0, -1.0]);
         assert_eq!(y, vec![1.0 - 2.0 + 0.5, 3.0 - 4.0 - 0.5]);
     }
@@ -326,19 +314,17 @@ mod tests {
     #[test]
     fn dense_backward_gradient_check() {
         let mut r = rng();
-        let mut d = Dense::new(6, 4, &mut r);
+        let d = Dense::new(6, 4, &mut r);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
         let t: Vec<f32> = (0..4).map(|i| (i as f32 * 0.3).cos()).collect();
         let (_, gy) = mse_loss(&d.infer(&x), &t);
-        d.weight.zero_grad();
-        d.bias.zero_grad();
-        let gx = d.backward(&x, &gy);
+        let (mut g, mut gb) = (vec![0.0; d.weight.len()], vec![0.0; d.n_out]);
+        let gx = d.backward(&x, &gy, [&mut g, &mut gb]);
 
         // weight grads
-        let g = d.weight.g.clone();
         let mut d2 = d.clone();
-        check_grad(&mut d.weight.w.clone(), &g, |w| {
-            d2.weight.w.copy_from_slice(w);
+        check_grad(&mut d.weight.clone(), &g, |w| {
+            d2.weight.copy_from_slice(w);
             mse_loss(&d2.infer(&x), &t).0
         });
 
@@ -359,8 +345,8 @@ mod tests {
     fn conv1d_identity_kernel_passes_signal() {
         let mut r = rng();
         let mut c = Conv1d::new(1, 1, 3, 10, &mut r);
-        c.weight.w = vec![0.0, 1.0, 0.0]; // delta at centre
-        c.bias.w = vec![0.0];
+        c.weight = vec![0.0, 1.0, 0.0]; // delta at centre
+        c.bias = vec![0.0];
         let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
         assert_eq!(c.infer(&x), x);
     }
@@ -368,18 +354,16 @@ mod tests {
     #[test]
     fn conv1d_backward_gradient_check() {
         let mut r = rng();
-        let mut c = Conv1d::new(2, 3, 3, 8, &mut r);
+        let c = Conv1d::new(2, 3, 3, 8, &mut r);
         let x: Vec<f32> = (0..16).map(|i| (i as f32 * 0.37).sin()).collect();
         let t: Vec<f32> = (0..24).map(|i| (i as f32 * 0.21).cos()).collect();
         let (_, gy) = mse_loss(&c.infer(&x), &t);
-        c.weight.zero_grad();
-        c.bias.zero_grad();
-        let gx = c.backward(&x, &gy);
+        let (mut g, mut gb) = (vec![0.0; c.weight.len()], vec![0.0; c.c_out]);
+        let gx = c.backward(&x, &gy, [&mut g, &mut gb]);
 
-        let g = c.weight.g.clone();
         let mut c2 = c.clone();
-        check_grad(&mut c.weight.w.clone(), &g, |w| {
-            c2.weight.w.copy_from_slice(w);
+        check_grad(&mut c.weight.clone(), &g, |w| {
+            c2.weight.copy_from_slice(w);
             mse_loss(&c2.infer(&x), &t).0
         });
 
