@@ -9,7 +9,8 @@ use grist_dycore::operators::ScaledGeometry;
 use grist_dycore::Field2;
 use grist_mesh::{bfs_cell_order, HaloLayout, HexMesh, Partition, EARTH_OMEGA, EARTH_RADIUS_M};
 use grist_runtime::{exchange_gathered, run_world, VarList};
-use sunway_sim::{simulate_streams, JobServer, LdCache, Substrate, SunwaySpec};
+use sunway_model::{simulate_streams, LdCache, SunwaySpec};
+use sunway_sim::{JobServer, Substrate};
 
 fn bench_mesh_build() {
     let mut g = Bencher::group("mesh");

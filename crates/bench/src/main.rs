@@ -43,9 +43,10 @@ use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use sunway_model::roofline_inputs;
 use sunway_sim::{
     analyze, dispatch_fault_key, trace, validate_chrome, ChromeStats, EventKind, FaultPlan,
-    FaultSite, Json, Metrics, RooflineInputs, Substrate, SunwaySpec, TraceReport, TraceSnapshot,
+    FaultSite, Json, Metrics, Substrate, TraceReport, TraceSnapshot,
 };
 
 /// Exit code: a check failed.
@@ -458,19 +459,7 @@ fn traced_chaos_window() -> Result<(TraceSnapshot, TraceReport, ChromeStats), St
         return Err("no fault-injection events traced".into());
     }
 
-    // Roofline inputs: arch constants plus the exact ML FLOP counters,
-    // mirroring `GristModel::roofline_inputs` over the shared registry.
-    let mut inputs = RooflineInputs::from_arch(&SunwaySpec::next_gen());
-    for (counter, leaf) in [
-        ("ml.flops_batched", "ml_physics_blocks"),
-        ("ml.flops_percol", "ml_physics_columns"),
-    ] {
-        let v = metrics.counter(counter);
-        if v > 0 {
-            inputs.flops_by_kernel.insert(leaf.into(), v);
-        }
-    }
-    let report = analyze(&snap, &inputs);
+    let report = analyze(&snap, &roofline_inputs(&metrics));
     Ok((snap, report, stats))
 }
 

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use grist_core::MlSuite;
-use grist_ml::{gemm_flops, gemm_lane_utilization, gemm_nn_with, GemmVariant};
+use grist_ml::{gemm_flops, gemm_lane_utilization, gemm_nn, gemm_nn_simd};
 use grist_physics::Column;
 use sunway_sim::{Json, MetricsSnapshot, Substrate};
 
@@ -118,8 +118,8 @@ fn quartiles(samples: &mut [f64]) -> [f64; 3] {
     [at(0.25), at(0.5), at(0.75)]
 }
 
-/// Paired probe of `gemm_nn_with` in both variants on one shape (see
-/// [`GEMM_TRIALS`]). Also asserts the two variants agree bitwise — the probe
+/// Paired probe of the scalar `gemm_nn` and the lane `gemm_nn_simd` on one
+/// shape (see [`GEMM_TRIALS`]). Also asserts the two agree bitwise — the probe
 /// runs in every bench invocation, so a lane-kernel equivalence break cannot
 /// ship a baseline.
 pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
@@ -132,10 +132,11 @@ pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
         .collect();
     let flops = gemm_flops(m, n, k) as f64;
 
-    let variants = [GemmVariant::Scalar, GemmVariant::Simd];
+    type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    let kernels: [Gemm; 2] = [gemm_nn, gemm_nn_simd];
     let mut c = [vec![0.0f32; m * n], vec![0.0f32; m * n]];
-    for (variant, c) in variants.into_iter().zip(&mut c) {
-        gemm_nn_with(variant, m, n, k, &a, &b, c); // warm-up
+    for (kernel, c) in kernels.into_iter().zip(&mut c) {
+        kernel(m, n, k, &a, &b, c); // warm-up
     }
     let mut best = [f64::INFINITY; 2];
     let mut ratios = Vec::with_capacity(trials.max(1));
@@ -146,7 +147,7 @@ pub fn gemm_probe(m: usize, n: usize, k: usize, trials: usize) -> GemmProbe {
             c[slot].fill(0.0);
             let out = std::hint::black_box(&mut c[slot]);
             let t0 = Instant::now();
-            gemm_nn_with(variants[slot], m, n, k, &a, &b, out);
+            kernels[slot](m, n, k, &a, &b, out);
             secs[slot] = t0.elapsed().as_secs_f64();
             best[slot] = best[slot].min(secs[slot]);
         }

@@ -10,7 +10,7 @@
 //!
 //! The `surface_coeff` projections are the measured replacement for the
 //! analytic `halo_surface_fraction ≈ 3.5` guess in
-//! `grist_runtime::scaling::SdpdModelConfig`: [`crate::scaling`] feeds the
+//! `sunway_model::scaling::SdpdModelConfig`: [`crate::scaling`] feeds the
 //! coefficient measured on its own partition into the model via
 //! `with_measured_surface`, and this suite pins the coefficient across the
 //! ladder so a partitioner change (ragged boundaries, split parts) shows up

@@ -18,8 +18,8 @@ use crate::smoke::FIG9_DOMAIN;
 use crate::{fmt, Table};
 use grist_core::datagen::{generate_training_data, train_ml_suite, CoarseMap, DataGenConfig};
 use grist_core::{
-    add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, precision_gate, table2_grids,
-    table3_schemes, GristModel, MlSuite, PrecisionGate, RunConfig, TropicalCyclone,
+    add_baroclinic_jet, add_supercell_patch, add_tropical_cyclone, precision_gate, GristModel,
+    MlSuite, PrecisionGate, RunConfig, TropicalCyclone,
 };
 use grist_dycore::hevi::DYN_KERNELS;
 use grist_dycore::tracer::FCT_KERNELS;
@@ -31,13 +31,14 @@ use grist_ml::flops::{achieved_peak_fraction, ml_mix, rrtmg_like_mix};
 use grist_ml::models::RadiationMlp;
 use grist_physics::radiation::{radiation, RadiationConfig};
 use grist_physics::Column;
-use grist_runtime::scaling::{grid_by_label, weak_scaling_ladder, Scheme, SdpdModel};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sunway_sim::distributor::{AllocPolicy, PoolAllocator};
-use sunway_sim::ldcache::{simulate_streams, LdCache};
-use sunway_sim::perf::{fig9_table, ExecTarget, KernelSpec};
-use sunway_sim::{format_kernel_report, KernelReportRow, SunwaySpec};
+use sunway_model::distributor::{AllocPolicy, PoolAllocator};
+use sunway_model::ldcache::{simulate_streams, LdCache};
+use sunway_model::perf::{fig9_table, ExecTarget};
+use sunway_model::scaling::{grid_by_label, table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
+use sunway_model::SunwaySpec;
+use sunway_sim::{format_kernel_report, KernelReportRow, KernelSpec};
 
 /// A report by the name `grist report` takes.
 pub type Report = (&'static str, fn() -> Result<(), String>);
@@ -129,7 +130,7 @@ fn table2() -> Result<(), String> {
 
     println!("# Table 3: Configuration of schemes\n");
     let mut t3 = Table::new(&["Label", "Dycore", "Physics"]);
-    for s in table3_schemes() {
+    for s in Scheme::all() {
         let dyc = if s.mixed {
             "mixed precision"
         } else {

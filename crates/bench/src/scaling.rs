@@ -9,7 +9,7 @@
 //!    its interior phase begins and no receive begun before that phase
 //!    ends; in the synchronous run the whole round between the two phases.
 //! 2. Calibrates the SDPD projection model from the run's *deterministic*
-//!    halo counters ([`grist_runtime::scaling::MeasuredCosts`]) — never
+//!    halo counters ([`sunway_model::scaling::MeasuredCosts`]) — never
 //!    wall times, never host dispatch counts — with a pinned overlap
 //!    factor, and emits weak- (128 → 524,288) and strong-scaling
 //!    projections.
@@ -23,12 +23,12 @@ use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
 use grist_dycore::tracer::FCT_KERNELS;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::run_world;
-use grist_runtime::scaling::{
+use sunway_model::scaling::{
     grid_by_label, weak_scaling_efficiencies, weak_scaling_ladder, MeasuredCosts, Scheme,
     SdpdModel, SdpdModelConfig,
 };
 use sunway_sim::trace::{EventKind, TraceEvent};
-use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate, SunwaySpec};
+use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate};
 
 use crate::pin::{SuiteResult, SuiteRun};
 
@@ -208,7 +208,7 @@ pub fn run() -> SuiteResult {
     }
 
     // Measured wait reduction: reported, compared with nothing.
-    let inputs = RooflineInputs::from_arch(&SunwaySpec::next_gen());
+    let inputs = RooflineInputs::default();
     let halo_sync = analyze(&sync_trace, &inputs).halo;
     let halo_ovl = analyze(&ovl_trace, &inputs).halo;
     let reduction_pct = (1.0 - halo_ovl.wait_ns as f64 / halo_sync.wait_ns.max(1) as f64) * 100.0;

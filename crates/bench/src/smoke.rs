@@ -14,11 +14,12 @@ use grist_core::{GristModel, RunConfig};
 use grist_dycore::hevi::DYN_KERNELS;
 use grist_dycore::tracer::FCT_KERNELS;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
 use grist_runtime::{run_world, ExchangeCtx, VarList};
-use sunway_sim::dma::{simulate_dma_batch, DmaRequest};
-use sunway_sim::perf::{kernel_time, Domain, ExecTarget};
-use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate, SunwaySpec};
+use sunway_model::dma::{simulate_dma_batch, DmaRequest};
+use sunway_model::perf::{kernel_time, Domain, ExecTarget};
+use sunway_model::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
+use sunway_model::SunwaySpec;
+use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate};
 
 use crate::pin::{SuiteResult, SuiteRun};
 
@@ -69,7 +70,7 @@ pub fn run() -> SuiteResult {
         }
     }
 
-    // DMA engine: the omnicopy batch shape (64 CPEs × 192 KB).
+    // DMA engine: the DMA-aware copy's batch shape (64 CPEs × 192 KB).
     let reqs: Vec<DmaRequest> = (0..64)
         .map(|cpe| DmaRequest {
             cpe,

@@ -1,14 +1,9 @@
-//! Experiment configurations: Table 2 (grids & timesteps) and Table 3
-//! (scheme matrix), plus runnable host-scale configurations that exercise
-//! the same code paths at laptop-tractable grid levels.
+//! Run configurations: host-scale configurations that exercise the code
+//! paths of the paper's Table 2 grids at laptop-tractable grid levels, and
+//! the recovery policy of a resilient run. (Table 2's grids and Table 3's
+//! scheme matrix themselves are `sunway-model`'s `scaling` rows.)
 
 use grist_dycore::PrecisionMode;
-pub use grist_runtime::scaling::{table2_grids, GridSpec, Scheme};
-
-/// Table 3 of the paper.
-pub fn table3_schemes() -> [Scheme; 4] {
-    Scheme::all()
-}
 
 /// How the model driver survives injected or real faults: the checkpoint /
 /// health cadence and the restore budget of `GristModel::advance_resilient`
@@ -119,27 +114,6 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_matches_paper_counts() {
-        let grids = table2_grids();
-        let g12 = grids.iter().find(|g| g.label == "G12").unwrap();
-        assert_eq!(g12.cells, 167_772_162);
-        assert_eq!(g12.edges, 503_316_480);
-        assert_eq!(g12.verts, 335_544_320);
-        assert_eq!(g12.dt_dyn, 4.0);
-        let g11s = grids.iter().find(|g| g.label == "G11S").unwrap();
-        assert_eq!(g11s.dt_dyn, 8.0);
-        assert_eq!(g11s.cells, 41_943_042);
-        let g6 = grids.iter().find(|g| g.label == "G6").unwrap();
-        assert_eq!(g6.cells, 40_962);
-    }
-
-    #[test]
-    fn table3_has_all_four_schemes() {
-        let labels: Vec<&str> = table3_schemes().iter().map(|s| s.label()).collect();
-        assert_eq!(labels, vec!["DP-PHY", "DP-ML", "MIX-PHY", "MIX-ML"]);
-    }
 
     #[test]
     fn run_config_keeps_table2_cadence() {

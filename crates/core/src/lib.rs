@@ -1,7 +1,7 @@
 //! # grist-core
 //!
-//! The coupled GRIST-rs model of the PPoPP '25 reproduction: experiment
-//! configurations (Tables 2–3), the physics–dynamics coupling interface
+//! The coupled GRIST-rs model of the PPoPP '25 reproduction: host-scale run
+//! configurations, the physics–dynamics coupling interface
 //! (§3.2.4), the assembled ML physics suite, the coupled model driver, the
 //! idealized case library (tropical cyclone / baroclinic wave / supercell /
 //! aqua-planet), the ML training-data pipeline (§3.2.1–3.2.2), and the
@@ -29,7 +29,7 @@ pub use cases::{
     TropicalCyclone,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use config::{table2_grids, table3_schemes, GridSpec, RecoveryPolicy, RunConfig, Scheme};
+pub use config::{RecoveryPolicy, RunConfig};
 pub use coupling::{extract_columns, SurfaceState};
 pub use datagen::{
     coarse_grain_columns, generate_training_data, train_ml_suite, CoarseMap, DataGenConfig,

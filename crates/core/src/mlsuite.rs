@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use grist_ml::batch::{CnnScratch, MlpScratch};
 use grist_ml::models::{RadiationMlp, TendencyCnn, CNN_INPUT_CHANNELS, CNN_OUTPUT_CHANNELS};
-use grist_ml::{cnn_batch_flops, mlp_batch_flops, GemmVariant};
+use grist_ml::{cnn_batch_flops, mlp_batch_flops};
 use grist_physics::column::consts::LVAP;
 use grist_physics::surface::{bulk_fluxes, SurfaceConfig};
 use grist_physics::{Column, SurfaceDiag, Tendencies};
@@ -293,8 +293,7 @@ impl MlSuite {
         let ys_cnn = &mut s.ys_cnn[..b * CNN_OUTPUT_CHANNELS * nlev];
         self.cnn.infer_batch(b, xs_cnn, ys_cnn, &mut s.cnn);
         let ys_mlp = &mut s.ys_mlp[..b * n_out];
-        self.mlp
-            .infer_batch(GemmVariant::default(), b, xs_mlp, ys_mlp, &mut s.mlp);
+        self.mlp.infer_batch(b, xs_mlp, ys_mlp, &mut s.mlp);
 
         // Denormalize and assemble per column.
         for (i, col) in block.iter().enumerate() {

@@ -12,9 +12,7 @@ use grist_dycore::{NhSolver, NhState, Real, VerticalCoord};
 use grist_mesh::HexMesh;
 use grist_physics::suite::SuiteConfig;
 use grist_physics::{ColumnPhysicsState, ConventionalSuite, SurfaceDiag, Tendencies};
-use sunway_sim::{
-    KernelReportRow, Metrics, MetricsSnapshot, RooflineInputs, Substrate, TraceReport,
-};
+use sunway_sim::{KernelReportRow, Metrics, MetricsSnapshot, Substrate};
 
 /// Which side of the dyn step a [`GristModel`] halo hook is called on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,35 +229,6 @@ impl<R: Real> GristModel<R> {
     /// `<scenario>.run.json` that `grist gate` writes to its `--out`).
     pub fn metrics_json(&self) -> String {
         self.metrics_snapshot().to_json()
-    }
-
-    /// Roofline constants and exact FLOP totals for [`Self::trace_report`]:
-    /// the CPE-cluster peak and per-CG DDR bandwidth of the next-gen
-    /// hardware spec, plus the `ml.flops_*` counters the ML suite ticks
-    /// from its exact per-GEMM accounting (`MlSuite::batch_flops`), keyed
-    /// by the leaf kernel that spent them.
-    pub fn roofline_inputs(&self) -> RooflineInputs {
-        let spec = sunway_sim::SunwaySpec::next_gen();
-        let mut inputs = RooflineInputs::from_arch(&spec);
-        let m = self.metrics();
-        for (counter, leaf) in [
-            ("ml.flops_batched", "ml_physics_blocks"),
-            ("ml.flops_percol", "ml_physics_columns"),
-        ] {
-            let flops = m.counter(counter);
-            if flops > 0 {
-                inputs.flops_by_kernel.insert(leaf.to_string(), flops);
-            }
-        }
-        inputs
-    }
-
-    /// The Fig. 9-style attribution report over the tracer's current
-    /// snapshot: per-kernel critical-path share, halo wait/transfer split,
-    /// rank imbalance, and roofline placement (see `sunway_sim::trace`).
-    /// Enable tracing first: `model.metrics().tracer().enable()`.
-    pub fn trace_report(&self) -> TraceReport {
-        sunway_sim::analyze(&self.metrics().tracer().snapshot(), &self.roofline_inputs())
     }
 
     pub fn n_cells(&self) -> usize {

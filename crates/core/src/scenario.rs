@@ -101,7 +101,7 @@ pub enum CaseSpec {
 
 impl CaseSpec {
     /// Scenario cases split into two families with different runners.
-    pub fn is_swe(&self) -> bool {
+    fn is_swe(&self) -> bool {
         matches!(
             self,
             CaseSpec::WilliamsonTc5 { .. } | CaseSpec::WilliamsonTc6 { .. }

@@ -46,8 +46,8 @@ use crate::tracer::{fct_edge_transports, fct_transport_keep_mass, FctWorkspace};
 use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use std::cell::RefCell;
-use sunway_sim::perf::{IterSpace, KernelSpec};
 use sunway_sim::Substrate;
+use sunway_sim::{IterSpace, KernelSpec};
 
 /// Prognostic state of the nonhydrostatic core.
 ///

@@ -19,8 +19,8 @@ use crate::field::Field2;
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
-use sunway_sim::perf::{IterSpace, KernelSpec};
 use sunway_sim::Substrate;
+use sunway_sim::{IterSpace, KernelSpec};
 
 /// Scratch buffers for one FCT transport invocation, reusable across steps.
 pub struct FctWorkspace<R: Real> {

@@ -52,7 +52,7 @@ impl Csr {
         self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.offsets.len() - 1
     }
 }
@@ -135,7 +135,7 @@ impl HexMesh {
     }
 
     /// Construct the Voronoi dual of an arbitrary spherical triangulation.
-    pub fn from_triangulation(level: u32, tri: &Triangulation) -> Self {
+    fn from_triangulation(level: u32, tri: &Triangulation) -> Self {
         let n_cells = tri.verts.len();
         let n_verts = tri.faces.len();
         let cell_xyz = tri.verts.clone();

@@ -73,7 +73,7 @@ impl Triangulation {
     /// One round of midpoint subdivision: each face splits into 4, new
     /// vertices are the normalized edge midpoints (shared between the two
     /// faces adjacent to each edge).
-    pub fn subdivide_once(&self) -> Self {
+    fn subdivide_once(&self) -> Self {
         let mut verts = self.verts.clone();
         let mut midpoint: HashMap<(u32, u32), u32> = HashMap::with_capacity(self.faces.len() * 2);
         let mut faces = Vec::with_capacity(self.faces.len() * 4);

@@ -36,8 +36,8 @@
 //! first use (or a larger batch) and count every growth — the zero-alloc
 //! steady-state acceptance test asserts the counters stop moving.
 
-use crate::gemm::simd::{F32x8, Lanes, LANE_WIDTH};
-use crate::gemm::{gemm_flops, gemm_nn_with, GemmVariant};
+use crate::gemm::gemm_flops;
+use crate::gemm::simd::{gemm_nn_simd, F32x8, Lanes, LANE_WIDTH};
 use crate::models::{RadiationMlp, TendencyCnn, CNN_INPUT_CHANNELS, CNN_OUTPUT_CHANNELS};
 use crate::tensor::{relu, Conv1d, Dense};
 
@@ -205,11 +205,11 @@ fn zero_pad_rows(plane: &mut [f32], b: usize, len: usize, ch: usize) {
 /// One batched dense layer on feature-major panels: `y [n_out × B] = W · x`
 /// then `+ bias` (bias after the dot product, as the per-column kernel
 /// effectively computes — f32 addition commutes).
-fn dense_batch(variant: GemmVariant, layer: &Dense, b: usize, x: &[f32], y: &mut [f32]) {
+fn dense_batch(layer: &Dense, b: usize, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), layer.n_in * b);
     debug_assert_eq!(y.len(), layer.n_out * b);
     y.fill(0.0);
-    gemm_nn_with(variant, layer.n_out, b, layer.n_in, &layer.weight, x, y);
+    gemm_nn_simd(layer.n_out, b, layer.n_in, &layer.weight, x, y);
     for o in 0..layer.n_out {
         let bias = layer.bias[o];
         for v in &mut y[o * b..(o + 1) * b] {
@@ -350,17 +350,10 @@ impl TendencyCnn {
 impl RadiationMlp {
     /// Batched inference on `b` *normalized* samples: `xs` is `[b × n_in]`
     /// row-major, `ys` receives `[b × n_out]` normalized outputs. Bitwise
-    /// identical to calling [`RadiationMlp::infer`] per sample. Both
-    /// [`GemmVariant`]s produce identical bits; the caller picks the
-    /// microkernel (`grist-core` passes the default, `Simd`).
-    pub fn infer_batch(
-        &self,
-        variant: GemmVariant,
-        b: usize,
-        xs: &[f32],
-        ys: &mut [f32],
-        s: &mut MlpScratch,
-    ) {
+    /// identical to calling [`RadiationMlp::infer`] per sample: every dense
+    /// layer is one [`gemm_nn_simd`], which keeps the scalar kernel's
+    /// accumulation order.
+    pub fn infer_batch(&self, b: usize, xs: &[f32], ys: &mut [f32], s: &mut MlpScratch) {
         assert_eq!(xs.len(), b * self.n_in);
         assert_eq!(ys.len(), b * self.n_out);
         if b == 0 {
@@ -376,17 +369,17 @@ impl RadiationMlp {
         }
         let h = &mut h[..self.width * b];
         let z = &mut z[..self.width * b];
-        dense_batch(variant, &self.layers[0], b, xt, h);
+        dense_batch(&self.layers[0], b, xt, h);
         relu(h);
         for layer in self.hidden() {
-            dense_batch(variant, layer, b, h, z);
+            dense_batch(layer, b, h, z);
             relu(z);
             for (a, &v) in h.iter_mut().zip(z.iter()) {
                 *a += v;
             }
         }
         let out = &mut out[..self.n_out * b];
-        dense_batch(variant, &self.layers[self.layers.len() - 1], b, h, out);
+        dense_batch(&self.layers[self.layers.len() - 1], b, h, out);
         for smp in 0..b {
             for o in 0..self.n_out {
                 ys[smp * self.n_out + o] = out[o * b + smp];
@@ -429,25 +422,11 @@ mod tests {
             let xs: Vec<f32> = (0..b).flat_map(|s| sample(12, s)).collect();
             let mut ys = vec![0.0f32; b * 3];
             let mut scratch = MlpScratch::new();
-            net.infer_batch(GemmVariant::default(), b, &xs, &mut ys, &mut scratch);
+            net.infer_batch(b, &xs, &mut ys, &mut scratch);
             for s in 0..b {
                 let y1 = net.infer(&xs[s * 12..(s + 1) * 12]);
                 assert_eq!(&ys[s * 3..(s + 1) * 3], &y1[..], "b={b} sample {s}");
             }
-        }
-    }
-
-    #[test]
-    fn mlp_batch_variants_agree_bitwise() {
-        let mlp = RadiationMlp::with_outputs(14, 3, 16, 4);
-        for b in [1usize, 3, 5] {
-            let xm: Vec<f32> = (0..b).flat_map(|s| sample(14, s + 9)).collect();
-            let mut z_sc = vec![0.0f32; b * 3];
-            let mut z_simd = z_sc.clone();
-            let mut ms = MlpScratch::new();
-            mlp.infer_batch(GemmVariant::Scalar, b, &xm, &mut z_sc, &mut ms);
-            mlp.infer_batch(GemmVariant::Simd, b, &xm, &mut z_simd, &mut ms);
-            assert_eq!(z_sc, z_simd, "MLP variant mismatch at b={b}");
         }
     }
 }

@@ -3,9 +3,10 @@
 //! paper's AI-enhanced physics suite reduces to (§3.2.3, §3.3.4).
 //!
 //! Every `Dense` layer of the batched inference engine ([`crate::batch`])
-//! lowers to exactly one call of [`gemm_nn`] on transposed activation
-//! panels: the radiation MLP's whole trunk, about 4 % of the suite's FLOPs.
-//! (The CNN's convolutions run their own register tile over the padded
+//! lowers to exactly one call of [`simd::gemm_nn_simd`], the lane form of
+//! [`gemm_nn`] (bit for bit the same), on transposed activation panels:
+//! the radiation MLP's whole trunk, about 4 % of the suite's FLOPs. (The
+//! CNN's convolutions run their own register tile over the padded
 //! activations, with the same accumulation discipline.) Two properties are
 //! load-bearing:
 //!
@@ -32,37 +33,6 @@
 //! A-panel plus a `KC × NR` B-sliver fit comfortably).
 
 pub mod simd;
-
-/// Which [`gemm_nn`]-compatible microkernel a caller selects. Both variants
-/// are *bitwise identical* (the lane kernel keeps one unfused accumulator
-/// per output element in the same increasing-`k` order — see [`simd`]);
-/// [`GemmVariant::Scalar`] is the reference oracle that the [`simd`] and
-/// `batch` tests and `grist gate ml`'s probe check the lanes against.
-/// `grist-core` always runs the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GemmVariant {
-    /// The scalar reference kernel ([`gemm_nn`]).
-    Scalar,
-    /// Explicit lane groups ([`simd::gemm_nn_simd`]). Production default.
-    #[default]
-    Simd,
-}
-
-/// Dispatch `C += A·B` to the selected microkernel variant.
-pub fn gemm_nn_with(
-    variant: GemmVariant,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    match variant {
-        GemmVariant::Scalar => gemm_nn(m, n, k, a, b, c),
-        GemmVariant::Simd => simd::gemm_nn_simd(m, n, k, a, b, c),
-    }
-}
 
 /// Rows of the register tile (accumulators live in `MR × NR` registers).
 pub const MR: usize = 4;

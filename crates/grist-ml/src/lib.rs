@@ -30,7 +30,7 @@ pub use flops::{
     WorkloadMix,
 };
 pub use gemm::simd::{gemm_nn_simd, F32x8, Lanes, LANE_WIDTH, MR_SIMD, NR_SIMD};
-pub use gemm::{gemm_flops, gemm_nn, gemm_nn_with, GemmVariant};
+pub use gemm::{gemm_flops, gemm_nn};
 pub use models::{RadiationMlp, TendencyCnn, CNN_INPUT_CHANNELS, CNN_OUTPUT_CHANNELS};
 pub use optim::{Adam, AdamConfig};
 pub use tensor::{mse_loss, Conv1d, Dense};

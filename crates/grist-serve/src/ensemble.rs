@@ -82,7 +82,7 @@ fn mix(member: usize, k: usize, c: usize) -> u64 {
 
 /// Deterministically nudge a member's initial thermodynamic state so the
 /// ensemble spreads (member 0 stays the control).
-pub fn perturb_member<R: Real>(model: &mut GristModel<R>, member: usize, scale: f64) {
+fn perturb_member<R: Real>(model: &mut GristModel<R>, member: usize, scale: f64) {
     if member == 0 || scale == 0.0 {
         return;
     }

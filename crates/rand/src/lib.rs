@@ -159,16 +159,6 @@ pub mod seq {
     }
 }
 
-/// A generator seeded from process entropy (address-space layout + time is
-/// unavailable without std::time in const contexts; we use a fixed-seed
-/// fallback mixed with a monotonically bumped counter so separate calls give
-/// distinct streams while staying reproducible within a process).
-pub fn thread_rng() -> rngs::StdRng {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0x5eed);
-    SeedableRng::seed_from_u64(COUNTER.fetch_add(0x9e37_79b9, Ordering::Relaxed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;

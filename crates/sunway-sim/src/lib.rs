@@ -1,19 +1,17 @@
 //! # sunway-sim
 //!
-//! A simulated SW26010P / next-generation-Sunway substrate (§3.3, §4.1 of
-//! the paper), standing in for hardware this reproduction cannot access:
+//! The host runtime every GRIST-rs kernel runs through, shaped after the
+//! SWGOMP offload model of the paper (§3.3, Fig. 5). It measures the host;
+//! the modeled SW26010P (chip constants, LDCache, allocator, DMA engine,
+//! roofline and scaling models) is the `sunway-model` crate, which no run
+//! reaches:
 //!
-//! * [`arch`] — the chip/system constants (6 CGs × (1 MPE + 64 CPEs), 256 KB
-//!   LDM, 51.2 GB/s DDR per CG, 107,520 nodes, 16:3 fat tree).
-//! * [`ldcache`] — a 4-way set-associative LDCache simulator reproducing the
-//!   Fig. 6 thrashing analysis.
-//! * [`distributor`] — the memory-address-distributing pool allocator that
-//!   fixes the thrashing (§3.3.3).
+//! * [`substrate`] — the kernel dispatch layer: serial or CPE-team
+//!   execution, named write sets, fault retry, per-kernel accounting.
 //! * [`swgomp`] — the SWGOMP job-server thread hierarchy (Fig. 5): MPE
 //!   spawns team heads, team heads spawn team members, on real threads.
-//! * [`omnicopy`](mod@omnicopy) — LDM scratch arena + DMA-aware copy (§3.3.2).
-//! * [`perf`] — the roofline model behind Fig. 9 (compute-bound MPE,
-//!   bandwidth-bound CPE cluster, f32 traffic halving).
+//! * [`descriptor`] — the size-free cost descriptor each dycore dispatch
+//!   declares beside itself.
 //! * [`metrics`] — the unified observability registry: hierarchical trace
 //!   spans, per-kernel stats, hardware-model counters and named
 //!   [`hist`] distributions, shared by every clone of a
@@ -28,34 +26,20 @@
 //!   bounded per-thread ring buffers, Chrome/Perfetto `trace_event` export
 //!   with per-rank/per-CPE lanes, and the roofline attribution report.
 
-pub mod arch;
-pub mod distributor;
-pub mod dma;
+pub mod descriptor;
 pub mod fault;
 pub mod hist;
 pub mod json;
-pub mod ldcache;
 pub mod metrics;
-pub mod omnicopy;
-pub mod perf;
 pub mod substrate;
 pub mod swgomp;
 pub mod trace;
 
-pub use arch::SunwaySpec;
-pub use distributor::{AllocPolicy, PoolAllocator};
-pub use dma::{
-    amortization_threshold, effective_bandwidth, simulate_dma_batch, DmaCompletion, DmaRequest,
-};
+pub use descriptor::{IterSpace, KernelSpec};
 pub use fault::{dispatch_fault_key, FaultError, FaultPlan, FaultSite};
 pub use hist::{bucket_hi, bucket_index, bucket_lo, Histogram, HIST_BUCKETS, HIST_LAYOUT};
 pub use json::{Json, JsonError};
-pub use ldcache::{simulate_streams, Access, LdCache};
 pub use metrics::{KernelStats, Metrics, MetricsSnapshot, SpanGuard, SpanStats};
-pub use omnicopy::{omnicopy, CopyStats, LdmArena, LdmOverflow, Space};
-pub use perf::{
-    fig9_table, kernel_time, stream_hit_ratio, Domain, ExecTarget, IterSpace, KernelSpec,
-};
 pub use substrate::{
     format_kernel_report, kernel_report_rows, over, ColumnsMut, ExecTargetKind, IndexSet,
     KernelReportRow, Over, Substrate,

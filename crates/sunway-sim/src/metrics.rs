@@ -6,10 +6,10 @@
 //! One [`Metrics`] is shared by every clone of a
 //! [`Substrate`](crate::substrate::Substrate): the model driver opens spans
 //! (`step` → `dycore`/`physics`/`ml`), every named kernel dispatch records
-//! under the currently open span path, and the hardware simulators
-//! ([`dma`](crate::dma), [`ldcache`](crate::ldcache),
-//! [`distributor`](crate::distributor), the substrate's byte-carrying
-//! dispatches, and the halo exchange in `grist-runtime`) feed counters like
+//! under the currently open span path, and the hardware-model counters
+//! (the substrate's byte-carrying dispatches, the halo exchange in
+//! `grist-runtime`, and the LDCache, allocator and DMA simulators of
+//! `sunway-model`) feed counters like
 //! `dma.bytes`, `ldcache.misses`, and `halo.messages`. Distributions —
 //! the serving front-end's `serve.{latency_ns,queue_ns,batch_size}` — are
 //! named [`Histogram`]s recorded through [`Metrics::record_hist`] into the
@@ -399,7 +399,7 @@ impl Metrics {
     }
 
     /// Per-kernel stats only (the legacy profiler view).
-    pub fn kernel_snapshot(&self) -> Vec<(String, KernelStats)> {
+    pub(crate) fn kernel_snapshot(&self) -> Vec<(String, KernelStats)> {
         self.snapshot().kernels.into_iter().collect()
     }
 
@@ -496,7 +496,7 @@ impl MetricsSnapshot {
     /// Missing sections are treated as empty; malformed entries and
     /// duplicate keys within a section are descriptive errors (a duplicated
     /// kernel would otherwise silently shadow the earlier stats).
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
+    fn from_json_value(v: &Json) -> Result<Self, String> {
         let mut snap = MetricsSnapshot::default();
         if let Some(fields) = v.get("kernels").and_then(Json::as_obj) {
             for (name, entry) in fields {

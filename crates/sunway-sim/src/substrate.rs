@@ -250,8 +250,8 @@ impl Substrate {
     /// streams `k` arrays of `e`-byte elements per item passes `k·e`, and
     /// the dispatch attributes `n·k·e` modeled DMA bytes to the kernel
     /// *and* the global `dma.bytes` / `dma.transactions` counters (one
-    /// transaction per dispatched CPE chunk, matching the omnicopy batching
-    /// granularity). Offload targets only — the serial MPE path does scalar
+    /// transaction per dispatched CPE chunk: a chunk's columns stream in
+    /// one DMA batch). Offload targets only — the serial MPE path does scalar
     /// loads, not DMA. Pass 0 for a compute-only kernel.
     ///
     /// With a [`FaultPlan`] armed, an offload dispatch may fail; a transient

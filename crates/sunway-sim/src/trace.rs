@@ -17,7 +17,8 @@
 //! * an attribution report ([`analyze`]): per-kernel critical-path share,
 //!   halo wait-vs-transfer split, rank load-imbalance factor, and a
 //!   roofline placement per kernel (arithmetic intensity from exact FLOP
-//!   totals + the DMA byte model vs. the [`arch`](crate::arch) peak/bandwidth).
+//!   totals + the DMA byte model vs. a [`RooflineInputs`] peak/bandwidth,
+//!   which `sunway-model` fills from the modeled chip).
 //!
 //! # Cost model
 //!
@@ -139,7 +140,7 @@ impl EventKind {
 
     /// Flow-arrow kinds (exported as Chrome `s`/`t`/`f` events carrying a
     /// numeric flow `id` in [`TraceEvent::items`]).
-    pub fn is_flow(self) -> bool {
+    fn is_flow(self) -> bool {
         matches!(
             self,
             EventKind::FlowBegin | EventKind::FlowStep | EventKind::FlowEnd
@@ -147,7 +148,7 @@ impl EventKind {
     }
 
     /// The Chrome `ph` letter for a flow kind (`None` otherwise).
-    pub fn flow_ph(self) -> Option<&'static str> {
+    fn flow_ph(self) -> Option<&'static str> {
         match self {
             EventKind::FlowBegin => Some("s"),
             EventKind::FlowStep => Some("t"),
@@ -915,18 +916,6 @@ pub struct RooflineInputs {
     /// counters. A leaf claimed by more than one distinct kernel path is
     /// left unattributed (the counter cannot be split).
     pub flops_by_kernel: BTreeMap<String, u64>,
-}
-
-impl RooflineInputs {
-    /// Roofline constants from a hardware spec: CPE-cluster peak vs. the
-    /// per-CG DDR bandwidth (the bandwidth-bound regime of Fig. 9).
-    pub fn from_arch(spec: &crate::arch::SunwaySpec) -> Self {
-        RooflineInputs {
-            peak_flops: spec.cg_peak_f64(),
-            bandwidth: spec.ddr_bandwidth,
-            flops_by_kernel: BTreeMap::new(),
-        }
-    }
 }
 
 /// Per-kernel attribution row (one per distinct span-qualified kernel path).
@@ -1738,14 +1727,6 @@ mod tests {
         assert!(solo.gflops.is_some());
         assert_eq!(solo.ai, None);
         assert_eq!(solo.bound, None);
-    }
-
-    #[test]
-    fn roofline_inputs_from_arch_use_cg_peak_and_ddr_bandwidth() {
-        let spec = crate::arch::SunwaySpec::next_gen();
-        let ri = RooflineInputs::from_arch(&spec);
-        assert_eq!(ri.peak_flops, spec.cg_peak_f64());
-        assert_eq!(ri.bandwidth, spec.ddr_bandwidth);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use grist_dycore::hevi::DYN_KERNELS;
 use grist_dycore::tracer::FCT_KERNELS;
-use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
-use sunway_sim::SunwaySpec;
+use sunway_model::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
+use sunway_model::SunwaySpec;
 
 fn main() {
     let spec = SunwaySpec::next_gen();

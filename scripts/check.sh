@@ -22,8 +22,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== API surface (no suffix-named variants) + size numbers =="
 scripts/api_surface.sh
 
-echo "== repo benchmark builds and self-tests against the current API =="
-cargo test --release --manifest-path benchmark/Cargo.toml
+echo "== repo benchmark builds and self-tests against the current API (lock unchanged) =="
+cargo test --release --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== chaos suite (3 fixed fault seeds) =="
 for seed in 42 7 1234; do

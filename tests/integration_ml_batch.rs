@@ -403,7 +403,7 @@ fn a_scratch_shared_by_two_networks_keeps_each_bitwise() {
 
 #[test]
 fn network_scratch_arenas_stop_growing_after_first_call() {
-    use grist_ml::{CnnScratch, GemmVariant, MlpScratch, RadiationMlp, TendencyCnn};
+    use grist_ml::{CnnScratch, MlpScratch, RadiationMlp, TendencyCnn};
     let sample = |n: usize, seed: usize| -> Vec<f32> {
         (0..n)
             .map(|i| ((i + 7 * seed) as f32 * 0.173).sin())
@@ -418,17 +418,16 @@ fn network_scratch_arenas_stop_growing_after_first_call() {
     let mut ys = vec![0.0f32; 4 * 2 * 8];
     let xm = sample(4 * 6, 1);
     let mut ym = vec![0.0f32; 4 * 2];
-    let v = GemmVariant::default();
     net.infer_batch(4, &xs, &mut ys, &mut cs);
-    mlp.infer_batch(v, 4, &xm, &mut ym, &mut ms);
+    mlp.infer_batch(4, &xm, &mut ym, &mut ms);
     let (g1, g2) = (cs.grows(), ms.grows());
     assert!(g1 >= 1 && g2 >= 1);
     for _ in 0..5 {
         net.infer_batch(4, &xs, &mut ys, &mut cs);
-        mlp.infer_batch(v, 4, &xm, &mut ym, &mut ms);
+        mlp.infer_batch(4, &xm, &mut ym, &mut ms);
         // A smaller batch must reuse the large-batch buffers too.
         net.infer_batch(2, &xs[..2 * 5 * 8], &mut ys[..2 * 2 * 8], &mut cs);
-        mlp.infer_batch(v, 2, &xm[..2 * 6], &mut ym[..2 * 2], &mut ms);
+        mlp.infer_batch(2, &xm[..2 * 6], &mut ym[..2 * 2], &mut ms);
     }
     assert_eq!(cs.grows(), g1, "CNN scratch reallocated in steady state");
     assert_eq!(ms.grows(), g2, "MLP scratch reallocated in steady state");

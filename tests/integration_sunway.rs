@@ -1,17 +1,16 @@
 //! Cross-crate integration tests of the Sunway performance stack: the
 //! dycore's cost descriptors — the kernels a step dispatches, no more and no
 //! fewer — feeding the roofline model and its §4.6 mechanisms, the LDCache/
-//! distributor pipeline, and omnicopy inside a job-server offload.
+//! distributor pipeline.
 
 use grist_dycore::hevi::{NhConfig, NhSolver, DYN_KERNELS};
 use grist_dycore::tracer::FCT_KERNELS;
 use grist_dycore::VerticalCoord;
 use grist_mesh::HexMesh;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
-use sunway_sim::omnicopy::{omnicopy, CopyStats, LdmArena, Space};
-use sunway_sim::perf::{fig9_table, kernel_time, Domain, ExecTarget, KernelSpec};
-use sunway_sim::{JobServer, SunwaySpec};
+use sunway_model::perf::{fig9_table, kernel_time, Domain, ExecTarget};
+use sunway_model::SunwaySpec;
+use sunway_sim::KernelSpec;
 
 /// The G6 grid, 30 levels: Fig. 9's domain.
 const G6: Domain = Domain {
@@ -146,53 +145,6 @@ fn mixed_precision_halves_modeled_memory_time_workspace_wide() {
 }
 
 #[test]
-fn omnicopy_stages_columns_through_ldm_inside_an_offload() {
-    // The §3.3.2/§3.3.4 pattern: "we copy a number of variables onto CPE
-    // stack with omnicopy function until the cache thrashing is eliminated."
-    let server = JobServer::new(8);
-    let stats = CopyStats::default();
-    let n_cols = 256;
-    let nlev = 30;
-    let main_mem: Vec<f64> = (0..n_cols * nlev).map(|i| i as f64 * 0.5).collect();
-    let results: Vec<std::sync::Mutex<f64>> =
-        (0..n_cols).map(|_| std::sync::Mutex::new(0.0)).collect();
-
-    server.target_parallel_for(n_cols, 16, &|c| {
-        // Per-CPE LDM scratch within the 128 KB budget.
-        let mut arena = LdmArena::with_capacity(128 * 1024);
-        let mut ldm_col: Vec<f64> = arena.alloc(nlev).expect("fits in LDM");
-        omnicopy(
-            &mut ldm_col,
-            Space::Ldm,
-            &main_mem[c * nlev..(c + 1) * nlev],
-            Space::Main,
-            &stats,
-        );
-        *results[c].lock().unwrap() = ldm_col.iter().sum();
-    });
-
-    assert_eq!(stats.dma_transfers.load(Ordering::Relaxed), n_cols as u64);
-    assert_eq!(
-        stats.dma_bytes.load(Ordering::Relaxed),
-        (n_cols * nlev * 8) as u64
-    );
-    for c in 0..n_cols {
-        let expected: f64 = main_mem[c * nlev..(c + 1) * nlev].iter().sum();
-        assert_eq!(*results[c].lock().unwrap(), expected);
-    }
-}
-
-#[test]
-fn ldm_budget_rejects_oversized_column_blocks() {
-    let spec = SunwaySpec::next_gen();
-    let mut arena = LdmArena::new(&spec);
-    // 60-level column block of 40 f64 variables = 19.2 KB — fits.
-    assert!(arena.alloc::<f64>(60 * 40).is_ok());
-    // A full G6 cell block would not.
-    assert!(arena.alloc::<f64>(40_962 * 30).is_err());
-}
-
-#[test]
 fn bfs_reordering_improves_measured_ldcache_hits() {
     // §3.1.3's claim, measured: run the real edge→cell indirect stream of a
     // gradient kernel through the LDCache simulator under BFS vs random cell
@@ -200,7 +152,7 @@ fn bfs_reordering_improves_measured_ldcache_hits() {
     use grist_mesh::{bfs_cell_order, Permutation};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use sunway_sim::LdCache;
+    use sunway_model::LdCache;
 
     // G6: the 40,962-cell array (320 KB as f64) overflows the 128 KB
     // LDCache, so ordering decides the hit ratio.

@@ -3,15 +3,16 @@
 //! per-rank lanes (halo waits and fault injections included), bitwise
 //! agreement between the `ml.flops_*` counters and the exact GEMM op
 //! accounting, CPE chunk-lane rank attribution, ring bounds under the
-//! epoch toggle, and the end-to-end `GristModel::trace_report` path.
+//! epoch toggle, and the end-to-end report of a coupled model's trace.
 
 use grist_core::{GristModel, MlSuite, RunConfig, DEFAULT_ML_BLOCK};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_physics::Column;
 use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
+use sunway_model::roofline_inputs;
 use sunway_sim::{
     analyze, dispatch_fault_key, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Json,
-    Metrics, RooflineInputs, Substrate, SunwaySpec,
+    Metrics, Substrate,
 };
 
 const RANKS: usize = 4;
@@ -96,13 +97,9 @@ fn traced_resilient_world_exports_valid_perfetto_json_with_attribution() {
 
     // Attribution: the exact ML FLOP counter flows through to the report
     // row bitwise, the halo split and rank loads are populated.
-    let mut inputs = RooflineInputs::from_arch(&SunwaySpec::next_gen());
     let batched = metrics.counter("ml.flops_batched");
     assert!(batched > 0, "ML physics must tick the exact FLOP counter");
-    inputs
-        .flops_by_kernel
-        .insert("ml_physics_blocks".into(), batched);
-    let report = analyze(&snap, &inputs);
+    let report = analyze(&snap, &roofline_inputs(&metrics));
     let ml = report
         .kernels
         .iter()
@@ -152,11 +149,7 @@ fn ml_flops_counters_match_exact_gemm_accounting_bitwise() {
     );
 
     // And the analyzer hands the exact totals to the matching kernel rows.
-    let mut inputs = RooflineInputs::from_arch(&SunwaySpec::next_gen());
-    inputs
-        .flops_by_kernel
-        .insert("ml_physics_blocks".into(), expected);
-    let report = analyze(&metrics.tracer().snapshot(), &inputs);
+    let report = analyze(&metrics.tracer().snapshot(), &roofline_inputs(&metrics));
     let row = report
         .kernels
         .iter()
@@ -242,14 +235,15 @@ fn grist_model_trace_report_runs_end_to_end() {
     let mut model = GristModel::<f64>::with_substrate(cfg, Substrate::cpe_teams(8));
     model.metrics().tracer().enable();
     model.advance(window);
-    let report = model.trace_report();
+    let metrics = model.metrics();
+    let report = analyze(&metrics.tracer().snapshot(), &roofline_inputs(metrics));
     assert!(report.wall_ns > 0);
     assert!(!report.kernels.is_empty());
     let ml = report
         .kernels
         .iter()
         .find(|k| k.name.ends_with("/ml_physics_blocks"))
-        .expect("ML kernel attributed via GristModel::roofline_inputs");
-    assert_eq!(ml.flops, Some(model.metrics().counter("ml.flops_batched")));
+        .expect("ML kernel attributed via the ml.flops_* counters");
+    assert_eq!(ml.flops, Some(metrics.counter("ml.flops_batched")));
     assert!(ml.peak_fraction.is_some());
 }

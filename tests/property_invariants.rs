@@ -13,7 +13,8 @@ use grist_dycore::tracer::{fct_transport_step, total_tracer, FctWorkspace};
 use grist_dycore::Field2;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use rand::{Rng, SeedableRng};
-use sunway_sim::{Access, LdCache, Substrate};
+use sunway_model::{Access, LdCache};
+use sunway_sim::Substrate;
 
 fn mesh_and_geom() -> (HexMesh, ScaledGeometry<f64>) {
     let mesh = HexMesh::build(3);
