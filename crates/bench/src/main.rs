@@ -26,7 +26,8 @@
 //! * `trace` runs a traced 4-rank chaos window, validates the exported
 //!   Chrome/Perfetto trace (balanced `B`/`E`, monotone lanes, ≥ 4 rank lanes,
 //!   halo-wait and fault events) and writes it as `trace.json` beside its
-//!   roofline / critical-path attribution, `trace_report.json`; the report
+//!   measured critical-path attribution (achieved GFLOP/s from the exact
+//!   `ml.flops_*` totals, no modeled roof), `trace_report.json`; the report
 //!   is also printed as text.
 //! * `obs` runs the serving-telemetry scenario (`grist_bench::obs`), writes
 //!   `obs_metrics.json` and `obs_report.md`, reads the document back and
@@ -37,13 +38,14 @@
 use grist_bench::obs::run_obs;
 use grist_bench::pin::{SuiteResult, SuiteRun, SUITES};
 use grist_bench::report::REPORTS;
-use grist_core::{parse_scenario_file, pin_file_json, GristModel, RunConfig, ScenarioRunner};
+use grist_core::{
+    parse_scenario_file, pin_file_json, GristModel, MlSuite, RunConfig, ScenarioRunner,
+};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::{halo_fault_key, run_world, ExchangeCtx, VarList};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use sunway_model::roofline_inputs;
 use sunway_sim::{
     analyze, dispatch_fault_key, trace, validate_chrome, ChromeStats, EventKind, FaultPlan,
     FaultSite, Json, Metrics, Substrate, TraceReport, TraceSnapshot,
@@ -459,7 +461,7 @@ fn traced_chaos_window() -> Result<(TraceSnapshot, TraceReport, ChromeStats), St
         return Err("no fault-injection events traced".into());
     }
 
-    let report = analyze(&snap, &roofline_inputs(&metrics));
+    let report = analyze(&snap, &MlSuite::flops_by_kernel(&metrics));
     Ok((snap, report, stats))
 }
 

@@ -6,7 +6,7 @@
 //! * **a pin** — a [`ScenarioArtifact`], the same type the scenario matrix
 //!   pins: the suite's deterministic projections as `diagnostics` (compared
 //!   by bit pattern), and as `counters` the registry's counters plus every
-//!   kernel's `calls` / `items` / `bytes` and every span's `calls`,
+//!   kernel's `calls` / `items` and every span's `calls`,
 //!   flattened to `kernel.<path>.<field>` / `span.<path>.calls`. It is
 //!   committed as `{schema, config, golden}`
 //!   ([`grist_core::pin_file_json`]) and checked by
@@ -66,7 +66,7 @@ impl SuiteRun {
             snap.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
         let mut nanos = Vec::new();
         for (path, k) in &snap.kernels {
-            for (field, v) in [("calls", k.calls), ("items", k.items), ("bytes", k.bytes)] {
+            for (field, v) in [("calls", k.calls), ("items", k.items)] {
                 counters.push((format!("kernel.{path}.{field}"), v));
             }
             nanos.push((format!("kernel.{path}"), Json::Num(k.nanos as f64)));
@@ -140,7 +140,6 @@ mod tests {
                 calls: 16,
                 nanos: 4_603_913,
                 items: 2592,
-                bytes: 0,
             },
         );
         snap.spans.insert(
@@ -168,7 +167,6 @@ mod tests {
                 ("halo.messages".to_string(), 10),
                 ("kernel.step/dycore/hevi_diagnose.calls".to_string(), 16),
                 ("kernel.step/dycore/hevi_diagnose.items".to_string(), 2592),
-                ("kernel.step/dycore/hevi_diagnose.bytes".to_string(), 0),
                 ("span.step.calls".to_string(), 17),
             ]
         );
@@ -214,7 +212,7 @@ mod tests {
             ["counter halo.messages: pinned 9, got 10"]
         );
         assert_eq!(
-            drift(&|p| drop(p.pin.counters.remove(4))),
+            drift(&|p| drop(p.pin.counters.remove(3))),
             ["counter span.step.calls: not in pin (got 17) — re-pin with --update"]
         );
         assert_eq!(

@@ -23,12 +23,13 @@ use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
 use grist_dycore::tracer::FCT_KERNELS;
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::run_world;
+use std::collections::BTreeMap;
 use sunway_model::scaling::{
     grid_by_label, weak_scaling_efficiencies, weak_scaling_ladder, MeasuredCosts, Scheme,
     SdpdModel, SdpdModelConfig,
 };
 use sunway_sim::trace::{EventKind, TraceEvent};
-use sunway_sim::{analyze, trace, Json, Metrics, RooflineInputs, Substrate};
+use sunway_sim::{analyze, trace, Json, Metrics, Substrate};
 
 use crate::pin::{SuiteResult, SuiteRun};
 
@@ -208,9 +209,9 @@ pub fn run() -> SuiteResult {
     }
 
     // Measured wait reduction: reported, compared with nothing.
-    let inputs = RooflineInputs::default();
-    let halo_sync = analyze(&sync_trace, &inputs).halo;
-    let halo_ovl = analyze(&ovl_trace, &inputs).halo;
+    let no_flops = BTreeMap::new();
+    let halo_sync = analyze(&sync_trace, &no_flops).halo;
+    let halo_ovl = analyze(&ovl_trace, &no_flops).halo;
     let reduction_pct = (1.0 - halo_ovl.wait_ns as f64 / halo_sync.wait_ns.max(1) as f64) * 100.0;
     eprintln!(
         "scaling: halo wait {} ns (sync) -> {} ns (overlapped), {:.1}% reduction \

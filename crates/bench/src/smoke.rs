@@ -4,8 +4,9 @@
 //! every knob pinned so the pin is reproducible.
 //!
 //! Everything except wall-clock nanoseconds is deterministic — kernel call /
-//! item / byte counts, the `dma.*` / `ldcache.*` / `alloc.*` / `halo.*`
-//! hardware-model counters, and the analytic SDPD projections — and is
+//! item counts, the `dma.*` / `ldcache.*` / `alloc.*` hardware-model
+//! counters, the `halo.*` exchange counters, and the analytic SDPD
+//! projections — and is
 //! pinned exactly (see [`crate::pin`]). The one thing a clock decides here
 //! is the in-run tracing budget: [`run`] fails when compiled-in but disabled
 //! tracing costs [`TRACE_OFF_BUDGET_PCT`] of the smoke window or more.
@@ -228,7 +229,6 @@ pub fn merge_snapshots(base: &mut MetricsSnapshot, extra: &MetricsSnapshot) {
         e.calls += s.calls;
         e.nanos += s.nanos;
         e.items += s.items;
-        e.bytes += s.bytes;
     }
     for (k, s) in &extra.spans {
         let e = base.spans.entry(k.clone()).or_default();
@@ -273,7 +273,6 @@ mod tests {
                 calls: 1,
                 nanos: 10,
                 items: 5,
-                bytes: 0,
             },
         );
         a.counters.insert("dma.bytes".into(), 100);
@@ -283,15 +282,14 @@ mod tests {
             KernelStats {
                 calls: 2,
                 nanos: 20,
-                items: 5,
-                bytes: 8,
+                items: 7,
             },
         );
         b.counters.insert("dma.bytes".into(), 28);
         b.counters.insert("halo.messages".into(), 3);
         merge_snapshots(&mut a, &b);
         assert_eq!(a.kernels["k"].calls, 3);
-        assert_eq!(a.kernels["k"].bytes, 8);
+        assert_eq!(a.kernels["k"].items, 12);
         assert_eq!(a.counters["dma.bytes"], 128);
         assert_eq!(a.counters["halo.messages"], 3);
     }

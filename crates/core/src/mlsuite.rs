@@ -9,9 +9,11 @@
 //! [`MlSuite::step_columns`] packs blocks of [`MlSuite::block`] columns into
 //! row-major `[B × n_in]` stage matrices and runs each block through
 //! `grist_ml`'s batched engine (the CNN's conv register tiles, the MLP's
-//! GEMMs) — one `Substrate` dispatch item per *block*, metered with
-//! a per-block DMA payload so DMA counters, the `ml` trace span and the
-//! fault/degradation path all see the batched kernel. All
+//! GEMMs) — one `Substrate` dispatch item per *block*, so the kernel table,
+//! the `ml` trace span and the fault/degradation path all see the batched
+//! kernel, and the exact FLOPs it issues tick the `ml.flops_batched`
+//! counter ([`MlSuite::flops_by_kernel`] hands them to the trace
+//! attribution). All
 //! intermediate storage comes from a shared [`ScratchPool`]; after warm-up
 //! the steady-state loop performs zero heap allocations — a block runs one
 //! path and every buffer on it is a pooled arena — on the inference side
@@ -24,6 +26,7 @@
 //! loops (see `grist_ml::batch`), so equivalence tests use exact equality
 //! and the chaos suite's determinism guarantees carry over unchanged.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -33,7 +36,14 @@ use grist_ml::{cnn_batch_flops, mlp_batch_flops};
 use grist_physics::column::consts::LVAP;
 use grist_physics::surface::{bulk_fluxes, SurfaceConfig};
 use grist_physics::{Column, SurfaceDiag, Tendencies};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::{ColumnsMut, Metrics, Substrate};
+
+/// The `ml.flops_*` counters the suite ticks from its exact per-GEMM
+/// accounting, each with the leaf kernel that spent them.
+const ML_FLOP_COUNTERS: [(&str, &str); 2] = [
+    ("ml.flops_batched", "ml_physics_blocks"),
+    ("ml.flops_percol", "ml_physics_columns"),
+];
 
 /// Default number of columns per batched dispatch block. A CPE's 256 KiB
 /// LDM cannot hold a whole activation plane at the production-like
@@ -308,19 +318,15 @@ impl MlSuite {
     /// Run on many columns — "a simplified, unified computational pattern
     /// (primarily matrix multiplication)": blocks of [`Self::block`]
     /// columns, each through the conv tiles and the MLP's GEMMs, one
-    /// `Substrate` dispatch item per block with the streamed bytes metered
-    /// for the DMA model.
+    /// `Substrate` dispatch item per block.
     pub fn step_columns(&self, cols: &[Column]) -> Vec<MlOutput> {
         // Attribute the inference fan-out to the "ml" trace span.
         let _span = self.sub.span("ml");
         let n = cols.len();
         let block = self.block.max(1);
         let n_blocks = n.div_ceil(block);
-        // Streamed per block: CNN in/out (5+2 profiles) + MLP in/out
-        // (2·nlev+2 in, 3 out ≈ +5), all f32.
-        let bytes_per_block = 4 * block * (9 * self.nlev + 5);
-        // Exact FLOP accounting for the roofline attribution: the sum of
-        // the per-block GEMM shapes actually dispatched (`batch_flops`),
+        // Exact FLOP accounting for the trace attribution: the sum of the
+        // per-block GEMM shapes actually dispatched (`batch_flops`),
         // surfaced as the `ml.flops_batched` counter.
         let flops: u64 = (0..n_blocks)
             .map(|bi| self.batch_flops(((bi * block + block).min(n)) - bi * block))
@@ -329,13 +335,12 @@ impl MlSuite {
         let mut out: Vec<Option<MlOutput>> = (0..n).map(|_| None).collect();
         // One view column per block; the last is short when `block ∤ n`.
         let blocks = ColumnsMut::new(&mut out, block);
-        self.sub
-            .run_cols("ml_physics_blocks", bytes_per_block, blocks, |bi, out| {
-                let lo = bi * block;
-                let mut scratch = self.scratch.take();
-                self.step_block(&cols[lo..lo + out.len()], out, &mut scratch);
-                self.scratch.put(scratch);
-            });
+        self.sub.run_cols("ml_physics_blocks", blocks, |bi, out| {
+            let lo = bi * block;
+            let mut scratch = self.scratch.take();
+            self.step_block(&cols[lo..lo + out.len()], out, &mut scratch);
+            self.scratch.put(scratch);
+        });
         out.into_iter()
             .map(|o| o.expect("block dispatched"))
             .collect()
@@ -356,7 +361,7 @@ impl MlSuite {
             .counter_add("ml.flops_percol", n as u64 * self.flops_per_column());
         let mut out: Vec<Option<MlOutput>> = (0..n).map(|_| None).collect();
         self.sub
-            .run_cols("ml_physics_columns", 0, &mut out[..], |i, o| {
+            .run_cols("ml_physics_columns", &mut out[..], |i, o| {
                 *o = Some(self.step_column(&cols[i]));
             });
         out.into_iter()
@@ -374,6 +379,17 @@ impl MlSuite {
     /// `batch_flops(b) == b · flops_per_column()`.
     pub fn batch_flops(&self, b: usize) -> u64 {
         cnn_batch_flops(&self.cnn, b) + mlp_batch_flops(&self.mlp, b)
+    }
+
+    /// The exact FLOP totals [`sunway_sim::analyze`] divides by measured
+    /// kernel time: every nonzero `ml.flops_*` counter of `metrics`, keyed
+    /// by the leaf kernel that spent it.
+    pub fn flops_by_kernel(metrics: &Metrics) -> BTreeMap<String, u64> {
+        ML_FLOP_COUNTERS
+            .iter()
+            .map(|&(counter, leaf)| (leaf.to_string(), metrics.counter(counter)))
+            .filter(|&(_, flops)| flops > 0)
+            .collect()
     }
 
     /// Allocation events inside the batched-inference scratch arenas (see
@@ -637,6 +653,16 @@ mod tests {
         let suite = MlSuite::untrained(30, 128, 1);
         assert!(suite.flops_per_column() > suite.cnn.flops());
         assert!(suite.flops_per_column() > 1_000_000);
+    }
+
+    #[test]
+    fn flops_by_kernel_keys_the_nonzero_ml_flop_counters_by_leaf() {
+        let m = Metrics::default();
+        assert!(MlSuite::flops_by_kernel(&m).is_empty());
+        m.counter_add("ml.flops_batched", 42);
+        let flops = MlSuite::flops_by_kernel(&m);
+        assert_eq!(flops.len(), 1);
+        assert_eq!(flops["ml_physics_blocks"], 42);
     }
 
     #[test]

@@ -141,7 +141,6 @@ pub enum TargetSpec {
 pub struct FaultSpec {
     pub seed: u64,
     pub dispatch_rate: f64,
-    pub dma_rate: f64,
     pub max_retries: u32,
 }
 
@@ -396,15 +395,10 @@ impl Scenario {
             None | Some(Json::Null) => None,
             Some(f) => {
                 let fctx = format!("{ctx}.fault");
-                expect_obj(
-                    f,
-                    &fctx,
-                    &["seed", "dispatch_rate", "dma_rate", "max_retries"],
-                )?;
+                expect_obj(f, &fctx, &["seed", "dispatch_rate", "max_retries"])?;
                 Some(FaultSpec {
                     seed: req_u64(f, &fctx, "seed")?,
                     dispatch_rate: req_f64(f, &fctx, "dispatch_rate")?,
-                    dma_rate: req_f64(f, &fctx, "dma_rate")?,
                     max_retries: req_u64(f, &fctx, "max_retries")? as u32,
                 })
             }
@@ -509,16 +503,12 @@ impl Scenario {
             }
         }
         if let Some(f) = &self.fault {
-            for (field, rate) in [
-                ("config.fault.dispatch_rate", f.dispatch_rate),
-                ("config.fault.dma_rate", f.dma_rate),
-            ] {
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(ScenarioError::BadValue {
-                        field: field.into(),
-                        what: format!("rate {rate} outside [0, 1]"),
-                    });
-                }
+            let rate = f.dispatch_rate;
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(ScenarioError::BadValue {
+                    field: "config.fault.dispatch_rate".into(),
+                    what: format!("rate {rate} outside [0, 1]"),
+                });
             }
             if self.target == TargetSpec::Serial && f.dispatch_rate > 0.0 {
                 return Err(ScenarioError::Unsupported {
@@ -632,7 +622,6 @@ impl Scenario {
                 Json::Obj(vec![
                     ("seed".into(), Json::Num(f.seed as f64)),
                     ("dispatch_rate".into(), Json::Num(f.dispatch_rate)),
-                    ("dma_rate".into(), Json::Num(f.dma_rate)),
                     ("max_retries".into(), Json::Num(f.max_retries as f64)),
                 ]),
             ));
@@ -968,7 +957,6 @@ fn run_coupled<R: Real>(s: &Scenario) -> Result<ScenarioRun, ScenarioError> {
         sub.arm_faults(
             FaultPlan::new(f.seed)
                 .with_rate(FaultSite::Dispatch, f.dispatch_rate)
-                .with_rate(FaultSite::Dma, f.dma_rate)
                 .with_max_retries(f.max_retries),
         );
     }
@@ -1263,7 +1251,6 @@ mod tests {
         s.fault = Some(FaultSpec {
             seed: 42,
             dispatch_rate: 0.05,
-            dma_rate: 0.0,
             max_retries: 2,
         });
         s.target = TargetSpec::CpeTeams { cpes: 8 };
@@ -1344,7 +1331,6 @@ mod tests {
         s.fault = Some(FaultSpec {
             seed: 1,
             dispatch_rate: 0.5,
-            dma_rate: 0.0,
             max_retries: 1,
         });
         // Dispatch faults on a serial target cannot retry/degrade.

@@ -20,7 +20,7 @@ pub fn laplacian_cell<R: Real>(
     h: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    sub.run_cols("laplacian_cell", 0, out.cols_mut(), |c, col| {
+    sub.run_cols("laplacian_cell", out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         let own = h.col(c);
         for (&e, &nb) in mesh
@@ -58,7 +58,7 @@ pub fn laplacian_edge<R: Real>(
     crate::operators::vorticity(sub, mesh, geom, u, vor_scratch);
     let div_scratch = &*div_scratch;
     let vor_scratch = &*vor_scratch;
-    sub.run_cols("laplacian_edge", 0, out.cols_mut(), |e, col| {
+    sub.run_cols("laplacian_edge", out.cols_mut(), |e, col| {
         let [c1, c2] = mesh.edge_cells[e];
         let [v1, v2] = mesh.edge_verts[e];
         let inv_de = geom.inv_edge_de[e];

@@ -395,7 +395,7 @@ impl<R: Real> NhSolver<R> {
             self.dphi.cols_mut(),
         );
         let sub = &self.sub;
-        sub.run_cols(HEVI_DIAGNOSE.name, 0, outs, |c, (th, ex, pr, dp)| {
+        sub.run_cols(HEVI_DIAGNOSE.name, outs, |c, (th, ex, pr, dp)| {
             let dpi = state.dpi.col(c);
             let phi = state.phi.col(c);
             let theta_m = state.theta_m.col(c);
@@ -444,7 +444,7 @@ impl<R: Real> NhSolver<R> {
         {
             let u = &state.u;
             let outs = (self.ke.cols_mut(), self.div_u.cols_mut());
-            sub.run_cols(HEVI_KE_DIVERGENCE.name, 0, outs, |c, (ke, div)| {
+            sub.run_cols(HEVI_KE_DIVERGENCE.name, outs, |c, (ke, div)| {
                 ke.fill(R::ZERO);
                 div.fill(R::ZERO);
                 let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
@@ -471,7 +471,7 @@ impl<R: Real> NhSolver<R> {
             let u = &state.u;
             let outs = (self.vor.cols_mut(), self.ve.cols_mut(), self.vn.cols_mut());
             let name = HEVI_VERTEX_VORTICITY_VELOCITY.name;
-            sub.run_cols(name, 0, outs, |v, (vor, ve, vn)| {
+            sub.run_cols(name, outs, |v, (vor, ve, vn)| {
                 let edges = mesh.vert_edges[v].map(|e| e as usize);
                 let [u0, u1, u2] = edges.map(|e| &u.col(e)[..nlev]);
                 let [w0, w1, w2]: [R; 3] =
@@ -505,7 +505,7 @@ impl<R: Real> NhSolver<R> {
             let (theta, exner) = (&self.theta, &self.exner);
             let half = R::from_f64(0.5);
             let out = state.u.cols_mut();
-            sub.run_cols(HEVI_MOMENTUM_UPDATE.name, 0, out, |e, col| {
+            sub.run_cols(HEVI_MOMENTUM_UPDATE.name, out, |e, col| {
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 let [v1, v2] = mesh.edge_verts[e].map(|v| v as usize);
                 let (ke1, ke2) = (&ke.col(c1)[..nlev], &ke.col(c2)[..nlev]);
@@ -550,7 +550,7 @@ impl<R: Real> NhSolver<R> {
                 self.theta_flux.cols_mut(),
                 sub_cycled.then(|| self.flux_sum.cols_mut()),
             );
-            sub.run_cols(HEVI_MASS_FLUX.name, 0, outs, |e, (mf, tf, sum)| {
+            sub.run_cols(HEVI_MASS_FLUX.name, outs, |e, (mf, tf, sum)| {
                 let [c1, c2] = mesh.edge_cells[e].map(|c| c as usize);
                 let (d1, d2) = (&dpi.col(c1)[..nlev], &dpi.col(c2)[..nlev]);
                 let (th1, th2) = (&theta.col(c1)[..nlev], &theta.col(c2)[..nlev]);
@@ -585,7 +585,7 @@ impl<R: Real> NhSolver<R> {
                 self.div_mass.cols_mut(),
             );
             let name = HEVI_MASS_THETA_UPDATE.name;
-            sub.run_cols(name, 0, outs, |c, (dpi_c, th_c, div_mass)| {
+            sub.run_cols(name, outs, |c, (dpi_c, th_c, div_mass)| {
                 COLUMN_SCRATCH.with_borrow_mut(|buf| {
                     if buf.len() < 2 * nlev + 1 {
                         buf.resize(2 * nlev + 1, 0.0);
@@ -678,7 +678,7 @@ impl<R: Real> NhSolver<R> {
             let inv = 1.0 / steps;
             let sum = &self.flux_sum;
             let out = self.mass_flux.cols_mut();
-            self.sub.run_cols("hevi_flux_mean", 0, out, |e, col| {
+            self.sub.run_cols("hevi_flux_mean", out, |e, col| {
                 for (x, &s) in col.iter_mut().zip(sum.col(e)) {
                     *x = s * inv;
                 }
@@ -710,7 +710,7 @@ impl<R: Real> NhSolver<R> {
             let dpi = &state.dpi;
             let div_mass = &self.div_mass;
             let out = self.tracer_mass.cols_mut();
-            sub.run_cols("hevi_tracer_mass", 0, out, |c, col| {
+            sub.run_cols("hevi_tracer_mass", out, |c, col| {
                 let a = mesh.cell_area[c] * r2;
                 for (k, x) in col.iter_mut().enumerate() {
                     *x = R::from_f64((dpi.at(k, c) + dt * div_mass.at(k, c)) * a);
@@ -742,7 +742,7 @@ impl<R: Real> NhSolver<R> {
         let outs = (state.w.cols_mut(), state.phi.cols_mut());
         let (dpi_ro, theta_m_ro) = (&state.dpi, &state.theta_m);
         let sub = &self.sub;
-        sub.run_cols(HEVI_IMPLICIT_VERTICAL.name, 0, outs, |c, (w, phi)| {
+        sub.run_cols(HEVI_IMPLICIT_VERTICAL.name, outs, |c, (w, phi)| {
             COLUMN_SCRATCH.with_borrow_mut(|buf| {
                 let dpi = dpi_ro.col(c);
                 let theta_m = theta_m_ro.col(c);

@@ -177,7 +177,7 @@ pub fn divergence<R: Real>(
     out: &mut Field2<R>,
 ) {
     debug_assert_eq!(out.nlev(), flux_edge.nlev());
-    sub.run_cols("divergence", 0, out.cols_mut(), |c, col| {
+    sub.run_cols("divergence", out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         let rng = mesh.cell_edges.row_range(c);
         for (k, &e) in mesh.cell_edges.row(c).iter().enumerate() {
@@ -203,7 +203,7 @@ pub fn gradient<R: Real>(
     h_cell: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    sub.run_cols("gradient", 0, out.cols_mut(), |e, col| {
+    sub.run_cols("gradient", out.cols_mut(), |e, col| {
         let [c1, c2] = mesh.edge_cells[e];
         let a = h_cell.col(c1 as usize);
         let b = h_cell.col(c2 as usize);
@@ -223,7 +223,7 @@ pub fn vorticity<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    sub.run_cols("vorticity", 0, out.cols_mut(), |v, col| {
+    sub.run_cols("vorticity", out.cols_mut(), |v, col| {
         col.fill(R::ZERO);
         for k in 0..3 {
             let e = mesh.vert_edges[v][k] as usize;
@@ -249,7 +249,7 @@ pub fn kinetic_energy<R: Real>(
     u_edge: &Field2<R>,
     out: &mut Field2<R>,
 ) {
-    sub.run_cols("kinetic_energy", 0, out.cols_mut(), |c, col| {
+    sub.run_cols("kinetic_energy", out.cols_mut(), |c, col| {
         col.fill(R::ZERO);
         for &e in mesh.cell_edges.row(c) {
             let w = geom.ke_weight[e as usize];
@@ -277,7 +277,7 @@ pub fn cell_velocity<R: Real>(
 ) {
     let nlev = u_edge.nlev();
     let outs = (out_e.cols_mut(), out_n.cols_mut());
-    sub.run_cols("cell_velocity", 0, outs, |c, (ce, cn)| {
+    sub.run_cols("cell_velocity", outs, |c, (ce, cn)| {
         {
             let p = mesh.cell_xyz[c];
             let (e_hat, n_hat) = (p.east(), p.north());

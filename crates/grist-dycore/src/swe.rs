@@ -117,8 +117,8 @@ impl SwePhases {
 macro_rules! run_over {
     ($sub:expr, $name:literal, $set:expr, $out:expr, $body:expr) => {
         match $set {
-            None => $sub.run_cols($name, 0, $out, $body),
-            Some(set) => $sub.run_cols($name, 0, over(set, $out), $body),
+            None => $sub.run_cols($name, $out, $body),
+            Some(set) => $sub.run_cols($name, over(set, $out), $body),
         }
     };
 }

@@ -165,7 +165,7 @@ pub(crate) fn fct_edge_transports<R: Real, F: Real>(
     ws: &mut FctWorkspace<R>,
 ) {
     let dt_r = R::from_f64(dt);
-    sub.run_cols(FCT_TRANSPORT.name, 0, ws.transport.cols_mut(), |e, col| {
+    sub.run_cols(FCT_TRANSPORT.name, ws.transport.cols_mut(), |e, col| {
         let le = geom.edge_le[e];
         for (t, f) in col.iter_mut().zip(flux.col(e)) {
             *t = R::from_f64(f.to_f64()) * le * dt_r;
@@ -193,7 +193,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let transport = &ws.transport;
     {
         let outs = (ws.q_td.cols_mut(), ws.mass_new.cols_mut());
-        sub.run_cols(FCT_LOWORDER.name, 0, outs, |c, (qtd, mnew)| {
+        sub.run_cols(FCT_LOWORDER.name, outs, |c, (qtd, mnew)| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             let mut emptied = 0u64;
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
@@ -236,7 +236,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     // Antidiffusive fluxes A_e = T_e (q_centered − q_upwind).
     let half = R::from_f64(0.5);
     {
-        sub.run_cols(FCT_ANTIDIFFUSIVE.name, 0, ws.anti.cols_mut(), |e, col| {
+        sub.run_cols(FCT_ANTIDIFFUSIVE.name, ws.anti.cols_mut(), |e, col| {
             let [c1, c2] = mesh.edge_cells[e];
             let (q1, q2) = (q_ro.col(c1 as usize), q_ro.col(c2 as usize));
             let t_col = transport.col(e);
@@ -256,7 +256,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let tiny = R::from_f64(1e-300_f64.max(f64::MIN_POSITIVE));
     {
         let outs = (ws.r_plus.cols_mut(), ws.r_minus.cols_mut());
-        sub.run_cols(FCT_LIMITER.name, 0, outs, |c, (rp, rm)| {
+        sub.run_cols(FCT_LIMITER.name, outs, |c, (rp, rm)| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
                 let n = LEVEL_BLOCK.min(nlev - k0);
@@ -315,7 +315,7 @@ pub(crate) fn fct_transport_keep_mass<R: Real>(
     let r_plus = &ws.r_plus;
     let r_minus = &ws.r_minus;
     {
-        sub.run_cols(FCT_APPLY.name, 0, q.cols_mut(), |c, qc| {
+        sub.run_cols(FCT_APPLY.name, q.cols_mut(), |c, qc| {
             let signs = &geom.cell_edge_sign[mesh.cell_edges.row_range(c)];
             for k0 in (0..nlev).step_by(LEVEL_BLOCK) {
                 let n = LEVEL_BLOCK.min(nlev - k0);

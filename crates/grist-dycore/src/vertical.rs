@@ -63,12 +63,6 @@ impl VerticalCoord {
             .map(|k| (self.sigma_i[k + 1] - self.sigma_i[k]) * (ps - self.p_top))
             .collect()
     }
-
-    /// Surface dry pressure recovered from layer thicknesses (consistency
-    /// inverse of [`Self::dpi`]).
-    pub fn ps_from_dpi(&self, dpi: &[f64]) -> f64 {
-        self.p_top + dpi.iter().sum::<f64>()
-    }
 }
 
 /// Solve a tridiagonal system `a_k x_{k-1} + b_k x_k + c_k x_{k+1} = d_k`
@@ -119,7 +113,6 @@ mod tests {
         let dpi = vc.dpi(ps);
         let total: f64 = dpi.iter().sum();
         assert!((total - (ps - vc.p_top)).abs() < 1e-9);
-        assert!((vc.ps_from_dpi(&dpi) - ps).abs() < 1e-9);
     }
 
     #[test]

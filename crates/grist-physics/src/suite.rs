@@ -183,7 +183,7 @@ impl ConventionalSuite {
         let _span = self.sub.span("physics");
         let mut out: Vec<Option<PhysicsOutput>> = (0..cols.len()).map(|_| None).collect();
         self.sub
-            .run_cols("physics_columns", 0, (&mut out[..], states), |i, (o, s)| {
+            .run_cols("physics_columns", (&mut out[..], states), |i, (o, s)| {
                 *o = Some(self.step_column(&cols[i], s, dt_phy, dt_rad));
             });
         out.into_iter()

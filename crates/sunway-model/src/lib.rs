@@ -16,8 +16,7 @@
 //! * [`dma`] — the CG's DMA engine: descriptor amortization and 64-way
 //!   contention.
 //! * [`perf`] — the roofline model behind Fig. 9 (compute-bound MPE,
-//!   bandwidth-bound CPE cluster, f32 traffic halving) and the roofline
-//!   inputs of the trace attribution report.
+//!   bandwidth-bound CPE cluster, f32 traffic halving).
 //! * [`fattree`] — the 16:3-oversubscribed fat-tree network model.
 //! * [`scaling`] — the SDPD projection behind Figs. 10–11 and Tables 2–3.
 
@@ -36,7 +35,7 @@ pub use dma::{
 };
 pub use fattree::{boundary_fraction, exchange_time, ExchangeProfile, ExchangeTime};
 pub use ldcache::{simulate_streams, Access, LdCache};
-pub use perf::{fig9_table, kernel_time, roofline_inputs, stream_hit_ratio, Domain, ExecTarget};
+pub use perf::{fig9_table, kernel_time, stream_hit_ratio, Domain, ExecTarget};
 pub use scaling::{
     grid_by_label, table2_grids, weak_scaling_efficiencies, weak_scaling_ladder, GridSpec,
     MeasuredCosts, ScalingError, Scheme, SdpdModel, SdpdModelConfig, SdpdResult,

@@ -17,7 +17,7 @@
 use crate::arch::SunwaySpec;
 use crate::distributor::{AllocPolicy, PoolAllocator};
 use crate::ldcache::{simulate_streams, LdCache};
-use sunway_sim::{IterSpace, KernelSpec, Metrics, RooflineInputs};
+use sunway_sim::{IterSpace, KernelSpec, Metrics};
 
 /// Element counts of the mesh (or of one process's share of it) a kernel
 /// runs over, and its levels.
@@ -127,7 +127,7 @@ pub fn stream_hit_ratio(
     arrays: usize,
     elem_bytes: usize,
     policy: AllocPolicy,
-    metrics: Option<&sunway_sim::Metrics>,
+    metrics: Option<&Metrics>,
 ) -> f64 {
     let mut alloc = PoolAllocator::new(policy, spec, arrays.max(1));
     let bases: Vec<u64> = (0..arrays).map(|_| alloc.alloc(512 * 1024)).collect();
@@ -150,7 +150,7 @@ pub fn kernel_time(
     domain: &Domain,
     target: ExecTarget,
     spec: &SunwaySpec,
-    metrics: Option<&sunway_sim::Metrics>,
+    metrics: Option<&Metrics>,
 ) -> f64 {
     let pts = domain.points(kernel.space) as f64;
     let elem = target.elem_bytes(kernel.mixed);
@@ -211,48 +211,9 @@ pub fn fig9_table(kernels: &[KernelSpec], domain: &Domain, spec: &SunwaySpec) ->
         .collect()
 }
 
-/// The `ml.flops_*` counters the ML suite ticks from its exact per-GEMM
-/// accounting (`MlSuite::batch_flops`), each with the leaf kernel that
-/// spent them.
-const ML_FLOP_COUNTERS: [(&str, &str); 2] = [
-    ("ml.flops_batched", "ml_physics_blocks"),
-    ("ml.flops_percol", "ml_physics_columns"),
-];
-
-/// Roofline constants and exact FLOP totals for [`sunway_sim::analyze`]:
-/// the CPE-cluster peak and per-CG DDR bandwidth of the next-gen chip (the
-/// bandwidth-bound regime of Fig. 9), plus every nonzero `ml.flops_*`
-/// counter of `metrics`, keyed by the leaf kernel that spent it.
-pub fn roofline_inputs(metrics: &Metrics) -> RooflineInputs {
-    let spec = SunwaySpec::next_gen();
-    RooflineInputs {
-        peak_flops: spec.cg_peak_f64(),
-        bandwidth: spec.ddr_bandwidth,
-        flops_by_kernel: ML_FLOP_COUNTERS
-            .iter()
-            .map(|&(counter, leaf)| (leaf.to_string(), metrics.counter(counter)))
-            .filter(|&(_, flops)| flops > 0)
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roofline_inputs_use_cg_peak_ddr_bandwidth_and_nonzero_ml_flops() {
-        let spec = SunwaySpec::next_gen();
-        let m = Metrics::default();
-        let ri = roofline_inputs(&m);
-        assert_eq!(ri.peak_flops, spec.cg_peak_f64());
-        assert_eq!(ri.bandwidth, spec.ddr_bandwidth);
-        assert!(ri.flops_by_kernel.is_empty());
-        m.counter_add("ml.flops_batched", 42);
-        let ri = roofline_inputs(&m);
-        assert_eq!(ri.flops_by_kernel.len(), 1);
-        assert_eq!(ri.flops_by_kernel["ml_physics_blocks"], 42);
-    }
 
     /// A seven-array cell kernel: more streams than the LDCache has ways.
     const SEVEN_ARRAYS: KernelSpec = KernelSpec {
@@ -289,7 +250,7 @@ mod tests {
     #[test]
     fn metered_kernel_time_matches_and_fills_cache_counters() {
         let spec = SunwaySpec::next_gen();
-        let m = sunway_sim::Metrics::default();
+        let m = Metrics::default();
         // MPE path: no simulated cache, no counters.
         let time = |t, reg| kernel_time(&SEVEN_ARRAYS, &G6, t, &spec, reg);
         assert_eq!(

@@ -1,17 +1,17 @@
 //! Deterministic fault injection for the simulated substrate.
 //!
 //! A production run at the paper's scale (107,520 nodes, 34M cores) cannot
-//! assume a fault-free machine: CPE dispatches stall, DMA transfers corrupt,
-//! and halo messages are truncated in flight. [`FaultPlan`] is a *seeded*
-//! description of which of those events fail, shared (cheaply, via `Arc`)
-//! between the injection sites:
+//! assume a fault-free machine: CPE dispatches stall and halo messages are
+//! truncated in flight. [`FaultPlan`] is a *seeded* description of which of
+//! those events fail, shared (cheaply, via `Arc`) between the injection
+//! sites:
 //!
 //! * [`Substrate::run_cols`](crate::substrate::Substrate::run_cols)
-//!   consults an armed plan before every offload dispatch ([`FaultSite::Dispatch`]
-//!   for compute-only kernels, keyed on [`dispatch_fault_key`] — kernel name
-//!   and how many times that kernel has been dispatched — so adding, removing
-//!   or reordering *other* kernels leaves a kernel's faults where they were;
-//!   [`FaultSite::Dma`] for dispatches carrying a modeled DMA payload);
+//!   consults an armed plan before every offload dispatch
+//!   ([`FaultSite::Dispatch`], keyed on [`dispatch_fault_key`] — kernel name
+//!   and how many times that kernel has been dispatched — so adding,
+//!   removing or reordering *other* kernels leaves a kernel's faults where
+//!   they were);
 //! * `grist-runtime`'s chaos halo exchange consults it per received message
 //!   ([`FaultSite::HaloExchange`]), truncating the buffer so the failure
 //!   surfaces through the normal malformed-buffer detection path.
@@ -32,7 +32,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Where in the stack an injected fault fires.
@@ -40,9 +39,6 @@ use std::sync::{Arc, Mutex};
 pub enum FaultSite {
     /// A substrate kernel dispatch (the CPE job launch stalls).
     Dispatch,
-    /// A dispatch carrying a modeled DMA payload (the transfer corrupts and
-    /// is detected, so the whole dispatch must be re-issued).
-    Dma,
     /// A gathered halo exchange round (a received message is truncated).
     HaloExchange,
 }
@@ -53,7 +49,6 @@ impl FaultSite {
     fn salt(self) -> u64 {
         match self {
             FaultSite::Dispatch => 0x9d15_7c3a_11b2_0001,
-            FaultSite::Dma => 0x9d15_7c3a_11b2_0002,
             FaultSite::HaloExchange => 0x9d15_7c3a_11b2_0003,
         }
     }
@@ -61,7 +56,6 @@ impl FaultSite {
     pub fn label(self) -> &'static str {
         match self {
             FaultSite::Dispatch => "dispatch",
-            FaultSite::Dma => "dma",
             FaultSite::HaloExchange => "halo-exchange",
         }
     }
@@ -69,8 +63,7 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::Dispatch => 0,
-            FaultSite::Dma => 1,
-            FaultSite::HaloExchange => 2,
+            FaultSite::HaloExchange => 1,
         }
     }
 }
@@ -112,17 +105,16 @@ struct PlanCfg {
     seed: u64,
     max_retries: u32,
     /// Per-site transient fault probability, 0 when unset.
-    rates: [f64; 3],
+    rates: [f64; 2],
     /// Persistent faults: `(site, event key)` pairs that fail every attempt.
     pinned: BTreeSet<(FaultSite, u64)>,
 }
 
-/// Monotone event counters (shared by every clone, so the plan assigns one
-/// key per dispatch no matter which substrate clone issues it): one for
-/// [`FaultSite::Dma`], and for [`FaultSite::Dispatch`] one per kernel name.
+/// Monotone [`FaultSite::Dispatch`] ordinals, one per kernel name (shared
+/// by every clone, so the plan assigns one key per dispatch no matter which
+/// substrate clone issues it).
 #[derive(Debug, Default)]
 struct SiteSeqs {
-    dma: AtomicU64,
     dispatches: Mutex<BTreeMap<&'static str, u64>>,
 }
 
@@ -178,18 +170,11 @@ impl FaultPlan {
         self
     }
 
-    /// Hand out the next deterministic [`FaultSite::Dma`] event key: a
-    /// running ordinal over the plan's byte-carrying dispatches, one draw
-    /// per dispatch. The other sites derive keys that name the event —
-    /// compute dispatches through [`Self::next_dispatch_key`], the halo
-    /// exchange from its `(rank, src, tag)` — so neither a restructured step
-    /// nor rank-thread interleaving can perturb their schedule.
-    pub(crate) fn next_dma_key(&self) -> u64 {
-        self.seqs.dma.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The [`dispatch_fault_key`] of this dispatch of kernel `name`, counting
-    /// the plan's earlier dispatches of the same name.
+    /// the plan's earlier dispatches of the same name. Every key names its
+    /// event — a dispatch by kernel and ordinal, a halo message by its
+    /// `(rank, src, tag)` — so neither a restructured step nor rank-thread
+    /// interleaving can perturb the schedule.
     pub(crate) fn next_dispatch_key(&self, name: &'static str) -> u64 {
         let mut seqs = self
             .seqs
@@ -204,7 +189,6 @@ impl FaultPlan {
 
     /// Zero the event counters (start an identical schedule over).
     pub fn reset(&self) {
-        self.seqs.dma.store(0, Ordering::Relaxed);
         self.seqs
             .dispatches
             .lock()
@@ -262,7 +246,6 @@ mod tests {
         let p = FaultPlan::new(7);
         for key in 0..1000 {
             assert!(!p.should_fail(FaultSite::Dispatch, key, 0));
-            assert!(!p.should_fail(FaultSite::Dma, key, 0));
             assert!(!p.should_fail(FaultSite::HaloExchange, key, 0));
         }
     }
@@ -296,10 +279,10 @@ mod tests {
 
     #[test]
     fn rate_hits_are_roughly_calibrated() {
-        let p = FaultPlan::new(9).with_rate(FaultSite::Dma, 0.1);
+        let p = FaultPlan::new(9).with_rate(FaultSite::HaloExchange, 0.1);
         let n = 10_000;
         let hits = (0..n)
-            .filter(|&k| p.should_fail(FaultSite::Dma, k, 0))
+            .filter(|&k| p.should_fail(FaultSite::HaloExchange, k, 0))
             .count();
         let frac = hits as f64 / n as f64;
         assert!((0.07..0.13).contains(&frac), "10% rate measured {frac}");
@@ -332,19 +315,19 @@ mod tests {
             assert!(p.should_fail(FaultSite::Dispatch, 17, attempt));
         }
         assert!(!p.should_fail(FaultSite::Dispatch, 16, 0));
-        assert!(!p.should_fail(FaultSite::Dma, 17, 0), "pins are per-site");
+        assert!(
+            !p.should_fail(FaultSite::HaloExchange, 17, 0),
+            "pins are per-site"
+        );
     }
 
     #[test]
     fn clones_share_event_counters() {
         let p = FaultPlan::new(5);
         let q = p.clone();
-        assert_eq!(p.next_dma_key(), 0);
-        assert_eq!(q.next_dma_key(), 1);
         assert_eq!(p.next_dispatch_key("a"), dispatch_fault_key("a", 0));
         assert_eq!(q.next_dispatch_key("a"), dispatch_fault_key("a", 1));
         p.reset();
-        assert_eq!(q.next_dma_key(), 0);
         assert_eq!(q.next_dispatch_key("a"), dispatch_fault_key("a", 0));
     }
 
@@ -358,7 +341,6 @@ mod tests {
             keys.0.push(alone.next_dispatch_key("fct_limiter"));
             mixed.next_dispatch_key("hevi_mass_flux");
             keys.1.push(mixed.next_dispatch_key("fct_limiter"));
-            mixed.next_dma_key();
         }
         assert_eq!(keys.0, keys.1);
         assert_eq!(keys.0[3], dispatch_fault_key("fct_limiter", 3));
@@ -371,12 +353,12 @@ mod tests {
     #[test]
     fn fault_error_renders_site_key_and_attempts() {
         let e = FaultError {
-            site: FaultSite::Dma,
+            site: FaultSite::HaloExchange,
             key: 42,
             attempts: 3,
         };
         let msg = e.to_string();
-        assert!(msg.contains("dma"), "{msg}");
+        assert!(msg.contains("halo-exchange"), "{msg}");
         assert!(msg.contains("42"), "{msg}");
         assert!(msg.contains("3 attempt"), "{msg}");
     }

@@ -461,7 +461,7 @@ mod tests {
             (
                 "counters".into(),
                 Json::Obj(vec![
-                    ("dma.bytes".into(), Json::Num(12_582_912.0)),
+                    ("halo.bytes".into(), Json::Num(12_582_912.0)),
                     ("odd".into(), Json::Num(0.125)),
                 ]),
             ),

@@ -1,10 +1,11 @@
 //! # sunway-sim
 //!
 //! The host runtime every GRIST-rs kernel runs through, shaped after the
-//! SWGOMP offload model of the paper (§3.3, Fig. 5). It measures the host;
-//! the modeled SW26010P (chip constants, LDCache, allocator, DMA engine,
-//! roofline and scaling models) is the `sunway-model` crate, which no run
-//! reaches:
+//! SWGOMP offload model of the paper (§3.3, Fig. 5). It measures the host
+//! and models nothing: every number it records is a wall time, a count, or
+//! an exact FLOP total the caller supplies. The modeled SW26010P (chip
+//! constants, LDCache, allocator, DMA engine, roofline and scaling models)
+//! is the `sunway-model` crate, which no run reaches:
 //!
 //! * [`substrate`] — the kernel dispatch layer: serial or CPE-team
 //!   execution, named write sets, fault retry, per-kernel accounting.
@@ -13,18 +14,18 @@
 //! * [`descriptor`] — the size-free cost descriptor each dycore dispatch
 //!   declares beside itself.
 //! * [`metrics`] — the unified observability registry: hierarchical trace
-//!   spans, per-kernel stats, hardware-model counters and named
+//!   spans, per-kernel stats, named counters and named
 //!   [`hist`] distributions, shared by every clone of a
 //!   [`substrate::Substrate`].
 //! * [`json`] — the dependency-free JSON reader/writer behind the
 //!   `BENCH_*.json` benchmark baselines (the workspace builds offline, so
 //!   serde is unavailable).
 //! * [`fault`] — seeded deterministic fault injection (stalled dispatches,
-//!   corrupt DMA payloads, truncated halo messages) feeding the substrate's
-//!   retry/degrade recovery ladder.
+//!   truncated halo messages) feeding the substrate's retry/degrade
+//!   recovery ladder.
 //! * [`trace`] — event-level timelines behind the aggregated registry:
 //!   bounded per-thread ring buffers, Chrome/Perfetto `trace_event` export
-//!   with per-rank/per-CPE lanes, and the roofline attribution report.
+//!   with per-rank/per-CPE lanes, and the measured attribution report.
 
 pub mod descriptor;
 pub mod fault;
@@ -46,6 +47,6 @@ pub use substrate::{
 };
 pub use swgomp::{JobServer, JobStats};
 pub use trace::{
-    analyze, flow_scope, validate_chrome, ChromeStats, EventKind, FlowScope, RooflineInputs,
-    TraceEvent, TraceReport, TraceSnapshot, Tracer,
+    analyze, flow_scope, validate_chrome, ChromeStats, EventKind, FlowScope, TraceEvent,
+    TraceReport, TraceSnapshot, Tracer,
 };

@@ -6,16 +6,17 @@
 //! One [`Metrics`] is shared by every clone of a
 //! [`Substrate`](crate::substrate::Substrate): the model driver opens spans
 //! (`step` → `dycore`/`physics`/`ml`), every named kernel dispatch records
-//! under the currently open span path, and the hardware-model counters
-//! (the substrate's byte-carrying dispatches, the halo exchange in
-//! `grist-runtime`, and the LDCache, allocator and DMA simulators of
-//! `sunway-model`) feed counters like
-//! `dma.bytes`, `ldcache.misses`, and `halo.messages`. Distributions —
+//! its wall time, calls and items under the currently open span path, and
+//! named counters are fed by the runtime (the substrate's offload dispatch
+//! counts, the halo exchange in `grist-runtime`, the ML suite's exact FLOP
+//! totals) and, when the smoke suite hands its registry over, by the
+//! LDCache, allocator and DMA simulators of `sunway-model` — counters like
+//! `halo.messages`, `ml.flops_batched` and `ldcache.misses`. Distributions —
 //! the serving front-end's `serve.{latency_ns,queue_ns,batch_size}` — are
 //! named [`Histogram`]s recorded through [`Metrics::record_hist`] into the
 //! same per-thread lanes. [`MetricsSnapshot`] freezes the whole registry and
-//! round-trips through JSON; its counters and kernel call/item/byte counts
-//! are what the `BENCH_*.json` pins hold exactly (`grist gate`).
+//! round-trips through JSON; its counters and kernel call/item counts are
+//! what the `BENCH_*.json` pins hold exactly (`grist gate`).
 
 use crate::hist::Histogram;
 use crate::json::Json;
@@ -34,9 +35,6 @@ pub struct KernelStats {
     pub nanos: u64,
     /// Total loop iterations (cells/edges/columns) dispatched.
     pub items: u64,
-    /// Modeled DMA payload bytes attributed to this kernel (only kernels
-    /// dispatched with an explicit per-item byte cost report nonzero).
-    pub bytes: u64,
 }
 
 /// Accumulated cost of one span (keyed by its full path, e.g. `step/dycore`).
@@ -60,7 +58,7 @@ struct MetricsState {
 /// [`Metrics::snapshot`] and [`Metrics::reset`] — and
 /// [`Metrics::snapshot`] merges the lanes by key. Span paths and kernel
 /// keys are built once, the first time the lane sees them: a repeated
-/// dispatch finds its slot by name and adds four integers.
+/// dispatch finds its slot by name and adds three integers.
 ///
 /// In a shared-registry multi-rank run each driver thread keeps its own
 /// span stack here, so concurrent spans cannot corrupt each other's kernel
@@ -291,14 +289,13 @@ impl Metrics {
 
     /// Record one dispatch of the named kernel under the calling thread's
     /// open span path.
-    pub fn record_kernel(&self, name: &'static str, nanos: u64, items: u64, bytes: u64) {
+    pub fn record_kernel(&self, name: &'static str, nanos: u64, items: u64) {
         let lane = self.lane();
         let mut lane = lane.lock().expect("metrics lane poisoned");
         let e = lane.kernel(name);
         e.calls += 1;
         e.nanos += nanos;
         e.items += items;
-        e.bytes += bytes;
     }
 
     /// Record `(name, value)` samples into the calling thread's named
@@ -386,7 +383,6 @@ impl Metrics {
                     e.calls += k.stats.calls;
                     e.nanos += k.stats.nanos;
                     e.items += k.stats.items;
-                    e.bytes += k.stats.bytes;
                 }
             }
         }
@@ -448,7 +444,6 @@ impl MetricsSnapshot {
                         ("calls".into(), Json::Num(s.calls as f64)),
                         ("nanos".into(), Json::Num(s.nanos as f64)),
                         ("items".into(), Json::Num(s.items as f64)),
-                        ("bytes".into(), Json::Num(s.bytes as f64)),
                     ]),
                 )
             })
@@ -510,7 +505,6 @@ impl MetricsSnapshot {
                     calls: get("calls")?,
                     nanos: get("nanos")?,
                     items: get("items")?,
-                    bytes: get("bytes")?,
                 };
                 if snap.kernels.insert(name.clone(), stats).is_some() {
                     return Err(format!("kernel {name:?}: duplicate key"));
@@ -569,23 +563,20 @@ mod tests {
     #[test]
     fn kernels_nest_under_open_spans() {
         let m = Metrics::default();
-        m.record_kernel("bare", 10, 1, 0);
+        m.record_kernel("bare", 10, 1);
         {
             let _step = m.span("step");
             {
                 let _dy = m.span("dycore");
-                m.record_kernel("flux", 5, 100, 800);
-                m.record_kernel("flux", 7, 100, 800);
+                m.record_kernel("flux", 5, 100);
+                m.record_kernel("flux", 7, 100);
             }
-            m.record_kernel("exchange", 3, 1, 0);
+            m.record_kernel("exchange", 3, 1);
         }
         let snap = m.snapshot();
         assert_eq!(snap.kernels["bare"].calls, 1);
         let flux = &snap.kernels["step/dycore/flux"];
-        assert_eq!(
-            (flux.calls, flux.nanos, flux.items, flux.bytes),
-            (2, 12, 200, 1600)
-        );
+        assert_eq!((flux.calls, flux.nanos, flux.items), (2, 12, 200));
         assert_eq!(snap.kernels["step/exchange"].calls, 1);
         // Both spans closed and recorded their own wall time.
         assert_eq!(snap.spans["step"].calls, 1);
@@ -596,16 +587,16 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let m = Metrics::default();
-        m.counter_add("dma.bytes", 100);
-        m.counter_add("dma.bytes", 28);
+        m.counter_add("halo.bytes", 100);
+        m.counter_add("halo.bytes", 28);
         m.counter_add("halo.messages", 3);
         m.counter_add("never.incremented", 0); // no-op: not materialized
-        assert_eq!(m.counter("dma.bytes"), 128);
+        assert_eq!(m.counter("halo.bytes"), 128);
         assert_eq!(m.counter("absent"), 0);
         let snap = m.snapshot();
         assert_eq!(snap.counters.len(), 2);
         m.reset();
-        assert_eq!(m.counter("dma.bytes"), 0);
+        assert_eq!(m.counter("halo.bytes"), 0);
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
@@ -614,9 +605,9 @@ mod tests {
         let m = Metrics::default();
         {
             let _s = m.span("step");
-            m.record_kernel("k1", 123_456_789, 42, 7);
+            m.record_kernel("k1", 123_456_789, 42);
         }
-        m.record_kernel("k2", 1, 1, 0);
+        m.record_kernel("k2", 1, 1);
         m.counter_add("ldcache.misses", 987_654_321);
         let snap = m.snapshot();
         let text = snap.to_json();
@@ -627,7 +618,7 @@ mod tests {
     #[test]
     fn from_json_rejects_malformed_entries() {
         assert!(MetricsSnapshot::from_json("{").is_err());
-        let bad = r#"{"kernels": {"k": {"calls": -1, "nanos": 0, "items": 0, "bytes": 0}}}"#;
+        let bad = r#"{"kernels": {"k": {"calls": -1, "nanos": 0, "items": 0}}}"#;
         let e = MetricsSnapshot::from_json(bad).unwrap_err();
         assert!(e.contains("calls"), "{e}");
         let missing = r#"{"counters": {"c": "not a number"}}"#;
@@ -646,9 +637,9 @@ mod tests {
         let m = Metrics::default();
         {
             let _s = m.span("step");
-            m.record_kernel("k", 42, 7, 8);
+            m.record_kernel("k", 42, 7);
         }
-        m.counter_add("dma.bytes", 9);
+        m.counter_add("halo.bytes", 9);
         let full = m.snapshot().to_json();
         for cut in 0..full.len() {
             if !full.is_char_boundary(cut) {
@@ -671,11 +662,11 @@ mod tests {
     fn from_json_wrong_typed_values_error_descriptively() {
         for (doc, needle) in [
             (
-                r#"{"kernels": {"k": {"calls": "3", "nanos": 0, "items": 0, "bytes": 0}}}"#,
+                r#"{"kernels": {"k": {"calls": "3", "nanos": 0, "items": 0}}}"#,
                 "calls",
             ),
             (
-                r#"{"kernels": {"k": {"calls": 1.5, "nanos": 0, "items": 0, "bytes": 0}}}"#,
+                r#"{"kernels": {"k": {"calls": 1.5, "nanos": 0, "items": 0}}}"#,
                 "calls",
             ),
             (r#"{"kernels": {"k": [1, 2, 3, 4]}}"#, "calls"),
@@ -695,8 +686,8 @@ mod tests {
     #[test]
     fn from_json_duplicate_keys_are_rejected_not_last_wins() {
         let dup_kernel = r#"{"kernels": {
-            "k": {"calls": 1, "nanos": 1, "items": 1, "bytes": 1},
-            "k": {"calls": 2, "nanos": 2, "items": 2, "bytes": 2}}}"#;
+            "k": {"calls": 1, "nanos": 1, "items": 1},
+            "k": {"calls": 2, "nanos": 2, "items": 2}}}"#;
         let e = MetricsSnapshot::from_json(dup_kernel).unwrap_err();
         assert!(e.contains("duplicate") && e.contains('k'), "{e}");
         let dup_span =
@@ -721,11 +712,11 @@ mod tests {
             let _step = m.span("step");
             {
                 let _a = m.span("physics");
-                m.record_kernel("work", 5, 1, 0);
+                m.record_kernel("work", 5, 1);
             }
             {
                 let _b = m.span("physics"); // identically-named sibling
-                m.record_kernel("work", 7, 1, 0);
+                m.record_kernel("work", 7, 1);
             }
         }
         let snap = m.snapshot();
@@ -756,7 +747,7 @@ mod tests {
             std::thread::spawn(move || {
                 let _outer = m.span(name);
                 barrier.wait(); // both spans open concurrently
-                m.record_kernel(kernel, 1, 1, 0);
+                m.record_kernel(kernel, 1, 1);
                 barrier.wait();
             })
         };
@@ -781,13 +772,13 @@ mod tests {
                 let m = &m;
                 s.spawn(move || {
                     let _step = m.span("step");
-                    m.record_kernel("work", nanos, 10, 1);
+                    m.record_kernel("work", nanos, 10);
                 });
             }
         });
         let snap = m.snapshot();
         let w = &snap.kernels["step/work"];
-        assert_eq!((w.calls, w.nanos, w.items, w.bytes), (2, 12, 20, 2));
+        assert_eq!((w.calls, w.nanos, w.items), (2, 12, 20));
         assert_eq!(snap.spans["step"].calls, 2);
         assert_eq!(snap.kernels.len(), 1);
 
@@ -797,8 +788,8 @@ mod tests {
         let _sa = a.span("alpha");
         let _sb = b.span("beta");
         for _ in 0..3 {
-            a.record_kernel("k", 1, 1, 0);
-            b.record_kernel("k", 1, 1, 0);
+            a.record_kernel("k", 1, 1);
+            b.record_kernel("k", 1, 1);
         }
         assert_eq!(a.snapshot().kernels["alpha/k"].calls, 3);
         assert_eq!(b.snapshot().kernels["beta/k"].calls, 3);
@@ -807,7 +798,7 @@ mod tests {
         // entries — and what follows still files under the open path.
         a.reset();
         assert_eq!(a.snapshot(), MetricsSnapshot::default());
-        a.record_kernel("k", 2, 1, 0);
+        a.record_kernel("k", 2, 1);
         assert_eq!(a.snapshot().kernels["alpha/k"].nanos, 2);
         assert!(a.snapshot().spans.is_empty(), "alpha is still open");
     }
@@ -846,14 +837,14 @@ mod tests {
         m.counter_add("fault.degradations", 1);
         m.counter_add("checkpoint.captures", 1);
         m.counter_add("recovery.restores", 1);
-        m.counter_add("dma.bytes", 4096); // not a resilience counter
+        m.counter_add("halo.bytes", 4096); // not a resilience counter
         let snap = m.tracer().snapshot();
         assert_eq!(snap.count_kind(EventKind::Fault), 1);
         assert_eq!(snap.count_kind(EventKind::Retry), 1);
         assert_eq!(snap.count_kind(EventKind::Degradation), 1);
         assert_eq!(snap.count_kind(EventKind::Checkpoint), 1);
         assert_eq!(snap.count_kind(EventKind::Restore), 1);
-        assert_eq!(snap.total_events(), 5, "dma.bytes emits no event");
+        assert_eq!(snap.total_events(), 5, "halo.bytes emits no event");
         let fault = snap
             .lanes
             .iter()
@@ -923,7 +914,6 @@ mod tests {
                 calls: 2,
                 nanos: 1_500,
                 items: 84,
-                bytes: 672,
             },
         );
         snap.spans.insert(
@@ -941,8 +931,7 @@ mod tests {
     "step/dycore/flux": {
       "calls": 2,
       "nanos": 1500,
-      "items": 84,
-      "bytes": 672
+      "items": 84
     }
   },
   "spans": {

@@ -10,8 +10,8 @@
 //! emulate CPE teams.
 //!
 //! Kernels are *named* at the dispatch site; the substrate records wall
-//! time, invocation counts, dispatched items, and attributed DMA bytes per
-//! name in a shared [`Metrics`] registry, under the trace-span path the
+//! time, invocation counts and dispatched items per name in a shared
+//! [`Metrics`] registry, under the trace-span path the
 //! driver currently has open (e.g. `step/dycore/hevi_mass_flux`). That feeds
 //! the Fig. 9-style measured table, `GristModel::kernel_report()`, and the
 //! machine-readable `GristModel::metrics_json()` consumed by the
@@ -215,14 +215,6 @@ impl Substrate {
         self.inner.fault.lock().unwrap().take()
     }
 
-    /// Dispatch `0..n_items` as the named kernel, recording wall time, the
-    /// invocation, and the item count in the shared registry. For bodies
-    /// that write nothing through the substrate (atomics, counters, probes);
-    /// a kernel with outputs names them with [`Self::run_cols`].
-    pub fn run<F: Fn(usize) + Sync>(&self, name: &'static str, n_items: usize, f: F) {
-        self.run_with_bytes(name, n_items, 0, f);
-    }
-
     /// Dispatch the named kernel once per item of the write set `out`,
     /// handing the body each dispatched index with that index's own part of
     /// every output view. `out` is one of
@@ -236,6 +228,8 @@ impl Substrate {
     ///
     /// Every present view must hold the same number of items; that number
     /// is the dispatch length, and a mismatch panics before any body runs.
+    /// The dispatch records its wall time, the invocation and the item
+    /// count in the shared registry.
     ///
     /// **Disjoint writes.** The substrate alone chooses the indices: each
     /// index of a dispatch runs exactly once, and this call returns only
@@ -246,48 +240,28 @@ impl Substrate {
     /// degraded dispatch has run no index yet). So no two live parts ever
     /// share an index, and kernel bodies write through plain `&mut`.
     ///
-    /// `bytes_per_item` is the per-item DMA payload estimate: a kernel that
-    /// streams `k` arrays of `e`-byte elements per item passes `k·e`, and
-    /// the dispatch attributes `n·k·e` modeled DMA bytes to the kernel
-    /// *and* the global `dma.bytes` / `dma.transactions` counters (one
-    /// transaction per dispatched CPE chunk: a chunk's columns stream in
-    /// one DMA batch). Offload targets only — the serial MPE path does scalar
-    /// loads, not DMA. Pass 0 for a compute-only kernel.
-    ///
-    /// With a [`FaultPlan`] armed, an offload dispatch may fail; a transient
-    /// fault is retried (`fault.injected`, `fault.retries`), and one that
-    /// persists through the plan's retry budget *degrades*: the kernel runs
-    /// serially on the calling MPE thread — bitwise identical results, no
-    /// DMA attribution — and `fault.degradations` ticks. Dispatches carrying
-    /// a DMA payload are classified [`FaultSite::Dma`], compute-only ones
-    /// [`FaultSite::Dispatch`]; the serial target never consults the plan.
-    /// Model hot loops therefore always complete; chaos only changes where
-    /// the work ran.
-    pub fn run_cols<W, F>(&self, name: &'static str, bytes_per_item: usize, out: W, body: F)
+    /// With a [`FaultPlan`] armed, an offload dispatch may fail at
+    /// [`FaultSite::Dispatch`], keyed by
+    /// [`dispatch_fault_key`](crate::fault::dispatch_fault_key)`(name,
+    /// ordinal)`; a transient fault is retried (`fault.injected`,
+    /// `fault.retries`), and one that persists through the plan's retry
+    /// budget *degrades*: the kernel runs serially on the calling MPE thread
+    /// — bitwise identical results — and `fault.degradations` ticks. The
+    /// serial target never consults the plan. Model hot loops therefore
+    /// always complete; chaos only changes where the work ran.
+    pub fn run_cols<W, F>(&self, name: &'static str, out: W, body: F)
     where
         W: WriteSet,
         F: Fn(usize, W::Col) + Sync,
     {
         let split = out.split();
         let n_items = W::count(&split).expect("a write set needs at least one present view");
-        self.run_with_bytes(name, n_items, bytes_per_item, |slot| {
+        let f = |slot| {
             // SAFETY: `slot < n_items`, and every slot runs once before the
             // dispatch returns (the disjoint-write argument above).
             body(W::index(&split, slot), unsafe { W::col(&split, slot) })
-        });
-    }
-
-    /// The infallible dispatch behind [`Self::run`] and [`Self::run_cols`]:
-    /// [`Self::try_run_with_bytes`], then the serial degrade loop if the
-    /// armed fault plan exhausted its retries.
-    fn run_with_bytes<F: Fn(usize) + Sync>(
-        &self,
-        name: &'static str,
-        n_items: usize,
-        bytes_per_item: usize,
-        f: F,
-    ) {
-        if let Err(_fault) = self.try_run_with_bytes(name, n_items, bytes_per_item, &f) {
+        };
+        if let Err(_fault) = self.try_dispatch(name, n_items, &f) {
             let metrics = &self.inner.metrics;
             metrics.counter_add("fault.degradations", 1);
             let t0 = Instant::now();
@@ -304,7 +278,7 @@ impl Substrate {
                     0,
                 );
             }
-            metrics.record_kernel(name, nanos, n_items as u64, 0);
+            metrics.record_kernel(name, nanos, n_items as u64);
         }
     }
 
@@ -312,21 +286,17 @@ impl Substrate {
     /// offloading, retrying a transient fault; one that persists through
     /// the budget returns the typed [`FaultError`] *without* running the
     /// kernel. The serial target, the ladder's last rung, never consults it.
-    fn try_run_with_bytes<F: Fn(usize) + Sync>(
+    fn try_dispatch<F: Fn(usize) + Sync>(
         &self,
         name: &'static str,
         n_items: usize,
-        bytes_per_item: usize,
         f: &F,
     ) -> Result<(), FaultError> {
         if self.inner.server.is_some() {
             let plan = self.inner.fault.lock().unwrap().clone();
             if let Some(plan) = plan {
-                let (site, key) = if bytes_per_item > 0 {
-                    (FaultSite::Dma, plan.next_dma_key())
-                } else {
-                    (FaultSite::Dispatch, plan.next_dispatch_key(name))
-                };
+                let site = FaultSite::Dispatch;
+                let key = plan.next_dispatch_key(name);
                 let metrics = &self.inner.metrics;
                 let mut attempt = 0u32;
                 while plan.should_fail(site, key, attempt) {
@@ -343,23 +313,16 @@ impl Substrate {
                 }
             }
         }
-        self.dispatch_recorded(name, n_items, bytes_per_item, f);
+        self.dispatch_recorded(name, n_items, f);
         Ok(())
     }
 
     /// The clean dispatch path: execute on the configured target and record
-    /// kernel stats plus offload/DMA counters. With tracing enabled this
-    /// also emits one [`EventKind::Kernel`] event on the dispatching thread,
-    /// per-chunk [`EventKind::Chunk`] events on the worker lanes (attributed
-    /// to the dispatcher's rank), and a [`EventKind::Dma`] instant carrying
-    /// the modeled payload.
-    fn dispatch_recorded<F: Fn(usize) + Sync>(
-        &self,
-        name: &'static str,
-        n_items: usize,
-        bytes_per_item: usize,
-        f: &F,
-    ) {
+    /// kernel stats plus the offload counters. With tracing enabled this
+    /// also emits one [`EventKind::Kernel`] event on the dispatching thread
+    /// and per-chunk [`EventKind::Chunk`] events on the worker lanes
+    /// (attributed to the dispatcher's rank).
+    fn dispatch_recorded<F: Fn(usize) + Sync>(&self, name: &'static str, n_items: usize, f: &F) {
         let metrics = &self.inner.metrics;
         let tracer = metrics.tracer();
         let traced = tracer.is_enabled();
@@ -391,29 +354,17 @@ impl Substrate {
             _ => self.parallel_for(n_items, f),
         }
         let nanos = t0.elapsed().as_nanos() as u64;
-        let mut bytes = 0u64;
-        let mut transactions = 0u64;
-        if let Some(server) = &self.inner.server {
+        if self.inner.server.is_some() {
             metrics.counter_add("substrate.dispatches", 1);
             metrics.counter_add("substrate.items", n_items as u64);
-            if bytes_per_item > 0 {
-                bytes = (n_items * bytes_per_item) as u64;
-                let chunk = n_items.div_ceil(4 * server.n_cpes).max(1);
-                transactions = n_items.div_ceil(chunk) as u64;
-                metrics.counter_add("dma.bytes", bytes);
-                metrics.counter_add("dma.transactions", transactions);
-            }
         }
         if let Some(qname) = &qualified {
-            tracer.record_complete(EventKind::Kernel, qname, t0, n_items as u64, bytes);
-            if bytes > 0 {
-                tracer.record_instant(EventKind::Dma, qname, transactions, bytes);
-            }
+            tracer.record_complete(EventKind::Kernel, qname, t0, n_items as u64, 0);
             // Stamp any request flow IDs active on this thread (see
             // `trace::flow_scope`) so served queries join their kernels.
             tracer.record_scoped_flows(qname);
         }
-        metrics.record_kernel(name, nanos, n_items as u64, bytes);
+        metrics.record_kernel(name, nanos, n_items as u64);
     }
 
     /// Report rows for every kernel dispatched through this substrate (or
@@ -644,9 +595,9 @@ mod tests {
     fn profiler_counts_calls_and_time() {
         let sub = Substrate::serial();
         for _ in 0..5 {
-            sub.run("noop_kernel", 100, |_| {});
+            sub.run_cols("noop_kernel", &mut [(); 100][..], |_, _| {});
         }
-        sub.run("other_kernel", 10, |_| {});
+        sub.run_cols("other_kernel", &mut [(); 10][..], |_, _| {});
         let rows = sub.kernel_report();
         assert_eq!(rows.len(), 2);
         let noop = rows.iter().find(|r| r.name == "noop_kernel").unwrap();
@@ -661,7 +612,7 @@ mod tests {
     fn clones_share_the_profiler() {
         let sub = Substrate::cpe_teams(4);
         let clone = sub.clone();
-        clone.run("from_the_clone", 64, |_| {});
+        clone.run_cols("from_the_clone", &mut [(); 64][..], |_, _| {});
         let rows = sub.kernel_report();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "from_the_clone");
@@ -673,7 +624,7 @@ mod tests {
     fn calls_per_index(sub: &Substrate, name: &'static str, n: usize) -> Vec<u64> {
         let calls: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let mut seen = vec![usize::MAX; n];
-        sub.run_cols(name, 0, &mut seen[..], |i, slot| {
+        sub.run_cols(name, &mut seen[..], |i, slot| {
             calls[i].fetch_add(1, Ordering::Relaxed);
             *slot = i;
         });
@@ -686,7 +637,7 @@ mod tests {
         let ran = AtomicU64::new(0);
         let sub = Substrate::cpe_teams(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sub.run_cols("refused", 0, out, |_, _| {
+            sub.run_cols("refused", out, |_, _| {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
         }));
@@ -715,7 +666,7 @@ mod tests {
         let f = |i: usize| (i as f32).sqrt() * 3.5 + 1.0;
         for sub in [Substrate::serial(), Substrate::cpe_teams(8)] {
             let mut out = vec![0.0f32; n];
-            sub.run_cols("ragged", 0, ColumnsMut::new(&mut out, stride), |c, col| {
+            sub.run_cols("ragged", ColumnsMut::new(&mut out, stride), |c, col| {
                 for (k, v) in col.iter_mut().enumerate() {
                     *v = f(c * stride + k);
                 }
@@ -732,23 +683,13 @@ mod tests {
     fn an_option_view_may_be_absent_or_present() {
         let sub = Substrate::cpe_teams(4);
         let (mut x, mut sum) = (vec![0u32; 64], vec![7u32; 64]);
-        sub.run_cols(
-            "absent",
-            0,
-            (&mut x[..], None::<&mut [u32]>),
-            |i, (x, s)| {
-                assert!(s.is_none());
-                *x = i as u32;
-            },
-        );
-        sub.run_cols(
-            "present",
-            0,
-            (&mut x[..], Some(&mut sum[..])),
-            |_, (x, s)| {
-                *s.expect("present view") += *x;
-            },
-        );
+        sub.run_cols("absent", (&mut x[..], None::<&mut [u32]>), |i, (x, s)| {
+            assert!(s.is_none());
+            *x = i as u32;
+        });
+        sub.run_cols("present", (&mut x[..], Some(&mut sum[..])), |_, (x, s)| {
+            *s.expect("present view") += *x;
+        });
         assert!(sum.iter().enumerate().all(|(i, &s)| s == 7 + i as u32));
     }
 
@@ -767,50 +708,34 @@ mod tests {
         let mut out = vec![0u32; 10];
         let set = IndexSet::new(vec![1, 4, 9]);
         let sub = Substrate::cpe_teams(2);
-        sub.run_cols("subset", 0, over(&set, &mut out[..]), |i, x| {
-            *x = i as u32 + 1
-        });
+        sub.run_cols("subset", over(&set, &mut out[..]), |i, x| *x = i as u32 + 1);
         assert_eq!(out, [0, 2, 0, 0, 5, 0, 0, 0, 0, 10]);
     }
 
     #[test]
-    fn spans_qualify_kernel_names_and_bytes_feed_dma_counters() {
+    fn spans_qualify_kernel_names_and_offload_counts_dispatches() {
         let sub = Substrate::cpe_teams(4);
         {
             let _step = sub.span("step");
             let _dy = sub.span("dycore");
             let mut buf = [0u8; 1000];
-            sub.run_cols("streamed", 48, &mut buf[..], |_, _| {});
+            sub.run_cols("streamed", &mut buf[..], |_, _| {});
         }
         let rows = sub.kernel_report();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "step/dycore/streamed");
         let m = sub.metrics();
-        assert_eq!(m.counter("dma.bytes"), 48_000);
-        assert!(m.counter("dma.transactions") >= 1);
         assert_eq!(m.counter("substrate.dispatches"), 1);
         assert_eq!(m.counter("substrate.items"), 1000);
         let snap = m.snapshot();
-        assert_eq!(snap.kernels["step/dycore/streamed"].bytes, 48_000);
+        assert_eq!(snap.kernels["step/dycore/streamed"].items, 1000);
         assert_eq!(snap.spans["step/dycore"].calls, 1);
-    }
-
-    #[test]
-    fn serial_target_attributes_no_dma_traffic() {
-        let sub = Substrate::serial();
-        let mut buf = [0u8; 100];
-        sub.run_cols("streamed", 48, &mut buf[..], |_, _| {});
-        assert_eq!(sub.metrics().counter("dma.bytes"), 0);
-        assert_eq!(sub.metrics().counter("substrate.dispatches"), 0);
-        let snap = sub.metrics().snapshot();
-        assert_eq!(snap.kernels["streamed"].items, 100);
-        assert_eq!(snap.kernels["streamed"].bytes, 0);
     }
 
     #[test]
     fn report_formats_into_a_table() {
         let sub = Substrate::serial();
-        sub.run("alpha", 10, |_| {});
+        sub.run_cols("alpha", &mut [(); 10][..], |_, _| {});
         let text = format_kernel_report(&sub.kernel_report());
         assert!(text.contains("kernel"));
         assert!(text.contains("alpha"));
@@ -836,20 +761,21 @@ mod tests {
     }
 
     #[test]
-    fn try_run_surfaces_a_typed_error_instead_of_panicking() {
+    fn try_dispatch_surfaces_a_typed_error_instead_of_panicking() {
         let sub = Substrate::cpe_teams(4);
-        sub.arm_faults(FaultPlan::new(0).pin(FaultSite::Dma, 0).with_max_retries(1));
-        let err = sub
-            .try_run_with_bytes("dma_kernel", 128, 8, &|_| {})
-            .unwrap_err();
-        assert_eq!(err.site, FaultSite::Dma);
-        assert_eq!(err.key, 0);
+        let key = dispatch_fault_key("pinned_kernel", 0);
+        sub.arm_faults(
+            FaultPlan::new(0)
+                .pin(FaultSite::Dispatch, key)
+                .with_max_retries(1),
+        );
+        let err = sub.try_dispatch("pinned_kernel", 128, &|_| {}).unwrap_err();
+        assert_eq!(err.site, FaultSite::Dispatch);
+        assert_eq!(err.key, key);
         assert_eq!(err.attempts, 2);
-        // Subsequent DMA dispatches draw fresh keys and succeed.
-        assert!(sub
-            .try_run_with_bytes("dma_kernel", 128, 8, &|_| {})
-            .is_ok());
-        assert_eq!(sub.metrics().counter("dma.bytes"), 128 * 8);
+        // The kernel's next dispatch draws the next ordinal and succeeds.
+        assert!(sub.try_dispatch("pinned_kernel", 128, &|_| {}).is_ok());
+        assert_eq!(sub.metrics().counter("substrate.items"), 128);
     }
 
     #[test]
@@ -886,7 +812,7 @@ mod tests {
         let plan = sub.disarm_faults().expect("was armed");
         assert_eq!(plan.seed(), 0);
         assert!(sub.disarm_faults().is_none());
-        sub.run("calm", 64, |_| {});
+        sub.run_cols("calm", &mut [(); 64][..], |_, _| {});
         assert_eq!(sub.metrics().counter("fault.injected"), 0);
     }
 
@@ -898,7 +824,7 @@ mod tests {
                 .pin(FaultSite::Dispatch, dispatch_fault_key("mpe_kernel", 0))
                 .with_rate(FaultSite::Dispatch, 1.0),
         );
-        sub.run("mpe_kernel", 64, |_| {});
+        sub.run_cols("mpe_kernel", &mut [(); 64][..], |_, _| {});
         assert_eq!(sub.metrics().counter("fault.injected"), 0);
         assert_eq!(sub.metrics().snapshot().kernels["mpe_kernel"].calls, 1);
     }

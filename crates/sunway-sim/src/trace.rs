@@ -5,20 +5,19 @@
 //! answer "when", "in what order", or "who waited on whom" — the questions
 //! behind the paper's Fig. 9 attribution, the SDPD throughput budget, and
 //! the halo-wait/rank-imbalance diagnosis. This module records *timestamped
-//! events* — spans, kernel dispatches, per-CPE chunk executions, DMA
-//! transfers, halo exchanges and their per-message waits, fault injections,
-//! retries, degradations, checkpoints, and restores — into bounded
-//! per-thread ring buffers, and turns them into:
+//! events* — spans, kernel dispatches, per-CPE chunk executions, halo
+//! exchanges and their per-message waits, fault injections, retries,
+//! degradations, checkpoints, and restores — into bounded per-thread ring
+//! buffers, and turns them into:
 //!
 //! * a Chrome/Perfetto `trace_event` JSON timeline
 //!   ([`TraceSnapshot::to_chrome_json`]) with one process lane per rank and
 //!   one thread lane per recording thread (driver "MPE" plus the `cpe-N`
 //!   job-server workers), loadable at <https://ui.perfetto.dev>;
-//! * an attribution report ([`analyze`]): per-kernel critical-path share,
-//!   halo wait-vs-transfer split, rank load-imbalance factor, and a
-//!   roofline placement per kernel (arithmetic intensity from exact FLOP
-//!   totals + the DMA byte model vs. a [`RooflineInputs`] peak/bandwidth,
-//!   which `sunway-model` fills from the modeled chip).
+//! * an attribution report ([`analyze`]) of what the host measured:
+//!   per-kernel time and critical-path share, achieved GFLOP/s where the
+//!   caller supplies exact FLOP totals, the halo wait-vs-transfer split and
+//!   the rank load-imbalance factor. No modeled machine enters it.
 //!
 //! # Cost model
 //!
@@ -78,9 +77,6 @@ pub enum EventKind {
     Kernel,
     /// One CPE-chunk execution on a job-server worker thread.
     Chunk,
-    /// A modeled DMA transfer attributed to a dispatch (point event at the
-    /// dispatch end; `bytes`/`items` carry payload and transaction counts).
-    Dma,
     /// One gathered halo-exchange round on a rank thread.
     HaloExchange,
     /// The blocking receive of one halo message within a round.
@@ -113,7 +109,6 @@ impl EventKind {
             EventKind::Span => "span",
             EventKind::Kernel => "kernel",
             EventKind::Chunk => "chunk",
-            EventKind::Dma => "dma",
             EventKind::HaloExchange => "halo",
             EventKind::HaloWait => "halo_wait",
             EventKind::Fault => "fault",
@@ -129,8 +124,7 @@ impl EventKind {
     pub fn is_instant(self) -> bool {
         matches!(
             self,
-            EventKind::Dma
-                | EventKind::Fault
+            EventKind::Fault
                 | EventKind::Retry
                 | EventKind::Degradation
                 | EventKind::Checkpoint
@@ -170,7 +164,7 @@ pub struct TraceEvent {
     pub dur_ns: u64,
     /// Logical model step at record time (see [`Tracer::set_step`]).
     pub step: u64,
-    /// Kind-specific count (loop items, messages, transactions, …).
+    /// Kind-specific count (loop items, messages, …).
     pub items: u64,
     /// Kind-specific payload bytes.
     pub bytes: u64,
@@ -902,22 +896,6 @@ pub fn validate_chrome(doc: &Json) -> Result<ChromeStats, String> {
 // Attribution analysis
 // ---------------------------------------------------------------------------
 
-/// Hardware constants and exact FLOP totals driving the roofline placement.
-#[derive(Debug, Clone, Default)]
-pub struct RooflineInputs {
-    /// Peak of the target compute engine \[FLOP/s\] (the CG's CPE cluster
-    /// for offloaded kernels).
-    pub peak_flops: f64,
-    /// Sustained memory bandwidth \[bytes/s\] (DDR per CG).
-    pub bandwidth: f64,
-    /// Exact FLOP totals keyed by *leaf* kernel name (the last path
-    /// segment), from the analytic per-op accounting — e.g.
-    /// `MlSuite::batch_flops` sums surfaced through the `ml.flops_*`
-    /// counters. A leaf claimed by more than one distinct kernel path is
-    /// left unattributed (the counter cannot be split).
-    pub flops_by_kernel: BTreeMap<String, u64>,
-}
-
 /// Per-kernel attribution row (one per distinct span-qualified kernel path).
 #[derive(Debug, Clone)]
 pub struct KernelAttribution {
@@ -926,25 +904,17 @@ pub struct KernelAttribution {
     pub calls: u64,
     pub total_ns: u64,
     pub items: u64,
-    pub bytes: u64,
     /// Share of summed kernel time across every lane (the Fig. 9 column).
     pub share_busy: f64,
     /// Share of the critical rank's busy time spent in this kernel — the
     /// critical rank is the busiest one, whose timeline bounds the step, so
     /// this is each kernel's stake in the end-to-end critical path.
     pub cp_share: f64,
-    /// Exact FLOPs, when the leaf name is covered by
-    /// [`RooflineInputs::flops_by_kernel`].
+    /// Exact FLOPs, when the leaf name is a key of the FLOP map handed to
+    /// [`analyze`].
     pub flops: Option<u64>,
-    /// Arithmetic intensity \[FLOP/byte\]; `None` without FLOPs or without
-    /// modeled DMA bytes (serial-target dispatches stream no DMA).
-    pub ai: Option<f64>,
     /// Achieved throughput \[GFLOP/s\] over the kernel's own wall time.
     pub gflops: Option<f64>,
-    /// Achieved / roofline-allowed throughput at this AI.
-    pub peak_fraction: Option<f64>,
-    /// `"memory"` below the ridge AI, `"compute"` at or above it.
-    pub bound: Option<&'static str>,
 }
 
 /// Halo-exchange wait/transfer split summed over rank lanes.
@@ -988,23 +958,23 @@ pub struct TraceReport {
     pub imbalance: f64,
     /// Events evicted from full rings (attribution below is partial if > 0).
     pub dropped: u64,
-    pub peak_flops: f64,
-    pub bandwidth: f64,
-    /// Ridge-point arithmetic intensity \[FLOP/byte\].
-    pub ridge_ai: f64,
 }
 
 /// Compute the attribution report from a snapshot: per-kernel totals and
 /// critical-path shares, the halo wait/transfer split, rank imbalance, and
-/// a roofline placement for every kernel with exact FLOP coverage.
-pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
+/// achieved GFLOP/s for every kernel `flops_by_kernel` covers.
+///
+/// `flops_by_kernel` holds exact FLOP totals keyed by *leaf* kernel name
+/// (the last path segment) — e.g. the `MlSuite` FLOP counters, keyed by the
+/// kernel that spent them. A leaf claimed by more than one distinct kernel
+/// path is left unattributed (the total cannot be split).
+pub fn analyze(snap: &TraceSnapshot, flops_by_kernel: &BTreeMap<String, u64>) -> TraceReport {
     let mut t_min = u64::MAX;
     let mut t_max = 0u64;
     struct KernelAcc {
         calls: u64,
         total_ns: u64,
         items: u64,
-        bytes: u64,
         cp_ns: u64,
     }
     let mut kernels: BTreeMap<String, KernelAcc> = BTreeMap::new();
@@ -1020,13 +990,11 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
                         calls: 0,
                         total_ns: 0,
                         items: 0,
-                        bytes: 0,
                         cp_ns: 0,
                     });
                     acc.calls += 1;
                     acc.total_ns += e.dur_ns;
                     acc.items += e.items;
-                    acc.bytes += e.bytes;
                 }
                 EventKind::HaloExchange => {
                     halo.exchanges += 1;
@@ -1087,16 +1055,10 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
     for name in kernels.keys() {
         *leaf_count.entry(leaf(name)).or_insert(0) += 1;
     }
-    let ridge_ai = if inputs.bandwidth > 0.0 {
-        inputs.peak_flops / inputs.bandwidth
-    } else {
-        f64::INFINITY
-    };
     let mut rows: Vec<KernelAttribution> = kernels
         .iter()
         .map(|(name, acc)| {
-            let flops = inputs
-                .flops_by_kernel
+            let flops = flops_by_kernel
                 .get(leaf(name))
                 .copied()
                 .filter(|_| leaf_count.get(leaf(name)) == Some(&1));
@@ -1107,32 +1069,11 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
                     0.0
                 }
             });
-            let ai = flops.and_then(|f| {
-                if acc.bytes > 0 {
-                    Some(f as f64 / acc.bytes as f64)
-                } else {
-                    None
-                }
-            });
-            let (peak_fraction, bound) = match (ai, gflops) {
-                (Some(ai), Some(g)) => {
-                    let roof_gflops = (inputs.peak_flops.min(ai * inputs.bandwidth)) / 1e9;
-                    let frac = if roof_gflops > 0.0 {
-                        g / roof_gflops
-                    } else {
-                        0.0
-                    };
-                    let bound = if ai < ridge_ai { "memory" } else { "compute" };
-                    (Some(frac), Some(bound))
-                }
-                _ => (None, None),
-            };
             KernelAttribution {
                 name: name.clone(),
                 calls: acc.calls,
                 total_ns: acc.total_ns,
                 items: acc.items,
-                bytes: acc.bytes,
                 share_busy: if busy_total > 0 {
                     acc.total_ns as f64 / busy_total as f64
                 } else {
@@ -1144,10 +1085,7 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
                     0.0
                 },
                 flops,
-                ai,
                 gflops,
-                peak_fraction,
-                bound,
             }
         })
         .collect();
@@ -1161,9 +1099,6 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
         critical_rank,
         imbalance,
         dropped: snap.dropped,
-        peak_flops: inputs.peak_flops,
-        bandwidth: inputs.bandwidth,
-        ridge_ai,
     }
 }
 
@@ -1179,7 +1114,7 @@ fn opt_num(v: Option<f64>) -> Json {
 }
 
 impl TraceReport {
-    /// Structured form (schema `grist-trace-report-v1`) for CI diffing.
+    /// Structured form (schema `grist-trace-report-v2`) for CI diffing.
     pub fn to_json(&self) -> Json {
         let kernels = self
             .kernels
@@ -1190,20 +1125,13 @@ impl TraceReport {
                     ("calls".into(), Json::Num(k.calls as f64)),
                     ("total_ns".into(), Json::Num(k.total_ns as f64)),
                     ("items".into(), Json::Num(k.items as f64)),
-                    ("bytes".into(), Json::Num(k.bytes as f64)),
                     ("share_busy".into(), Json::Num(k.share_busy)),
                     ("cp_share".into(), Json::Num(k.cp_share)),
                     (
                         "flops".into(),
                         k.flops.map_or(Json::Null, |f| Json::Num(f as f64)),
                     ),
-                    ("ai".into(), opt_num(k.ai)),
                     ("gflops".into(), opt_num(k.gflops)),
-                    ("peak_fraction".into(), opt_num(k.peak_fraction)),
-                    (
-                        "bound".into(),
-                        k.bound.map_or(Json::Null, |b| Json::Str(b.into())),
-                    ),
                 ])
             })
             .collect();
@@ -1219,7 +1147,7 @@ impl TraceReport {
             })
             .collect();
         Json::Obj(vec![
-            ("schema".into(), Json::Str("grist-trace-report-v1".into())),
+            ("schema".into(), Json::Str("grist-trace-report-v2".into())),
             ("wall_ns".into(), Json::Num(self.wall_ns as f64)),
             ("kernels".into(), Json::Arr(kernels)),
             (
@@ -1239,9 +1167,6 @@ impl TraceReport {
             ("critical_rank".into(), Json::Num(self.critical_rank as f64)),
             ("imbalance".into(), Json::Num(self.imbalance)),
             ("dropped".into(), Json::Num(self.dropped as f64)),
-            ("peak_flops".into(), Json::Num(self.peak_flops)),
-            ("bandwidth".into(), Json::Num(self.bandwidth)),
-            ("ridge_ai".into(), Json::Num(self.ridge_ai)),
         ])
     }
 
@@ -1257,12 +1182,6 @@ impl TraceReport {
             self.dropped
         ));
         out.push_str(&format!(
-            "roofline      peak {:.1} GFLOP/s  bw {:.1} GB/s  ridge AI {:.2} FLOP/B\n",
-            self.peak_flops / 1e9,
-            self.bandwidth / 1e9,
-            self.ridge_ai
-        ));
-        out.push_str(&format!(
             "halo          {} rounds  {} waits  wait {:.3} ms  transfer {:.3} ms\n",
             self.halo.exchanges,
             self.halo.waits,
@@ -1270,22 +1189,19 @@ impl TraceReport {
             self.halo.transfer_ns as f64 / 1e6,
         ));
         out.push_str(&format!(
-            "{:<34} {:>7} {:>11} {:>7} {:>7} {:>9} {:>9} {:>8}\n",
-            "kernel", "calls", "total ms", "busy%", "cp%", "AI", "GFLOP/s", "bound"
+            "{:<34} {:>7} {:>11} {:>7} {:>7} {:>9}\n",
+            "kernel", "calls", "total ms", "busy%", "cp%", "GFLOP/s"
         ));
         for k in &self.kernels {
-            let ai = k.ai.map_or("-".to_string(), |v| format!("{v:.3}"));
             let gf = k.gflops.map_or("-".to_string(), |v| format!("{v:.3}"));
             out.push_str(&format!(
-                "{:<34} {:>7} {:>11.3} {:>6.1}% {:>6.1}% {:>9} {:>9} {:>8}\n",
+                "{:<34} {:>7} {:>11.3} {:>6.1}% {:>6.1}% {:>9}\n",
                 k.name,
                 k.calls,
                 k.total_ns as f64 / 1e6,
                 k.share_busy * 100.0,
                 k.cp_share * 100.0,
-                ai,
                 gf,
-                k.bound.unwrap_or("-"),
             ));
         }
         for r in &self.ranks {
@@ -1363,7 +1279,7 @@ mod tests {
         let t = Tracer::default();
         t.enable_with_capacity(4);
         for i in 0..10u64 {
-            t.record_instant(EventKind::Dma, &format!("d{i}"), i, 0);
+            t.record_instant(EventKind::Fault, &format!("d{i}"), i, 0);
         }
         let snap = t.snapshot();
         assert_eq!(snap.total_events(), 4);
@@ -1485,7 +1401,7 @@ mod tests {
         t.enable_with_capacity(2);
         assert_eq!(t.dropped_total(), 0);
         for i in 0..5u64 {
-            t.record_instant(EventKind::Dma, &format!("d{i}"), i, 0);
+            t.record_instant(EventKind::Fault, &format!("d{i}"), i, 0);
         }
         assert_eq!(t.dropped_total(), 3);
         assert_eq!(t.snapshot().dropped, 3, "live count matches snapshot");
@@ -1544,8 +1460,8 @@ mod tests {
                 0,
                 vec![
                     ev(EventKind::Span, "step", 0, 100, 0, 0),
-                    ev(EventKind::Kernel, "step/flux", 10, 30, 64, 512),
-                    ev(EventKind::Dma, "step/flux", 40, 0, 2, 512),
+                    ev(EventKind::Kernel, "step/flux", 10, 30, 64, 0),
+                    ev(EventKind::Retry, "fault.retries", 40, 0, 1, 0),
                     ev(EventKind::Kernel, "step/adv", 50, 40, 64, 0),
                 ],
             )],
@@ -1567,7 +1483,7 @@ mod tests {
             .filter_map(|e| e.get("ph").and_then(Json::as_str))
             .filter(|p| *p != "M")
             .collect();
-        // flux ends at 40, exactly where the DMA instant sits: the E is
+        // flux ends at 40, exactly where the retry instant sits: the E is
         // emitted first (close-on-tie), then the instant, then adv.
         assert_eq!(phs, ["B", "B", "E", "i", "B", "E", "E"]);
     }
@@ -1640,7 +1556,7 @@ mod tests {
                     0,
                     0,
                     vec![
-                        ev(EventKind::Kernel, "step/flux", 0, 300, 64, 600),
+                        ev(EventKind::Kernel, "step/flux", 0, 300, 64, 0),
                         ev(EventKind::HaloExchange, "halo_exchange", 300, 100, 2, 160),
                         ev(EventKind::HaloWait, "halo_wait<-1", 310, 60, 1, 80),
                         ev(EventKind::Fault, "fault.injected", 350, 0, 1, 0),
@@ -1649,19 +1565,14 @@ mod tests {
                 lane(
                     1,
                     1,
-                    vec![ev(EventKind::Kernel, "step/flux", 0, 100, 64, 200)],
+                    vec![ev(EventKind::Kernel, "step/flux", 0, 100, 64, 0)],
                 ),
             ],
             dropped: 0,
             step: 3,
         };
-        let mut inputs = RooflineInputs {
-            peak_flops: 1.0e12,
-            bandwidth: 0.5e12,
-            flops_by_kernel: BTreeMap::new(),
-        };
-        inputs.flops_by_kernel.insert("flux".into(), 4000);
-        let rep = analyze(&snap, &inputs);
+        let flops = BTreeMap::from([("flux".to_string(), 4000)]);
+        let rep = analyze(&snap, &flops);
         assert_eq!(rep.wall_ns, 400);
         assert_eq!(rep.critical_rank, 0);
         assert!((rep.imbalance - 1.6).abs() < 1e-12, "{}", rep.imbalance);
@@ -1673,21 +1584,16 @@ mod tests {
         let k = &rep.kernels[0];
         assert_eq!(k.calls, 2);
         assert_eq!(k.total_ns, 400);
-        assert_eq!(k.bytes, 800);
         assert_eq!(k.flops, Some(4000));
-        // AI = 4000 FLOP / 800 B = 5 FLOP/B; ridge = 2 FLOP/B => compute bound.
-        assert_eq!(k.ai, Some(5.0));
-        assert_eq!(k.bound, Some("compute"));
-        // GFLOP/s = 4000 / 400ns = 10; roofline allows 1000 => 1%.
+        // GFLOP/s = 4000 FLOP / 400 ns = 10.
         assert!((k.gflops.unwrap() - 10.0).abs() < 1e-12);
-        assert!((k.peak_fraction.unwrap() - 0.01).abs() < 1e-12);
         assert_eq!(k.share_busy, 1.0, "only kernel");
         assert_eq!(k.cp_share, 1.0, "only kernel on the critical rank");
         // Report serializes and renders.
         let j = rep.to_json();
         assert_eq!(
             j.get("schema").and_then(Json::as_str),
-            Some("grist-trace-report-v1")
+            Some("grist-trace-report-v2")
         );
         let text = rep.to_text();
         assert!(text.contains("step/flux"), "{text}");
@@ -1695,44 +1601,36 @@ mod tests {
     }
 
     #[test]
-    fn analyze_leaves_ambiguous_leaves_and_missing_bytes_unplaced() {
+    fn analyze_leaves_ambiguous_leaves_unattributed() {
         let snap = TraceSnapshot {
             lanes: vec![lane(
                 0,
                 0,
                 vec![
                     ev(EventKind::Kernel, "a/work", 0, 10, 1, 0),
-                    ev(EventKind::Kernel, "b/work", 10, 10, 1, 100),
+                    ev(EventKind::Kernel, "b/work", 10, 10, 1, 0),
                     ev(EventKind::Kernel, "solo", 20, 10, 1, 0),
                 ],
             )],
             dropped: 0,
             step: 0,
         };
-        let mut inputs = RooflineInputs {
-            peak_flops: 1e12,
-            bandwidth: 1e11,
-            ..RooflineInputs::default()
-        };
-        inputs.flops_by_kernel.insert("work".into(), 100);
-        inputs.flops_by_kernel.insert("solo".into(), 100);
-        let rep = analyze(&snap, &inputs);
+        let flops = BTreeMap::from([("work".to_string(), 100), ("solo".to_string(), 100)]);
+        let rep = analyze(&snap, &flops);
         let get = |n: &str| rep.kernels.iter().find(|k| k.name == n).unwrap();
         // "work" appears under two paths: the shared counter is not split.
         assert_eq!(get("a/work").flops, None);
         assert_eq!(get("b/work").flops, None);
-        // "solo" has FLOPs but no DMA bytes: throughput yes, AI no.
+        // "solo" has one path: its FLOPs and throughput are attributed.
         let solo = get("solo");
         assert_eq!(solo.flops, Some(100));
-        assert!(solo.gflops.is_some());
-        assert_eq!(solo.ai, None);
-        assert_eq!(solo.bound, None);
+        assert!((solo.gflops.unwrap() - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_snapshot_analyzes_and_exports_cleanly() {
         let snap = TraceSnapshot::default();
-        let rep = analyze(&snap, &RooflineInputs::default());
+        let rep = analyze(&snap, &BTreeMap::new());
         assert_eq!(rep.wall_ns, 0);
         assert_eq!(rep.imbalance, 1.0);
         assert!(rep.kernels.is_empty());

@@ -22,7 +22,9 @@
 # §7 "Batched ML inference") or a second forward pass per ML network, a
 # layer's cached input or the hybrid physics blend does (same section), or a
 # layer that carries its own gradient and Adam moments does (same section:
-# `Adam` owns the training state), or if
+# `Adam` owns the training state), or a modeled quantity comes back into
+# the runtime — a DMA payload on a dispatch, its fault site or trace event,
+# or a modeled roof under host timings (DESIGN.md §9 "Attribution"), or if
 # any crate but `sunway-sim` gains an
 # `unsafe` or `sunway-sim` more than its ceiling (DESIGN.md §2 "Disjoint
 # writes, argued once": kernels name their outputs to `Substrate::run_cols`),
@@ -113,6 +115,16 @@ if grep -rnE "struct Para[m]\b|zero_gra[d]|Param::h[e]" crates tests examples; t
     exit 1
 fi
 
+# The runtime measures, it does not model: a dispatch carries no DMA payload,
+# no fault site or trace event exists for one, and the trace report divides
+# host-measured FLOP/s by no modeled roof. (`grist-ml`'s
+# `achieved_peak_fraction` is the modeled GEMM efficiency and is not matched.)
+# (Each name ends in a one-character class so this line does not match itself.)
+if grep -rnE "bytes_per_ite[m]|FaultSite::Dm[a]|dma_rat[e]|EventKind::Dm[a]|RooflineInput[s]|ridge_a[i]" crates tests; then
+    echo "api_surface: FAIL — the runtime measures, it does not model: no DMA payload on a dispatch, no DMA fault site or trace event, no modeled roof in the trace report (sunway-model prices the machine)" >&2
+    exit 1
+fi
+
 # (Each name ends in a one-character class so this line does not match itself.)
 if [ -d crates/bench/src/bin ] || grep -rnE "grist-fig9-v[1]" crates \
     || grep -rnE -- "--bi[n] " scripts .github; then
@@ -161,6 +173,17 @@ if [ "$serve_panics" -gt "$serve_panics_ceiling" ]; then
     exit 1
 fi
 
+# Panic sites in grist-runtime's non-test code, counted the same way: all
+# in `comm.rs`'s `run_world`, which turns a dead or panicked rank thread
+# into one panic on the caller. The count only ever comes down.
+runtime_panics_ceiling=7
+runtime_panics=$(for f in crates/grist-runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done \
+    | grep -v '^\s*//' | grep -cE '\.unwrap\(\)|\.expect\(|panic!|unreachable!|resume_unwind' || true)
+if [ "$runtime_panics" -gt "$runtime_panics_ceiling" ]; then
+    echo "api_surface: FAIL — crates/grist-runtime/src has ${runtime_panics} non-test panic sites, ceiling ${runtime_panics_ceiling}" >&2
+    exit 1
+fi
+
 # Size ceilings: like the `unsafe` one they only ever come down — lower a
 # ceiling to the new count when a change removes code.
 pub_fns_ceiling=488
@@ -177,9 +200,9 @@ at_most() { # what count ceiling
 }
 at_most "pub fn count under crates/{core,grist-*,sunway-sim,sunway-model}" "$pub_fns" "$pub_fns_ceiling"
 at_most "Rust lines under crates/" "$crates_lines" "$crates_lines_ceiling"
-echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no env reads outside tests, no hex checkpoint codec, no bench tolerance bands, no second telemetry registry, one binary"
+echo "api_surface: OK — no suffix-named public functions, no lane layer, no DMA mode, no modeled quantity in the runtime, no env reads outside tests, no hex checkpoint codec, no bench tolerance bands, no second telemetry registry, one binary"
 echo "api_surface: pub fn under crates/{core,grist-*,sunway-sim,sunway-model}: ${pub_fns} (ceiling ${pub_fns_ceiling})"
 echo "api_surface: Rust lines: crates/ (without the rand shim) ${crates_lines} (ceiling ${crates_lines_ceiling}), tests/ + examples/ ${tests_lines}"
 echo "api_surface: unsafe occurrences in crates/sunway-sim/src: ${sim_unsafe} (ceiling ${sim_unsafe_ceiling}), elsewhere under crates/: 0"
-echo "api_surface: non-test panic sites in crates/grist-serve/src: ${serve_panics} (ceiling ${serve_panics_ceiling})"
+echo "api_surface: non-test panic sites in crates/grist-serve/src: ${serve_panics} (ceiling ${serve_panics_ceiling}), crates/grist-runtime/src: ${runtime_panics} (ceiling ${runtime_panics_ceiling})"
 echo "api_surface: powf occurrences in crates/grist-dycore/src/hevi.rs: ${hevi_powf} (ceiling ${hevi_powf_ceiling})"
