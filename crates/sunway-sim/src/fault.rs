@@ -110,21 +110,16 @@ struct PlanCfg {
     pinned: BTreeSet<(FaultSite, u64)>,
 }
 
-/// Monotone [`FaultSite::Dispatch`] ordinals, one per kernel name (shared
-/// by every clone, so the plan assigns one key per dispatch no matter which
-/// substrate clone issues it).
-#[derive(Debug, Default)]
-struct SiteSeqs {
-    dispatches: Mutex<BTreeMap<&'static str, u64>>,
-}
-
 /// A seeded, deterministic fault schedule. Cloning is cheap and shares the
 /// event counters; build the plan (rates, pins, retry budget) *before*
 /// arming it on a substrate.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     cfg: Arc<PlanCfg>,
-    seqs: Arc<SiteSeqs>,
+    /// Monotone [`FaultSite::Dispatch`] ordinals, one per kernel name
+    /// (shared by every clone, so the plan assigns one key per dispatch no
+    /// matter which substrate clone issues it).
+    ordinals: Arc<Mutex<BTreeMap<&'static str, u64>>>,
 }
 
 impl FaultPlan {
@@ -136,7 +131,7 @@ impl FaultPlan {
                 max_retries: 2,
                 ..Default::default()
             }),
-            seqs: Arc::new(SiteSeqs::default()),
+            ordinals: Arc::default(),
         }
     }
 
@@ -176,12 +171,11 @@ impl FaultPlan {
     /// `(rank, src, tag)` — so neither a restructured step nor rank-thread
     /// interleaving can perturb the schedule.
     pub(crate) fn next_dispatch_key(&self, name: &'static str) -> u64 {
-        let mut seqs = self
-            .seqs
-            .dispatches
+        let mut ordinals = self
+            .ordinals
             .lock()
             .expect("no code panics holding the ordinal map");
-        let ordinal = seqs.entry(name).or_insert(0);
+        let ordinal = ordinals.entry(name).or_insert(0);
         let key = dispatch_fault_key(name, *ordinal);
         *ordinal += 1;
         key
@@ -189,8 +183,7 @@ impl FaultPlan {
 
     /// Zero the event counters (start an identical schedule over).
     pub fn reset(&self) {
-        self.seqs
-            .dispatches
+        self.ordinals
             .lock()
             .expect("no code panics holding the ordinal map")
             .clear();

@@ -329,7 +329,7 @@ impl Metrics {
         }
         if self.inner.trace.is_enabled() {
             if let Some(kind) = counter_trace_kind(name) {
-                self.inner.trace.record_instant(kind, name, delta, 0);
+                self.inner.trace.record_instant(kind, name, delta);
             }
         }
     }
@@ -812,7 +812,7 @@ mod tests {
         m.tracer().enable_with_capacity(2);
         for i in 0..6u64 {
             m.tracer()
-                .record_instant(EventKind::Fault, &format!("f{i}"), 1, 0);
+                .record_instant(EventKind::Fault, &format!("f{i}"), 1);
         }
         let snap = m.snapshot();
         assert_eq!(snap.counters.get("trace.dropped_events"), Some(&4));

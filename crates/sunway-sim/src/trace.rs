@@ -430,11 +430,11 @@ impl Tracer {
 
     /// Record a point event at the current time on the calling thread's
     /// lane. No-op when disabled.
-    pub fn record_instant(&self, kind: EventKind, name: &str, items: u64, bytes: u64) {
+    pub fn record_instant(&self, kind: EventKind, name: &str, items: u64) {
         if !self.is_enabled() {
             return;
         }
-        self.push(kind, name, None, 0, items, bytes);
+        self.push(kind, name, None, 0, items, 0);
     }
 
     /// Close the chunk opened by [`chunk_begin`] on this worker thread as a
@@ -1248,7 +1248,7 @@ mod tests {
         let t = Tracer::default();
         assert!(!t.is_enabled());
         assert!(t.begin().is_none());
-        t.record_instant(EventKind::Fault, "x", 1, 0);
+        t.record_instant(EventKind::Fault, "x", 1);
         t.record_complete(EventKind::Kernel, "k", Instant::now(), 1, 0);
         assert_eq!(t.snapshot().total_events(), 0);
     }
@@ -1260,7 +1260,7 @@ mod tests {
         let e0 = t.epoch();
         let t0 = t.begin().expect("enabled");
         t.record_complete(EventKind::Kernel, "k", t0, 10, 0);
-        t.record_instant(EventKind::Checkpoint, "checkpoint.captures", 1, 64);
+        t.record_instant(EventKind::Checkpoint, "checkpoint.captures", 1);
         let snap = t.snapshot();
         assert_eq!(snap.total_events(), 2);
         assert_eq!(snap.count_kind(EventKind::Kernel), 1);
@@ -1270,7 +1270,7 @@ mod tests {
         assert!(t.epoch() > e0);
         assert_eq!(t.snapshot().total_events(), 0);
         t.disable();
-        t.record_instant(EventKind::Fault, "x", 1, 0);
+        t.record_instant(EventKind::Fault, "x", 1);
         assert_eq!(t.snapshot().total_events(), 0);
     }
 
@@ -1279,7 +1279,7 @@ mod tests {
         let t = Tracer::default();
         t.enable_with_capacity(4);
         for i in 0..10u64 {
-            t.record_instant(EventKind::Fault, &format!("d{i}"), i, 0);
+            t.record_instant(EventKind::Fault, &format!("d{i}"), i);
         }
         let snap = t.snapshot();
         assert_eq!(snap.total_events(), 4);
@@ -1401,7 +1401,7 @@ mod tests {
         t.enable_with_capacity(2);
         assert_eq!(t.dropped_total(), 0);
         for i in 0..5u64 {
-            t.record_instant(EventKind::Fault, &format!("d{i}"), i, 0);
+            t.record_instant(EventKind::Fault, &format!("d{i}"), i);
         }
         assert_eq!(t.dropped_total(), 3);
         assert_eq!(t.snapshot().dropped, 3, "live count matches snapshot");
@@ -1412,7 +1412,7 @@ mod tests {
         let t = Tracer::default();
         t.enable();
         t.set_step(7);
-        t.record_instant(EventKind::Restore, "recovery.restores", 1, 0);
+        t.record_instant(EventKind::Restore, "recovery.restores", 1);
         let snap = t.snapshot();
         assert_eq!(snap.lanes.len(), 1);
         assert_eq!(snap.lanes[0].events[0].step, 7);
